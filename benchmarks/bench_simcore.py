@@ -20,8 +20,6 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_simcore.py \
         --label shards4 --shards 4 --parallel   # conservative parallel mode
     PYTHONPATH=src python benchmarks/bench_simcore.py \
-        --label coalesced --coalesce   # packet-coalescing fabric
-    PYTHONPATH=src python benchmarks/bench_simcore.py \
         --label batched --batch   # batched label-homogeneous dispatch
 
 Determinism: each workload also records ``final_tick`` and
@@ -68,7 +66,6 @@ def _build(
     shards: int,
     parallel: bool,
     explicit_fault_off: bool = False,
-    coalesce: bool = False,
     batch: bool = False,
 ):
     """Fresh (runtime, app, run_kwargs) — setup cost excluded from timing.
@@ -92,7 +89,7 @@ def _build(
         else {}
     )
     rt = UpDownRuntime(
-        bench_config(nodes, coalescing=coalesce, batch_dispatch=batch),
+        bench_config(nodes, batch_dispatch=batch),
         shards=shards,
         parallel=parallel,
         **fault_kw,
@@ -117,7 +114,6 @@ def run_workload(
     shards: int = 1,
     parallel: bool = False,
     explicit_fault_off: bool = False,
-    coalesce: bool = False,
     batch: bool = False,
 ):
     """Best-of-``repeats`` events/sec for one workload; returns a dict."""
@@ -125,8 +121,7 @@ def run_workload(
     fingerprint = None
     for _ in range(repeats):
         rt, app = _build(
-            name, scale, nodes, shards, parallel, explicit_fault_off,
-            coalesce, batch,
+            name, scale, nodes, shards, parallel, explicit_fault_off, batch
         )
         t0 = time.perf_counter()
         try:
@@ -277,13 +272,6 @@ def main(argv=None) -> int:
         help="run shards in forked worker processes (requires --shards > 1)",
     )
     parser.add_argument(
-        "--coalesce",
-        action="store_true",
-        help="enable the packet-coalescing fabric (coalescing=True); "
-        "fingerprints must stay bit-identical to uncoalesced entries — "
-        "coalescing only removes host-side heap traffic, never cost",
-    )
-    parser.add_argument(
         "--batch",
         dest="batch",
         action="store_true",
@@ -367,7 +355,6 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "shards": args.shards,
         "parallel": args.parallel,
-        "coalesce": args.coalesce,
         "batch": args.batch,
         "cpu_count": os.cpu_count(),
         "workloads": {},
@@ -383,7 +370,6 @@ def main(argv=None) -> int:
             args.repeats,
             shards=args.shards,
             parallel=args.parallel,
-            coalesce=args.coalesce,
             batch=args.batch,
         )
         entry["workloads"][name] = result
@@ -409,18 +395,6 @@ def main(argv=None) -> int:
                 )
         existing["speedup_after_over_before"] = speedups
         print("speedups:", speedups)
-    if "after" in entries and "coalesced" in entries:
-        speedups = {}
-        for name, coalesced in entries["coalesced"]["workloads"].items():
-            after = entries["after"]["workloads"].get(name)
-            if after and after["events_per_second"]:
-                speedups[name] = round(
-                    coalesced["events_per_second"]
-                    / after["events_per_second"],
-                    2,
-                )
-        existing["speedup_coalesced_over_after"] = speedups
-        print("coalescing speedups:", speedups)
     if "after" in entries and "batched" in entries:
         speedups = {}
         for name, batched in entries["batched"]["workloads"].items():

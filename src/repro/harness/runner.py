@@ -48,10 +48,7 @@ BENCH_BLOCK_SIZE = 512
 def bench_config(nodes: int, **overrides) -> MachineConfig:
     """The scaled benchmark machine at a given node count (see DESIGN.md).
 
-    Any :class:`MachineConfig` field can be overridden by keyword —
-    notably ``coalescing=True`` (optionally with
-    ``coalescing_window_cycles=``) to route remote messages through the
-    packet-coalescing fabric, which is bit-exact with the default path.
+    Any :class:`MachineConfig` field can be overridden by keyword.
     """
     return bench_machine(
         nodes=nodes,

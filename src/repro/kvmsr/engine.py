@@ -327,12 +327,12 @@ class MapTask(UDThread):
                 lane = memo[key] = job.reduce_binding.lane_for(
                     key, job.reduce_lanes
                 )
-        # Packet-aware emit, open-coded: the entry label was interned at
-        # job construction and the binding's lanes were range-checked
-        # there, so the resolved fast path feeds the coalescing fabric
-        # without per-tuple lookups or call dispatch.  The summed cycle
-        # charge lands in the same order as work(2) + spawn_resolved(),
-        # so every simulated timestamp is bit-identical to spawn().
+        # Open-coded emit: the entry label was interned at job
+        # construction and the binding's lanes were range-checked there,
+        # so the resolved fast path sends without per-tuple lookups or
+        # call dispatch.  The summed cycle charge lands in the same
+        # order as work(2) + spawn_resolved(), so every simulated
+        # timestamp is bit-identical to spawn().
         ctx.cycles += job._emit_cycles
         ln = ctx.lane
         sim = ctx.sim

@@ -21,7 +21,6 @@ compute networkIDs directly to control computation binding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .costs import CLOCK_HZ, DEFAULT_COSTS, CostTable
 
@@ -70,17 +69,6 @@ class MachineConfig:
     #: minimum DRAMmalloc block size the translation hardware accepts
     #: (paper §2.4: 4 KB; scaled bench machines lower it — DESIGN.md)
     min_dram_block_bytes: int = 4096
-    #: coalesce remote messages from one source node to one destination
-    #: node into single packet heap events (a host-side simulator
-    #: optimization — simulated results are bit-identical; DESIGN.md
-    #: "Packet coalescing & fused dispatch").
-    coalescing: bool = False
-    #: coalescing window in cycles over injection-channel *departure*
-    #: times; ``None`` means ``remote_msg_latency_cycles``.  Must not
-    #: exceed ``remote_msg_latency_cycles`` — that bound is what
-    #: guarantees every member joins a packet strictly before the
-    #: packet's first delivery pops.
-    coalescing_window_cycles: Optional[float] = None
     #: execute batch-safe same-label KVMSR reduce records array-at-a-time
     #: instead of one interpreter pass each (a host-side simulator
     #: optimization — simulated results are bit-identical; DESIGN.md
@@ -116,23 +104,6 @@ class MachineConfig:
             raise ValueError("remote DRAM latency ratio must be >= 1")
         if not (0.0 < self.remote_dram_bandwidth_ratio <= 1.0):
             raise ValueError("remote DRAM bandwidth ratio must be in (0, 1]")
-        if self.coalescing_window_cycles is not None:
-            w = self.coalescing_window_cycles
-            if not (0.0 < w <= self.remote_msg_latency_cycles):
-                raise ValueError(
-                    f"coalescing_window_cycles must be in "
-                    f"(0, {self.remote_msg_latency_cycles}] — a window "
-                    f"wider than the remote base latency could admit a "
-                    f"member after the packet's first delivery popped"
-                )
-        if self.coalescing and self.conservative_lookahead_cycles <= 0.0:
-            raise ValueError(
-                "coalescing needs a positive conservative lookahead "
-                "(remote_msg_latency_cycles and remote_dram_transit_cycles "
-                "must both be > 0): the coalescer seals its open-packet "
-                "table on the same epoch windows sharded execution uses, "
-                "so that packet composition is shard-count-invariant"
-            )
         if self.parallel_ring_kib < 4:
             raise ValueError(
                 "parallel_ring_kib must be >= 4 (one ring must hold at "
@@ -232,16 +203,6 @@ class MachineConfig:
             * self.dram_latency_cycles
             / 2.0
         )
-
-    @property
-    def coalescing_window(self) -> float:
-        """Effective coalescing window in cycles (resolves the ``None``
-        default of :attr:`coalescing_window_cycles` to the remote base
-        latency — the widest window the join-before-delivery proof
-        admits)."""
-        if self.coalescing_window_cycles is not None:
-            return float(self.coalescing_window_cycles)
-        return float(self.remote_msg_latency_cycles)
 
     @property
     def default_ack_timeout_cycles(self) -> float:

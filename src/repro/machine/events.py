@@ -46,11 +46,6 @@ HOST_NWID: int = -2
 #: label_id sentinel: label not interned; resolve the string instead.
 UNRESOLVED_LABEL: int = -1
 
-#: networkID sentinel: a coalesced fabric packet (:class:`PacketRecord`).
-#: Distinct from every real destination (lanes are ``>= 0``, the host is
-#: ``-2``), so the drain loop can recognize packets with one comparison.
-PACKET_NWID: int = -3
-
 
 class MessageRecord:
     """One event message on the wire.
@@ -108,25 +103,6 @@ class MessageRecord:
         #: before label resolution.
         self.rdt = rdt
 
-    def __reduce__(self):
-        # Boundary batches between shard workers pickle one record per
-        # cross-shard event; the constructor-call form is ~3x faster than
-        # the generic __slots__ state protocol.
-        return (
-            MessageRecord,
-            (
-                self.network_id,
-                self.thread,
-                self.label,
-                self.operands,
-                self.continuation,
-                self.src_network_id,
-                self.kind,
-                self.label_id,
-                self.rdt,
-            ),
-        )
-
     def _key(self) -> Tuple[Any, ...]:
         return (
             self.network_id,
@@ -151,110 +127,6 @@ class MessageRecord:
             f"MessageRecord(network_id={self.network_id}, "
             f"thread={self.thread}, label={self.label!r}, "
             f"operands={self.operands!r}, continuation={self.continuation!r})"
-        )
-
-
-def _packet_from_rows(window_end, cursor, rows):
-    """Rebuild a :class:`PacketRecord` from flattened member rows.
-
-    Pickle reconstructor for cross-shard boundary batches: one
-    constructor call per *packet* plus one cheap ``MessageRecord``
-    build per member, instead of one generic ``__reduce__`` round trip
-    per record.
-    """
-    pkt = PacketRecord(window_end)
-    pkt.cursor = cursor
-    members = pkt.members
-    append = members.append
-    for (
-        t,
-        dest,
-        seq,
-        thread,
-        label,
-        operands,
-        continuation,
-        src_network_id,
-        kind,
-        label_id,
-        rdt,
-    ) in rows:
-        append(
-            (
-                t,
-                dest,
-                seq,
-                MessageRecord(
-                    dest,
-                    thread,
-                    label,
-                    operands,
-                    continuation,
-                    src_network_id,
-                    kind,
-                    label_id,
-                    rdt,
-                ),
-            )
-        )
-    return pkt
-
-
-class PacketRecord:
-    """A coalesced batch of remote :class:`MessageRecord` deliveries.
-
-    Purely a *host-side* optimization: remote records from one source
-    node to one destination node whose deliveries fall inside one
-    coalescing window share a single heap entry instead of one each.
-    Every member keeps its own fully-priced ``(time, dest, seq)`` key —
-    computed at issue exactly as without coalescing — and ``members`` is
-    sorted by that key, so the drain loop walks the batch in precisely
-    the order the individual heap entries would have popped.  Nothing
-    about the modeled machine changes: per-record lane cost, injection
-    occupancy, and remote latency are charged identically.
-
-    ``cursor`` is the index of the next unwalked member (a packet that
-    must yield to an earlier heap event is re-pushed keyed at that
-    member).  ``open`` means the packet has not yet been unwrapped by a
-    drain — the flight recorder samples the batch size exactly once.
-    ``window_end`` is the delivery-time bound new members must beat to
-    join (first member's delivery plus the coalescing window).
-    """
-
-    __slots__ = ("network_id", "members", "cursor", "open", "window_end")
-
-    def __init__(self, window_end: float) -> None:
-        self.network_id = PACKET_NWID
-        self.members: list = []
-        self.cursor = 0
-        self.open = True
-        self.window_end = window_end
-
-    def __reduce__(self):
-        # One reduce per packet: the parallel boundary relay ships the
-        # whole batch as flat tuples of plain payload fields.
-        rows = [
-            (
-                t,
-                dest,
-                seq,
-                r.thread,
-                r.label,
-                r.operands,
-                r.continuation,
-                r.src_network_id,
-                r.kind,
-                r.label_id,
-                r.rdt,
-            )
-            for t, dest, seq, r in self.members
-        ]
-        return (_packet_from_rows, (self.window_end, self.cursor, rows))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PacketRecord(members={len(self.members)}, "
-            f"cursor={self.cursor}, window_end={self.window_end})"
         )
 
 
@@ -303,21 +175,6 @@ class DramArrival:
         #: wire bytes of the return direction (data for reads, a
         #: completion message for writes), fixed at issue time.
         self.back_bytes = back_bytes
-
-    def __reduce__(self):
-        # fast pickling for cross-shard boundary batches
-        return (
-            DramArrival,
-            (
-                self.network_id,
-                self.response,
-                self.src_node,
-                self.memory_node,
-                self.nbytes,
-                self.local_offset,
-                self.back_bytes,
-            ),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -462,7 +319,6 @@ WIRE_WLOG = 2  #: one functional-memory write ``(va, values)``
 #: record type tags inside a :data:`WIRE_ENTRY` frame.
 _REC_MSG = 1
 _REC_DRAM = 2
-_REC_PACKET = 3
 
 #: label field shapes
 _LBL_UNRESOLVED = 0  #: ``label_id == -1``; the string follows
@@ -645,20 +501,6 @@ class BoundaryEncoder:
             _enc_value(buf, rec.nbytes)
             _enc_value(buf, rec.local_offset)
             _enc_value(buf, rec.back_bytes)
-        elif cls is PacketRecord:
-            buf.append(_REC_PACKET)
-            _enc_value(buf, t)
-            _enc_value(buf, dest)
-            _enc_value(buf, seq)
-            _enc_value(buf, rec.window_end)
-            buf += rec.cursor.to_bytes(8, "little", signed=True)
-            members = rec.members
-            buf += len(members).to_bytes(4, "little")
-            for mt, mdest, mseq, mrec in members:
-                _enc_value(buf, mt)
-                _enc_value(buf, mdest)
-                _enc_value(buf, mseq)
-                self._msg_body(buf, mrec)
         else:
             raise TypeError(
                 f"cannot encode boundary record of type {cls.__name__}"
@@ -785,21 +627,6 @@ class BoundaryDecoder:
                 dest, resp, src_node, memory_node, nbytes, local_offset,
                 back_bytes,
             )
-        elif rtype == _REC_PACKET:
-            window_end, pos = _dec_value(buf, pos)
-            cursor = int.from_bytes(buf[pos : pos + 8], "little", signed=True)
-            pos += 8
-            n = int.from_bytes(buf[pos : pos + 4], "little")
-            pos += 4
-            rec = PacketRecord(window_end)
-            rec.cursor = cursor
-            append = rec.members.append
-            for _ in range(n):
-                mt, pos = _dec_value(buf, pos)
-                mdest, pos = _dec_value(buf, pos)
-                mseq, pos = _dec_value(buf, pos)
-                mrec, pos = self._msg_body(buf, pos)
-                append((mt, mdest, mseq, mrec))
         else:
             raise ValueError(f"corrupt boundary frame: record type {rtype}")
         return ("entry", (t, dest, seq, rec))

@@ -62,8 +62,7 @@ delivered inside sub-step ``g`` was necessarily emitted in a sub-step
 ``<= g-1`` (conservative lookahead bounds delivery at one sub-step
 width past emission), so the wait guarantees it has arrived — windows
 stay conservative at any widening factor and fingerprints remain
-bit-exact.  Coalescing pins the factor at 1: packet seal points must
-anchor at global next-event times, which only unwidened windows visit.
+bit-exact.
 
 All shared-memory cursors and counters are read and written exclusively
 under one ``multiprocessing.Array`` lock; the mutex acquire/release
@@ -217,11 +216,6 @@ class ShardScheduler(_ShardRouter):
         super().__init__(sim)
         self.heaps: List[list] = [[] for _ in range(self.shards)]
         self._host_entries: List[tuple] = []
-        #: persistent epoch-window end — survives bounded ``drain(until=)``
-        #: re-entries so a stepped run opens windows at exactly the pops
-        #: an un-stepped run (and the sequential drain's virtual windows)
-        #: would, keeping packet sealing shard- and stepping-invariant.
-        self._win_end: float = 0.0
         sim._route = self._route
         # adopt anything injected before the first drain
         pending, sim._heap = sim._heap, []
@@ -255,17 +249,7 @@ class ShardScheduler(_ShardRouter):
                     t_next = heap[0][0]
             if t_next >= bound:
                 break
-            if t_next >= self._win_end:
-                # Epoch boundary: seal open coalescing packets so what a
-                # packet collects is fixed before any shard advances —
-                # the sequential drain seals at exactly this pop via its
-                # virtual windows (no-op when coalescing is off).  A
-                # bounded drain can stop mid-window; re-entry then
-                # continues the old window rather than opening (and
-                # sealing at) one the un-stepped run never had.
-                sim._seal_packets()
-                self._win_end = t_next + lookahead
-            win_until = self._win_end if self._win_end < bound else bound
+            win_until = min(t_next + lookahead, bound)
             for shard in range(self.shards):
                 heap = heaps[shard]
                 if not heap or heap[0][0] >= win_until:
@@ -598,7 +582,7 @@ class ParallelExecutor(_ShardRouter):
             "ring_overflows": 0,
             "spill_phases": 0,
             "barrier_wait_s": 0.0,
-            "adaptive_max": 1 if cfg.coalescing else cfg.parallel_adaptive_max,
+            "adaptive_max": cfg.parallel_adaptive_max,
             "ring_kib": cfg.parallel_ring_kib,
         }
 
@@ -643,10 +627,6 @@ class ParallelExecutor(_ShardRouter):
             )
         conns = self._conns
         metrics = self.hub_metrics
-        # Any packets the parent coalesced between drains are about to be
-        # forwarded as seeds; seal them so later parent-side sends cannot
-        # join a batch the workers already own.
-        sim._seal_packets()
         # forward injections buffered in the parent since the last drain
         pending, sim._heap = sim._heap, []
         seeds: List[list] = [[] for _ in range(self.shards)]
@@ -1241,11 +1221,6 @@ class ParallelExecutor(_ShardRouter):
                             port.wait_for(base + g, drain_rings)
                         drain_rings()
                         apply_wlogs(base + g - 1)
-                        # sub-step start: same seal point as the
-                        # in-process scheduler (no-op unless coalescing,
-                        # which pins nsteps to 1 — so seals only ever
-                        # anchor at global next-event times)
-                        sim._seal_packets()
                         rb = budget
                         if rb is not None:
                             rb -= stats.events_executed - before
@@ -1363,8 +1338,6 @@ def _rebind_recorder(sim, fresh) -> None:
     sim.recorder = fresh
     if old.record_messages:
         sim._rec_msg = fresh.message
-        if sim._rec_packet is not None:
-            sim._rec_packet = fresh.packet
     if old.record_faults:
         sim._rec_fault = fresh.fault
     if old.record_channels:

@@ -43,13 +43,7 @@ from bisect import bisect_left, insort
 from typing import Callable, List, Optional, Tuple
 
 from .config import MachineConfig
-from .events import (
-    HOST_NWID,
-    PACKET_NWID,
-    DramArrival,
-    MessageRecord,
-    PacketRecord,
-)
+from .events import HOST_NWID, DramArrival, MessageRecord
 from .lane import Lane
 from .memory import MemorySystem
 from .network import InjectionChannel, Network
@@ -223,29 +217,9 @@ class Simulator:
         self._inj_channels = self.network._injection
         self._reply_channels = self.network._reply
         self._inj_bw = config.node_injection_bytes_per_cycle
-        # --- packet coalescing (host-side optimization; see DESIGN.md) -
-        # Remote records from one source node to one destination node
-        # whose deliveries fall inside one coalescing window share a
-        # single heap entry.  Member keys and all charged costs are
-        # computed at issue exactly as without coalescing, so results
-        # are bit-identical; only Python heap traffic shrinks.
-        coalescing = bool(config.coalescing)
-        if coalescing and latency_jitter_cycles > 0.0:
-            raise SimulationError(
-                "packet coalescing requires the jitter-free remote cost "
-                "model (member delivery order must be fixed at issue); "
-                "set latency_jitter_cycles=0 or coalescing=False"
-            )
-        self._coalescing_on = coalescing
-        #: open (joinable) packets keyed by src_node * nodes + dst_node.
-        #: Sealed — cleared — at every conservative window boundary, so
-        #: packet composition is identical for every shard count.
-        self._open_packets: dict = {}
-        self._coalesce_window = config.coalescing_window if coalescing else 0.0
         self._remote_base_cycles = float(config.remote_msg_latency_cycles)
         self._local_base_cycles = float(config.local_msg_latency_cycles)
         self._msg_occupancy = config.message_bytes / self._inj_bw
-        self._nodes = config.nodes
         # --- batched dispatch (host-side optimization; see DESIGN.md) --
         # Batch-safe reduce records are *parked* at emit time into the
         # target lane's ``parked`` list — priced, counted, and sequenced
@@ -263,17 +237,6 @@ class Simulator:
         self._rec_batch = (
             recorder.batch
             if recorder is not None and recorder.record_messages
-            else None
-        )
-        #: end of the sequential drain's *virtual* conservative window;
-        #: mirrors the shard scheduler's epoch boundaries (see _drain).
-        self._vw_end = 0.0
-        self._vw_lookahead = config.conservative_lookahead_cycles
-        self._rec_packet = (
-            recorder.packet
-            if coalescing
-            and recorder is not None
-            and recorder.record_messages
             else None
         )
         self._rec_msg = (
@@ -537,19 +500,10 @@ class Simulator:
             )
         dst_node = nwid // self._lanes_per_node
         if self._transport is None and self._fault_msg is None:
-            if (
-                self._coalescing_on
-                and src_node is not None
-                and src_node != dst_node
-            ):
-                t_deliver = self._coalesce_remote(
-                    record, t_issue, src_node, dst_node, actor
-                )
-            else:
-                t_deliver = self._deliver_time(
-                    t_issue, src_node, dst_node, self._message_bytes
-                )
-                self._push(t_deliver, record, actor)
+            t_deliver = self._deliver_time(
+                t_issue, src_node, dst_node, self._message_bytes
+            )
+            self._push(t_deliver, record, actor)
         else:
             t_deliver = self._send_guarded(
                 record, t_issue, src_node, dst_node, actor, src_nwid
@@ -626,14 +580,6 @@ class Simulator:
             # fault model perturbs the *fabric*.
             code = fmsg(actor, self._actor_seq.get(actor, 0))
         if code == 0:
-            # Healthy delivery: coalesces exactly like the fast path —
-            # retransmits re-enter send() and re-coalesce naturally.
-            # Faulted deliveries below stay per-record pushes; the fault
-            # draw above is keyed per record either way.
-            if self._coalescing_on and remote:
-                return self._coalesce_remote(
-                    record, t_issue, src_node, dst_node, actor
-                )
             t_deliver = self._deliver_time(
                 t_issue, src_node, dst_node, self._message_bytes
             )
@@ -669,82 +615,6 @@ class Simulator:
             stats.faults_messages_delayed += 1
             if rec_fault is not None:
                 rec_fault("msg_delay", t_issue, (src_nwid, record.network_id))
-        return t_deliver
-
-    def _coalesce_remote(
-        self,
-        record: MessageRecord,
-        t_issue: float,
-        src_node: int,
-        dst_node: int,
-        actor: int,
-    ) -> float:
-        """Deliver a healthy remote record through the coalescing fabric.
-
-        The record is priced exactly as :meth:`_push` via
-        ``Network.deliver_time`` would price it — same injection-channel
-        admission, same remote base latency, same ``(time, dest, seq)``
-        key from the same actor counter — but instead of its own heap
-        entry it joins the open packet for its ``(src_node, dst_node)``
-        pair when its delivery falls inside that packet's window.
-        Because delivery times on one channel are strictly increasing and
-        the window never exceeds the remote base latency, every join
-        happens strictly before the packet's first pop, and members stay
-        sorted in exactly individual-heap-entry pop order.
-        """
-        aseq = self._actor_seq
-        count = aseq.get(actor, 0)
-        aseq[actor] = count + 1
-        seq = (actor << ACTOR_SEQ_BITS) | count
-        if self._channels_recorded:
-            t_deliver = self._deliver_time(
-                t_issue, src_node, dst_node, self._message_bytes
-            )
-        else:
-            # Network.deliver_time inlined (remote leg, recorder off):
-            # identical arithmetic, so delivery times are bit-identical
-            # with coalescing on or off.
-            chans = self._inj_channels
-            ch = chans.get(src_node)
-            if ch is None:
-                ch = chans[src_node] = InjectionChannel()
-            free_at = ch.free_at
-            start = t_issue if t_issue > free_at else free_at
-            departed = ch.free_at = start + self._msg_occupancy
-            ch.bytes_injected += self._message_bytes
-            t_deliver = departed + self._remote_base_cycles
-        nwid = record.network_id
-        packets = self._open_packets
-        key = src_node * self._nodes + dst_node
-        pkt = packets.get(key)
-        if pkt is not None and t_deliver < pkt.window_end:
-            members = pkt.members
-            last = members[-1]
-            last_t = last[0]
-            # Joins must keep members sorted by (time, dest, seq) — the
-            # pop order their individual heap entries would have had.
-            # Same-channel deliveries strictly increase, so the tie
-            # branch is unreachable at realistic tick magnitudes; it
-            # guards the float-granularity corner exactly anyway.
-            if t_deliver > last_t or (
-                t_deliver == last_t
-                and (
-                    last[1] < nwid or (last[1] == nwid and last[2] < seq)
-                )
-            ):
-                members.append((t_deliver, nwid, seq, record))
-                self.stats.records_coalesced += 1
-                return t_deliver
-        pkt = PacketRecord(t_deliver + self._coalesce_window)
-        pkt.members.append((t_deliver, nwid, seq, record))
-        packets[key] = pkt
-        self.stats.packets_sent += 1
-        entry = (t_deliver, nwid, seq, pkt)
-        route = self._route
-        if route is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            route(entry)
         return t_deliver
 
     # ------------------------------------------------------------------
@@ -788,9 +658,9 @@ class Simulator:
             if rec_msg is not None:
                 rec_msg("local", t_deliver - t_issue)
         else:
-            # Network.deliver_time inlined (remote leg, recorder off) —
-            # the same arithmetic the coalescer inlines, so parked
-            # delivery times are bit-identical to heap delivery times.
+            # Network.deliver_time inlined (remote leg, recorder off):
+            # identical arithmetic, so parked delivery times are
+            # bit-identical to heap delivery times.
             chans = self._inj_channels
             ch = chans.get(src_node)
             if ch is None:
@@ -874,17 +744,6 @@ class Simulator:
             self._flush_parked(ln, (now, math.inf))
         else:
             self._flush_parked(ln, (now,))
-
-    def _seal_packets(self) -> None:
-        """Close every open packet (a conservative window boundary).
-
-        Called by the shard schedulers at each epoch window start — the
-        sequential drain seals at the same boundaries via its virtual
-        windows — so the set of records a packet collects never depends
-        on the shard count.
-        """
-        if self._open_packets:
-            self._open_packets.clear()
 
     def dram_transaction(
         self,
@@ -1148,18 +1007,9 @@ class Simulator:
     def _drain(self, max_events: Optional[int], until: float) -> SimStats:
         """The sequential drain loop over ``self._heap`` (see :meth:`run`).
 
-        Packet-aware: a popped :class:`PacketRecord` is *walked* — its
-        members execute in exactly the order their individual heap
-        entries would have popped, yielding (a re-push keyed at the next
-        member) whenever another heap event sorts earlier or the drain
-        bound is reached.  Fused dispatch extends the same inner loop to
-        plain records: when the next heap entry ties the just-executed
-        event's time on the same lane, it runs in the tight loop without
-        restarting the outer one.  When coalescing is on and no shard
-        scheduler owns windowing (``self._route is None``), the loop
-        also maintains *virtual* conservative windows — sealing the
-        open-packet table exactly where a sharded run's epoch boundaries
-        would fall — so packet composition is shard-count-invariant.
+        Fused dispatch: when the next heap entry is another delivery to
+        the lane that just executed, it runs in the inner loop without
+        restarting the outer one.
         """
         dispatcher = self.dispatcher
         if dispatcher is None:
@@ -1168,8 +1018,6 @@ class Simulator:
         # loads in CPython cost as much as the arithmetic they guard.
         heap = self._heap
         heappop = heapq.heappop
-        heappush = heapq.heappush
-        heappushpop = heapq.heappushpop
         lanes = self._lanes
         lane_of = self.lane
         stats = self.stats
@@ -1181,7 +1029,6 @@ class Simulator:
             if recorder is not None and recorder.record_lane_spans
             else None
         )
-        rec_packet = self._rec_packet
         events_by_label = stats.events_by_label
         final_tick = stats.final_tick
         events_executed = 0
@@ -1200,21 +1047,6 @@ class Simulator:
         wd_idle = self._wd_idle_labels
         wd_report = self._wd_report_only
         wd_last = self._wd_last_progress
-        # Virtual conservative windows (sequential coalescing only): an
-        # infinite window end reduces the whole machinery to one float
-        # compare per event when coalescing is off or a scheduler seals.
-        open_packets = self._open_packets
-        vw_on = self._coalescing_on and self._route is None
-        if vw_on:
-            vw_end = self._vw_end
-            vw_lookahead = self._vw_lookahead
-        else:
-            vw_end = math.inf
-            vw_lookahead = 0.0
-        pkt: Optional[PacketRecord] = None
-        pkt_members: list = []
-        pkt_cursor = 0
-        pkt_len = 0
         # Batched dispatch: when parking is armed (or leftovers exist
         # from a bounded drain), every delivery to a lane first flushes
         # that lane's parked records with earlier keys — one truthiness
@@ -1229,42 +1061,21 @@ class Simulator:
                     break
                 heappop(heap)
                 rec = first[3]
-                if rec.network_id == PACKET_NWID:
-                    # Unwrap a coalesced packet; walk starts at the
-                    # member the entry was keyed by.
-                    pkt = rec
-                    pkt_members = pkt.members
-                    pkt_cursor = pkt.cursor
-                    pkt_len = len(pkt_members)
-                    first = pkt_members[pkt_cursor]
-                    ev_time = first[0]
-                    rec = first[3]
-                    if pkt.open:
-                        pkt.open = False
-                        if rec_packet is not None:
-                            rec_packet(pkt_len)
                 while True:
                     self.now = ev_time
                     nwid = rec.network_id
-                    if ev_time >= vw_end and nwid >= 0:
-                        # A sharded run would start a new epoch window at
-                        # this (non-host) pop: seal every open packet.
-                        if open_packets:
-                            open_packets.clear()
-                        vw_end = ev_time + vw_lookahead
                     if nwid == cached_nwid:
                         ln = cached_lane
                     else:
                         if nwid < 0:
-                            # Host mailbox delivery (HOST_NWID) — never a
-                            # packet member, never fused.
+                            # Host mailbox delivery (HOST_NWID); never fused.
                             host_inbox.append((ev_time, rec))
                             if ev_time > final_tick:
                                 final_tick = ev_time
                             break
                         if nwid >= total_lanes:
                             # Remote DRAM request arriving at its memory
-                            # node — never a packet member, never fused.
+                            # node — never fused.
                             if (
                                 fdead is not None
                                 and ev_time >= fdead[rec.memory_node]
@@ -1306,9 +1117,7 @@ class Simulator:
                     if fdead is not None and ev_time >= fdead[ln.node]:
                         # Whole-node fail-stop: deliveries to a dead node
                         # are discarded (lanes, threads, and scratchpads
-                        # stop responding) — but a dropped packet member
-                        # must not abandon its living siblings, so this
-                        # falls through to the shared advance step.
+                        # stop responding).
                         stats.faults_node_dropped += 1
                         if rec_fault is not None:
                             rec_fault("node_drop", ev_time, (nwid,))
@@ -1321,19 +1130,6 @@ class Simulator:
                                 # shard workers) the parent aggregates
                                 # and raises instead.
                                 if not wd_report and ev_time - wd_last > wd:
-                                    if (
-                                        pkt is not None
-                                        and pkt_cursor < pkt_len
-                                    ):
-                                        # keep the unwalked remainder
-                                        # visible to stall_dump
-                                        pkt.cursor = pkt_cursor
-                                        nxt = pkt_members[pkt_cursor]
-                                        heappush(
-                                            heap,
-                                            (nxt[0], nxt[1], nxt[2], pkt),
-                                        )
-                                        pkt = None
                                     raise QuiescenceStall(
                                         f"no application progress for "
                                         f"{ev_time - wd_last:.0f} cycles "
@@ -1376,68 +1172,9 @@ class Simulator:
                             final_tick = end
                         processed += 1
                         if max_events is not None and processed >= max_events:
-                            if pkt is not None and pkt_cursor + 1 < pkt_len:
-                                # the executed member is consumed; park
-                                # the remainder back on the heap
-                                pkt.cursor = pkt_cursor + 1
-                                nxt = pkt_members[pkt_cursor + 1]
-                                heappush(
-                                    heap, (nxt[0], nxt[1], nxt[2], pkt)
-                                )
-                                pkt = None
                             raise SimulationError(
                                 f"simulation exceeded max_events={max_events}"
                             )
-                    # --- advance: packet walk, then fused dispatch ----
-                    if pkt is not None:
-                        pkt_cursor += 1
-                        if pkt_cursor < pkt_len:
-                            nxt = pkt_members[pkt_cursor]
-                            if nxt[0] >= until:
-                                # Drain bound: park the remainder for
-                                # the next bounded re-entry.
-                                pkt.cursor = pkt_cursor
-                                heappush(
-                                    heap, (nxt[0], nxt[1], nxt[2], pkt)
-                                )
-                                pkt = None
-                                break
-                            if heap and heap[0] < nxt:
-                                # An earlier heap event interleaves:
-                                # swap the re-keyed packet in and that
-                                # entry out in ONE sift (heappushpop —
-                                # half the cost of push + re-pop) and
-                                # keep executing in the tight loop.  The
-                                # swapped-out entry sorts before ``nxt``
-                                # (< until), and the member key's unique
-                                # seq means the comparison never reaches
-                                # the record, so the pop order is
-                                # exactly the uncoalesced heap's.
-                                pkt.cursor = pkt_cursor
-                                first = heappushpop(
-                                    heap, (nxt[0], nxt[1], nxt[2], pkt)
-                                )
-                                rec = first[3]
-                                if rec.network_id == PACKET_NWID:
-                                    pkt = rec
-                                    pkt_members = pkt.members
-                                    pkt_cursor = pkt.cursor
-                                    pkt_len = len(pkt_members)
-                                    first = pkt_members[pkt_cursor]
-                                    rec = first[3]
-                                    if pkt.open:
-                                        pkt.open = False
-                                        if rec_packet is not None:
-                                            rec_packet(pkt_len)
-                                else:
-                                    pkt = None
-                                ev_time = first[0]
-                                continue
-                            first = nxt
-                            ev_time = nxt[0]
-                            rec = nxt[3]
-                            continue
-                        pkt = None
                     if heap:
                         nxt = heap[0]
                         if (
@@ -1449,11 +1186,10 @@ class Simulator:
                             # in the tight loop instead of restarting
                             # the outer one.  Taking heap[0] keeps the
                             # pop order untouched; the inner loop
-                            # already advances time, seals virtual
-                            # windows, and checks budgets.  Sentinel
-                            # network_ids (packets, host, DRAM) can
-                            # never equal a lane id, so only plain
-                            # records fuse.
+                            # already advances time and checks budgets.
+                            # Sentinel network_ids (host, DRAM) can
+                            # never equal a lane id, so only lane
+                            # deliveries fuse.
                             heappop(heap)
                             first = nxt
                             rec = nxt[3]
@@ -1468,12 +1204,6 @@ class Simulator:
                     if ln.parked:
                         self._flush_parked(ln, cut)
         finally:
-            if pkt is not None and pkt_cursor < pkt_len:
-                # exceptional unwind mid-walk (dispatcher raise): park
-                # the unwalked remainder so the heap stays coherent
-                pkt.cursor = pkt_cursor
-                nxt = pkt_members[pkt_cursor]
-                heappush(heap, (nxt[0], nxt[1], nxt[2], pkt))
             stats.events_executed += events_executed
             stats.events_interpreted += events_executed
             if final_tick > stats.final_tick:
@@ -1482,8 +1212,6 @@ class Simulator:
             # stepping and the shard window loop both call _drain many
             # times per logical run).
             self._wd_last_progress = wd_last
-            if vw_on:
-                self._vw_end = vw_end
             self._sync_lane_stats()
         return stats
 

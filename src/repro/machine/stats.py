@@ -42,16 +42,6 @@ class SimStats:
     #: are outside the local/remote split; together the four message
     #: counters partition ``messages_sent`` exactly.
     messages_host_bound: int = 0
-    #: heap entries created by the coalescing fabric (``coalescing=True``):
-    #: one per packet.  Host-side bookkeeping only — records, not packets,
-    #: are what the message taxonomy above counts, so the ``sent ==
-    #: local + remote + host_injected + host_bound`` partition is
-    #: unaffected.  ``packets_sent + records_coalesced`` equals the
-    #: number of coalesced remote record deliveries.
-    packets_sent: int = 0
-    #: remote records that joined an existing packet instead of costing
-    #: their own heap push (the savings the coalescing fabric delivers).
-    records_coalesced: int = 0
     #: batch-dispatch executions (``batch_dispatch=True``): one per
     #: same-plan run of parked records a flush executed array-at-a-time.
     #: Host-side bookkeeping only — every batched record still counts in
@@ -143,8 +133,6 @@ class SimStats:
             "messages_remote": self.messages_remote,
             "messages_host_injected": self.messages_host_injected,
             "messages_host_bound": self.messages_host_bound,
-            "packets_sent": self.packets_sent,
-            "records_coalesced": self.records_coalesced,
             "batches_executed": self.batches_executed,
             "records_batched": self.records_batched,
             "events_interpreted": self.events_interpreted,

@@ -102,14 +102,6 @@ class FlightRecorder:
             kind: LogHistogram() for kind in MESSAGE_KINDS
         }
 
-        # -- packet taxonomy (histograms tier; coalescing runs only) --
-        #: batch-size histogram: one sample per unwrapped packet.
-        self.packet_sizes = LogHistogram()
-        #: packets unwrapped by the drain.
-        self.packets_recorded: int = 0
-        #: records those packets carried (sum of the sampled sizes).
-        self.packet_records: int = 0
-
         # -- batched dispatch (histograms tier; batch_dispatch runs) --
         #: batch-size histogram: one sample per executed parked-record
         #: run (``repro.udweave.ir``).
@@ -150,12 +142,6 @@ class FlightRecorder:
     def message(self, kind: str, latency: float) -> None:
         """One message put on the wire; ``kind`` per :data:`MESSAGE_KINDS`."""
         self.msg_latency[kind].add(latency)
-
-    def packet(self, n_members: int) -> None:
-        """One coalesced packet unwrapped by the drain (batch size)."""
-        self.packet_sizes.add(n_members)
-        self.packets_recorded += 1
-        self.packet_records += n_members
 
     def batch(self, n_records: int) -> None:
         """One batched-dispatch execution of parked records (batch size)."""
@@ -312,9 +298,6 @@ class FlightRecorder:
             "dram_events": list(self.dram_events),
             "channel_events_dropped": self.channel_events_dropped,
             "msg_latency": copy.deepcopy(self.msg_latency),
-            "packet_sizes": copy.deepcopy(self.packet_sizes),
-            "packets_recorded": self.packets_recorded,
-            "packet_records": self.packet_records,
             "batch_sizes": copy.deepcopy(self.batch_sizes),
             "batches_recorded": self.batches_recorded,
             "batch_records": self.batch_records,
@@ -340,9 +323,6 @@ class FlightRecorder:
         self.dram_events = list(state["dram_events"])
         self.channel_events_dropped = state["channel_events_dropped"]
         self.msg_latency = copy.deepcopy(state["msg_latency"])
-        self.packet_sizes = copy.deepcopy(state["packet_sizes"])
-        self.packets_recorded = state["packets_recorded"]
-        self.packet_records = state["packet_records"]
         self.batch_sizes = copy.deepcopy(state["batch_sizes"])
         self.batches_recorded = state["batches_recorded"]
         self.batch_records = state["batch_records"]
@@ -386,9 +366,6 @@ class FlightRecorder:
         self.channel_events_dropped += other.channel_events_dropped
         for kind, hist in other.msg_latency.items():
             self.msg_latency[kind].merge(hist)
-        self.packet_sizes.merge(other.packet_sizes)
-        self.packets_recorded += other.packets_recorded
-        self.packet_records += other.packet_records
         self.batch_sizes.merge(other.batch_sizes)
         self.batches_recorded += other.batches_recorded
         self.batch_records += other.batch_records

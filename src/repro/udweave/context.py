@@ -255,13 +255,13 @@ class LaneContext:
     ) -> None:
         """:meth:`spawn` for a pre-resolved, pre-validated target.
 
-        The packet-aware inner loops (KVMSR's ``_pump`` chain and
-        ``kv_emit``) issue millions of spawns whose label is fixed for
-        the whole job and whose ``network_id`` comes from a binding that
-        was range-checked at job creation; re-resolving the label and
-        re-checking the range per send is pure host overhead.  The
-        charged cycles — and therefore every simulated result — are
-        identical to :meth:`spawn`.
+        KVMSR's inner loops (the ``_pump`` chain and ``kv_emit``) issue
+        millions of spawns whose label is fixed for the whole job and
+        whose ``network_id`` comes from a binding that was range-checked
+        at job creation; re-resolving the label and re-checking the
+        range per send is pure host overhead.  The charged cycles — and
+        therefore every simulated result — are identical to
+        :meth:`spawn`.
         """
         costs = self.costs
         self.cycles += (

@@ -135,53 +135,6 @@ class TestFaultyRunsAreShardInvariant:
         assert fps[0] == fps[1]
 
 
-class TestCoalescingUnderChaos:
-    """Packet coalescing composes with drops + ack/retry: fault draws and
-    transport tracking stay keyed per *record*, and healthy deliveries —
-    retransmits included — re-enter the coalescing path."""
-
-    def _run(self, coalescing, shards=1):
-        rt = UpDownRuntime(
-            bench_config(NODES, coalescing=coalescing),
-            faults=FaultPlan(**PLAN),
-            reliable=True,
-            shards=shards,
-        )
-        app = PageRankApp(
-            rt, RING, max_degree=16, damping=0.5, block_size=BLOCK
-        )
-        res = app.run(iterations=3, max_events=10_000_000)
-        rt.shutdown()
-        return rt.sim.stats.scalar_snapshot(), list(res.ranks)
-
-    def test_retransmitted_records_recoalesce(self):
-        fp_on, ranks_on = self._run(coalescing=True)
-        fp_off, ranks_off = self._run(coalescing=False)
-        assert fp_on["faults_messages_dropped"] > 0
-        assert fp_on["transport_retransmits"] > 0
-        assert fp_on["packets_sent"] > 0
-        assert fp_on["records_coalesced"] > 0
-        # record-level conservation under chaos: every *healthy* remote
-        # delivery (retransmits included) opened or joined a packet;
-        # dropped records occupy no packet, and this plan neither delays
-        # nor duplicates.
-        assert (
-            fp_on["packets_sent"] + fp_on["records_coalesced"]
-            == fp_on["messages_remote"] - fp_on["faults_messages_dropped"]
-        )
-        # the same records were perturbed: packets never change fault
-        # draws, so outside the packet counters the runs are bit-equal
-        for key in ("packets_sent", "records_coalesced"):
-            fp_on.pop(key)
-            fp_off.pop(key)
-        assert fp_on == fp_off
-        assert ranks_on == ranks_off
-
-    def test_chaotic_coalesced_run_is_shard_invariant(self):
-        seq = self._run(coalescing=True)
-        assert self._run(coalescing=True, shards=2) == seq
-
-
 class TestDisabledFaultsAreFree:
     def test_faults_none_matches_runtime_without_fault_args(self):
         """``faults=None`` must be indistinguishable from a build that

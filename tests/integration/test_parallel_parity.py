@@ -102,19 +102,16 @@ class TestForkedWorkers:
 
 class TestForkedWorkerMatrix:
     """Forked-worker parity across the machine-model feature matrix:
-    packet coalescing (PacketRecord boundary frames), batched dispatch,
-    and injected faults with reliable delivery (fault-delayed ``rdt``
-    records crossing shards) must each stay bit-exact — and the healthy
-    path must never touch the ring-overflow spill channel."""
+    batched dispatch and injected faults with reliable delivery
+    (fault-delayed ``rdt`` records crossing shards) must each stay
+    bit-exact — and the healthy path must never touch the ring-overflow
+    spill channel."""
 
-    def _run(self, parallel, coalescing=False, batch_dispatch=False,
-             faulty=False):
+    def _run(self, parallel, batch_dispatch=False, faulty=False):
         from repro.faults import FaultPlan
 
         rt = UpDownRuntime(
-            bench_config(
-                NODES, coalescing=coalescing, batch_dispatch=batch_dispatch
-            ),
+            bench_config(NODES, batch_dispatch=batch_dispatch),
             faults=FaultPlan(seed=11, drop_rate=0.01) if faulty else None,
             reliable=faulty,
             shards=2 if parallel else 1,
@@ -130,12 +127,11 @@ class TestForkedWorkerMatrix:
     @pytest.mark.parametrize(
         "knobs",
         [
-            dict(coalescing=True),
             dict(batch_dispatch=True),
             dict(faulty=True),
-            dict(coalescing=True, batch_dispatch=True, faulty=True),
+            dict(batch_dispatch=True, faulty=True),
         ],
-        ids=["coalescing", "batch_dispatch", "faulted", "all_on"],
+        ids=["batch_dispatch", "faulted", "all_on"],
     )
     def test_feature_matrix_fingerprint_identical(self, knobs):
         seq_fp, seq_ranks, _ = self._run(parallel=False, **knobs)
@@ -145,10 +141,6 @@ class TestForkedWorkerMatrix:
         # acceptance bar: default ring capacity absorbs the whole
         # boundary stream — the spill path is for pathology only
         assert metrics["ring_overflows"] == 0
-        if knobs.get("coalescing"):
-            # packet seal points anchor at global next-event times, so
-            # coalescing pins every window to base width
-            assert set(metrics["window_hist"]) == {1}
 
 
 class TestRecordedParallelRun:
@@ -192,55 +184,6 @@ class TestRecordedParallelRun:
         for kind, hist in seq.recorder.msg_latency.items():
             assert par.recorder.msg_latency[kind].count == hist.count
         assert par.recorder.inj_wait.count == seq.recorder.inj_wait.count
-
-
-class TestCoalescedParity:
-    """``coalescing=True`` composes with every execution mode: packet
-    composition is shard-count-invariant (seals happen at the same
-    conservative window boundaries everywhere), so the *full* fingerprint
-    — including ``packets_sent`` / ``records_coalesced`` — matches across
-    sequential, in-process shards, and forked workers, and stripping the
-    two packet counters recovers the coalescing-off fingerprint."""
-
-    def _run(self, shards=1, parallel=False, coalescing=True):
-        rt = UpDownRuntime(
-            bench_config(NODES, coalescing=coalescing),
-            shards=shards,
-            parallel=parallel,
-        )
-        app = PageRankApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
-        res = app.run(iterations=2, max_events=10_000_000)
-        rt.shutdown()
-        return rt, res
-
-    def test_fingerprint_shard_invariant_with_coalescing(self):
-        seq, seq_res = self._run()
-        fp = seq.sim.stats.scalar_snapshot()
-        assert fp["packets_sent"] > 0
-        assert fp["records_coalesced"] > 0
-        for kw in (dict(shards=2), dict(shards=2, parallel=True)):
-            rt, res = self._run(**kw)
-            assert rt.sim.stats.scalar_snapshot() == fp, kw
-            assert _mailbox(rt) == _mailbox(seq), kw
-            assert list(res.ranks) == list(seq_res.ranks), kw
-
-    def test_coalescing_invisible_outside_packet_counters(self):
-        on, on_res = self._run()
-        off, off_res = self._run(coalescing=False)
-        fp_on = on.sim.stats.scalar_snapshot()
-        fp_off = off.sim.stats.scalar_snapshot()
-        # record-level conservation: every remote record either opened a
-        # packet or joined one (no transport/faults in this run)
-        assert (
-            fp_on["packets_sent"] + fp_on["records_coalesced"]
-            == fp_on["messages_remote"]
-        )
-        for key in ("packets_sent", "records_coalesced"):
-            fp_on.pop(key)
-            fp_off.pop(key)
-        assert fp_on == fp_off
-        assert _mailbox(on) == _mailbox(off)
-        assert list(on_res.ranks) == list(off_res.ranks)
 
 
 class TestMultiDrainSharded:

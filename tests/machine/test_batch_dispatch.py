@@ -4,10 +4,8 @@ The contract (DESIGN.md "Event IR & batched dispatch"): flipping
 ``MachineConfig(batch_dispatch=True)`` may never change the simulation —
 only how fast the host reaches it.  These tests pin that across every
 drain the simulator offers (sequential, in-process shards, forked
-workers, coalescing fabric, faulted transport) and assert the record-
-conservation invariant ``records_batched + events_interpreted ==
-events_executed`` the same way the coalescing tests pin packet
-conservation.
+workers, faulted transport) and assert the record-conservation invariant
+``records_batched + events_interpreted == events_executed``.
 """
 
 import pytest
@@ -22,13 +20,9 @@ NODES = 4
 
 #: counters that legitimately partition differently when batching is on
 BATCH_KEYS = ("batches_executed", "records_batched", "events_interpreted")
-#: counters that only exist on the coalescing fabric; parked records
-#: bypass the coalescer (they never ride the heap), so packet counts
-#: differ batch-on vs batch-off even though every delivery time matches
-PACKET_KEYS = ("packets_sent", "records_coalesced")
 
 
-def _run_pr(batch, shards=1, parallel=False, coalesce=False, faults=False):
+def _run_pr(batch, shards=1, parallel=False, faults=False):
     fault_kw = {}
     if faults:
         from repro.faults import FaultPlan
@@ -37,7 +31,7 @@ def _run_pr(batch, shards=1, parallel=False, coalesce=False, faults=False):
             faults=FaultPlan(seed=5, drop_rate=0.02), reliable=True
         )
     rt = UpDownRuntime(
-        bench_config(NODES, batch_dispatch=batch, coalescing=coalesce),
+        bench_config(NODES, batch_dispatch=batch),
         shards=shards,
         parallel=parallel,
         **fault_kw,
@@ -133,32 +127,6 @@ class TestShardedParity:
         assert on["mailbox"] == off["mailbox"]
         assert on["ranks"] == off["ranks"]
         assert on["stats"].records_batched == 0
-
-
-class TestCoalescingParity:
-    def test_batch_on_under_coalescing(self):
-        """Parking stays armed on the coalescing fabric; only the two
-        packet counters may move (parked records skip the coalescer),
-        every simulated observable must not."""
-        off = _run_pr(batch=False, coalesce=True)
-        on = _run_pr(batch=True, coalesce=True)
-        excluded = BATCH_KEYS + PACKET_KEYS
-        assert _strip(on["snapshot"], excluded) == _strip(
-            off["snapshot"], excluded
-        )
-        assert on["mailbox"] == off["mailbox"]
-        assert on["ranks"] == off["ranks"]
-        assert on["stats"].records_batched > 0
-        _assert_conserved(on["stats"])
-
-    def test_coalesced_batched_matches_plain_batched(self):
-        plain = _run_pr(batch=True)
-        coal = _run_pr(batch=True, coalesce=True)
-        excluded = BATCH_KEYS + PACKET_KEYS
-        assert _strip(coal["snapshot"], excluded) == _strip(
-            plain["snapshot"], excluded
-        )
-        assert coal["ranks"] == plain["ranks"]
 
 
 class TestFaultedParity:

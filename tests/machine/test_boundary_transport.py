@@ -5,9 +5,8 @@ the struct-packed wire codec (every boundary record type, every value
 shape, label interning), the fixed-capacity shared-memory rings
 (wraparound, overflow spill), and the adaptive-lookahead window
 widening — plus end-to-end parity of the paths only real runs exercise
-(spill relay, coalesced packets, fault-delayed records across forked
-workers).  Full application parity lives in
-``tests/integration/test_parallel_parity.py``.
+(spill relay, fault-delayed records across forked workers).  Full
+application parity lives in ``tests/integration/test_parallel_parity.py``.
 """
 
 import multiprocessing
@@ -25,7 +24,6 @@ from repro.machine.events import (
     BoundaryDecoder,
     BoundaryEncoder,
     DramArrival,
-    PacketRecord,
 )
 
 
@@ -142,29 +140,14 @@ class TestCodecRoundTrip:
         bare = DramArrival(261, None, 1, 3, 32, 0, 40)
         assert roundtrip((901.0, 261, 6, bare))[3].response is None
 
-    def test_packet_record_members_and_cursor(self):
-        pkt = PacketRecord(window_end=1500.0)
-        for i in range(3):
-            pkt.members.append((
-                1000.0 + i,
-                4,
-                10 + i,
-                MessageRecord(
-                    4, NEW_THREAD, "edge", operands=(i,),
-                    src_network_id=1, label_id=2,
-                ),
-            ))
-        pkt.cursor = 1
-        out = roundtrip((1000.0, 4, 10, pkt))[3]
-        assert out.window_end == 1500.0
-        assert out.cursor == 1
-        assert out.open is True  # rebuilt packets re-arm the unwrap
-        assert len(out.members) == 3
-        for (mt, md, ms, mr), (ot, od, os_, orc) in zip(
-            pkt.members, out.members
-        ):
-            assert (mt, md, ms) == (ot, od, os_)
-            assert orc.label == mr.label and orc.operands == mr.operands
+    def test_unknown_record_tag_rejected(self):
+        frame = bytearray()
+        BoundaryEncoder().encode_entry(
+            frame, (1.0, 0, 1, MessageRecord(0, NEW_THREAD, "x"))
+        )
+        frame[1] = 3  # record-type byte: only 1 (msg) and 2 (dram) exist
+        with pytest.raises(ValueError, match="corrupt boundary frame"):
+            BoundaryDecoder().decode_frame(bytes(frame))
 
     def test_wlog_frame_carries_step_tag(self):
         enc, dec = BoundaryEncoder(), BoundaryDecoder()
@@ -332,8 +315,8 @@ def chain_dispatcher(hops):
 
 class TestAdaptiveLookahead:
     """Quiet windows widen multiplicatively; any boundary record
-    collapses the width back to base; a cap and the coalescing pin are
-    honored — and none of it moves the fingerprint."""
+    collapses the width back to base; a cap is honored — and none of it
+    moves the fingerprint."""
 
     def _run(self, dispatcher, injections, parallel=True, **overrides):
         sim = Simulator(
@@ -383,13 +366,6 @@ class TestAdaptiveLookahead:
             null_dispatcher(), self.QUIET, parallel_adaptive_max=2
         )
         assert max(metrics["window_hist"]) <= 2
-
-    def test_coalescing_pins_windows_to_base_width(self):
-        _fp, metrics = self._run(
-            null_dispatcher(), self.QUIET, coalescing=True
-        )
-        assert metrics["adaptive_max"] == 1
-        assert set(metrics["window_hist"]) == {1}
 
 
 def spray_dispatcher():

@@ -211,34 +211,6 @@ class TestHostBoundTaxonomy:
         )
         assert "messages_host_bound" in s.scalar_snapshot()
 
-    def test_partition_is_record_level_under_coalescing(self):
-        """Packets are host bookkeeping, not messages: with coalescing on
-        the same four-way partition holds over *records*, and the packet
-        counters conserve the coalesced remote deliveries exactly."""
-        sim = _sim(coalescing=True)
-        from repro.machine import HOST_NWID
-
-        dst_remote = sim.config.first_lane_of_node(1)
-        sim.send(MessageRecord(0, NEW_THREAD, "l"), 0.0, src_node=0)
-        # two remote records in one window -> one packet, one coalesced
-        sim.send(MessageRecord(dst_remote, NEW_THREAD, "r1"), 0.0, src_node=0)
-        sim.send(MessageRecord(dst_remote, NEW_THREAD, "r2"), 1.0, src_node=0)
-        sim.send(
-            MessageRecord(0, NEW_THREAD, "h", src_network_id=None),
-            0.0,
-            src_node=None,
-        )
-        sim.send(MessageRecord(HOST_NWID, 0, "done"), 0.0, src_node=0)
-        s = sim.stats
-        assert s.messages_remote == 2
-        assert (s.packets_sent, s.records_coalesced) == (1, 1)
-        assert s.messages_sent == (
-            s.messages_local
-            + s.messages_remote
-            + s.messages_host_injected
-            + s.messages_host_bound
-        )
-
     def test_host_bound_send_traced(self):
         from repro.machine import HOST_NWID
 

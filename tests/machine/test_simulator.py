@@ -201,3 +201,57 @@ class TestMessageTrace:
         rt.run()
         labels = [t[4] for t in rt.sim.trace]
         assert "T::sink" in labels
+
+
+class TestBoundedReentry:
+    """``run(until=)`` stepping and ``max_events`` aborts leave the heap
+    coherent: re-entering finishes with the un-interrupted run's
+    execution order and totals."""
+
+    @staticmethod
+    def _fanout(step=None, abort_at=None):
+        """Seeds on both nodes spray remote messages both directions.
+
+        Each burst sends runs of three per destination lane and the two
+        nodes' seeds are staggered past a burst's span, so consecutive
+        pops share a lane (the fused-dispatch inner loop)."""
+        order = []
+
+        def dispatcher(sim, lane, rec, start):
+            if rec.label == "seed":
+                node = sim.config.node_of(lane.network_id)
+                other = sim.config.first_lane_of_node(1 - node)
+                for i in range(6):
+                    sim.send(
+                        MessageRecord(other + i // 3, NEW_THREAD, "w"),
+                        start + 2.0 + i,
+                        src_node=node,
+                    )
+            order.append((rec.label, lane.network_id, start))
+            return 2.0
+
+        sim = Simulator(bench_machine(nodes=2), dispatcher=dispatcher)
+        dst1 = sim.config.first_lane_of_node(1)
+        for t in (0.0, 1.0, 700.0, 2500.0):
+            sim.inject(MessageRecord(0, NEW_THREAD, "seed"), t=t)
+            sim.inject(MessageRecord(dst1, NEW_THREAD, "seed"), t=t + 60.0)
+        if abort_at is not None:
+            with pytest.raises(SimulationError, match="max_events"):
+                sim.run(max_events=abort_at)
+        if step is not None:
+            t = 0.0
+            while sim._heap:
+                t += step
+                sim.run(until=t)
+        sim.run()
+        return order, sim.stats.scalar_snapshot()
+
+    def test_until_stepping_matches_whole_run(self):
+        whole = self._fanout()
+        for step in (2.5, 100.0, 333.0, 1001.0):
+            assert self._fanout(step=step) == whole, step
+
+    def test_max_events_abort_then_run_matches_whole_run(self):
+        whole = self._fanout()
+        for limit in (1, 3, 5, 7):
+            assert self._fanout(abort_at=limit) == whole, limit
