@@ -15,7 +15,8 @@ many cores as shards (the multi-core CI leg does); on a starved host the
 flag fails fast with a clear message instead of a flaky ratio.
 
 Either way the run dumps the coordinator's transport metrics (boundary
-bytes shipped, ring overflows, barrier wait, adaptive-window histogram)
+bytes, frames and records per frame shipped, ring overflows, barrier
+wait, adaptive-window histogram)
 to ``PARALLEL_hub_metrics.json`` next to the repo root, so a failing CI
 leg uploads exactly the numbers needed to diagnose it.
 
@@ -92,6 +93,9 @@ def main(argv=None) -> int:
         seq["seconds"] / par["seconds"] if par["seconds"] > 0 else float("inf")
     )
 
+    hub = par["hub_metrics"] or {}
+    frames = hub.get("boundary_frames", 0)
+    records_per_frame = hub.get("boundary_records", 0) / frames if frames else 0.0
     report = {
         "shards": args.shards,
         "cores": cores,
@@ -99,6 +103,7 @@ def main(argv=None) -> int:
         "parallel_seconds": round(par["seconds"], 3),
         "speedup": round(speedup, 3),
         "events_executed": seq["fingerprint"]["events_executed"],
+        "records_per_frame": round(records_per_frame, 1),
         "hub": par["hub_metrics"],
     }
     with open(args.metrics_out, "w") as fh:
@@ -120,7 +125,6 @@ def main(argv=None) -> int:
         )
     if par["ranks"] != seq["ranks"]:
         failures.append("functional output (ranks) diverged")
-    hub = par["hub_metrics"] or {}
     if hub.get("ring_overflows"):
         # the acceptance bar: default ring capacity absorbs the whole
         # boundary stream on the bench workloads
@@ -146,7 +150,8 @@ def main(argv=None) -> int:
         f"final_tick={fp['final_tick']}); "
         f"sequential {seq['seconds']:.2f}s, parallel {par['seconds']:.2f}s "
         f"({speedup:.2f}x, {hub.get('windows', 0)} windows, "
-        f"{hub.get('boundary_bytes', 0):,} boundary bytes by ring, "
+        f"{hub.get('boundary_bytes', 0):,} boundary bytes by ring in "
+        f"{frames:,} frames of {records_per_frame:.1f} records, "
         f"{hub.get('ring_overflows', 0)} overflows)"
     )
     return 0

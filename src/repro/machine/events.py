@@ -33,8 +33,7 @@ dispatcher.
 
 from __future__ import annotations
 
-import pickle as _pickle
-import struct as _struct
+from operator import attrgetter as _attrgetter
 from typing import Any, Optional, Tuple
 
 #: Thread-selector sentinel: create a new thread at delivery (``evw_new``).
@@ -294,339 +293,72 @@ class SimEvent:
 
 
 # ---------------------------------------------------------------------------
-# Boundary wire codec (shared-memory parallel transport)
+# Boundary rows (shared-memory parallel transport)
 # ---------------------------------------------------------------------------
 #
 # The forked-worker transport (``repro.machine.parallel``) ships boundary
-# records between shard workers through shared-memory ring buffers.  Frames
-# are struct-packed by these encoders — no per-record pickle on the healthy
-# path.  Event labels are interned per stream: the first frame that carries
-# a given ``label_id`` announces the label string, every later frame sends
-# the 4-byte id alone, and the consumer-side decoder keeps the id → string
-# table.  Rings are strictly FIFO (single producer, single consumer), so
-# announce-before-use holds by construction.
+# records between shard workers as pickled batches.  What it pickles are
+# not the record objects but these *flat rows* — plain tuples of the
+# record's fields behind the heap key — because the C pickler walks a
+# tuple of scalars several times faster than it drives ``__reduce_ex__``
+# on a ``__slots__`` instance, and the consumer rebuilds each record with
+# one constructor call.  Row arity is the only type tag:
 #
-# The value sub-codec covers the types records actually carry — ``None``,
-# ``bool``, ``int`` (8-byte fast path, arbitrary precision fallback),
-# ``float``, ``str``, ``bytes``, and nested tuples.  Anything else (exotic
-# operand payloads from hand-built tests) falls back to a tagged pickle of
-# that one value; the frame framing stays intact either way.
+#   12  ``(t, dest, seq) + MessageRecord.__slots__`` values
+#    8  ``(t, dest, seq, src_node, memory_node, nbytes, local_offset,
+#       back_bytes)`` — a :class:`DramArrival` without response (its
+#       ``network_id`` is the entry's ``dest``)
+#   17  the same followed by the response's nine message fields
+#    2  ``(va, values)`` — one functional-memory write, passed through
+#
+# Forked workers share the label-id table they inherited, so a row
+# carries ``label`` and ``label_id`` as they are; streams hold no state.
 
-#: frame payload type tags (first byte after the u32 length prefix).
-WIRE_ENTRY = 1  #: a heap entry ``(time, dest, seq, record)``
-WIRE_WLOG = 2  #: one functional-memory write ``(va, values)``
-
-#: record type tags inside a :data:`WIRE_ENTRY` frame.
-_REC_MSG = 1
-_REC_DRAM = 2
-
-#: label field shapes
-_LBL_UNRESOLVED = 0  #: ``label_id == -1``; the string follows
-_LBL_ANNOUNCE = 1  #: interned id + string (first use on this stream)
-_LBL_CACHED = 2  #: interned id alone; decoder looks the string up
-
-# value tags
-_V_NONE = 0
-_V_TRUE = 1
-_V_FALSE = 2
-_V_I64 = 3
-_V_BIG = 4
-_V_F64 = 5
-_V_STR = 6
-_V_BYTES = 7
-_V_TUPLE = 8
-_V_PICKLE = 9
-
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-
-_pack = _struct.pack
-_unpack_from = _struct.unpack_from
+_msg_fields = _attrgetter(*MessageRecord.__slots__)
+_dram_fields = _attrgetter(
+    "src_node", "memory_node", "nbytes", "local_offset", "back_bytes"
+)
 
 
-def _enc_value(buf: bytearray, v: Any) -> None:
-    t = type(v)
-    if v is None:
-        buf.append(_V_NONE)
-    elif t is int:
-        if _I64_MIN <= v <= _I64_MAX:
-            buf.append(_V_I64)
-            buf += v.to_bytes(8, "little", signed=True)
-        else:
-            raw = v.to_bytes((v.bit_length() + 8) // 8, "little", signed=True)
-            buf.append(_V_BIG)
-            buf += len(raw).to_bytes(4, "little")
-            buf += raw
-    elif t is float:
-        buf.append(_V_F64)
-        buf += _pack("<d", v)
-    elif t is str:
-        raw = v.encode("utf-8")
-        buf.append(_V_STR)
-        buf += len(raw).to_bytes(4, "little")
-        buf += raw
-    elif t is bool:
-        buf.append(_V_TRUE if v else _V_FALSE)
-    elif t is tuple:
-        buf.append(_V_TUPLE)
-        buf += len(v).to_bytes(4, "little")
-        for item in v:
-            _enc_value(buf, item)
-    elif t is bytes:
-        buf.append(_V_BYTES)
-        buf += len(v).to_bytes(4, "little")
-        buf += v
-    else:
-        raw = _pickle.dumps(v, protocol=_pickle.HIGHEST_PROTOCOL)
-        buf.append(_V_PICKLE)
-        buf += len(raw).to_bytes(4, "little")
-        buf += raw
+def flatten_boundary_entry(entry) -> tuple:
+    """The flat row of one ``(time, dest, seq, record)`` heap entry."""
+    rec = entry[3]
+    cls = type(rec)
+    if cls is MessageRecord:
+        return entry[:3] + _msg_fields(rec)
+    if cls is DramArrival:
+        row = entry[:3] + _dram_fields(rec)
+        resp = rec.response
+        return row if resp is None else row + _msg_fields(resp)
+    raise TypeError(
+        f"cannot flatten boundary record of type {cls.__name__}"
+    )
 
 
-def _dec_value(buf, pos: int):
-    tag = buf[pos]
-    pos += 1
-    if tag == _V_NONE:
-        return None, pos
-    if tag == _V_I64:
-        return (
-            int.from_bytes(buf[pos : pos + 8], "little", signed=True),
-            pos + 8,
-        )
-    if tag == _V_F64:
-        return _unpack_from("<d", buf, pos)[0], pos + 8
-    if tag == _V_STR:
-        n = int.from_bytes(buf[pos : pos + 4], "little")
-        pos += 4
-        return bytes(buf[pos : pos + n]).decode("utf-8"), pos + n
-    if tag == _V_TRUE:
-        return True, pos
-    if tag == _V_FALSE:
-        return False, pos
-    if tag == _V_TUPLE:
-        n = int.from_bytes(buf[pos : pos + 4], "little")
-        pos += 4
-        items = []
-        append = items.append
-        for _ in range(n):
-            v, pos = _dec_value(buf, pos)
-            append(v)
-        return tuple(items), pos
-    if tag == _V_BIG:
-        n = int.from_bytes(buf[pos : pos + 4], "little")
-        pos += 4
-        return (
-            int.from_bytes(buf[pos : pos + n], "little", signed=True),
-            pos + n,
-        )
-    if tag == _V_BYTES:
-        n = int.from_bytes(buf[pos : pos + 4], "little")
-        pos += 4
-        return bytes(buf[pos : pos + n]), pos + n
-    if tag == _V_PICKLE:
-        n = int.from_bytes(buf[pos : pos + 4], "little")
-        pos += 4
-        return _pickle.loads(bytes(buf[pos : pos + n])), pos + n
-    raise ValueError(f"corrupt boundary frame: unknown value tag {tag}")
+def rebuild_boundary_rows(rows):
+    """Inverse of :func:`flatten_boundary_entry` over one decoded batch.
 
-
-class BoundaryEncoder:
-    """Stream encoder for one producer→consumer boundary ring.
-
-    Stateful only for label interning (``_announced`` tracks which
-    ``label_id`` values this stream has already carried a string for);
-    everything else is pure per-frame encoding into a caller-supplied
-    ``bytearray``.
+    Returns ``(entries, wlogs)``: heap entries in row order, and the
+    ``(va, values)`` write rows in row order.
     """
-
-    __slots__ = ("_announced",)
-
-    def __init__(self) -> None:
-        self._announced: set = set()
-
-    # -- records -----------------------------------------------------
-
-    def _msg_body(self, buf: bytearray, rec: "MessageRecord") -> None:
-        buf += rec.network_id.to_bytes(8, "little", signed=True)
-        buf += rec.thread.to_bytes(8, "little", signed=True)
-        lid = rec.label_id
-        if lid < 0:
-            buf.append(_LBL_UNRESOLVED)
-            _enc_value(buf, rec.label)
-        elif lid in self._announced:
-            buf.append(_LBL_CACHED)
-            buf += lid.to_bytes(4, "little")
+    entries = []
+    wlogs = []
+    push = entries.append
+    for row in rows:
+        n = len(row)
+        if n == 12:
+            push((row[0], row[1], row[2], MessageRecord(*row[3:])))
+        elif n == 2:
+            wlogs.append(row)
+        elif n == 8:
+            push((row[0], row[1], row[2], DramArrival(row[1], None, *row[3:])))
+        elif n == 17:
+            push((
+                row[0], row[1], row[2],
+                DramArrival(row[1], MessageRecord(*row[8:]), *row[3:8]),
+            ))
         else:
-            self._announced.add(lid)
-            buf.append(_LBL_ANNOUNCE)
-            buf += lid.to_bytes(4, "little")
-            _enc_value(buf, rec.label)
-        _enc_value(buf, rec.operands)
-        _enc_value(buf, rec.continuation)
-        _enc_value(buf, rec.src_network_id)
-        kind = rec.kind
-        if kind == "msg":
-            buf.append(0)
-        elif kind == "dram":
-            buf.append(1)
-        else:
-            buf.append(2)
-            _enc_value(buf, kind)
-        _enc_value(buf, rec.rdt)
-
-    def encode_entry(self, buf: bytearray, entry) -> None:
-        """Append one ``(time, dest, seq, record)`` heap entry frame body."""
-        t, dest, seq, rec = entry
-        buf.append(WIRE_ENTRY)
-        cls = type(rec)
-        if cls is MessageRecord:
-            buf.append(_REC_MSG)
-            _enc_value(buf, t)
-            _enc_value(buf, dest)
-            _enc_value(buf, seq)
-            self._msg_body(buf, rec)
-        elif cls is DramArrival:
-            buf.append(_REC_DRAM)
-            _enc_value(buf, t)
-            _enc_value(buf, dest)
-            _enc_value(buf, seq)
-            resp = rec.response
-            if resp is None:
-                buf.append(0)
-            else:
-                buf.append(1)
-                self._msg_body(buf, resp)
-            buf += rec.src_node.to_bytes(8, "little", signed=True)
-            buf += rec.memory_node.to_bytes(8, "little", signed=True)
-            _enc_value(buf, rec.nbytes)
-            _enc_value(buf, rec.local_offset)
-            _enc_value(buf, rec.back_bytes)
-        else:
-            raise TypeError(
-                f"cannot encode boundary record of type {cls.__name__}"
+            raise ValueError(
+                f"corrupt boundary frame: row of unexpected arity {n}"
             )
-
-    def encode_wlog(self, buf: bytearray, va: int, values, step: int = 0) -> None:
-        """Append one functional-memory write frame body.
-
-        ``step`` is the producer's window sub-step counter at write time:
-        consumers defer application until their own progress passes it,
-        which keeps foreign-write visibility deterministic no matter when
-        the frame physically arrives.
-        """
-        buf.append(WIRE_WLOG)
-        _enc_value(buf, va)
-        _enc_value(buf, step)
-        buf += len(values).to_bytes(4, "little")
-        for v in values:
-            _enc_value(buf, v)
-
-
-class BoundaryDecoder:
-    """Stream decoder paired with one :class:`BoundaryEncoder`.
-
-    Holds the interned ``label_id → label`` table the producer announces
-    incrementally.  :meth:`decode_frame` returns either ``("entry",
-    heap_entry)`` or ``("wlog", va, values, step)``.
-    """
-
-    __slots__ = ("_labels",)
-
-    def __init__(self) -> None:
-        self._labels: dict = {}
-
-    def _msg_body(self, buf, pos: int):
-        network_id = int.from_bytes(buf[pos : pos + 8], "little", signed=True)
-        thread = int.from_bytes(buf[pos + 8 : pos + 16], "little", signed=True)
-        pos += 16
-        shape = buf[pos]
-        pos += 1
-        if shape == _LBL_UNRESOLVED:
-            label_id = UNRESOLVED_LABEL
-            label, pos = _dec_value(buf, pos)
-        else:
-            label_id = int.from_bytes(buf[pos : pos + 4], "little")
-            pos += 4
-            if shape == _LBL_ANNOUNCE:
-                label, pos = _dec_value(buf, pos)
-                self._labels[label_id] = label
-            else:
-                try:
-                    label = self._labels[label_id]
-                except KeyError:
-                    raise ValueError(
-                        f"corrupt boundary stream: label id {label_id} "
-                        f"used before announcement"
-                    ) from None
-        operands, pos = _dec_value(buf, pos)
-        continuation, pos = _dec_value(buf, pos)
-        src_network_id, pos = _dec_value(buf, pos)
-        kcode = buf[pos]
-        pos += 1
-        if kcode == 0:
-            kind = "msg"
-        elif kcode == 1:
-            kind = "dram"
-        else:
-            kind, pos = _dec_value(buf, pos)
-        rdt, pos = _dec_value(buf, pos)
-        rec = MessageRecord(
-            network_id,
-            thread,
-            label,
-            operands,
-            continuation,
-            src_network_id,
-            kind,
-            label_id,
-            rdt,
-        )
-        return rec, pos
-
-    def decode_frame(self, buf, pos: int = 0):
-        """Decode one frame payload (without its u32 length prefix)."""
-        ftype = buf[pos]
-        pos += 1
-        if ftype == WIRE_WLOG:
-            va, pos = _dec_value(buf, pos)
-            step, pos = _dec_value(buf, pos)
-            n = int.from_bytes(buf[pos : pos + 4], "little")
-            pos += 4
-            values = []
-            append = values.append
-            for _ in range(n):
-                v, pos = _dec_value(buf, pos)
-                append(v)
-            return ("wlog", va, values, step)
-        if ftype != WIRE_ENTRY:
-            raise ValueError(f"corrupt boundary frame: type {ftype}")
-        rtype = buf[pos]
-        pos += 1
-        t, pos = _dec_value(buf, pos)
-        dest, pos = _dec_value(buf, pos)
-        seq, pos = _dec_value(buf, pos)
-        if rtype == _REC_MSG:
-            rec, pos = self._msg_body(buf, pos)
-        elif rtype == _REC_DRAM:
-            has_resp = buf[pos]
-            pos += 1
-            resp = None
-            if has_resp:
-                resp, pos = self._msg_body(buf, pos)
-            src_node = int.from_bytes(
-                buf[pos : pos + 8], "little", signed=True
-            )
-            memory_node = int.from_bytes(
-                buf[pos + 8 : pos + 16], "little", signed=True
-            )
-            pos += 16
-            nbytes, pos = _dec_value(buf, pos)
-            local_offset, pos = _dec_value(buf, pos)
-            back_bytes, pos = _dec_value(buf, pos)
-            rec = DramArrival(
-                dest, resp, src_node, memory_node, nbytes, local_offset,
-                back_bytes,
-            )
-        else:
-            raise ValueError(f"corrupt boundary frame: record type {rtype}")
-        return ("entry", (t, dest, seq, rec))
+    return entries, wlogs

@@ -43,9 +43,23 @@ Two modes share the same windowing and merge order:
   forked worker per shard, inheriting the full runtime state copy-on-
   write.  Boundary records flow *directly between workers* through
   shared-memory ring buffers (one fixed-capacity ring per ordered shard
-  pair, struct-packed wire frames with per-stream label interning — see
-  ``repro.machine.events``); the parent degrades to a window
-  coordinator exchanging only small control tuples over the Pipes.
+  pair); the parent degrades to a window coordinator exchanging only
+  small control tuples over the Pipes.
+
+Boundary frames
+---------------
+At each sub-step flush a worker flattens its outbox for a peer into
+plain tuples (``repro.machine.events.flatten_boundary_entry``), appends
+that sub-step's functional-memory writes, and ships the lot as one
+``pickle.dumps((step, rows), protocol=5)`` frame per (peer, sub-step);
+the consumer does one ``pickle.loads`` per frame and rebuilds each
+record with one constructor call.  A batch splits into several frames
+only when its pickle exceeds half the ring (:func:`pack_frames`), so a
+consumer can drain one frame while the producer writes the next; a lone
+record may use the whole ring.  Streams are stateless — forked workers
+inherited one label-id table.  Only bytes this process tree wrote are
+ever unpickled: the segment is created by the parent before the fork and
+written by its workers alone.
 
 Adaptive lookahead
 ------------------
@@ -91,6 +105,7 @@ which shares everything and needs no replication.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import multiprocessing
@@ -102,9 +117,9 @@ import tempfile
 import time
 import traceback
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .events import BoundaryDecoder, BoundaryEncoder
+from .events import flatten_boundary_entry, rebuild_boundary_rows
 from .simulator import QuiescenceStall, SimulationError
 
 
@@ -139,6 +154,37 @@ class ShardWorkerFailed(SimulationError):
 
 def _dumps(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def pack_frames(step: int, rows: list, bound: int) -> Iterator[bytes]:
+    """Pickle one (peer, sub-step) batch into frame payloads, in order.
+
+    One frame unless the pickle exceeds ``bound`` bytes; then the rows
+    are cut into the number of even runs the overshoot suggests, each
+    packed the same way.  A single row is never cut: its frame is
+    yielded whatever its size, and the ring write decides (spill at a
+    final publish, ``parallel_ring_kib`` error mid-window).  ``step`` is
+    the producer's sub-step counter, repeated in every frame — it gates
+    when the consumer applies the frame's write rows.
+    """
+    payload = _dumps((step, rows))
+    if len(payload) <= bound or len(rows) < 2:
+        yield payload
+        return
+    pieces = -(-len(payload) // bound)
+    size = -(-len(rows) // pieces)
+    for lo in range(0, len(rows), size):
+        yield from pack_frames(step, rows[lo : lo + size], bound)
+
+
+def unpack_frame(payload) -> Tuple[int, list, list]:
+    """``(step, entries, wlogs)`` of one :func:`pack_frames` payload.
+
+    Unpickles — callers pass only frames a worker of this pool packed.
+    """
+    step, rows = pickle.loads(payload)
+    entries, wlogs = rebuild_boundary_rows(rows)
+    return step, entries, wlogs
 
 
 def make_scheduler(sim):
@@ -328,11 +374,10 @@ class _WorkerPort:
 
     Owns the outbound rings ``me → *`` (write cursors mirrored locally —
     nobody else writes them) and the inbound read cursors ``* → me``
-    (likewise).  Encoders/decoders are per ordered stream so label
-    interning announcements always precede cached uses, including across
-    the spill path (a spilled frame continues its ring's stream and is
-    decoded after every ring frame of the same window — producer order
-    is preserved end to end).
+    (likewise).  Frames are self-contained (see :func:`pack_frames`),
+    so a frame relayed over the spill path decodes exactly like a ring
+    frame; it is delivered after every ring frame of the same window,
+    which keeps each producer's write rows in issue order.
 
     ``pending_wlogs`` holds decoded foreign functional-memory writes as
     ``(producer, step, va, values)``: frames may physically arrive up to
@@ -354,8 +399,9 @@ class _WorkerPort:
         self.buf = hub.shm.buf
         self.lock = hub.ctrl.get_lock()
         self.c = hub.ctrl.get_obj()
-        self.enc = [BoundaryEncoder() for _ in range(S)]
-        self.dec = [BoundaryDecoder() for _ in range(S)]
+        #: split bound for multi-record batches: half the ring less the
+        #: length prefix, so two frames of one flush fit side by side.
+        self.frame_bound = max(self.cap // 2 - 4, 1)
         #: published write cursors of my outbound rings (local mirror).
         self.wr = [0] * S
         #: my read positions on inbound rings (local mirror).
@@ -448,19 +494,48 @@ class _WorkerPort:
         self.frames_out += 1
         return True
 
-    def drain(self, entry_cb) -> None:
-        """Consume every published inbound frame.
+    def write_batch(self, target: int, rows: list, drain_cb, may_spill: bool) -> list:
+        """Ship one sub-step's ``rows`` for ``target`` as the frames
+        :func:`pack_frames` cuts, tagged with my current sub-step.
+
+        Returns the frame payloads that must spill (empty on the healthy
+        path).  Once one frame spills, every later frame of the batch
+        spills too: the consumer decodes ring frames first, then the
+        relayed spill, so this is what keeps two same-sub-step writes to
+        one address in issue order across the ring/Pipe split.
+        """
+        spilled: List[bytes] = []
+        for payload in pack_frames(self.step, rows, self.frame_bound):
+            if spilled or not self.try_write(
+                target, payload, drain_cb, may_spill
+            ):
+                spilled.append(payload)
+        return spilled
+
+    def deliver(self, producer: int, payload, entry_cb) -> None:
+        """Decode one frame from ``producer`` (ring or relayed spill).
 
         Entries go to ``entry_cb`` immediately (the heap gates them by
-        delivery time); wlog frames queue in :attr:`pending_wlogs` for
-        the caller's next deterministic application point.
+        delivery time); write rows queue in :attr:`pending_wlogs` under
+        the frame's step tag for the caller's next deterministic
+        application point.
         """
+        step, entries, wlogs = unpack_frame(payload)
+        for entry in entries:
+            entry_cb(entry)
+        if wlogs:
+            self.pending_wlogs.extend(
+                (producer, step, va, values) for va, values in wlogs
+            )
+
+    def drain(self, entry_cb) -> None:
+        """:meth:`deliver` every published inbound frame."""
         S, me, cap = self.shards, self.me, self.cap
         c, buf, rd = self.c, self.buf, self.rd
         with self.lock:
             wr = [c[self._wr_idx(p, me)] for p in range(S)]
         moved = False
-        pending = self.pending_wlogs
+        deliver = self.deliver
         for p in range(S):
             if p == me:
                 continue
@@ -477,22 +552,42 @@ class _WorkerPort:
                 region = bytes(buf[base + start : base + cap]) + bytes(
                     buf[base : base + end - cap]
                 )
+            view = memoryview(region)
             pos = 0
-            decode = self.dec[p].decode_frame
             while pos < have:
-                n = int.from_bytes(region[pos : pos + 4], "little")
-                frame = decode(region, pos + 4)
-                pos += 4 + n
-                if frame[0] == "entry":
-                    entry_cb(frame[1])
-                else:
-                    pending.append((p, frame[3], frame[1], frame[2]))
+                stop = pos + 4 + int.from_bytes(region[pos : pos + 4], "little")
+                deliver(p, view[pos + 4 : stop], entry_cb)
+                pos = stop
             rd[p] += have
         if moved:
             with self.lock:
                 for p in range(S):
                     if p != me:
                         c[self._rd_idx(p, me)] = rd[p]
+
+    def apply_wlogs(self, limit: Optional[int], write) -> None:
+        """``write(va, values)`` queued foreign writes of sub-steps
+        ``<= limit``.
+
+        Sorted by (sub-step, producer) — stable sort preserves each
+        producer's FIFO order — so the application order is the same
+        every run, whatever the physical arrival interleaving was.
+        ``None`` applies everything (drain end: no reads remain).
+        """
+        pend = self.pending_wlogs
+        if not pend:
+            return
+        if limit is None:
+            ready, keep = pend, []
+        else:
+            ready = [w for w in pend if w[1] <= limit]
+            if not ready:
+                return
+            keep = [w for w in pend if w[1] > limit]
+        ready.sort(key=lambda w: (w[1], w[0]))
+        for _producer, _step, va, values in ready:
+            write(va, values)
+        self.pending_wlogs = keep
 
     def wait_for(self, value: int, drain_cb) -> None:
         """Block until every peer's progress counter reaches ``value``.
@@ -579,6 +674,7 @@ class ParallelExecutor(_ShardRouter):
             "window_hist": {},
             "boundary_bytes": 0,
             "boundary_records": 0,
+            "boundary_frames": 0,
             "ring_overflows": 0,
             "spill_phases": 0,
             "barrier_wait_s": 0.0,
@@ -686,8 +782,8 @@ class ParallelExecutor(_ShardRouter):
             metrics["boundary_bytes"] += sum(out[5] for out in outs)
             next_ts = [out[3] for out in outs]
             # Relay ring-overflow spills (rare: capacity exceeded at a
-            # final publish).  Each group keeps the producer identity so
-            # the consumer decodes with the matching stream state.
+            # final publish).  Each group keeps the producer identity:
+            # the consumer orders deferred writes by (sub-step, producer).
             spill_to: Dict[int, list] = {}
             n_spilled = 0
             for producer, out in enumerate(outs):
@@ -894,9 +990,8 @@ class ParallelExecutor(_ShardRouter):
             sim.network.apply_channels(final["channels"])
             sim.memory.apply_channels(final["mem"])
             self._host_entries.extend(final["host"])
-            self.hub_metrics["barrier_wait_s"] += final["hub"][
-                "barrier_wait_s"
-            ]
+            for key, value in final["hub"].items():
+                self.hub_metrics[key] += value
         gmem = sim.funcmem
         if gmem is not None:
             # Replay every worker's functional-memory writes into the
@@ -1093,8 +1188,7 @@ class ParallelExecutor(_ShardRouter):
 
         sim._route = route
 
-        def entry_sink(entry) -> None:
-            heappush(heap, entry)
+        entry_sink = functools.partial(heappush, heap)
 
         def drain_rings() -> None:
             port.drain(entry_sink)
@@ -1117,79 +1211,30 @@ class ParallelExecutor(_ShardRouter):
 
             gmem.write_words = write_words
 
-        def apply_wlogs(limit: Optional[int]) -> None:
-            """Apply queued foreign writes from sub-steps ``<= limit``.
-
-            Sorted by (sub-step, producer) — stable sort preserves each
-            producer's FIFO order — so the application order is the same
-            every run, whatever the physical arrival interleaving was.
-            ``None`` applies everything (drain end: no reads remain).
-            """
-            pend = port.pending_wlogs
-            if not pend:
-                return
-            if limit is None:
-                ready, keep = pend, []
-            else:
-                ready = [w for w in pend if w[1] <= limit]
-                if not ready:
-                    return
-                keep = [w for w in pend if w[1] > limit]
-            ready.sort(key=lambda w: (w[1], w[0]))
-            for _producer, _step, va, values in ready:
-                orig_write(va, values)
-            port.pending_wlogs = keep
-
         def flush_substep(final: bool):
-            """Encode and ship this sub-step's boundary output.
+            """Pack and ship this sub-step's boundary output.
 
-            Returns ``(emitted_entries, spill)`` where ``spill`` is
-            ``None`` or ``{target: [frame payloads]}``.  Once any frame
-            to a target spills, every later frame to that target this
-            flush spills too — label-interning announcements and wlog
-            ordering both require the per-stream frame order to survive
-            the ring/Pipe split (the consumer decodes ring frames first,
-            then the relayed spill).
+            Each peer gets its outbox plus (broadcast) this sub-step's
+            write log (:meth:`_WorkerPort.write_batch`).  Returns
+            ``(emitted_entries, spill)`` where ``spill`` is ``None`` or
+            ``{target: [frame payloads]}``.
             """
             spill: Optional[Dict[int, list]] = None
-            spilled = [False] * shards
             emitted = 0
             for target in range(shards):
                 batch = outbox[target]
-                if not batch:
+                if target == shard or not (batch or substep_wlog):
                     continue
                 emitted += len(batch)
-                encode = port.enc[target].encode_entry
-                for entry in batch:
-                    payload = bytearray()
-                    encode(payload, entry)
-                    payload = bytes(payload)
-                    if spilled[target] or not port.try_write(
-                        target, payload, drain_rings, final
-                    ):
-                        spilled[target] = True
-                        if spill is None:
-                            spill = {}
-                        spill.setdefault(target, []).append(payload)
+                rows = [flatten_boundary_entry(entry) for entry in batch]
                 batch.clear()
-            if substep_wlog:
-                step_tag = port.step
-                for target in range(shards):
-                    if target == shard:
-                        continue
-                    encode = port.enc[target].encode_wlog
-                    for va, vals in substep_wlog:
-                        payload = bytearray()
-                        encode(payload, va, vals, step_tag)
-                        payload = bytes(payload)
-                        if spilled[target] or not port.try_write(
-                            target, payload, drain_rings, final
-                        ):
-                            spilled[target] = True
-                            if spill is None:
-                                spill = {}
-                            spill.setdefault(target, []).append(payload)
-                substep_wlog.clear()
+                rows += substep_wlog
+                spilled = port.write_batch(target, rows, drain_rings, final)
+                if spilled:
+                    if spill is None:
+                        spill = {}
+                    spill[target] = spilled
+            substep_wlog.clear()
             return emitted, spill
 
         # fresh per-worker recorder: workers ship per-drain deltas and
@@ -1220,7 +1265,7 @@ class ParallelExecutor(_ShardRouter):
                         if g:
                             port.wait_for(base + g, drain_rings)
                         drain_rings()
-                        apply_wlogs(base + g - 1)
+                        port.apply_wlogs(base + g - 1, orig_write)
                         rb = budget
                         if rb is not None:
                             rb -= stats.events_executed - before
@@ -1256,21 +1301,13 @@ class ParallelExecutor(_ShardRouter):
                     sorted(spill_all.items()) if spill_all else None,
                 ))
             elif op == "spill":
-                # ring-overflow records relayed by the parent: entries
-                # join the heap, wlogs join the same deferred queue the
-                # ring frames use (the step tag keeps producer order)
+                # ring-overflow frames relayed by the parent: entries
+                # join the heap, write rows join the same deferred queue
+                # the ring frames use (the step tag keeps producer order)
                 _op, groups = msg
-                pending = port.pending_wlogs
                 for producer, payloads in groups:
-                    decode = port.dec[producer].decode_frame
                     for payload in payloads:
-                        frame = decode(payload)
-                        if frame[0] == "entry":
-                            heappush(heap, frame[1])
-                        else:
-                            pending.append(
-                                (producer, frame[3], frame[1], frame[2])
-                            )
+                        port.deliver(producer, payload, entry_sink)
                 conn.send(("next", heap[0][0] if heap else None))
             elif op == "seed":
                 blob = msg[1]
@@ -1279,7 +1316,7 @@ class ParallelExecutor(_ShardRouter):
                         heappush(heap, entry)
                 conn.send(("next", heap[0][0] if heap else None))
             elif op == "drain_end":
-                apply_wlogs(None)
+                port.apply_wlogs(None, orig_write)
                 payload = {
                     "stats": stats.delta_since(stats_base),
                     "busy": {
@@ -1310,12 +1347,16 @@ class ParallelExecutor(_ShardRouter):
                     "pending": sim._live_threads(),
                     "host": host_out,
                     "wlog": parent_wlog,
-                    "hub": {"barrier_wait_s": port.barrier_wait_s},
+                    "hub": {
+                        "barrier_wait_s": port.barrier_wait_s,
+                        "boundary_frames": port.frames_out,
+                    },
                 }
                 conn.send(("final", payload))
                 host_out = []
                 parent_wlog.clear()
                 port.barrier_wait_s = 0.0
+                port.frames_out = 0
                 stats_base = stats.scalar_snapshot()
                 labels_base = dict(stats.events_by_label)
                 udlog_base = (

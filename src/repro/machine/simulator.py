@@ -1243,9 +1243,9 @@ class Simulator:
     def parallel_metrics(self) -> Optional[dict]:
         """Hub metrics of the forked-worker transport, or ``None``.
 
-        Populated only for ``parallel=True`` runs: boundary bytes/records
-        shipped through the shared-memory rings, ring overflow (spill)
-        counts, barrier-wait seconds, and the adaptive-window histogram.
+        Populated only for ``parallel=True`` runs: boundary
+        bytes/records/frames shipped through the shared-memory rings,
+        ring overflow (spill) counts, barrier-wait seconds, and the adaptive-window histogram.
         Kept out of :class:`SimStats` deliberately — these describe the
         *host-side transport*, not the simulated machine, and must not
         perturb fingerprint comparisons against sequential runs.

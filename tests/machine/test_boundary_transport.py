@@ -1,8 +1,9 @@
-"""Shared-memory boundary transport: wire codec, rings, spill, adaptivity.
+"""Shared-memory boundary transport: batch frames, rings, spill, adaptivity.
 
 Covers the machine-layer mechanics of the parallel boundary fabric —
-the struct-packed wire codec (every boundary record type, every value
-shape, label interning), the fixed-capacity shared-memory rings
+the batched frame (flat rows of every boundary record type and value
+shape, pickled once per frame and rebuilt type-exactly; splitting at
+the ring-derived bound), the fixed-capacity shared-memory rings
 (wraparound, overflow spill), and the adaptive-lookahead window
 widening — plus end-to-end parity of the paths only real runs exercise
 (spill relay, fault-delayed records across forked workers).  Full
@@ -10,6 +11,7 @@ application parity lives in ``tests/integration/test_parallel_parity.py``.
 """
 
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -21,23 +23,30 @@ from repro.machine import (
 )
 from repro.machine.events import (
     NEW_THREAD,
-    BoundaryDecoder,
-    BoundaryEncoder,
     DramArrival,
+    flatten_boundary_entry,
 )
+from repro.machine.parallel import pack_frames, unpack_frame
+
+ROOMY = 1 << 20
 
 
-def roundtrip(entry, enc=None, dec=None):
-    buf = bytearray()
-    (enc or BoundaryEncoder()).encode_entry(buf, entry)
-    kind, decoded = (dec or BoundaryDecoder()).decode_frame(bytes(buf))
-    assert kind == "entry"
+def pack(entries, wlogs=(), step=0, bound=ROOMY):
+    """The frames one flush of ``entries`` + ``wlogs`` produces."""
+    rows = [flatten_boundary_entry(e) for e in entries] + list(wlogs)
+    return list(pack_frames(step, rows, bound))
+
+
+def roundtrip(entry):
+    (frame,) = pack([entry])
+    _step, (decoded,), wlogs = unpack_frame(frame)
+    assert wlogs == []
     return decoded
 
 
 class TestCodecRoundTrip:
     """Every boundary record type and operand value shape survives the
-    struct-packed wire format bit-for-bit."""
+    batch frame (flat rows, one pickle) bit-for-bit."""
 
     def test_message_record_all_value_shapes(self):
         rec = MessageRecord(
@@ -51,7 +60,7 @@ class TestCodecRoundTrip:
                 0,
                 -1,
                 2**40,
-                -(2**70),  # beyond i64: big-int fallback
+                -(2**70),  # beyond i64
                 3.25,
                 float("inf"),
                 "text",
@@ -76,7 +85,7 @@ class TestCodecRoundTrip:
         _t, _d, seq, _rec = roundtrip((1.0, 0, (1 << 44) * 12345 + 9, rec))
         assert seq == (1 << 44) * 12345 + 9
 
-    def test_numpy_scalars_take_the_pickle_fallback(self):
+    def test_numpy_scalars_round_trip_type_exact(self):
         np = pytest.importorskip("numpy")
         rec = MessageRecord(
             1, NEW_THREAD, "np", operands=(np.int64(5), np.float64(0.5))
@@ -97,66 +106,87 @@ class TestCodecRoundTrip:
         rec = MessageRecord(0, NEW_THREAD, "not-yet-interned")
         out = roundtrip((1.0, 0, 1, rec))[3]
         assert out.label == "not-yet-interned"
-        assert out.label_id == rec.label_id < 0
-
-    def test_label_interning_announce_then_cached(self):
-        enc, dec = BoundaryEncoder(), BoundaryDecoder()
-        rec = MessageRecord(0, NEW_THREAD, "hot_label", label_id=9)
-        first = bytearray()
-        enc.encode_entry(first, (1.0, 0, 1, rec))
-        second = bytearray()
-        enc.encode_entry(second, (2.0, 0, 2, rec))
-        # the cached form no longer carries the string
-        assert len(second) < len(first)
-        for buf, seq in ((first, 1), (second, 2)):
-            _t, _d, s, out = dec.decode_frame(bytes(buf))[1]
-            assert s == seq
-            assert out.label == "hot_label" and out.label_id == 9
-
-    def test_cached_label_on_fresh_decoder_is_rejected(self):
-        enc = BoundaryEncoder()
-        rec = MessageRecord(0, NEW_THREAD, "lbl", label_id=4)
-        warmup = bytearray()
-        enc.encode_entry(warmup, (1.0, 0, 1, rec))
-        cached = bytearray()
-        enc.encode_entry(cached, (2.0, 0, 2, rec))
-        with pytest.raises(ValueError, match="before announcement"):
-            BoundaryDecoder().decode_frame(bytes(cached))
+        assert out.label_id == rec.label_id == -1
 
     def test_dram_arrival_with_and_without_response(self):
         # the response's network_id (requester lane) differs from the
         # entry dest (virtual memory-node id) — both must survive
         resp = MessageRecord(
-            3, NEW_THREAD, "dram_done", operands=(8,), kind="dram"
+            3, NEW_THREAD, "dram_done", operands=(8,), kind="dram",
+            label_id=6,
         )
         rec = DramArrival(260, resp, 0, 2, 64, 128, 72)
         t, dest, seq, out = roundtrip((900.0, 260, 5, rec))
         assert (t, dest, seq) == (900.0, 260, 5)
         assert out.network_id == 260
-        assert out.response.network_id == 3
-        assert out.response.label == "dram_done"
+        for slot in MessageRecord.__slots__:
+            assert getattr(out.response, slot) == getattr(resp, slot), slot
         assert (out.src_node, out.memory_node) == (0, 2)
         assert (out.nbytes, out.local_offset, out.back_bytes) == (64, 128, 72)
         bare = DramArrival(261, None, 1, 3, 32, 0, 40)
-        assert roundtrip((901.0, 261, 6, bare))[3].response is None
+        out = roundtrip((901.0, 261, 6, bare))[3]
+        assert out.response is None
+        assert (out.network_id, out.src_node, out.memory_node) == (261, 1, 3)
+
+    def test_foreign_record_type_rejected_by_name(self):
+        class Stowaway:
+            pass
+
+        with pytest.raises(TypeError, match="Stowaway"):
+            flatten_boundary_entry((1.0, 0, 1, Stowaway()))
 
     def test_unknown_record_tag_rejected(self):
-        frame = bytearray()
-        BoundaryEncoder().encode_entry(
-            frame, (1.0, 0, 1, MessageRecord(0, NEW_THREAD, "x"))
+        # arity is the row's only type tag: 12 / 8 / 17 / 2 exist
+        row = flatten_boundary_entry(
+            (1.0, 0, 1, MessageRecord(0, NEW_THREAD, "x"))
         )
-        frame[1] = 3  # record-type byte: only 1 (msg) and 2 (dram) exist
+        frame = pickle.dumps((0, [row[:-1]]), protocol=5)
         with pytest.raises(ValueError, match="corrupt boundary frame"):
-            BoundaryDecoder().decode_frame(bytes(frame))
+            unpack_frame(frame)
 
     def test_wlog_frame_carries_step_tag(self):
-        enc, dec = BoundaryEncoder(), BoundaryDecoder()
-        buf = bytearray()
-        enc.encode_wlog(buf, 0x4000, [1.0, -7, 2**66], step=3)
-        kind, va, values, step = dec.decode_frame(bytes(buf))
-        assert kind == "wlog"
-        assert va == 0x4000 and step == 3
-        assert values == [1.0, -7, 2**66]
+        entry = (1.0, 0, 1, MessageRecord(0, NEW_THREAD, "x"))
+        (frame,) = pack([entry], wlogs=[(0x4000, [1.0, -7, 2**66])], step=3)
+        step, entries, wlogs = unpack_frame(frame)
+        assert step == 3
+        assert [e[2] for e in entries] == [1]
+        assert wlogs == [(0x4000, [1.0, -7, 2**66])]
+        assert [type(v) for v in wlogs[0][1]] == [float, int, int]
+
+    def test_batch_is_one_frame_in_producer_order(self):
+        entries = [
+            (float(i), 0, i, MessageRecord(0, NEW_THREAD, "m", (i,), label_id=1))
+            for i in range(500)
+        ]
+        (frame,) = pack(entries)
+        _step, out, _wlogs = unpack_frame(frame)
+        assert [e[:3] for e in out] == [e[:3] for e in entries]
+        assert [e[3] for e in out] == [e[3] for e in entries]
+        # flat rows with a memoized label, not pickled objects
+        assert len(frame) < 40 * len(entries)
+
+    def test_oversize_batch_splits_at_the_bound(self):
+        entries = [
+            (float(i), 0, i, MessageRecord(0, NEW_THREAD, "m", (i,), label_id=1))
+            for i in range(300)
+        ]
+        wlogs = [(0x100 + i, [i]) for i in range(20)]
+        frames = pack(entries, wlogs, step=7, bound=256)
+        assert len(frames) > 10
+        assert all(len(f) <= 256 for f in frames)
+        seqs, writes = [], []
+        for frame in frames:
+            step, out, w = unpack_frame(frame)
+            assert step == 7  # every piece repeats the step tag
+            seqs += [e[2] for e in out]
+            writes += w
+        assert seqs == list(range(300))
+        assert writes == wlogs
+
+    def test_a_lone_record_is_never_cut(self):
+        big = MessageRecord(0, NEW_THREAD, "m", (b"x" * 1000,))
+        (frame,) = pack([(1.0, 0, 1, big)], bound=64)
+        assert len(frame) > 1000
 
 
 def make_ports(capacity, shards=2):
@@ -166,18 +196,26 @@ def make_ports(capacity, shards=2):
     return hub, [_WorkerPort(hub, s) for s in range(shards)]
 
 
+def entry(i):
+    return (
+        float(i),
+        0,
+        i,
+        MessageRecord(0, NEW_THREAD, "m", operands=(i,), label_id=1),
+    )
+
+
+def flush(port, target, entries, wlogs=(), step=0, may_spill=False):
+    """One peer's share of a sub-step flush; returns spilled frames."""
+    port.step = step
+    rows = [flatten_boundary_entry(e) for e in entries] + list(wlogs)
+    return port.write_batch(target, rows, lambda: None, may_spill)
+
+
 class TestRingTransport:
     """Single-process exercise of the shared-memory rings: both ports
     live in this test process, so wraparound and cursor arithmetic are
     checked without scheduling noise."""
-
-    def entry(self, i):
-        return (
-            float(i),
-            0,
-            i,
-            MessageRecord(0, NEW_THREAD, "m", operands=(i,), label_id=1),
-        )
 
     def test_wraparound_at_tiny_capacity(self):
         # capacity far below the total traffic: cursors lap the ring
@@ -186,11 +224,10 @@ class TestRingTransport:
         try:
             got = []
             for i in range(100):
-                buf = bytearray()
-                p0.enc[1].encode_entry(buf, self.entry(i))
-                assert p0.try_write(1, bytes(buf), lambda: None, False)
+                assert flush(p0, 1, [entry(i)]) == []
                 p1.drain(got.append)
             assert p0.wr[1] > 128 * 10  # really wrapped, repeatedly
+            assert p0.frames_out == 100
             assert [e[2] for e in got] == list(range(100))
             assert [e[3].operands for e in got] == [(i,) for i in range(100)]
         finally:
@@ -199,9 +236,7 @@ class TestRingTransport:
     def test_full_ring_spills_only_when_allowed(self):
         hub, (p0, p1) = make_ports(capacity=128)
         try:
-            buf = bytearray()
-            p0.enc[1].encode_entry(buf, self.entry(0))
-            frame = bytes(buf)
+            (frame,) = pack([entry(0)])
             while p0.try_write(1, frame, lambda: None, True):
                 pass  # fill the ring to capacity
             # may_spill=True reports the overflow instead of blocking
@@ -215,21 +250,21 @@ class TestRingTransport:
             hub.release()
 
     def test_oversized_frame_without_spill_is_a_hard_error(self):
+        # one record whose frame exceeds the whole ring: pack_frames
+        # cannot cut it, so the ring write decides
         hub, (p0, _p1) = make_ports(capacity=64)
         try:
-            huge = bytes(200)
-            assert p0.try_write(1, huge, lambda: None, True) is False
+            huge = (1.0, 0, 1, MessageRecord(0, NEW_THREAD, "m", (b"x" * 200,)))
+            assert len(flush(p0, 1, [huge], may_spill=True)) == 1
             with pytest.raises(SimulationError, match="parallel_ring_kib"):
-                p0.try_write(1, huge, lambda: None, False)
+                flush(p0, 1, [huge], may_spill=False)
         finally:
             hub.release()
 
     def test_wlog_frames_queue_instead_of_delivering(self):
         hub, (p0, p1) = make_ports(capacity=256)
         try:
-            buf = bytearray()
-            p0.enc[1].encode_wlog(buf, 0x100, [1, 2], step=4)
-            assert p0.try_write(1, bytes(buf), lambda: None, False)
+            assert flush(p0, 1, [], wlogs=[(0x100, [1, 2])], step=4) == []
             entries = []
             p1.drain(entries.append)
             assert entries == []  # wlogs defer to the step-gated queue
@@ -237,25 +272,59 @@ class TestRingTransport:
         finally:
             hub.release()
 
-    def test_spilled_frames_continue_the_ring_stream(self):
-        # label announced on a ring frame, then used cached on a frame
-        # that spills: the consumer decodes the spill with the *same*
-        # per-producer decoder, so the cache carries across — and a
-        # fresh decoder (the broken alternative) provably cannot
-        hub, (p0, p1) = make_ports(capacity=4096)
+    def test_batch_larger_than_the_ring_arrives_through_many_frames(self):
+        # a sub-step batch several times the ring capacity: the producer
+        # cuts it at the ring-derived bound and, mid-window, waits for
+        # space by running the drain callback — here the consumer
+        hub, (p0, p1) = make_ports(capacity=512)
         try:
-            ring = bytearray()
-            p0.enc[1].encode_entry(ring, self.entry(0))
-            assert p0.try_write(1, bytes(ring), lambda: None, False)
-            spilled = bytearray()
-            p0.enc[1].encode_entry(spilled, self.entry(1))
             got = []
+            rows = [flatten_boundary_entry(entry(i)) for i in range(200)]
+            rows += [(0x40, [i]) for i in range(5)]
+            p0.step = 2
+            spilled = p0.write_batch(
+                1, rows, lambda: p1.drain(got.append), False
+            )
             p1.drain(got.append)
+            assert spilled == []
+            assert p0.bytes_out > 4 * 512
+            assert p0.frames_out > 8
+            assert p0.bytes_out / p0.frames_out <= 512 // 2
+            assert [e[2] for e in got] == list(range(200))
+            assert p1.pending_wlogs == [(0, 2, 0x40, [i]) for i in range(5)]
+        finally:
+            hub.release()
+
+    def test_spilled_frames_continue_the_ring_stream(self):
+        # two writes to one va in one sub-step, cut into two frames of
+        # which the second spills: the consumer decodes ring frames
+        # first, then the relayed spill, so issue order survives — and
+        # once one frame spills the rest of the flush follows it
+        hub, (p0, p1) = make_ports(capacity=192)
+        try:
+            wlogs = [(0x80, [b"a" * 40]), (0x80, [b"b" * 40]), (0x88, [3])]
+            sizes = [len(f) + 4 for f in pack([], wlogs, bound=p0.frame_bound)]
+            assert len(sizes) == 3
+            # leave room for the first frame and not the second; the
+            # small third one would fit again and must spill regardless
+            (filler,) = pack([entry(0)])
+            assert p0.try_write(1, filler, lambda: None, True)
+            used = len(filler) + 4 + sizes[0]
+            assert used + sizes[1] > 192 >= used + sizes[2]
+            spilled = flush(p0, 1, [], wlogs, step=5, may_spill=True)
+            assert len(spilled) == 2
+            got = []
+            p1.drain(got.append)  # window-end ring drain
+            for frame in spilled:  # then the parent's spill relay
+                p1.deliver(0, frame, got.append)
             assert len(got) == 1
-            out = p1.dec[0].decode_frame(bytes(spilled))[1]
-            assert out[3].label == "m"
-            with pytest.raises(ValueError, match="before announcement"):
-                BoundaryDecoder().decode_frame(bytes(spilled))
+            assert p1.pending_wlogs == [(0, 5, va, vals) for va, vals in wlogs]
+            mem = {}
+            p1.apply_wlogs(4, mem.__setitem__)
+            assert mem == {}  # sub-step 5 is not visible at 4
+            p1.apply_wlogs(5, mem.__setitem__)
+            assert mem == {0x80: [b"b" * 40], 0x88: [3]}  # last write wins
+            assert p1.pending_wlogs == []
         finally:
             hub.release()
 

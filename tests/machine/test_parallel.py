@@ -6,6 +6,8 @@ this module covers the machine-layer mechanics — the lookahead knob,
 shard validation, bounded stepping, and the in-process shard scheduler.
 """
 
+import os
+
 import pytest
 
 from repro.machine import (
@@ -448,6 +450,56 @@ class TestWorkerFailure:
         # structured attribute and the rendered message
         assert "scratchpad checksum mismatch" in info.value.stderr_tail
         assert "scratchpad checksum mismatch" in str(info.value)
+        sim.shutdown()
+
+
+class TestTeardownLeavesNothingBehind:
+    """ROADMAP item 4c: after a clean ``shutdown()`` and after a
+    ``ShardWorkerFailed`` abort, no worker process is alive and the
+    hub's shared-memory segment is gone from ``/dev/shm``."""
+
+    def _forked(self, dispatcher, label):
+        sim = Simulator(
+            bench_machine(nodes=2),
+            dispatcher=dispatcher,
+            shards=2,
+            parallel=True,
+        )
+        sim.inject(MessageRecord(0, NEW_THREAD, "ok"), t=0.0)
+        sim.run()
+        sched = sim._scheduler
+        procs = list(sched._procs)
+        segment = os.path.join("/dev/shm", sched._hub.shm.name)
+        assert os.path.exists(segment)
+        assert all(proc.is_alive() for proc in procs)
+        sim.inject(MessageRecord(0, NEW_THREAD, label), t=0.0)
+        return sim, procs, segment
+
+    def _assert_nothing_left(self, procs, segment):
+        for proc in procs:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
+        assert not os.path.exists(segment)
+
+    def test_after_shutdown(self):
+        sim, procs, segment = self._forked(null_dispatcher(), "ok")
+        sim.run()
+        sim.shutdown()
+        self._assert_nothing_left(procs, segment)
+
+    def test_after_worker_failure_abort(self):
+        from repro.machine.parallel import ShardWorkerFailed
+
+        def dispatch(sim, lane, record, start):
+            if record.label == "die":
+                os._exit(13)
+            return 2.0
+
+        sim, procs, segment = self._forked(dispatch, "die")
+        with pytest.raises(ShardWorkerFailed):
+            sim.run()
+        # the abort itself released everything, before any shutdown()
+        self._assert_nothing_left(procs, segment)
         sim.shutdown()
 
 
