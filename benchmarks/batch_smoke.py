@@ -1,20 +1,23 @@
-"""CI smoke: batched label-homogeneous dispatch is bit-exact.
+"""CI smoke: the default (batched) drain is bit-exact against the interpreter.
 
-Runs one fixed seeded PageRank workload four ways — batch off and on,
-each under a sequential and a sharded drain — and asserts that every
-always-on scalar counter except the batch counters themselves, the host
-mailbox, and the functional output are identical.  Batching replaces N
-interpreter passes over same-label reduce records with one array pass;
-each record still pays its own Table-2 lane cost, injection occupancy,
-and float-accumulation order, so any drift here is a correctness bug,
-not a tuning artifact.  The batch counters must also satisfy record
+Runs one fixed seeded PageRank and one BFS four ways each — the default
+configuration and the ``batch_dispatch=False`` interpreter reference,
+under a sequential and a sharded drain — and asserts that the model
+fingerprint (``SimStats.model_snapshot()``: every always-on scalar
+counter except the host-side split counters), the host mailbox, and the
+functional output are identical.  Batching replaces N interpreter
+passes over same-label reduce records with one array pass; each record
+still pays its own Table-2 lane cost, injection occupancy, and
+float-accumulation order, so any drift here is a correctness bug, not a
+tuning artifact.  The split counters must also satisfy record
 conservation: ``records_batched + events_interpreted ==
 events_executed``.
 
-Sharded drains disarm the parking gate (records fall back to the
-per-event interpreter), so the ``--shards`` runs double as proof that
-``batch_dispatch=True`` is inert wherever the batch path cannot prove
-itself safe.
+Both apps must actually batch in the sequential default (PageRank's
+combining-cache reduce; BFS's "already visited" arm behind the
+write-once guard).  Sharded drains disarm the parking gate, so the
+``--shards`` runs double as proof that the default is inert wherever
+the batch path cannot prove itself safe.
 
 Usage::
 
@@ -26,41 +29,102 @@ from __future__ import annotations
 import argparse
 import time
 
-#: counters that partition differently when batching is on; stripped
-#: before the cross-mode fingerprint comparison, then checked for
-#: record conservation
-BATCH_KEYS = ("batches_executed", "records_batched", "events_interpreted")
 
-
-def run_once(batch: bool, shards: int = 1):
-    from repro.apps.pagerank import PageRankApp
+def run_once(app_name: str, reference: bool = False, shards: int = 1):
+    from repro.apps import BFSApp, PageRankApp
     from repro.graph.generators import rmat
     from repro.harness.runner import BENCH_BLOCK_SIZE, bench_config
+    from repro.machine.stats import HOST_SPLIT_KEYS
     from repro.udweave import UpDownRuntime
 
     graph = rmat(9, seed=7)
-    rt = UpDownRuntime(
-        bench_config(4, batch_dispatch=batch), shards=shards
-    )
-    app = PageRankApp(rt, graph, block_size=BENCH_BLOCK_SIZE)
+    # the default configuration is the subject; the reference is the
+    # interpret-everything machine
+    overrides = {"batch_dispatch": False} if reference else {}
+    rt = UpDownRuntime(bench_config(4, **overrides), shards=shards)
     t0 = time.perf_counter()
     try:
-        res = app.run(iterations=2)
+        if app_name == "pagerank":
+            app = PageRankApp(rt, graph, block_size=BENCH_BLOCK_SIZE)
+            result = [list(app.run(iterations=2).ranks)]
+        else:
+            res = BFSApp(rt, graph, block_size=BENCH_BLOCK_SIZE).run(root=0)
+            result = [list(res.distances), list(res.parents)]
     finally:
         rt.shutdown()
     seconds = time.perf_counter() - t0
-    mailbox = [(t, rec.label, rec.operands) for t, rec in rt.sim.host_inbox]
-    snapshot = rt.sim.stats.scalar_snapshot()
+    stats = rt.sim.stats
+    snapshot = stats.scalar_snapshot()
     return {
-        "fingerprint": {
-            k: v for k, v in snapshot.items() if k not in BATCH_KEYS
-        },
-        "batch": {k: snapshot.get(k, 0) for k in BATCH_KEYS},
+        "fingerprint": stats.model_snapshot(),
+        "batch": {k: snapshot[k] for k in HOST_SPLIT_KEYS},
         "events_executed": snapshot["events_executed"],
-        "mailbox": mailbox,
-        "ranks": list(res.ranks),
+        "mailbox": [
+            (t, rec.label, rec.operands) for t, rec in rt.sim.host_inbox
+        ],
+        "result": result,
         "seconds": seconds,
     }
+
+
+def check_app(app_name: str, shards: int, failures: list) -> str:
+    ref = run_once(app_name, reference=True)
+    default = run_once(app_name)
+    ref_sharded = run_once(app_name, reference=True, shards=shards)
+    default_sharded = run_once(app_name, shards=shards)
+
+    runs = (
+        ("reference", ref),
+        ("default", default),
+        (f"reference shards={shards}", ref_sharded),
+        (f"default shards={shards}", default_sharded),
+    )
+    for name, run in runs:
+        name = f"{app_name} {name}"
+        if run["fingerprint"] != ref["fingerprint"]:
+            diff = {
+                k: (ref["fingerprint"][k], run["fingerprint"][k])
+                for k in ref["fingerprint"]
+                if ref["fingerprint"][k] != run["fingerprint"].get(k)
+            }
+            failures.append(f"{name}: model fingerprint diverged: {diff}")
+        if run["mailbox"] != ref["mailbox"]:
+            failures.append(f"{name}: host mailbox diverged")
+        if run["result"] != ref["result"]:
+            failures.append(f"{name}: functional output diverged")
+        conserved = (
+            run["batch"]["records_batched"]
+            + run["batch"]["events_interpreted"]
+        )
+        if conserved != run["events_executed"]:
+            failures.append(
+                f"{name}: record conservation broken — "
+                f"{run['batch']} vs events_executed="
+                f"{run['events_executed']}"
+            )
+        fired = (
+            run["batch"]["records_batched"] or run["batch"]["batches_executed"]
+        )
+        if run is default:
+            if not run["batch"]["records_batched"]:
+                failures.append(
+                    f"{name}: batching never fired — the smoke lost its "
+                    f"subject"
+                )
+        elif fired:
+            failures.append(
+                f"{name}: batch path fired where it must be disabled — "
+                f"{run['batch']}"
+            )
+    fp = ref["fingerprint"]
+    return (
+        f"{app_name}: {fp['events_executed']:,} events, "
+        f"final_tick={fp['final_tick']}, "
+        f"{default['batch']['records_batched']:,} records batched into "
+        f"{default['batch']['batches_executed']:,} batches "
+        f"(reference {ref['seconds']:.2f}s, default "
+        f"{default['seconds']:.2f}s)"
+    )
 
 
 def main(argv=None) -> int:
@@ -73,63 +137,18 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    off = run_once(batch=False)
-    on = run_once(batch=True)
-    off_sharded = run_once(batch=False, shards=args.shards)
-    on_sharded = run_once(batch=True, shards=args.shards)
-
-    failures = []
-    variants = (
-        ("batch on", on),
-        (f"batch off shards={args.shards}", off_sharded),
-        (f"batch on shards={args.shards}", on_sharded),
-    )
-    for name, run in variants:
-        if run["fingerprint"] != off["fingerprint"]:
-            diff = {
-                k: (off["fingerprint"][k], run["fingerprint"][k])
-                for k in off["fingerprint"]
-                if off["fingerprint"][k] != run["fingerprint"].get(k)
-            }
-            failures.append(f"{name}: scalar fingerprint diverged: {diff}")
-        if run["mailbox"] != off["mailbox"]:
-            failures.append(f"{name}: host mailbox diverged")
-        if run["ranks"] != off["ranks"]:
-            failures.append(f"{name}: functional output (ranks) diverged")
-        conserved = (
-            run["batch"]["records_batched"]
-            + run["batch"]["events_interpreted"]
-        )
-        if conserved != run["events_executed"]:
-            failures.append(
-                f"{name}: record conservation broken — "
-                f"{run['batch']} vs events_executed="
-                f"{run['events_executed']}"
-            )
-    if on["batch"]["records_batched"] == 0:
-        failures.append("batching never fired — the smoke lost its subject")
-    for name, run in (
-        ("batch off", off),
-        (f"batch off shards={args.shards}", off_sharded),
-        (f"batch on shards={args.shards}", on_sharded),
-    ):
-        if run["batch"]["records_batched"] or run["batch"]["batches_executed"]:
-            failures.append(
-                f"{name}: batch path fired where it must be disabled — "
-                f"{run['batch']}"
-            )
+    failures: list = []
+    summaries = [
+        check_app(app_name, args.shards, failures)
+        for app_name in ("pagerank", "bfs")
+    ]
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    fp = off["fingerprint"]
     print(
-        f"batch smoke OK: off / on x shards 1/{args.shards} bit-identical "
-        f"({fp['events_executed']:,} events, final_tick={fp['final_tick']}); "
-        f"{on['batch']['records_batched']:,} of "
-        f"{on['events_executed']:,} records batched into "
-        f"{on['batch']['batches_executed']:,} batches; "
-        f"off {off['seconds']:.2f}s, on {on['seconds']:.2f}s"
+        f"batch smoke OK: default / batch_dispatch=False x shards "
+        f"1/{args.shards} bit-identical; " + "; ".join(summaries)
     )
     return 0
 

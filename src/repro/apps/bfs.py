@@ -183,6 +183,8 @@ class BFSAccelMaster(MapTask):
 class BFSReduce(ReduceTask):
     """Mark-and-append: the frontier insert of §4.2.2."""
 
+    intrinsic_only = True
+
     def __init__(self) -> None:
         super().__init__()
         self.u = -1
@@ -192,11 +194,12 @@ class BFSReduce(ReduceTask):
     def kv_reduce(self, ctx, u, parent, depth):
         app = self.job(ctx).payload
         self.depth = depth
-        if ctx.sp_read(("bfss", app.uid, u)) is not None:
+        if ctx.sp_once(("bfss", app.uid, u)):
+            # already visited (9 in 10 tuples): the arm batched
+            # dispatch lowers behind the emit-time once-guard
             ctx.work(1)
             self.kv_reduce_return(ctx)
             return
-        ctx.sp_write(("bfss", app.uid, u), True)
         ctx.send_dram_write(app.dist_region.addr(u), [depth])
         ctx.send_dram_write(app.parent_region.addr(u), [parent])
         self.u = u

@@ -97,6 +97,8 @@ class PRMapTask(MapTask):
 class PRReduceTask(ReduceTask):
     """Accumulate contributions via the combining cache (fetch&add)."""
 
+    intrinsic_only = True
+
     def kv_reduce(self, ctx, key, delta):
         app = self.job(ctx).payload
         app.cache.add(ctx, key, delta)

@@ -43,6 +43,8 @@ class SeqCountTask(MapTask):
 
 
 class SeqCountReduce(ReduceTask):
+    intrinsic_only = True
+
     def kv_reduce(self, ctx, entity, one):
         app = self.job(ctx).payload
         app.cache.add(ctx, entity, one)

@@ -35,6 +35,8 @@ class HistMapTask(MapTask):
 
 
 class HistReduceTask(ReduceTask):
+    intrinsic_only = True
+
     def kv_reduce(self, ctx, bin_id, one):
         app = self.job(ctx).payload
         app.cache.add(ctx, bin_id, one)

@@ -47,6 +47,8 @@ class SortCountTask(MapTask):
 
 
 class SortCountReduce(ReduceTask):
+    intrinsic_only = True
+
     def kv_reduce(self, ctx, bucket, one):
         app = self.job(ctx).payload
         app.cache.add(ctx, bucket, one)

@@ -101,6 +101,9 @@ def _attach_recorder(extra: Dict[str, Any], rt: UpDownRuntime) -> Dict[str, Any]
     metrics = rt.sim.parallel_metrics()
     if metrics is not None:
         extra["parallel_metrics"] = metrics
+    # why batched dispatch did (not) happen: per-label lowering verdicts
+    # and per-drain gate reasons — host-side too, so outside SimStats
+    extra["batch"] = rt.sim.batch_report()
     return extra
 
 

@@ -188,15 +188,81 @@ def _register_job(runtime: UpDownRuntime, job: KVMSRJob) -> int:
 
 
 def _lower_job_reduce_entry(job, runtime, operands):
-    """Lower + validate ``job``'s reduce entry once; cache the outcome."""
-    from repro.udweave.ir import lower_reduce_entry
+    """Lower + validate ``job``'s reduce entry once; cache the outcome.
 
+    Lowering *executes* ``kv_reduce``, so only classes that declare
+    ``intrinsic_only`` get that far: an undeclared handler is never
+    traced (``repro.udweave.ir`` is not even imported for it) and keeps
+    the interpreter.  Either way the verdict is filed with the simulator
+    for :meth:`Simulator.batch_report`.
+    """
     job._batch_tried = True
-    plan = lower_reduce_entry(runtime, job, operands)
-    if plan.parkable:
+    plan = None
+    if job.reduce_cls.intrinsic_only:
+        from repro.udweave.ir import lower_reduce_entry
+
+        plan = lower_reduce_entry(runtime, job, operands)
+    runtime.sim.note_reduce_entry(job.reduce_entry_label, plan)
+    if plan is not None and plan.parkable:
         job._batch_plan = plan
         return plan
     return None
+
+
+def _emit_tuple(ctx: LaneContext, job: KVMSRJob, lane: int, operands) -> None:
+    """Charge and issue one intermediate tuple: park it, or send it.
+
+    The one emit path behind :meth:`MapTask.kv_emit` and
+    :func:`emit_to_reduce`.  The entry label was interned at job
+    construction and the binding's lanes were range-checked there, so
+    this sends without per-tuple lookups; the summed cycle charge lands
+    in the same order as ``work(2)`` + ``spawn()``, so every simulated
+    timestamp is bit-identical to that pair.
+
+    Batched dispatch: while the drain has parking armed, a tuple whose
+    reduce entry lowered to a batch-safe plan parks on its destination
+    lane instead of riding the heap — priced and sequenced identically,
+    executed array-at-a-time just before that lane is next observed.
+    The first emitted tuple of a job triggers lowering + validation
+    lazily (it supplies the operand arity).  A plan traced through
+    ``sp_once`` lowered only the already-set arm, so it parks a tuple
+    only if its once-key is in the destination scratchpad *now*; the
+    flag is monotone, so it will still be there at delivery.
+    """
+    ctx.cycles += job._emit_cycles
+    ln = ctx.lane
+    sim = ctx.sim
+    if sim._park_active:
+        plan = job._batch_plan
+        if plan is None and not job._batch_tried:
+            plan = _lower_job_reduce_entry(job, ctx.runtime, operands)
+        if plan is not None:
+            guard = plan.guard
+            if guard is None or (
+                (dest := sim._lanes.get(lane)) is not None
+                and guard(operands) in dest.scratchpad
+            ):
+                plan.parked += 1
+                sim.park_emit(
+                    plan, lane, operands, ctx.start + ctx.cycles,
+                    ln.network_id, ln.node,
+                )
+                return
+            plan.guard_declined += 1
+    sim.send(
+        MessageRecord(
+            lane,
+            NEW_THREAD,
+            job._reduce_entry_label,
+            operands,
+            None,
+            ln.network_id,
+            "msg",
+            job.reduce_entry_label_id,
+        ),
+        ctx.start + ctx.cycles,
+        ln.node,
+    )
 
 
 def job_of(ctx: LaneContext, job_id: int) -> KVMSRJob:
@@ -327,48 +393,7 @@ class MapTask(UDThread):
                 lane = memo[key] = job.reduce_binding.lane_for(
                     key, job.reduce_lanes
                 )
-        # Open-coded emit: the entry label was interned at job
-        # construction and the binding's lanes were range-checked there,
-        # so the resolved fast path sends without per-tuple lookups or
-        # call dispatch.  The summed cycle charge lands in the same
-        # order as work(2) + spawn_resolved(), so every simulated
-        # timestamp is bit-identical to spawn().
-        ctx.cycles += job._emit_cycles
-        ln = ctx.lane
-        sim = ctx.sim
-        operands = (self._job_id, key) + values
-        if sim._park_active:
-            # Batched dispatch: a batch-safe reduce entry parks on its
-            # destination lane instead of riding the heap — priced and
-            # sequenced identically, executed array-at-a-time just
-            # before that lane is next observed.  The first emitted
-            # tuple of a job triggers lowering + validation lazily (it
-            # supplies the operand arity); un-lowerable handlers stay
-            # on the interpreter forever.
-            plan = job._batch_plan
-            if plan is None and not job._batch_tried:
-                plan = _lower_job_reduce_entry(job, ctx.runtime, operands)
-            if plan is not None:
-                sim.park_emit(
-                    plan, lane, operands, ctx.start + ctx.cycles,
-                    ln.network_id, ln.node,
-                )
-                self._emitted += 1
-                return
-        sim.send(
-            MessageRecord(
-                lane,
-                NEW_THREAD,
-                job._reduce_entry_label,
-                operands,
-                None,
-                ln.network_id,
-                "msg",
-                job.reduce_entry_label_id,
-            ),
-            ctx.start + ctx.cycles,
-            ln.node,
-        )
+        _emit_tuple(ctx, job, lane, (self._job_id, key) + values)
         self._emitted += 1
 
     def add_emitted(self, n: int) -> None:
@@ -400,6 +425,20 @@ class ReduceTask(UDThread):
     quiescence (used to drain combining caches to DRAM); it must end with
     ``self.kv_flush_return(ctx)``.
     """
+
+    #: Declare ``True`` when ``kv_reduce`` touches the machine only
+    #: through ``ctx`` intrinsics and KVMSR composites (``kv_reduce_return``,
+    #: combining-cache ``add``) and keeps no host-side Python state — no
+    #: collector lists, counters on the payload, prints, or anything else
+    #: the body does in plain Python for its effect.  Batched dispatch
+    #: lowers only declared classes: lowering *runs the body once with
+    #: placeholder operands* and the compiled plan replays just the
+    #: intrinsics that run saw, so declaring this on a handler that
+    #: appends to a host-side collector is a misuse — the collector gets
+    #: one placeholder entry from the trace and silently loses every
+    #: batched record.  Undeclared handlers are never traced and always
+    #: run on the interpreter.
+    intrinsic_only = False
 
     def __init__(self) -> None:
         self._job_id: int = -1
@@ -883,8 +922,7 @@ def emit_to_reduce(ctx: LaneContext, job_id: int, key, *values) -> None:
     if job.reduce_cls is None:
         raise KVMSRError(f"job {job.name!r} has no reduce phase")
     lane = job.reduce_binding.lane_for(key, job.reduce_lanes)
-    ctx.work(2)
-    ctx.spawn(lane, job.reduce_entry_label_id, job_id, key, *values)
+    _emit_tuple(ctx, job, lane, (job_id, key) + values)
 
 
 def _group_assignments(ctx: LaneContext, assignments) -> List[Tuple[int, list]]:

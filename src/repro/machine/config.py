@@ -72,10 +72,13 @@ class MachineConfig:
     #: execute batch-safe same-label KVMSR reduce records array-at-a-time
     #: instead of one interpreter pass each (a host-side simulator
     #: optimization — simulated results are bit-identical; DESIGN.md
-    #: "Event IR & batched dispatch").  Handlers the IR lowering cannot
+    #: "Event IR & batched dispatch").  Only reduce classes that declare
+    #: ``intrinsic_only = True`` are ever lowered; those the IR cannot
     #: prove batch-safe, and drain modes other than the plain sequential
     #: one, fall back to per-event interpretation automatically.
-    batch_dispatch: bool = False
+    #: ``False`` interprets every event: the independent reference that
+    #: differential tests check batched runs against.
+    batch_dispatch: bool = True
     #: capacity of each shared-memory boundary ring in KiB for
     #: ``parallel=True`` forked workers (one ring per ordered shard
     #: pair).  Purely a performance knob: when a window's boundary

@@ -229,11 +229,17 @@ class Simulator:
         # machinery (heap traffic, dispatch, context churn) is skipped.
         self._batch_on = bool(config.batch_dispatch)
         #: parking is armed per drain (sequential, fault-free, unwatched,
-        #: unrecorded-span drains only — see :meth:`run`); everything
-        #: else falls back to per-event interpretation automatically.
+        #: unrecorded-span drains only — see :meth:`_park_gate`);
+        #: everything else falls back to per-event interpretation
+        #: automatically.
         self._park_active = False
         #: records currently parked machine-wide (0 ⇒ flush paths skip).
         self._parked_total = 0
+        #: :meth:`batch_report` sources — per ``run()`` call the gate's
+        #: verdict, per reduce-entry label the lowering verdicts filed by
+        #: the emit path.  Host-side facts, deliberately outside SimStats.
+        self._gate_counts: dict = {}
+        self._reduce_entries: dict = {}
         self._rec_batch = (
             recorder.batch
             if recorder is not None and recorder.record_messages
@@ -689,8 +695,9 @@ class Simulator:
         self._parked_total += 1
         return t_deliver
 
-    def _flush_parked(self, ln: Lane, cut) -> None:
-        """Execute ``ln``'s parked records with keys below ``cut``.
+    def _flush_parked(self, ln: Lane, cut) -> int:
+        """Execute ``ln``'s parked records with keys below ``cut``;
+        returns how many ran (the drain counts them toward its budget).
 
         ``cut`` is a ``(time, seq)`` key prefix-comparable with parked
         entries — ``(t, s)`` flushes strictly-earlier deliveries before
@@ -704,7 +711,7 @@ class Simulator:
         lst = ln.parked
         n = bisect_left(lst, cut)
         if not n:
-            return
+            return 0
         stats = self.stats
         rec_batch = self._rec_batch
         detailed = self.detailed_stats
@@ -730,6 +737,7 @@ class Simulator:
             i = j
         del lst[:n]
         self._parked_total -= n
+        return n
 
     def _flush_pooled(self, ln: Lane, now: float, reader_nwid: int) -> None:
         """Flush ``ln`` before a pooled-scratchpad access from a sibling.
@@ -955,7 +963,12 @@ class Simulator:
     ) -> SimStats:
         """Drain the event heap; returns the accumulated statistics.
 
-        ``max_events`` guards against runaway programs in tests.
+        ``max_events`` guards against runaway programs: the drain raises
+        :class:`SimulationError` once that many events have executed in
+        this call.  Batched records count when the drain flushes them,
+        and the check fires at the next consistent point — after the
+        interpreted event in progress, or after the drain-exit flush —
+        so an aborted drain can always be re-entered.
 
         ``until`` bounds the drain: only events strictly before that tick
         execute, and the heap (with everything at or after ``until``)
@@ -967,6 +980,8 @@ class Simulator:
         keep simulation state out of the host process between drains, so
         bounded stepping is rejected there.
         """
+        gate = self._park_gate()
+        self._gate_counts[gate] = self._gate_counts.get(gate, 0) + 1
         if self.shards > 1:
             if until is not None and self.parallel:
                 raise SimulationError(
@@ -981,28 +996,82 @@ class Simulator:
 
                 sched = self._scheduler = make_scheduler(self)
             return sched.drain(max_events, until)
-        # Arm record parking only for the drain shape whose observation
-        # points the flush hooks fully cover: plain sequential, healthy
-        # fabric, no event budget, no watchdog, no per-event observers
-        # that the batch executors do not replicate.  Everything else
-        # simply interprets per event — bit-identical either way.
-        recorder = self.recorder
-        self._park_active = (
-            self._batch_on
-            and max_events is None
-            and self._route is None
-            and self._transport is None
-            and self._fault_msg is None
-            and self._fault_dead is None
-            and self._fault_stall is None
-            and self._watchdog_cycles is None
-            and not self._channels_recorded
-            and not self.network._jitter_on
-            and (recorder is None or not recorder.record_lane_spans)
-        )
+        self._park_active = gate == "armed"
         stats = self._drain(max_events, math.inf if until is None else until)
         self._note_quiescence()
         return stats
+
+    def _park_gate(self) -> str:
+        """``"armed"``, or the first condition that disarms parking.
+
+        Record parking is armed only for the drain shape whose
+        observation points the flush hooks fully cover: plain
+        sequential, healthy fabric, no watchdog, no per-event observers
+        that the batch executors do not replicate.  Everything else
+        simply interprets per event — bit-identical either way.
+        """
+        if not self._batch_on:
+            return "batch_dispatch=False"
+        if self.shards > 1:
+            return "shards"
+        if (
+            self._fault_msg is not None
+            or self._fault_dead is not None
+            or self._fault_stall is not None
+        ):
+            return "faults"
+        if self._transport is not None:
+            return "transport"
+        if self._watchdog_cycles is not None:
+            return "watchdog"
+        recorder = self.recorder
+        if recorder is not None and recorder.record_lane_spans:
+            return "recorder:lane_spans"
+        if self._channels_recorded:
+            return "recorder:channels"
+        if self.network._jitter_on:
+            return "jitter"
+        return "armed"
+
+    def note_reduce_entry(self, label: str, plan) -> None:
+        """File one job's lowering verdict for ``label`` (emit path).
+
+        ``plan`` is the :class:`~repro.udweave.ir.HandlerPlan` the
+        lowering produced, or ``None`` for a reduce class that does not
+        declare ``intrinsic_only`` and therefore was never traced.
+        """
+        self._reduce_entries.setdefault(label, []).append(plan)
+
+    def batch_report(self) -> dict:
+        """Why batched dispatch did or did not happen, as a plain dict.
+
+        ``labels`` has one row per reduce-entry label an armed drain has
+        emitted to: ``declared`` (the class sets ``intrinsic_only``),
+        ``lowered`` (a batch-safe, validated plan exists), the refusal
+        ``reason`` otherwise, and the emit side's tallies — ``parked``
+        records and ``guard_declined`` ones (guarded plan, once-flag not
+        yet set at emit, sent through the heap instead).  ``drains``
+        counts ``run()`` calls by gate verdict: ``armed``, or the first
+        condition that disarmed parking.
+        """
+        labels = {}
+        for label, plans in self._reduce_entries.items():
+            row = labels[label] = {
+                "declared": False,
+                "lowered": False,
+                "reason": "not declared intrinsic_only",
+                "parked": 0,
+                "guard_declined": 0,
+            }
+            for plan in plans:
+                if plan is None:
+                    continue
+                row["declared"] = True
+                row["lowered"] = plan.parkable
+                row["reason"] = None if plan.parkable else plan.reason
+                row["parked"] += plan.parked
+                row["guard_declined"] += plan.guard_declined
+        return {"labels": labels, "drains": dict(self._gate_counts)}
 
     def _drain(self, max_events: Optional[int], until: float) -> SimStats:
         """The sequential drain loop over ``self._heap`` (see :meth:`run`).
@@ -1111,7 +1180,7 @@ class Simulator:
                             if t0 < ev_time or (
                                 t0 == ev_time and e0[1] < first[2]
                             ):
-                                self._flush_parked(
+                                processed += self._flush_parked(
                                     ln, (ev_time, first[2])
                                 )
                     if fdead is not None and ev_time >= fdead[ln.node]:
@@ -1202,7 +1271,11 @@ class Simulator:
                 cut = (until,)
                 for ln in lanes.values():
                     if ln.parked:
-                        self._flush_parked(ln, cut)
+                        processed += self._flush_parked(ln, cut)
+                if max_events is not None and processed >= max_events:
+                    raise SimulationError(
+                        f"simulation exceeded max_events={max_events}"
+                    )
         finally:
             stats.events_executed += events_executed
             stats.events_interpreted += events_executed

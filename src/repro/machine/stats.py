@@ -25,6 +25,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict
 
+#: host-side split counters: how the *simulator* partitioned handler
+#: events between the compiled batch core and the interpreter.  They
+#: describe the host's execution strategy, not the simulated machine, so
+#: they legitimately differ between drains that arm record parking and
+#: drains that do not (``batch_dispatch=False``, shards, faults, ...) —
+#: cross-mode comparisons use :meth:`SimStats.model_snapshot`.
+HOST_SPLIT_KEYS = ("batches_executed", "records_batched", "events_interpreted")
+
 
 @dataclass
 class SimStats:
@@ -157,6 +165,20 @@ class SimStats:
             "transport_give_ups": self.transport_give_ups,
             "final_tick": self.final_tick,
         }
+
+    def model_snapshot(self) -> Dict[str, float]:
+        """:meth:`scalar_snapshot` minus :data:`HOST_SPLIT_KEYS`.
+
+        Everything the *modeled machine* did — the fingerprint that must
+        be bit-identical across batched / interpreted / sharded / forked
+        drains.  The conservation invariant ``records_batched +
+        events_interpreted == events_executed`` ties the dropped keys
+        back to a key that stays.
+        """
+        snap = self.scalar_snapshot()
+        for key in HOST_SPLIT_KEYS:
+            del snap[key]
+        return snap
 
     # ------------------------------------------------------------------
     # Shard merging (repro.machine.parallel)

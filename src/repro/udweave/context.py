@@ -428,6 +428,26 @@ class LaneContext:
         self.cycles += self.costs.scratchpad_access
         self.lane.scratchpad.pop(key, None)
 
+    def sp_once(self, key: Any) -> bool:
+        """Test-and-set a write-once flag; ``True`` if it was already set.
+
+        One scratchpad access when the flag is set, two (the read, then
+        the write of ``True``) when this call sets it — the cost of the
+        ``sp_read`` + ``sp_write`` pair it replaces.  A once-key is
+        *monotone*: only ``sp_once`` (or host-side seeding before the
+        run) may write it, and nothing may overwrite or delete it.  That
+        is what lets batched dispatch lower the already-set arm of a
+        handler behind an emit-time guard (``repro.udweave.ir``).
+        """
+        cost = self.costs.scratchpad_access
+        self.cycles += cost
+        sp = self.lane.scratchpad
+        if key in sp:
+            return True
+        self.cycles += cost
+        sp[key] = True
+        return False
+
     def sp_malloc(self, nwords: int) -> int:
         """Reserve scratchpad words on this lane (see spMalloc)."""
         return self.runtime.spalloc.sp_malloc(self.lane.network_id, nwords)

@@ -16,6 +16,7 @@ Op vocabulary (golden dumps in ``tests/udweave/test_event_ir.py``)::
     CHARGE n            fixed lane cycles (Table 2 sums; exact integers)
     CC_ADD cache        combining-cache fetch&add (miss/hit arms inside)
     KVR_RETURN job      reduce-tuple retirement (credit bump + terminate)
+    ONCE_HIT key        write-once flag test, *already-set arm only*
     SCRATCH_RW op key   raw scratchpad access (result escapes the trace)
     SEND label          message send
     KV_EMIT             intermediate-tuple emit (send via reduce binding)
@@ -30,18 +31,42 @@ data-dependent control flow through a symbol, raw lane access — raises
 :class:`LoweringUnsupported` and the handler keeps the interpreter
 forever (per-event fallback; coverage grows incrementally).
 
+Lowering *executes the handler body*, and the compiled plan replays only
+the intrinsics the trace saw: a host-side Python effect in the body (a
+collector ``dict.setdefault(...).append(...)``) is invisible to the
+trace, would run once with ``Symbol`` arguments, and then never again on
+the batch path.  No trace can discover such an effect by itself, so the
+emit path lowers only reduce classes that *declare*
+``ReduceTask.intrinsic_only = True``; everything else is never traced
+and keeps the interpreter.  :func:`lower_label` /
+:func:`lower_reduce_entry` themselves stay inspection APIs — they run
+whatever body they are pointed at.
+
 Batch safety
 ------------
 A lowered body is **batch-safe** only when every op is in
-:data:`PARK_SAFE_OPS` — pure cycle charges plus the two proven KVMSR
-composites (``CC_ADD``, ``KVR_RETURN``), with exactly one terminating
-``KVR_RETURN``.  Those bodies touch nothing but their own lane's
-scratchpad and clock: no sends, no DRAM, no spawns, no raw reads whose
-value could steer control flow.  That is what makes *deferred* execution
-legal: parked records cannot schedule anything, so replaying them in
-exact ``(time, seq)`` key order just before the next observation of the
-lane reproduces the interpreted schedule bit-for-bit (see
-``machine/simulator.py`` and DESIGN.md "Event IR & batched dispatch").
+:data:`PARK_SAFE_OPS` — pure cycle charges, the two proven KVMSR
+composites (``CC_ADD``, ``KVR_RETURN``) and the write-once guard
+(``ONCE_HIT``), with exactly one terminating ``KVR_RETURN``.  Those
+bodies touch nothing but their own lane's scratchpad and clock: no
+sends, no DRAM, no spawns, no raw reads whose value could steer control
+flow.  That is what makes *deferred* execution legal: parked records
+cannot schedule anything, so replaying them in exact ``(time, seq)`` key
+order just before the next observation of the lane reproduces the
+interpreted schedule bit-for-bit (see ``machine/simulator.py`` and
+DESIGN.md "Event IR & batched dispatch").
+
+Write-once guard
+----------------
+``ctx.sp_once(key)`` tests-and-sets a scratchpad flag that is never
+overwritten or deleted afterwards.  The trace answers ``True`` and so
+lowers the *already-set* arm only; the plan carries a compiled
+``guard(operands) -> key`` and the emit side parks a record only when
+that key is already in the destination lane's scratchpad.  The flag is
+monotone and parked records never create one, so "set at emit" implies
+"set at delivery": the interpreter would take exactly the traced arm.
+The miss arm (whatever it does — DRAM traffic in BFS) is never lowered;
+those records ride the heap as before.
 
 Every batch-safe plan is additionally **validated once per program**
 against the interpreted semantics before its first record parks: the
@@ -75,7 +100,9 @@ __all__ = [
 ]
 
 #: ops a batch-safe body may consist of (see module docstring).
-PARK_SAFE_OPS = frozenset({"CHARGE", "CC_ADD", "KVR_RETURN", "TERMINATE"})
+PARK_SAFE_OPS = frozenset(
+    {"CHARGE", "CC_ADD", "KVR_RETURN", "ONCE_HIT", "TERMINATE"}
+)
 
 
 class LoweringUnsupported(Exception):
@@ -224,6 +251,29 @@ class TraceContext:
         self._charge(self.costs.scratchpad_access)
         self.ops.append(("SCRATCH_RW", "write", repr(key)))
 
+    def sp_once(self, key) -> bool:
+        """Trace the *already-set* arm of a write-once flag test.
+
+        The one access the hit arm pays is part of the op (no separate
+        ``CHARGE``).  The guard is evaluated at emit time against state
+        the body has not touched yet, so it must come first: at most one
+        per body, before any op other than a pure charge.
+        """
+        names = [op[0] for op in self.ops]
+        if "ONCE_HIT" in names:
+            self._unsupported("more than one sp_once in one body")
+        if any(name != "CHARGE" for name in names):
+            self._unsupported("sp_once after a state-changing op")
+        if not isinstance(key, tuple) or any(
+            isinstance(part, Symbol) and part.index < 0 for part in key
+        ):
+            self._unsupported(
+                "sp_once key must be a tuple of constants and operands"
+            )
+        self.cycles += self.costs.scratchpad_access
+        self.ops.append(("ONCE_HIT", tuple(_src(part) for part in key)))
+        return True
+
     def sp_read_pooled(self, lane_in_accel, key, default: Any = None):
         self.ops.append(("SCRATCH_RW", "read_pooled", repr(key)))
         raise LoweringUnsupported("pooled scratchpad access")
@@ -280,6 +330,12 @@ class HandlerPlan:
     have, and return the lane's new ``busy_until`` (the max completion
     tick of the batch).  Non-parkable plans exist for inspection (golden
     dumps) and carry ``reason``.
+
+    A plan traced through ``sp_once`` also carries ``guard(operands) ->
+    key``: a record may park only if that key is already in its
+    destination lane's scratchpad (module docstring, "Write-once
+    guard").  ``parked`` / ``guard_declined`` count the emit side's
+    decisions for :meth:`Simulator.batch_report`.
     """
 
     __slots__ = (
@@ -290,6 +346,9 @@ class HandlerPlan:
         "reason",
         "batch_fn",
         "meta",
+        "guard",
+        "parked",
+        "guard_declined",
     )
 
     def __init__(
@@ -309,6 +368,9 @@ class HandlerPlan:
         self.reason = reason
         self.batch_fn = batch_fn
         self.meta = meta
+        self.guard = None
+        self.parked = 0
+        self.guard_declined = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "parkable" if self.parkable else f"fallback: {self.reason}"
@@ -337,6 +399,10 @@ def lower_label(
     meta: str = "",
 ) -> HandlerPlan:
     """Lower one registered handler; never raises.
+
+    **Executes the handler body** (once, with :class:`Symbol` operands):
+    point it only at bodies whose every effect goes through ``ctx`` —
+    the emit path does so by requiring ``ReduceTask.intrinsic_only``.
 
     Returns a parkable plan (with a compiled ``batch_fn``) when the body
     is batch-safe, and a fallback plan carrying the ops traced so far
@@ -375,6 +441,7 @@ def lower_label(
     plan = HandlerPlan(label, label_id, tctx.ops, parkable, reason, meta=meta)
     if parkable:
         plan.batch_fn = _compile_batch_fn(plan, runtime.config.costs)
+        plan.guard = _compile_guard(plan)
     return plan
 
 
@@ -401,7 +468,7 @@ def lower_reduce_entry(runtime, job, operands: Sequence[Any]) -> HandlerPlan:
         )
     if plan.parkable and not _validate(runtime, plan, tuple(operands)):
         plan.parkable = False
-        plan.batch_fn = None
+        plan.batch_fn = plan.guard = None
         plan.reason = "validation against interpreted semantics failed"
     return plan
 
@@ -445,6 +512,10 @@ def _compile_batch_fn(plan: HandlerPlan, costs):
         elif kind == "KVR_RETURN":
             base += 2 * sp_cost
             kvr_job = op[1]
+        elif kind == "ONCE_HIT":
+            # the already-set arm: one scratchpad read, no state change
+            # (the emit-side guard proved the flag is there)
+            base += sp_cost
     ns = {
         "KVR_KEY": ("kvr", kvr_job),
         "BASE_C": base,
@@ -512,6 +583,24 @@ def _compile_batch_fn(plan: HandlerPlan, costs):
     return ns["batch_fn"]
 
 
+def _compile_guard(plan: HandlerPlan):
+    """``guard(operands) -> once-key`` for a plan with an ``ONCE_HIT``."""
+    template = next((op[1] for op in plan.ops if op[0] == "ONCE_HIT"), None)
+    if template is None:
+        return None
+    ns = {}
+    parts = []
+    for k, (kind, value) in enumerate(template):
+        if kind == "operand":
+            parts.append(f"ops_[{value}]")
+        else:
+            ns[f"K{k}"] = value
+            parts.append(f"K{k}")
+    src = f"def guard(ops_):\n    return ({', '.join(parts)},)"
+    exec(compile(src, f"<guard:{plan.label}>", "exec"), ns)
+    return ns["guard"]
+
+
 # ---------------------------------------------------------------------------
 # Validation against interpreted semantics
 # ---------------------------------------------------------------------------
@@ -524,17 +613,23 @@ def _validate(runtime, plan: HandlerPlan, operands: Tuple[Any, ...]) -> bool:
     arms (first = miss, second = hit).  The interpreted side goes
     through the real handler with a real :class:`LaneContext`; the
     batched side goes through the generated executor; both start from
-    empty scratch lanes that never touch the simulated machine.  Agree
-    on charged cycles and every scratchpad key, or the plan is rejected.
+    scratch lanes that never touch the simulated machine — empty, except
+    for a guarded plan's once-key, pre-seeded on both because a guarded
+    record only ever parks with its flag set.  Agree on charged cycles
+    and every scratchpad key, or the plan is rejected.
     """
     cls, func = runtime._handler_table[plan.label_id]
     ref = Lane(-1, 0, 0)
+    cand = Lane(-1, 0, 0)
     record = MessageRecord(
         0, NEW_THREAD, plan.label, tuple(operands), None, 0, "msg",
         plan.label_id,
     )
     interpreted_cycles = []
     try:
+        if plan.guard is not None:
+            once_key = plan.guard(operands)
+            ref.scratchpad[once_key] = cand.scratchpad[once_key] = True
         for _ in range(2):
             obj = cls()
             ctx = LaneContext(runtime, ref, obj, 0, record, 0.0)
@@ -544,7 +639,6 @@ def _validate(runtime, plan: HandlerPlan, operands: Tuple[Any, ...]) -> bool:
             interpreted_cycles.append(ctx.cycles)
     except Exception:
         return False
-    cand = Lane(-1, 0, 0)
     try:
         batch = [(0.0, i, plan, tuple(operands)) for i in range(2)]
         plan.batch_fn(cand, batch, 0, 1)
@@ -593,6 +687,9 @@ def render_plan(plan: HandlerPlan) -> str:
             lines.append(f"  KVR_RETURN job={op[1]}")
         elif kind == "SCRATCH_RW":
             lines.append(f"  SCRATCH_RW {op[1]} {op[2]}")
+        elif kind == "ONCE_HIT":
+            key = ", ".join(_fmt_src(part) for part in op[1])
+            lines.append(f"  ONCE_HIT key=({key})")
         else:
             lines.append("  " + " ".join(str(p) for p in op))
     return "\n".join(head + lines)

@@ -148,6 +148,14 @@ class UpDownRuntime:
         otherwise.  ``operands`` fixes the trace arity; see
         ``repro.udweave.ir`` for the safety rules.  Inspection API: the
         simulator's batch path lowers lazily on its own.
+
+        This **executes the handler body it inspects**, once, with
+        placeholder operands: any host-side Python effect in the body
+        (appending to a collector, bumping a counter on the payload)
+        happens for real, with ``Symbol`` values.  The batch path
+        therefore only ever lowers reduce classes that declare
+        ``ReduceTask.intrinsic_only``; calling this on anything else is
+        the caller's decision.
         """
         from .ir import lower_label
 

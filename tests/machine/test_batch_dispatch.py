@@ -12,14 +12,12 @@ import pytest
 
 from repro.graph import rmat
 from repro.harness import bench_config
+from repro.machine.stats import HOST_SPLIT_KEYS as BATCH_KEYS
 from repro.udweave import UpDownRuntime
 
 GRAPH = rmat(8, seed=7)
 BLOCK = 4096
 NODES = 4
-
-#: counters that legitimately partition differently when batching is on
-BATCH_KEYS = ("batches_executed", "records_batched", "events_interpreted")
 
 
 def _run_pr(batch, shards=1, parallel=False, faults=False):

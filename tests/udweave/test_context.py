@@ -181,6 +181,46 @@ class TestScratchpad:
         assert got == [None]
 
 
+class TestWriteOnceFlag:
+    def test_sp_once_sets_then_hits_with_read_write_costs(self):
+        """Miss = the ``sp_read`` + ``sp_write`` pair it replaces (two
+        accesses, flag stored as ``True``); hit = the read alone."""
+        rt = runtime()
+        got = []
+
+        @rt.register
+        class T(UDThread):
+            @event
+            def go(self, ctx):
+                sp = ctx.costs.scratchpad_access
+                for _ in range(2):
+                    before = ctx.cycles
+                    hit = ctx.sp_once(("flag", 7))
+                    got.append((hit, (ctx.cycles - before) / sp))
+                got.append(ctx.sp_read(("flag", 7)))
+                ctx.yield_terminate()
+
+        rt.start(0, "T::go")
+        rt.run()
+        assert got == [(False, 2.0), (True, 1.0), True]
+
+    def test_sp_once_honours_a_host_seeded_flag(self):
+        rt = runtime()
+        rt.sim.lane(0).scratchpad[("flag", 1)] = True
+        got = []
+
+        @rt.register
+        class T(UDThread):
+            @event
+            def go(self, ctx):
+                got.append(ctx.sp_once(("flag", 1)))
+                ctx.yield_terminate()
+
+        rt.start(0, "T::go")
+        rt.run()
+        assert got == [True]
+
+
 class TestYields:
     def test_double_yield_rejected(self):
         rt = runtime()

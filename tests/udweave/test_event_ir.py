@@ -84,18 +84,59 @@ class TestGoldenDumps:
         assert [op[0] for op in splan.ops] == ["CHARGE", "SCRATCH_RW"]
         rt.shutdown()
 
-    def test_bfs_reduce_falls_back_on_raw_scratchpad(self):
+    def test_bfs_reduce_lowers_the_visited_arm(self):
         from repro.apps import BFSApp
 
-        rt = UpDownRuntime(bench_config(2, batch_dispatch=True))
-        BFSApp(rt, GRAPH, block_size=BLOCK).run(root=0)
+        rt = UpDownRuntime(bench_config(2))
+        app = BFSApp(rt, GRAPH, block_size=BLOCK)
+        app.run(root=0)
         job = _job(rt, "BFSReduce")
-        assert job._batch_plan is None  # nothing ever parked
+        plan = job._batch_plan  # lowered lazily on the first emit
+        assert plan is not None and plan.parkable
+        assert render_plan(plan) == (
+            f"handler BFSReduce::__reduce_entry__\n"
+            f"  binding=HashBinding(seed=0)\n"
+            f"  batchable\n"
+            f"  ONCE_HIT key=('bfss', {app.uid}, op[1])\n"
+            f"  CHARGE 1\n"
+            f"  KVR_RETURN job={job.job_id}\n"
+            f"  TERMINATE"
+        )
+        # the guard rebuilds the once-key from a record's operands
+        assert plan.guard((job.job_id, 42, 7, 3)) == ("bfss", app.uid, 42)
+        assert rt.sim.stats.records_batched > 0
+        rt.shutdown()
+
+    def test_bfs_reduce_falls_back_on_raw_scratchpad(self):
+        """The visited test written against the raw scratchpad (the
+        shape ``BFSReduce`` had before ``sp_once``) must keep refusing:
+        it is declared, so it *is* traced, and ``sp_read``'s result
+        steers an ``is None`` check the trace cannot see.  The
+        SCRATCH_RW whitelist refusal is what keeps that silently
+        mistraced arm from ever executing as a batch."""
+        from repro.apps import BFSApp
+        from repro.apps.bfs import BFSAccelMaster, BFSReduce
+        from repro.kvmsr import KVMSRJob, RangeInput
+
+        class RawScratchpadBFSReduce(BFSReduce):
+            def kv_reduce(self, ctx, u, parent, depth):
+                app = self.job(ctx).payload
+                if ctx.sp_read(("bfss", app.uid, u)) is not None:
+                    ctx.work(1)
+                    self.kv_reduce_return(ctx)
+                    return
+                ctx.sp_write(("bfss", app.uid, u), True)
+                ctx.yield_()
+
+        rt = UpDownRuntime(bench_config(2))
+        app = BFSApp(rt, GRAPH, block_size=BLOCK)
+        job = KVMSRJob(
+            rt, BFSAccelMaster, RangeInput(2),
+            reduce_cls=RawScratchpadBFSReduce, payload=app,
+        )
+        assert RawScratchpadBFSReduce.intrinsic_only  # inherited
         plan = lower_reduce_entry(rt, job, (job.job_id, 1, 0, 1))
-        assert not plan.parkable
-        # sp_read's result steers an `is None` check the trace cannot
-        # see; the SCRATCH_RW whitelist refusal is what keeps that
-        # silently-mistraced arm from ever executing as a batch
+        assert not plan.parkable and plan.guard is None
         assert plan.reason == "op SCRATCH_RW is not batch-safe"
         assert [op[0] for op in plan.ops] == [
             "CHARGE", "SCRATCH_RW", "CHARGE", "KVR_RETURN", "TERMINATE",
@@ -151,23 +192,82 @@ class TestTraceSafety:
         rt.shutdown()
 
 
+class TestOnceGuardTrace:
+    """``TraceContext.sp_once`` lowers the already-set arm only, and
+    only where an emit-time guard can stand for it."""
+
+    @staticmethod
+    def _tctx():
+        rt = UpDownRuntime(bench_config(2))
+        return rt, TraceContext(rt)
+
+    def test_records_the_hit_arm_with_its_key_template(self):
+        rt, tctx = self._tctx()
+        tctx.work(2)  # pure charges may precede the guard
+        assert tctx.sp_once(("seen", 3, Symbol(1, "op1"))) is True
+        assert tctx.ops == [
+            ("CHARGE", 2),
+            ("ONCE_HIT", (("const", "seen"), ("const", 3), ("operand", 1))),
+        ]
+        # the hit arm's one access is charged, inside the op
+        costs = rt.config.costs
+        assert tctx.cycles == (
+            costs.event_dispatch + 2 * costs.instruction
+            + costs.scratchpad_access
+        )
+        assert "ONCE_HIT" in PARK_SAFE_OPS
+        rt.shutdown()
+
+    def test_refused_after_a_state_changing_op(self):
+        from repro.kvmsr.combining import CombiningCache
+
+        rt, tctx = self._tctx()
+        CombiningCache("c").add(tctx, Symbol(1, "op1"), Symbol(2, "op2"))
+        with pytest.raises(LoweringUnsupported, match="state-changing"):
+            tctx.sp_once(("seen", Symbol(1, "op1")))
+        rt, tctx = self._tctx()
+        tctx.op_kvr_return(0)
+        with pytest.raises(LoweringUnsupported, match="state-changing"):
+            tctx.sp_once(("seen", Symbol(1, "op1")))
+        rt.shutdown()
+
+    def test_refused_twice_in_one_body(self):
+        rt, tctx = self._tctx()
+        tctx.sp_once(("seen", Symbol(1, "op1")))
+        with pytest.raises(LoweringUnsupported, match="more than one"):
+            tctx.sp_once(("other", Symbol(1, "op1")))
+        rt.shutdown()
+
+    def test_refused_for_keys_the_guard_cannot_rebuild(self):
+        rt, tctx = self._tctx()
+        with pytest.raises(LoweringUnsupported, match="tuple"):
+            tctx.sp_once(Symbol(1, "op1"))  # not a tuple
+        computed = tctx.sp_read("k")  # a fresh symbol, not an operand
+        tctx.ops.clear()
+        with pytest.raises(LoweringUnsupported, match="tuple"):
+            tctx.sp_once(("seen", computed))
+        rt.shutdown()
+
+
 class TestFallbackParity:
     def test_unlowerable_handler_runs_interpreted_identically(self):
-        """BFS never lowers — batch on must be byte-for-byte inert."""
-        from repro.apps import BFSApp
+        """TC never lowers (its reduce is not declared, and would abort
+        on the key unpack if it were) — batch on must be byte-for-byte
+        inert, split counters included."""
+        from repro.apps import TriangleCountApp
 
         snaps = {}
-        parents = {}
+        triangles = {}
         for batch in (False, True):
             rt = UpDownRuntime(bench_config(2, batch_dispatch=batch))
-            res = BFSApp(rt, GRAPH, block_size=BLOCK).run(root=0)
+            res = TriangleCountApp(rt, GRAPH, block_size=BLOCK).run()
             snaps[batch] = rt.sim.stats.scalar_snapshot()
-            parents[batch] = list(res.parents)
+            triangles[batch] = res.triangles
             assert rt.sim.stats.records_batched == 0
             assert rt.sim.stats.batches_executed == 0
             rt.shutdown()
         assert snaps[True] == snaps[False]
-        assert parents[True] == parents[False]
+        assert triangles[True] == triangles[False]
 
 
 class TestRecordBatchColumns:
