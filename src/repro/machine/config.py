@@ -81,19 +81,10 @@ class MachineConfig:
     batch_dispatch: bool = True
     #: capacity of each shared-memory boundary ring in KiB for
     #: ``parallel=True`` forked workers (one ring per ordered shard
-    #: pair).  Purely a performance knob: when a window's boundary
-    #: traffic overflows a ring, the excess spills to the pickled-Pipe
-    #: channel (counted in the hub metrics), never losing records.
+    #: pair).  A speed matter only: a full ring makes its producer wait
+    #: for the consumer.  The one thing it bounds is a *single* boundary
+    #: record, whose frame must fit in one ring.
     parallel_ring_kib: int = 256
-    #: cap on adaptive lookahead widening for ``parallel=True``: after a
-    #: quiet window (zero cross-shard boundary records) the next window
-    #: doubles its width, up to this multiple of
-    #: ``conservative_lookahead_cycles``; any boundary record collapses
-    #: it back to 1.  Set to 1 to disable widening.  Widened windows run
-    #: internally as base-lookahead sub-steps synchronized through
-    #: shared memory, so conservatism (and bit-exactness) is preserved
-    #: at any setting.
-    parallel_adaptive_max: int = 8
     costs: CostTable = field(default_factory=lambda: DEFAULT_COSTS)
 
     def __post_init__(self) -> None:
@@ -112,8 +103,6 @@ class MachineConfig:
                 "parallel_ring_kib must be >= 4 (one ring must hold at "
                 "least a handful of boundary frames)"
             )
-        if self.parallel_adaptive_max < 1:
-            raise ValueError("parallel_adaptive_max must be >= 1")
         self.costs.validate()
 
     # ------------------------------------------------------------------

@@ -48,35 +48,23 @@ Two modes share the same windowing and merge order:
 
 Boundary frames
 ---------------
-At each sub-step flush a worker flattens its outbox for a peer into
+At each window's flush a worker flattens its outbox for a peer into
 plain tuples (``repro.machine.events.flatten_boundary_entry``), appends
-that sub-step's functional-memory writes, and ships the lot as one
-``pickle.dumps((step, rows), protocol=5)`` frame per (peer, sub-step);
-the consumer does one ``pickle.loads`` per frame and rebuilds each
-record with one constructor call.  A batch splits into several frames
-only when its pickle exceeds half the ring (:func:`pack_frames`), so a
+that window's functional-memory writes, and ships the lot as one
+``pickle.dumps(rows, protocol=5)`` frame per (peer, window); the
+consumer does one ``pickle.loads`` per frame and rebuilds each record
+with one constructor call.  A batch splits into several frames only
+when its pickle exceeds half the ring (:func:`pack_frames`), so a
 consumer can drain one frame while the producer writes the next; a lone
 record may use the whole ring.  Streams are stateless — forked workers
 inherited one label-id table.  Only bytes this process tree wrote are
 ever unpickled: the segment is created by the parent before the fork and
 written by its workers alone.
 
-Adaptive lookahead
-------------------
-When a full window completes with **zero** cross-shard boundary
-records, the next window doubles its width, up to
-``parallel_adaptive_max`` base lookaheads; the moment any shard emits a
-boundary record the width collapses back to one.  A widened window of
-``k`` lookaheads runs internally as ``k`` sub-steps of exactly one
-lookahead each, synchronized worker-to-worker through shared progress
-counters (a CMB-style barrier that never touches the parent): before
-executing global sub-step ``g`` a worker waits until every peer has
-published sub-step ``g`` and drains its inbound rings.  A record
-delivered inside sub-step ``g`` was necessarily emitted in a sub-step
-``<= g-1`` (conservative lookahead bounds delivery at one sub-step
-width past emission), so the wait guarantees it has arrived — windows
-stay conservative at any widening factor and fingerprints remain
-bit-exact.
+After its flush a worker publishes its progress counter (windows
+completed) and waits, draining its inbound rings, until every peer has
+published the same window: the reported next-event time then accounts
+for everything in flight, and the parent opens the next window.
 
 All shared-memory cursors and counters are read and written exclusively
 under one ``multiprocessing.Array`` lock; the mutex acquire/release
@@ -85,11 +73,14 @@ writes and a consumer's reads (CPython offers no portable fences).
 Ring payload bytes themselves are written outside the lock — a consumer
 never reads past the published cursor.
 
-Ring capacity (``parallel_ring_kib``) is a performance knob, never a
-correctness one: frames that do not fit at a window's final publish
-spill to the old pickled-blob Pipe channel (relayed by the parent,
-counted in the hub metrics); frames mid-window spin for space while
-draining their own inbound rings, which keeps the fabric deadlock-free.
+Ring capacity (``parallel_ring_kib``) is a speed matter only: a frame
+that finds its ring full waits for the consumer, draining the producer's
+own inbound rings while it spins.  Every wait in the fabric drains, and
+no worker leaves a window before every peer has published it, so a
+spinning producer's consumer is either inside its own finite ``_drain``
+or inside a draining wait — the fabric cannot deadlock.  Only a *single
+record* whose frame exceeds a whole ring cannot travel; it raises a
+:class:`SimulationError` naming ``parallel_ring_kib``.
 
 Worker processes are daemonic and persist across drains (lane, thread,
 and scratchpad state lives in them between ``run()`` calls).  Host-side
@@ -156,35 +147,31 @@ def _dumps(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def pack_frames(step: int, rows: list, bound: int) -> Iterator[bytes]:
-    """Pickle one (peer, sub-step) batch into frame payloads, in order.
+def pack_frames(rows: list, bound: int) -> Iterator[bytes]:
+    """Pickle one (peer, window) batch into frame payloads, in order.
 
     One frame unless the pickle exceeds ``bound`` bytes; then the rows
     are cut into the number of even runs the overshoot suggests, each
     packed the same way.  A single row is never cut: its frame is
-    yielded whatever its size, and the ring write decides (spill at a
-    final publish, ``parallel_ring_kib`` error mid-window).  ``step`` is
-    the producer's sub-step counter, repeated in every frame — it gates
-    when the consumer applies the frame's write rows.
+    yielded whatever its size, and the ring write decides (it raises the
+    ``parallel_ring_kib`` error when the frame exceeds the whole ring).
     """
-    payload = _dumps((step, rows))
+    payload = _dumps(rows)
     if len(payload) <= bound or len(rows) < 2:
         yield payload
         return
     pieces = -(-len(payload) // bound)
     size = -(-len(rows) // pieces)
     for lo in range(0, len(rows), size):
-        yield from pack_frames(step, rows[lo : lo + size], bound)
+        yield from pack_frames(rows[lo : lo + size], bound)
 
 
-def unpack_frame(payload) -> Tuple[int, list, list]:
-    """``(step, entries, wlogs)`` of one :func:`pack_frames` payload.
+def unpack_frame(payload) -> Tuple[list, list]:
+    """``(entries, wlogs)`` of one :func:`pack_frames` payload.
 
     Unpickles — callers pass only frames a worker of this pool packed.
     """
-    step, rows = pickle.loads(payload)
-    entries, wlogs = rebuild_boundary_rows(rows)
-    return step, entries, wlogs
+    return rebuild_boundary_rows(pickle.loads(payload))
 
 
 def make_scheduler(sim):
@@ -261,6 +248,7 @@ class ShardScheduler(_ShardRouter):
     def __init__(self, sim) -> None:
         super().__init__(sim)
         self.heaps: List[list] = [[] for _ in range(self.shards)]
+        sim._shard_heaps = self.heaps
         self._host_entries: List[tuple] = []
         sim._route = self._route
         # adopt anything injected before the first drain
@@ -309,15 +297,7 @@ class ShardScheduler(_ShardRouter):
                 if budget is not None:
                     budget -= stats.events_executed - before
         self._flush_host()
-        # quiescence verdict: the shard heaps (not sim._heap, empty by
-        # construction here) hold whatever a bounded drain left queued
-        pending = sim._live_threads()
-        stats.pending_threads = pending
-        stats.quiesced = (
-            pending == 0
-            and sim._parked_total == 0
-            and not any(heaps)
-        )
+        sim._note_quiescence()
         return stats
 
     def close(self) -> None:
@@ -334,7 +314,7 @@ class _RingHub:
     the control words, laid out as::
 
         [0, S)              progress counter of shard p (published
-                            window sub-steps, monotone)
+                            windows, monotone)
         [S, S + S*S)        published write cursor of ring p→q
                             (total bytes, monotone; index = S + p*S + q)
         [S + S*S, S + 2S*S) read cursor of ring p→q (written only by
@@ -374,17 +354,17 @@ class _WorkerPort:
 
     Owns the outbound rings ``me → *`` (write cursors mirrored locally —
     nobody else writes them) and the inbound read cursors ``* → me``
-    (likewise).  Frames are self-contained (see :func:`pack_frames`),
-    so a frame relayed over the spill path decodes exactly like a ring
-    frame; it is delivered after every ring frame of the same window,
-    which keeps each producer's write rows in issue order.
+    (likewise).  Frames are self-contained (see :func:`pack_frames`).
 
     ``pending_wlogs`` holds decoded foreign functional-memory writes as
-    ``(producer, step, va, values)``: frames may physically arrive up to
-    one sub-step early (immediate cursor publication is what lets a
-    producer free ring space mid-flush), so application is deferred
-    until the consumer's own progress passes the producer's emission
-    sub-step — the visible write order is then a pure function of the
+    ``(producer, va, values)``: frames may physically arrive while the
+    consumer is still executing the window they were emitted in
+    (immediate cursor publication is what lets a producer free ring
+    space mid-flush), so application is deferred to the start of the
+    consumer's next window.  No peer enters window W+1 before the parent
+    holds this worker's reply for W, so everything pending at that point
+    was emitted in the window every shard just completed; applied in
+    producer order, the visible write order is a pure function of the
     simulation, not of scheduling jitter.
     """
 
@@ -409,7 +389,7 @@ class _WorkerPort:
         #: cached view of each consumer's read cursor on my outbound
         #: ring — refreshed under the lock only when space looks short.
         self.peer_rd = [0] * S
-        #: my published progress counter (total window sub-steps).
+        #: my published progress counter (windows completed).
         self.step = 0
         self.pending_wlogs: List[tuple] = []
         # transport metrics (shipped to the parent hub)
@@ -423,28 +403,21 @@ class _WorkerPort:
     def _rd_idx(self, p: int, q: int) -> int:
         return self.shards + self.shards * self.shards + p * self.shards + q
 
-    def try_write(self, target: int, payload: bytes, drain_cb, may_spill: bool) -> bool:
+    def write(self, target: int, payload: bytes, drain_cb) -> None:
         """Frame ``payload`` onto ring ``me → target``.
 
-        Returns ``False`` — caller must spill to the Pipe channel — only
-        when ``may_spill`` (a window's final publish, where the parent
-        relay still reaches the consumer before anything can execute the
-        records).  Mid-window the frame *must* travel by ring, so a full
-        ring spins for space, draining our own inbound rings while
-        waiting: every mid-window wait in the fabric drains, so some
-        consumer always makes progress and the spin cannot deadlock.
+        A full ring spins for space, draining our own inbound rings
+        while waiting: every wait in the fabric drains, so some consumer
+        always makes progress and the spin cannot deadlock.
         """
         n = len(payload) + 4
         cap = self.cap
         me = self.me
         if n > cap:
-            if may_spill:
-                return False
             raise SimulationError(
-                f"a boundary frame of {n} bytes exceeds the shared ring "
-                f"capacity ({cap} bytes) and cannot be deferred "
-                f"mid-window; raise parallel_ring_kib or lower "
-                f"parallel_adaptive_max"
+                f"a single boundary record's frame of {n} bytes exceeds "
+                f"the shared ring capacity ({cap} bytes); raise "
+                f"parallel_ring_kib"
             )
         peer_rd = self.peer_rd
         wr = self.wr
@@ -457,8 +430,6 @@ class _WorkerPort:
                     peer_rd[target] = self.c[rd_idx]
                 if cap - (wr[target] - peer_rd[target]) >= n:
                     break
-                if may_spill:
-                    return False
                 if deadline is None:
                     deadline = time.monotonic() + self._SPIN_DEADLINE_S
                 elif time.monotonic() > deadline:
@@ -483,49 +454,35 @@ class _WorkerPort:
             buf[base + pos : base + cap] = data[:k]
             buf[base : base + end - cap] = data[k:]
         wr[target] += n
-        # Publish immediately (not at sub-step end): consumers may
-        # legally decode frames of a sub-step still in progress — entry
-        # records self-gate by delivery time and wlogs defer by step tag
-        # — and immediate publication is what lets a consumer free ring
-        # space while we are mid-flush.
+        # Publish immediately (not at window end): consumers may
+        # legally decode frames of a window still in progress — entry
+        # records self-gate by delivery time and wlogs wait for the
+        # consumer's next window — and immediate publication is what
+        # lets a consumer free ring space while we are mid-flush.
         with self.lock:
             self.c[self._wr_idx(me, target)] = wr[target]
         self.bytes_out += n
         self.frames_out += 1
-        return True
 
-    def write_batch(self, target: int, rows: list, drain_cb, may_spill: bool) -> list:
-        """Ship one sub-step's ``rows`` for ``target`` as the frames
-        :func:`pack_frames` cuts, tagged with my current sub-step.
-
-        Returns the frame payloads that must spill (empty on the healthy
-        path).  Once one frame spills, every later frame of the batch
-        spills too: the consumer decodes ring frames first, then the
-        relayed spill, so this is what keeps two same-sub-step writes to
-        one address in issue order across the ring/Pipe split.
-        """
-        spilled: List[bytes] = []
-        for payload in pack_frames(self.step, rows, self.frame_bound):
-            if spilled or not self.try_write(
-                target, payload, drain_cb, may_spill
-            ):
-                spilled.append(payload)
-        return spilled
+    def write_batch(self, target: int, rows: list, drain_cb) -> None:
+        """Ship one window's ``rows`` for ``target`` as the frames
+        :func:`pack_frames` cuts."""
+        for payload in pack_frames(rows, self.frame_bound):
+            self.write(target, payload, drain_cb)
 
     def deliver(self, producer: int, payload, entry_cb) -> None:
-        """Decode one frame from ``producer`` (ring or relayed spill).
+        """Decode one frame from ``producer``.
 
         Entries go to ``entry_cb`` immediately (the heap gates them by
-        delivery time); write rows queue in :attr:`pending_wlogs` under
-        the frame's step tag for the caller's next deterministic
-        application point.
+        delivery time); write rows queue in :attr:`pending_wlogs` for
+        the caller's next deterministic application point.
         """
-        step, entries, wlogs = unpack_frame(payload)
+        entries, wlogs = unpack_frame(payload)
         for entry in entries:
             entry_cb(entry)
         if wlogs:
             self.pending_wlogs.extend(
-                (producer, step, va, values) for va, values in wlogs
+                (producer, va, values) for va, values in wlogs
             )
 
     def drain(self, entry_cb) -> None:
@@ -565,29 +522,20 @@ class _WorkerPort:
                     if p != me:
                         c[self._rd_idx(p, me)] = rd[p]
 
-    def apply_wlogs(self, limit: Optional[int], write) -> None:
-        """``write(va, values)`` queued foreign writes of sub-steps
-        ``<= limit``.
+    def apply_wlogs(self, write) -> None:
+        """``write(va, values)`` every queued foreign write.
 
-        Sorted by (sub-step, producer) — stable sort preserves each
-        producer's FIFO order — so the application order is the same
-        every run, whatever the physical arrival interleaving was.
-        ``None`` applies everything (drain end: no reads remain).
+        Sorted by producer — stable sort preserves each producer's FIFO
+        order — so the application order is the same every run, whatever
+        the physical arrival interleaving was.
         """
         pend = self.pending_wlogs
         if not pend:
             return
-        if limit is None:
-            ready, keep = pend, []
-        else:
-            ready = [w for w in pend if w[1] <= limit]
-            if not ready:
-                return
-            keep = [w for w in pend if w[1] > limit]
-        ready.sort(key=lambda w: (w[1], w[0]))
-        for _producer, _step, va, values in ready:
+        pend.sort(key=lambda w: w[0])
+        for _producer, va, values in pend:
             write(va, values)
-        self.pending_wlogs = keep
+        pend.clear()
 
     def wait_for(self, value: int, drain_cb) -> None:
         """Block until every peer's progress counter reaches ``value``.
@@ -616,13 +564,12 @@ class _WorkerPort:
                 raise SimulationError(
                     f"shard {me} waited more than "
                     f"{int(self._SPIN_DEADLINE_S)}s for peers to reach "
-                    f"window sub-step {value}; a peer worker is stalled "
-                    f"or dead"
+                    f"window {value}; a peer worker is stalled or dead"
                 )
         self.barrier_wait_s += time.monotonic() - t0
 
     def publish(self, value: int) -> None:
-        """Advance my progress counter to ``value`` (sub-steps done)."""
+        """Advance my progress counter to ``value`` (windows done)."""
         with self.lock:
             self.c[self.me] = value
         self.step = value
@@ -632,14 +579,12 @@ class ParallelExecutor(_ShardRouter):
     """Forked worker pool running one shard per process.
 
     The parent never executes events after the fork: it is the window
-    coordinator.  Per window it sends one ``run(T, nsteps, budget)``
+    coordinator.  Per window it sends one ``run(window_end, budget)``
     control tuple per worker and receives one
-    ``out(executed, progress, next_t, emitted, ring_bytes, spill)``
-    tuple back — all boundary records travel worker-to-worker through
-    the :class:`_RingHub` shared-memory rings, so healthy-path parent
-    CPU work per window is O(control tuple), not O(boundary bytes).
-    Only ring overflow (counted in :attr:`hub_metrics`) routes records
-    through the parent, via an extra ``spill`` round.
+    ``out(executed, progress, next_t, emitted, ring_bytes)`` tuple back
+    — all boundary records travel worker-to-worker through the
+    :class:`_RingHub` shared-memory rings, so parent CPU work per window
+    is O(control tuple), not O(boundary bytes).
 
     At drain end (all heaps empty, nothing in flight) each worker ships
     its per-drain state deltas — statistics, recorder telemetry, channel
@@ -665,21 +610,16 @@ class ParallelExecutor(_ShardRouter):
         #: last fully exchanged epoch window ``(T, window_end)`` —
         #: named in :class:`ShardWorkerFailed` when a worker dies.
         self._last_window: Optional[tuple] = None
-        cfg = sim.config
         #: host-side transport metrics (deliberately outside ``SimStats``
         #: — they describe the coordinator, not the simulated machine,
         #: and must not perturb sequential-vs-parallel fingerprints).
         self.hub_metrics: Dict[str, Any] = {
             "windows": 0,
-            "window_hist": {},
             "boundary_bytes": 0,
             "boundary_records": 0,
             "boundary_frames": 0,
-            "ring_overflows": 0,
-            "spill_phases": 0,
             "barrier_wait_s": 0.0,
-            "adaptive_max": cfg.parallel_adaptive_max,
-            "ring_kib": cfg.parallel_ring_kib,
+            "ring_kib": sim.config.parallel_ring_kib,
         }
 
     # ------------------------------------------------------------------
@@ -737,23 +677,19 @@ class ParallelExecutor(_ShardRouter):
         next_ts = [msg[1] for msg in self._recv_all("next")]
         budget = max_events
         lookahead = self.lookahead
-        adaptive_max = self.hub_metrics["adaptive_max"]
-        nsteps = 1
         wd = sim._watchdog_cycles
-        hist = metrics["window_hist"]
         while True:
             t_next = min(
                 (t for t in next_ts if t is not None), default=None
             )
             if t_next is None:
                 break
-            window_end = t_next + nsteps * lookahead
+            window_end = t_next + lookahead
             for conn in conns:
-                conn.send(("run", t_next, nsteps, budget))
+                conn.send(("run", window_end, budget))
             outs = self._recv_all("out")
             self._last_window = (t_next, window_end)
             metrics["windows"] += 1
-            hist[nsteps] = hist.get(nsteps, 0) + 1
             if budget is not None:
                 budget -= sum(out[1] for out in outs)
                 if budget <= 0:
@@ -777,60 +713,26 @@ class ParallelExecutor(_ShardRouter):
                         f"workers; only idle/control events are executing",
                         dump,
                     )
-            emitted = sum(out[4] for out in outs)
-            metrics["boundary_records"] += emitted
+            metrics["boundary_records"] += sum(out[4] for out in outs)
             metrics["boundary_bytes"] += sum(out[5] for out in outs)
             next_ts = [out[3] for out in outs]
-            # Relay ring-overflow spills (rare: capacity exceeded at a
-            # final publish).  Each group keeps the producer identity:
-            # the consumer orders deferred writes by (sub-step, producer).
-            spill_to: Dict[int, list] = {}
-            n_spilled = 0
-            for producer, out in enumerate(outs):
-                spill = out[6]
-                if not spill:
-                    continue
-                for target, payloads in spill:
-                    spill_to.setdefault(target, []).append(
-                        (producer, payloads)
-                    )
-                    n_spilled += len(payloads)
-            if spill_to:
-                metrics["spill_phases"] += 1
-                metrics["ring_overflows"] += n_spilled
-                targets = sorted(spill_to)
-                for target in targets:
-                    conns[target].send(("spill", spill_to[target]))
-                replies = self._recv_all("next", shards=targets)
-                for target in targets:
-                    next_ts[target] = replies[target][1]
-            # Adaptive lookahead: a quiet window earns a doubled next
-            # window (capped); any boundary record collapses to base.
-            if emitted or adaptive_max == 1:
-                nsteps = 1
-            elif nsteps < adaptive_max:
-                nsteps = min(nsteps * 2, adaptive_max)
         for conn in conns:
             conn.send(("drain_end",))
         finals = [msg[1] for msg in self._recv_all("final")]
         self._merge(finals)
         return sim.stats
 
-    def _recv_all(self, expected: str, shards: Optional[List[int]] = None):
-        """Collect one reply from each worker (or the given subset).
+    def _recv_all(self, expected: str) -> List[tuple]:
+        """Collect one reply from each worker, indexed by shard.
 
         Uses :func:`multiprocessing.connection.wait` with a short
         timeout plus exitcode polling: a sequential ``recv`` loop would
         hang forever when a worker dies while its peers spin on the
         shared-memory barrier waiting for it.
-
-        Returns a list indexed by shard when ``shards`` is ``None``,
-        else a dict keyed by the requested shard indices.
         """
         conns = self._conns
-        wanted = range(len(conns)) if shards is None else shards
-        by_conn = {conns[s]: s for s in wanted}
-        results: Dict[int, tuple] = {}
+        by_conn = {conn: shard for shard, conn in enumerate(conns)}
+        results: List[tuple] = [()] * len(conns)
         while by_conn:
             ready = multiprocessing.connection.wait(
                 list(by_conn), timeout=0.2
@@ -863,8 +765,6 @@ class ParallelExecutor(_ShardRouter):
                         f"{msg[0]!r} from shard {shard}"
                     )
                 results[shard] = msg
-        if shards is None:
-            return [results[s] for s in range(len(conns))]
         return results
 
     def _stderr_tail(self, shard: Optional[int], limit: int = 2048) -> str:
@@ -996,7 +896,7 @@ class ParallelExecutor(_ShardRouter):
         if gmem is not None:
             # Replay every worker's functional-memory writes into the
             # parent copy (hosts read result regions directly after
-            # run()), ordered by (sub-step, shard) — the same
+            # run()), ordered by (window, shard) — the same
             # deterministic order the workers applied each other's
             # writes in.
             merged = []
@@ -1170,7 +1070,6 @@ class ParallelExecutor(_ShardRouter):
         sim._heap = heap = []
         heappush = heapq.heappush
         port = _WorkerPort(self._hub, shard)
-        lookahead = self.lookahead
         outbox: List[list] = [[] for _ in range(shards)]
         host_out: List[tuple] = []
         shard_of_entry = self.shard_of_entry
@@ -1194,10 +1093,10 @@ class ParallelExecutor(_ShardRouter):
             port.drain(entry_sink)
 
         # log functional-memory writes for cross-process replication:
-        # each sub-step's writes broadcast to every peer through the
+        # each window's writes broadcast to every peer through the
         # rings, and the cumulative log ships to the parent at drain end
         parent_wlog: List[tuple] = []
-        substep_wlog: List[tuple] = []
+        window_wlog: List[tuple] = []
         gmem = sim.funcmem
         orig_write = None
         if gmem is not None:
@@ -1206,36 +1105,27 @@ class ParallelExecutor(_ShardRouter):
             def write_words(va, values):
                 vals = list(values)
                 parent_wlog.append((port.step, va, vals))
-                substep_wlog.append((va, vals))
+                window_wlog.append((va, vals))
                 orig_write(va, values)
 
             gmem.write_words = write_words
 
-        def flush_substep(final: bool):
-            """Pack and ship this sub-step's boundary output.
-
-            Each peer gets its outbox plus (broadcast) this sub-step's
-            write log (:meth:`_WorkerPort.write_batch`).  Returns
-            ``(emitted_entries, spill)`` where ``spill`` is ``None`` or
-            ``{target: [frame payloads]}``.
-            """
-            spill: Optional[Dict[int, list]] = None
+        def flush_window() -> int:
+            """Pack and ship this window's boundary output: each peer
+            gets its outbox plus (broadcast) this window's write log.
+            Returns the number of entries emitted."""
             emitted = 0
             for target in range(shards):
                 batch = outbox[target]
-                if target == shard or not (batch or substep_wlog):
+                if target == shard or not (batch or window_wlog):
                     continue
                 emitted += len(batch)
                 rows = [flatten_boundary_entry(entry) for entry in batch]
                 batch.clear()
-                rows += substep_wlog
-                spilled = port.write_batch(target, rows, drain_rings, final)
-                if spilled:
-                    if spill is None:
-                        spill = {}
-                    spill[target] = spilled
-            substep_wlog.clear()
-            return emitted, spill
+                rows += window_wlog
+                port.write_batch(target, rows, drain_rings)
+            window_wlog.clear()
+            return emitted
 
         # fresh per-worker recorder: workers ship per-drain deltas and
         # hand off to a fresh sibling after each drain, so they must not
@@ -1254,39 +1144,22 @@ class ParallelExecutor(_ShardRouter):
             msg = conn.recv()
             op = msg[0]
             if op == "run":
-                _op, t0, nsteps, budget = msg
+                _op, window_end, budget = msg
                 before = stats.events_executed
-                base = port.step
+                bytes_before = port.bytes_out
                 try:
-                    emitted_win = 0
-                    bytes_before = port.bytes_out
-                    spill_all: Optional[Dict[int, list]] = None
-                    for g in range(nsteps):
-                        if g:
-                            port.wait_for(base + g, drain_rings)
-                        drain_rings()
-                        port.apply_wlogs(base + g - 1, orig_write)
-                        rb = budget
-                        if rb is not None:
-                            rb -= stats.events_executed - before
-                        sim._drain(rb, t0 + (g + 1) * lookahead)
-                        emitted, spill = flush_substep(
-                            final=(g == nsteps - 1)
-                        )
-                        emitted_win += emitted
-                        if spill:
-                            if spill_all is None:
-                                spill_all = spill
-                            else:
-                                for target, payloads in spill.items():
-                                    spill_all.setdefault(
-                                        target, []
-                                    ).extend(payloads)
-                        port.publish(base + g + 1)
-                    # window-end barrier: wait for every peer's final
-                    # sub-step and drain, so the reported next event
-                    # time accounts for everything in flight
-                    port.wait_for(base + nsteps, drain_rings)
+                    # Apply before reading the rings again: what is
+                    # queued now is exactly the window every shard just
+                    # completed, while the rings may already hold a fast
+                    # peer's frames of the window we are about to run.
+                    port.apply_wlogs(orig_write)
+                    sim._drain(budget, window_end)
+                    emitted = flush_window()
+                    port.publish(port.step + 1)
+                    # window-end barrier: wait for every peer's publish
+                    # and drain, so the reported next event time
+                    # accounts for everything in flight
+                    port.wait_for(port.step, drain_rings)
                     drain_rings()
                 except Exception:
                     conn.send(("error", traceback.format_exc()))
@@ -1296,19 +1169,9 @@ class ParallelExecutor(_ShardRouter):
                     stats.events_executed - before,
                     sim._wd_last_progress,
                     heap[0][0] if heap else None,
-                    emitted_win,
+                    emitted,
                     port.bytes_out - bytes_before,
-                    sorted(spill_all.items()) if spill_all else None,
                 ))
-            elif op == "spill":
-                # ring-overflow frames relayed by the parent: entries
-                # join the heap, write rows join the same deferred queue
-                # the ring frames use (the step tag keeps producer order)
-                _op, groups = msg
-                for producer, payloads in groups:
-                    for payload in payloads:
-                        port.deliver(producer, payload, entry_sink)
-                conn.send(("next", heap[0][0] if heap else None))
             elif op == "seed":
                 blob = msg[1]
                 if blob is not None:
@@ -1316,7 +1179,7 @@ class ParallelExecutor(_ShardRouter):
                         heappush(heap, entry)
                 conn.send(("next", heap[0][0] if heap else None))
             elif op == "drain_end":
-                port.apply_wlogs(None, orig_write)
+                port.apply_wlogs(orig_write)
                 payload = {
                     "stats": stats.delta_since(stats_base),
                     "busy": {

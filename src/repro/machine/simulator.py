@@ -164,6 +164,10 @@ class Simulator:
         #: shard-routing hook installed by ``repro.machine.parallel``;
         #: ``None`` means push straight into ``self._heap``.
         self._route: Optional[Callable] = None
+        #: the per-shard heaps an in-process ``ShardScheduler`` keeps its
+        #: queued entries in (``self._heap`` stays empty between its
+        #: windows); ``None`` when ``self._heap`` holds them.
+        self._shard_heaps: Optional[List[list]] = None
         self._lanes: dict[int, Lane] = {}
         self.now: float = 0.0
         #: messages addressed to the host (program results / completion).
@@ -390,9 +394,14 @@ class Simulator:
         (live threads per lane), and whatever registered providers know
         about protocol state (KVMSR reports outstanding reduce credits).
         """
+        heaps = self._shard_heaps
+        if heaps is None:
+            heaps = [self._heap]
         next_events = [
             (t, dest, getattr(r, "label", type(r).__name__))
-            for t, dest, _seq, r in heapq.nsmallest(limit, self._heap)
+            for t, dest, _seq, r in heapq.nsmallest(
+                limit, (entry for heap in heaps for entry in heap)
+            )
         ]
         blocked = []
         for nwid in sorted(self._lanes):
@@ -405,7 +414,7 @@ class Simulator:
             "now": self.now,
             "last_progress_tick": self._wd_last_progress,
             "watchdog_cycles": self._watchdog_cycles,
-            "heap_events": len(self._heap),
+            "heap_events": sum(map(len, heaps)),
             "parked_records": self._parked_total,
             "next_events": next_events,
             "pending_threads": self._live_threads(),
@@ -429,8 +438,10 @@ class Simulator:
         pending = self._live_threads()
         stats = self.stats
         stats.pending_threads = pending
+        heaps = self._shard_heaps
+        queued = self._heap if heaps is None else any(heaps)
         stats.quiesced = (
-            not self._heap and pending == 0 and self._parked_total == 0
+            not queued and pending == 0 and self._parked_total == 0
         )
 
     # ------------------------------------------------------------------
@@ -1316,9 +1327,9 @@ class Simulator:
     def parallel_metrics(self) -> Optional[dict]:
         """Hub metrics of the forked-worker transport, or ``None``.
 
-        Populated only for ``parallel=True`` runs: boundary
-        bytes/records/frames shipped through the shared-memory rings,
-        ring overflow (spill) counts, barrier-wait seconds, and the adaptive-window histogram.
+        Populated only for ``parallel=True`` runs: windows coordinated,
+        boundary bytes/records/frames shipped through the shared-memory
+        rings, barrier-wait seconds, and the ring capacity in force.
         Kept out of :class:`SimStats` deliberately — these describe the
         *host-side transport*, not the simulated machine, and must not
         perturb fingerprint comparisons against sequential runs.

@@ -276,63 +276,6 @@ class FlightRecorder:
         fresh._open_phases = dict(self._open_phases)
         return fresh
 
-    def export_state(self) -> Dict[str, Any]:
-        """Deep-copy snapshot of all accumulated telemetry.
-
-        The parallel coordinator snapshots the pre-fork recorder once,
-        then rebuilds the merged view from (snapshot + per-worker
-        recorders) at every drain — workers keep accumulating across
-        drains, so merging their *full* contents onto a fixed base is the
-        idempotent way to stay current.
-        """
-        import copy
-
-        return {
-            "lane_spans": list(self.lane_spans),
-            "lane_spans_dropped": self.lane_spans_dropped,
-            "inj_by_node": copy.deepcopy(self.inj_by_node),
-            "dram_by_node": copy.deepcopy(self.dram_by_node),
-            "inj_wait": copy.deepcopy(self.inj_wait),
-            "dram_wait": copy.deepcopy(self.dram_wait),
-            "inj_events": list(self.inj_events),
-            "dram_events": list(self.dram_events),
-            "channel_events_dropped": self.channel_events_dropped,
-            "msg_latency": copy.deepcopy(self.msg_latency),
-            "batch_sizes": copy.deepcopy(self.batch_sizes),
-            "batches_recorded": self.batches_recorded,
-            "batch_records": self.batch_records,
-            "phase_spans": list(self.phase_spans),
-            "marks": list(self.marks),
-            "_open_phases": dict(self._open_phases),
-            "fault_counts": dict(self.fault_counts),
-            "fault_events": list(self.fault_events),
-            "fault_events_dropped": self.fault_events_dropped,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Reset this recorder's content to an :meth:`export_state` copy."""
-        import copy
-
-        self.lane_spans = list(state["lane_spans"])
-        self.lane_spans_dropped = state["lane_spans_dropped"]
-        self.inj_by_node = copy.deepcopy(state["inj_by_node"])
-        self.dram_by_node = copy.deepcopy(state["dram_by_node"])
-        self.inj_wait = copy.deepcopy(state["inj_wait"])
-        self.dram_wait = copy.deepcopy(state["dram_wait"])
-        self.inj_events = list(state["inj_events"])
-        self.dram_events = list(state["dram_events"])
-        self.channel_events_dropped = state["channel_events_dropped"]
-        self.msg_latency = copy.deepcopy(state["msg_latency"])
-        self.batch_sizes = copy.deepcopy(state["batch_sizes"])
-        self.batches_recorded = state["batches_recorded"]
-        self.batch_records = state["batch_records"]
-        self.phase_spans = list(state["phase_spans"])
-        self.marks = list(state["marks"])
-        self._open_phases = dict(state["_open_phases"])
-        self.fault_counts = dict(state["fault_counts"])
-        self.fault_events = list(state["fault_events"])
-        self.fault_events_dropped = state["fault_events_dropped"]
-
     def merge_from(self, other: "FlightRecorder") -> None:
         """Fold another recorder's telemetry into this one.
 

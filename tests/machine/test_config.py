@@ -67,6 +67,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineConfig(**kwargs)
 
+    def test_removed_knob_is_not_accepted(self):
+        with pytest.raises(TypeError):
+            MachineConfig(parallel_adaptive_max=2)
+
     def test_cycles_to_seconds_uses_2ghz(self):
         cfg = MachineConfig()
         # the artifact's conversion: time[s] = ticks / 2e9

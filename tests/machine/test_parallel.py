@@ -134,6 +134,26 @@ class TestShardValidation:
         assert len(disp.executed) == 6
         assert sim.stats.quiesced
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stall_dump_sees_what_a_bounded_drain_left_queued(self, shards):
+        # in-process shards keep queued entries in the scheduler's heaps,
+        # not sim._heap: the dump must look there too
+        sim = Simulator(
+            bench_machine(nodes=2),
+            dispatcher=null_dispatcher(),
+            shards=shards,
+        )
+        other = sim.config.lanes_per_node  # first lane of node 1
+        for i, lane in enumerate((0, other, 0, other)):
+            sim.inject(MessageRecord(lane, NEW_THREAD, f"r{i}"), t=1000.0 * i)
+        sim.run(until=500.0)
+        assert not sim.stats.quiesced
+        dump = sim.stall_dump()
+        assert dump["heap_events"] == 3
+        assert dump["next_events"] == [
+            (1000.0, other, "r1"), (2000.0, 0, "r2"), (3000.0, other, "r3")
+        ]
+
     def test_cross_shard_blocking_read_rejected(self):
         sim = Simulator(
             bench_machine(nodes=2),
@@ -501,6 +521,43 @@ class TestTeardownLeavesNothingBehind:
         # the abort itself released everything, before any shutdown()
         self._assert_nothing_left(procs, segment)
         sim.shutdown()
+
+    def test_after_a_record_too_large_for_a_ring(self, monkeypatch):
+        # failure drill "exhaust a ring": one cross-shard record whose
+        # frame exceeds a whole (shrunken) ring cannot travel — the run
+        # ends in the typed error naming the remedy, and cleanly
+        from repro.machine import parallel as par
+
+        orig = par._RingHub.__init__
+        monkeypatch.setattr(
+            par._RingHub,
+            "__init__",
+            lambda self, shards, capacity, ctx: orig(self, shards, 512, ctx),
+        )
+
+        def dispatch(sim, lane, record, start):
+            if record.label == "bloat":
+                sim.send(
+                    MessageRecord(
+                        sim.config.lanes_per_node, NEW_THREAD, "landed",
+                        (b"x" * 2048,), src_network_id=lane.network_id,
+                    ),
+                    start + 2.0,
+                    src_node=0,
+                )
+            return 2.0
+
+        sim, procs, segment = self._forked(dispatch, "bloat")
+        with pytest.raises(SimulationError, match="parallel_ring_kib"):
+            sim.run()
+        self._assert_nothing_left(procs, segment)
+        sim.shutdown()
+        # the process is not poisoned: a fresh simulator forks and runs
+        fresh, procs, segment = self._forked(null_dispatcher(), "ok")
+        fresh.run()
+        assert fresh.stats.quiesced
+        fresh.shutdown()
+        self._assert_nothing_left(procs, segment)
 
 
 class TestShutdownIdempotence:
