@@ -325,7 +325,7 @@ def main(argv=None) -> int:
                 f"skipped ({cores} core{'' if cores == 1 else 's'}): "
                 f"{args.shards} forked shard workers need at least "
                 f"{args.shards} cores for a meaningful wall-clock number; "
-                f"run on a multi-core host (the CI multi-core leg does)"
+                f"run on a multi-core host"
             ),
             "workloads": {},
         }

@@ -1,4 +1,4 @@
-"""CI smoke: conservative parallel execution is bit-exact (and fast).
+"""CI smoke: conservative parallel execution is bit-exact.
 
 Runs one fixed seeded PageRank workload twice — sequential, then sharded
 across forked worker processes — and asserts the model fingerprint
@@ -12,28 +12,20 @@ version of ``tests/integration/test_parallel_parity.py`` that CI runs on
 every push: if the conservative protocol ever drifts from the sequential
 drain, this exits non-zero before a human has to diff goldens.
 
-With ``--min-speedup`` it also asserts the wall-clock ratio
-``sequential / parallel`` — the perf contract of the shared-memory
-boundary transport.  Only ask for a speedup on a host with at least as
-many cores as shards (the multi-core CI leg does); on a starved host the
-flag fails fast with a clear message instead of a flaky ratio.
-
-Either way the run dumps the coordinator's transport metrics (boundary
-bytes, frames and records per frame shipped, barrier wait)
-to ``PARALLEL_hub_metrics.json`` next to the repo root, so a failing CI
-leg uploads exactly the numbers needed to diagnose it.
+The closing line reports both wall-clock times and the coordinator's
+transport metrics for the log; it gates nothing.  Whether forked workers
+pay is hostbench's question (the ``pagerank`` / ``pagerank_par2`` twin
+runs seconds of drain; this workload is 0.2 s, where fork time
+dominates).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/parallel_smoke.py [--shards 2]
-        [--min-speedup 1.5] [--metrics-out PARALLEL_hub_metrics.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import time
 
 
@@ -69,28 +61,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--shards", type=int, default=2, help="shard count for the parallel run"
     )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail unless sequential/parallel wall-clock >= this ratio "
-        "(only meaningful with >= --shards physical cores)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default="PARALLEL_hub_metrics.json",
-        help="where to dump the parallel coordinator's transport metrics",
-    )
     args = parser.parse_args(argv)
-
-    cores = os.cpu_count() or 1
-    if args.min_speedup is not None and cores < args.shards:
-        print(
-            f"FAIL: --min-speedup {args.min_speedup} requested but this "
-            f"host has {cores} core(s) for {args.shards} shards; run the "
-            f"speedup assertion on a multi-core runner"
-        )
-        return 1
 
     seq = run_once(shards=1, parallel=False)
     par = run_once(shards=args.shards, parallel=True)
@@ -101,20 +72,6 @@ def main(argv=None) -> int:
     hub = par["hub_metrics"] or {}
     frames = hub.get("boundary_frames", 0)
     records_per_frame = hub.get("boundary_records", 0) / frames if frames else 0.0
-    report = {
-        "shards": args.shards,
-        "cores": cores,
-        "sequential_seconds": round(seq["seconds"], 3),
-        "parallel_seconds": round(par["seconds"], 3),
-        "speedup": round(speedup, 3),
-        "events_executed": seq["fingerprint"]["events_executed"],
-        "records_per_frame": round(records_per_frame, 1),
-        "hub": par["hub_metrics"],
-    }
-    with open(args.metrics_out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
     failures = []
     if par["fingerprint"] != seq["fingerprint"]:
         diff = {
@@ -138,13 +95,6 @@ def main(argv=None) -> int:
         )
     if par["ranks"] != seq["ranks"]:
         failures.append("functional output (ranks) diverged")
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        failures.append(
-            f"wall-clock speedup {speedup:.2f}x below the required "
-            f"{args.min_speedup:.2f}x (sequential {seq['seconds']:.2f}s, "
-            f"parallel {par['seconds']:.2f}s on {cores} cores; hub "
-            f"metrics in {args.metrics_out})"
-        )
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")

@@ -1,16 +1,18 @@
 """CI smoke: a short service soak's SLO verdict is deterministic.
 
 Runs one fixed seeded steady-QPS soak under a deterministic 1% message
-drop plan with ack/retry delivery, three times — twice sequentially with
-the same seed, once with ``shards=2`` — and asserts:
+drop plan with ack/retry delivery, four times — twice sequentially with
+the same seed, once with ``shards=2``, once with ``shards=2`` across
+forked workers — and asserts:
 
 * the healthy machine meets its SLO (the verdict passes, and the plan
   actually dropped messages, so the pass is earned, not vacuous);
 * the two same-seed runs produce byte-identical verdicts and result
   fingerprints (latency histograms, per-request statuses, admission
   counters, transport give-up set);
-* the sharded run reproduces the sequential one exactly — conservative
-  sharding is bit-exact even for interleaved open-loop stepping.
+* both sharded runs reproduce the sequential one exactly — conservative
+  sharding is bit-exact even for interleaved open-loop stepping, in
+  process and across forked workers alike.
 
 Any mismatch is a determinism regression: exit 1 with the differing
 verdicts printed for triage.
@@ -27,7 +29,7 @@ import json
 import time
 
 
-def run_once(drop_rate: float, shards: int = 1):
+def run_once(drop_rate: float, shards: int = 1, parallel: bool = False):
     from repro.faults import FaultPlan
     from repro.harness import run_service
     from repro.service import SLOSpec, ServiceWorkload, SteadyArrivals
@@ -43,6 +45,7 @@ def run_once(drop_rate: float, shards: int = 1):
         reliable=True,
         watchdog_cycles=100_000.0,
         shards=shards,
+        parallel=parallel,
     )
     svc = rec.extra["service"]
     return svc, time.perf_counter() - t0
@@ -53,9 +56,13 @@ def main(argv=None) -> int:
     parser.add_argument("--drop-rate", type=float, default=0.01)
     args = parser.parse_args(argv)
 
-    first, t1 = run_once(args.drop_rate)
-    rerun, t2 = run_once(args.drop_rate)
-    sharded, t3 = run_once(args.drop_rate, shards=2)
+    runs = {
+        "first run": run_once(args.drop_rate),
+        "same-seed rerun": run_once(args.drop_rate),
+        "shards=2": run_once(args.drop_rate, shards=2),
+        "shards=2 forked": run_once(args.drop_rate, shards=2, parallel=True),
+    }
+    first = runs["first run"][0]
 
     failures = []
     if first.fault_counts.get("msg_drop", 0) == 0:
@@ -67,21 +74,16 @@ def main(argv=None) -> int:
         failures.append(
             f"healthy soak failed its SLO: {first.verdict.violations}"
         )
-    if rerun.fingerprint() != first.fingerprint():
-        failures.append("same-seed rerun produced a different fingerprint")
-    if sharded.fingerprint() != first.fingerprint():
-        failures.append("shards=2 produced a different fingerprint")
-    if not (
-        first.verdict.to_dict()
-        == rerun.verdict.to_dict()
-        == sharded.verdict.to_dict()
-    ):
-        failures.append("verdicts differ across same-seed runs")
+    for name, (svc, _seconds) in runs.items():
+        if svc.fingerprint() != first.fingerprint():
+            failures.append(f"{name} produced a different fingerprint")
+        if svc.verdict.to_dict() != first.verdict.to_dict():
+            failures.append(f"{name} produced a different verdict")
 
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
-        for name, svc in (("run1", first), ("run2", rerun), ("shards2", sharded)):
+        for name, (svc, _seconds) in runs.items():
             print(f"--- {name} verdict ---")
             print(json.dumps(svc.verdict.to_dict(), indent=2))
         return 1
@@ -90,9 +92,10 @@ def main(argv=None) -> int:
         f"{first.fault_counts.get('msg_drop', 0)} drops recovered "
         f"({first.status_counts['ok']} ok / "
         f"{first.status_counts['deadline_miss']} miss / "
-        f"{first.status_counts['lost']} lost); same-seed rerun and "
-        f"shards=2 bit-identical "
-        f"({t1:.1f}s / {t2:.1f}s / {t3:.1f}s host)"
+        f"{first.status_counts['lost']} lost); "
+        f"{', '.join(list(runs)[1:])} bit-identical ("
+        + " / ".join(f"{seconds:.1f}s" for _svc, seconds in runs.values())
+        + " host)"
     )
     return 0
 

@@ -26,7 +26,7 @@ from repro.apps.tform import Record
 from repro.apps.triangle import TriangleCountApp
 from repro.graph.csr import CSRGraph
 from repro.machine.config import MachineConfig, bench_machine
-from repro.machine.simulator import QuiescenceStall, SimulationError
+from repro.machine.simulator import QuiescenceStall
 from repro.observe import make_recorder
 from repro.udweave import UpDownRuntime
 
@@ -353,6 +353,10 @@ def run_service(
     and :class:`~repro.service.SLOSpec`.  Records per-request latency
     histograms by default (``record="histograms"``).
 
+    ``shards`` / ``parallel`` select the execution mode as for the batch
+    runners; the harness steps the machine with ``run(until=)``, which is
+    the same clamp in every mode, so all three produce one fingerprint.
+
     There is no quiescence requirement here: a service run ends when the
     drain grace expires, and unanswered requests are *accounted* (the
     ``lost`` status the SLO verdict checks) rather than waited for — a
@@ -365,12 +369,6 @@ def run_service(
     """
     from repro.service import DEFAULT_PATTERNS, ServiceApp, ServiceHarness
 
-    if parallel:
-        raise SimulationError(
-            "run_service needs bounded stepping (run(until=)), which "
-            "forked workers (parallel=True) cannot do; use in-process "
-            "shards (parallel=False) instead"
-        )
     rt = _bench_runtime(
         nodes, detailed_stats, record, machine_overrides, shards, parallel,
         faults, reliable, watchdog_cycles,

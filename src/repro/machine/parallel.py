@@ -32,19 +32,23 @@ node-ownership of all cost-model state (channels, memory, lanes) and the
 window-barrier exchange of everything that crosses shards, every counter,
 timestamp, and mailbox entry is bit-identical to the sequential drain.
 
-Two modes share the same windowing and merge order:
+The epoch loop is written once (:meth:`_WindowCoordinator.drain`) and owns
+everything about a window that does not depend on *where* shards
+execute: the ``run(until=)`` clamp, the event budget, the watchdog
+verdict between windows, the teardown of a drain cut short.  Two shard
+runners plug into it:
 
 * :class:`ShardScheduler` — in-process (``shards=N``): one simulator,
-  per-shard heaps, windows executed round-robin under the GIL.  No
-  speedup (it exists for tests, debugging, and as the reference the
+  per-shard heaps, each window executed shard after shard under the GIL.
+  No speedup (it exists for tests, debugging, and as the reference the
   parity suite checks the parallel mode against), but the full sharding
   semantics.
 * :class:`ParallelExecutor` — multiprocessing (``parallel=True``): one
   forked worker per shard, inheriting the full runtime state copy-on-
   write.  Boundary records flow *directly between workers* through
   shared-memory ring buffers (one fixed-capacity ring per ordered shard
-  pair); the parent degrades to a window coordinator exchanging only
-  small control tuples over the Pipes.
+  pair); the parent runs the loop, exchanging only small control tuples
+  over the Pipes.
 
 Boundary frames
 ---------------
@@ -122,8 +126,8 @@ class ShardWorkerFailed(SimulationError):
     completed before the failure — the point to restart analysis from —
     and ``stderr_tail``, the last ~2 KB the dead worker wrote to its
     captured stderr (empty when it wrote nothing).  The pool is torn
-    down before this is raised; no orphaned workers or open pipes
-    remain.
+    down before this reaches the caller; no orphaned workers or open
+    pipes remain.
     """
 
     def __init__(
@@ -181,8 +185,21 @@ def make_scheduler(sim):
     return ShardScheduler(sim)
 
 
-class _ShardRouter:
-    """Topology arithmetic shared by both execution modes."""
+class _WindowCoordinator:
+    """The conservative window loop, and the topology arithmetic both
+    shard runners route by.  A runner supplies only what differs:
+
+    * ``_open()`` — make the runner ready for this drain's first window;
+    * ``_next_times()`` — each non-empty shard's next event time;
+    * ``_run_window(window_end, budget)`` — run every shard up to
+      ``window_end`` (each may spend the whole ``budget``); returns
+      ``(events executed, latest application-progress tick any shard
+      saw)``;
+    * ``_close(bound)`` — publish the drain's results on ``sim`` and
+      :meth:`_settle`;
+    * ``_abort()`` / ``_stall_dump()`` — when it holds resources or
+      remote state.
+    """
 
     def __init__(self, sim) -> None:
         self.sim = sim
@@ -198,6 +215,14 @@ class _ShardRouter:
         ]
         for node, shard in enumerate(self.shard_of_node):
             self.shard_nodes[shard].append(node)
+        #: host-bound entries collected during windows (see
+        #: :meth:`_settle`).
+        self._host_entries: List[tuple] = []
+        #: last fully exchanged epoch window ``(T, window_end)`` —
+        #: named in :class:`ShardWorkerFailed` when a worker dies.
+        self._last_window: Optional[tuple] = None
+        #: epoch windows coordinated so far, over all drains.
+        self.windows = 0
 
     def shard_of_entry(self, entry) -> int:
         """Owning shard of a heap entry (lane delivery or DRAM arrival)."""
@@ -208,48 +233,121 @@ class _ShardRouter:
             node = dest // self.lanes_per_node
         return self.shard_of_node[node]
 
-    def _flush_host(self) -> None:
-        """Deliver collected host-bound entries in sequential order.
+    def drain(self, max_events: Optional[int], until: Optional[float] = None):
+        """Run windows until nothing is queued before ``until`` (the
+        :meth:`Simulator.run` bound; later entries stay queued in the
+        shard heaps or the workers).  Clamping a window to the bound is
+        always safe: any window that ends no later than one lookahead
+        past the next event preserves the conservative argument.
+        """
+        sim = self.sim
+        lookahead = self.lookahead
+        wd = sim._watchdog_cycles
+        budget = max_events
+        bound = math.inf if until is None else until
+        try:
+            self._open()
+            while True:
+                t_next = min(self._next_times(), default=math.inf)
+                if t_next >= bound:
+                    break
+                window_end = min(t_next + lookahead, bound)
+                executed, progress = self._run_window(window_end, budget)
+                self._last_window = (t_next, window_end)
+                self.windows += 1
+                if budget is not None:
+                    budget -= executed
+                    if budget <= 0:
+                        raise SimulationError(
+                            f"simulation exceeded max_events={max_events}"
+                        )
+                if wd is not None:
+                    # Shards see only their own events, so the stall
+                    # verdict is taken here, over every shard's progress
+                    # mark and the host's own (``inject`` re-arms the
+                    # watchdog in this process only).
+                    progress = max(progress, sim._wd_last_progress)
+                    if window_end - progress > wd:
+                        raise QuiescenceStall(
+                            f"no application progress for "
+                            f"{window_end - progress:.0f} cycles (watchdog "
+                            f"threshold {wd:.0f}) across {self.shards} "
+                            f"shards; only idle/control events are executing",
+                            self._stall_dump(),
+                        )
+            self._close(bound)
+        except BaseException:
+            # Whatever cut the drain short, a runner that holds
+            # processes and shared memory must not leave them behind, or
+            # half-way through a window for the next drain to trip over.
+            self._abort()
+            raise
+        return sim.stats
+
+    def _open(self) -> None:
+        """In-process shards are always ready."""
+
+    def _abort(self) -> None:
+        """Nothing to release in-process: the shard heaps stay intact
+        and a cut-short drain can be re-entered."""
+
+    def close(self) -> None:
+        """Release whatever the runner holds (idempotent)."""
+        self._abort()
+
+    def _stall_dump(self):
+        return self.sim.stall_dump()
+
+    def _settle(self, bound: float, queued, pending: int) -> None:
+        """Deliver the host mail due before ``bound`` in sequential order,
+        then file the quiescence verdict (see
+        :meth:`Simulator._note_quiescence`).
 
         The host mailbox has no feedback into the simulation, so host
         deliveries are buffered during windows and appended at drain end,
         sorted by the same ``(time, seq)`` key the sequential pop loop
-        orders them by — the resulting inbox is bit-identical.
+        orders them by — the resulting inbox is bit-identical.  Entries
+        at or after the bound stay buffered, as they would stay heaped
+        sequentially, and count as queued work.
         """
-        entries = self._host_entries
-        if not entries:
-            return
-        entries.sort(key=lambda e: (e[0], e[2]))
         sim = self.sim
-        inbox = sim.host_inbox
         stats = sim.stats
-        final_tick = stats.final_tick
-        for entry in entries:
-            t = entry[0]
-            inbox.append((t, entry[3]))
-            if t > final_tick:
-                final_tick = t
-        stats.final_tick = final_tick
-        entries.clear()
+        entries = self._host_entries
+        if entries:
+            entries.sort(key=lambda e: (e[0], e[2]))
+            inbox = sim.host_inbox
+            final_tick = stats.final_tick
+            due = 0
+            for entry in entries:
+                t = entry[0]
+                if t >= bound:
+                    break
+                inbox.append((t, entry[3]))
+                if t > final_tick:
+                    final_tick = t
+                due += 1
+            stats.final_tick = final_tick
+            del entries[:due]
+        stats.pending_threads = pending
+        stats.quiesced = pending == 0 and not queued and not entries
 
 
-class ShardScheduler(_ShardRouter):
-    """In-process conservative epoch driver (``shards=N, parallel=False``).
+class ShardScheduler(_WindowCoordinator):
+    """In-process shard runner (``shards=N, parallel=False``).
 
     Hooks ``Simulator._route`` so every push lands in the owning shard's
     heap (host-bound entries are buffered — the host is outside the
-    machine), then drains the shards window by window by swapping
-    ``sim._heap``.  Cross-shard pushes go straight into the target heap:
-    conservative lookahead guarantees they land at or beyond the window
-    end, so the target shard — whether it ran already this window or not
-    — cannot see them early.
+    machine), then runs a window by swapping each shard's heap into
+    ``sim._heap`` in turn.  Cross-shard pushes go straight into the
+    target heap: conservative lookahead guarantees they land at or
+    beyond the window end, so the target shard — whether it ran already
+    this window or not — cannot see them early.
     """
 
     def __init__(self, sim) -> None:
         super().__init__(sim)
         self.heaps: List[list] = [[] for _ in range(self.shards)]
         sim._shard_heaps = self.heaps
-        self._host_entries: List[tuple] = []
         sim._route = self._route
         # adopt anything injected before the first drain
         pending, sim._heap = sim._heap, []
@@ -262,46 +360,23 @@ class ShardScheduler(_ShardRouter):
             return
         heapq.heappush(self.heaps[self.shard_of_entry(entry)], entry)
 
-    def drain(self, max_events: Optional[int], until: Optional[float] = None):
-        """Drain the shard heaps; ``until`` bounds the drain like the
-        sequential :meth:`Simulator.run` bound: only events strictly
-        before that tick execute, later entries stay heaped for re-entry.
-        Epoch windows are clamped to the bound — always safe, since any
-        window no wider than ``t_next + lookahead`` preserves the
-        conservative-synchronization argument.
-        """
+    def _next_times(self):
+        return (heap[0][0] for heap in self.heaps if heap)
+
+    def _run_window(self, window_end: float, budget: Optional[int]):
         sim = self.sim
-        heaps = self.heaps
-        lookahead = self.lookahead
-        stats = sim.stats
-        budget = max_events
-        bound = math.inf if until is None else until
-        while True:
-            t_next = math.inf
-            for heap in heaps:
-                if heap and heap[0][0] < t_next:
-                    t_next = heap[0][0]
-            if t_next >= bound:
-                break
-            win_until = min(t_next + lookahead, bound)
-            for shard in range(self.shards):
-                heap = heaps[shard]
-                if not heap or heap[0][0] >= win_until:
-                    continue
+        before = sim.stats.events_executed
+        for heap in self.heaps:
+            if heap and heap[0][0] < window_end:
                 sim._heap = heap
-                before = stats.events_executed
                 try:
-                    sim._drain(budget, win_until)
+                    sim._drain(budget, window_end)
                 finally:
                     sim._heap = []
-                if budget is not None:
-                    budget -= stats.events_executed - before
-        self._flush_host()
-        sim._note_quiescence()
-        return stats
+        return sim.stats.events_executed - before, sim._wd_last_progress
 
-    def close(self) -> None:
-        """Nothing to release in-process."""
+    def _close(self, bound: float) -> None:
+        self._settle(bound, any(self.heaps), self.sim._live_threads())
 
 
 class _RingHub:
@@ -392,9 +467,10 @@ class _WorkerPort:
         #: my published progress counter (windows completed).
         self.step = 0
         self.pending_wlogs: List[tuple] = []
-        # transport metrics (shipped to the parent hub)
+        # transport metrics (shipped to the parent hub at drain end)
         self.bytes_out = 0
         self.frames_out = 0
+        self.records_out = 0
         self.barrier_wait_s = 0.0
 
     def _wr_idx(self, p: int, q: int) -> int:
@@ -575,22 +651,22 @@ class _WorkerPort:
         self.step = value
 
 
-class ParallelExecutor(_ShardRouter):
-    """Forked worker pool running one shard per process.
+class ParallelExecutor(_WindowCoordinator):
+    """Forked shard runner: one worker process per shard.
 
-    The parent never executes events after the fork: it is the window
-    coordinator.  Per window it sends one ``run(window_end, budget)``
-    control tuple per worker and receives one
-    ``out(executed, progress, next_t, emitted, ring_bytes)`` tuple back
-    — all boundary records travel worker-to-worker through the
-    :class:`_RingHub` shared-memory rings, so parent CPU work per window
-    is O(control tuple), not O(boundary bytes).
+    The parent never executes events after the fork: it runs the window
+    loop.  Per window it sends one ``run(window_end, budget)`` control
+    tuple per worker and receives one ``out(executed, progress, next_t)``
+    tuple back — all boundary records travel worker-to-worker through
+    the :class:`_RingHub` shared-memory rings, so parent CPU work per
+    window is O(control tuple), not O(boundary bytes).
 
-    At drain end (all heaps empty, nothing in flight) each worker ships
-    its per-drain state deltas — statistics, recorder telemetry, channel
-    states, host-bound entries, the cumulative functional-memory write
-    log — in one batch; the parent merges them so callers see exactly
-    what a sequential run would have produced.
+    At drain end (nothing queued before the bound, nothing in flight)
+    each worker ships its per-drain state deltas — statistics, recorder
+    telemetry, channel states, host-bound entries, the cumulative
+    functional-memory write log — in one batch; the parent merges them
+    so callers see exactly what a sequential run would have produced.
+    Events at or after the bound stay heaped in the workers.
     """
 
     def __init__(self, sim) -> None:
@@ -604,17 +680,14 @@ class ParallelExecutor(_ShardRouter):
         self._conns: Optional[list] = None
         self._hub: Optional[_RingHub] = None
         self._stderr_paths: Optional[List[str]] = None
-        self._host_entries: List[tuple] = []
         self._fork_token = None
         self._broken = False
-        #: last fully exchanged epoch window ``(T, window_end)`` —
-        #: named in :class:`ShardWorkerFailed` when a worker dies.
-        self._last_window: Optional[tuple] = None
+        #: each worker's reported next event time (``None`` = empty heap).
+        self._next_ts: List[Optional[float]] = []
         #: host-side transport metrics (deliberately outside ``SimStats``
         #: — they describe the coordinator, not the simulated machine,
         #: and must not perturb sequential-vs-parallel fingerprints).
         self.hub_metrics: Dict[str, Any] = {
-            "windows": 0,
             "boundary_bytes": 0,
             "boundary_records": 0,
             "boundary_frames": 0,
@@ -626,13 +699,8 @@ class ParallelExecutor(_ShardRouter):
     # Parent side
     # ------------------------------------------------------------------
 
-    def drain(self, max_events: Optional[int], until: Optional[float] = None):
+    def _open(self) -> None:
         sim = self.sim
-        if until is not None:
-            raise SimulationError(
-                "bounded stepping (until=) is not supported with "
-                "parallel=True forked workers; use in-process shards"
-            )
         if self._broken:
             raise SimulationError(
                 "parallel executor is no longer usable (a worker failed "
@@ -644,14 +712,11 @@ class ParallelExecutor(_ShardRouter):
             # A worker died between drains (OOM kill, crash during a
             # previous abort path): fail loudly now, not with a hung
             # pipe read mid-window.
-            err = self._dead_worker_error()
-            self._abort()
-            raise err
+            raise self._dead_worker_error()
         elif (
             sim._setup_token is not None
             and sim._setup_token() != self._fork_token
         ):
-            self._abort()
             raise SimulationError(
                 "host-side program setup changed after the parallel "
                 "workers forked (thread classes, KVMSR jobs, or host "
@@ -661,8 +726,6 @@ class ParallelExecutor(_ShardRouter):
                 "in-process sharding (shards=N, parallel=False) for "
                 "multi-phase applications that set up between runs."
             )
-        conns = self._conns
-        metrics = self.hub_metrics
         # forward injections buffered in the parent since the last drain
         pending, sim._heap = sim._heap, []
         seeds: List[list] = [[] for _ in range(self.shards)]
@@ -671,56 +734,29 @@ class ParallelExecutor(_ShardRouter):
                 self._host_entries.append(entry)
             else:
                 seeds[self.shard_of_entry(entry)].append(entry)
-        for shard, conn in enumerate(conns):
+        for shard, conn in enumerate(self._conns):
             batch = seeds[shard]
             conn.send(("seed", _dumps(batch) if batch else None))
-        next_ts = [msg[1] for msg in self._recv_all("next")]
-        budget = max_events
-        lookahead = self.lookahead
-        wd = sim._watchdog_cycles
-        while True:
-            t_next = min(
-                (t for t in next_ts if t is not None), default=None
-            )
-            if t_next is None:
-                break
-            window_end = t_next + lookahead
-            for conn in conns:
-                conn.send(("run", window_end, budget))
-            outs = self._recv_all("out")
-            self._last_window = (t_next, window_end)
-            metrics["windows"] += 1
-            if budget is not None:
-                budget -= sum(out[1] for out in outs)
-                if budget <= 0:
-                    self._abort()
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events}"
-                    )
-            if wd is not None:
-                # Workers run the watchdog in report-only mode (a raise
-                # inside one shard would desynchronize the window
-                # protocol); the parent aggregates their progress marks
-                # and is the one that raises, with per-shard dumps.
-                progress = max(out[2] for out in outs)
-                if window_end - progress > wd:
-                    dump = self._collect_diagnostics()
-                    self._abort()
-                    raise QuiescenceStall(
-                        f"no application progress for "
-                        f"{window_end - progress:.0f} cycles (watchdog "
-                        f"threshold {wd:.0f}) across {self.shards} shard "
-                        f"workers; only idle/control events are executing",
-                        dump,
-                    )
-            metrics["boundary_records"] += sum(out[4] for out in outs)
-            metrics["boundary_bytes"] += sum(out[5] for out in outs)
-            next_ts = [out[3] for out in outs]
-        for conn in conns:
+        self._next_ts = [msg[1] for msg in self._recv_all("next")]
+
+    def _next_times(self):
+        return (t for t in self._next_ts if t is not None)
+
+    def _run_window(self, window_end: float, budget: Optional[int]):
+        for conn in self._conns:
+            conn.send(("run", window_end, budget))
+        outs = self._recv_all("out")
+        self._next_ts = [out[3] for out in outs]
+        # Workers run the watchdog in report-only mode (a raise inside
+        # one shard would desynchronize the window protocol): they hand
+        # back their progress marks and the window loop is the one that
+        # raises, with per-shard dumps.
+        return sum(out[1] for out in outs), max(out[2] for out in outs)
+
+    def _close(self, bound: float) -> None:
+        for conn in self._conns:
             conn.send(("drain_end",))
-        finals = [msg[1] for msg in self._recv_all("final")]
-        self._merge(finals)
-        return sim.stats
+        self._merge([msg[1] for msg in self._recv_all("final")], bound)
 
     def _recv_all(self, expected: str) -> List[tuple]:
         """Collect one reply from each worker, indexed by shard.
@@ -740,9 +776,7 @@ class ParallelExecutor(_ShardRouter):
             if not ready:
                 procs = self._procs
                 if procs and any(p.exitcode is not None for p in procs):
-                    err = self._dead_worker_error()
-                    self._abort()
-                    raise err
+                    raise self._dead_worker_error()
                 continue
             for conn in ready:
                 shard = by_conn.pop(conn)
@@ -751,15 +785,10 @@ class ParallelExecutor(_ShardRouter):
                 except EOFError:
                     # The pipe closed without a reply: the worker died
                     # (OOM kill, segfault in an extension, os._exit).
-                    err = self._dead_worker_error()
-                    self._abort()
-                    raise err from None
+                    raise self._dead_worker_error() from None
                 if msg[0] == "error":
-                    failure = msg[1]
-                    self._abort()
-                    raise SimulationError(f"shard worker failed:\n{failure}")
+                    raise SimulationError(f"shard worker failed:\n{msg[1]}")
                 if msg[0] != expected:
-                    self._abort()
                     raise SimulationError(
                         f"protocol error: expected {expected!r}, got "
                         f"{msg[0]!r} from shard {shard}"
@@ -812,7 +841,7 @@ class ParallelExecutor(_ShardRouter):
             window=window,
         )
 
-    def _collect_diagnostics(self) -> Dict[str, Any]:
+    def _stall_dump(self) -> Dict[str, Any]:
         """Best-effort per-shard stall dumps for a watchdog report.
 
         Workers that fail to answer (already wedged or dead) are
@@ -820,19 +849,15 @@ class ParallelExecutor(_ShardRouter):
         """
         dumps: Dict[str, Any] = {}
         for shard, conn in enumerate(self._conns or []):
+            dump: Any = "unavailable (worker not responding)"
             try:
                 conn.send(("diag",))
                 if conn.poll(10):
-                    msg = conn.recv()
-                    dumps[f"shard_{shard}"] = (
-                        msg[1] if msg[0] == "diag" else f"unexpected {msg[0]!r}"
-                    )
-                else:
-                    dumps[f"shard_{shard}"] = (
-                        "unavailable (worker not responding)"
-                    )
+                    op, *body = conn.recv()
+                    dump = body[0] if op == "diag" else f"unexpected {op!r}"
             except Exception:
-                dumps[f"shard_{shard}"] = "unavailable (worker not responding)"
+                pass
+            dumps[f"shard_{shard}"] = dump
         return dumps
 
     def _fork(self) -> None:
@@ -848,34 +873,27 @@ class ParallelExecutor(_ShardRouter):
         self._conns = []
         self._procs = []
         self._stderr_paths = []
-        stderr_fds = []
         for shard in range(self.shards):
             fd, path = tempfile.mkstemp(
                 prefix=f"des-shard-{shard}-stderr-", suffix=".log"
             )
-            stderr_fds.append(fd)
             self._stderr_paths.append(path)
-        try:
-            for shard in range(self.shards):
+            try:
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=self._worker_main,
-                    args=(shard, child_conn, stderr_fds[shard]),
+                    args=(shard, child_conn, fd),
                     daemon=True,
                     name=f"des-shard-{shard}",
                 )
                 proc.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
-        finally:
-            for fd in stderr_fds:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
+            finally:
+                os.close(fd)  # the child holds its own copy
+            child_conn.close()
+            self._conns.append(parent_conn)
+            self._procs.append(proc)
 
-    def _merge(self, finals: List[Dict[str, Any]]) -> None:
+    def _merge(self, finals: List[Dict[str, Any]], bound: float) -> None:
         """Fold per-drain worker state deltas into the parent's objects."""
         sim = self.sim
         stats = sim.stats
@@ -890,6 +908,8 @@ class ParallelExecutor(_ShardRouter):
             sim.network.apply_channels(final["channels"])
             sim.memory.apply_channels(final["mem"])
             self._host_entries.extend(final["host"])
+            if sim._transport is not None:
+                sim._transport.give_up_log.extend(final["give_ups"])
             for key, value in final["hub"].items():
                 self.hub_metrics[key] += value
         gmem = sim.funcmem
@@ -935,50 +955,47 @@ class ParallelExecutor(_ShardRouter):
                 if part is not None:
                     recorder.merge_from(part)
             recorder.sort_timelines()
-        # quiescence verdict: every shard heap is empty at drain end by
-        # construction, so live threads are the whole story
-        pending = sum(final["pending"] for final in finals)
-        stats.pending_threads = pending
-        stats.quiesced = pending == 0
-        self._flush_host()
+        # a bounded drain leaves events heaped in the workers: they count
+        # against quiescence exactly like the in-process shard heaps
+        self._settle(
+            bound,
+            any(final["queued"] for final in finals),
+            sum(final["pending"] for final in finals),
+        )
 
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
 
-    def _teardown(self, graceful: bool) -> None:
-        """Release workers, pipes, rings, and stderr capture files.
+    def _abort(self) -> None:
+        """Release workers, pipes, rings, and stderr capture files —
+        the one teardown, behind ``close()``, every failure path of the
+        window loop, and ``__del__``.
+
+        Workers are terminated, not asked to leave: they hold nothing
+        the parent has not already merged, and a signal also ends one
+        that is mid-window or spinning on a barrier.  After the pool
+        held simulation state the executor cannot be reused —
+        lane/thread state lived in the dead workers.
 
         Idempotent and exception-free by construction: every step is
         individually guarded, state is nulled before any blocking call,
-        and a second invocation (``close()`` after a failure ``_abort``,
-        ``__del__`` after ``close()``, atexit after either) finds
-        nothing left to do.
+        and a second invocation finds nothing left to do.
         """
         procs, self._procs = self._procs, None
         conns, self._conns = self._conns, None
         if procs:
-            # held simulation state died with the workers — the executor
-            # must not be reused
             self._broken = True
-            if graceful:
-                for conn in conns:
-                    try:
-                        conn.send(("exit",))
-                    except Exception:
-                        pass
-            else:
-                for proc in procs:
-                    try:
-                        if proc.is_alive():
-                            proc.terminate()
-                    except Exception:
-                        pass
+            for proc in procs:
+                try:
+                    proc.terminate()
+                except Exception:
+                    pass
             for proc in procs:
                 try:
                     proc.join(timeout=5)
                     if proc.is_alive():
-                        proc.terminate()
+                        proc.kill()
                         proc.join(timeout=5)
                 except Exception:
                     pass
@@ -999,21 +1016,9 @@ class ParallelExecutor(_ShardRouter):
                 except OSError:
                     pass
 
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent, including after a
-        failure abort and from ``__del__``/atexit).
-
-        After the pool held simulation state, the executor cannot be
-        reused — lane/thread state lived in the dead workers.
-        """
-        self._teardown(graceful=True)
-
-    def _abort(self) -> None:
-        self._teardown(graceful=False)
-
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:
-            self._teardown(graceful=False)
+            self._abort()
         except BaseException:
             pass
 
@@ -1110,22 +1115,19 @@ class ParallelExecutor(_ShardRouter):
 
             gmem.write_words = write_words
 
-        def flush_window() -> int:
+        def flush_window() -> None:
             """Pack and ship this window's boundary output: each peer
-            gets its outbox plus (broadcast) this window's write log.
-            Returns the number of entries emitted."""
-            emitted = 0
+            gets its outbox plus (broadcast) this window's write log."""
             for target in range(shards):
                 batch = outbox[target]
                 if target == shard or not (batch or window_wlog):
                     continue
-                emitted += len(batch)
+                port.records_out += len(batch)
                 rows = [flatten_boundary_entry(entry) for entry in batch]
                 batch.clear()
                 rows += window_wlog
                 port.write_batch(target, rows, drain_rings)
             window_wlog.clear()
-            return emitted
 
         # fresh per-worker recorder: workers ship per-drain deltas and
         # hand off to a fresh sibling after each drain, so they must not
@@ -1134,11 +1136,9 @@ class ParallelExecutor(_ShardRouter):
         if had_recorder:
             _rebind_recorder(sim, sim.recorder.sibling())
         hostlog = sim.hostlog
+        # what the reliable-delivery layer abandoned ships per drain too
+        transport = sim._transport
         stats = sim.stats
-        stats_base = stats.scalar_snapshot()
-        labels_base = dict(stats.events_by_label)
-        udlog_base = len(hostlog.entries) if hostlog is not None else 0
-        trace_base = len(sim.trace)
         my_nodes = self.shard_nodes[shard]
         while True:
             msg = conn.recv()
@@ -1146,33 +1146,31 @@ class ParallelExecutor(_ShardRouter):
             if op == "run":
                 _op, window_end, budget = msg
                 before = stats.events_executed
-                bytes_before = port.bytes_out
-                try:
-                    # Apply before reading the rings again: what is
-                    # queued now is exactly the window every shard just
-                    # completed, while the rings may already hold a fast
-                    # peer's frames of the window we are about to run.
-                    port.apply_wlogs(orig_write)
-                    sim._drain(budget, window_end)
-                    emitted = flush_window()
-                    port.publish(port.step + 1)
-                    # window-end barrier: wait for every peer's publish
-                    # and drain, so the reported next event time
-                    # accounts for everything in flight
-                    port.wait_for(port.step, drain_rings)
-                    drain_rings()
-                except Exception:
-                    conn.send(("error", traceback.format_exc()))
-                    continue
+                # Apply before reading the rings again: what is queued
+                # now is exactly the window every shard just completed,
+                # while the rings may already hold a fast peer's frames
+                # of the window we are about to run.
+                port.apply_wlogs(orig_write)
+                sim._drain(budget, window_end)
+                flush_window()
+                port.publish(port.step + 1)
+                # window-end barrier: wait for every peer's publish and
+                # drain, so the reported next event time accounts for
+                # everything in flight
+                port.wait_for(port.step, drain_rings)
+                drain_rings()
                 conn.send((
                     "out",
                     stats.events_executed - before,
                     sim._wd_last_progress,
                     heap[0][0] if heap else None,
-                    emitted,
-                    port.bytes_out - bytes_before,
                 ))
             elif op == "seed":
+                # a drain opens: what ships at its end is measured from here
+                stats_base = stats.scalar_snapshot()
+                labels_base = dict(stats.events_by_label)
+                udlog_base = len(hostlog.entries) if hostlog is not None else 0
+                trace_base = len(sim.trace)
                 blob = msg[1]
                 if blob is not None:
                     for entry in pickle.loads(blob):
@@ -1208,30 +1206,28 @@ class ParallelExecutor(_ShardRouter):
                     ),
                     "recorder": sim.recorder if had_recorder else None,
                     "pending": sim._live_threads(),
+                    "queued": len(heap),
                     "host": host_out,
+                    "give_ups": transport.give_up_log if transport else (),
                     "wlog": parent_wlog,
                     "hub": {
                         "barrier_wait_s": port.barrier_wait_s,
                         "boundary_frames": port.frames_out,
+                        "boundary_records": port.records_out,
+                        "boundary_bytes": port.bytes_out,
                     },
                 }
                 conn.send(("final", payload))
                 host_out = []
+                if transport:
+                    transport.give_up_log.clear()
                 parent_wlog.clear()
                 port.barrier_wait_s = 0.0
-                port.frames_out = 0
-                stats_base = stats.scalar_snapshot()
-                labels_base = dict(stats.events_by_label)
-                udlog_base = (
-                    len(hostlog.entries) if hostlog is not None else 0
-                )
-                trace_base = len(sim.trace)
+                port.frames_out = port.records_out = port.bytes_out = 0
                 if had_recorder:
                     _rebind_recorder(sim, sim.recorder.drain_handoff())
             elif op == "diag":
                 conn.send(("diag", sim.stall_dump()))
-            elif op == "exit":
-                return
             else:
                 raise SimulationError(f"unknown coordinator op {op!r}")
 

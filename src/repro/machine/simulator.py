@@ -433,15 +433,15 @@ class Simulator:
         Quiesced = nothing left to deliver *and* nothing left waiting.
         An empty heap with live threads is the silent-hang shape (a lost
         message or credit): callers distinguish it via ``stats.quiesced``
-        / ``stats.pending_threads`` instead of a silent return.
+        / ``stats.pending_threads`` instead of a silent return.  Sharded
+        drains file the same verdict over their shards' queues
+        (``repro.machine.parallel``).
         """
         pending = self._live_threads()
         stats = self.stats
         stats.pending_threads = pending
-        heaps = self._shard_heaps
-        queued = self._heap if heaps is None else any(heaps)
         stats.quiesced = (
-            not queued and pending == 0 and self._parked_total == 0
+            not self._heap and pending == 0 and self._parked_total == 0
         )
 
     # ------------------------------------------------------------------
@@ -982,25 +982,19 @@ class Simulator:
         so an aborted drain can always be re-entered.
 
         ``until`` bounds the drain: only events strictly before that tick
-        execute, and the heap (with everything at or after ``until``)
-        stays intact, so the caller can re-enter — the bounded stepping
-        the conservative epoch driver (and the service harness's
-        interleaved open-loop stepping) is built on.  With in-process
-        shards the bound is forwarded to the shard scheduler, which
-        clamps its epoch windows to it; forked workers (``parallel=True``)
-        keep simulation state out of the host process between drains, so
-        bounded stepping is rejected there.
+        execute, and everything at or after ``until`` stays queued, so
+        the caller can re-enter — the stepping the service harness's
+        open loop is built on.  It is the same clamp in every mode:
+        sharded runs, in-process or forked, go through the one window
+        loop in ``repro.machine.parallel``, which cuts its windows at
+        the bound.  Plain sequential is that loop's body for one shard
+        and one unbounded window — a direct :meth:`_drain` call, kept
+        direct because apps that call ``run()`` once per round or per
+        service step must not pay a coordinator per call.
         """
         gate = self._park_gate()
         self._gate_counts[gate] = self._gate_counts.get(gate, 0) + 1
         if self.shards > 1:
-            if until is not None and self.parallel:
-                raise SimulationError(
-                    "bounded stepping (until=) is not supported with "
-                    "parallel=True forked workers (simulation state lives "
-                    "in the children between drains); use in-process "
-                    "shards (parallel=False) for interleaved stepping"
-                )
             sched = self._scheduler
             if sched is None:
                 from .parallel import make_scheduler
@@ -1336,7 +1330,9 @@ class Simulator:
         """
         sched = self._scheduler
         metrics = getattr(sched, "hub_metrics", None)
-        return dict(metrics) if metrics is not None else None
+        if metrics is None:
+            return None
+        return dict(metrics, windows=sched.windows)
 
     # ------------------------------------------------------------------
     # Results

@@ -91,9 +91,10 @@ class TestLostCredit:
         }
 
     def test_parent_side_watchdog_catches_stalled_shard_workers(self):
-        """Forked workers run report-only; the parent aggregates their
-        progress marks, raises, and attaches per-shard dumps."""
-        with pytest.raises(QuiescenceStall, match="shard workers") as info:
+        """Forked workers run report-only; the window loop in the parent
+        aggregates their progress marks, raises between windows, and
+        attaches per-shard dumps."""
+        with pytest.raises(QuiescenceStall, match="across 2 shards") as info:
             run_job(parallel=True, shards=2, **LOSSY)
         dump = info.value.diagnostic
         assert set(dump) == {"shard_0", "shard_1"}
@@ -111,7 +112,13 @@ class TestRearmOnInjection:
     traffic between bursts) must not trip the watchdog, while a genuine
     stall — idle events advancing time with nothing admitted — still does."""
 
-    def _sim(self, watchdog=1_000.0):
+    MODES = {
+        "sequential": {},
+        "shards2": dict(shards=2),
+        "forked": dict(shards=2, parallel=True),
+    }
+
+    def _sim(self, watchdog=1_000.0, mode="sequential"):
         # dispatcher models a poll loop: executing "work" schedules
         # *device-side* idle polls (like KVMSR's quiescence poll or an
         # rdt retry timer) spanning a gap far beyond the watchdog
@@ -124,9 +131,10 @@ class TestRearmOnInjection:
 
         dispatch.armed = False
         sim = Simulator(
-            bench_machine(nodes=1),
+            bench_machine(nodes=2),
             dispatcher=dispatch,
             watchdog_cycles=watchdog,
+            **self.MODES[mode],
         )
         sim.mark_idle_labels({"idle_poll"})
         return sim
@@ -151,6 +159,44 @@ class TestRearmOnInjection:
         sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=5_000.0)
         sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=0.0)  # stale t
         assert sim._wd_last_progress == 5_000.0
+
+    # The two drills above keep their names (sequential); the sharded
+    # modes take the stall verdict in the window loop, so they get the
+    # same drills through it.
+
+    @pytest.mark.parametrize("mode", ["shards2", "forked"])
+    def test_sharded_modes_cover_the_gap_and_still_trip(self, mode):
+        sim = self._sim(mode=mode)
+        sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=0.0)
+        sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=7_000.0)
+        try:
+            stats = sim.run()
+            assert stats.quiesced and stats.events_executed == 5
+        finally:
+            sim.shutdown()
+        sim = self._sim(mode=mode)
+        sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=0.0)
+        try:
+            with pytest.raises(QuiescenceStall, match="idle/control"):
+                sim.run()
+        finally:
+            sim.shutdown()
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_injection_between_drains_rearms(self, mode):
+        # the open-loop shape: a bounded drain, then the next burst is
+        # admitted, then the machine runs across the idle gap.  Forked
+        # workers never see inject() — it re-arms the mark in the host
+        # process — so the window loop must count the host's own mark.
+        sim = self._sim(mode=mode)
+        sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=0.0)
+        try:
+            assert not sim.run(until=1_000.0).quiesced
+            sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=7_000.0)
+            stats = sim.run()
+            assert stats.quiesced and stats.events_executed == 5
+        finally:
+            sim.shutdown()
 
 
 class TestQuiescedVersusStalled:

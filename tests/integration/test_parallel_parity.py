@@ -105,6 +105,89 @@ class TestForkedWorkers:
         assert list(par_res.parents) == list(seq_res.parents)
 
 
+MODES = {
+    "sequential": {},
+    "shards2": dict(shards=2),
+    "forked": dict(shards=2, parallel=True),
+}
+LOOKAHEAD = bench_config(NODES).conservative_lookahead_cycles
+
+
+def _launch(app_name, **rt_kw):
+    """The app's own ``run()`` up to, not including, its one drain."""
+    rt = UpDownRuntime(bench_config(NODES), **rt_kw)
+    if app_name == "pagerank":
+        app = PageRankApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
+        rt.start(
+            app.push_job.master_lane, "PRDriver::start", app.push_job.job_id,
+            2, cont=rt.host_evw("pagerank_done"),
+        )
+        return rt, app.pr_region
+    app = BFSApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
+    app._seed(0)
+    rt.start(
+        app.job.master_lane, "BFSDriver::start", app.job.job_id,
+        cont=rt.host_evw("bfs_done"),
+    )
+    return rt, app.parent_region
+
+
+def _drive(app_name, step=None, budget=None, **rt_kw):
+    """Outcome of the app's drain, whole (``step=None``) or cut into
+    ``run(until=)`` steps; ``drains`` counts the bounded drains that
+    reported not-quiesced before the one that did."""
+    rt, region = _launch(app_name, **rt_kw)
+    drains = 0
+    try:
+        if step is None:
+            assert rt.run(max_events=budget).quiesced
+        else:
+            until = step
+            while not rt.sim.run(max_events=budget, until=until).quiesced:
+                drains += 1
+                until += step
+    finally:
+        rt.shutdown()
+    return {
+        "model": _model(rt),
+        "mailbox": _mailbox(rt),
+        "busy": dict(rt.sim.stats.busy_cycles_by_lane),
+        "result": list(region.data),
+        "drains": drains,
+    }
+
+
+class TestSteppedDrains:
+    """``run(until=)`` is one clamp in one window loop: PageRank and BFS
+    cut into steps narrower and wider than the lookahead, in every mode,
+    equal the whole sequential drain — fingerprint, host mailbox,
+    per-lane busy cycles, results — and report quiescence on the same
+    step."""
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("step", [LOOKAHEAD - 350.0, 5_000.0])
+    @pytest.mark.parametrize("app_name", ["pagerank", "bfs"])
+    def test_stepping_is_invisible_in_every_mode(self, app_name, step, mode):
+        whole = _drive(app_name)
+        # max_events stays per call: no single step needs half the
+        # run's events, so a per-drain budget of half never trips
+        budget = whole["model"]["events_executed"] // 2
+        stepped = _drive(app_name, step, budget=budget, **MODES[mode])
+        for key in ("model", "mailbox", "busy", "result"):
+            assert stepped[key] == whole[key], key
+        # a drain that leaves anything queued — in a shard heap, in a
+        # worker, or as host mail due at or after the bound — says so:
+        # every mode reports quiescence on the step sequential does
+        assert stepped["drains"] == _drive(app_name, step)["drains"] > 0
+
+    @pytest.mark.parametrize("mode", ["shards2", "forked"])
+    def test_a_step_that_outruns_its_budget_still_raises(self, mode):
+        from repro.machine import SimulationError
+
+        with pytest.raises(SimulationError, match="max_events"):
+            _drive("pagerank", 5_000.0, budget=50, **MODES[mode])
+
+
 class TestForkedWorkerMatrix:
     """Forked-worker parity across the machine-model feature matrix:
     batched dispatch and injected faults with reliable delivery

@@ -101,18 +101,29 @@ class TestShardValidation:
                 shards=2,
             )
 
-    def test_until_rejected_for_forked_workers(self):
-        # in-process shards clamp their epoch windows to the bound; forked
-        # workers keep simulation state in the children between drains, so
-        # bounded stepping is rejected there (before any fork happens)
+    def test_forked_workers_honor_until(self):
+        # the same clamp as in-process shards (next test): later events
+        # stay heaped in the workers between drains.  What executed is
+        # only visible through the merged stats here — the dispatcher's
+        # list lives in the children.
+        cfg = bench_machine(nodes=2)
         sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=null_dispatcher(),
-            shards=2,
+            cfg, dispatcher=null_dispatcher(cycles=1.0), shards=2,
             parallel=True,
         )
-        with pytest.raises(SimulationError, match="until"):
-            sim.run(until=100.0)
+        for t in (10.0, 20.0, 30.0):
+            sim.inject(MessageRecord(0, NEW_THREAD, "a"), t=t)
+            sim.inject(MessageRecord(cfg.lanes_per_node, NEW_THREAD, "b"), t=t)
+        try:
+            for until, executed in ((15.0, 2), (25.0, 4), (25.0, 4)):
+                stats = sim.run(until=until)
+                assert stats.events_executed == executed
+                assert not stats.quiesced  # later events still queued
+            stats = sim.run()  # unbounded finishes the rest
+            assert stats.events_executed == 6 and stats.quiesced
+            assert stats.final_tick == 31.0
+        finally:
+            sim.shutdown()
 
     def test_in_process_shards_honor_until(self):
         disp = null_dispatcher(cycles=1.0)
@@ -321,6 +332,37 @@ class TestShardScheduler:
 
         assert both(shards=2) == both(shards=1)
 
+    @pytest.mark.parametrize(
+        "mode",
+        [{}, dict(shards=2), dict(shards=2, parallel=True)],
+        ids=["sequential", "shards2", "forked"],
+    )
+    def test_host_mail_honors_the_bound(self, mode):
+        # host mail due at or after until= stays queued, like any other
+        # event: it is not in the inbox yet, and the drain is not quiesced
+        from repro.machine import HOST_NWID
+
+        sim = Simulator(
+            bench_machine(nodes=2), dispatcher=null_dispatcher(), **mode
+        )
+        for i in range(4):
+            sim.send(
+                MessageRecord(HOST_NWID, 0, f"done{i}", (i,), src_network_id=i),
+                float(1000 * i),
+                src_node=sim.config.node_of(i),
+            )
+        try:
+            whole = sorted(t for t, _seq, _dst, _rec in sim._heap)
+            cut = (whole[1] + whole[2]) / 2
+            stats = sim.run(until=cut)
+            assert [t for t, _ in sim.host_inbox] == whole[:2]
+            assert not stats.quiesced and stats.final_tick == whole[1]
+            stats = sim.run()
+            assert [t for t, _ in sim.host_inbox] == whole
+            assert stats.quiesced
+        finally:
+            sim.shutdown()
+
     def test_forked_multi_drain_parity(self):
         """Workers persist across drains: injections between run() calls
         are forwarded and the cumulative fingerprint stays sequential."""
@@ -501,6 +543,20 @@ class TestTeardownLeavesNothingBehind:
             assert not proc.is_alive()
         assert not os.path.exists(segment)
 
+    def _assert_bricked_but_process_is_fine(self, sim):
+        before = set(os.listdir("/dev/shm"))
+        sim.inject(MessageRecord(0, NEW_THREAD, "again"), t=0.0)
+        with pytest.raises(SimulationError, match="no longer usable"):
+            sim.run()
+        sim.shutdown()
+        assert set(os.listdir("/dev/shm")) == before  # nothing new either
+        # the process is not poisoned: a fresh simulator forks and runs
+        fresh, procs, segment = self._forked(null_dispatcher(), "ok")
+        fresh.run()
+        assert fresh.stats.quiesced
+        fresh.shutdown()
+        self._assert_nothing_left(procs, segment)
+
     def test_after_shutdown(self):
         sim, procs, segment = self._forked(null_dispatcher(), "ok")
         sim.run()
@@ -551,13 +607,46 @@ class TestTeardownLeavesNothingBehind:
         with pytest.raises(SimulationError, match="parallel_ring_kib"):
             sim.run()
         self._assert_nothing_left(procs, segment)
-        sim.shutdown()
-        # the process is not poisoned: a fresh simulator forks and runs
-        fresh, procs, segment = self._forked(null_dispatcher(), "ok")
-        fresh.run()
-        assert fresh.stats.quiesced
-        fresh.shutdown()
+        self._assert_bricked_but_process_is_fine(sim)
+
+    def test_after_a_handler_raises_inside_a_worker(self):
+        # failure drill "raise inside a handler in a worker": the run
+        # ends in SimulationError carrying the worker's traceback
+        def dispatch(sim, lane, record, start):
+            if record.label == "boom":
+                raise ValueError("scratchpad slot 7 is not a counter")
+            return 2.0
+
+        sim, procs, segment = self._forked(dispatch, "boom")
+        with pytest.raises(SimulationError, match="shard worker failed") as info:
+            sim.run()
+        assert "ValueError: scratchpad slot 7 is not a counter" in str(info.value)
+        assert "Traceback" in str(info.value)
         self._assert_nothing_left(procs, segment)
+        self._assert_bricked_but_process_is_fine(sim)
+
+    def test_after_keyboard_interrupt_in_the_parent(self, monkeypatch):
+        # failure drill "KeyboardInterrupt in the parent": Ctrl-C lands
+        # while the window loop waits on the workers' pipes.  The pool
+        # must not outlive the interrupt half-way through a window.
+        import multiprocessing.connection as mpc
+
+        sim, procs, segment = self._forked(null_dispatcher(), "ok")
+        real_wait = mpc.wait
+        calls = []
+
+        def wait(*args, **kw):
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real_wait(*args, **kw)
+
+        monkeypatch.setattr(mpc, "wait", wait)
+        with pytest.raises(KeyboardInterrupt):
+            sim.run()
+        monkeypatch.undo()
+        self._assert_nothing_left(procs, segment)
+        self._assert_bricked_but_process_is_fine(sim)
 
 
 class TestShutdownIdempotence:

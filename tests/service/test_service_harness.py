@@ -1,11 +1,8 @@
 """The open-loop harness end to end: latency, verdicts, chaos soaks."""
 
-import pytest
-
 from repro.faults import FaultPlan
 from repro.faults.transport import ReliabilityConfig
 from repro.harness import run_service
-from repro.machine.simulator import SimulationError
 from repro.service import (
     BurstyArrivals,
     SLOSpec,
@@ -35,10 +32,6 @@ class TestHealthyRun:
         assert all(hists[cls].count > 0 for cls in hists)
         assert all(hists[cls].quantile_bound(0.99) > 0 for cls in hists)
 
-    def test_parallel_workers_rejected_up_front(self):
-        with pytest.raises(SimulationError, match="parallel"):
-            run_service(_steady(n=4), nodes=4, parallel=True, shards=2)
-
 
 class TestReproducibility:
     def test_same_seed_same_fingerprint(self):
@@ -54,6 +47,18 @@ class TestReproducibility:
         b = run_service(reqs, nodes=4, slo=SLOSpec(), shards=2).extra["service"]
         assert a.fingerprint() == b.fingerprint()
         assert a.verdict.to_dict() == b.verdict.to_dict()
+
+    def test_forked_workers_invariant(self):
+        # until-stepping is the same clamp under forked workers: the
+        # open loop runs there too, observationally identical
+        reqs = _steady()
+        a = run_service(reqs, nodes=4, slo=SLOSpec()).extra["service"]
+        c = run_service(
+            reqs, nodes=4, slo=SLOSpec(), shards=2, parallel=True
+        ).extra["service"]
+        assert a.fingerprint() == c.fingerprint()
+        assert a.verdict.to_dict() == c.verdict.to_dict()
+        assert a.stats.model_snapshot() == c.stats.model_snapshot()
 
 
 class TestDeadlines:
@@ -90,6 +95,16 @@ class TestChaosSoak:
         assert (
             a.extra["service"].fingerprint() == b.extra["service"].fingerprint()
         )
+
+    def test_chaos_run_is_forked_worker_invariant(self):
+        reqs = _steady()
+        kw = dict(nodes=4, slo=SLOSpec(), watchdog_cycles=30_000.0, **self.PLAN)
+        a = run_service(reqs, **kw).extra["service"]
+        c = run_service(reqs, shards=2, parallel=True, **kw).extra["service"]
+        assert a.fault_counts.get("msg_drop", 0) > 0
+        assert a.fingerprint() == c.fingerprint()
+        assert a.verdict.to_dict() == c.verdict.to_dict()
+        assert a.fault_counts == c.fault_counts
 
     def test_bursty_idle_gaps_survive_a_tight_watchdog(self):
         # idle gaps (120k cycles) dwarf the watchdog (30k): the rearm-on-
@@ -150,6 +165,10 @@ class TestGiveUpSoak:
         c = self._run(shards=2)
         assert a.fingerprint() == b.fingerprint() == c.fingerprint()
         assert a.give_up_log == c.give_up_log  # sorted: order-free equality
+        # forked workers ship what their transport abandoned per drain
+        d = self._run(shards=2, parallel=True)
+        assert d.fingerprint() == a.fingerprint()
+        assert d.give_up_log == a.give_up_log and len(d.give_up_log) > 0
 
 
 class TestVerdictFormat:
