@@ -96,7 +96,7 @@ def _attach_recorder(extra: Dict[str, Any], rt: UpDownRuntime) -> Dict[str, Any]
     if rt.recorder is not None:
         extra["recorder"] = rt.recorder
     # forked-worker runs expose the coordinator's transport counters
-    # (boundary bytes, ring overflows, barrier wait, window histogram);
+    # (windows, boundary bytes / records / frames, barrier wait, ring KiB);
     # they live outside SimStats so fingerprints stay parallel-invariant
     metrics = rt.sim.parallel_metrics()
     if metrics is not None:

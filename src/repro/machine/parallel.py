@@ -935,15 +935,6 @@ class ParallelExecutor(_WindowCoordinator):
                 hostlog.entries.sort(
                     key=lambda e: (e.tick, e.network_id, e.thread_id)
                 )
-        if sim.trace_enabled:
-            fresh = [t for final in finals for t in final["trace"]]
-            if fresh:
-                sim.trace.extend(fresh)
-                sim.trace.sort(
-                    key=lambda t: (
-                        t[0], t[1], -1 if t[2] is None else t[2], t[3], t[4]
-                    )
-                )
         recorder = sim.recorder
         if recorder is not None:
             # Workers ship per-drain recorder deltas (they hand off to a
@@ -1170,7 +1161,6 @@ class ParallelExecutor(_WindowCoordinator):
                 stats_base = stats.scalar_snapshot()
                 labels_base = dict(stats.events_by_label)
                 udlog_base = len(hostlog.entries) if hostlog is not None else 0
-                trace_base = len(sim.trace)
                 blob = msg[1]
                 if blob is not None:
                     for entry in pickle.loads(blob):
@@ -1200,9 +1190,6 @@ class ParallelExecutor(_WindowCoordinator):
                         hostlog.entries[udlog_base:]
                         if hostlog is not None
                         else []
-                    ),
-                    "trace": (
-                        sim.trace[trace_base:] if sim.trace_enabled else []
                     ),
                     "recorder": sim.recorder if had_recorder else None,
                     "pending": sim._live_threads(),

@@ -116,7 +116,6 @@ class Simulator:
         latency_jitter_cycles: float = 0.0,
         seed: int = 0,
         memory_banks_per_node: int = 1,
-        trace: bool = False,
         detailed_stats: bool = False,
         recorder=None,
         shards: int = 1,
@@ -151,10 +150,6 @@ class Simulator:
         #: Off by default — it is the one per-event dict update the scalar
         #: tier avoids; ``harness.inspect.event_report`` needs it on.
         self.detailed_stats = detailed_stats
-        #: optional message trace: (t_issue, t_deliver, src, dst, label)
-        #: per send.  Off by default — tracing a large run is expensive.
-        self.trace_enabled = trace
-        self.trace: List[Tuple[float, float, Optional[int], int, str]] = []
         self._heap: List[Tuple[float, int, int, MessageRecord]] = []
         #: per-actor push counters (actor 0 = host, 1+L = lane L,
         #: 1+total_lanes+X = node X's memory/arrival actor).  Each actor
@@ -498,16 +493,12 @@ class Simulator:
         if nwid == HOST_NWID:
             # Results mailbox: charge the send at the source but deliver
             # instantly — the host is outside the modeled machine.  Still
-            # a message: it appears in the trace and in the taxonomy
+            # a message: it appears in the taxonomy
             # (``messages_host_bound``), so result traffic is visible and
             # the counters partition ``messages_sent``.
             self._push(t_issue, record, actor)
             stats.messages_sent += 1
             stats.messages_host_bound += 1
-            if self.trace_enabled:
-                self.trace.append(
-                    (t_issue, t_issue, record.src_network_id, nwid, record.label)
-                )
             if rec_msg is not None:
                 rec_msg("host_bound", 0.0)
             return t_issue
@@ -526,16 +517,6 @@ class Simulator:
                 record, t_issue, src_node, dst_node, actor, src_nwid
             )
         stats.messages_sent += 1
-        if self.trace_enabled:
-            self.trace.append(
-                (
-                    t_issue,
-                    t_deliver,
-                    record.src_network_id,
-                    nwid,
-                    record.label,
-                )
-            )
         if src_node is None:
             stats.messages_host_injected += 1
             if rec_msg is not None:
@@ -568,9 +549,8 @@ class Simulator:
         pointer tests; this path runs only when a
         :class:`~repro.faults.ReliableTransport` is attached or the fault
         plan perturbs messages.  Returns the primary delivery time, or
-        ``math.inf`` for a dropped message (the trace records the ``inf``,
-        marking the drop; callers treat the send as fire-and-forget
-        either way).
+        ``math.inf`` for a dropped message (callers treat the send as
+        fire-and-forget either way).
         """
         remote = src_node is not None and src_node != dst_node
         transport = self._transport
@@ -652,7 +632,7 @@ class Simulator:
         Everything *globally observable at issue time* happens here
         exactly as :meth:`send` would do it: the actor sequence ticks,
         the injection channel admits (remote legs), the message taxonomy
-        counters and trace/recorder hooks fire.  Only the delivery is
+        counters and recorder hooks fire.  Only the delivery is
         deferred — the record parks on the destination lane, keyed by
         the same ``(time, seq)`` its heap entry would have carried, and
         executes (in key order, merged with heap deliveries) the moment
@@ -691,10 +671,6 @@ class Simulator:
             if rec_msg is not None:
                 rec_msg("remote", t_deliver - t_issue)
         stats.messages_sent += 1
-        if self.trace_enabled:
-            self.trace.append(
-                (t_issue, t_deliver, src_nwid, nwid, plan.label)
-            )
         ln = self._lanes.get(nwid)
         if ln is None:
             ln = self.lane(nwid)

@@ -144,7 +144,7 @@ class SLOVerdict:
     counters: Dict[str, int]
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form for JSON artifacts (``BENCH_service.json``)."""
+        """Plain-data form for JSON artifacts."""
         return {
             "passed": self.passed,
             "violations": list(self.violations),

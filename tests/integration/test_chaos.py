@@ -75,6 +75,7 @@ class TestApplicationResultsSurviveDrops:
         _rt, golden = run(faulty=False)
         rt, res = run(faulty=True)
         assert rt.sim.stats.faults_messages_dropped > 0
+        assert rt.sim.stats.quiesced
         assert rt.sim.stats.transport_retransmits > 0
         assert np.array_equal(res.ranks, golden.ranks)  # bitwise
 
@@ -88,6 +89,7 @@ class TestApplicationResultsSurviveDrops:
         _rt, golden = run(faulty=False)
         rt, res = run(faulty=True)
         assert rt.sim.stats.faults_messages_dropped > 0
+        assert rt.sim.stats.quiesced
         assert np.array_equal(res.distances, golden.distances)
         assert res.traversed_edges == golden.traversed_edges
 
@@ -102,6 +104,7 @@ class TestApplicationResultsSurviveDrops:
         rt, res = run(faulty=True)
         assert golden.triangles == N  # every (i, i+1, i+2) closes
         assert rt.sim.stats.faults_messages_dropped > 0
+        assert rt.sim.stats.quiesced
         assert res.triangles == golden.triangles
 
 

@@ -210,18 +210,3 @@ class TestHostBoundTaxonomy:
             + s.messages_host_bound
         )
         assert "messages_host_bound" in s.scalar_snapshot()
-
-    def test_host_bound_send_traced(self):
-        from repro.machine import HOST_NWID
-
-        sim = Simulator(
-            bench_machine(nodes=1),
-            dispatcher=lambda s, l, r, t: 1.0,
-            trace=True,
-        )
-        sim.send(
-            MessageRecord(HOST_NWID, 0, "done", src_network_id=0),
-            7.0,
-            src_node=0,
-        )
-        assert sim.trace == [(7.0, 7.0, 0, HOST_NWID, "done")]

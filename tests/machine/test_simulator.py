@@ -160,49 +160,6 @@ class TestLazyLanes:
             sim.lane(sim.config.total_lanes)
 
 
-class TestMessageTrace:
-    def test_trace_off_by_default(self, sim):
-        sim.send(MessageRecord(0, NEW_THREAD, "x"), 0.0, src_node=0)
-        assert sim.trace == []
-
-    def test_trace_records_sends(self):
-        s = Simulator(
-            bench_machine(nodes=2), dispatcher=null_dispatcher(), trace=True
-        )
-        dst = s.config.first_lane_of_node(1)
-        s.send(
-            MessageRecord(dst, NEW_THREAD, "hop", src_network_id=0),
-            5.0,
-            src_node=0,
-        )
-        assert len(s.trace) == 1
-        t_issue, t_deliver, src, dst_got, label = s.trace[0]
-        assert (t_issue, src, dst_got, label) == (5.0, 0, dst, "hop")
-        assert t_deliver >= 5.0 + s.config.remote_msg_latency_cycles
-
-    def test_trace_through_runtime(self):
-        from repro.udweave import UDThread, UpDownRuntime, event
-
-        rt = UpDownRuntime(bench_machine(nodes=1))
-        rt.sim.trace_enabled = True
-
-        @rt.register
-        class T(UDThread):
-            @event
-            def go(self, ctx):
-                ctx.spawn(1, "T::sink")
-                ctx.yield_terminate()
-
-            @event
-            def sink(self, ctx):
-                ctx.yield_terminate()
-
-        rt.start(0, "T::go")
-        rt.run()
-        labels = [t[4] for t in rt.sim.trace]
-        assert "T::sink" in labels
-
-
 class TestBoundedReentry:
     """``run(until=)`` stepping and ``max_events`` aborts leave the heap
     coherent: re-entering finishes with the un-interrupted run's

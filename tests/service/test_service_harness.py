@@ -32,6 +32,24 @@ class TestHealthyRun:
         assert all(hists[cls].count > 0 for cls in hists)
         assert all(hists[cls].quantile_bound(0.99) > 0 for cls in hists)
 
+    def test_offered_load_crosses_the_queueing_knee(self):
+        # DESIGN.md "genuine queueing knee": with the injection port
+        # narrowed to 0.3 B/cycle, a 16x higher offered rate queues
+        # behind it — the update p99 bound rises (8,192 -> 65,536
+        # cycles) while every request still completes inside its SLO
+        wl = ServiceWorkload(seed=21, n_vertices=64)
+        p99 = {}
+        for gap in (1600.0, 100.0):
+            svc = run_service(
+                wl.requests(SteadyArrivals(gap_cycles=gap).times(200)),
+                nodes=4,
+                slo=SLOSpec(),
+                node_injection_bytes_per_cycle=0.3,
+            ).extra["service"]
+            assert svc.verdict.passed, svc.verdict.violations
+            p99[gap] = svc.latency_hist["update"].quantile_bound(0.99)
+        assert p99[100.0] > p99[1600.0]
+
 
 class TestReproducibility:
     def test_same_seed_same_fingerprint(self):
@@ -116,11 +134,14 @@ class TestChaosSoak:
                 burst_size=8, gap_cycles=500.0, idle_gap_cycles=120_000.0
             ).times(32)
         )
-        svc = run_service(
-            reqs, nodes=4, slo=SLOSpec(), watchdog_cycles=30_000.0, **self.PLAN
-        ).extra["service"]
+        kw = dict(nodes=4, slo=SLOSpec(), watchdog_cycles=30_000.0, **self.PLAN)
+        svc = run_service(reqs, **kw).extra["service"]
         assert svc.status_counts["ok"] == 32
         assert svc.verdict.passed
+        # and the gaps are stepped over identically when sharded
+        sharded = run_service(reqs, shards=2, **kw).extra["service"]
+        assert sharded.fingerprint() == svc.fingerprint()
+        assert sharded.verdict.to_dict() == svc.verdict.to_dict()
 
 
 class TestGiveUpSoak:
