@@ -50,17 +50,28 @@ class MemoryChannel:
         nbytes: int,
         bytes_per_cycle: float,
         latency_cycles: float,
-    ) -> DramAccessResult:
-        start = max(t_arrive, self.free_at)
+        detail: bool = True,
+        recorder=None,
+        node: int = 0,
+    ):
+        """Occupy the channel for one request — the only place the
+        timing arithmetic lives.  Returns the response-ready time, or
+        the full :class:`DramAccessResult` when ``detail`` is set (the
+        simulator's per-event path asks for the float)."""
+        free_at = self.free_at
+        start = free_at if free_at > t_arrive else t_arrive
         occupancy = nbytes / bytes_per_cycle
         self.free_at = start + occupancy
         self.bytes_served += nbytes
         self.requests += 1
-        return DramAccessResult(
-            response_ready=start + latency_cycles + occupancy,
-            service_start=start,
-            occupancy=occupancy,
-        )
+        if recorder is not None:
+            recorder.dram_sample(
+                node, start, start - t_arrive, occupancy, nbytes
+            )
+        ready = start + latency_cycles + occupancy
+        if detail:
+            return DramAccessResult(ready, start, occupancy)
+        return ready
 
 
 class MemorySystem:
@@ -91,6 +102,9 @@ class MemorySystem:
             raise ValueError("need at least one bank per node")
         self.config = config
         self.banks_per_node = banks_per_node
+        self._latency = float(config.dram_latency_cycles)
+        self._local_bw = config.node_dram_bytes_per_cycle / banks_per_node
+        self._remote_bw = self._local_bw * config.remote_dram_bandwidth_ratio
         self._channels: Dict[tuple, MemoryChannel] = {}
         #: flight recorder for channel telemetry, or None (the off tier).
         self.recorder = recorder
@@ -120,34 +134,33 @@ class MemorySystem:
         memory_node: int,
         nbytes: int,
         local_offset: int = 0,
-    ) -> DramAccessResult:
+        detail: bool = True,
+    ):
         """Service an access at ``memory_node`` issued from ``requester_node``.
 
         ``t_arrive`` is the time the request reaches the memory controller
         (the caller adds network latency for remote requests);
-        ``local_offset`` selects the bank in detailed mode.
+        ``local_offset`` selects the bank in detailed mode.  Returns what
+        :meth:`MemoryChannel.service` does for ``detail``.
         """
-        cfg = self.config
-        bw = cfg.node_dram_bytes_per_cycle / self.banks_per_node
-        if requester_node != memory_node:
-            bw *= cfg.remote_dram_bandwidth_ratio
+        bw = (
+            self._local_bw if requester_node == memory_node
+            else self._remote_bw
+        )
         factors = self._dram_factors
         if factors is not None:
             bw *= factors[memory_node]
-        bank = self._bank_of(local_offset)
-        result = self.channel(memory_node, bank).service(
-            t_arrive, nbytes, bw, float(cfg.dram_latency_cycles)
+        key = (
+            memory_node,
+            0 if self.banks_per_node == 1 else self._bank_of(local_offset),
         )
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.dram_sample(
-                memory_node,
-                result.service_start,
-                result.service_start - t_arrive,
-                result.occupancy,
-                nbytes,
-            )
-        return result
+        ch = self._channels.get(key)
+        if ch is None:
+            ch = self._channels[key] = MemoryChannel()
+        return ch.service(
+            t_arrive, nbytes, bw, self._latency, detail,
+            self.recorder, memory_node,
+        )
 
     # ------------------------------------------------------------------
     # Shard state exchange (repro.machine.parallel)

@@ -115,7 +115,7 @@ from multiprocessing import shared_memory
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .events import flatten_boundary_entry, rebuild_boundary_rows
-from .simulator import QuiescenceStall, SimulationError
+from .simulator import QuiescenceStall, SimulationError, collector_quiet
 
 
 class ShardWorkerFailed(SimulationError):
@@ -350,8 +350,7 @@ class ShardScheduler(_WindowCoordinator):
         sim._shard_heaps = self.heaps
         sim._route = self._route
         # adopt anything injected before the first drain
-        pending, sim._heap = sim._heap, []
-        for entry in pending:
+        for entry in sim._take_queued():
             self._route(entry)
 
     def _route(self, entry) -> None:
@@ -727,9 +726,8 @@ class ParallelExecutor(_WindowCoordinator):
                 "multi-phase applications that set up between runs."
             )
         # forward injections buffered in the parent since the last drain
-        pending, sim._heap = sim._heap, []
         seeds: List[list] = [[] for _ in range(self.shards)]
-        for entry in pending:
+        for entry in sim._take_queued():
             if entry[1] < 0:
                 self._host_entries.append(entry)
             else:
@@ -1032,7 +1030,10 @@ class ParallelExecutor(_WindowCoordinator):
                 sys.stderr = open(2, "w", buffering=1, closefd=False)
             except Exception:
                 pass
-            self._worker_loop(shard, conn)
+            # windows arrive one message at a time, so the worker holds
+            # off full collections for its whole life, not per window
+            with collector_quiet():
+                self._worker_loop(shard, conn)
         except BaseException:
             tb = traceback.format_exc()
             try:
@@ -1063,7 +1064,10 @@ class ParallelExecutor(_WindowCoordinator):
         # a raise inside one worker would wedge the window protocol; the
         # parent aggregates progress marks and raises QuiescenceStall
         sim._wd_report_only = True
-        sim._heap = heap = []
+        # the fork copied whatever the parent had queued, in both tiers;
+        # this shard's share arrives again with the first "seed"
+        sim._take_queued()
+        heap = sim._heap
         heappush = heapq.heappush
         port = _WorkerPort(self._hub, shard)
         outbox: List[list] = [[] for _ in range(shards)]

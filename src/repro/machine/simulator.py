@@ -37,6 +37,8 @@ from the lanes themselves after the drain (see ``repro.machine.stats``).
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import heapq
 import math
 from bisect import bisect_left, insort
@@ -55,6 +57,19 @@ Dispatcher = Callable[["Simulator", Lane, MessageRecord, float], float]
 #: bits reserved for one actor's private event count in a heap ``seq``.
 #: 2**44 pushes per actor is far beyond any run this repo executes.
 ACTOR_SEQ_BITS = 44
+
+#: width, in simulated cycles, of one far-tier bucket of the event queue
+#: (see :meth:`Simulator._push`).  A power of two, so ``time // W`` is
+#: exact and ``time < (b + 1) * W`` holds exactly when
+#: ``floor(time / W) <= b`` — bucket membership never disagrees with the
+#: heap's own float comparison.  A constant, not a config field: it
+#: moves host time only, and no workload wants a different value.
+BUCKET_CYCLES = 1024.0
+
+#: event times must lie strictly inside ``(-limit, limit)``: below
+#: ``2**53`` buckets every bucket id and bucket edge is an exact float.
+#: NaN and the infinities fail the same comparison.
+_TIME_LIMIT = 2.0**53 * BUCKET_CYCLES
 
 
 class SimulationError(RuntimeError):
@@ -97,6 +112,27 @@ def _render_dump(dump: dict, indent: str = "  ") -> str:
         else:
             lines.append(f"{indent}{key}: {value!r}")
     return "\n".join(lines)
+
+
+@contextlib.contextmanager
+def collector_quiet():
+    """Hold off CPython's *full* cyclic collections for the block.
+
+    A drain keeps its whole in-flight population alive — heap tuples and
+    records, 100k+ on a DRAM-streaming app — and every generation-2 pass
+    re-traverses all of it to find nothing: records hold no reference
+    back to whatever holds them, so refcounting frees each one the
+    moment it pops.  Young collections stay on (handler-made cycles are
+    still reclaimed), the collector is never disabled, and the
+    threshold is restored however the block exits.  CPython >= 3.14
+    ignores ``threshold2``; there this is a harmless no-op.
+    """
+    young, old, full = gc.get_threshold()
+    gc.set_threshold(young, old, 1 << 30)
+    try:
+        yield
+    finally:
+        gc.set_threshold(young, old, full)
 
 
 class Simulator:
@@ -150,7 +186,15 @@ class Simulator:
         #: Off by default — it is the one per-event dict update the scalar
         #: tier avoids; ``harness.inspect.event_report`` needs it on.
         self.detailed_stats = detailed_stats
+        #: the event queue, in two tiers (see :meth:`_push`): ``_heap``
+        #: orders the entries due before ``_near_end``; later ones wait
+        #: unordered in ``_far[floor(time / BUCKET_CYCLES)]``, the live
+        #: bucket ids in their own small heap.  A non-empty queue always
+        #: has a non-empty ``_heap``, whose head is the global minimum.
         self._heap: List[Tuple[float, int, int, MessageRecord]] = []
+        self._near_end: float = 0.0
+        self._far: dict = {}
+        self._far_ids: List[float] = []
         #: per-actor push counters (actor 0 = host, 1+L = lane L,
         #: 1+total_lanes+X = node X's memory/arrival actor).  Each actor
         #: counts its own pushes, so heap keys do not depend on global
@@ -389,14 +433,10 @@ class Simulator:
         (live threads per lane), and whatever registered providers know
         about protocol state (KVMSR reports outstanding reduce credits).
         """
-        heaps = self._shard_heaps
-        if heaps is None:
-            heaps = [self._heap]
+        queued = self._queued()
         next_events = [
             (t, dest, getattr(r, "label", type(r).__name__))
-            for t, dest, _seq, r in heapq.nsmallest(
-                limit, (entry for heap in heaps for entry in heap)
-            )
+            for t, dest, _seq, r in heapq.nsmallest(limit, queued)
         ]
         blocked = []
         for nwid in sorted(self._lanes):
@@ -409,7 +449,7 @@ class Simulator:
             "now": self.now,
             "last_progress_tick": self._wd_last_progress,
             "watchdog_cycles": self._watchdog_cycles,
-            "heap_events": sum(map(len, heaps)),
+            "heap_events": len(queued),
             "parked_records": self._parked_total,
             "next_events": next_events,
             "pending_threads": self._live_threads(),
@@ -452,6 +492,11 @@ class Simulator:
         per-shard heap or a cross-shard boundary batch instead of the
         global heap.  ``actor`` identifies the issuing execution context;
         its private counter makes the key unique and shard-independent.
+
+        Unrouted (plain sequential) pushes land in one of two tiers:
+        the near heap when due before ``_near_end``, a far bucket
+        otherwise.  Routed pushes go to the shard runners' own heaps and
+        never populate the far tier.
         """
         aseq = self._actor_seq
         count = aseq.get(actor, 0)
@@ -463,10 +508,76 @@ class Simulator:
             record,
         )
         route = self._route
-        if route is None:
+        if route is not None:
+            route(entry)
+        elif -_TIME_LIMIT < time < self._near_end:
             heapq.heappush(self._heap, entry)
         else:
-            route(entry)
+            # Far tier.  Heap cost grows with the in-flight population,
+            # and an app that hides DRAM latency keeps 100k+ events
+            # outstanding; only the ones due soonest need ordering.  The
+            # rest append to their time bucket, comparison-free, and
+            # _refill heapifies a bucket when the near tier runs dry.
+            # Every far entry is later than every near one and equal
+            # times share a bucket, so pop order is the single-heap
+            # order.  Ids are whole-number floats: floor division, where
+            # int() would merge buckets -1 and 0.
+            bucket_id = time // BUCKET_CYCLES
+            bucket = self._far.get(bucket_id)
+            if bucket is not None:
+                bucket.append(entry)
+            else:
+                self._open_bucket(bucket_id, entry)
+
+    def _open_bucket(self, bucket_id: float, entry) -> None:
+        """Queue the first ``entry`` of a far bucket — or, when the
+        queue is empty, open a near window around it instead: the queue
+        is never non-empty behind an empty ``_heap``.  A non-finite time
+        has no bucket (its id is NaN), so it always arrives here."""
+        time = entry[0]
+        if not -_TIME_LIMIT < time < _TIME_LIMIT:
+            record = entry[3]
+            raise SimulationError(
+                f"event {getattr(record, 'label', type(record).__name__)!r} "
+                f"scheduled at {time!r}: event times must be finite (and "
+                f"within {_TIME_LIMIT:g} cycles)"
+            )
+        if not self._heap:
+            self._near_end = (bucket_id + 1.0) * BUCKET_CYCLES
+            self._heap.append(entry)
+        else:
+            self._far[bucket_id] = [entry]
+            heapq.heappush(self._far_ids, bucket_id)
+
+    def _refill(self) -> None:
+        """Move the earliest far bucket into the (just emptied) near
+        tier, in place — drains hold ``_heap`` by reference."""
+        ids = self._far_ids
+        if ids:
+            bucket_id = heapq.heappop(ids)
+            heap = self._heap
+            heap.extend(self._far.pop(bucket_id))
+            heapq.heapify(heap)
+            self._near_end = (bucket_id + 1.0) * BUCKET_CYCLES
+
+    def _queued(self) -> list:
+        """Every queued entry, in no particular order: both tiers, or
+        the shard heaps when an in-process scheduler holds them."""
+        heaps = self._shard_heaps
+        if heaps is None:
+            heaps = [self._heap, *self._far.values()]
+        return [entry for heap in heaps for entry in heap]
+
+    def _take_queued(self) -> list:
+        """Remove and return everything in both tiers (shard runners
+        adopt pre-drain injections into their own queues this way)."""
+        entries = self._heap
+        for bucket in self._far.values():
+            entries.extend(bucket)
+        self._heap = []
+        self._far = {}
+        self._far_ids = []
+        return entries
 
     def send(
         self,
@@ -797,11 +908,9 @@ class Simulator:
             stats.dram_writes += 1
             stats.dram_bytes_written += nbytes
         if src_node == memory_node:
-            result = self.memory.access(
-                t_issue, src_node, memory_node, nbytes,
-                local_offset=local_offset,
+            t_back = self.memory.access(
+                t_issue, src_node, memory_node, nbytes, local_offset, False
             )
-            t_back = result.response_ready
             if response is not None:
                 self._push(t_back, response, actor)
             elif t_back > stats.final_tick:
@@ -848,12 +957,11 @@ class Simulator:
                     f"runs must keep blocking reads shard-local (use "
                     f"split-phase reads instead)"
                 )
-            result = self.memory.access(
-                t_arrive, src_node, memory_node, nbytes,
-                local_offset=local_offset,
+            t_ready = self.memory.access(
+                t_arrive, src_node, memory_node, nbytes, local_offset, False
             )
             t_back = self._reply_hop(
-                result.response_ready, memory_node, src_node, back_bytes
+                t_ready, memory_node, src_node, back_bytes
             )
             if response is not None:
                 self._push(t_back, response, actor)
@@ -904,16 +1012,13 @@ class Simulator:
         sharding this executes on the shard that owns it.
         """
         mem_node = arrival.memory_node
-        result = self.memory.access(
-            t_arrive,
-            arrival.src_node,
-            mem_node,
-            arrival.nbytes,
-            local_offset=arrival.local_offset,
+        src_node = arrival.src_node
+        t_ready = self.memory.access(
+            t_arrive, src_node, mem_node, arrival.nbytes,
+            arrival.local_offset, False,
         )
         t_back = self._reply_hop(
-            result.response_ready, mem_node, arrival.src_node,
-            arrival.back_bytes,
+            t_ready, mem_node, src_node, arrival.back_bytes
         )
         response = arrival.response
         if response is not None:
@@ -970,17 +1075,20 @@ class Simulator:
         """
         gate = self._park_gate()
         self._gate_counts[gate] = self._gate_counts.get(gate, 0) + 1
-        if self.shards > 1:
-            sched = self._scheduler
-            if sched is None:
-                from .parallel import make_scheduler
+        with collector_quiet():
+            if self.shards > 1:
+                sched = self._scheduler
+                if sched is None:
+                    from .parallel import make_scheduler
 
-                sched = self._scheduler = make_scheduler(self)
-            return sched.drain(max_events, until)
-        self._park_active = gate == "armed"
-        stats = self._drain(max_events, math.inf if until is None else until)
-        self._note_quiescence()
-        return stats
+                    sched = self._scheduler = make_scheduler(self)
+                return sched.drain(max_events, until)
+            self._park_active = gate == "armed"
+            stats = self._drain(
+                max_events, math.inf if until is None else until
+            )
+            self._note_quiescence()
+            return stats
 
     def _park_gate(self) -> str:
         """``"armed"``, or the first condition that disarms parking.
@@ -1059,7 +1167,9 @@ class Simulator:
 
         Fused dispatch: when the next heap entry is another delivery to
         the lane that just executed, it runs in the inner loop without
-        restarting the outer one.
+        restarting the outer one.  Both pop sites refill the near tier
+        the moment they empty it, so ``heap`` is non-empty whenever
+        anything is queued and ``heap[0]`` is always the global next.
         """
         dispatcher = self.dispatcher
         if dispatcher is None:
@@ -1068,6 +1178,7 @@ class Simulator:
         # loads in CPython cost as much as the arithmetic they guard.
         heap = self._heap
         heappop = heapq.heappop
+        refill = self._refill
         lanes = self._lanes
         lane_of = self.lane
         stats = self.stats
@@ -1110,6 +1221,8 @@ class Simulator:
                 if ev_time >= until:
                     break
                 heappop(heap)
+                if not heap:
+                    refill()
                 rec = first[3]
                 while True:
                     self.now = ev_time
@@ -1241,6 +1354,8 @@ class Simulator:
                             # never equal a lane id, so only lane
                             # deliveries fuse.
                             heappop(heap)
+                            if not heap:
+                                refill()
                             first = nxt
                             rec = nxt[3]
                             ev_time = nxt[0]

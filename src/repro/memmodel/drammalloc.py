@@ -44,22 +44,22 @@ class Region:
         self.name = name
         self.dtype = np.dtype(dtype)
         self.freed = False
-        nwords = descriptor.size // WORD_BYTES
-        self.data = np.zeros(nwords, dtype=self.dtype)
+        # Address arithmetic, fixed at allocation: every DRAM transaction
+        # reads these.  Block size and node count are powers of two (the
+        # descriptor checks), so translation is shifts and masks.
+        self.base = descriptor.base_va
+        self.size = descriptor.size
+        self.end = self.base + self.size
+        self.nwords = self.size // WORD_BYTES
+        self.first_node = descriptor.first_node
+        self.machine_nodes = descriptor.machine_nodes
+        self.block_shift = descriptor.block_size.bit_length() - 1
+        self.block_mask = descriptor.block_size - 1
+        self.node_shift = descriptor.nr_nodes.bit_length() - 1
+        self.node_mask = descriptor.nr_nodes - 1
+        self.data = np.zeros(self.nwords, dtype=self.dtype)
 
     # -- address arithmetic -------------------------------------------------
-
-    @property
-    def base(self) -> int:
-        return self.descriptor.base_va
-
-    @property
-    def size(self) -> int:
-        return self.descriptor.size
-
-    @property
-    def nwords(self) -> int:
-        return len(self.data)
 
     def addr(self, word_index: int) -> int:
         """Byte VA of word ``word_index`` (what you pass to DRAM intrinsics)."""
@@ -112,6 +112,9 @@ class GlobalMemory:
         self._bases: List[int] = []
         self._regions: List[Region] = []
         self._by_name: Dict[str, Region] = {}
+        #: the region the last lookup hit (programs hold 2-4 descriptors
+        #: and read them in runs); :meth:`free` clears it.
+        self._last_hit: Optional[Region] = None
 
     # ------------------------------------------------------------------
     # Allocation
@@ -163,7 +166,9 @@ class GlobalMemory:
         """Release a region.  The VA range is retired, never reused, so
         dangling pointers fault deterministically."""
         region.freed = True
+        region.nwords = 0
         region.data = np.zeros(0, dtype=region.dtype)
+        self._last_hit = None
 
     # ------------------------------------------------------------------
     # Lookup & translation
@@ -173,15 +178,18 @@ class GlobalMemory:
         # Descriptor.contains and Region._check_live are open-coded:
         # every DRAM transaction funnels through here, and the two
         # guard calls cost more than the comparisons they wrap.
+        region = self._last_hit
+        if region is not None and region.base <= va < region.end:
+            return region
         idx = bisect.bisect_right(self._bases, va) - 1
         if idx >= 0:
             region = self._regions[idx]
-            d = region.descriptor
-            if d.base_va <= va < d.base_va + d.size:
+            if region.base <= va < region.end:
                 if region.freed:
                     raise MemoryError_(
                         f"use after free of region {region.name!r}"
                     )
+                self._last_hit = region
                 return region
         raise MemoryError_(f"VA {va:#x} is unmapped")
 
@@ -234,13 +242,26 @@ class GlobalMemory:
         the two-step sequence.
         """
         region = self.region_of(va)
-        start = region.index_of(va)
+        off = va - region.base
+        if off % WORD_BYTES:
+            raise MemoryError_(
+                f"VA {va:#x} is not a word address in region {region.name!r}"
+            )
+        start = off // WORD_BYTES
         if start + nwords > region.nwords:
             raise MemoryError_(
                 f"read of {nwords} words at {va:#x} overruns region "
                 f"{region.name!r}"
             )
-        node, offset = region.descriptor.translate(va)
+        # SwizzleDescriptor.translate, in shifts and masks
+        shift = region.block_shift
+        block = off >> shift
+        node = (
+            region.first_node + (block & region.node_mask)
+        ) % region.machine_nodes
+        offset = ((block >> region.node_shift) << shift) + (
+            off & region.block_mask
+        )
         return node, offset, tuple(region.data[start : start + nwords].tolist())
 
     def write_words_translated(self, va: int, values) -> Tuple[int, int]:

@@ -307,12 +307,18 @@ class LaneContext:
             va, nwords
         )
         operands = values if tag is None else (tag, *values)
-        label_id = runtime.resolve_label_id(return_label, self.thread)
-        nwid = self.lane.network_id
+        # resolve_label_id's cache probe, inlined: a thread streaming a
+        # neighbor list names the same return label on every chunk
+        thread = self.thread
+        label_id = runtime._resolve_cache.get((type(thread), return_label))
+        if label_id is None:
+            label_id = runtime.resolve_label_id(return_label, thread)
+        lane = self.lane
+        nwid = lane.network_id
         response = MessageRecord(
             nwid,
             self.tid,
-            runtime.label_name(label_id),
+            runtime._label_names[label_id],
             operands,
             None,
             nwid,
@@ -321,12 +327,12 @@ class LaneContext:
         )
         self.sim.dram_transaction(
             response,
-            self.time,
-            src_node=self.lane.node,
-            memory_node=mem_node,
-            nbytes=nwords * 8,
-            is_read=True,
-            local_offset=local_offset,
+            self.start + self.cycles,
+            lane.node,
+            mem_node,
+            nwords * 8,
+            True,
+            local_offset,
         )
 
     def dram_read_blocking(self, va: int, nwords: int) -> tuple:

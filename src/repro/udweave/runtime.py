@@ -101,6 +101,9 @@ class UpDownRuntime:
         #: appends in place so the list identity is stable for the
         #: runtime's lifetime and the dispatcher skips one attribute hop.
         self._handler_table = self.program.handler_table
+        #: likewise the id -> ``Class::event`` name list (ids handed out
+        #: by :meth:`resolve_label_id` always index it).
+        self._label_names = self.program._label_names
         #: opt-in reliable delivery (``repro.faults.transport``).
         #: ``reliable`` accepts ``True`` (defaults) or a
         #: :class:`~repro.faults.ReliabilityConfig`; the transport is

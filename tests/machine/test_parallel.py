@@ -204,7 +204,7 @@ class TestBoundedStepping:
         sim, disp = self._sim()
         sim.run(until=20.0)
         assert [label for _, label, _ in disp.executed] == ["e0"]
-        assert len(sim._heap) == 2  # later events still queued
+        assert len(sim._queued()) == 2  # later events still queued
         assert sim.stats.events_executed == 1
 
     def test_reentry_continues_where_it_stopped(self):
@@ -214,13 +214,13 @@ class TestBoundedStepping:
         assert [label for _, label, _ in disp.executed] == ["e0", "e1"]
         sim.run()  # unbounded finishes the rest
         assert [label for _, label, _ in disp.executed] == ["e0", "e1", "e2"]
-        assert sim._heap == []
+        assert sim._queued() == []
 
     def test_until_before_first_event_is_a_no_op(self):
         sim, disp = self._sim()
         sim.run(until=5.0)
         assert disp.executed == []
-        assert len(sim._heap) == 3
+        assert len(sim._queued()) == 3
 
     def test_max_events_is_per_call(self):
         # each bounded run() gets its own budget (the guard trips when
@@ -352,7 +352,7 @@ class TestShardScheduler:
                 src_node=sim.config.node_of(i),
             )
         try:
-            whole = sorted(t for t, _seq, _dst, _rec in sim._heap)
+            whole = sorted(t for t, _seq, _dst, _rec in sim._queued())
             cut = (whole[1] + whole[2]) / 2
             stats = sim.run(until=cut)
             assert [t for t, _ in sim.host_inbox] == whole[:2]

@@ -99,6 +99,81 @@ class TestFree:
         assert gm.num_descriptors == 0
 
 
+class TestTranslatedReads:
+    """``read_words_translated``: shift/mask translation behind a
+    last-hit region, every check of the two-step path kept."""
+
+    def test_alternating_regions_replace_the_last_hit(self, gm):
+        a = gm.dram_malloc(8 * 64, 0, 2, 512, name="a")
+        b = gm.dram_malloc(8 * 64, 1, 4, 512, name="b")
+        a[:] = np.arange(64)
+        b[:] = np.arange(64) + 1000
+        for i in (0, 7, 63, 8, 1):
+            for region, bias in ((a, 0), (b, 1000), (b, 1000), (a, 0)):
+                va = region.addr(i)
+                node, off, values = gm.read_words_translated(va, 1)
+                assert values == (i + bias,)
+                assert (node, off) == region.descriptor.translate(va)
+                assert gm.region_of(va) is region
+
+    def test_read_after_free_raises_through_a_warm_last_hit(self, gm):
+        keep = gm.dram_malloc(8 * 8, name="keep")
+        r = gm.dram_malloc(8 * 8, name="gone")
+        va = r.addr(3)
+        assert gm.read_words_translated(va, 2)[2] == (0, 0)  # warm
+        gm.free(r)
+        for read in (gm.read_words_translated, gm.read_words):
+            with pytest.raises(MemoryError_, match="use after free.*'gone'"):
+                read(va, 1)
+        with pytest.raises(MemoryError_, match="out of range"):
+            r.addr(3)
+        assert gm.read_words_translated(keep.addr(0), 1)[2] == (0,)
+
+    def test_bad_addresses_raise_the_same_messages(self, gm):
+        a = gm.dram_malloc(8 * 4, name="a")
+        gm.read_words_translated(a.addr(0), 1)  # warm
+        with pytest.raises(
+            MemoryError_, match="is not a word address in region 'a'"
+        ):
+            gm.read_words_translated(a.base + 3, 1)
+        with pytest.raises(
+            MemoryError_, match="read of 4 words at .* overruns region 'a'"
+        ):
+            gm.read_words_translated(a.addr(2), 4)
+        for va in (0, a.base - 8, a.base + a.size, 1 << 50):
+            with pytest.raises(MemoryError_, match="is unmapped"):
+                gm.read_words_translated(va, 1)
+
+
+@settings(max_examples=100)
+@given(
+    machine_nodes=st.integers(1, 12),
+    nr_pow=st.integers(0, 3),
+    first=st.integers(0, 11),
+    block_pow=st.integers(9, 14),
+    nblocks=st.integers(1, 40),
+    data=st.data(),
+)
+def test_shift_mask_translation_equals_the_descriptor(
+    machine_nodes, nr_pow, first, block_pow, nblocks, data
+):
+    """Across block sizes, node counts and ``first_node`` wraparound."""
+    nr_nodes = min(1 << nr_pow, 1 << (machine_nodes.bit_length() - 1))
+    gm = GlobalMemory(bench_machine(nodes=machine_nodes))
+    gm.dram_malloc(64, name="pad")  # the region is not first in the map
+    r = gm.dram_malloc(
+        nblocks << block_pow, first % machine_nodes, nr_nodes,
+        1 << block_pow,
+    )
+    r[:] = np.arange(r.nwords)
+    words = st.integers(0, r.nwords - 1)
+    for i in data.draw(st.lists(words, min_size=1, max_size=20)):
+        va = r.addr(i)
+        node, off, values = gm.read_words_translated(va, 1)
+        assert (node, off) == r.descriptor.translate(va)
+        assert values == (i,)
+
+
 class TestRegionHelpers:
     def test_addr_index_roundtrip(self, gm):
         r = gm.dram_malloc(8 * 100, name="a")
