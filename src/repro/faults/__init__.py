@@ -9,15 +9,13 @@ Three pieces, wired through the machine / runtime / KVMSR layers:
 * :class:`ReliableTransport` / :class:`ReliabilityConfig` — opt-in
   ack/retry delivery so programs complete exactly-once under message
   loss (``transport.py``); enable via ``UpDownRuntime(reliable=True)``.
-* Liveness watchdogs — ``QuiescenceStall`` (simulated-time progress
-  monitor in the simulator) and ``ShardWorkerFailed`` (parent-side
-  health check for forked shard workers), re-exported here so chaos
-  tests import one package.
+* The liveness watchdog — ``QuiescenceStall`` (simulated-time progress
+  monitor in the simulator), re-exported here so chaos tests import one
+  package.
 
 See DESIGN.md, "Fault model & resilient delivery".
 """
 
-from repro.machine.parallel import ShardWorkerFailed
 from repro.machine.simulator import QuiescenceStall
 
 from .plan import FaultPlan, FaultPlanError
@@ -29,5 +27,4 @@ __all__ = [
     "ReliabilityConfig",
     "ReliableTransport",
     "QuiescenceStall",
-    "ShardWorkerFailed",
 ]

@@ -18,10 +18,9 @@ point of issue and each actor lives on exactly one shard, so
 
 * the same plan over the same program yields bit-identical fault
   decisions on every run, and
-* a faulty run is **shard-count-invariant**: ``shards=1/2/4`` (and
-  ``parallel=True``) perturb the same messages at the same times, so
-  stats, traces, and application results stay bit-identical across
-  partitionings.
+* a faulty run is **shard-count-invariant**: ``shards=1/2/4`` perturb
+  the same messages at the same times, so stats, traces, and
+  application results stay bit-identical across partitionings.
 
 A shared ``random.Random`` could give neither property — consumption
 order differs between sequential and windowed drains (which is why

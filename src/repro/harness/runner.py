@@ -74,7 +74,6 @@ def _bench_runtime(
     record,
     machine_overrides,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -85,7 +84,6 @@ def _bench_runtime(
         detailed_stats=detailed_stats,
         recorder=make_recorder(record),
         shards=shards,
-        parallel=parallel,
         faults=faults,
         reliable=reliable,
         watchdog_cycles=watchdog_cycles,
@@ -95,9 +93,9 @@ def _bench_runtime(
 def _attach_recorder(extra: Dict[str, Any], rt: UpDownRuntime) -> Dict[str, Any]:
     if rt.recorder is not None:
         extra["recorder"] = rt.recorder
-    # forked-worker runs expose the coordinator's transport counters
-    # (windows, boundary bytes / records / frames, barrier wait, ring KiB);
-    # they live outside SimStats so fingerprints stay parallel-invariant
+    # sharded runs expose the window loop's count ({"windows": n});
+    # sequential runs have no window loop and report nothing.  Host-side,
+    # so outside SimStats: fingerprints stay shard-invariant
     metrics = rt.sim.parallel_metrics()
     if metrics is not None:
         extra["parallel_metrics"] = metrics
@@ -135,7 +133,6 @@ def run_pagerank(
     detailed_stats: bool = False,
     record=None,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -144,18 +141,15 @@ def run_pagerank(
 ) -> RunRecord:
     """One PageRank run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = PageRankApp(
         rt, graph, max_degree=max_degree, mem_nodes=mem_nodes,
         block_size=BENCH_BLOCK_SIZE,
     )
-    try:
-        res = app.run(iterations=iterations, max_events=max_events)
-        _check_quiescence(rt, require_quiescence)
-    finally:
-        rt.shutdown()
+    res = app.run(iterations=iterations, max_events=max_events)
+    _check_quiescence(rt, require_quiescence)
     return RunRecord(
         nodes=nodes,
         seconds=res.elapsed_seconds,
@@ -177,7 +171,6 @@ def run_bfs(
     detailed_stats: bool = False,
     record=None,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -186,8 +179,8 @@ def run_bfs(
 ) -> RunRecord:
     """One BFS run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = BFSApp(
         rt,
@@ -197,11 +190,8 @@ def run_bfs(
         frontier_mem_nodes=frontier_mem_nodes,
         block_size=BENCH_BLOCK_SIZE,
     )
-    try:
-        res = app.run(root=root, max_events=max_events)
-        _check_quiescence(rt, require_quiescence)
-    finally:
-        rt.shutdown()
+    res = app.run(root=root, max_events=max_events)
+    _check_quiescence(rt, require_quiescence)
     return RunRecord(
         nodes=nodes,
         seconds=res.elapsed_seconds,
@@ -226,7 +216,6 @@ def run_triangle_count(
     detailed_stats: bool = False,
     record=None,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -235,17 +224,14 @@ def run_triangle_count(
 ) -> RunRecord:
     """One TC run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = TriangleCountApp(
         rt, graph, pbmw=pbmw, mem_nodes=mem_nodes, block_size=BENCH_BLOCK_SIZE
     )
-    try:
-        res = app.run(max_events=max_events)
-        _check_quiescence(rt, require_quiescence)
-    finally:
-        rt.shutdown()
+    res = app.run(max_events=max_events)
+    _check_quiescence(rt, require_quiescence)
     return RunRecord(
         nodes=nodes,
         seconds=res.elapsed_seconds,
@@ -264,7 +250,6 @@ def run_ingestion(
     detailed_stats: bool = False,
     record=None,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -273,15 +258,12 @@ def run_ingestion(
 ) -> RunRecord:
     """One ingestion run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = IngestionApp(rt, records, block_words=block_words)
-    try:
-        res = app.run(max_events=max_events)
-        _check_quiescence(rt, require_quiescence)
-    finally:
-        rt.shutdown()
+    res = app.run(max_events=max_events)
+    _check_quiescence(rt, require_quiescence)
     return RunRecord(
         nodes=nodes,
         seconds=res.elapsed_seconds,
@@ -299,7 +281,6 @@ def run_partial_match(
     detailed_stats: bool = False,
     record=None,
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -308,17 +289,14 @@ def run_partial_match(
 ) -> RunRecord:
     """One partial-match stream on a fresh scaled machine (latency metric)."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = PartialMatchApp(rt, patterns)
-    try:
-        res = app.run_stream(
-            records, gap_cycles=gap_cycles, max_events=max_events
-        )
-        _check_quiescence(rt, require_quiescence)
-    finally:
-        rt.shutdown()
+    res = app.run_stream(
+        records, gap_cycles=gap_cycles, max_events=max_events
+    )
+    _check_quiescence(rt, require_quiescence)
     return RunRecord(
         nodes=nodes,
         seconds=res.mean_latency_seconds,
@@ -339,7 +317,6 @@ def run_service(
     detailed_stats: bool = False,
     record="histograms",
     shards: int = 1,
-    parallel: bool = False,
     faults=None,
     reliable=False,
     watchdog_cycles: Optional[float] = None,
@@ -353,9 +330,9 @@ def run_service(
     and :class:`~repro.service.SLOSpec`.  Records per-request latency
     histograms by default (``record="histograms"``).
 
-    ``shards`` / ``parallel`` select the execution mode as for the batch
-    runners; the harness steps the machine with ``run(until=)``, which is
-    the same clamp in every mode, so all three produce one fingerprint.
+    ``shards`` selects the execution mode as for the batch runners; the
+    harness steps the machine with ``run(until=)``, which is the same
+    clamp sequentially and sharded, so both produce one fingerprint.
 
     There is no quiescence requirement here: a service run ends when the
     drain grace expires, and unanswered requests are *accounted* (the
@@ -370,8 +347,8 @@ def run_service(
     from repro.service import DEFAULT_PATTERNS, ServiceApp, ServiceHarness
 
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, parallel,
-        faults, reliable, watchdog_cycles,
+        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        reliable, watchdog_cycles,
     )
     app = ServiceApp(
         rt, patterns=patterns if patterns is not None else DEFAULT_PATTERNS
@@ -382,10 +359,7 @@ def run_service(
         step_cycles=step_cycles,
         drain_grace_cycles=drain_grace_cycles,
     )
-    try:
-        res = harness.run(requests, slo=slo, max_events=max_events)
-    finally:
-        rt.shutdown()
+    res = harness.run(requests, slo=slo, max_events=max_events)
     completed = res.status_counts["ok"] + res.status_counts["deadline_miss"]
     return RunRecord(
         nodes=nodes,

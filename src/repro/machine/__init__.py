@@ -9,7 +9,6 @@ from .config import MachineConfig, bench_machine, paper_machine
 from .costs import DEFAULT_COSTS, CLOCK_HZ, CostTable
 from .events import HOST_NWID, NEW_THREAD, MessageRecord
 from .lane import Lane
-from .parallel import ShardWorkerFailed
 from .simulator import QuiescenceStall, SimulationError, Simulator
 from .stats import SimStats
 
@@ -27,6 +26,5 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "QuiescenceStall",
-    "ShardWorkerFailed",
     "SimStats",
 ]

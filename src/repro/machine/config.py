@@ -79,12 +79,6 @@ class MachineConfig:
     #: ``False`` interprets every event: the independent reference that
     #: differential tests check batched runs against.
     batch_dispatch: bool = True
-    #: capacity of each shared-memory boundary ring in KiB for
-    #: ``parallel=True`` forked workers (one ring per ordered shard
-    #: pair).  A speed matter only: a full ring makes its producer wait
-    #: for the consumer.  The one thing it bounds is a *single* boundary
-    #: record, whose frame must fit in one ring.
-    parallel_ring_kib: int = 256
     costs: CostTable = field(default_factory=lambda: DEFAULT_COSTS)
 
     def __post_init__(self) -> None:
@@ -98,11 +92,6 @@ class MachineConfig:
             raise ValueError("remote DRAM latency ratio must be >= 1")
         if not (0.0 < self.remote_dram_bandwidth_ratio <= 1.0):
             raise ValueError("remote DRAM bandwidth ratio must be in (0, 1]")
-        if self.parallel_ring_kib < 4:
-            raise ValueError(
-                "parallel_ring_kib must be >= 4 (one ring must hold at "
-                "least a handful of boundary frames)"
-            )
         self.costs.validate()
 
     # ------------------------------------------------------------------

@@ -33,7 +33,6 @@ dispatcher.
 
 from __future__ import annotations
 
-from operator import attrgetter as _attrgetter
 from typing import Any, Optional, Tuple
 
 #: Thread-selector sentinel: create a new thread at delivery (``evw_new``).
@@ -290,75 +289,3 @@ class SimEvent:
             f"SimEvent(time={self.time}, dest={self.dest}, "
             f"seq={self.seq}, record={self.record!r})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Boundary rows (shared-memory parallel transport)
-# ---------------------------------------------------------------------------
-#
-# The forked-worker transport (``repro.machine.parallel``) ships boundary
-# records between shard workers as pickled batches.  What it pickles are
-# not the record objects but these *flat rows* — plain tuples of the
-# record's fields behind the heap key — because the C pickler walks a
-# tuple of scalars several times faster than it drives ``__reduce_ex__``
-# on a ``__slots__`` instance, and the consumer rebuilds each record with
-# one constructor call.  Row arity is the only type tag:
-#
-#   12  ``(t, dest, seq) + MessageRecord.__slots__`` values
-#    8  ``(t, dest, seq, src_node, memory_node, nbytes, local_offset,
-#       back_bytes)`` — a :class:`DramArrival` without response (its
-#       ``network_id`` is the entry's ``dest``)
-#   17  the same followed by the response's nine message fields
-#    2  ``(va, values)`` — one functional-memory write, passed through
-#
-# Forked workers share the label-id table they inherited, so a row
-# carries ``label`` and ``label_id`` as they are; streams hold no state.
-
-_msg_fields = _attrgetter(*MessageRecord.__slots__)
-_dram_fields = _attrgetter(
-    "src_node", "memory_node", "nbytes", "local_offset", "back_bytes"
-)
-
-
-def flatten_boundary_entry(entry) -> tuple:
-    """The flat row of one ``(time, dest, seq, record)`` heap entry."""
-    rec = entry[3]
-    cls = type(rec)
-    if cls is MessageRecord:
-        return entry[:3] + _msg_fields(rec)
-    if cls is DramArrival:
-        row = entry[:3] + _dram_fields(rec)
-        resp = rec.response
-        return row if resp is None else row + _msg_fields(resp)
-    raise TypeError(
-        f"cannot flatten boundary record of type {cls.__name__}"
-    )
-
-
-def rebuild_boundary_rows(rows):
-    """Inverse of :func:`flatten_boundary_entry` over one decoded batch.
-
-    Returns ``(entries, wlogs)``: heap entries in row order, and the
-    ``(va, values)`` write rows in row order.
-    """
-    entries = []
-    wlogs = []
-    push = entries.append
-    for row in rows:
-        n = len(row)
-        if n == 12:
-            push((row[0], row[1], row[2], MessageRecord(*row[3:])))
-        elif n == 2:
-            wlogs.append(row)
-        elif n == 8:
-            push((row[0], row[1], row[2], DramArrival(row[1], None, *row[3:])))
-        elif n == 17:
-            push((
-                row[0], row[1], row[2],
-                DramArrival(row[1], MessageRecord(*row[8:]), *row[3:8]),
-            ))
-        else:
-            raise ValueError(
-                f"corrupt boundary frame: row of unexpected arity {n}"
-            )
-    return entries, wlogs

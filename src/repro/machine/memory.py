@@ -162,32 +162,6 @@ class MemorySystem:
             self.recorder, memory_node,
         )
 
-    # ------------------------------------------------------------------
-    # Shard state exchange (repro.machine.parallel)
-    # ------------------------------------------------------------------
-
-    def export_channels(self, nodes) -> Dict[tuple, tuple]:
-        """Channel state of ``nodes`` as plain picklable data.
-
-        Memory channels are serviced only at their owning node (remote
-        accesses arrive as events at the memory node), so per-shard
-        exports are disjoint, like :meth:`Network.export_channels`.
-        """
-        wanted = set(nodes)
-        return {
-            key: (ch.free_at, ch.bytes_served, ch.requests)
-            for key, ch in self._channels.items()
-            if key[0] in wanted
-        }
-
-    def apply_channels(self, state: Dict[tuple, tuple]) -> None:
-        """Overwrite local channel state with an :meth:`export_channels`."""
-        for (node, bank), (free_at, nbytes, requests) in state.items():
-            ch = self.channel(node, bank)
-            ch.free_at = free_at
-            ch.bytes_served = nbytes
-            ch.requests = requests
-
     def bytes_served(self, node: int) -> int:
         return sum(
             ch.bytes_served

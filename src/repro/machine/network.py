@@ -279,42 +279,6 @@ class Network:
             return t_deliver, t_dup
         return t_deliver + extra_delay_cycles, None
 
-    # ------------------------------------------------------------------
-    # Shard state exchange (repro.machine.parallel)
-    # ------------------------------------------------------------------
-
-    def export_channels(self, nodes) -> Dict[str, Dict[int, tuple]]:
-        """Channel state of ``nodes`` as plain picklable data.
-
-        Shard workers ship the channels of *their own* nodes back to the
-        coordinator at drain end — every channel is mutated only by its
-        owning node, so per-shard exports are disjoint and the parent can
-        apply them without conflict.
-        """
-        wanted = set(nodes)
-        return {
-            "inj": {
-                n: (ch.free_at, ch.bytes_injected)
-                for n, ch in self._injection.items()
-                if n in wanted
-            },
-            "reply": {
-                n: (ch.free_at, ch.bytes_injected)
-                for n, ch in self._reply.items()
-                if n in wanted
-            },
-        }
-
-    def apply_channels(self, state: Dict[str, Dict[int, tuple]]) -> None:
-        """Overwrite local channel state with an :meth:`export_channels`."""
-        for key, chans in (("inj", self._injection), ("reply", self._reply)):
-            for node, (free_at, nbytes) in state[key].items():
-                ch = chans.get(node)
-                if ch is None:
-                    ch = chans[node] = InjectionChannel()
-                ch.free_at = free_at
-                ch.bytes_injected = nbytes
-
     def injected_bytes(self, node: int) -> int:
         """Bytes a node put on the fabric (request + reply channels)."""
         total = 0

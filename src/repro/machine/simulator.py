@@ -139,10 +139,9 @@ class Simulator:
     """Event-driven simulation of one UpDown machine.
 
     ``shards`` > 1 partitions the machine's nodes into that many shards
-    and drains them through conservative epoch windows (see
-    ``repro.machine.parallel``); ``parallel=True`` additionally runs each
-    shard in its own forked worker process.  Results are bit-identical to
-    the sequential (``shards=1``) drain.
+    and drains them through conservative epoch windows, in this process
+    (see ``repro.machine.parallel``).  Results are bit-identical to the
+    sequential (``shards=1``) drain.
     """
 
     def __init__(
@@ -155,7 +154,6 @@ class Simulator:
         detailed_stats: bool = False,
         recorder=None,
         shards: int = 1,
-        parallel: bool = False,
         faults=None,
         watchdog_cycles: Optional[float] = None,
     ) -> None:
@@ -203,7 +201,7 @@ class Simulator:
         #: shard-routing hook installed by ``repro.machine.parallel``;
         #: ``None`` means push straight into ``self._heap``.
         self._route: Optional[Callable] = None
-        #: the per-shard heaps an in-process ``ShardScheduler`` keeps its
+        #: the per-shard heaps the ``ShardScheduler`` keeps its
         #: queued entries in (``self._heap`` stays empty between its
         #: windows); ``None`` when ``self._heap`` holds them.
         self._shard_heaps: Optional[List[list]] = None
@@ -213,15 +211,8 @@ class Simulator:
         self.host_inbox: List[Tuple[float, MessageRecord]] = []
         # --- shard configuration -------------------------------------
         self.shards = shards
-        self.parallel = parallel
         self._scheduler = None
         self._shard_of_node: Optional[List[int]] = None
-        #: shared runtime state the parallel executor must replicate
-        #: across worker processes; set via :meth:`bind_shared`.
-        self.funcmem = None
-        self.hostlog = None
-        self._recorder_rebinders: List[Callable] = []
-        self._setup_token: Optional[Callable] = None
         if shards < 1:
             raise SimulationError("shards must be at least 1")
         if shards > 1:
@@ -336,9 +327,6 @@ class Simulator:
         #: polls, retransmit timers); populated via :meth:`mark_idle_labels`.
         self._wd_idle_labels: set = set()
         self._wd_last_progress: float = 0.0
-        #: forked shard workers observe only their own shard's events, so
-        #: they report progress to the coordinator instead of raising.
-        self._wd_report_only: bool = False
         #: (name, fn(sim) -> data) providers consulted by :meth:`stall_dump`.
         self._diag_providers: List[tuple] = []
 
@@ -363,35 +351,6 @@ class Simulator:
     @property
     def instantiated_lanes(self) -> int:
         return len(self._lanes)
-
-    def bind_shared(
-        self,
-        funcmem=None,
-        hostlog=None,
-        recorder_rebind=None,
-        setup_token=None,
-    ):
-        """Register runtime-owned shared state for parallel execution.
-
-        ``funcmem`` (a ``GlobalMemory``) has its writes logged and
-        replicated across shard processes; ``hostlog`` (a ``UDLog``) is
-        merged back to the parent; ``recorder_rebind`` is called with the
-        fresh per-worker recorder so objects outside the simulator (the
-        UDWeave runtime, whose KVMSR hooks read ``runtime.recorder``)
-        observe the swap.  ``setup_token`` is a zero-argument callable
-        fingerprinting host-side program setup (registered thread
-        classes, jobs, host labels); the parallel executor snapshots it
-        at fork time and rejects later drains if it changed — forked
-        workers cannot observe registrations made in the host process.
-        """
-        if funcmem is not None:
-            self.funcmem = funcmem
-        if hostlog is not None:
-            self.hostlog = hostlog
-        if recorder_rebind is not None:
-            self._recorder_rebinders.append(recorder_rebind)
-        if setup_token is not None:
-            self._setup_token = setup_token
 
     # ------------------------------------------------------------------
     # Liveness watchdog & diagnostics
@@ -489,14 +448,14 @@ class Simulator:
         Every scheduled delivery — sends, host injections, DRAM arrivals
         and responses — funnels through here, so the shard scheduler has
         one place to hook (``self._route``) when events must land in a
-        per-shard heap or a cross-shard boundary batch instead of the
-        global heap.  ``actor`` identifies the issuing execution context;
-        its private counter makes the key unique and shard-independent.
+        per-shard heap instead of the global heap.  ``actor`` identifies
+        the issuing execution context; its private counter makes the key
+        unique and shard-independent.
 
         Unrouted (plain sequential) pushes land in one of two tiers:
         the near heap when due before ``_near_end``, a far bucket
-        otherwise.  Routed pushes go to the shard runners' own heaps and
-        never populate the far tier.
+        otherwise.  Routed pushes go to the shard scheduler's own heaps
+        and never populate the far tier.
         """
         aseq = self._actor_seq
         count = aseq.get(actor, 0)
@@ -562,15 +521,15 @@ class Simulator:
 
     def _queued(self) -> list:
         """Every queued entry, in no particular order: both tiers, or
-        the shard heaps when an in-process scheduler holds them."""
+        the shard heaps when the shard scheduler holds them."""
         heaps = self._shard_heaps
         if heaps is None:
             heaps = [self._heap, *self._far.values()]
         return [entry for heap in heaps for entry in heap]
 
     def _take_queued(self) -> list:
-        """Remove and return everything in both tiers (shard runners
-        adopt pre-drain injections into their own queues this way)."""
+        """Remove and return everything in both tiers (the shard
+        scheduler adopts pre-drain injections into its heaps this way)."""
         entries = self._heap
         for bucket in self._far.values():
             entries.extend(bucket)
@@ -1066,12 +1025,12 @@ class Simulator:
         execute, and everything at or after ``until`` stays queued, so
         the caller can re-enter — the stepping the service harness's
         open loop is built on.  It is the same clamp in every mode:
-        sharded runs, in-process or forked, go through the one window
-        loop in ``repro.machine.parallel``, which cuts its windows at
-        the bound.  Plain sequential is that loop's body for one shard
-        and one unbounded window — a direct :meth:`_drain` call, kept
-        direct because apps that call ``run()`` once per round or per
-        service step must not pay a coordinator per call.
+        sharded runs go through the window loop in
+        ``repro.machine.parallel``, which cuts its windows at the bound.
+        Plain sequential is that loop's body for one shard and one
+        unbounded window — a direct :meth:`_drain` call, kept direct
+        because apps that call ``run()`` once per round or per service
+        step must not pay a coordinator per call.
         """
         gate = self._park_gate()
         self._gate_counts[gate] = self._gate_counts.get(gate, 0) + 1
@@ -1079,9 +1038,9 @@ class Simulator:
             if self.shards > 1:
                 sched = self._scheduler
                 if sched is None:
-                    from .parallel import make_scheduler
+                    from .parallel import ShardScheduler
 
-                    sched = self._scheduler = make_scheduler(self)
+                    sched = self._scheduler = ShardScheduler(self)
                 return sched.drain(max_events, until)
             self._park_active = gate == "armed"
             stats = self._drain(
@@ -1206,7 +1165,6 @@ class Simulator:
         rec_fault = self._rec_fault
         wd = self._watchdog_cycles
         wd_idle = self._wd_idle_labels
-        wd_report = self._wd_report_only
         wd_last = self._wd_last_progress
         # Batched dispatch: when parking is armed (or leftovers exist
         # from a bounded drain), every delivery to a lane first flushes
@@ -1289,10 +1247,8 @@ class Simulator:
                             if rec.label in wd_idle:
                                 # Only idle/control traffic (poll loops,
                                 # retry timers, acks) — no application
-                                # progress.  In report-only mode (forked
-                                # shard workers) the parent aggregates
-                                # and raises instead.
-                                if not wd_report and ev_time - wd_last > wd:
+                                # progress.
+                                if ev_time - wd_last > wd:
                                     raise QuiescenceStall(
                                         f"no application progress for "
                                         f"{ev_time - wd_last:.0f} cycles "
@@ -1397,33 +1353,20 @@ class Simulator:
             if ln.busy_cycles:
                 by_lane[nwid] = ln.busy_cycles
 
-    def shutdown(self) -> None:
-        """Release parallel-execution resources (worker processes).
-
-        A no-op for sequential and in-process sharded simulators; safe to
-        call more than once.  Forked workers are daemonic, so skipping
-        this leaks nothing past interpreter exit — but long-lived hosts
-        (sweeps, test suites) should call it between machines.
-        """
-        sched = self._scheduler
-        if sched is not None:
-            sched.close()
-
     def parallel_metrics(self) -> Optional[dict]:
-        """Hub metrics of the forked-worker transport, or ``None``.
+        """``{"windows": n}`` — epoch windows the shard scheduler has
+        coordinated over all drains — once a sharded simulator has
+        drained; ``None`` otherwise.
 
-        Populated only for ``parallel=True`` runs: windows coordinated,
-        boundary bytes/records/frames shipped through the shared-memory
-        rings, barrier-wait seconds, and the ring capacity in force.
-        Kept out of :class:`SimStats` deliberately — these describe the
-        *host-side transport*, not the simulated machine, and must not
-        perturb fingerprint comparisons against sequential runs.
+        Kept out of :class:`SimStats` deliberately: the window count
+        describes the host-side coordinator, not the simulated machine,
+        and must not perturb fingerprint comparisons against sequential
+        runs.
         """
         sched = self._scheduler
-        metrics = getattr(sched, "hub_metrics", None)
-        if metrics is None:
+        if sched is None:
             return None
-        return dict(metrics, windows=sched.windows)
+        return {"windows": sched.windows}
 
     # ------------------------------------------------------------------
     # Results

@@ -170,8 +170,8 @@ class SimStats:
         """:meth:`scalar_snapshot` minus :data:`HOST_SPLIT_KEYS`.
 
         Everything the *modeled machine* did — the fingerprint that must
-        be bit-identical across batched / interpreted / sharded / forked
-        drains.  The conservation invariant ``records_batched +
+        be bit-identical across batched / interpreted / sharded drains.
+        The conservation invariant ``records_batched +
         events_interpreted == events_executed`` ties the dropped keys
         back to a key that stays.
         """
@@ -179,39 +179,6 @@ class SimStats:
         for key in HOST_SPLIT_KEYS:
             del snap[key]
         return snap
-
-    # ------------------------------------------------------------------
-    # Shard merging (repro.machine.parallel)
-    # ------------------------------------------------------------------
-
-    def delta_since(self, base: Dict[str, float]) -> Dict[str, float]:
-        """Scalar counters accumulated since ``base`` (a prior snapshot).
-
-        ``final_tick`` stays absolute — it is a maximum, not a sum, so a
-        delta is meaningless for it; :meth:`absorb_delta` max-merges it.
-        Shard workers report one of these per drain so the coordinator
-        can add worker contributions without double counting state the
-        workers inherited at fork time.
-        """
-        snap = self.scalar_snapshot()
-        delta = {k: v - base.get(k, 0) for k, v in snap.items()}
-        delta["final_tick"] = snap["final_tick"]
-        return delta
-
-    def absorb_delta(self, delta: Dict[str, float]) -> None:
-        """Fold one shard's :meth:`delta_since` into this object.
-
-        Additive counters sum (so the PR 2 invariant ``sent == local +
-        remote + host_injected + host_bound`` survives: each shard's
-        delta satisfies it, and sums of partitions partition the sum);
-        ``final_tick`` is the max over shards.
-        """
-        for key, value in delta.items():
-            if key == "final_tick":
-                if value > self.final_tick:
-                    self.final_tick = value
-            else:
-                setattr(self, key, getattr(self, key) + value)
 
     def summary(self) -> str:
         return (

@@ -265,17 +265,7 @@ class GlobalMemory:
         return node, offset, tuple(region.data[start : start + nwords].tolist())
 
     def write_words_translated(self, va: int, values) -> Tuple[int, int]:
-        """Fused ``translate`` + ``write_words`` (see read_words_translated).
-
-        Honors an instance-level ``write_words`` override: forked shard
-        workers patch that method to log functional-memory writes for
-        cross-process replication, and fused writes must not slip past
-        the log.
-        """
-        patched = self.__dict__.get("write_words")
-        if patched is not None:
-            patched(va, values)
-            return self.region_of(va).descriptor.translate(va)
+        """Fused ``translate`` + ``write_words`` (see read_words_translated)."""
         region = self.region_of(va)
         start = region.index_of(va)
         n = len(values)

@@ -40,16 +40,6 @@ class LogHistogram:
         if value > self.max:
             self.max = value
 
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold ``other``'s samples into this histogram (shard stitching)."""
-        buckets = self.buckets
-        for b, n in other.buckets.items():
-            buckets[b] = buckets.get(b, 0) + n
-        self.count += other.count
-        self.total += other.total
-        if other.max > self.max:
-            self.max = other.max
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -248,93 +248,6 @@ class FlightRecorder:
     def phase_names(self) -> List[str]:
         return sorted({p for _j, p, _s, _e in self.phase_spans})
 
-    # ------------------------------------------------------------------
-    # Shard stitching (repro.machine.parallel)
-    # ------------------------------------------------------------------
-
-    def sibling(self) -> "FlightRecorder":
-        """An empty recorder of the same tier and caps (per-shard copy)."""
-        return FlightRecorder(
-            self.tier,
-            max_lane_spans=self._max_lane_spans,
-            max_channel_events=self._max_channel_events,
-            max_fault_events=self._max_fault_events,
-        )
-
-    def drain_handoff(self) -> "FlightRecorder":
-        """A fresh sibling carrying only the open-phase table forward.
-
-        Per-drain delta reporting for forked workers: after shipping its
-        accumulated telemetry at drain end, a worker rebinds to this
-        fresh recorder so the next drain ships only *new* telemetry (the
-        parent merges deltas into its live recorder instead of
-        rebuilding from a pre-fork snapshot).  Open phase spans must
-        survive the handoff — a phase begun in one drain and ended in
-        the next closes with the original start time.
-        """
-        fresh = self.sibling()
-        fresh._open_phases = dict(self._open_phases)
-        return fresh
-
-    def merge_from(self, other: "FlightRecorder") -> None:
-        """Fold another recorder's telemetry into this one.
-
-        Per-node channel maps are disjoint across shards (each channel is
-        fed only by its owning node), so entries are summed field-wise in
-        the rare overlap case and otherwise adopted; histograms merge
-        bucket-wise; timeline lists concatenate (callers sort once at the
-        end via :meth:`sort_timelines`).
-        """
-        self.lane_spans.extend(other.lane_spans)
-        self.lane_spans_dropped += other.lane_spans_dropped
-        for mine, theirs in (
-            (self.inj_by_node, other.inj_by_node),
-            (self.dram_by_node, other.dram_by_node),
-        ):
-            for node, ch in theirs.items():
-                dst = mine.get(node)
-                if dst is None:
-                    dst = mine[node] = ChannelStats()
-                dst.admits += ch.admits
-                dst.bytes += ch.bytes
-                dst.wait_sum += ch.wait_sum
-                dst.occupancy_sum += ch.occupancy_sum
-                if ch.wait_max > dst.wait_max:
-                    dst.wait_max = ch.wait_max
-                dst.wait_hist.merge(ch.wait_hist)
-        self.inj_wait.merge(other.inj_wait)
-        self.dram_wait.merge(other.dram_wait)
-        self.inj_events.extend(other.inj_events)
-        self.dram_events.extend(other.dram_events)
-        self.channel_events_dropped += other.channel_events_dropped
-        for kind, hist in other.msg_latency.items():
-            self.msg_latency[kind].merge(hist)
-        self.batch_sizes.merge(other.batch_sizes)
-        self.batches_recorded += other.batches_recorded
-        self.batch_records += other.batch_records
-        self.phase_spans.extend(other.phase_spans)
-        self.marks.extend(other.marks)
-        self._open_phases.update(other._open_phases)
-        for kind, count in other.fault_counts.items():
-            self.fault_counts[kind] = self.fault_counts.get(kind, 0) + count
-        self.fault_events.extend(other.fault_events)
-        self.fault_events_dropped += other.fault_events_dropped
-
-    def sort_timelines(self) -> None:
-        """Time-order the concatenated per-shard timeline lists.
-
-        After shard merging the lists are grouped by shard; one sort
-        restores a global timeline so exports (Chrome trace, perflog)
-        read identically to a sequential recording.
-        """
-        self.lane_spans.sort(key=lambda s: (s[1], s[0], s[2], s[3]))
-        self.inj_events.sort(key=lambda e: (e[1], e[0]))
-        self.dram_events.sort(key=lambda e: (e[1], e[0]))
-        self.phase_spans.sort(key=lambda p: (p[2], p[3], p[0], p[1]))
-        self.marks.sort(key=lambda m: (m[2], m[0], m[1] or ""))
-        # detail tuples may mix ints and None; repr keeps the key total.
-        self.fault_events.sort(key=lambda f: (f[1], f[0], repr(f[2])))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FlightRecorder(tier={self.tier!r}, "

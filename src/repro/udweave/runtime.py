@@ -8,6 +8,7 @@ object and an event handler, executed atomically, and charged per Table 2.
 
 from __future__ import annotations
 
+import warnings
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.machine.config import MachineConfig
@@ -52,11 +53,18 @@ class UpDownRuntime:
         detailed_stats: bool = False,
         recorder=None,
         shards: int = 1,
-        parallel: bool = False,
+        parallel: Optional[bool] = None,
         faults=None,
         reliable=False,
         watchdog_cycles: Optional[float] = None,
     ) -> None:
+        if parallel is not None:
+            warnings.warn(
+                "UpDownRuntime(parallel=) is ignored; shards always run "
+                "in-process; results are bit-identical",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self.config = config
         self.program = program if program is not None else Program()
         #: optional flight recorder (``repro.observe.FlightRecorder``);
@@ -71,22 +79,12 @@ class UpDownRuntime:
             detailed_stats=detailed_stats,
             recorder=recorder,
             shards=shards,
-            parallel=parallel,
             faults=faults,
             watchdog_cycles=watchdog_cycles,
         )
         self.gmem = GlobalMemory(config)
         self.spalloc = SpAllocator(sp_capacity_words)
         self.udlog = UDLog()
-        # Hand the simulator the process-shared pieces the parallel
-        # executor must replicate/merge across shard workers, plus a hook
-        # to swap the recorder KVMSR's phase instrumentation reads.
-        self.sim.bind_shared(
-            funcmem=self.gmem,
-            hostlog=self.udlog,
-            recorder_rebind=self._rebind_recorder,
-            setup_token=self._host_setup_token,
-        )
         #: host mailbox labels live in their own namespace (they are not
         #: program events; they terminate at the simulation host).
         self._host_labels: Dict[str, int] = {}
@@ -287,25 +285,11 @@ class UpDownRuntime:
         return self.sim.run(max_events=max_events)
 
     def shutdown(self) -> None:
-        """Release simulator resources (parallel worker pool, if any)."""
-        self.sim.shutdown()
+        """A no-op: the runtime holds no process or OS resource.
 
-    def _rebind_recorder(self, recorder) -> None:
-        self.recorder = recorder
-
-    def _host_setup_token(self) -> tuple:
-        """Fingerprint of host-side program setup.
-
-        Forked shard workers inherit registrations by copy-on-write at
-        fork time only; the parallel executor compares this token across
-        drains to reject setup performed after the fork (which the
-        workers could never observe).
+        Kept, like the ignored ``parallel=`` keyword, so existing callers
+        keep working; safe to call any number of times.
         """
-        return (
-            len(self._handler_table),
-            len(self._host_label_names),
-            len(getattr(self, "_kvmsr_jobs", ())),
-        )
 
     def host_messages(self, tag: Optional[str] = None) -> List[MessageRecord]:
         return self.sim.host_messages(tag)

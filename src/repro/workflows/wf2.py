@@ -50,19 +50,15 @@ class WF2Workflow:
         seeds: Sequence[int],
         hops: int = 2,
         shards: int = 1,
-        parallel: bool = False,
     ) -> None:
         self.config = config
         self.patterns = list(patterns)
         self.seeds = list(seeds)
         self.hops = hops
         self.shards = shards
-        self.parallel = parallel
 
     def _runtime(self) -> UpDownRuntime:
-        return UpDownRuntime(
-            self.config, shards=self.shards, parallel=self.parallel
-        )
+        return UpDownRuntime(self.config, shards=self.shards)
 
     def run(
         self,
@@ -97,8 +93,6 @@ class WF2Workflow:
             self.seeds, self.hops, max_events=max_events
         )
         phase_seconds["reasoning"] = mh_res.elapsed_seconds
-        for runtime in (rt, rt2, rt3):
-            runtime.shutdown()
 
         perflog = "\n".join(
             [

@@ -29,21 +29,17 @@ class Collect(ReduceTask):
         self.kv_reduce_return(ctx)
 
 
-def run_job(faults=None, reliable=False, watchdog=None, shards=1,
-            parallel=False):
+def run_job(faults=None, reliable=False, watchdog=None, shards=1):
     rt = UpDownRuntime(
         bench_machine(nodes=2), faults=faults, reliable=reliable,
-        watchdog_cycles=watchdog, shards=shards, parallel=parallel,
+        watchdog_cycles=watchdog, shards=shards,
     )
     sink = {}
     job = KVMSRJob(
         rt, EmitMap, RangeInput(60), reduce_cls=Collect, payload=sink
     )
     job.launch()
-    try:
-        stats = rt.run(max_events=2_000_000)
-    finally:
-        rt.shutdown()
+    stats = rt.run(max_events=2_000_000)
     return rt, sink, stats
 
 
@@ -90,21 +86,21 @@ class TestLostCredit:
             k: sorted(v) for k, v in golden.items()
         }
 
-    def test_parent_side_watchdog_catches_stalled_shard_workers(self):
-        """Forked workers run report-only; the window loop in the parent
-        aggregates their progress marks, raises between windows, and
-        attaches per-shard dumps."""
-        with pytest.raises(QuiescenceStall, match="across 2 shards") as info:
-            run_job(parallel=True, shards=2, **LOSSY)
-        dump = info.value.diagnostic
-        assert set(dump) == {"shard_0", "shard_1"}
-        credits = [
-            m
-            for shard_dump in dump.values()
-            if isinstance(shard_dump, dict)
-            for m in shard_dump["kvmsr_credits"]["live_masters"]
-        ]
-        assert any(m["outstanding"] > 0 for m in credits)
+    def test_sharded_stall_is_the_sequential_verdict(self):
+        """The verdict exists once, in the drain loop: under ``shards=2``
+        the lost credit raises the sequential message, with the same
+        KVMSR credit dump."""
+        raised = {}
+        for shards in (1, 2):
+            with pytest.raises(QuiescenceStall) as info:
+                run_job(shards=shards, **LOSSY)
+            raised[shards] = info.value
+        seq, shd = raised[1], raised[2]
+        assert str(shd).splitlines()[0] == str(seq).splitlines()[0]
+        assert "no application progress for" in str(shd)
+        credits = shd.diagnostic["kvmsr_credits"]
+        assert credits == seq.diagnostic["kvmsr_credits"]
+        assert any(m["outstanding"] > 0 for m in credits["live_masters"])
 
 
 class TestRearmOnInjection:
@@ -115,7 +111,6 @@ class TestRearmOnInjection:
     MODES = {
         "sequential": {},
         "shards2": dict(shards=2),
-        "forked": dict(shards=2, parallel=True),
     }
 
     def _sim(self, watchdog=1_000.0, mode="sequential"):
@@ -161,42 +156,30 @@ class TestRearmOnInjection:
         assert sim._wd_last_progress == 5_000.0
 
     # The two drills above keep their names (sequential); the sharded
-    # modes take the stall verdict in the window loop, so they get the
-    # same drills through it.
+    # mode gets the same drills through its window loop.
 
-    @pytest.mark.parametrize("mode", ["shards2", "forked"])
+    @pytest.mark.parametrize("mode", ["shards2"])
     def test_sharded_modes_cover_the_gap_and_still_trip(self, mode):
         sim = self._sim(mode=mode)
         sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=0.0)
         sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=7_000.0)
-        try:
-            stats = sim.run()
-            assert stats.quiesced and stats.events_executed == 5
-        finally:
-            sim.shutdown()
+        stats = sim.run()
+        assert stats.quiesced and stats.events_executed == 5
         sim = self._sim(mode=mode)
         sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=0.0)
-        try:
-            with pytest.raises(QuiescenceStall, match="idle/control"):
-                sim.run()
-        finally:
-            sim.shutdown()
+        with pytest.raises(QuiescenceStall, match="idle/control"):
+            sim.run()
 
     @pytest.mark.parametrize("mode", list(MODES))
     def test_injection_between_drains_rearms(self, mode):
         # the open-loop shape: a bounded drain, then the next burst is
-        # admitted, then the machine runs across the idle gap.  Forked
-        # workers never see inject() — it re-arms the mark in the host
-        # process — so the window loop must count the host's own mark.
+        # admitted, then the machine runs across the idle gap
         sim = self._sim(mode=mode)
         sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=0.0)
-        try:
-            assert not sim.run(until=1_000.0).quiesced
-            sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=7_000.0)
-            stats = sim.run()
-            assert stats.quiesced and stats.events_executed == 5
-        finally:
-            sim.shutdown()
+        assert not sim.run(until=1_000.0).quiesced
+        sim.inject(MessageRecord(0, NEW_THREAD, "work"), t=7_000.0)
+        stats = sim.run()
+        assert stats.quiesced and stats.events_executed == 5
 
 
 class TestQuiescedVersusStalled:

@@ -120,7 +120,6 @@ class TestFaultyRunsAreShardInvariant:
                 rt, RING, max_degree=16, damping=0.5, block_size=BLOCK
             )
             res = app.run(iterations=2, max_events=10_000_000)
-            rt.shutdown()
             runs[shards] = (rt.sim.stats.scalar_snapshot(), list(res.ranks))
         assert runs[1][0]["faults_messages_dropped"] > 0
         assert runs[2] == runs[1]

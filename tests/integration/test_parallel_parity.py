@@ -1,19 +1,19 @@
 """Bit-identical parity of conservative parallel runs vs sequential.
 
-The hard guarantee of ``repro.machine.parallel``: a sharded run — whether
-in-process (``shards=N``) or across forked workers (``parallel=True``) —
-produces *exactly* the sequential results: the same model fingerprint
-(every always-on scalar counter including ``final_tick``, minus the
-host-side ``HOST_SPLIT_KEYS`` — the default sequential drain arms
-batched dispatch, sharded drains interpret every event), the same host
-mailbox in the same order, the same functional outputs, and (when
-recording) one merged flight recorder whose Chrome trace export works.
+The hard guarantee of ``repro.machine.parallel``: a sharded run
+(``shards=N``) produces *exactly* the sequential results: the same model
+fingerprint (every always-on scalar counter including ``final_tick``,
+minus the host-side ``HOST_SPLIT_KEYS`` — the default sequential drain
+arms batched dispatch, sharded drains interpret every event), the same
+host mailbox in the same order, the same functional outputs, and (when
+recording) the same flight-recorder telemetry.
 
 Sits alongside ``test_determinism_parity.py``: that file pins run-to-run
 and observation-tier determinism; this one pins shard-count independence.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -43,26 +43,24 @@ def _model(rt):
     return stats.model_snapshot()
 
 
-def _run_pr(shards=1, parallel=False, record=None):
+def _run_pr(shards=1, record=None, **rt_kw):
     from repro.observe import make_recorder
 
     rt = UpDownRuntime(
         bench_config(NODES),
         shards=shards,
-        parallel=parallel,
         recorder=make_recorder(record),
+        **rt_kw,
     )
     app = PageRankApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
     res = app.run(iterations=2, max_events=10_000_000)
-    rt.shutdown()
     return rt, res
 
 
-def _run_bfs(shards=1, parallel=False):
-    rt = UpDownRuntime(bench_config(NODES), shards=shards, parallel=parallel)
+def _run_bfs(shards=1):
+    rt = UpDownRuntime(bench_config(NODES), shards=shards)
     app = BFSApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
     res = app.run(root=0, max_events=10_000_000)
-    rt.shutdown()
     return rt, res
 
 
@@ -85,30 +83,9 @@ class TestInProcessShards:
         assert list(shd_res.parents) == list(seq_res.parents)
 
 
-class TestForkedWorkers:
-    """The multiprocessing mode must match sequential bit-for-bit too."""
-
-    def test_pagerank_fingerprint_identical(self):
-        seq, seq_res = _run_pr()
-        par, par_res = _run_pr(shards=2, parallel=True)
-        assert _model(par) == _model(seq)
-        assert _mailbox(par) == _mailbox(seq)
-        # write-log replication kept the parent's functional memory
-        # current — results are read host-side after the run
-        assert list(par_res.ranks) == list(seq_res.ranks)
-
-    def test_bfs_fingerprint_identical(self):
-        seq, seq_res = _run_bfs()
-        par, par_res = _run_bfs(shards=4, parallel=True)
-        assert _model(par) == _model(seq)
-        assert _mailbox(par) == _mailbox(seq)
-        assert list(par_res.parents) == list(seq_res.parents)
-
-
 MODES = {
     "sequential": {},
     "shards2": dict(shards=2),
-    "forked": dict(shards=2, parallel=True),
 }
 LOOKAHEAD = bench_config(NODES).conservative_lookahead_cycles
 
@@ -138,16 +115,13 @@ def _drive(app_name, step=None, budget=None, **rt_kw):
     reported not-quiesced before the one that did."""
     rt, region = _launch(app_name, **rt_kw)
     drains = 0
-    try:
-        if step is None:
-            assert rt.run(max_events=budget).quiesced
-        else:
-            until = step
-            while not rt.sim.run(max_events=budget, until=until).quiesced:
-                drains += 1
-                until += step
-    finally:
-        rt.shutdown()
+    if step is None:
+        assert rt.run(max_events=budget).quiesced
+    else:
+        until = step
+        while not rt.sim.run(max_events=budget, until=until).quiesced:
+            drains += 1
+            until += step
     return {
         "model": _model(rt),
         "mailbox": _mailbox(rt),
@@ -175,40 +149,35 @@ class TestSteppedDrains:
         stepped = _drive(app_name, step, budget=budget, **MODES[mode])
         for key in ("model", "mailbox", "busy", "result"):
             assert stepped[key] == whole[key], key
-        # a drain that leaves anything queued — in a shard heap, in a
-        # worker, or as host mail due at or after the bound — says so:
-        # every mode reports quiescence on the step sequential does
+        # a drain that leaves anything queued — in a shard heap or as
+        # host mail due at or after the bound — says so: every mode
+        # reports quiescence on the step sequential does
         assert stepped["drains"] == _drive(app_name, step)["drains"] > 0
 
-    @pytest.mark.parametrize("mode", ["shards2", "forked"])
-    def test_a_step_that_outruns_its_budget_still_raises(self, mode):
+    def test_a_step_that_outruns_its_budget_still_raises(self):
         from repro.machine import SimulationError
 
         with pytest.raises(SimulationError, match="max_events"):
-            _drive("pagerank", 5_000.0, budget=50, **MODES[mode])
+            _drive("pagerank", 5_000.0, budget=50, shards=2)
 
 
-class TestForkedWorkerMatrix:
-    """Forked-worker parity across the machine-model feature matrix:
-    batched dispatch and injected faults with reliable delivery
-    (fault-delayed ``rdt`` records crossing shards) must each stay
-    bit-exact."""
+class TestShardedFeatureMatrix:
+    """Sharded parity across the machine-model feature matrix: batched
+    dispatch and injected faults with reliable delivery (fault-delayed
+    ``rdt`` records crossing shards) must each stay bit-exact."""
 
-    def _run(self, parallel, batch_dispatch=False, faulty=False):
+    def _run(self, shards, batch_dispatch=False, faulty=False):
         from repro.faults import FaultPlan
 
         rt = UpDownRuntime(
             bench_config(NODES, batch_dispatch=batch_dispatch),
             faults=FaultPlan(seed=11, drop_rate=0.01) if faulty else None,
             reliable=faulty,
-            shards=2 if parallel else 1,
-            parallel=parallel,
+            shards=shards,
         )
         app = PageRankApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
         res = app.run(iterations=2, max_events=10_000_000)
-        fp = _model(rt)
-        rt.shutdown()
-        return fp, list(res.ranks)
+        return _model(rt), list(res.ranks)
 
     @pytest.mark.parametrize(
         "knobs",
@@ -220,24 +189,24 @@ class TestForkedWorkerMatrix:
         ids=["batch_dispatch", "faulted", "all_on"],
     )
     def test_feature_matrix_fingerprint_identical(self, knobs):
-        seq_fp, seq_ranks = self._run(parallel=False, **knobs)
-        par_fp, par_ranks = self._run(parallel=True, **knobs)
+        seq_fp, seq_ranks = self._run(shards=1, **knobs)
+        par_fp, par_ranks = self._run(shards=2, **knobs)
         assert par_fp == seq_fp
         assert par_ranks == seq_ranks
 
 
 class TestRecordedParallelRun:
-    """``record=`` under parallel mode: per-shard recorders are stitched
-    into the one recorder the caller holds, and the merged telemetry
-    exports as a single Chrome trace."""
+    """``record=`` under ``shards=2``: every shard records into the one
+    recorder the caller holds, and its telemetry exports as a single
+    Chrome trace holding exactly the sequential events."""
 
     def test_merged_recorder_exports_one_trace(self, tmp_path):
         from repro.observe.trace import chrome_trace
 
         seq, _ = _run_pr(record="full")
-        par, _ = _run_pr(shards=2, parallel=True, record="full")
+        par, _ = _run_pr(shards=2, record="full")
         # recorder identity is stable: the object handed in at build
-        # time is the one holding the merged telemetry after the run
+        # time is the one holding the telemetry after the run
         assert par.recorder is par.sim.recorder
         seq_trace = chrome_trace(seq.recorder, seq.config.clock_hz, {})
         par_trace = chrome_trace(par.recorder, par.config.clock_hz, {})
@@ -245,10 +214,10 @@ class TestRecordedParallelRun:
         out.write_text(json.dumps(par_trace))
         assert json.loads(out.read_text())["traceEvents"]
         # channel telemetry is deterministic (samples are taken at
-        # channel-admission points, which parity fixes), so the merged
+        # channel-admission points, which parity fixes), so the sharded
         # trace holds exactly the sequential events — order-insensitive,
-        # because sequential emission order is pop order while the merge
-        # sorts by span start (Chrome's JSON is order-independent)
+        # because sequential emission order is pop order while a window
+        # records shard after shard (Chrome's JSON is order-independent)
         def canon(trace):
             return sorted(
                 json.dumps(e, sort_keys=True) for e in trace["traceEvents"]
@@ -258,7 +227,7 @@ class TestRecordedParallelRun:
 
     def test_histogram_tier_merges(self):
         seq, _ = _run_pr(record="histograms")
-        par, _ = _run_pr(shards=2, parallel=True, record="histograms")
+        par, _ = _run_pr(shards=2, record="histograms")
         for node, stats in seq.recorder.inj_by_node.items():
             merged = par.recorder.inj_by_node[node]
             assert merged.admits == stats.admits
@@ -300,33 +269,73 @@ class TestMultiDrainSharded:
         assert shd.phase_seconds == seq.phase_seconds
 
 
-class TestForkedSetupGuard:
-    """Forked workers inherit host registrations by copy-on-write at
-    fork time only; setup performed between drains would silently
-    diverge, so the executor must detect and reject it."""
+class TestSetupBetweenDrains:
+    """Shards share the host heap: a thread class registered between two
+    drains is simply there for the second one, as it is sequentially."""
 
-    def test_post_fork_registration_rejected(self):
-        from repro.machine import SimulationError
+    def _two_phases(self, shards):
         from repro.udweave import UDThread, event
 
-        rt = UpDownRuntime(bench_config(2), shards=2, parallel=True)
+        rt = UpDownRuntime(bench_config(2), shards=shards)
 
         @rt.register
         class Ping(UDThread):
             @event
             def go(self, ctx):
+                ctx.send_reply(ctx.lane.network_id)
                 ctx.yield_terminate()
 
-        rt.start(0, "Ping::go")
+        rt.start(0, "Ping::go", cont=rt.host_evw("ping"))
         rt.run()
 
         @rt.register
         class Pong(UDThread):
             @event
             def go(self, ctx):
+                ctx.send_reply(ctx.lane.network_id)
                 ctx.yield_terminate()
 
-        rt.start(0, "Pong::go")
-        with pytest.raises(SimulationError, match="setup"):
-            rt.run()
-        rt.shutdown()
+        # node 1's first lane: the second phase runs on the other shard
+        rt.start(
+            rt.config.lanes_per_node, "Pong::go", cont=rt.host_evw("pong")
+        )
+        stats = rt.run()
+        assert stats.quiesced
+        return _model(rt), _mailbox(rt)
+
+    def test_registration_between_drains_runs(self):
+        model, mailbox = self._two_phases(shards=2)
+        assert [label for _t, label, _ops in mailbox] == ["ping", "pong"]
+        assert (model, mailbox) == self._two_phases(shards=1)
+
+
+class TestWindowMetrics:
+    """``Simulator.parallel_metrics()`` describes the one window loop."""
+
+    def test_window_count_is_reported_and_deterministic(self):
+        seq, _ = _run_pr()
+        assert seq.sim.parallel_metrics() is None
+        first, _ = _run_pr(shards=2)
+        again, _ = _run_pr(shards=2)
+        windows = first.sim.parallel_metrics()
+        assert set(windows) == {"windows"} and windows["windows"] > 0
+        assert again.sim.parallel_metrics() == windows
+
+
+class TestDeprecatedParallelSpelling:
+    """``UpDownRuntime(parallel=)`` survives only as an ignored keyword:
+    one ``DeprecationWarning``, then exactly the ``shards=2`` run."""
+
+    def test_parallel_keyword_warns_once_and_changes_nothing(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            old, old_res = _run_pr(shards=2, parallel=True)
+        assert [w.category for w in caught] == [DeprecationWarning]
+        assert "ignored" in str(caught[0].message)
+        new, new_res = _run_pr(shards=2)
+        assert _model(old) == _model(new)
+        assert _mailbox(old) == _mailbox(new)
+        assert old.sim.stats.busy_cycles_by_lane == (
+            new.sim.stats.busy_cycles_by_lane
+        )
+        assert list(old_res.ranks) == list(new_res.ranks)

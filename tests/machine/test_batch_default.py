@@ -63,9 +63,7 @@ def _run_bfs(batch=True, step=None, faults=False, **rt_kw):
         t = step
         while not rt.sim.run(until=t).quiesced:
             t += step
-    out = _outcome(rt, app.dist_region.data, app.parent_region.data)
-    rt.shutdown()
-    return out
+    return _outcome(rt, app.dist_region.data, app.parent_region.data)
 
 
 class TestBFSParity:
@@ -95,10 +93,9 @@ class TestBFSParity:
         "rt_kw,gate",
         [
             (dict(shards=2), "shards"),
-            (dict(shards=2, parallel=True), "shards"),
             (dict(faults=True), "faults"),
         ],
-        ids=["shards2", "forked", "faulted"],
+        ids=["shards2", "faulted"],
     )
     def test_disarmed_drains_interpret_identically(self, rt_kw, gate):
         ref, _, _ = _run_bfs(batch=False, **rt_kw)
@@ -149,7 +146,6 @@ class TestGuardDeclined:
             ).launch()
             rt.run(max_events=1_000_000)
             outs[batch] = _outcome(rt)
-            rt.shutdown()
         (ref, ref_batched, _), (out, batched, report) = outs[False], outs[True]
         assert out == ref
         row = report["labels"]["_OnceReduce::__reduce_entry__"]
@@ -175,7 +171,6 @@ class TestBudgetedDrains:
         rt, app = _pagerank_runtime()
         app.run(iterations=2)
         out = _outcome(rt, app.pr_region.data)
-        rt.shutdown()
         return out
 
     def test_budget_above_the_event_count_does_not_raise(self, whole):
@@ -188,7 +183,6 @@ class TestBudgetedDrains:
         assert out == whole[0]
         assert batched == whole[1] > 0
         assert report["drains"] == {"armed": 1}
-        rt.shutdown()
 
     @pytest.mark.parametrize("short_by", [1, 300, 9_000])
     def test_abort_then_run_equals_the_whole_run(self, whole, short_by):
@@ -207,7 +201,6 @@ class TestBudgetedDrains:
         assert out == whole[0]
         assert batched > 0
         assert rt.sim.stats.quiesced
-        rt.shutdown()
 
     def test_budgeted_default_matches_the_interpreter(self, whole):
         rt, app = _pagerank_runtime(batch=False)
@@ -218,7 +211,6 @@ class TestBudgetedDrains:
         assert report == {
             "labels": {}, "drains": {"batch_dispatch=False": 1},
         }
-        rt.shutdown()
 
 
 class TestHarnessRunnersReachTheBatchCore:

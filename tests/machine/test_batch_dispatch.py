@@ -3,8 +3,8 @@
 The contract (DESIGN.md "Event IR & batched dispatch"): flipping
 ``MachineConfig(batch_dispatch=True)`` may never change the simulation —
 only how fast the host reaches it.  These tests pin that across every
-drain the simulator offers (sequential, in-process shards, forked
-workers, faulted transport) and assert the record-conservation invariant
+drain the simulator offers (sequential, sharded, faulted transport) and
+assert the record-conservation invariant
 ``records_batched + events_interpreted == events_executed``.
 """
 
@@ -20,7 +20,7 @@ BLOCK = 4096
 NODES = 4
 
 
-def _run_pr(batch, shards=1, parallel=False, faults=False):
+def _run_pr(batch, shards=1, faults=False):
     fault_kw = {}
     if faults:
         from repro.faults import FaultPlan
@@ -31,13 +31,12 @@ def _run_pr(batch, shards=1, parallel=False, faults=False):
     rt = UpDownRuntime(
         bench_config(NODES, batch_dispatch=batch),
         shards=shards,
-        parallel=parallel,
         **fault_kw,
     )
     from repro.apps import PageRankApp
 
     res = PageRankApp(rt, GRAPH, block_size=BLOCK).run(iterations=2)
-    out = {
+    return {
         "snapshot": rt.sim.stats.scalar_snapshot(),
         "mailbox": [
             (t, rec.label, rec.operands) for t, rec in rt.sim.host_inbox
@@ -45,8 +44,6 @@ def _run_pr(batch, shards=1, parallel=False, faults=False):
         "ranks": list(res.ranks),
         "stats": rt.sim.stats,
     }
-    rt.shutdown()
-    return out
 
 
 def _strip(snapshot, keys):
@@ -117,14 +114,6 @@ class TestShardedParity:
         )
         assert shd_on["mailbox"] == seq_on["mailbox"]
         assert shd_on["ranks"] == seq_on["ranks"]
-
-    def test_forked_workers(self):
-        off = _run_pr(batch=False, shards=2, parallel=True)
-        on = _run_pr(batch=True, shards=2, parallel=True)
-        assert on["snapshot"] == off["snapshot"]
-        assert on["mailbox"] == off["mailbox"]
-        assert on["ranks"] == off["ranks"]
-        assert on["stats"].records_batched == 0
 
 
 class TestFaultedParity:

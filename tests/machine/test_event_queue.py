@@ -247,8 +247,8 @@ class TestNonFiniteTimes:
             sim.run()
 
 
-MODES = [{}, dict(shards=2), dict(shards=2, parallel=True)]
-MODE_IDS = ["sequential", "shards2", "forked"]
+MODES = [{}, dict(shards=2)]
+MODE_IDS = ["sequential", "shards2"]
 
 
 class TestCollectorQuietDrains:
@@ -276,25 +276,20 @@ class TestCollectorQuietDrains:
             return 1.0
 
         sim = self._sim(dispatch, **mode)
-        try:
-            sim.run()
-            assert sim.stats.events_executed == 4
-        finally:
-            sim.shutdown()
-        for inside, on in seen:  # empty when the handlers ran in a worker
+        sim.run()
+        assert sim.stats.events_executed == 4
+        assert len(seen) == 4
+        for inside, on in seen:
             assert inside[:2] == before[:2] and inside[2] > before[2]
             assert on == enabled
 
     @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
     def test_threshold_is_restored_on_max_events_abort(self, mode):
         sim = self._sim(lambda *a: 1.0, **mode)
-        try:
-            with pytest.raises(SimulationError, match="max_events"):
-                sim.run(max_events=2)
-        finally:
-            sim.shutdown()
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(max_events=2)
 
-    @pytest.mark.parametrize("mode", MODES[:2], ids=MODE_IDS[:2])
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
     def test_threshold_is_restored_when_a_handler_raises(self, mode):
         def dispatch(sim, lane, record, start):
             raise ZeroDivisionError("handler bug")
@@ -303,7 +298,7 @@ class TestCollectorQuietDrains:
         with pytest.raises(ZeroDivisionError):
             sim.run()
 
-    @pytest.mark.parametrize("mode", MODES[:2], ids=MODE_IDS[:2])
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
     def test_threshold_is_restored_on_quiescence_stall(self, mode):
         def dispatch(sim, lane, record, start):
             # a poll chain that never makes progress

@@ -1,12 +1,14 @@
 """Conservative sharded execution: lookahead, partitioning, windowed runs.
 
-The parity of full application runs (sequential vs in-process shards vs
-forked workers) lives in ``tests/integration/test_parallel_parity.py``;
-this module covers the machine-layer mechanics — the lookahead knob,
-shard validation, bounded stepping, and the in-process shard scheduler.
+The parity of full application runs (sequential vs sharded) lives in
+``tests/integration/test_parallel_parity.py``; this module covers the
+machine-layer mechanics — the lookahead knob, shard validation, bounded
+stepping, the shard scheduler, and the one sharded mode's API surface.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -100,30 +102,6 @@ class TestShardValidation:
                 dispatcher=null_dispatcher(),
                 shards=2,
             )
-
-    def test_forked_workers_honor_until(self):
-        # the same clamp as in-process shards (next test): later events
-        # stay heaped in the workers between drains.  What executed is
-        # only visible through the merged stats here — the dispatcher's
-        # list lives in the children.
-        cfg = bench_machine(nodes=2)
-        sim = Simulator(
-            cfg, dispatcher=null_dispatcher(cycles=1.0), shards=2,
-            parallel=True,
-        )
-        for t in (10.0, 20.0, 30.0):
-            sim.inject(MessageRecord(0, NEW_THREAD, "a"), t=t)
-            sim.inject(MessageRecord(cfg.lanes_per_node, NEW_THREAD, "b"), t=t)
-        try:
-            for until, executed in ((15.0, 2), (25.0, 4), (25.0, 4)):
-                stats = sim.run(until=until)
-                assert stats.events_executed == executed
-                assert not stats.quiesced  # later events still queued
-            stats = sim.run()  # unbounded finishes the rest
-            assert stats.events_executed == 6 and stats.quiesced
-            assert stats.final_tick == 31.0
-        finally:
-            sim.shutdown()
 
     def test_in_process_shards_honor_until(self):
         disp = null_dispatcher(cycles=1.0)
@@ -283,7 +261,6 @@ class TestShardScheduler:
         for i in range(sim.config.total_lanes):
             sim.inject(MessageRecord(i, NEW_THREAD, f"chain{i}", (40,)), t=0.0)
         stats = sim.run()
-        sim.shutdown()
         return stats.scalar_snapshot(), disp.executed
 
     def test_sharded_run_is_bit_identical(self):
@@ -299,17 +276,25 @@ class TestShardScheduler:
                 ]
 
     def test_multiple_drains_reuse_the_scheduler(self):
-        disp = self._chain_dispatcher(hops=10)
-        sim = Simulator(bench_machine(nodes=2), dispatcher=disp, shards=2)
-        sim.inject(MessageRecord(0, NEW_THREAD, "a", (10,)), t=0.0)
-        sim.run()
-        first = sim.stats.events_executed
-        assert first == 11
-        sched = sim._scheduler
-        sim.inject(MessageRecord(1, NEW_THREAD, "b", (10,)), t=0.0)
-        sim.run()
-        assert sim._scheduler is sched
-        assert sim.stats.events_executed == 2 * first
+        def run(shards):
+            disp = self._chain_dispatcher(hops=10)
+            sim = Simulator(
+                bench_machine(nodes=2), dispatcher=disp, shards=shards
+            )
+            sim.inject(MessageRecord(0, NEW_THREAD, "a", (10,)), t=0.0)
+            sim.run()
+            first = sim.stats.events_executed
+            assert first == 11
+            sched = sim._scheduler
+            # an injection between drains is adopted like any other push
+            sim.inject(MessageRecord(1, NEW_THREAD, "b", (10,)), t=0.0)
+            sim.run()
+            assert sim._scheduler is sched
+            assert sim.stats.events_executed == 2 * first
+            return sim.stats.scalar_snapshot()
+
+        # the cumulative fingerprint over both drains stays sequential
+        assert run(shards=2) == run(shards=1)
 
     def test_host_mailbox_matches_sequential(self):
         from repro.machine import HOST_NWID
@@ -333,9 +318,7 @@ class TestShardScheduler:
         assert both(shards=2) == both(shards=1)
 
     @pytest.mark.parametrize(
-        "mode",
-        [{}, dict(shards=2), dict(shards=2, parallel=True)],
-        ids=["sequential", "shards2", "forked"],
+        "mode", [{}, dict(shards=2)], ids=["sequential", "shards2"]
     )
     def test_host_mail_honors_the_bound(self, mode):
         # host mail due at or after until= stays queued, like any other
@@ -351,359 +334,78 @@ class TestShardScheduler:
                 float(1000 * i),
                 src_node=sim.config.node_of(i),
             )
-        try:
-            whole = sorted(t for t, _seq, _dst, _rec in sim._queued())
-            cut = (whole[1] + whole[2]) / 2
-            stats = sim.run(until=cut)
-            assert [t for t, _ in sim.host_inbox] == whole[:2]
-            assert not stats.quiesced and stats.final_tick == whole[1]
-            stats = sim.run()
-            assert [t for t, _ in sim.host_inbox] == whole
-            assert stats.quiesced
-        finally:
-            sim.shutdown()
-
-    def test_forked_multi_drain_parity(self):
-        """Workers persist across drains: injections between run() calls
-        are forwarded and the cumulative fingerprint stays sequential."""
-
-        def run(parallel):
-            disp = self._chain_dispatcher(hops=10)
-            sim = Simulator(
-                bench_machine(nodes=2),
-                dispatcher=disp,
-                shards=2 if parallel else 1,
-                parallel=parallel,
-            )
-            sim.inject(MessageRecord(0, NEW_THREAD, "a", (10,)), t=0.0)
-            sim.run()
-            sim.inject(MessageRecord(1, NEW_THREAD, "b", (10,)), t=0.0)
-            sim.run()
-            fp = sim.stats.scalar_snapshot()
-            sim.shutdown()
-            return fp
-
-        assert run(parallel=True) == run(parallel=False)
+        whole = sorted(t for t, _seq, _dst, _rec in sim._queued())
+        cut = (whole[1] + whole[2]) / 2
+        stats = sim.run(until=cut)
+        assert [t for t, _ in sim.host_inbox] == whole[:2]
+        assert not stats.quiesced and stats.final_tick == whole[1]
+        stats = sim.run()
+        assert [t for t, _ in sim.host_inbox] == whole
+        assert stats.quiesced
 
     def test_shutdown_is_idempotent(self):
-        sim = Simulator(
-            bench_machine(nodes=2), dispatcher=null_dispatcher(), shards=2
+        # UpDownRuntime.shutdown() is a no-op kept for existing callers:
+        # any number of calls, and the runtime still drains afterwards
+        from repro.udweave import UDThread, UpDownRuntime, event
+
+        rt = UpDownRuntime(bench_machine(nodes=2), shards=2)
+
+        @rt.register
+        class Ping(UDThread):
+            @event
+            def go(self, ctx):
+                ctx.yield_terminate()
+
+        rt.run()
+        rt.shutdown()
+        rt.shutdown()
+        rt.start(0, "Ping::go")
+        assert rt.run().events_executed == 1
+
+
+class TestOneShardedMode:
+    """``shards=N`` is the only sharded mode: the forked-worker spellings
+    are gone, not aliased, and nothing imports ``multiprocessing``."""
+
+    def test_removed_spellings_are_type_errors(self):
+        from repro.harness import run_pagerank
+        from repro.graph import rmat
+        from repro.machine import MachineConfig
+
+        with pytest.raises(TypeError, match="parallel"):
+            Simulator(
+                bench_machine(nodes=2), dispatcher=null_dispatcher(),
+                shards=2, parallel=True,
+            )
+        with pytest.raises(TypeError, match="parallel_ring_kib"):
+            MachineConfig(parallel_ring_kib=64)
+        with pytest.raises(TypeError, match="parallel"):
+            run_pagerank(rmat(4, seed=1), 2, shards=2, parallel=True)
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # a sharded drain included: the shard scheduler is imported
+        # lazily by the first sharded run() and needs no process pool
+        code = (
+            "import sys\n"
+            "import repro, repro.machine, repro.udweave, repro.harness\n"
+            "import repro.apps, repro.faults, repro.observe, repro.service\n"
+            "from repro.machine import MessageRecord, NEW_THREAD, Simulator\n"
+            "from repro.machine import bench_machine\n"
+            "assert 'repro.machine.parallel' not in sys.modules\n"
+            "sim = Simulator(bench_machine(nodes=2),\n"
+            "                dispatcher=lambda *a: 1.0, shards=2)\n"
+            "sim.inject(MessageRecord(0, NEW_THREAD, 'e'))\n"
+            "assert sim.run().events_executed == 1\n"
+            "assert 'repro.machine.parallel' in sys.modules\n"
+            "leaked = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] == 'multiprocessing')\n"
+            "assert not leaked, leaked\n"
         )
-        sim.run()
-        sim.shutdown()
-        sim.shutdown()
+        import repro
 
-
-class TestWorkerFailure:
-    """A dead shard worker becomes a clear ShardWorkerFailed, never a
-    hung pipe read, and never an orphaned daemon process."""
-
-    def _suicidal_dispatcher(self):
-        """Executes normally except for the label ``die``, which kills
-        the worker process hosting it (simulating an OOM kill / crash in
-        an extension) — the parent only ever sees the closed pipe."""
-        import os
-
-        def dispatch(sim, lane, record, start):
-            if record.label == "die":
-                os._exit(13)
-            return 2.0
-
-        return dispatch
-
-    def test_worker_death_mid_drain_raises_shard_worker_failed(self):
-        from repro.machine.parallel import ShardWorkerFailed
-
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=self._suicidal_dispatcher(),
-            shards=2,
-            parallel=True,
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env=dict(os.environ, PYTHONPATH=src),
         )
-        lanes_per_node = sim.config.lanes_per_node
-        sim.inject(MessageRecord(0, NEW_THREAD, "ok"), t=0.0)
-        # the fatal event lands on shard 1 (node 1's first lane)
-        sim.inject(MessageRecord(lanes_per_node, NEW_THREAD, "die"), t=10.0)
-        with pytest.raises(ShardWorkerFailed, match="worker died") as info:
-            sim.run()
-        assert info.value.shard == 1
-        assert info.value.exitcode == 13
-        sim.shutdown()
-
-    def test_worker_killed_between_drains_detected_proactively(self):
-        import os
-        import signal
-
-        from repro.machine.parallel import ShardWorkerFailed
-
-        disp = null_dispatcher()
-        sim = Simulator(
-            bench_machine(nodes=2), dispatcher=disp, shards=2, parallel=True
-        )
-        sim.inject(MessageRecord(0, NEW_THREAD, "a"), t=0.0)
-        sim.run()
-        sched = sim._scheduler
-        procs = list(sched._procs)
-        os.kill(procs[0].pid, signal.SIGKILL)
-        procs[0].join(timeout=5)
-        sim.inject(MessageRecord(0, NEW_THREAD, "b"), t=0.0)
-        # detected before any pipe traffic, naming shard and last window
-        with pytest.raises(ShardWorkerFailed, match="shard 0") as info:
-            sim.run()
-        assert info.value.shard == 0
-        assert info.value.window is not None  # a window did complete
-        # the whole pool was torn down: no orphaned daemons
-        for proc in procs:
-            assert not proc.is_alive()
-        sim.shutdown()
-
-    def test_failed_pool_refuses_reuse(self):
-        from repro.machine.parallel import ShardWorkerFailed
-
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=self._suicidal_dispatcher(),
-            shards=2,
-            parallel=True,
-        )
-        sim.inject(
-            MessageRecord(sim.config.lanes_per_node, NEW_THREAD, "die"), t=0.0
-        )
-        with pytest.raises(ShardWorkerFailed):
-            sim.run()
-        # lane/thread state died with the workers; a retry would silently
-        # diverge, so the executor bricks itself instead
-        sim.inject(MessageRecord(0, NEW_THREAD, "c"), t=0.0)
-        with pytest.raises(SimulationError, match="no longer usable"):
-            sim.run()
-        sim.shutdown()
-
-    def test_shard_worker_failed_is_exported(self):
-        from repro.machine import ShardWorkerFailed as exported
-        from repro.machine.parallel import ShardWorkerFailed
-
-        assert exported is ShardWorkerFailed
-
-    def test_dead_worker_stderr_tail_reaches_the_exception(self):
-        from repro.machine.parallel import ShardWorkerFailed
-
-        def dispatch(sim, lane, record, start):
-            if record.label == "die":
-                import os
-                import sys
-
-                sys.stderr.write("scratchpad checksum mismatch @ lane 2\n")
-                sys.stderr.flush()
-                os._exit(13)
-            return 2.0
-
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=dispatch,
-            shards=2,
-            parallel=True,
-        )
-        sim.inject(
-            MessageRecord(sim.config.lanes_per_node, NEW_THREAD, "die"), t=0.0
-        )
-        with pytest.raises(ShardWorkerFailed) as info:
-            sim.run()
-        # the worker's dying words (captured stderr tail) are in both the
-        # structured attribute and the rendered message
-        assert "scratchpad checksum mismatch" in info.value.stderr_tail
-        assert "scratchpad checksum mismatch" in str(info.value)
-        sim.shutdown()
-
-
-class TestTeardownLeavesNothingBehind:
-    """ROADMAP item 4c: after a clean ``shutdown()`` and after a
-    ``ShardWorkerFailed`` abort, no worker process is alive and the
-    hub's shared-memory segment is gone from ``/dev/shm``."""
-
-    def _forked(self, dispatcher, label):
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=dispatcher,
-            shards=2,
-            parallel=True,
-        )
-        sim.inject(MessageRecord(0, NEW_THREAD, "ok"), t=0.0)
-        sim.run()
-        sched = sim._scheduler
-        procs = list(sched._procs)
-        segment = os.path.join("/dev/shm", sched._hub.shm.name)
-        assert os.path.exists(segment)
-        assert all(proc.is_alive() for proc in procs)
-        sim.inject(MessageRecord(0, NEW_THREAD, label), t=0.0)
-        return sim, procs, segment
-
-    def _assert_nothing_left(self, procs, segment):
-        for proc in procs:
-            proc.join(timeout=10)
-            assert not proc.is_alive()
-        assert not os.path.exists(segment)
-
-    def _assert_bricked_but_process_is_fine(self, sim):
-        before = set(os.listdir("/dev/shm"))
-        sim.inject(MessageRecord(0, NEW_THREAD, "again"), t=0.0)
-        with pytest.raises(SimulationError, match="no longer usable"):
-            sim.run()
-        sim.shutdown()
-        assert set(os.listdir("/dev/shm")) == before  # nothing new either
-        # the process is not poisoned: a fresh simulator forks and runs
-        fresh, procs, segment = self._forked(null_dispatcher(), "ok")
-        fresh.run()
-        assert fresh.stats.quiesced
-        fresh.shutdown()
-        self._assert_nothing_left(procs, segment)
-
-    def test_after_shutdown(self):
-        sim, procs, segment = self._forked(null_dispatcher(), "ok")
-        sim.run()
-        sim.shutdown()
-        self._assert_nothing_left(procs, segment)
-
-    def test_after_worker_failure_abort(self):
-        from repro.machine.parallel import ShardWorkerFailed
-
-        def dispatch(sim, lane, record, start):
-            if record.label == "die":
-                os._exit(13)
-            return 2.0
-
-        sim, procs, segment = self._forked(dispatch, "die")
-        with pytest.raises(ShardWorkerFailed):
-            sim.run()
-        # the abort itself released everything, before any shutdown()
-        self._assert_nothing_left(procs, segment)
-        sim.shutdown()
-
-    def test_after_a_record_too_large_for_a_ring(self, monkeypatch):
-        # failure drill "exhaust a ring": one cross-shard record whose
-        # frame exceeds a whole (shrunken) ring cannot travel — the run
-        # ends in the typed error naming the remedy, and cleanly
-        from repro.machine import parallel as par
-
-        orig = par._RingHub.__init__
-        monkeypatch.setattr(
-            par._RingHub,
-            "__init__",
-            lambda self, shards, capacity, ctx: orig(self, shards, 512, ctx),
-        )
-
-        def dispatch(sim, lane, record, start):
-            if record.label == "bloat":
-                sim.send(
-                    MessageRecord(
-                        sim.config.lanes_per_node, NEW_THREAD, "landed",
-                        (b"x" * 2048,), src_network_id=lane.network_id,
-                    ),
-                    start + 2.0,
-                    src_node=0,
-                )
-            return 2.0
-
-        sim, procs, segment = self._forked(dispatch, "bloat")
-        with pytest.raises(SimulationError, match="parallel_ring_kib"):
-            sim.run()
-        self._assert_nothing_left(procs, segment)
-        self._assert_bricked_but_process_is_fine(sim)
-
-    def test_after_a_handler_raises_inside_a_worker(self):
-        # failure drill "raise inside a handler in a worker": the run
-        # ends in SimulationError carrying the worker's traceback
-        def dispatch(sim, lane, record, start):
-            if record.label == "boom":
-                raise ValueError("scratchpad slot 7 is not a counter")
-            return 2.0
-
-        sim, procs, segment = self._forked(dispatch, "boom")
-        with pytest.raises(SimulationError, match="shard worker failed") as info:
-            sim.run()
-        assert "ValueError: scratchpad slot 7 is not a counter" in str(info.value)
-        assert "Traceback" in str(info.value)
-        self._assert_nothing_left(procs, segment)
-        self._assert_bricked_but_process_is_fine(sim)
-
-    def test_after_keyboard_interrupt_in_the_parent(self, monkeypatch):
-        # failure drill "KeyboardInterrupt in the parent": Ctrl-C lands
-        # while the window loop waits on the workers' pipes.  The pool
-        # must not outlive the interrupt half-way through a window.
-        import multiprocessing.connection as mpc
-
-        sim, procs, segment = self._forked(null_dispatcher(), "ok")
-        real_wait = mpc.wait
-        calls = []
-
-        def wait(*args, **kw):
-            calls.append(1)
-            if len(calls) == 3:
-                raise KeyboardInterrupt
-            return real_wait(*args, **kw)
-
-        monkeypatch.setattr(mpc, "wait", wait)
-        with pytest.raises(KeyboardInterrupt):
-            sim.run()
-        monkeypatch.undo()
-        self._assert_nothing_left(procs, segment)
-        self._assert_bricked_but_process_is_fine(sim)
-
-
-class TestShutdownIdempotence:
-    """Teardown must be safe to repeat — ``shutdown()`` after a worker
-    failure, a second ``shutdown()``, and the GC ``__del__`` path all hit
-    the same executor, and none may raise on already-closed pipes."""
-
-    def test_double_shutdown_is_a_noop(self):
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=null_dispatcher(),
-            shards=2,
-            parallel=True,
-        )
-        sim.inject(MessageRecord(0, NEW_THREAD, "a"), t=0.0)
-        sim.run()
-        sim.shutdown()
-        sim.shutdown()  # second call finds nothing left to do
-
-    def test_shutdown_after_worker_failure_does_not_raise(self):
-        import os
-
-        from repro.machine.parallel import ShardWorkerFailed
-
-        def dispatch(sim, lane, record, start):
-            if record.label == "die":
-                os._exit(13)
-            return 2.0
-
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=dispatch,
-            shards=2,
-            parallel=True,
-        )
-        sim.inject(MessageRecord(0, NEW_THREAD, "die"), t=0.0)
-        with pytest.raises(ShardWorkerFailed):
-            sim.run()
-        # the failure path already aborted the pool; both explicit
-        # shutdown and the destructor must cope with the dead state
-        sim.shutdown()
-        sim.shutdown()
-        sim._scheduler.__del__()
-
-    def test_close_before_any_drain_keeps_executor_usable(self):
-        # close() on a never-forked pool must not brick it: nothing has
-        # run in a worker yet, so no state is lost
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=null_dispatcher(),
-            shards=2,
-            parallel=True,
-        )
-        sim._scheduler = __import__(
-            "repro.machine.parallel", fromlist=["make_scheduler"]
-        ).make_scheduler(sim)
-        sim._scheduler.close()
-        sim.inject(MessageRecord(0, NEW_THREAD, "a"), t=0.0)
-        assert sim.run().events_executed >= 1
-        sim.shutdown()

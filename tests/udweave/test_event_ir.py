@@ -52,7 +52,6 @@ class TestGoldenDumps:
             f"  KVR_RETURN job={job.job_id}\n"
             f"  TERMINATE"
         )
-        rt.shutdown()
 
     def test_bucket_sort_count_batchable_scatter_falls_back(self):
         import numpy as np
@@ -82,7 +81,6 @@ class TestGoldenDumps:
         assert not splan.parkable
         assert splan.reason.startswith("trace aborted: AttributeError")
         assert [op[0] for op in splan.ops] == ["CHARGE", "SCRATCH_RW"]
-        rt.shutdown()
 
     def test_bfs_reduce_lowers_the_visited_arm(self):
         from repro.apps import BFSApp
@@ -105,7 +103,6 @@ class TestGoldenDumps:
         # the guard rebuilds the once-key from a record's operands
         assert plan.guard((job.job_id, 42, 7, 3)) == ("bfss", app.uid, 42)
         assert rt.sim.stats.records_batched > 0
-        rt.shutdown()
 
     def test_bfs_reduce_falls_back_on_raw_scratchpad(self):
         """The visited test written against the raw scratchpad (the
@@ -142,7 +139,6 @@ class TestGoldenDumps:
             "CHARGE", "SCRATCH_RW", "CHARGE", "KVR_RETURN", "TERMINATE",
         ]
         assert "SCRATCH_RW" not in PARK_SAFE_OPS
-        rt.shutdown()
 
     def test_tc_reduce_falls_back_on_key_unpack(self):
         from repro.apps import TriangleCountApp
@@ -157,7 +153,6 @@ class TestGoldenDumps:
             "symbolic operand 'op1' used in unsupported computation"
         )
         assert plan.ops == []  # aborted before the first intrinsic
-        rt.shutdown()
 
 
 class TestTraceSafety:
@@ -189,7 +184,6 @@ class TestTraceSafety:
             tctx.spawn(0, "X::y")
         with pytest.raises(LoweringUnsupported):
             tctx.ud_print("hi")  # unknown intrinsic via __getattr__
-        rt.shutdown()
 
 
 class TestOnceGuardTrace:
@@ -216,7 +210,6 @@ class TestOnceGuardTrace:
             + costs.scratchpad_access
         )
         assert "ONCE_HIT" in PARK_SAFE_OPS
-        rt.shutdown()
 
     def test_refused_after_a_state_changing_op(self):
         from repro.kvmsr.combining import CombiningCache
@@ -229,14 +222,12 @@ class TestOnceGuardTrace:
         tctx.op_kvr_return(0)
         with pytest.raises(LoweringUnsupported, match="state-changing"):
             tctx.sp_once(("seen", Symbol(1, "op1")))
-        rt.shutdown()
 
     def test_refused_twice_in_one_body(self):
         rt, tctx = self._tctx()
         tctx.sp_once(("seen", Symbol(1, "op1")))
         with pytest.raises(LoweringUnsupported, match="more than one"):
             tctx.sp_once(("other", Symbol(1, "op1")))
-        rt.shutdown()
 
     def test_refused_for_keys_the_guard_cannot_rebuild(self):
         rt, tctx = self._tctx()
@@ -246,7 +237,6 @@ class TestOnceGuardTrace:
         tctx.ops.clear()
         with pytest.raises(LoweringUnsupported, match="tuple"):
             tctx.sp_once(("seen", computed))
-        rt.shutdown()
 
 
 class TestFallbackParity:
@@ -265,7 +255,6 @@ class TestFallbackParity:
             triangles[batch] = res.triangles
             assert rt.sim.stats.records_batched == 0
             assert rt.sim.stats.batches_executed == 0
-            rt.shutdown()
         assert snaps[True] == snaps[False]
         assert triangles[True] == triangles[False]
 
