@@ -38,7 +38,7 @@ from repro.kvmsr import (
     MapTask,
     RangeInput,
     ReduceTask,
-    emit_to_reduce,
+    emit_to_reduce_many,
     job_of,
 )
 from repro.machine.stats import SimStats
@@ -124,9 +124,8 @@ class BFSWorker(UDThread):
         app = job_of(ctx, self.job_id).payload
         state = self.vstate[key]
         depth = self.round + 1
-        for u in neighbors:
-            emit_to_reduce(ctx, self.job_id, u, state[0], depth)
-            self.emitted += 1
+        emit_to_reduce_many(ctx, self.job_id, neighbors, state[0], depth)
+        self.emitted += len(neighbors)
         state[1] -= len(neighbors)
         if state[1] == 0:
             del self.vstate[key]

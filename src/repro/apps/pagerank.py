@@ -84,9 +84,7 @@ class PRMapTask(MapTask):
 
     @event
     def returnRead(self, ctx, *neighbors):
-        for u in neighbors:
-            self.kv_emit(ctx, u, self.contrib)
-            ctx.work(1)
+        self.kv_emit_many(ctx, neighbors, self.contrib, work=1)
         self.loaded += len(neighbors)
         if self.loaded == self.degree:
             self.kv_map_return(ctx)

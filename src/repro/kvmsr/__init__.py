@@ -21,6 +21,7 @@ from .engine import (
     MapTask,
     ReduceTask,
     emit_to_reduce,
+    emit_to_reduce_many,
     ensure_registered,
     job_of,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "KVMSRError",
     "job_of",
     "emit_to_reduce",
+    "emit_to_reduce_many",
     "ensure_registered",
     "CombiningCache",
     "make_do_all",

@@ -27,9 +27,12 @@ total, so a matching sum proves quiescence.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from bisect import insort
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.machine.events import NEW_THREAD, MessageRecord
+from repro.machine.network import InjectionChannel
+from repro.machine.simulator import ACTOR_SEQ_BITS
 from repro.udweave.context import LaneContext
 from repro.udweave.runtime import UpDownRuntime
 from repro.udweave.thread import UDThread, event
@@ -209,60 +212,157 @@ def _lower_job_reduce_entry(job, runtime, operands):
     return None
 
 
-def _emit_tuple(ctx: LaneContext, job: KVMSRJob, lane: int, operands) -> None:
-    """Charge and issue one intermediate tuple: park it, or send it.
+def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
+    """Charge and issue one intermediate tuple per key: park it, or send it.
 
-    The one emit path behind :meth:`MapTask.kv_emit` and
-    :func:`emit_to_reduce`.  The entry label was interned at job
-    construction and the binding's lanes were range-checked there, so
-    this sends without per-tuple lookups; the summed cycle charge lands
-    in the same order as ``work(2)`` + ``spawn()``, so every simulated
-    timestamp is bit-identical to that pair.
+    The one emit path behind :meth:`MapTask.kv_emit` /
+    :meth:`MapTask.kv_emit_many` and :func:`emit_to_reduce` /
+    :func:`emit_to_reduce_many` — the scalar forms are its one-key case.
+    Key ``k`` issues ``(job_id, k) + values``; the result is
+    bit-identical to the scalar loop ``for k in keys: emit(k);
+    ctx.work(work)``.
+
+    Everything that cannot change within one call is resolved once: the
+    binding, the lane memo, the park decision and plan, and the sim and
+    fabric locals.  Each element keeps its own actor-sequence bump,
+    injection-channel admission, guard test and ``insort``, and charges
+    cycles in the scalar order — the emit charge (hash + lane arithmetic
+    + send; Table-2 costs are integers, so one float add equals the
+    ``work(2)`` + ``spawn()`` pair) before the issue, ``work`` after —
+    so every simulated timestamp matches the scalar loop.
 
     Batched dispatch: while the drain has parking armed, a tuple whose
     reduce entry lowered to a batch-safe plan parks on its destination
-    lane instead of riding the heap — priced and sequenced identically,
-    executed array-at-a-time just before that lane is next observed.
-    The first emitted tuple of a job triggers lowering + validation
-    lazily (it supplies the operand arity).  A plan traced through
-    ``sp_once`` lowered only the already-set arm, so it parks a tuple
-    only if its once-key is in the destination scratchpad *now*; the
-    flag is monotone, so it will still be there at delivery.
+    lane instead of riding the heap — priced and sequenced exactly as
+    :meth:`Simulator.send` would, executed array-at-a-time just before
+    that lane is next observed.  The first emitted tuple of a job
+    triggers lowering + validation lazily (it supplies the operand
+    arity).  A plan traced through ``sp_once`` lowered only the
+    already-set arm, so it parks a tuple only if its once-key is in the
+    destination scratchpad *now*; the flag is monotone, so it will still
+    be there at delivery.
     """
-    ctx.cycles += job._emit_cycles
-    ln = ctx.lane
+    if job.reduce_cls is None:
+        raise KVMSRError(f"job {job.name!r} has no reduce phase; cannot emit")
+    if work < 0:
+        raise KVMSRError("cannot charge negative work")
+    if not keys:
+        return
+    if ctx.__class__ is not LaneContext:
+        # IR lowering (repro.udweave.ir): record the intrinsic and abort
+        # — an emitting body is never batch-safe, and tracing past this
+        # point would hash a symbolic key.
+        ctx.op_kv_emit(job, keys[0], values)
     sim = ctx.sim
+    job_id = job.job_id
+    plan = None
     if sim._park_active:
         plan = job._batch_plan
         if plan is None and not job._batch_tried:
-            plan = _lower_job_reduce_entry(job, ctx.runtime, operands)
+            plan = _lower_job_reduce_entry(
+                job, ctx.runtime, (job_id, keys[0]) + values
+            )
+    binding = job.reduce_binding
+    reduce_lanes = job.reduce_lanes
+    memo = job._lane_memo
+    emit_cycles = job._emit_cycles
+    work_cycles = work * ctx.costs.instruction if work else 0
+    label = job._reduce_entry_label
+    label_id = job.reduce_entry_label_id
+    src = ctx.lane
+    src_nwid = src.network_id
+    src_node = src.node
+    start = ctx.start
+    cycles = ctx.cycles
+    send = sim.send
+    if plan is not None:
+        # Simulator.send's bookkeeping for a parked tuple, inlined (the
+        # fabric is healthy whenever parking is armed: no transport,
+        # faults, jitter or channel recording).
+        guard = plan.guard
+        lanes = sim._lanes
+        aseq = sim._actor_seq
+        actor = 1 + src_nwid
+        actor_bits = actor << ACTOR_SEQ_BITS
+        lanes_per_node = sim._lanes_per_node
+        local_cycles = sim._local_base_cycles
+        remote_cycles = sim._remote_base_cycles
+        occupancy = sim._msg_occupancy
+        msg_bytes = sim._message_bytes
+        chans = sim._inj_channels
+        rec_msg = sim._rec_msg
+        n_local = n_remote = n_declined = 0
+    n_parked = 0
+    park = False
+    for key in keys:
+        if memo is None:
+            lane = binding.lane_for(key, reduce_lanes)
+        else:
+            lane = memo.get(key)
+            if lane is None:
+                lane = memo[key] = binding.lane_for(key, reduce_lanes)
+        operands = (job_id, key) + values
+        cycles += emit_cycles
         if plan is not None:
-            guard = plan.guard
-            if guard is None or (
-                (dest := sim._lanes.get(lane)) is not None
-                and guard(operands) in dest.scratchpad
-            ):
-                plan.parked += 1
-                sim.park_emit(
-                    plan, lane, operands, ctx.start + ctx.cycles,
-                    ln.network_id, ln.node,
-                )
-                return
-            plan.guard_declined += 1
-    sim.send(
-        MessageRecord(
-            lane,
-            NEW_THREAD,
-            job._reduce_entry_label,
-            operands,
-            None,
-            ln.network_id,
-            "msg",
-            job.reduce_entry_label_id,
-        ),
-        ctx.start + ctx.cycles,
-        ln.node,
-    )
+            dest = lanes.get(lane)
+            park = guard is None or (
+                dest is not None and guard(operands) in dest.scratchpad
+            )
+            if not park:
+                n_declined += 1
+        if park:
+            count = aseq.get(actor, 0)
+            aseq[actor] = count + 1
+            t_issue = start + cycles
+            if src_node == lane // lanes_per_node:
+                t_deliver = t_issue + local_cycles
+                n_local += 1
+                if rec_msg is not None:
+                    rec_msg("local", t_deliver - t_issue)
+            else:
+                # Network.deliver_time's remote leg: identical arithmetic,
+                # so parked delivery times are bit-identical to heap
+                # delivery times.
+                ch = chans.get(src_node)
+                if ch is None:
+                    ch = chans[src_node] = InjectionChannel()
+                free_at = ch.free_at
+                departed = ch.free_at = (
+                    t_issue if t_issue > free_at else free_at
+                ) + occupancy
+                ch.bytes_injected += msg_bytes
+                t_deliver = departed + remote_cycles
+                n_remote += 1
+                if rec_msg is not None:
+                    rec_msg("remote", t_deliver - t_issue)
+            if dest is None:
+                dest = sim.lane(lane)
+            # Kept sorted by insertion (C-level bisect + memmove on short
+            # lists) so flushes never sort and the drain's earliest-key
+            # check is one tuple index.  seq uniqueness means comparisons
+            # never reach the plan — the heap's own trick.
+            insort(dest.parked, (t_deliver, actor_bits | count, plan, operands))
+            n_parked += 1
+        else:
+            send(
+                MessageRecord(
+                    lane, NEW_THREAD, label, operands, None, src_nwid, "msg",
+                    label_id,
+                ),
+                start + cycles,
+                src_node,
+            )
+        if work_cycles:
+            cycles += work_cycles
+    ctx.cycles = cycles
+    if plan is not None:
+        plan.parked += n_parked
+        plan.guard_declined += n_declined
+        sim._parked_total += n_parked
+        stats = sim.stats
+        stats.messages_local += n_local
+        stats.messages_remote += n_remote
+        stats.messages_sent += n_parked
 
 
 def job_of(ctx: LaneContext, job_id: int) -> KVMSRJob:
@@ -375,26 +475,21 @@ class MapTask(UDThread):
         job = self._job
         if job is None:
             job = self._job = job_of(ctx, self._job_id)
-        if job.reduce_cls is None:
-            raise KVMSRError(
-                f"job {job.name!r} has no reduce phase; kv_emit is invalid"
-            )
-        if ctx.__class__ is not LaneContext:
-            # IR lowering (repro.udweave.ir): record the intrinsic and
-            # abort — an emitting body is never batch-safe, and tracing
-            # past this point would hash a symbolic key.
-            ctx.op_kv_emit(job, key, values)
-        memo = job._lane_memo
-        if memo is None:
-            lane = job.reduce_binding.lane_for(key, job.reduce_lanes)
-        else:
-            lane = memo.get(key)
-            if lane is None:
-                lane = memo[key] = job.reduce_binding.lane_for(
-                    key, job.reduce_lanes
-                )
-        _emit_tuple(ctx, job, lane, (self._job_id, key) + values)
+        _emit(ctx, job, (key,), values, 0)
         self._emitted += 1
+
+    def kv_emit_many(
+        self, ctx: LaneContext, keys: Sequence, *values, work=0
+    ) -> None:
+        """Emit ``<k, values>`` for every ``k`` in ``keys``, charging
+        ``work`` instructions after each — exactly the loop ``for k in
+        keys: self.kv_emit(ctx, k, *values); ctx.work(work)``, issued
+        in one call (one per neighbor chunk in the graph apps)."""
+        job = self._job
+        if job is None:
+            job = self._job = job_of(ctx, self._job_id)
+        _emit(ctx, job, keys, values, work)
+        self._emitted += len(keys)
 
     def add_emitted(self, n: int) -> None:
         """Credit emits performed on this task's behalf by helper threads.
@@ -918,11 +1013,16 @@ def emit_to_reduce(ctx: LaneContext, job_id: int, key, *values) -> None:
     enclosing map task must credit these emits via
     :meth:`MapTask.add_emitted` before returning.
     """
-    job = job_of(ctx, job_id)
-    if job.reduce_cls is None:
-        raise KVMSRError(f"job {job.name!r} has no reduce phase")
-    lane = job.reduce_binding.lane_for(key, job.reduce_lanes)
-    _emit_tuple(ctx, job, lane, (job_id, key) + values)
+    _emit(ctx, job_of(ctx, job_id), (key,), values, 0)
+
+
+def emit_to_reduce_many(
+    ctx: LaneContext, job_id: int, keys: Sequence, *values, work=0
+) -> None:
+    """:func:`emit_to_reduce` for every key in ``keys``, in one call
+    (see :meth:`MapTask.kv_emit_many`); the enclosing map task credits
+    ``len(keys)`` emits."""
+    _emit(ctx, job_of(ctx, job_id), keys, values, work)
 
 
 def _group_assignments(ctx: LaneContext, assignments) -> List[Tuple[int, list]]:

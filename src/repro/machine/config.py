@@ -74,8 +74,8 @@ class MachineConfig:
     #: optimization — simulated results are bit-identical; DESIGN.md
     #: "Event IR & batched dispatch").  Only reduce classes that declare
     #: ``intrinsic_only = True`` are ever lowered; those the IR cannot
-    #: prove batch-safe, and drain modes other than the plain sequential
-    #: one, fall back to per-event interpretation automatically.
+    #: prove batch-safe, and faulted, watched, span- or channel-recording
+    #: drains, fall back to per-event interpretation automatically.
     #: ``False`` interprets every event: the independent reference that
     #: differential tests check batched runs against.
     batch_dispatch: bool = True

@@ -6,7 +6,8 @@ machine's nodes are partitioned into contiguous shards, each owning a
 per-shard event heap plus the lanes, DRAM channel, and injection/reply
 channels of its nodes.  An epoch driver repeatedly:
 
-1. finds the global next-event time ``T`` (the min over shard heaps);
+1. finds the global next-event time ``T`` (the min over shard heaps and
+   the records parked on each shard's lanes);
 2. advances every shard independently through the window
    ``[T, T + lookahead)``;
 3. repeats — cross-shard pushes went straight into the target shard's
@@ -39,6 +40,28 @@ between ``run()`` calls are simply visible — nothing is replicated.
 There is no process-per-shard mode: measured on 2 shards it cost more
 CPU than in-process shards and was no faster than the sequential drain
 (DESIGN.md, "Conservative parallel execution").
+
+Batched dispatch runs inside windows: a shard parks batch-safe reduce
+records on their destination lanes exactly as the sequential drain does
+(``repro.kvmsr.engine._emit``).  Three rules keep that bit-exact:
+
+1. *``T`` sees parked records.*  A shard's head is the earlier of its
+   heap head and the first parked key on its lanes, and a shard runs in
+   a window if that head is before the window end.
+2. *The exit flush stays on the running shard's lanes.*  A window's
+   ``_drain`` flushes only its own shard's lanes up to the window end;
+   flushing another shard's lanes would run its records before that
+   shard's own earlier heap events of the same window.
+3. *Quiescence counts parked records* (:meth:`ShardScheduler._settle`).
+
+A record parked across shards is as safe as a heap push: its delivery
+is at least one lookahead after issue, so at or after the window end.
+BFS's once-guard reads the destination lane's scratchpad at emit, and
+that lane may belong to a shard that ran ahead or behind in simulated
+time.  The flag is monotone, so a set flag is still set at delivery and
+the parked visited arm is what the interpreter would run; an unset one
+just sends through the heap.  Only the host-split counters
+(``records_batched`` and friends) may differ from the sequential run.
 
 The watchdog verdict is :meth:`Simulator._drain`'s, as sequentially.
 Shards of one window share ``sim._wd_last_progress``, so under sharding
@@ -104,26 +127,27 @@ class ShardScheduler:
         event preserves the conservative argument.
 
         Each shard's ``_drain`` may spend the whole remaining budget; the
-        window's total is charged against it afterwards.
+        window's total is charged against it afterwards.  A shard's head
+        and its exit flush cover only its own lanes (rules 1 and 2 in the
+        module docstring).
         """
         sim = self.sim
         stats = sim.stats
-        heaps = self.heaps
+        shards = list(zip(self.heaps, sim._shard_lanes))
         budget = max_events
         bound = math.inf if until is None else until
         while True:
-            t_next = min(
-                (heap[0][0] for heap in heaps if heap), default=math.inf
-            )
+            heads = [self._head(heap, lanes) for heap, lanes in shards]
+            t_next = min(heads)
             if t_next >= bound:
                 break
             window_end = min(t_next + self.lookahead, bound)
             before = stats.events_executed
-            for heap in heaps:
-                if heap and heap[0][0] < window_end:
+            for (heap, lanes), head in zip(shards, heads):
+                if head < window_end:
                     sim._heap = heap
                     try:
-                        sim._drain(budget, window_end)
+                        sim._drain(budget, window_end, lanes)
                     finally:
                         sim._heap = []
             self.windows += 1
@@ -135,6 +159,17 @@ class ShardScheduler:
                     )
         self._settle(bound)
         return stats
+
+    def _head(self, heap: list, lanes: list) -> float:
+        """A shard's next-event time: its heap head or the earliest
+        record parked on one of its lanes, whichever is first."""
+        t = heap[0][0] if heap else math.inf
+        if self.sim._parked_total:
+            for ln in lanes:
+                parked = ln.parked
+                if parked and parked[0][0] < t:
+                    t = parked[0][0]
+        return t
 
     def _settle(self, bound: float) -> None:
         """Deliver the host mail due before ``bound`` in sequential order,
@@ -168,4 +203,9 @@ class ShardScheduler:
             del entries[:due]
         pending = sim._live_threads()
         stats.pending_threads = pending
-        stats.quiesced = pending == 0 and not any(self.heaps) and not entries
+        stats.quiesced = (
+            pending == 0
+            and not any(self.heaps)
+            and not entries
+            and sim._parked_total == 0
+        )

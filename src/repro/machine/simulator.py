@@ -41,7 +41,7 @@ import contextlib
 import gc
 import heapq
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import Callable, List, Optional, Tuple
 
 from .config import MachineConfig
@@ -206,6 +206,10 @@ class Simulator:
         #: windows); ``None`` when ``self._heap`` holds them.
         self._shard_heaps: Optional[List[list]] = None
         self._lanes: dict[int, Lane] = {}
+        #: each shard's lanes, appended as :meth:`lane` creates them (the
+        #: window loop flushes and scans parked records shard by shard);
+        #: ``None`` for a sequential machine.
+        self._shard_lanes: Optional[List[List[Lane]]] = None
         self.now: float = 0.0
         #: messages addressed to the host (program results / completion).
         self.host_inbox: List[Tuple[float, MessageRecord]] = []
@@ -237,6 +241,7 @@ class Simulator:
             self._shard_of_node = [
                 n * shards // nodes for n in range(nodes)
             ]
+            self._shard_lanes = [[] for _ in range(shards)]
         # hot-path constants (avoid per-send property/attribute chains)
         self._lanes_per_node = config.lanes_per_node
         self._total_lanes = config.total_lanes
@@ -262,8 +267,8 @@ class Simulator:
         # observed.  Results are bit-identical; only per-record Python
         # machinery (heap traffic, dispatch, context churn) is skipped.
         self._batch_on = bool(config.batch_dispatch)
-        #: parking is armed per drain (sequential, fault-free, unwatched,
-        #: unrecorded-span drains only — see :meth:`_park_gate`);
+        #: parking is armed per drain (fault-free, unwatched,
+        #: unrecorded-span drains, sharded or not — see :meth:`_park_gate`);
         #: everything else falls back to per-event interpretation
         #: automatically.
         self._park_active = False
@@ -346,6 +351,8 @@ class Simulator:
                 accel=cfg.accel_of(network_id),
             )
             self._lanes[network_id] = ln
+            if self._shard_lanes is not None:
+                self._shard_lanes[self._shard_of_node[ln.node]].append(ln)
         return ln
 
     @property
@@ -688,70 +695,6 @@ class Simulator:
     # Batched dispatch (park at emit, flush before observation)
     # ------------------------------------------------------------------
 
-    def park_emit(
-        self,
-        plan,
-        nwid: int,
-        operands: tuple,
-        t_issue: float,
-        src_nwid: int,
-        src_node: int,
-    ) -> float:
-        """Admit a batch-safe reduce record without building a heap event.
-
-        Everything *globally observable at issue time* happens here
-        exactly as :meth:`send` would do it: the actor sequence ticks,
-        the injection channel admits (remote legs), the message taxonomy
-        counters and recorder hooks fire.  Only the delivery is
-        deferred — the record parks on the destination lane, keyed by
-        the same ``(time, seq)`` its heap entry would have carried, and
-        executes (in key order, merged with heap deliveries) the moment
-        the lane's state is next observed.  Only reachable while
-        ``_park_active`` (armed by :meth:`run` for plain sequential
-        drains), which guarantees the fabric is healthy: no transport,
-        faults, jitter, or channel recording.
-        """
-        stats = self.stats
-        aseq = self._actor_seq
-        actor = 1 + src_nwid
-        count = aseq.get(actor, 0)
-        aseq[actor] = count + 1
-        seq = (actor << ACTOR_SEQ_BITS) | count
-        dst_node = nwid // self._lanes_per_node
-        rec_msg = self._rec_msg
-        if src_node == dst_node:
-            t_deliver = t_issue + self._local_base_cycles
-            stats.messages_local += 1
-            if rec_msg is not None:
-                rec_msg("local", t_deliver - t_issue)
-        else:
-            # Network.deliver_time inlined (remote leg, recorder off):
-            # identical arithmetic, so parked delivery times are
-            # bit-identical to heap delivery times.
-            chans = self._inj_channels
-            ch = chans.get(src_node)
-            if ch is None:
-                ch = chans[src_node] = InjectionChannel()
-            free_at = ch.free_at
-            start = t_issue if t_issue > free_at else free_at
-            departed = ch.free_at = start + self._msg_occupancy
-            ch.bytes_injected += self._message_bytes
-            t_deliver = departed + self._remote_base_cycles
-            stats.messages_remote += 1
-            if rec_msg is not None:
-                rec_msg("remote", t_deliver - t_issue)
-        stats.messages_sent += 1
-        ln = self._lanes.get(nwid)
-        if ln is None:
-            ln = self.lane(nwid)
-        # Kept sorted by insertion (C-level bisect + memmove on short
-        # lists) so flushes never sort and the drain's earliest-key
-        # check is one tuple index.  seq uniqueness means comparisons
-        # never reach the plan — the heap's own trick.
-        insort(ln.parked, (t_deliver, seq, plan, operands))
-        self._parked_total += 1
-        return t_deliver
-
     def _flush_parked(self, ln: Lane, cut) -> int:
         """Execute ``ln``'s parked records with keys below ``cut``;
         returns how many ran (the drain counts them toward its budget).
@@ -759,11 +702,11 @@ class Simulator:
         ``cut`` is a ``(time, seq)`` key prefix-comparable with parked
         entries — ``(t, s)`` flushes strictly-earlier deliveries before
         an incoming event keyed ``(t, s)`` on this lane; ``(t,)`` flushes
-        everything before tick ``t``.  The list is insertion-sorted by
-        :meth:`park_emit`, so the cut is one bisect; runs execute in
-        maximal same-plan groups by the plans' compiled executors, which
-        charge per-record costs in exactly the interpreted order — see
-        ``repro.udweave.ir``.
+        everything before tick ``t``.  The list is insertion-sorted by the
+        emit path (``repro.kvmsr.engine._emit``), so the cut is one bisect;
+        runs execute in maximal same-plan groups by the plans' compiled
+        executors, which charge per-record costs in exactly the
+        interpreted order — see ``repro.udweave.ir``.
         """
         lst = ln.parked
         n = bisect_left(lst, cut)
@@ -1031,9 +974,15 @@ class Simulator:
         unbounded window — a direct :meth:`_drain` call, kept direct
         because apps that call ``run()`` once per round or per service
         step must not pay a coordinator per call.
+
+        Batched dispatch is armed by :meth:`_park_gate` before either
+        branch, so sharded and sequential drains park alike; the window
+        loop's three rules that keep that bit-exact are in
+        ``repro.machine.parallel``.
         """
         gate = self._park_gate()
         self._gate_counts[gate] = self._gate_counts.get(gate, 0) + 1
+        self._park_active = gate == "armed"
         with collector_quiet():
             if self.shards > 1:
                 sched = self._scheduler
@@ -1042,7 +991,6 @@ class Simulator:
 
                     sched = self._scheduler = ShardScheduler(self)
                 return sched.drain(max_events, until)
-            self._park_active = gate == "armed"
             stats = self._drain(
                 max_events, math.inf if until is None else until
             )
@@ -1052,16 +1000,15 @@ class Simulator:
     def _park_gate(self) -> str:
         """``"armed"``, or the first condition that disarms parking.
 
-        Record parking is armed only for the drain shape whose
-        observation points the flush hooks fully cover: plain
-        sequential, healthy fabric, no watchdog, no per-event observers
-        that the batch executors do not replicate.  Everything else
-        simply interprets per event — bit-identical either way.
+        Record parking is armed only for drains whose observation points
+        the flush hooks fully cover: healthy fabric, no watchdog, no
+        per-event observers that the batch executors do not replicate.
+        Sequential and sharded drains arm alike (the window rules are in
+        ``repro.machine.parallel``).  Everything else simply interprets
+        per event — bit-identical either way.
         """
         if not self._batch_on:
             return "batch_dispatch=False"
-        if self.shards > 1:
-            return "shards"
         if (
             self._fault_msg is not None
             or self._fault_dead is not None
@@ -1121,8 +1068,17 @@ class Simulator:
                 row["guard_declined"] += plan.guard_declined
         return {"labels": labels, "drains": dict(self._gate_counts)}
 
-    def _drain(self, max_events: Optional[int], until: float) -> SimStats:
+    def _drain(
+        self,
+        max_events: Optional[int],
+        until: float,
+        own_lanes: Optional[List[Lane]] = None,
+    ) -> SimStats:
         """The sequential drain loop over ``self._heap`` (see :meth:`run`).
+
+        ``own_lanes`` limits the exit flush to the lanes whose events
+        ``self._heap`` holds — one shard's, in a window; every lane when
+        ``None``.
 
         Fused dispatch: when the next heap entry is another delivery to
         the lane that just executed, it runs in the inner loop without
@@ -1321,7 +1277,7 @@ class Simulator:
                 # Drain bound (or heap exhaustion): everything parked
                 # before ``until`` is still owed its execution.
                 cut = (until,)
-                for ln in lanes.values():
+                for ln in lanes.values() if own_lanes is None else own_lanes:
                     if ln.parked:
                         processed += self._flush_parked(ln, cut)
                 if max_events is not None and processed >= max_events:

@@ -3,10 +3,11 @@
 The hard guarantee of ``repro.machine.parallel``: a sharded run
 (``shards=N``) produces *exactly* the sequential results: the same model
 fingerprint (every always-on scalar counter including ``final_tick``,
-minus the host-side ``HOST_SPLIT_KEYS`` — the default sequential drain
-arms batched dispatch, sharded drains interpret every event), the same
-host mailbox in the same order, the same functional outputs, and (when
-recording) the same flight-recorder telemetry.
+minus the host-side ``HOST_SPLIT_KEYS`` — both arm batched dispatch,
+but a once-guard may read a lane another shard has run ahead, so the
+batched/interpreted split can differ), the same host mailbox in the
+same order, the same functional outputs, and (when recording) the same
+flight-recorder telemetry.
 
 Sits alongside ``test_determinism_parity.py``: that file pins run-to-run
 and observation-tier determinism; this one pins shard-count independence.
@@ -128,6 +129,8 @@ def _drive(app_name, step=None, budget=None, **rt_kw):
         "busy": dict(rt.sim.stats.busy_cycles_by_lane),
         "result": list(region.data),
         "drains": drains,
+        "gates": set(rt.sim.batch_report()["drains"]),
+        "batched": rt.sim.stats.records_batched,
     }
 
 
@@ -153,6 +156,9 @@ class TestSteppedDrains:
         # host mail due at or after the bound — says so: every mode
         # reports quiescence on the step sequential does
         assert stepped["drains"] == _drive(app_name, step)["drains"] > 0
+        # every step, sharded or not, parks and batches
+        assert stepped["gates"] == {"armed"}
+        assert stepped["batched"] > 0
 
     def test_a_step_that_outruns_its_budget_still_raises(self):
         from repro.machine import SimulationError

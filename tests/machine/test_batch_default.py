@@ -89,13 +89,20 @@ class TestBFSParity:
         assert batched > 0
         assert set(report["drains"]) == {"armed"}
 
+    def test_sharded_drains_park_identically(self):
+        """Shard windows arm parking too: the once-guard may read a lane
+        another shard owns (monotone flag), so only the host-split
+        tallies may differ from the sequential run."""
+        ref, _, _ = _run_bfs(batch=False)
+        out, batched, report = _run_bfs(shards=2)
+        assert out == ref
+        assert batched > 0
+        assert report["drains"] == {"armed": 1}
+        row = report["labels"]["BFSReduce::__reduce_entry__"]
+        assert row["lowered"] and row["parked"] == batched
+
     @pytest.mark.parametrize(
-        "rt_kw,gate",
-        [
-            (dict(shards=2), "shards"),
-            (dict(faults=True), "faults"),
-        ],
-        ids=["shards2", "faulted"],
+        "rt_kw,gate", [(dict(faults=True), "faults")], ids=["faulted"],
     )
     def test_disarmed_drains_interpret_identically(self, rt_kw, gate):
         ref, _, _ = _run_bfs(batch=False, **rt_kw)
@@ -104,9 +111,6 @@ class TestBFSParity:
         assert batched == 0
         assert set(report["drains"]) == {gate}
         assert report["labels"] == {}  # nothing was ever lowered
-        if "faults" not in rt_kw:
-            # and the modes agree with the armed sequential drain
-            assert out == _run_bfs()[0]
 
 
 class _RaceMap(MapTask):
@@ -156,8 +160,10 @@ class TestGuardDeclined:
         assert row["guard_declined"] > 3
 
 
-def _pagerank_runtime(batch=True):
-    rt = UpDownRuntime(bench_config(NODES, batch_dispatch=batch))
+def _pagerank_runtime(batch=True, shards=1):
+    rt = UpDownRuntime(
+        bench_config(NODES, batch_dispatch=batch), shards=shards
+    )
     app = PageRankApp(rt, GRAPH, block_size=BLOCK)
     return rt, app
 
@@ -200,6 +206,26 @@ class TestBudgetedDrains:
         out, batched, _ = _outcome(rt, app.pr_region.data)
         assert out == whole[0]
         assert batched > 0
+        assert rt.sim.stats.quiesced
+
+    @pytest.mark.parametrize("short_by", [1, 300, 9_000])
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_sharded_abort_then_run_equals_the_whole_run(
+        self, whole, shards, short_by
+    ):
+        """The window loop charges each window's events (flushes
+        included) against the budget; an abort leaves records parked on
+        any shard's lanes, and the next ``run()`` picks them up as that
+        shard's next events."""
+        events = whole[0]["model"]["events_executed"]
+        rt, app = _pagerank_runtime(shards=shards)
+        with pytest.raises(SimulationError, match="max_events"):
+            app.run(iterations=2, max_events=events - short_by)
+        rt.run()
+        out, batched, report = _outcome(rt, app.pr_region.data)
+        assert out == whole[0]
+        assert batched > 0
+        assert set(report["drains"]) == {"armed"}
         assert rt.sim.stats.quiesced
 
     def test_budgeted_default_matches_the_interpreter(self, whole):
