@@ -31,7 +31,6 @@ from bisect import insort
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.machine.events import NEW_THREAD, MessageRecord
-from repro.machine.network import InjectionChannel
 from repro.machine.simulator import ACTOR_SEQ_BITS
 from repro.udweave.context import LaneContext
 from repro.udweave.runtime import UpDownRuntime
@@ -276,20 +275,18 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
     cycles = ctx.cycles
     send = sim.send
     if plan is not None:
-        # Simulator.send's bookkeeping for a parked tuple, inlined (the
-        # fabric is healthy whenever parking is armed: no transport,
-        # faults, jitter or channel recording).
+        # Simulator.send's bookkeeping for a parked tuple, inlined (no
+        # transport or faults whenever parking is armed); the delivery
+        # time comes from the same Network.deliver_time call send makes,
+        # so jitter draws and channel samples happen here, at issue.
         guard = plan.guard
         lanes = sim._lanes
         aseq = sim._actor_seq
         actor = 1 + src_nwid
         actor_bits = actor << ACTOR_SEQ_BITS
         lanes_per_node = sim._lanes_per_node
-        local_cycles = sim._local_base_cycles
-        remote_cycles = sim._remote_base_cycles
-        occupancy = sim._msg_occupancy
+        deliver_time = sim._deliver_time
         msg_bytes = sim._message_bytes
-        chans = sim._inj_channels
         rec_msg = sim._rec_msg
         n_local = n_remote = n_declined = 0
     n_parked = 0
@@ -314,24 +311,13 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
             count = aseq.get(actor, 0)
             aseq[actor] = count + 1
             t_issue = start + cycles
-            if src_node == lane // lanes_per_node:
-                t_deliver = t_issue + local_cycles
+            dst_node = lane // lanes_per_node
+            t_deliver = deliver_time(t_issue, src_node, dst_node, msg_bytes)
+            if src_node == dst_node:
                 n_local += 1
                 if rec_msg is not None:
                     rec_msg("local", t_deliver - t_issue)
             else:
-                # Network.deliver_time's remote leg: identical arithmetic,
-                # so parked delivery times are bit-identical to heap
-                # delivery times.
-                ch = chans.get(src_node)
-                if ch is None:
-                    ch = chans[src_node] = InjectionChannel()
-                free_at = ch.free_at
-                departed = ch.free_at = (
-                    t_issue if t_issue > free_at else free_at
-                ) + occupancy
-                ch.bytes_injected += msg_bytes
-                t_deliver = departed + remote_cycles
                 n_remote += 1
                 if rec_msg is not None:
                     rec_msg("remote", t_deliver - t_issue)

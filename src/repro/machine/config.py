@@ -74,8 +74,8 @@ class MachineConfig:
     #: optimization — simulated results are bit-identical; DESIGN.md
     #: "Event IR & batched dispatch").  Only reduce classes that declare
     #: ``intrinsic_only = True`` are ever lowered; those the IR cannot
-    #: prove batch-safe, and faulted, watched, span- or channel-recording
-    #: drains, fall back to per-event interpretation automatically.
+    #: prove batch-safe, and faulted, watched or span-recording drains,
+    #: fall back to per-event interpretation automatically.
     #: ``False`` interprets every event: the independent reference that
     #: differential tests check batched runs against.
     batch_dispatch: bool = True
@@ -92,6 +92,15 @@ class MachineConfig:
             raise ValueError("remote DRAM latency ratio must be >= 1")
         if not (0.0 < self.remote_dram_bandwidth_ratio <= 1.0):
             raise ValueError("remote DRAM bandwidth ratio must be in (0, 1]")
+        # The injection channels add message_bytes to an exact int byte
+        # total on every remote send; a float would silently turn it into
+        # a lossy float accumulator, a non-positive size would run on
+        # with negative traffic.
+        mb = self.message_bytes
+        if not isinstance(mb, int) or isinstance(mb, bool) or mb <= 0:
+            raise ValueError(
+                f"message_bytes must be a positive int, got {mb!r}"
+            )
         self.costs.validate()
 
     # ------------------------------------------------------------------

@@ -10,8 +10,6 @@ packs the *issuing actor* and its private event count
 (``(actor << 44) | count``): every push carries a globally unique key
 assigned entirely at the point of issue, which is what lets a conservative
 parallel run merge shard outputs into exactly the sequential order.
-:class:`SimEvent` remains as a named view for code that wants field access
-over positional unpacking.
 
 A :class:`MessageRecord` describes one UpDown event message: the target
 (networkID, thread selector, event label), the operands, and an optional
@@ -180,112 +178,3 @@ class DramArrival:
             f"src_node={self.src_node}, nbytes={self.nbytes})"
         )
 
-
-class RecordBatch:
-    """Columnar (NumPy-backed) view of a homogeneous parked-record slice.
-
-    The batch-dispatch path parks same-label reduce records per lane as
-    plain ``(time, seq, plan, operands)`` tuples (see
-    ``repro.udweave.ir``).  This view exposes one slice of that list as
-    NumPy columns — delivery times, sequence keys, and one object column
-    per operand slot — for tooling, tests, and analysis that want
-    array-at-a-time access (histograms, order checks, key distributions)
-    without re-walking Python tuples.
-
-    The *executors* deliberately do not consume this view: per-key float
-    accumulation order is part of the bit-exactness contract, which rules
-    out vectorized reductions, and typical batches are far below the size
-    where column staging pays for itself.  Construction is lazy and
-    cheap; columns are materialized once on first access.
-    """
-
-    __slots__ = ("times", "seqs", "operands", "label")
-
-    def __init__(self, times, seqs, operands, label: str) -> None:
-        self.times = times
-        self.seqs = seqs
-        #: tuple of object-dtype arrays, one per operand slot
-        self.operands = operands
-        self.label = label
-
-    @classmethod
-    def from_entries(cls, entries, lo: int, hi: int) -> "RecordBatch":
-        import numpy as np
-
-        rows = entries[lo:hi]
-        times = np.fromiter(
-            (e[0] for e in rows), dtype=np.float64, count=len(rows)
-        )
-        seqs = np.fromiter(
-            (e[1] for e in rows), dtype=np.int64, count=len(rows)
-        )
-        width = len(rows[0][3]) if rows else 0
-        operands = tuple(
-            np.fromiter(
-                (e[3][j] for e in rows), dtype=object, count=len(rows)
-            )
-            for j in range(width)
-        )
-        label = rows[0][2].label if rows else ""
-        return cls(times, seqs, operands, label)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def is_sorted(self) -> bool:
-        """True iff the slice is in (time, seq) delivery order."""
-        import numpy as np
-
-        if len(self.times) < 2:
-            return True
-        dt = np.diff(self.times)
-        ok = dt > 0
-        ties = dt == 0
-        return bool(
-            np.all(dt >= 0)
-            and np.all(ok | (ties & (np.diff(self.seqs) > 0)))
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RecordBatch({self.label!r}, n={len(self.times)})"
-
-
-class SimEvent:
-    """Named view over a ``(time, dest, seq, record)`` heap tuple.
-
-    The simulator's heap stores raw tuples (deterministic
-    ``(time, dest, seq)`` ordering; ``seq`` is unique so the record is
-    never compared).  This wrapper exists for API compatibility and
-    debugging — construct one from a heap tuple with ``SimEvent(*entry)``.
-    """
-
-    __slots__ = ("time", "dest", "seq", "record")
-
-    def __init__(
-        self, time: float, dest: int, seq: int, record: MessageRecord
-    ) -> None:
-        self.time = time
-        self.dest = dest
-        self.seq = seq
-        self.record = record
-
-    def astuple(self) -> Tuple[float, int, int, MessageRecord]:
-        return (self.time, self.dest, self.seq, self.record)
-
-    def __lt__(self, other: "SimEvent") -> bool:
-        return (self.time, self.dest, self.seq) < (
-            other.time,
-            other.dest,
-            other.seq,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimEvent):
-            return NotImplemented
-        return self.astuple() == other.astuple()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SimEvent(time={self.time}, dest={self.dest}, "
-            f"seq={self.seq}, record={self.record!r})"
-        )

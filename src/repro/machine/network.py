@@ -11,7 +11,11 @@ with 0.5 µs cross-node latency, 4 TB/s per-node injection bandwidth, and
   single remote constant;
 * each node's injection port is a serially-occupied channel: back-to-back
   sends queue behind each other at ``message_bytes / injection_bw``
-  occupancy, modeling injection-bandwidth saturation;
+  occupancy, modeling injection-bandwidth saturation.  That rule lives
+  here only — :meth:`Network.deliver_time` (messages) and
+  :meth:`Network.dram_hop` (DRAM legs) are the sole admission sites, so
+  every caller (``Simulator.send``, KVMSR's parked emits, split-phase
+  DRAM) pays the same arithmetic, jitter draws and recorder samples;
 * optional seeded latency jitter supports failure-injection tests that
   check applications tolerate message reordering;
 * deterministic *fault* perturbations (drop / duplicate / extra delay,
@@ -37,42 +41,21 @@ FAULT_DELAY: int = 3
 
 
 class InjectionChannel:
-    """A serially-occupied port: requests queue behind one another."""
+    """State of one serially-occupied port: transfers queue behind one
+    another.  Only :meth:`Network.deliver_time` and
+    :meth:`Network.dram_hop` admit into it.
+
+    ``bytes_injected`` is an exact Python int — every admitted size is an
+    int (``MachineConfig`` validates ``message_bytes``; DRAM block sizes
+    are ints) — so the total never loses whole bytes past 2**53 the way
+    a float accumulator would on a long chaos soak.
+    """
 
     __slots__ = ("free_at", "bytes_injected")
 
     def __init__(self) -> None:
         self.free_at: float = 0.0
         self.bytes_injected: int = 0
-
-    def admit(self, t: float, occupancy: float, nbytes: int) -> float:
-        """Admit a transfer arriving at ``t``; return its departure time.
-
-        ``bytes_injected`` stays an exact Python int no matter what the
-        caller passes: a float ``nbytes`` (easy to produce from derived
-        byte-size arithmetic) would flip the counter to floating point,
-        which silently loses whole bytes once a long chaos soak pushes
-        the total past 2**53.  Coercing here keeps the accounting
-        overflow-proof — Python ints are arbitrary-precision.
-        """
-        start = max(t, self.free_at)
-        self.free_at = start + occupancy
-        self.bytes_injected += int(nbytes)
-        return self.free_at
-
-    def admit_recorded(
-        self, t: float, occupancy: float, nbytes: int, recorder, node: int
-    ) -> float:
-        """:meth:`admit` plus a flight-recorder occupancy/queue-wait sample.
-
-        A separate method so the unrecorded hot path stays branch-free;
-        callers pick once per send based on whether a recorder is attached.
-        """
-        start = max(t, self.free_at)
-        self.free_at = start + occupancy
-        self.bytes_injected += int(nbytes)
-        recorder.inj_sample(node, start, start - t, occupancy, nbytes)
-        return self.free_at
 
 
 class Network:
@@ -110,12 +93,6 @@ class Network:
         ch = self._injection.get(node)
         if ch is None:
             ch = self._injection[node] = InjectionChannel()
-        return ch
-
-    def _reply_channel(self, node: int) -> InjectionChannel:
-        ch = self._reply.get(node)
-        if ch is None:
-            ch = self._reply[node] = InjectionChannel()
         return ch
 
     def injection_backlog(self, node: int, t: float) -> float:
@@ -170,16 +147,14 @@ class Network:
         occupancy = occ.get(nbytes)
         if occupancy is None:
             occupancy = occ[nbytes] = nbytes / self._injection_bw
+        free_at = ch.free_at
+        start = t_issue if t_issue > free_at else free_at
+        departed = ch.free_at = start + occupancy
+        ch.bytes_injected += nbytes
         recorder = self.recorder
-        if recorder is None:
-            # InjectionChannel.admit inlined — once per remote message.
-            free_at = ch.free_at
-            start = t_issue if t_issue > free_at else free_at
-            departed = ch.free_at = start + occupancy
-            ch.bytes_injected += nbytes
-        else:
-            departed = ch.admit_recorded(
-                t_issue, occupancy, nbytes, recorder, src_node
+        if recorder is not None:
+            recorder.inj_sample(
+                src_node, start, start - t_issue, occupancy, nbytes
             )
         base = self._remote_base
         if jitter_on:
@@ -225,17 +200,14 @@ class Network:
         occupancy = occ.get(nbytes)
         if occupancy is None:
             occupancy = occ[nbytes] = nbytes / self._injection_bw
+        free_at = ch.free_at
+        start = t_issue if t_issue > free_at else free_at
+        departed = ch.free_at = start + occupancy
+        ch.bytes_injected += nbytes
         recorder = self.recorder
-        if recorder is None:
-            # InjectionChannel.admit inlined: this runs twice per remote
-            # DRAM access, and the method call costs as much as the math.
-            free_at = ch.free_at
-            start = t_issue if t_issue > free_at else free_at
-            departed = ch.free_at = start + occupancy
-            ch.bytes_injected += nbytes
-        else:
-            departed = ch.admit_recorded(
-                t_issue, occupancy, nbytes, recorder, src_node
+        if recorder is not None:
+            recorder.inj_sample(
+                src_node, start, start - t_issue, occupancy, nbytes
             )
         return departed + transit_cycles
 

@@ -48,7 +48,7 @@ from .config import MachineConfig
 from .events import HOST_NWID, DramArrival, MessageRecord
 from .lane import Lane
 from .memory import MemorySystem
-from .network import InjectionChannel, Network
+from .network import Network
 from .stats import SimStats
 
 #: dispatcher(sim, lane, record, start_time) -> cycles consumed
@@ -249,16 +249,6 @@ class Simulator:
         self._deliver_time = self.network.deliver_time
         self._dram_hop = self.network.dram_hop
         self._dram_transit = config.remote_dram_transit_cycles
-        # Unrecorded runs inline the two per-remote-access channel
-        # admissions (Network.dram_hop semantics, same arithmetic) —
-        # the call overhead would otherwise dominate DRAM-heavy apps.
-        self._channels_recorded = channel_rec is not None
-        self._inj_channels = self.network._injection
-        self._reply_channels = self.network._reply
-        self._inj_bw = config.node_injection_bytes_per_cycle
-        self._remote_base_cycles = float(config.remote_msg_latency_cycles)
-        self._local_base_cycles = float(config.local_msg_latency_cycles)
-        self._msg_occupancy = config.message_bytes / self._inj_bw
         # --- batched dispatch (host-side optimization; see DESIGN.md) --
         # Batch-safe reduce records are *parked* at emit time into the
         # target lane's ``parked`` list — priced, counted, and sequenced
@@ -822,24 +812,10 @@ class Simulator:
             return t_back
         stats.dram_remote_accesses += 1
         msg_bytes = self._message_bytes
-        transit = self._dram_transit
-        out_bytes = msg_bytes if is_read else msg_bytes + nbytes
-        if self._channels_recorded:
-            t_arrive = self._dram_hop(
-                t_issue, src_node, memory_node, out_bytes, transit
-            )
-        else:
-            # Network.dram_hop inlined (request direction): two calls
-            # per remote access would dominate DRAM-heavy apps.
-            chans = self._inj_channels
-            ch = chans.get(src_node)
-            if ch is None:
-                ch = chans[src_node] = InjectionChannel()
-            free_at = ch.free_at
-            start = t_issue if t_issue > free_at else free_at
-            departed = ch.free_at = start + out_bytes / self._inj_bw
-            ch.bytes_injected += out_bytes
-            t_arrive = departed + transit
+        t_arrive = self._dram_hop(
+            t_issue, src_node, memory_node,
+            msg_bytes if is_read else msg_bytes + nbytes, self._dram_transit,
+        )
         back_bytes = nbytes if is_read else msg_bytes
         if blocking:
             # Synchronous round trip: the caller stalls for the result,
@@ -862,8 +838,9 @@ class Simulator:
             t_ready = self.memory.access(
                 t_arrive, src_node, memory_node, nbytes, local_offset, False
             )
-            t_back = self._reply_hop(
-                t_ready, memory_node, src_node, back_bytes
+            t_back = self._dram_hop(
+                t_ready, memory_node, src_node, back_bytes,
+                self._dram_transit, True,
             )
             if response is not None:
                 self._push(t_back, response, actor)
@@ -882,26 +859,6 @@ class Simulator:
         self._push(t_arrive, arrival, actor)
         return t_arrive
 
-    def _reply_hop(
-        self, t_ready: float, memory_node: int, src_node: int, nbytes: int
-    ) -> float:
-        """Return direction of a remote access (reply virtual channel)."""
-        if self._channels_recorded:
-            return self._dram_hop(
-                t_ready, memory_node, src_node, nbytes,
-                self._dram_transit, reply=True,
-            )
-        # Network.dram_hop inlined (reply virtual channel).
-        chans = self._reply_channels
-        ch = chans.get(memory_node)
-        if ch is None:
-            ch = chans[memory_node] = InjectionChannel()
-        free_at = ch.free_at
-        start = t_ready if t_ready > free_at else free_at
-        departed = ch.free_at = start + nbytes / self._inj_bw
-        ch.bytes_injected += nbytes
-        return departed + self._dram_transit
-
     def _dram_arrive(self, t_arrive: float, arrival: DramArrival) -> None:
         """Service a remote split-phase access at its memory node.
 
@@ -919,8 +876,9 @@ class Simulator:
             t_arrive, src_node, mem_node, arrival.nbytes,
             arrival.local_offset, False,
         )
-        t_back = self._reply_hop(
-            t_ready, mem_node, src_node, arrival.back_bytes
+        t_back = self._dram_hop(
+            t_ready, mem_node, src_node, arrival.back_bytes,
+            self._dram_transit, True,
         )
         response = arrival.response
         if response is not None:
@@ -1004,8 +962,12 @@ class Simulator:
         the flush hooks fully cover: healthy fabric, no watchdog, no
         per-event observers that the batch executors do not replicate.
         Sequential and sharded drains arm alike (the window rules are in
-        ``repro.machine.parallel``).  Everything else simply interprets
-        per event — bit-identical either way.
+        ``repro.machine.parallel``).  Channel recording and latency jitter
+        do not disarm: a parked record is priced by the same
+        :meth:`Network.deliver_time` call :meth:`send` makes, at issue, so
+        its jitter draw and channel sample land in scalar order.
+        Everything else simply interprets per event — bit-identical
+        either way.
         """
         if not self._batch_on:
             return "batch_dispatch=False"
@@ -1022,10 +984,6 @@ class Simulator:
         recorder = self.recorder
         if recorder is not None and recorder.record_lane_spans:
             return "recorder:lane_spans"
-        if self._channels_recorded:
-            return "recorder:channels"
-        if self.network._jitter_on:
-            return "jitter"
         return "armed"
 
     def note_reduce_entry(self, label: str, plan) -> None:

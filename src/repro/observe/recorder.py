@@ -2,8 +2,9 @@
 
 The recorder is deliberately ignorant of the simulator's object model —
 it receives plain numbers from a handful of hook sites (lane dispatch,
-``InjectionChannel`` admission, ``MemoryChannel`` service, message send,
-KVMSR phase transitions) and accumulates them into exportable structures.
+``Network`` injection-channel admission, ``MemoryChannel`` service,
+message send, KVMSR phase transitions) and accumulates them into
+exportable structures.
 Hook sites hold ``None`` when a tier is off, so a disabled recorder costs
 one pointer test per event, the same discipline as ``detailed_stats``.
 """

@@ -83,7 +83,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.machine.events import NEW_THREAD, MessageRecord, RecordBatch
+from repro.machine.events import NEW_THREAD, MessageRecord
 from repro.machine.lane import Lane
 
 from .context import LaneContext
@@ -490,8 +490,7 @@ def _compile_batch_fn(plan: HandlerPlan, costs):
     an int, so its fold (``+= n``) is exact too; the combining-cache
     *values* are floats and stay strictly per-record, in order.
 
-    The record columns (``RecordBatch``) stay available for tooling, but
-    the executor iterates the parked tuples directly: the per-key float
+    The executor iterates the parked tuples directly: the per-key float
     accumulation order is part of the bit-exactness contract, which
     rules out vectorized reductions (``np.add.at`` ordering across
     repeated indices is not a guarantee we can rest fingerprints on),
@@ -694,7 +693,3 @@ def render_plan(plan: HandlerPlan) -> str:
             lines.append("  " + " ".join(str(p) for p in op))
     return "\n".join(head + lines)
 
-
-def batch_columns(entries: Sequence[Tuple[Any, ...]], lo: int, hi: int) -> RecordBatch:
-    """Columnar (NumPy-backed) view of a parked slice — tooling/tests."""
-    return RecordBatch.from_entries(entries, lo, hi)

@@ -1,12 +1,13 @@
 """Batched dispatch as the default path: BFS's once-guard, budgeted
-drains, and the reasons report.
+and observed drains, and the reasons report.
 
 ``tests/machine/test_batch_dispatch.py`` pins PageRank (a plan without a
 guard) off/on across every drain.  This file pins what the default adds:
 BFS parks its "already visited" arm behind the write-once guard, a drain
-with an event budget stays armed, and ``Simulator.batch_report`` says
-why whenever a record was *not* batched.  The reference in every
-comparison is ``batch_dispatch=False`` — the interpreter.
+with an event budget, latency jitter or channel recording stays armed,
+and ``Simulator.batch_report`` says why whenever a record was *not*
+batched.  The reference in every comparison is ``batch_dispatch=False``
+— the interpreter.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.graph import rmat
 from repro.harness import bench_config
 from repro.kvmsr import KVMSRJob, MapTask, RangeInput, ReduceTask
 from repro.machine import SimulationError
+from repro.observe import make_recorder
 from repro.udweave import UpDownRuntime
 
 GRAPH = rmat(8, seed=7)
@@ -160,9 +162,9 @@ class TestGuardDeclined:
         assert row["guard_declined"] > 3
 
 
-def _pagerank_runtime(batch=True, shards=1):
+def _pagerank_runtime(batch=True, shards=1, **rt_kw):
     rt = UpDownRuntime(
-        bench_config(NODES, batch_dispatch=batch), shards=shards
+        bench_config(NODES, batch_dispatch=batch), shards=shards, **rt_kw
     )
     app = PageRankApp(rt, GRAPH, block_size=BLOCK)
     return rt, app
@@ -237,6 +239,76 @@ class TestBudgetedDrains:
         assert report == {
             "labels": {}, "drains": {"batch_dispatch=False": 1},
         }
+
+
+def _recorded(rec):
+    """The recorder's channel and message-latency summaries, exactly."""
+
+    def hist(h):
+        return dict(h.buckets), h.count, h.total, h.max
+
+    def chans(by_node):
+        return {
+            node: (
+                c.admits, c.bytes, c.wait_sum, c.occupancy_sum, c.wait_max,
+                hist(c.wait_hist),
+            )
+            for node, c in by_node.items()
+        }
+
+    return {
+        "inj_by_node": chans(rec.inj_by_node),
+        "dram_by_node": chans(rec.dram_by_node),
+        "inj_wait": hist(rec.inj_wait),
+        "dram_wait": hist(rec.dram_wait),
+        "msg_latency": {k: hist(h) for k, h in rec.msg_latency.items()},
+    }
+
+
+def _observed(app, batch, record=None, **rt_kw):
+    """One whole BFS or PageRank run, with its recorder's summaries."""
+    recorder = make_recorder(record)
+    if app == "bfs":
+        out, batched, report = _run_bfs(batch, recorder=recorder, **rt_kw)
+    else:
+        rt, pr = _pagerank_runtime(batch, recorder=recorder, **rt_kw)
+        pr.run(iterations=2)
+        out, batched, report = _outcome(rt, pr.pr_region.data)
+    if recorder is not None:
+        out["recorded"] = _recorded(recorder)
+    return out, batched, report
+
+
+@pytest.mark.parametrize("app", ["pagerank", "bfs"])
+class TestObservedDrains:
+    """Jitter and channel recording price a parked record through the
+    same ``Network.deliver_time`` call ``send`` makes, at issue — so the
+    draws and samples land in scalar order and parking stays armed.
+    Only lane spans (one per interpreted event) still disarm."""
+
+    @pytest.mark.parametrize(
+        "rt_kw",
+        [
+            dict(latency_jitter_cycles=500.0, seed=3),
+            dict(record="histograms"),
+        ],
+        ids=["jittered", "histograms"],
+    )
+    def test_observed_drains_stay_armed(self, app, rt_kw):
+        ref, ref_batched, _ = _observed(app, False, **rt_kw)
+        out, batched, report = _observed(app, True, **rt_kw)
+        assert out == ref
+        assert ref_batched == 0 and batched > 0
+        assert set(report["drains"]) == {"armed"}
+        if "record" in rt_kw:
+            assert out["recorded"]["inj_by_node"]  # the samples exist
+
+    def test_lane_span_recording_still_disarms(self, app):
+        ref, _, _ = _observed(app, False, record="full")
+        out, batched, report = _observed(app, True, record="full")
+        assert out == ref
+        assert batched == 0
+        assert set(report["drains"]) == {"recorder:lane_spans"}
 
 
 class TestHarnessRunnersReachTheBatchCore:

@@ -67,6 +67,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineConfig(**kwargs)
 
+    @pytest.mark.parametrize("size", [64.0, -8, 0, True])
+    def test_message_bytes_must_be_positive_int(self, size):
+        """A float size would make the injection channels' exact int
+        byte totals float; a non-positive one would run to completion
+        with negative traffic."""
+        with pytest.raises(ValueError, match="message_bytes"):
+            MachineConfig(message_bytes=size)
+        with pytest.raises(ValueError, match="message_bytes"):
+            bench_machine(nodes=2, message_bytes=size)
+
     def test_removed_knob_is_not_accepted(self):
         with pytest.raises(TypeError):
             MachineConfig(parallel_adaptive_max=2)

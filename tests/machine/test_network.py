@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine import bench_machine
-from repro.machine.network import InjectionChannel, Network
+from repro.machine.network import Network
 
 
 @pytest.fixture
@@ -48,34 +48,41 @@ class TestInjection:
         assert net.deliver_time(5.0, None, 3, 64) == 5.0
 
     def test_channel_admit_is_monotone(self):
-        ch = InjectionChannel()
-        d1 = ch.admit(0.0, 2.0, 64)
-        d2 = ch.admit(1.0, 2.0, 64)
+        """Each admission site queues a transfer behind the channel's
+        previous one; the reply virtual channel queues independently."""
+        cfg = bench_machine(nodes=2, node_injection_bytes_per_cycle=32.0)
+        net = Network(cfg)
+        d1 = net.deliver_time(0.0, 0, 1, 64)
+        d2 = net.deliver_time(1.0, 0, 1, 64)
         assert d2 == d1 + 2.0
-        assert ch.bytes_injected == 128
+        # a DRAM request leg shares the message channel ...
+        assert net.dram_hop(0.0, 0, 1, 64, 10.0) == 6.0 + 10.0
+        # ... its reply leg rides the node's own reply channel
+        assert net.dram_hop(0.0, 0, 1, 64, 10.0, True) == 2.0 + 10.0
+        assert net.dram_hop(0.0, 0, 1, 32, 10.0, True) == 3.0 + 10.0
+        assert net.injected_bytes(0) == 3 * 64 + 64 + 32
 
     def test_byte_accounting_is_overflow_safe(self):
-        """Long chaos soaks push channel totals past 2**53; the counter
-        must stay an exact Python int even when a caller hands a float
-        ``nbytes`` (easy to produce from derived byte arithmetic) —
-        float accumulation would silently lose whole bytes up there."""
-        ch = InjectionChannel()
-        ch.bytes_injected = 2**53  # beyond exact float integer range
-        ch.admit(0.0, 1.0, 64.0)
-        assert isinstance(ch.bytes_injected, int)
-        assert ch.bytes_injected == 2**53 + 64
-        ch.admit(1.0, 1.0, 1.0)
-        assert ch.bytes_injected == 2**53 + 65  # float math would drop it
+        """Long chaos soaks push channel totals past 2**53; the counters
+        must stay exact Python ints there, recorded or not, on both
+        virtual channels — float accumulation would silently lose whole
+        bytes."""
 
         class _Rec:
             def inj_sample(self, *a):
                 pass
 
-        ch2 = InjectionChannel()
-        ch2.bytes_injected = 2**53
-        ch2.admit_recorded(0.0, 1.0, 1.0, _Rec(), 0)
-        assert isinstance(ch2.bytes_injected, int)
-        assert ch2.bytes_injected == 2**53 + 1
+        for recorder in (None, _Rec()):
+            net = Network(bench_machine(nodes=2), recorder=recorder)
+            net._channel(0).bytes_injected = 2**53  # past exact floats
+            net.deliver_time(0.0, 0, 1, 64)
+            assert isinstance(net.injected_bytes(0), int)
+            assert net.injected_bytes(0) == 2**53 + 64
+            net.dram_hop(1.0, 0, 1, 1, 10.0)
+            assert net.injected_bytes(0) == 2**53 + 65  # float would drop it
+            net.dram_hop(1.0, 0, 1, 1, 10.0, True)
+            assert isinstance(net._reply[0].bytes_injected, int)
+            assert net.injected_bytes(0) == 2**53 + 66
 
     def test_occupancy_memo_matches_direct_division(self):
         """deliver_time's per-size occupancy memo must reproduce the

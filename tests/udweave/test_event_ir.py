@@ -17,7 +17,6 @@ from repro.udweave.ir import (
     LoweringUnsupported,
     Symbol,
     TraceContext,
-    batch_columns,
     lower_reduce_entry,
     render_plan,
 )
@@ -258,29 +257,3 @@ class TestFallbackParity:
         assert snaps[True] == snaps[False]
         assert triangles[True] == triangles[False]
 
-
-class TestRecordBatchColumns:
-    def test_columns_and_order(self):
-        import numpy as np
-
-        from repro.udweave.ir import HandlerPlan
-
-        plan = HandlerPlan("PRReduceTask::__reduce_entry__", 7, [], True)
-        entries = [
-            (10.0, 3, plan, (0, 5, 0.25)),
-            (10.0, 4, plan, (0, 6, 0.5)),
-            (12.5, 1, plan, (0, 5, 0.125)),
-        ]
-        batch = batch_columns(entries, 0, 3)
-        assert len(batch) == 3
-        assert batch.label == "PRReduceTask::__reduce_entry__"
-        assert batch.times.dtype == np.float64
-        assert batch.seqs.dtype == np.int64
-        assert list(batch.times) == [10.0, 10.0, 12.5]
-        assert list(batch.seqs) == [3, 4, 1]
-        assert len(batch.operands) == 3
-        assert list(batch.operands[1]) == [5, 6, 5]
-        assert batch.is_sorted()  # (time, seq) lexicographic
-        assert not batch_columns(entries[::-1], 0, 3).is_sorted()
-        sub = batch_columns(entries, 1, 2)
-        assert len(sub) == 1 and list(sub.operands[2]) == [0.5]
