@@ -23,8 +23,9 @@ point of issue and each actor lives on exactly one shard, so
   application results stay bit-identical across partitionings.
 
 A shared ``random.Random`` could give neither property — consumption
-order differs between sequential and windowed drains (which is why
-latency jitter is banned under sharding, and fault plans are not).
+order differs between sequential and windowed drains.  Delay faults are
+therefore the machine's only source of message reordering; latencies are
+otherwise fixed.
 """
 
 from __future__ import annotations
@@ -132,12 +133,18 @@ class FaultPlan:
                 f"1.0 (got {total}); one message suffers at most one fault"
             )
         self.delay_cycles = float(delay_cycles)
-        if self.delay_cycles < 0.0:
-            raise FaultPlanError("delay_cycles must be non-negative")
+        if not 0.0 <= self.delay_cycles < math.inf:
+            raise FaultPlanError(
+                f"delay_cycles must be non-negative and finite, "
+                f"got {self.delay_cycles}"
+            )
         self.lane_stall_rate = _check_rate("lane_stall_rate", lane_stall_rate)
         self.lane_stall_cycles = float(lane_stall_cycles)
-        if self.lane_stall_cycles < 0.0:
-            raise FaultPlanError("lane_stall_cycles must be non-negative")
+        if not 0.0 <= self.lane_stall_cycles < math.inf:
+            raise FaultPlanError(
+                f"lane_stall_cycles must be non-negative and finite, "
+                f"got {self.lane_stall_cycles}"
+            )
         self.dram_bandwidth_factors: Dict[int, float] = dict(
             dram_bandwidth_factors or {}
         )
@@ -151,9 +158,12 @@ class FaultPlan:
             int(node): float(tick) for node, tick in (fail_stop or {}).items()
         }
         for node, tick in self.fail_stop.items():
-            if tick < 0.0:
+            # ``inf`` is legal (never fails, as in :meth:`dead_ticks`);
+            # NaN compares false everywhere and would never fail either.
+            if not tick >= 0.0:
                 raise FaultPlanError(
-                    f"fail-stop tick for node {node} must be non-negative"
+                    f"fail-stop tick for node {node} must be a "
+                    f"non-negative number, got {tick}"
                 )
         # cumulative single-draw thresholds (drop < dup < delay)
         self._t_drop = self.drop_rate

@@ -7,6 +7,8 @@ node, change one DRAMmalloc number, re-run).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.machine.simulator import Simulator
 
 
@@ -51,21 +53,25 @@ def lane_report(sim: Simulator, top: int = 8) -> str:
 def event_report(sim: Simulator, top: int = 10) -> str:
     """Event counts by label — which part of the program dominated.
 
-    Requires the per-label histogram tier: build the runtime/simulator
-    with ``detailed_stats=True`` (the scalar tier skips the per-event
-    label count; see DESIGN.md, "Simulator hot path & stats tiers").
+    Counts the flight recorder's lane spans, one per executed event:
+    build the runtime with ``record="full"`` (the scalar stats keep no
+    per-label count; see DESIGN.md, "Simulator hot path & stats tiers").
     """
-    if not sim.detailed_stats and not sim.stats.events_by_label:
+    rec = sim.recorder
+    if rec is None or not rec.record_lane_spans:
         return (
-            "event label histogram unavailable: run with "
-            "detailed_stats=True to collect events_by_label"
+            "event label counts unavailable: run with record='full' "
+            "to collect lane spans"
         )
-    rows = sorted(
-        sim.stats.events_by_label.items(), key=lambda kv: -kv[1]
-    )
+    counts = Counter(label for *_, label in rec.lane_spans)
     lines = ["event label" + " " * 35 + "count"]
-    for label, count in rows[:top]:
+    for label, count in counts.most_common(top):
         lines.append(f"{label:45} {count:8}")
+    if rec.lane_spans_dropped:
+        lines.append(
+            f"({rec.lane_spans_dropped} events past the lane-span cap "
+            "are not counted)"
+        )
     return "\n".join(lines)
 
 

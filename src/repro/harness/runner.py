@@ -70,7 +70,6 @@ class RunRecord:
 
 def _bench_runtime(
     nodes: int,
-    detailed_stats: bool,
     record,
     machine_overrides,
     shards: int = 1,
@@ -81,7 +80,6 @@ def _bench_runtime(
     """A fresh recorded-or-not benchmark runtime (shared by all runners)."""
     return UpDownRuntime(
         bench_config(nodes, **machine_overrides),
-        detailed_stats=detailed_stats,
         recorder=make_recorder(record),
         shards=shards,
         faults=faults,
@@ -130,7 +128,6 @@ def run_pagerank(
     max_degree: int = 64,
     mem_nodes: Optional[int] = None,
     max_events: int = DEFAULT_MAX_EVENTS,
-    detailed_stats: bool = False,
     record=None,
     shards: int = 1,
     faults=None,
@@ -141,7 +138,7 @@ def run_pagerank(
 ) -> RunRecord:
     """One PageRank run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, record, machine_overrides, shards, faults,
         reliable, watchdog_cycles,
     )
     app = PageRankApp(
@@ -168,7 +165,6 @@ def run_bfs(
     mem_nodes: Optional[int] = None,
     frontier_mem_nodes: Optional[int] = None,
     max_events: int = DEFAULT_MAX_EVENTS,
-    detailed_stats: bool = False,
     record=None,
     shards: int = 1,
     faults=None,
@@ -179,7 +175,7 @@ def run_bfs(
 ) -> RunRecord:
     """One BFS run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, record, machine_overrides, shards, faults,
         reliable, watchdog_cycles,
     )
     app = BFSApp(
@@ -213,7 +209,6 @@ def run_triangle_count(
     pbmw: bool = False,
     mem_nodes: Optional[int] = None,
     max_events: int = DEFAULT_MAX_EVENTS,
-    detailed_stats: bool = False,
     record=None,
     shards: int = 1,
     faults=None,
@@ -224,7 +219,7 @@ def run_triangle_count(
 ) -> RunRecord:
     """One TC run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, record, machine_overrides, shards, faults,
         reliable, watchdog_cycles,
     )
     app = TriangleCountApp(
@@ -247,7 +242,6 @@ def run_ingestion(
     nodes: int,
     block_words: int = 64,
     max_events: int = DEFAULT_MAX_EVENTS,
-    detailed_stats: bool = False,
     record=None,
     shards: int = 1,
     faults=None,
@@ -258,7 +252,7 @@ def run_ingestion(
 ) -> RunRecord:
     """One ingestion run on a fresh scaled machine; returns its RunRecord."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, record, machine_overrides, shards, faults,
         reliable, watchdog_cycles,
     )
     app = IngestionApp(rt, records, block_words=block_words)
@@ -278,7 +272,6 @@ def run_partial_match(
     nodes: int,
     gap_cycles: float = 2000.0,
     max_events: int = DEFAULT_MAX_EVENTS,
-    detailed_stats: bool = False,
     record=None,
     shards: int = 1,
     faults=None,
@@ -289,7 +282,7 @@ def run_partial_match(
 ) -> RunRecord:
     """One partial-match stream on a fresh scaled machine (latency metric)."""
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, record, machine_overrides, shards, faults,
         reliable, watchdog_cycles,
     )
     app = PartialMatchApp(rt, patterns)
@@ -314,7 +307,6 @@ def run_service(
     step_cycles: float = 4_000.0,
     drain_grace_cycles: float = 400_000.0,
     max_events: int = DEFAULT_MAX_EVENTS,
-    detailed_stats: bool = False,
     record="histograms",
     shards: int = 1,
     faults=None,
@@ -347,7 +339,7 @@ def run_service(
     from repro.service import DEFAULT_PATTERNS, ServiceApp, ServiceHarness
 
     rt = _bench_runtime(
-        nodes, detailed_stats, record, machine_overrides, shards, faults,
+        nodes, record, machine_overrides, shards, faults,
         reliable, watchdog_cycles,
     )
     app = ServiceApp(

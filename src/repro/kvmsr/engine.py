@@ -278,7 +278,7 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
         # Simulator.send's bookkeeping for a parked tuple, inlined (no
         # transport or faults whenever parking is armed); the delivery
         # time comes from the same Network.deliver_time call send makes,
-        # so jitter draws and channel samples happen here, at issue.
+        # so channel samples happen here, at issue.
         guard = plan.guard
         lanes = sim._lanes
         aseq = sim._actor_seq

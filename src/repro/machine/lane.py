@@ -10,7 +10,7 @@ discipline without an explicit queue structure.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 
 class Lane:
@@ -40,6 +40,12 @@ class Lane:
         self.events_executed: int = 0
         #: thread context table: tid -> runtime thread object
         self.threads: Dict[int, Any] = {}
+        #: thread-context ids are recycled (hardware contexts are finite
+        #: and the event word's thread field is bounded), so an id is
+        #: unique only among *live* threads.  The UDWeave dispatcher pops
+        #: ``_free_tids`` (else mints ``_next_tid``) per spawn and pushes
+        #: the id back on ``yield_terminate``; the ``ir`` batch fold keeps
+        #: the same bookkeeping.
         self._next_tid: int = 0
         self._free_tids: list[int] = []
         #: lane-private scratchpad storage (word-addressed key/value store);
@@ -53,41 +59,3 @@ class Lane:
         #: records parked at emit time, flushed in key order before the
         #: lane's state is next observed (``repro.udweave.ir``).
         self.parked: list = []
-
-    def allocate_thread(self, thread_obj: Any) -> int:
-        """Install ``thread_obj`` and return its thread-context ID.
-
-        Context IDs are recycled (hardware thread contexts are a finite
-        resource and the event word's thread field is bounded), so an ID is
-        unique only among *live* threads on the lane.
-        """
-        if self._free_tids:
-            tid = self._free_tids.pop()
-        else:
-            tid = self._next_tid
-            self._next_tid += 1
-        self.threads[tid] = thread_obj
-        return tid
-
-    def get_thread(self, tid: int) -> Optional[Any]:
-        return self.threads.get(tid)
-
-    def deallocate_thread(self, tid: int) -> None:
-        """Free a thread context (``yield_terminate``)."""
-        if self.threads.pop(tid, None) is not None:
-            self._free_tids.append(tid)
-
-    @property
-    def live_threads(self) -> int:
-        return len(self.threads)
-
-    def account_execution(self, start: float, cycles: float) -> float:
-        """Record an event execution of ``cycles`` starting at ``start``.
-
-        Returns the completion time and advances the busy-until clock.
-        """
-        end = start + cycles
-        self.busy_until = end
-        self.busy_cycles += cycles
-        self.events_executed += 1
-        return end

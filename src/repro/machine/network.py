@@ -15,18 +15,17 @@ with 0.5 µs cross-node latency, 4 TB/s per-node injection bandwidth, and
   here only — :meth:`Network.deliver_time` (messages) and
   :meth:`Network.dram_hop` (DRAM legs) are the sole admission sites, so
   every caller (``Simulator.send``, KVMSR's parked emits, split-phase
-  DRAM) pays the same arithmetic, jitter draws and recorder samples;
-* optional seeded latency jitter supports failure-injection tests that
-  check applications tolerate message reordering;
-* deterministic *fault* perturbations (drop / duplicate / extra delay,
-  from a ``repro.faults.FaultPlan``) are applied here too — see
+  DRAM) pays the same arithmetic and recorder samples;
+* latencies are fixed, as in Fastsim.  Message reordering comes only from
+  deterministic *fault* perturbations (drop / duplicate / extra delay,
+  from a ``repro.faults.FaultPlan``), applied here too — see
   :meth:`Network.fault_delivery` — so every faulty delivery is still
-  charged through the same injection-channel cost model.
+  charged through the same injection-channel cost model, and its
+  content-keyed draws keep results identical across shard counts.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional, Tuple
 
 from .config import MachineConfig
@@ -64,23 +63,16 @@ class Network:
     def __init__(
         self,
         config: MachineConfig,
-        jitter_cycles: float = 0.0,
-        seed: int = 0,
         recorder=None,
     ) -> None:
         self.config = config
-        self.jitter_cycles = jitter_cycles
-        self._rng = random.Random(seed)
         self._injection: Dict[int, InjectionChannel] = {}
         #: reply virtual channel per node (split-phase DRAM responses).
         self._reply: Dict[int, InjectionChannel] = {}
-        # hot-path constants: latency() runs once or twice per message
+        # hot-path constants: deliver_time() runs once or twice per message
         self._local_base = float(config.local_msg_latency_cycles)
         self._remote_base = float(config.remote_msg_latency_cycles)
         self._injection_bw = config.node_injection_bytes_per_cycle
-        #: jitter decision hoisted to a plain bool — the per-call float
-        #: compare against the attribute was two loads per message.
-        self._jitter_on = jitter_cycles > 0.0
         #: occupancy (``nbytes / injection_bw``) memo: transfer sizes
         #: come from a handful of constants (message_bytes, DRAM block
         #: sizes), so the division and the bandwidth attribute load are
@@ -111,13 +103,6 @@ class Network:
         backlog = ch.free_at - t
         return backlog if backlog > 0.0 else 0.0
 
-    def latency(self, src_node: int, dst_node: int) -> float:
-        """One-way message latency in cycles."""
-        base = self._local_base if src_node == dst_node else self._remote_base
-        if self._jitter_on:
-            base += self._rng.uniform(0.0, self.jitter_cycles)
-        return base
-
     def deliver_time(
         self,
         t_issue: float,
@@ -132,14 +117,10 @@ class Network:
         """
         if src_node is None:
             return t_issue
-        jitter_on = self._jitter_on
         if src_node == dst_node:
             # Intra-node messages ride the on-chip network; no injection
-            # port.  latency() is inlined here — one call per message.
-            base = self._local_base
-            if jitter_on:
-                base += self._rng.uniform(0.0, self.jitter_cycles)
-            return t_issue + base
+            # port.
+            return t_issue + self._local_base
         ch = self._injection.get(src_node)
         if ch is None:
             ch = self._injection[src_node] = InjectionChannel()
@@ -156,10 +137,7 @@ class Network:
             recorder.inj_sample(
                 src_node, start, start - t_issue, occupancy, nbytes
             )
-        base = self._remote_base
-        if jitter_on:
-            base += self._rng.uniform(0.0, self.jitter_cycles)
-        return departed + base
+        return departed + self._remote_base
 
     def dram_hop(
         self,
@@ -176,8 +154,7 @@ class Network:
         channel at the source node (DRAM-heavy apps saturate injection
         exactly as message-heavy ones do), then rides the fabric for
         ``transit_cycles`` — the knob-derived
-        :attr:`MachineConfig.remote_dram_transit_cycles`, kept
-        jitter-free so the memory system stays deterministic.  Intra-node
+        :attr:`MachineConfig.remote_dram_transit_cycles`.  Intra-node
         hops are free (the caller charges device latency).
 
         ``reply=True`` selects the node's *reply* virtual channel, which

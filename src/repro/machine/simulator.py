@@ -9,13 +9,13 @@ cost model, and issues outgoing messages back through
 
 Determinism: the heap key is assigned entirely at the point of issue —
 ``seq`` packs the issuing actor (host, lane, or node) with that actor's
-private event count — and all latency jitter (used only by
-failure-injection tests) is seeded, so every simulation run is exactly
-reproducible.  Because the key never depends on *global* issue order, the
-event order is also independent of how the machine is partitioned into
-shards: a conservative parallel run (``shards=N``, see
-``repro.machine.parallel``) produces bit-identical results to the
-sequential drain.
+private event count — and message latencies are fixed (reordering comes
+only from a ``repro.faults.FaultPlan``, whose draws are content-keyed),
+so every simulation run is exactly reproducible.  Because the key never
+depends on *global* issue order, the event order is also independent of
+how the machine is partitioned into shards: a conservative parallel run
+(``shards=N``, see ``repro.machine.parallel``) produces bit-identical
+results to the sequential drain.
 
 Remote split-phase DRAM is event-driven: the requester admits its own
 injection channel at issue time and schedules a :class:`DramArrival`
@@ -30,9 +30,10 @@ of Python-dispatched events and per-event overhead here dominates
 host-side wall-clock.  The drain loop therefore works on plain
 ``(time, dest, seq, record)`` heap tuples, caches the lane lookup across
 consecutive same-lane deliveries, inlines the lane busy-clock accounting,
-and keeps only scalar counters per event — per-label histograms are
-gated behind ``detailed_stats`` and per-lane cycle totals are recovered
-from the lanes themselves after the drain (see ``repro.machine.stats``).
+and keeps only scalar counters per event — per-label event counts come
+from the flight recorder's ``record="full"`` lane spans and per-lane cycle
+totals are recovered from the lanes themselves after the drain (see
+``repro.machine.stats``).
 """
 
 from __future__ import annotations
@@ -148,10 +149,7 @@ class Simulator:
         self,
         config: MachineConfig,
         dispatcher: Optional[Dispatcher] = None,
-        latency_jitter_cycles: float = 0.0,
-        seed: int = 0,
         memory_banks_per_node: int = 1,
-        detailed_stats: bool = False,
         recorder=None,
         shards: int = 1,
         faults=None,
@@ -161,29 +159,20 @@ class Simulator:
         self.dispatcher = dispatcher
         #: flight recorder (``repro.observe``), or None — the off tier.
         #: Hook sites hold pre-bound methods (or None) so a disabled
-        #: recorder costs one pointer test, like ``detailed_stats``.
+        #: recorder costs one pointer test.
         self.recorder = recorder
         channel_rec = (
             recorder if recorder is not None and recorder.record_channels
             else None
         )
-        self.network = Network(
-            config,
-            jitter_cycles=latency_jitter_cycles,
-            seed=seed,
-            recorder=channel_rec,
-        )
+        self.network = Network(config, recorder=channel_rec)
         self.memory = MemorySystem(
             config,
             banks_per_node=memory_banks_per_node,
             recorder=channel_rec,
             faults=faults,
         )
-        self.stats = SimStats(detailed=detailed_stats)
-        #: collect per-label event histograms (``stats.events_by_label``).
-        #: Off by default — it is the one per-event dict update the scalar
-        #: tier avoids; ``harness.inspect.event_report`` needs it on.
-        self.detailed_stats = detailed_stats
+        self.stats = SimStats()
         #: the event queue, in two tiers (see :meth:`_push`): ``_heap``
         #: orders the entries due before ``_near_end``; later ones wait
         #: unordered in ``_far[floor(time / BUCKET_CYCLES)]``, the live
@@ -224,12 +213,6 @@ class Simulator:
                 raise SimulationError(
                     f"cannot split {config.nodes} node(s) into {shards} "
                     f"shards — shards cannot exceed nodes"
-                )
-            if latency_jitter_cycles > 0.0:
-                raise SimulationError(
-                    "latency jitter draws from one shared RNG and is "
-                    "incompatible with sharded execution; set "
-                    "latency_jitter_cycles=0"
                 )
             if config.conservative_lookahead_cycles <= 0.0:
                 raise SimulationError(
@@ -316,8 +299,11 @@ class Simulator:
         self._watchdog_cycles = (
             float(watchdog_cycles) if watchdog_cycles is not None else None
         )
-        if self._watchdog_cycles is not None and self._watchdog_cycles <= 0:
-            raise SimulationError("watchdog_cycles must be positive")
+        wd = self._watchdog_cycles
+        if wd is not None and not 0 < wd < math.inf:
+            raise SimulationError(
+                "watchdog_cycles must be positive and finite"
+            )
         #: labels that do not count as forward progress (KVMSR quiescence
         #: polls, retransmit timers); populated via :meth:`mark_idle_labels`.
         self._wd_idle_labels: set = set()
@@ -704,7 +690,6 @@ class Simulator:
             return 0
         stats = self.stats
         rec_batch = self._rec_batch
-        detailed = self.detailed_stats
         i = 0
         while i < n:
             plan = lst[i][2]
@@ -720,8 +705,6 @@ class Simulator:
             stats.events_executed += cnt
             stats.threads_created += cnt
             stats.threads_terminated += cnt
-            if detailed:
-                stats.events_by_label[plan.label] += cnt
             if rec_batch is not None:
                 rec_batch(cnt)
             i = j
@@ -962,10 +945,10 @@ class Simulator:
         the flush hooks fully cover: healthy fabric, no watchdog, no
         per-event observers that the batch executors do not replicate.
         Sequential and sharded drains arm alike (the window rules are in
-        ``repro.machine.parallel``).  Channel recording and latency jitter
-        do not disarm: a parked record is priced by the same
-        :meth:`Network.deliver_time` call :meth:`send` makes, at issue, so
-        its jitter draw and channel sample land in scalar order.
+        ``repro.machine.parallel``).  Channel recording does not disarm:
+        a parked record is priced by the same :meth:`Network.deliver_time`
+        call :meth:`send` makes, at issue, so its channel sample lands in
+        scalar order.
         Everything else simply interprets per event — bit-identical
         either way.
         """
@@ -1056,14 +1039,12 @@ class Simulator:
         lane_of = self.lane
         stats = self.stats
         host_inbox = self.host_inbox
-        detailed = self.detailed_stats
         recorder = self.recorder
         rec_span = (
             recorder.lane_span
             if recorder is not None and recorder.record_lane_spans
             else None
         )
-        events_by_label = stats.events_by_label
         final_tick = stats.final_tick
         events_executed = 0
         total_lanes = self._total_lanes
@@ -1190,15 +1171,13 @@ class Simulator:
                                         "lane_stall", ev_time, (nwid, stall)
                                     )
                         cycles = dispatcher(self, ln, rec, start)
-                        # inline Lane.account_execution — one call per
-                        # event adds up
+                        # lane busy-clock accounting, inline: one call
+                        # per event adds up
                         end = start + cycles
                         ln.busy_until = end
                         ln.busy_cycles += cycles
                         ln.events_executed += 1
                         events_executed += 1
-                        if detailed:
-                            events_by_label[rec.label] += 1
                         if rec_span is not None:
                             rec_span(nwid, start, end, rec.label)
                         if end > final_tick:

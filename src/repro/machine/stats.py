@@ -14,9 +14,9 @@ tiers"):
   event: each :class:`~repro.machine.lane.Lane` already accumulates its
   own busy cycles, and the simulator copies them into this dict when the
   run drains (identical floats — same per-lane accumulation order).
-* ``events_by_label`` is the one genuinely per-event histogram; it is
-  populated only when the simulator was built with ``detailed_stats=True``
-  (``harness.inspect.event_report`` needs it; nothing else does).
+* Nothing here is a per-event histogram.  Per-label event counts come
+  from the flight recorder's ``record="full"`` lane spans
+  (``repro.observe``), which ``harness.inspect.event_report`` reads.
 """
 
 from __future__ import annotations
@@ -89,12 +89,6 @@ class SimStats:
     busy_cycles_by_lane: Dict[int, float] = field(
         default_factory=lambda: defaultdict(float)
     )
-    #: per-label event counts; populated only under ``detailed_stats``.
-    events_by_label: Dict[str, int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
-    #: whether per-label histograms were collected for this run.
-    detailed: bool = False
     #: final simulated time in cycles (the makespan).
     final_tick: float = 0.0
     #: whether the last drain ended *quiesced* — event heap empty **and**
@@ -131,9 +125,8 @@ class SimStats:
     def scalar_snapshot(self) -> Dict[str, float]:
         """The always-on scalar counters as a plain dict.
 
-        The determinism-parity tests compare these across runs; histogram
-        dicts are excluded because ``events_by_label`` is intentionally
-        empty without ``detailed_stats``.
+        The determinism-parity tests compare these across runs; the
+        ``busy_cycles_by_lane`` dict is excluded.
         """
         return {
             "messages_sent": self.messages_sent,

@@ -12,8 +12,7 @@ Recording is **tiered** so the default stays structurally free (DESIGN.md,
 "Flight recorder & telemetry tiers"):
 
 * ``"off"`` (recorder ``None``) — zero cost: the hot paths hold a ``None``
-  hook and skip with one pointer test, the same gating discipline as
-  ``detailed_stats``.
+  hook and skip with one pointer test.
 * ``"phases"`` — KVMSR job/phase spans only; cost is per *phase*, not per
   event.
 * ``"histograms"`` — adds network-injection and DRAM-channel
@@ -21,7 +20,8 @@ Recording is **tiered** so the default stays structurally free (DESIGN.md,
   histograms; O(1) memory, a few adds per message/access.
 * ``"full"`` — adds per-event lane busy spans and per-admission channel
   events (the Chrome-trace timeline tracks); O(events) memory, bounded by
-  drop caps.
+  drop caps.  One span per executed event, so the span labels are the
+  per-label event counts (``harness.inspect.event_report``).
 """
 
 from .histogram import LogHistogram

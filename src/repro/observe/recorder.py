@@ -6,7 +6,7 @@ it receives plain numbers from a handful of hook sites (lane dispatch,
 message send, KVMSR phase transitions) and accumulates them into
 exportable structures.
 Hook sites hold ``None`` when a tier is off, so a disabled recorder costs
-one pointer test per event, the same discipline as ``detailed_stats``.
+one pointer test per event.
 """
 
 from __future__ import annotations

@@ -47,10 +47,7 @@ class UpDownRuntime:
         config: MachineConfig,
         program: Optional[Program] = None,
         sp_capacity_words: int = 8192,
-        latency_jitter_cycles: float = 0.0,
-        seed: int = 0,
         memory_banks_per_node: int = 1,
-        detailed_stats: bool = False,
         recorder=None,
         shards: int = 1,
         parallel: Optional[bool] = None,
@@ -73,10 +70,7 @@ class UpDownRuntime:
         self.sim = Simulator(
             config,
             dispatcher=self._dispatch,
-            latency_jitter_cycles=latency_jitter_cycles,
-            seed=seed,
             memory_banks_per_node=memory_banks_per_node,
-            detailed_stats=detailed_stats,
             recorder=recorder,
             shards=shards,
             faults=faults,
@@ -333,8 +327,7 @@ class UpDownRuntime:
         tid = record.thread
         if tid == NEW_THREAD:
             thread_obj = cls()
-            # Lane.allocate_thread open-coded: one context is allocated
-            # per delivered spawn, so the call dispatch was measurable.
+            # thread ids are recycled per lane (see ``Lane._next_tid``)
             free_tids = lane._free_tids
             if free_tids:
                 tid = free_tids.pop()
@@ -372,8 +365,6 @@ class UpDownRuntime:
             ctx.cycles += pre
         func(thread_obj, ctx, *record.operands)
         if ctx.terminated:
-            # Lane.deallocate_thread open-coded: one termination per
-            # spawned task, so the call dispatch was measurable.
             if lane.threads.pop(tid, None) is not None:
                 lane._free_tids.append(tid)
             sim.stats.threads_terminated += 1

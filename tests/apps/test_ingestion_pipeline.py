@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import IngestionApp, make_workload
 from repro.apps.ingestion import READ_AHEAD
+from repro.faults import FaultPlan
 from repro.harness import run_ingestion
 from repro.machine import bench_machine
 from repro.udweave import UpDownRuntime
@@ -11,17 +12,21 @@ from repro.udweave import UpDownRuntime
 
 class TestReadAhead:
     def test_out_of_order_chunk_arrival_parses_in_order(self):
-        """Jittered network latency reorders read responses; the parser
-        must still consume bytes in order and find every record."""
+        """Delay faults reorder the remote emits and acks around the
+        parser; it must still consume bytes in order and find every
+        record.  The DRAM read responses themselves are never delayed:
+        fault plans leave the memory system's timing alone."""
         recs = make_workload(60, seed=4)
         for seed in (0, 1, 2):
             rt = UpDownRuntime(
                 bench_machine(nodes=4),
-                latency_jitter_cycles=900.0,
-                seed=seed,
+                faults=FaultPlan(
+                    seed=seed, delay_rate=0.3, delay_cycles=900.0
+                ),
             )
             app = IngestionApp(rt, recs, block_words=16)
             res = app.run(max_events=10_000_000)
+            assert rt.sim.stats.faults_messages_delayed > 0
             assert res.records == len(recs)
 
     def test_inflight_reads_bounded(self):

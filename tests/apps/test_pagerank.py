@@ -1,5 +1,7 @@
 """PageRank on the simulated machine vs the NumPy oracle."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,14 @@ from repro.apps import PageRankApp
 from repro.baselines import pagerank as ref_pagerank
 from repro.graph import CSRGraph, path_graph, rmat, star_graph
 from repro.machine import bench_machine
+from repro.observe import make_recorder
 from repro.udweave import UpDownRuntime
 
 
-def run_pr(graph, nodes=2, iterations=1, **kw):
-    # detailed_stats: structure tests below read events_by_label
-    rt = UpDownRuntime(bench_machine(nodes=nodes), detailed_stats=True)
+def run_pr(graph, nodes=2, iterations=1, record=None, **kw):
+    rt = UpDownRuntime(
+        bench_machine(nodes=nodes), recorder=make_recorder(record)
+    )
     app = PageRankApp(rt, graph, max_degree=kw.pop("max_degree", 16), **kw)
     return app.run(iterations=iterations, max_events=5_000_000), rt
 
@@ -78,12 +82,11 @@ class TestMachineInteraction:
         assert rt.sim.memory.bytes_served(2) == 0
 
     def test_emits_proportional_to_edges(self, rmat_s6):
-        res, rt = run_pr(rmat_s6)
+        # lane spans (record="full") label every executed event
+        res, rt = run_pr(rmat_s6, record="full")
+        labels = Counter(label for *_, label in rt.recorder.lane_spans)
         # one emit per edge per iteration -> one reduce entry per edge
-        entries = rt.sim.stats.events_by_label.get(
-            "PRReduceTask::__reduce_entry__", 0
-        )
-        assert entries == rmat_s6.m
+        assert labels["PRReduceTask::__reduce_entry__"] == rmat_s6.m
 
     def test_gups_metric(self, rmat_s6):
         res, _ = run_pr(rmat_s6)

@@ -1,17 +1,21 @@
 """Triangle counting vs both oracles, Block and PBMW bindings."""
 
+from collections import Counter
+
 import pytest
 
 from repro.apps import TriangleCountApp
 from repro.baselines import triangle_count, triangle_count_intersect
 from repro.graph import CSRGraph, complete_graph, path_graph, rmat
 from repro.machine import bench_machine
+from repro.observe import make_recorder
 from repro.udweave import UpDownRuntime
 
 
-def run_tc(graph, nodes=2, **kw):
-    # detailed_stats: structure tests below read events_by_label
-    rt = UpDownRuntime(bench_machine(nodes=nodes), detailed_stats=True)
+def run_tc(graph, nodes=2, record=None, **kw):
+    rt = UpDownRuntime(
+        bench_machine(nodes=nodes), recorder=make_recorder(record)
+    )
     app = TriangleCountApp(rt, graph, **kw)
     return app.run(max_events=10_000_000), rt
 
@@ -57,11 +61,10 @@ class TestCorrectness:
 
 class TestStructure:
     def test_one_reduce_per_ordered_edge(self, rmat_s6):
-        _res, rt = run_tc(rmat_s6)
-        entries = rt.sim.stats.events_by_label.get(
-            "TCReduceTask::__reduce_entry__", 0
-        )
-        assert entries == rmat_s6.m // 2  # pairs with x > y
+        # lane spans (record="full") label every executed event
+        _res, rt = run_tc(rmat_s6, record="full")
+        labels = Counter(label for *_, label in rt.recorder.lane_spans)
+        assert labels["TCReduceTask::__reduce_entry__"] == rmat_s6.m // 2
 
     def test_streams_both_lists(self, rmat_s6):
         """The second TC version reads both endpoint lists from DRAM."""

@@ -38,9 +38,27 @@ class TestValidation:
             FaultPlan(dram_bandwidth_factors={0: 1.5})
         FaultPlan(dram_bandwidth_factors={0: 0.25})  # ok
 
+    @pytest.mark.parametrize("knob", ["delay_cycles", "lane_stall_cycles"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cycles_rejected(self, knob, bad):
+        # a NaN/inf delay or stall would surface mid-drain as a
+        # non-finite event time; reject it at construction instead
+        with pytest.raises(FaultPlanError, match=knob):
+            FaultPlan(**{knob: bad})
+
     def test_fail_stop_tick_non_negative(self):
         with pytest.raises(FaultPlanError, match="fail-stop"):
             FaultPlan(fail_stop={0: -5.0})
+
+    def test_fail_stop_tick_nan_rejected(self):
+        # NaN compares false against every tick: the node would never fail
+        with pytest.raises(FaultPlanError, match="fail-stop"):
+            FaultPlan(fail_stop={0: math.nan})
+
+    def test_fail_stop_tick_inf_means_never(self):
+        assert FaultPlan(fail_stop={1: math.inf}).dead_ticks(2) == [
+            math.inf, math.inf
+        ]
 
     def test_out_of_range_nodes_caught_at_table_build(self):
         with pytest.raises(FaultPlanError, match="out of range"):

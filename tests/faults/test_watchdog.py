@@ -12,7 +12,12 @@ import pytest
 
 from repro.faults import FaultPlan, QuiescenceStall
 from repro.kvmsr import KVMSRJob, MapTask, RangeInput, ReduceTask, job_of
-from repro.machine import MessageRecord, Simulator, bench_machine
+from repro.machine import (
+    MessageRecord,
+    SimulationError,
+    Simulator,
+    bench_machine,
+)
 from repro.machine.events import NEW_THREAD
 from repro.udweave import UpDownRuntime
 
@@ -101,6 +106,17 @@ class TestLostCredit:
         credits = shd.diagnostic["kvmsr_credits"]
         assert credits == seq.diagnostic["kvmsr_credits"]
         assert any(m["outstanding"] > 0 for m in credits["live_masters"])
+
+
+class TestWatchdogValidation:
+    @pytest.mark.parametrize(
+        "bad", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_threshold_must_be_positive_and_finite(self, bad):
+        # NaN would make ``gap > threshold`` always false: a watchdog
+        # that silently never fires
+        with pytest.raises(SimulationError, match="watchdog_cycles"):
+            Simulator(bench_machine(nodes=1), watchdog_cycles=bad)
 
 
 class TestRearmOnInjection:

@@ -211,10 +211,13 @@ class TestInspect:
         from repro.graph import rmat
         from repro.apps import PageRankApp
         from repro.machine import bench_machine
+        from repro.observe import make_recorder
         from repro.udweave import UpDownRuntime
 
-        # detailed_stats: event_report needs the per-label histogram
-        rt = UpDownRuntime(bench_machine(nodes=4), detailed_stats=True)
+        # event_report counts the full tier's per-event lane spans
+        rt = UpDownRuntime(
+            bench_machine(nodes=4), recorder=make_recorder("full")
+        )
         PageRankApp(rt, rmat(7, seed=48), max_degree=16,
                     block_size=4096).run(max_events=10_000_000)
         return rt.sim
@@ -240,6 +243,14 @@ class TestInspect:
         sim = self._run()
         text = event_report(sim, top=3)
         assert "PRReduceTask::__reduce_entry__" in text
+        assert "not counted" not in text  # no span hit the cap
+
+    def test_event_report_names_the_full_tier(self):
+        from repro.harness import event_report
+        from repro.machine import Simulator, bench_machine
+
+        text = event_report(Simulator(bench_machine(nodes=1)))
+        assert "unavailable" in text and "record='full'" in text
 
     def test_full_report_concatenates(self):
         from repro.harness import full_report

@@ -2,12 +2,9 @@
 
 The DES core guarantees bit-exact reproducibility: same program, same
 seeds → identical final tick, identical scalar counters, identical host
-mailbox.  These tests pin that guarantee across the two axes the
-interned-label/pooled-context rework could plausibly have broken:
-
-* run-to-run (two fresh machines, same inputs);
-* ``detailed_stats`` on vs off (the histogram tier must be observation
-  only — collecting it cannot perturb the simulation).
+mailbox.  These tests pin that guarantee run-to-run (two fresh machines,
+same inputs).  That recording is observation only is pinned in
+``tests/observe/test_exports.py``.
 """
 
 import pytest
@@ -29,15 +26,15 @@ def _mailbox(rt):
     ]
 
 
-def _run_pr(detailed=False):
-    rt = UpDownRuntime(bench_config(4), detailed_stats=detailed)
+def _run_pr():
+    rt = UpDownRuntime(bench_config(4))
     app = PageRankApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
     app.run(iterations=2, max_events=10_000_000)
     return rt
 
 
-def _run_bfs(detailed=False):
-    rt = UpDownRuntime(bench_config(4), detailed_stats=detailed)
+def _run_bfs():
+    rt = UpDownRuntime(bench_config(4))
     app = BFSApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
     app.run(root=0, max_events=10_000_000)
     return rt
@@ -63,26 +60,3 @@ class TestRunToRun:
         assert a.alerts == b.alerts
         assert a.reached == b.reached
         assert a.phase_seconds == b.phase_seconds
-
-
-class TestStatsTierParity:
-    """detailed_stats only adds observations — it must not change the run."""
-
-    @pytest.mark.parametrize("runner", [_run_pr, _run_bfs])
-    def test_scalars_and_mailbox_unaffected(self, runner):
-        off, on = runner(detailed=False), runner(detailed=True)
-        assert (
-            off.sim.stats.scalar_snapshot() == on.sim.stats.scalar_snapshot()
-        )
-        assert off.sim.stats.final_tick == on.sim.stats.final_tick
-        assert _mailbox(off) == _mailbox(on)
-
-    def test_histogram_only_collected_when_on(self):
-        off, on = _run_pr(detailed=False), _run_pr(detailed=True)
-        assert not off.sim.stats.events_by_label
-        assert on.sim.stats.events_by_label
-        # the histogram tier agrees with the always-on scalar tier
-        assert (
-            sum(on.sim.stats.events_by_label.values())
-            == on.sim.stats.events_executed
-        )

@@ -169,15 +169,22 @@ class TestSteppedDrains:
 
 class TestShardedFeatureMatrix:
     """Sharded parity across the machine-model feature matrix: batched
-    dispatch and injected faults with reliable delivery (fault-delayed
-    ``rdt`` records crossing shards) must each stay bit-exact."""
+    dispatch, injected faults with reliable delivery (fault-delayed
+    ``rdt`` records crossing shards) and delay faults (the machine's
+    only message reordering) must each stay bit-exact."""
 
-    def _run(self, shards, batch_dispatch=False, faulty=False):
+    def _run(self, shards, batch_dispatch=False, faulty=False, delayed=False):
         from repro.faults import FaultPlan
 
+        if faulty:
+            plan = FaultPlan(seed=11, drop_rate=0.01)
+        elif delayed:
+            plan = FaultPlan(seed=11, delay_rate=0.2)
+        else:
+            plan = None
         rt = UpDownRuntime(
             bench_config(NODES, batch_dispatch=batch_dispatch),
-            faults=FaultPlan(seed=11, drop_rate=0.01) if faulty else None,
+            faults=plan,
             reliable=faulty,
             shards=shards,
         )
@@ -191,8 +198,9 @@ class TestShardedFeatureMatrix:
             dict(batch_dispatch=True),
             dict(faulty=True),
             dict(batch_dispatch=True, faulty=True),
+            dict(delayed=True),
         ],
-        ids=["batch_dispatch", "faulted", "all_on"],
+        ids=["batch_dispatch", "faulted", "all_on", "delayed"],
     )
     def test_feature_matrix_fingerprint_identical(self, knobs):
         seq_fp, seq_ranks = self._run(shards=1, **knobs)

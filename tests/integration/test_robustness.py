@@ -5,51 +5,62 @@ import pytest
 
 from repro.apps import PageRankApp, TriangleCountApp
 from repro.baselines import pagerank as ref_pagerank, triangle_count
+from repro.faults import FaultPlan
 from repro.graph import rmat
 from repro.machine import bench_machine
 from repro.udweave import UpDownRuntime
 
 
+def _delayed_runtime(seed, delay_cycles, shards=1):
+    """A 2-node machine whose remote messages are delay-faulted at 30%:
+    content-keyed extra latency that reorders deliveries across lanes."""
+    plan = FaultPlan(seed=seed, delay_rate=0.3, delay_cycles=delay_cycles)
+    return UpDownRuntime(bench_machine(nodes=2), faults=plan, shards=shards)
+
+
 class TestMessageReorderingRobustness:
     """Applications must not depend on message timing: results are
-    identical under injected network-latency jitter (which reorders
-    deliveries across lanes)."""
+    identical when delay faults reorder deliveries across lanes, and the
+    reordered run is identical across shard counts."""
 
-    def test_pagerank_invariant_under_jitter(self, rmat_s6):
-        results = []
-        for seed in (0, 1, 2):
-            rt = UpDownRuntime(
-                bench_machine(nodes=2),
-                latency_jitter_cycles=500.0,
-                seed=seed,
-            )
-            app = PageRankApp(rt, rmat_s6, max_degree=16)
-            results.append(app.run(max_events=5_000_000).ranks)
+    def _pagerank(self, graph, seed, shards=1):
+        rt = _delayed_runtime(seed, 500.0, shards)
+        res = PageRankApp(rt, graph, max_degree=16).run(max_events=5_000_000)
+        return rt, res
+
+    def test_pagerank_invariant_under_delay(self, rmat_s6):
         expected = ref_pagerank(rmat_s6, 1)
-        for ranks in results:
-            assert np.abs(ranks - expected).max() < 1e-9
+        for seed in (0, 1, 2):
+            rt, res = self._pagerank(rmat_s6, seed)
+            assert rt.sim.stats.faults_messages_delayed > 0
+            assert np.abs(res.ranks - expected).max() < 1e-9
+            rt2, res2 = self._pagerank(rmat_s6, seed, shards=2)
+            assert (
+                rt2.sim.stats.model_snapshot() == rt.sim.stats.model_snapshot()
+            )
+            assert np.array_equal(res2.ranks, res.ranks)
 
-    def test_tc_invariant_under_jitter(self, rmat_s6):
+    def test_tc_invariant_under_delay(self, rmat_s6):
         expected = triangle_count(rmat_s6)
         for seed in (0, 3):
-            rt = UpDownRuntime(
-                bench_machine(nodes=2),
-                latency_jitter_cycles=800.0,
-                seed=seed,
-            )
-            res = TriangleCountApp(rt, rmat_s6).run(max_events=10_000_000)
-            assert res.triangles == expected
+            snaps = []
+            for shards in (1, 2):
+                rt = _delayed_runtime(seed, 800.0, shards)
+                res = TriangleCountApp(rt, rmat_s6).run(max_events=10_000_000)
+                assert rt.sim.stats.faults_messages_delayed > 0
+                assert res.triangles == expected
+                snaps.append(rt.sim.stats.model_snapshot())
+            assert snaps[0] == snaps[1]
 
-    def test_jitter_changes_timing_not_results(self, rmat_s6):
+    def test_delay_changes_timing_not_results(self, rmat_s6):
         times = set()
         for seed in (0, 1):
-            rt = UpDownRuntime(
-                bench_machine(nodes=2),
-                latency_jitter_cycles=500.0,
-                seed=seed,
+            rt, res = self._pagerank(rmat_s6, seed)
+            times.add(res.elapsed_seconds)
+            rt2, res2 = self._pagerank(rmat_s6, seed, shards=2)
+            assert (
+                rt2.sim.stats.model_snapshot() == rt.sim.stats.model_snapshot()
             )
-            app = PageRankApp(rt, rmat_s6, max_degree=16)
-            times.add(app.run(max_events=5_000_000).elapsed_seconds)
         assert len(times) == 2  # timing did change
 
 

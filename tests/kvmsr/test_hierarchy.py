@@ -1,9 +1,12 @@
 """KVMSR's hierarchical control: coordinator aggregation and polling."""
 
+from collections import Counter
+
 import pytest
 
 from repro.kvmsr import KVMSRJob, MapTask, RangeInput, ReduceTask
 from repro.machine import bench_machine
+from repro.observe import make_recorder
 from repro.udweave import UpDownRuntime, event
 
 
@@ -31,22 +34,27 @@ class FastReduce(ReduceTask):
         self.kv_reduce_return(ctx)
 
 
+def _label_counts(rt):
+    return Counter(label for *_, label in rt.recorder.lane_spans)
+
+
 class TestHierarchy:
     def test_master_talks_to_nodes_not_lanes(self):
         """The start fan-out is two-level: the master's lane sends O(nodes)
         messages, not O(lanes) (the paper's multi-level control)."""
         nodes = 8
-        # detailed_stats: the assertions below read events_by_label
-        rt = UpDownRuntime(bench_machine(nodes=nodes), detailed_stats=True)
+        # lane spans (record="full") label every executed event
+        rt = UpDownRuntime(
+            bench_machine(nodes=nodes), recorder=make_recorder("full")
+        )
         job = KVMSRJob(rt, QuickMap, RangeInput(64), reduce_cls=FastReduce)
         job.launch()
-        stats = rt.run(max_events=2_000_000)
-        coord_starts = stats.events_by_label["NodeCoordinator::coord_start"]
-        node_dones = stats.events_by_label["KVMSRMaster::node_done"]
-        assert coord_starts == nodes
-        assert node_dones == nodes
+        rt.run(max_events=2_000_000)
+        labels = _label_counts(rt)
+        assert labels["NodeCoordinator::coord_start"] == nodes
+        assert labels["KVMSRMaster::node_done"] == nodes
         # each coordinator started its node's lane dispatchers
-        assert stats.events_by_label["MapperLane::start"] == rt.config.total_lanes
+        assert labels["MapperLane::start"] == rt.config.total_lanes
 
     def test_slow_reduce_forces_repolling(self):
         rt = UpDownRuntime(bench_machine(nodes=2))
@@ -73,7 +81,9 @@ class TestHierarchy:
     def test_completion_waits_for_every_reduce(self):
         """With a long reduce tail, the completion message must still not
         fire until all reduces finished: total counted == emitted."""
-        rt = UpDownRuntime(bench_machine(nodes=2), detailed_stats=True)
+        rt = UpDownRuntime(
+            bench_machine(nodes=2), recorder=make_recorder("full")
+        )
         job = KVMSRJob(
             rt,
             QuickMap,
@@ -82,8 +92,8 @@ class TestHierarchy:
             poll_interval_cycles=5_000,
         )
         job.launch()
-        stats = rt.run(max_events=2_000_000)
+        rt.run(max_events=2_000_000)
         done_t = rt.sim.host_inbox[0][0]
         # the delayed 'later' events all executed before completion
-        assert stats.events_by_label["SlowReduce::later"] == 24
+        assert _label_counts(rt)["SlowReduce::later"] == 24
         assert done_t >= 30_000

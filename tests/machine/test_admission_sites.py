@@ -4,11 +4,11 @@ Every serially-occupied channel is charged by a single function:
 ``Network.deliver_time`` (message leg) and ``Network.dram_hop`` (DRAM
 legs) for the injection channels, ``MemoryChannel.service`` for DRAM.
 An inlined copy elsewhere — a hot-path "optimization" in the simulator or
-KVMSR — would silently skip the recorder sample or the jitter draw the
-real site takes, which is exactly what used to force parking off for
-recorded and jittered drains.  This walks ``src/repro`` and fails on any
-assignment to a channel's ``free_at`` / ``bytes_injected`` outside those
-sites (constructors aside).
+KVMSR — would silently skip the recorder sample the real site takes,
+which is exactly what used to force parking off for recorded drains.
+This walks ``src/repro`` and fails on any assignment to a channel's
+``free_at`` / ``bytes_injected`` outside those sites (constructors
+aside).
 """
 
 import ast

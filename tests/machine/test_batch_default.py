@@ -4,7 +4,7 @@ and observed drains, and the reasons report.
 ``tests/machine/test_batch_dispatch.py`` pins PageRank (a plan without a
 guard) off/on across every drain.  This file pins what the default adds:
 BFS parks its "already visited" arm behind the write-once guard, a drain
-with an event budget, latency jitter or channel recording stays armed,
+with an event budget or channel recording stays armed,
 and ``Simulator.batch_report`` says why whenever a record was *not*
 batched.  The reference in every comparison is ``batch_dispatch=False``
 — the interpreter.
@@ -281,18 +281,13 @@ def _observed(app, batch, record=None, **rt_kw):
 
 @pytest.mark.parametrize("app", ["pagerank", "bfs"])
 class TestObservedDrains:
-    """Jitter and channel recording price a parked record through the
-    same ``Network.deliver_time`` call ``send`` makes, at issue — so the
-    draws and samples land in scalar order and parking stays armed.
-    Only lane spans (one per interpreted event) still disarm."""
+    """Channel recording prices a parked record through the same
+    ``Network.deliver_time`` call ``send`` makes, at issue — so the
+    samples land in scalar order and parking stays armed.  Only lane
+    spans (one per interpreted event) still disarm."""
 
     @pytest.mark.parametrize(
-        "rt_kw",
-        [
-            dict(latency_jitter_cycles=500.0, seed=3),
-            dict(record="histograms"),
-        ],
-        ids=["jittered", "histograms"],
+        "rt_kw", [dict(record="histograms")], ids=["histograms"]
     )
     def test_observed_drains_stay_armed(self, app, rt_kw):
         ref, ref_batched, _ = _observed(app, False, **rt_kw)

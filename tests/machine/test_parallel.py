@@ -86,15 +86,6 @@ class TestShardValidation:
                 shards=0,
             )
 
-    def test_jitter_incompatible_with_shards(self):
-        with pytest.raises(SimulationError, match="jitter"):
-            Simulator(
-                bench_machine(nodes=2),
-                dispatcher=null_dispatcher(),
-                shards=2,
-                latency_jitter_cycles=10.0,
-            )
-
     def test_zero_lookahead_rejected(self):
         with pytest.raises(SimulationError, match="lookahead"):
             Simulator(

@@ -212,3 +212,50 @@ class TestBoundedReentry:
         whole = self._fanout()
         for limit in (1, 3, 5, 7):
             assert self._fanout(abort_at=limit) == whole, limit
+
+
+class TestRemovedKnobs:
+    """Latency jitter and the ``detailed_stats`` histogram are deleted,
+    not aliased: their keywords are ``TypeError``s everywhere.  Delay
+    faults (``FaultPlan``) reorder messages; the ``record="full"`` lane
+    spans carry the per-label event counts."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(latency_jitter_cycles=10.0),
+            dict(seed=1),
+            dict(detailed_stats=True),
+        ],
+        ids=["latency_jitter_cycles", "seed", "detailed_stats"],
+    )
+    def test_machine_constructors_reject(self, kw):
+        from repro.udweave import UpDownRuntime
+
+        (name,) = kw
+        with pytest.raises(TypeError, match=name):
+            Simulator(bench_machine(nodes=1), **kw)
+        with pytest.raises(TypeError, match=name):
+            UpDownRuntime(bench_machine(nodes=1), **kw)
+
+    @pytest.mark.parametrize("kw", ["jitter_cycles", "seed"])
+    def test_network_rejects(self, kw):
+        from repro.machine.network import Network
+
+        with pytest.raises(TypeError, match=kw):
+            Network(bench_machine(nodes=1), **{kw: 1})
+
+    @pytest.mark.parametrize(
+        "runner",
+        [
+            "run_pagerank", "run_bfs", "run_triangle_count",
+            "run_ingestion", "run_partial_match", "run_service",
+        ],
+    )
+    def test_runners_reject_detailed_stats(self, runner):
+        import repro.harness as harness
+
+        # the keyword fails before any input is read: empty inputs do
+        args = ([], []) if runner == "run_partial_match" else ([],)
+        with pytest.raises(TypeError, match="detailed_stats"):
+            getattr(harness, runner)(*args, 1, detailed_stats=True)

@@ -1,6 +1,7 @@
 """Recorded runs and their exporters: parity, Chrome trace, perflog."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -82,6 +83,12 @@ class TestRecordedRun:
                 stats.records_batched + stats.events_interpreted
                 == stats.events_executed
             )
+            if record == "full":
+                # one lane span per executed event: the span labels are
+                # the per-label event counts
+                labels = Counter(label for *_, label in rt.recorder.lane_spans)
+                assert rt.recorder.lane_spans_dropped == 0
+                assert sum(labels.values()) == stats.events_executed
             results[record] = (stats.model_snapshot(), list(res.ranks))
         assert results[None] == results["full"]
 
