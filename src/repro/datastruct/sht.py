@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.kvmsr.binding import stable_hash
+from repro.kvmsr.binding import splitmix64, stable_hash
 from repro.udweave import UDThread, UpDownRuntime, event
 from repro.udweave.context import LaneContext
 
@@ -114,6 +114,15 @@ class ScalableHashTable:
             block_size,
             name=f"sht_{name}",
         )
+        #: ``stable_hash(("sht", name))``: the key-independent prefix of
+        #: the owner hash, folded once (``stable_hash``'s tuple rule
+        #: makes ``stable_hash(("sht", name, key))`` equal to
+        #: ``splitmix64(prefix ^ stable_hash(key))``)
+        self._owner_mix = stable_hash(("sht", name))
+        #: key -> owner lane, one entry per distinct key placed.  The
+        #: lane is a pure function of the key, so the memo is invisible
+        #: (the rule KVMSR's ``_lane_memo`` follows for hash binding).
+        self._owner_memo: Dict[Any, int] = {}
         runtime.register(SHTOp)
         tables[name] = self
 
@@ -129,10 +138,14 @@ class ScalableHashTable:
     # ------------------------------------------------------------------
 
     def owner_lane(self, key) -> int:
-        return self.first_lane + stable_hash(("sht", self.name, key)) % self.num_lanes
-
-    def bucket_of(self, key) -> int:
-        return stable_hash((self.name, key, "b")) % self.buckets_per_lane
+        """``first_lane + stable_hash(("sht", name, key)) % num_lanes``."""
+        lane = self._owner_memo.get(key)
+        if lane is None:
+            lane = self.first_lane + splitmix64(
+                self._owner_mix ^ stable_hash(key)
+            ) % self.num_lanes
+            self._owner_memo[key] = lane
+        return lane
 
     # ------------------------------------------------------------------
     # Device-side API (call from any event handler)

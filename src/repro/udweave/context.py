@@ -149,26 +149,38 @@ class LaneContext:
         """The incoming continuation word (the paper's ``CCONT``)."""
         return self.record.continuation
 
+    # The label sites below probe resolve_label_id's cache inline (as
+    # send_dram_read does): a hit is an id resolve_label_id already
+    # validated, and a miss, integer labels included, takes the full
+    # checked path.
+
     def evw_new(self, network_id: int, label: LabelLike) -> int:
         """Event word for event ``label`` on a *new* thread at ``network_id``."""
-        return eventword.encode(
-            network_id, self.runtime.resolve_label_id(label, self.thread)
-        )
+        runtime = self.runtime
+        thread = self.thread
+        label_id = runtime._resolve_cache.get((type(thread), label))
+        if label_id is None:
+            label_id = runtime.resolve_label_id(label, thread)
+        return eventword.encode(network_id, label_id)
 
     def evw_update_event(self, evw: int, label: LabelLike) -> int:
         """Re-label an event word; thread context and lane are unchanged."""
-        return eventword.with_label(
-            evw, self.runtime.resolve_label_id(label, self.thread)
-        )
+        runtime = self.runtime
+        thread = self.thread
+        label_id = runtime._resolve_cache.get((type(thread), label))
+        if label_id is None:
+            label_id = runtime.resolve_label_id(label, thread)
+        return eventword.with_label(evw, label_id)
 
     def self_evw(self, label: LabelLike) -> int:
         """Event word addressing *this* thread at another of its events
         (the common ``evw_update_event(CEVNT, label)`` idiom)."""
-        return eventword.encode(
-            self.lane.network_id,
-            self.runtime.resolve_label_id(label, self.thread),
-            thread=self.tid,
-        )
+        runtime = self.runtime
+        thread = self.thread
+        label_id = runtime._resolve_cache.get((type(thread), label))
+        if label_id is None:
+            label_id = runtime.resolve_label_id(label, thread)
+        return eventword.encode(self.lane.network_id, label_id, thread=self.tid)
 
     # ------------------------------------------------------------------
     # Messaging
@@ -223,7 +235,10 @@ class LaneContext:
         out-of-range ``network_id`` error ``evw_new`` raised.
         """
         runtime = self.runtime
-        label_id = runtime.resolve_label_id(label, self.thread)
+        thread = self.thread
+        label_id = runtime._resolve_cache.get((type(thread), label))
+        if label_id is None:
+            label_id = runtime.resolve_label_id(label, thread)
         if network_id < 0 or network_id > eventword.MAX_NETWORK_ID:
             raise eventword.EventWordError(
                 f"networkID {network_id} out of range"
@@ -236,7 +251,7 @@ class LaneContext:
         record = MessageRecord(
             network_id,
             NEW_THREAD,
-            runtime.program.label_name(label_id),
+            runtime._label_names[label_id],
             operands,
             cont,
             lane.network_id,

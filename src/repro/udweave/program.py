@@ -82,10 +82,11 @@ class Program:
             raise ProgramError(f"unknown event label {label!r}") from None
 
     def label_name(self, label_id: int) -> str:
-        try:
+        # range-checked, not try/except IndexError: a negative id would
+        # index from the end and name the last registered event
+        if 0 <= label_id < len(self._label_names):
             return self._label_names[label_id]
-        except IndexError:
-            raise ProgramError(f"unknown label id {label_id}") from None
+        raise ProgramError(f"unknown label id {label_id}")
 
     def handler(self, label_id: int) -> Tuple[type, str]:
         """(thread class, handler attribute) owning ``label_id``."""

@@ -94,7 +94,8 @@ class UpDownRuntime:
         #: runtime's lifetime and the dispatcher skips one attribute hop.
         self._handler_table = self.program.handler_table
         #: likewise the id -> ``Class::event`` name list (ids handed out
-        #: by :meth:`resolve_label_id` always index it).
+        #: by :meth:`resolve_label_id` and ids cached in
+        #: ``_resolve_cache`` always index it).
         self._label_names = self.program._label_names
         #: opt-in reliable delivery (``repro.faults.transport``).
         #: ``reliable`` accepts ``True`` (defaults) or a
@@ -243,12 +244,17 @@ class UpDownRuntime:
                 "msg",
                 label_id,
             )
+        # the mask keeps label_id >= 0, so only the top end needs a check
+        try:
+            label = self._label_names[label_id]
+        except IndexError:
+            raise ProgramError(f"unknown label id {label_id}") from None
         return MessageRecord(
             evw & _NWID_MASK,
             NEW_THREAD
             if flags & FLAG_NEW_THREAD
             else (evw >> _THREAD_SHIFT) & _THREAD_MASK,
-            self.program.label_name(label_id),
+            label,
             operands,
             cont,
             src_network_id,

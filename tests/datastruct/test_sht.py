@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datastruct import ScalableHashTable, SHTError
+from repro.kvmsr import stable_hash
 from repro.machine import bench_machine
 from repro.udweave import UDThread, UpDownRuntime, event
 
@@ -150,6 +151,51 @@ class TestCapacityAndNaming:
         sht = ScalableHashTable(rt, "t")
         owners = {sht.owner_lane(k) for k in range(500)}
         assert len(owners) > rt.config.total_lanes // 2
+
+
+_KEYS = st.recursive(
+    st.integers(-(2**70), 2**70) | st.text(max_size=8),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=6,
+)
+
+
+class TestPlacement:
+    """``owner_lane`` folds the ``("sht", name)`` prefix once per table
+    and memoizes per key; the lane must stay the plain tuple hash."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(_KEYS, min_size=1, max_size=8))
+    def test_owner_lane_is_the_tuple_hash(self, keys):
+        rt = UpDownRuntime(bench_machine(nodes=8))
+        sht = ScalableHashTable(rt, "place", first_lane=3, num_lanes=11)
+        for _pass in ("miss", "hit"):
+            for k in keys:
+                assert sht.owner_lane(k) == (
+                    3 + stable_hash(("sht", "place", k)) % 11
+                )
+
+    def test_golden_owner_lanes(self):
+        # computed with the unfolded, unmemoized hash: placement must
+        # not move silently
+        rt = UpDownRuntime(bench_machine(nodes=8))
+        whole = ScalableHashTable(rt, "t")
+        part = ScalableHashTable(rt, "pga_v", first_lane=3, num_lanes=5)
+        keys = [0, 1, 42, -7, 2**70, "v", "alpha", (3, 4), (1, ("x", 2))]
+        assert [whole.owner_lane(k) for k in keys] == [
+            10, 12, 7, 10, 10, 10, 14, 9, 8
+        ]
+        assert [part.owner_lane(k) for k in keys] == [
+            5, 3, 7, 6, 5, 5, 7, 4, 5
+        ]
+
+    def test_unhashable_key_type_still_raises(self):
+        rt = UpDownRuntime(bench_machine(nodes=2))
+        sht = ScalableHashTable(rt, "t")
+        sht.owner_lane(2)
+        for _attempt in range(2):  # a failed placement is not memoized
+            with pytest.raises(TypeError):
+                sht.owner_lane(1.5)
 
 
 class TestDictEquivalence:

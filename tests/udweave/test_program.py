@@ -85,6 +85,9 @@ class TestRegistration:
             p.label_id("Nope::e")
         with pytest.raises(ProgramError):
             p.label_name(99)
+        p.register(TA)
+        with pytest.raises(ProgramError):
+            p.label_name(-1)  # not the last registered label
         with pytest.raises(ProgramError):
             p.handler(99)
 

@@ -4,11 +4,13 @@ import pytest
 
 from repro.machine import bench_machine
 from repro.udweave import (
+    ProgramError,
     UDThread,
     UDWeaveError,
     UpDownRuntime,
     event,
 )
+from repro.udweave.eventword import encode
 
 
 def make_runtime(nodes=1):
@@ -188,6 +190,66 @@ class TestLabelResolution:
         rt.start(0, "T::go")
         with pytest.raises(Exception, match="not registered"):
             rt.run()
+
+    @pytest.mark.parametrize("label_id", [-1, -2, 2, 99])
+    def test_out_of_range_label_ids_rejected(self, label_id):
+        # -1 used to index the label list from the end: the spawn below
+        # ran A::other, the last registered event
+        rt = make_runtime()
+        ran = []
+
+        @rt.register
+        class A(UDThread):
+            @event
+            def go(self, ctx):
+                ctx.spawn(ctx.network_id, label_id)
+                ctx.yield_terminate()
+
+            @event
+            def other(self, ctx):
+                ran.append("other")
+                ctx.yield_terminate()
+
+        with pytest.raises(ProgramError, match="unknown label id"):
+            rt.resolve_label_id(label_id)
+        rt.start(0, "A::go")
+        with pytest.raises(ProgramError, match="unknown label id"):
+            rt.run()
+        assert ran == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda ctx, bad: ctx.evw_new(0, bad),
+            lambda ctx, bad: ctx.self_evw(bad),
+            lambda ctx, bad: ctx.evw_update_event(ctx.cevnt, bad),
+        ],
+    )
+    def test_event_word_sites_reject_negative_ids(self, make):
+        rt = make_runtime()
+
+        @rt.register
+        class T(UDThread):
+            @event
+            def go(self, ctx):
+                ctx.self_evw("go")  # warm the resolve cache for T
+                make(ctx, -1)
+
+        rt.start(0, "T::go")
+        with pytest.raises(ProgramError, match="unknown label id -1"):
+            rt.run()
+
+    def test_record_for_rejects_unregistered_label_in_event_word(self):
+        rt = make_runtime()
+
+        @rt.register
+        class T(UDThread):
+            @event
+            def go(self, ctx):
+                pass
+
+        with pytest.raises(ProgramError, match="unknown label id 5"):
+            rt.record_for(encode(0, 5), (), None, None)
 
     def test_host_evw_tags_are_stable(self):
         rt = make_runtime()
