@@ -4,7 +4,7 @@ A :class:`FaultPlan` describes *which* faults to inject into a run:
 message drop / duplication / extra delay on the remote fabric, transient
 lane stalls, degraded per-node DRAM bandwidth, and whole-node fail-stop
 at a chosen tick.  The machine layer consults the plan at its normal
-decision points (``Simulator.send``, the drain loop, ``MemorySystem``)
+decision points (``Simulator.issue``, the drain loop, ``MemorySystem``)
 and charges every injected fault through the existing cost model — see
 ``repro.machine.network.Network.fault_delivery``.
 

@@ -12,7 +12,7 @@ modeled fabric and pays the Table 2 / injection-channel costs.
 
 Protocol (per ``(source lane, destination lane)`` flow):
 
-* **track** — ``Simulator.send`` hands every eligible outbound remote
+* **track** — ``Simulator.issue`` hands every eligible outbound remote
   message here before it enters the fabric.  The sender assigns the next
   per-destination sequence number, tags the record (``rdt = ("d", src,
   seq)``), stores it in a pending-ack table in its scratchpad, and
@@ -33,9 +33,9 @@ Protocol (per ``(source lane, destination lane)`` flow):
   unbounded retry storm, reports the stall.
 
 Determinism: sequence numbers, timers, and retransmissions are all
-scheduled through the simulator's actor-stamped push path from state
-owned by a single lane, so reliable runs are exactly as reproducible and
-shard-invariant as plain ones.
+scheduled through the simulator's actor-stamped issue and alarm paths
+from state owned by a single lane, so reliable runs are exactly as
+reproducible and shard-invariant as plain ones.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class ReliableTransport:
     def track(self, record: MessageRecord, t_issue: float) -> None:
         """Tag an outbound remote message and arm its retransmit timer.
 
-        Called by ``Simulator.send`` for untagged lane-to-lane remote
+        Called by ``Simulator.issue`` for untagged lane-to-lane remote
         sends; the send itself proceeds normally afterwards (the tagged
         record enters the fabric and may still be dropped/duplicated).
         """
@@ -128,9 +128,8 @@ class ReliableTransport:
             src, 0, TIMER_LABEL, (), None, src, "ctl",
         )
         timer.rdt = ("t", dst, seq, 1)
-        # Local alarm, not fabric traffic: push straight onto the
-        # sender's own schedule with the sender's actor counter.
-        sim._push(t_issue + self.timeout_cycles, timer, 1 + src)
+        # Local alarm, not fabric traffic.
+        sim.alarm(t_issue + self.timeout_cycles, timer)
         sim.stats.transport_tracked += 1
 
     def on_ack(self, lane, record: MessageRecord) -> float:
@@ -165,7 +164,7 @@ class ReliableTransport:
         )
         retimer.rdt = ("t", dst, seq, attempt + 1)
         delay = self.timeout_cycles * (self.backoff ** min(attempt, 30))
-        sim._push(start + cycles + delay, retimer, 1 + lane.network_id)
+        sim.alarm(start + cycles + delay, retimer)
         return cycles
 
     # ------------------------------------------------------------------

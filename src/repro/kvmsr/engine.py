@@ -27,11 +27,9 @@ total, so a matching sum proves quiescence.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.machine.events import NEW_THREAD, MessageRecord
-from repro.machine.simulator import ACTOR_SEQ_BITS
 from repro.udweave.context import LaneContext
 from repro.udweave.runtime import UpDownRuntime
 from repro.udweave.thread import UDThread, event
@@ -221,25 +219,25 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
     bit-identical to the scalar loop ``for k in keys: emit(k);
     ctx.work(work)``.
 
-    Everything that cannot change within one call is resolved once: the
-    binding, the lane memo, the park decision and plan, and the sim and
-    fabric locals.  Each element keeps its own actor-sequence bump,
-    injection-channel admission, guard test and ``insort``, and charges
-    cycles in the scalar order — the emit charge (hash + lane arithmetic
-    + send; Table-2 costs are integers, so one float add equals the
-    ``work(2)`` + ``spawn()`` pair) before the issue, ``work`` after —
-    so every simulated timestamp matches the scalar loop.
+    What belongs to KVMSR is done here: the binding and lane memo pick
+    each key's reduce lane, the park decision and guard test pick each
+    tuple's form, and cycles are charged in the scalar order — the emit
+    charge (hash + lane arithmetic + send; Table-2 costs are integers,
+    so one float add equals the ``work(2)`` + ``spawn()`` pair) before
+    the issue, ``work`` after — so every issue time matches the scalar
+    loop.  The whole call is then one :meth:`Simulator.issue` run, which
+    sequences, prices, counts and places every tuple as it does a
+    one-element ``send``.
 
     Batched dispatch: while the drain has parking armed, a tuple whose
-    reduce entry lowered to a batch-safe plan parks on its destination
-    lane instead of riding the heap — priced and sequenced exactly as
-    :meth:`Simulator.send` would, executed array-at-a-time just before
-    that lane is next observed.  The first emitted tuple of a job
-    triggers lowering + validation lazily (it supplies the operand
-    arity).  A plan traced through ``sp_once`` lowered only the
-    already-set arm, so it parks a tuple only if its once-key is in the
-    destination scratchpad *now*; the flag is monotone, so it will still
-    be there at delivery.
+    reduce entry lowered to a batch-safe plan is issued as a bare operand
+    tuple, which the issue site parks on its destination lane instead of
+    the heap, to be executed array-at-a-time just before that lane is
+    next observed.  The first emitted tuple of a job triggers lowering +
+    validation lazily (it supplies the operand arity).  A plan traced
+    through ``sp_once`` lowered only the already-set arm, so it parks a
+    tuple only if its once-key is in the destination scratchpad *now*;
+    the flag is monotone, so it will still be there at delivery.
     """
     if job.reduce_cls is None:
         raise KVMSRError(f"job {job.name!r} has no reduce phase; cannot emit")
@@ -254,13 +252,16 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
         ctx.op_kv_emit(job, keys[0], values)
     sim = ctx.sim
     job_id = job.job_id
-    plan = None
+    plan = guard = None
     if sim._park_active:
         plan = job._batch_plan
         if plan is None and not job._batch_tried:
             plan = _lower_job_reduce_entry(
                 job, ctx.runtime, (job_id, keys[0]) + values
             )
+        if plan is not None:
+            guard = plan.guard
+            lanes = sim._lanes
     binding = job.reduce_binding
     reduce_lanes = job.reduce_lanes
     memo = job._lane_memo
@@ -268,29 +269,11 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
     work_cycles = work * ctx.costs.instruction if work else 0
     label = job._reduce_entry_label
     label_id = job.reduce_entry_label_id
-    src = ctx.lane
-    src_nwid = src.network_id
-    src_node = src.node
+    src_nwid = ctx.lane.network_id
     start = ctx.start
     cycles = ctx.cycles
-    send = sim.send
-    if plan is not None:
-        # Simulator.send's bookkeeping for a parked tuple, inlined (no
-        # transport or faults whenever parking is armed); the delivery
-        # time comes from the same Network.deliver_time call send makes,
-        # so channel samples happen here, at issue.
-        guard = plan.guard
-        lanes = sim._lanes
-        aseq = sim._actor_seq
-        actor = 1 + src_nwid
-        actor_bits = actor << ACTOR_SEQ_BITS
-        lanes_per_node = sim._lanes_per_node
-        deliver_time = sim._deliver_time
-        msg_bytes = sim._message_bytes
-        rec_msg = sim._rec_msg
-        n_local = n_remote = n_declined = 0
-    n_parked = 0
-    park = False
+    run = []
+    n_declined = 0
     for key in keys:
         if memo is None:
             lane = binding.lane_for(key, reduce_lanes)
@@ -300,55 +283,24 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
                 lane = memo[key] = binding.lane_for(key, reduce_lanes)
         operands = (job_id, key) + values
         cycles += emit_cycles
-        if plan is not None:
-            dest = lanes.get(lane)
-            park = guard is None or (
-                dest is not None and guard(operands) in dest.scratchpad
-            )
-            if not park:
-                n_declined += 1
-        if park:
-            count = aseq.get(actor, 0)
-            aseq[actor] = count + 1
-            t_issue = start + cycles
-            dst_node = lane // lanes_per_node
-            t_deliver = deliver_time(t_issue, src_node, dst_node, msg_bytes)
-            if src_node == dst_node:
-                n_local += 1
-                if rec_msg is not None:
-                    rec_msg("local", t_deliver - t_issue)
-            else:
-                n_remote += 1
-                if rec_msg is not None:
-                    rec_msg("remote", t_deliver - t_issue)
-            if dest is None:
-                dest = sim.lane(lane)
-            # Kept sorted by insertion (C-level bisect + memmove on short
-            # lists) so flushes never sort and the drain's earliest-key
-            # check is one tuple index.  seq uniqueness means comparisons
-            # never reach the plan — the heap's own trick.
-            insort(dest.parked, (t_deliver, actor_bits | count, plan, operands))
-            n_parked += 1
+        if plan is not None and (guard is None or (
+            (dest := lanes.get(lane)) is not None
+            and guard(operands) in dest.scratchpad
+        )):
+            run.append((start + cycles, lane, operands))
         else:
-            send(
-                MessageRecord(
-                    lane, NEW_THREAD, label, operands, None, src_nwid, "msg",
-                    label_id,
-                ),
-                start + cycles,
-                src_node,
-            )
+            if plan is not None:
+                n_declined += 1
+            run.append((start + cycles, lane, MessageRecord(
+                lane, NEW_THREAD, label, operands, None, src_nwid, "msg",
+                label_id,
+            )))
         if work_cycles:
             cycles += work_cycles
     ctx.cycles = cycles
-    if plan is not None:
-        plan.parked += n_parked
+    sim.issue(src_nwid, ctx.lane.node, run, plan)
+    if n_declined:
         plan.guard_declined += n_declined
-        sim._parked_total += n_parked
-        stats = sim.stats
-        stats.messages_local += n_local
-        stats.messages_remote += n_remote
-        stats.messages_sent += n_parked
 
 
 def job_of(ctx: LaneContext, job_id: int) -> KVMSRJob:

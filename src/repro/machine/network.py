@@ -14,8 +14,8 @@ with 0.5 µs cross-node latency, 4 TB/s per-node injection bandwidth, and
   occupancy, modeling injection-bandwidth saturation.  That rule lives
   here only — :meth:`Network.deliver_time` (messages) and
   :meth:`Network.dram_hop` (DRAM legs) are the sole admission sites, so
-  every caller (``Simulator.send``, KVMSR's parked emits, split-phase
-  DRAM) pays the same arithmetic and recorder samples;
+  every caller (``Simulator.issue`` for every message, sent or parked;
+  split-phase DRAM) pays the same arithmetic and recorder samples;
 * latencies are fixed, as in Fastsim.  Message reordering comes only from
   deterministic *fault* perturbations (drop / duplicate / extra delay,
   from a ``repro.faults.FaultPlan``), applied here too — see

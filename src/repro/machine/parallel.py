@@ -43,7 +43,8 @@ CPU than in-process shards and was no faster than the sequential drain
 
 Batched dispatch runs inside windows: a shard parks batch-safe reduce
 records on their destination lanes exactly as the sequential drain does
-(``repro.kvmsr.engine._emit``).  Three rules keep that bit-exact:
+(``Simulator.issue``, the one message-issue site).  Three rules keep
+that bit-exact:
 
 1. *``T`` sees parked records.*  A shard's head is the earlier of its
    heap head and the first parked key on its lanes, and a shard runs in

@@ -5,7 +5,8 @@ The engine keeps a heap of in-flight messages ordered by
 is delegated to a *dispatcher* installed by the UDWeave runtime; the
 dispatcher runs the Python event handler, charges cycles per the Table 2
 cost model, and issues outgoing messages back through
-:meth:`Simulator.send` / :meth:`Simulator.dram_transaction`.
+:meth:`Simulator.issue` (the one message-issue site) /
+:meth:`Simulator.dram_transaction`.
 
 Determinism: the heap key is assigned entirely at the point of issue —
 ``seq`` packs the issuing actor (host, lane, or node) with that actor's
@@ -42,7 +43,7 @@ import contextlib
 import gc
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from typing import Callable, List, Optional, Tuple
 
 from .config import MachineConfig
@@ -428,12 +429,14 @@ class Simulator:
     def _push(self, time: float, record, actor: int) -> None:
         """The single heap-insertion point.
 
-        Every scheduled delivery — sends, host injections, DRAM arrivals
-        and responses — funnels through here, so the shard scheduler has
-        one place to hook (``self._route``) when events must land in a
-        per-shard heap instead of the global heap.  ``actor`` identifies
-        the issuing execution context; its private counter makes the key
-        unique and shard-independent.
+        Every queued delivery — messages from :meth:`issue`, host
+        injections, lane-local alarms, DRAM arrivals and responses —
+        funnels through here, so the shard scheduler has one place to
+        hook (``self._route``) when events must land in a per-shard heap
+        instead of the global heap.  (Parked records skip the queue:
+        :meth:`issue` keys them the same way and sorts them onto their
+        lanes.)  ``actor`` identifies the issuing execution context; its
+        private counter makes the key unique and shard-independent.
 
         Unrouted (plain sequential) pushes land in one of two tiers:
         the near heap when due before ``_near_end``, a far bucket
@@ -529,88 +532,150 @@ class Simulator:
     ) -> float:
         """Put ``record`` on the wire at ``t_issue``; returns delivery time.
 
-        ``src_node=None`` is host injection (program start); those sends
-        are counted under ``messages_host_injected``, not as local fabric
-        traffic — they never touch the modeled network.
+        :meth:`issue`'s one-element case.  ``src_node=None`` is host
+        injection (program start); those sends are counted under
+        ``messages_host_injected``, not as local fabric traffic — they
+        never touch the modeled network.
         """
-        stats = self.stats
-        rec_msg = self._rec_msg
-        nwid = record.network_id
-        src_nwid = record.src_network_id
+        return self.issue(
+            record.src_network_id, src_node,
+            ((t_issue, record.network_id, record),),
+        )
+
+    def issue(self, src_nwid, src_node, run, plan=None) -> float:
+        """Issue a run of lane-bound messages from one actor, in order.
+
+        The machine's one message-issue site: UDWeave's ``send_event``
+        and ``spawn`` (``repro.udweave.context``), :meth:`send`, and
+        KVMSR's emits (``repro.kvmsr.engine``) all land here.  ``run`` is
+        a sequence of ``(t_issue, nwid, payload)``.  Each element bumps
+        the issuing actor's sequence, is priced by
+        :meth:`Network.deliver_time` (or :meth:`Network.fault_delivery`
+        when the fault plan perturbs it), tracked by the reliable
+        transport, counted in the ``messages_*`` taxonomy and sampled by
+        the recorder, in scalar order, so a run of ``n`` equals ``n``
+        one-element calls.  Then it is placed: a :class:`MessageRecord`
+        goes on the event queue through :meth:`_push`; an operand tuple
+        is insertion-sorted onto lane ``nwid``'s parked list under
+        ``plan``, for the plan's batch executor (see
+        :meth:`_flush_parked`).  Taking a whole run per call keeps the
+        per-record cost out of Python call frames.
+
+        The issuing actor is lane ``src_nwid`` when that is a lane, else
+        the host (``src_node=None``) or node ``src_node``'s own actor.
+        Returns the last element's delivery time (``math.inf`` for a
+        dropped message); callers treat issue as fire-and-forget.
+        """
         if src_nwid is not None and src_nwid >= 0:
             actor = 1 + src_nwid
         elif src_node is None:
             actor = 0
         else:
             actor = 1 + self._total_lanes + src_node
-        if nwid == HOST_NWID:
-            # Results mailbox: charge the send at the source but deliver
-            # instantly — the host is outside the modeled machine.  Still
-            # a message: it appears in the taxonomy
-            # (``messages_host_bound``), so result traffic is visible and
-            # the counters partition ``messages_sent``.
-            self._push(t_issue, record, actor)
-            stats.messages_sent += 1
-            stats.messages_host_bound += 1
-            if rec_msg is not None:
-                rec_msg("host_bound", 0.0)
-            return t_issue
-        if not 0 <= nwid < self._total_lanes:
-            raise ValueError(
-                f"networkID {nwid} out of range [0, {self._total_lanes})"
-            )
-        dst_node = nwid // self._lanes_per_node
-        if self._transport is None and self._fault_msg is None:
-            t_deliver = self._deliver_time(
-                t_issue, src_node, dst_node, self._message_bytes
-            )
-            self._push(t_deliver, record, actor)
-        else:
-            t_deliver = self._send_guarded(
-                record, t_issue, src_node, dst_node, actor, src_nwid
-            )
-        stats.messages_sent += 1
-        if src_node is None:
-            stats.messages_host_injected += 1
-            if rec_msg is not None:
-                rec_msg("host_injected", t_deliver - t_issue)
-        elif src_node == dst_node:
-            stats.messages_local += 1
-            if rec_msg is not None:
-                rec_msg("local", t_deliver - t_issue)
-        else:
-            stats.messages_remote += 1
-            # Dropped messages (t_deliver == inf) still count as remote
-            # traffic — the taxonomy partition of ``messages_sent`` holds
-            # under faults — but have no latency to histogram.
-            if rec_msg is not None and t_deliver != math.inf:
-                rec_msg("remote", t_deliver - t_issue)
+        stats = self.stats
+        rec_msg = self._rec_msg
+        guarded = self._transport is not None or self._fault_msg is not None
+        total_lanes = self._total_lanes
+        lanes_per_node = self._lanes_per_node
+        deliver_time = self._deliver_time
+        msg_bytes = self._message_bytes
+        push = self._push
+        if plan is not None:
+            aseq = self._actor_seq
+            lanes = self._lanes
+            actor_bits = actor << ACTOR_SEQ_BITS
+        n_local = n_remote = n_parked = 0
+        t_deliver = math.inf
+        for t_issue, nwid, payload in run:
+            if not 0 <= nwid < total_lanes:
+                if nwid != HOST_NWID:
+                    raise ValueError(
+                        f"networkID {nwid} out of range [0, {total_lanes})"
+                    )
+                # Results mailbox: charge the send at the source but
+                # deliver instantly — the host is outside the modeled
+                # machine.  Still a message: it appears in the taxonomy
+                # (``messages_host_bound``), so result traffic is visible
+                # and the counters partition ``messages_sent``.
+                push(t_issue, payload, actor)
+                stats.messages_host_bound += 1
+                if rec_msg is not None:
+                    rec_msg("host_bound", 0.0)
+                t_deliver = t_issue
+                continue
+            dst_node = nwid // lanes_per_node
+            t_dup = None
+            if guarded and src_node is not None and src_node != dst_node:
+                t_deliver, t_dup = self._issue_guarded(
+                    actor, src_nwid, nwid, t_issue, src_node, dst_node,
+                    payload,
+                )
+            else:
+                t_deliver = deliver_time(
+                    t_issue, src_node, dst_node, msg_bytes
+                )
+            # Placed once — or twice for a duplicate, never for a drop.
+            t = t_deliver
+            while t is not None:
+                if payload.__class__ is tuple:
+                    count = aseq.get(actor, 0)
+                    aseq[actor] = count + 1
+                    dest = lanes.get(nwid)
+                    if dest is None:
+                        dest = self.lane(nwid)
+                    # Kept sorted by insertion (C-level bisect + memmove
+                    # on short lists) so flushes never sort and the
+                    # drain's earliest-key check is one tuple index.  seq
+                    # uniqueness means comparisons never reach the plan —
+                    # the heap's own trick.
+                    insort(dest.parked, (t, actor_bits | count, plan, payload))
+                    n_parked += 1
+                else:
+                    push(t, payload, actor)
+                t, t_dup = t_dup, None
+            if src_node is None:
+                stats.messages_host_injected += 1
+                if rec_msg is not None:
+                    rec_msg("host_injected", t_deliver - t_issue)
+            elif src_node == dst_node:
+                n_local += 1
+                if rec_msg is not None:
+                    rec_msg("local", t_deliver - t_issue)
+            else:
+                n_remote += 1
+                # Dropped messages still count as remote traffic — the
+                # taxonomy partition of ``messages_sent`` holds under
+                # faults — but have no latency to histogram.
+                if t_deliver is None:
+                    t_deliver = math.inf
+                elif rec_msg is not None:
+                    rec_msg("remote", t_deliver - t_issue)
+        stats.messages_sent += len(run)
+        if n_local:
+            stats.messages_local += n_local
+        if n_remote:
+            stats.messages_remote += n_remote
+        if n_parked:
+            self._parked_total += n_parked
+            plan.parked += n_parked
         return t_deliver
 
-    def _send_guarded(
-        self,
-        record: MessageRecord,
-        t_issue: float,
-        src_node: Optional[int],
-        dst_node: int,
-        actor: int,
-        src_nwid: Optional[int],
-    ) -> float:
-        """The :meth:`send` delivery step with transport and/or faults on.
+    def _issue_guarded(
+        self, actor, src_nwid, nwid, t_issue, src_node, dst_node, payload
+    ) -> Tuple[Optional[float], Optional[float]]:
+        """:meth:`issue`'s pricing step for remote traffic with transport
+        and/or message faults on; returns ``(t_deliver, t_dup)``.
 
-        Split out of :meth:`send` so the healthy fast path stays two
-        pointer tests; this path runs only when a
-        :class:`~repro.faults.ReliableTransport` is attached or the fault
-        plan perturbs messages.  Returns the primary delivery time, or
-        ``math.inf`` for a dropped message (callers treat the send as
-        fire-and-forget either way).
+        Split out so the healthy path stays two pointer tests.
+        ``t_deliver`` is ``None`` for a dropped message and ``t_dup`` is
+        set only for a duplicate; :meth:`issue` places accordingly.  Only
+        records reach the transport: ``_park_gate`` keeps parking off
+        while one is attached.
         """
-        remote = src_node is not None and src_node != dst_node
         transport = self._transport
         if (
             transport is not None
-            and remote
-            and record.rdt is None
+            and payload.rdt is None
             and src_nwid is not None
             and src_nwid >= 0
         ):
@@ -619,22 +684,19 @@ class Simulator:
             # retransmits, and timers carry ``rdt`` already and are never
             # re-tracked; node-actor and host traffic has no source lane
             # scratchpad to track in and stays best-effort.
-            transport.track(record, t_issue)
+            transport.track(payload, t_issue)
+        # Keyed off the issuing actor and its private push count — both
+        # fixed at the point of issue — so the draw is identical
+        # run-to-run and across shard counts (each actor lives on exactly
+        # one shard).  Local and host traffic is exempt: the fault model
+        # perturbs the *fabric*.
+        seq = self._actor_seq
         fmsg = self._fault_msg
-        code = 0
-        if fmsg is not None and remote:
-            # Keyed off the issuing actor and its private push count —
-            # both fixed at the point of issue — so the draw is identical
-            # run-to-run and across shard counts (each actor lives on
-            # exactly one shard).  Local and host traffic is exempt: the
-            # fault model perturbs the *fabric*.
-            code = fmsg(actor, self._actor_seq.get(actor, 0))
+        code = fmsg(actor, seq.get(actor, 0)) if fmsg is not None else 0
         if code == 0:
-            t_deliver = self._deliver_time(
+            return self._deliver_time(
                 t_issue, src_node, dst_node, self._message_bytes
-            )
-            self._push(t_deliver, record, actor)
-            return t_deliver
+            ), None
         t_deliver, t_dup = self.network.fault_delivery(
             code, t_issue, src_node, dst_node,
             self._message_bytes, self._fault_delay,
@@ -643,29 +705,29 @@ class Simulator:
         rec_fault = self._rec_fault
         if t_deliver is None:
             # Consume the actor's sequence slot even though nothing is
-            # pushed: the fault draw is keyed on (actor, count), so a
+            # placed: the fault draw is keyed on (actor, count), so a
             # drop that left the count unchanged would make the actor's
             # next remote send draw the identical value and drop too —
             # every drop would start a correlated drop burst.
-            seq = self._actor_seq
             seq[actor] = seq.get(actor, 0) + 1
             stats.faults_messages_dropped += 1
-            if rec_fault is not None:
-                rec_fault("msg_drop", t_issue, (src_nwid, record.network_id))
-            return math.inf
-        self._push(t_deliver, record, actor)
-        if t_dup is not None:
-            self._push(t_dup, record, actor)
+            kind = "msg_drop"
+        elif t_dup is not None:
             stats.faults_messages_duplicated += 1
-            if rec_fault is not None:
-                rec_fault(
-                    "msg_duplicate", t_issue, (src_nwid, record.network_id)
-                )
+            kind = "msg_duplicate"
         else:
             stats.faults_messages_delayed += 1
-            if rec_fault is not None:
-                rec_fault("msg_delay", t_issue, (src_nwid, record.network_id))
-        return t_deliver
+            kind = "msg_delay"
+        if rec_fault is not None:
+            rec_fault(kind, t_issue, (src_nwid, nwid))
+        return t_deliver, t_dup
+
+    def alarm(self, t: float, record: MessageRecord) -> None:
+        """Schedule a lane-local alarm: ``record`` reaches its own source
+        lane at ``t`` without touching the fabric, keyed by that lane's
+        actor sequence like any event the lane issues (the reliable
+        transport's retransmit timers)."""
+        self._push(t, record, 1 + record.src_network_id)
 
     # ------------------------------------------------------------------
     # Batched dispatch (park at emit, flush before observation)
@@ -679,7 +741,7 @@ class Simulator:
         entries — ``(t, s)`` flushes strictly-earlier deliveries before
         an incoming event keyed ``(t, s)`` on this lane; ``(t,)`` flushes
         everything before tick ``t``.  The list is insertion-sorted by the
-        emit path (``repro.kvmsr.engine._emit``), so the cut is one bisect;
+        issue site (:meth:`issue`), so the cut is one bisect;
         runs execute in maximal same-plan groups by the plans' compiled
         executors, which charge per-record costs in exactly the
         interpreted order — see ``repro.udweave.ir``.
@@ -946,9 +1008,8 @@ class Simulator:
         per-event observers that the batch executors do not replicate.
         Sequential and sharded drains arm alike (the window rules are in
         ``repro.machine.parallel``).  Channel recording does not disarm:
-        a parked record is priced by the same :meth:`Network.deliver_time`
-        call :meth:`send` makes, at issue, so its channel sample lands in
-        scalar order.
+        a parked record is issued by the same :meth:`issue` step as a
+        sent one, so its channel sample lands at issue in scalar order.
         Everything else simply interprets per event — bit-identical
         either way.
         """

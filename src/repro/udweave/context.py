@@ -213,7 +213,8 @@ class LaneContext:
         )
         lane = self.lane
         record = self.runtime.record_for(evw, operands, cont, lane.network_id)
-        self.sim.send(record, self.start + self.cycles + delay, lane.node)
+        t = self.start + self.cycles + delay
+        self.sim.issue(lane.network_id, lane.node, ((t, record.network_id, record),))
 
     def send_reply(self, *operands: Any, cont: Optional[int] = IGNRCONT) -> None:
         """Send to the incoming continuation (no-op when IGNRCONT)."""
@@ -258,7 +259,8 @@ class LaneContext:
             "msg",
             label_id,
         )
-        self.sim.send(record, self.start + self.cycles, lane.node)
+        t = self.start + self.cycles
+        self.sim.issue(lane.network_id, lane.node, ((t, network_id, record),))
 
     def spawn_resolved(
         self,
@@ -293,7 +295,8 @@ class LaneContext:
             "msg",
             label_id,
         )
-        self.sim.send(record, self.start + self.cycles, lane.node)
+        t = self.start + self.cycles
+        self.sim.issue(lane.network_id, lane.node, ((t, network_id, record),))
 
     # ------------------------------------------------------------------
     # Global memory (split-phase)

@@ -22,7 +22,7 @@ from repro.kvmsr import (
     ReduceTask,
     emit_to_reduce,
 )
-from repro.kvmsr import engine
+from repro.machine import simulator
 from repro.machine.simulator import ACTOR_SEQ_BITS
 from repro.udweave import UDThread, UpDownRuntime, event
 
@@ -86,7 +86,7 @@ class TestCrossShardFanIn:
         shd = _fan_in(shards=2)
         sim = shd.sim
         landed = defaultdict(set)  # (window, parked list) -> source shards
-        real_insort = engine.insort
+        real_insort = simulator.insort  # the issue site's parking step
 
         def spy(lst, entry):
             src_nwid = (entry[1] >> ACTOR_SEQ_BITS) - 1
@@ -96,7 +96,7 @@ class TestCrossShardFanIn:
             )
             real_insort(lst, entry)
 
-        monkeypatch.setattr(engine, "insort", spy)
+        monkeypatch.setattr(simulator, "insort", spy)
         out = _drained(shd)
         monkeypatch.undo()
         assert any(len(src) == 2 for src in landed.values())

@@ -1,7 +1,11 @@
 """DES core: ordering, lane serialization, DRAM transactions, host mailbox."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.faults import FaultPlan
 from repro.machine import (
     HOST_NWID,
     MessageRecord,
@@ -10,6 +14,7 @@ from repro.machine import (
     bench_machine,
 )
 from repro.machine.events import NEW_THREAD
+from repro.observe import FlightRecorder
 
 
 def null_dispatcher(cycles=5.0):
@@ -112,6 +117,183 @@ class TestTransport:
         msgs = sim.host_messages("done")
         assert len(msgs) == 1 and msgs[0].operands == (42,)
         assert sim.host_messages("other") == []
+
+
+def faulted(**rates):
+    """A two-node machine whose fault plan forces one message fault."""
+    plan = FaultPlan(seed=3, **rates)
+    draws = []
+    draw = plan.message_fault
+
+    def spy(actor, count):
+        draws.append((actor, count))
+        return draw(actor, count)
+
+    plan.message_fault = spy  # bound by the machine at construction
+    s = Simulator(
+        bench_machine(nodes=2), dispatcher=null_dispatcher(),
+        recorder=FlightRecorder("histograms"), faults=plan,
+    )
+    s.draws = draws
+    return s
+
+
+def remote_send(s, src=0, t=0.0):
+    """Lane ``src`` (node 0) sends one record to node 1's first lane."""
+    dst = s.config.first_lane_of_node(1)
+    return s.send(MessageRecord(dst, NEW_THREAD, "x", src_network_id=src),
+                  t, src_node=0)
+
+
+class TestMessageFaults:
+    """Fault semantics at the issue site, one forced fault per test."""
+
+    def test_drop(self):
+        s = faulted(drop_rate=1.0)
+        assert remote_send(s) == math.inf
+        assert s._queued() == []
+        assert s._actor_seq == {1: 1}  # the drop consumed its slot
+        st = s.stats
+        assert (st.messages_sent, st.messages_remote) == (1, 1)
+        assert st.faults_messages_dropped == 1
+        assert s.recorder.msg_latency["remote"].count == 0
+        assert s.recorder.fault_counts == {"msg_drop": 1}
+        # the next send draws a fresh key, not the dropped one again
+        remote_send(s)
+        assert s.draws == [(1, 0), (1, 1)]
+
+    def test_duplicate(self):
+        s = faulted(duplicate_rate=1.0)
+        t = remote_send(s)
+        entries = sorted(s._queued(), key=lambda e: e[2])
+        assert len(entries) == 2
+        (t0, _, seq0, rec0), (t1, _, seq1, rec1) = entries
+        assert seq1 == seq0 + 1 and rec0 is rec1
+        assert t0 == t <= t1
+        st = s.stats
+        assert (st.messages_sent, st.messages_remote) == (1, 1)
+        assert st.faults_messages_duplicated == 1
+        assert s.recorder.msg_latency["remote"].count == 1
+
+    def test_delay(self):
+        s = faulted(delay_rate=1.0, delay_cycles=777.0)
+        clean = Simulator(bench_machine(nodes=2))
+        t = remote_send(s)
+        assert t == remote_send(clean) + 777.0
+        assert [e[0] for e in s._queued()] == [t]
+        assert s.stats.faults_messages_delayed == 1
+
+    def test_local_and_host_sends_draw_no_fault(self):
+        s = faulted(drop_rate=1.0)
+        local = MessageRecord(1, NEW_THREAD, "x", src_network_id=0)
+        assert s.send(local, 0.0, src_node=0) < math.inf
+        host = MessageRecord(s.config.first_lane_of_node(1), NEW_THREAD, "x")
+        assert s.send(host, 0.0, src_node=None) < math.inf
+        assert s.draws == []
+        assert len(s._queued()) == 2
+        st = s.stats
+        assert st.faults_messages_dropped == 0
+        assert (st.messages_local, st.messages_host_injected) == (1, 1)
+
+    @pytest.mark.parametrize("nwid", [-1, 10**6])
+    def test_out_of_range_networkid_moves_nothing(self, nwid):
+        s = faulted(drop_rate=1.0)
+        before = s.stats.scalar_snapshot()
+        with pytest.raises(ValueError):
+            s.send(MessageRecord(nwid, NEW_THREAD, "x", src_network_id=0),
+                   0.0, src_node=0)
+        assert s.stats.scalar_snapshot() == before
+        assert s.network.injected_bytes(0) == 0
+        assert s._actor_seq == {} and s.draws == [] and s._queued() == []
+
+
+class _Plan:
+    """Stands in for a batch plan: ``issue`` only counts on it."""
+
+    parked = 0
+
+
+def _issued(s, plan):
+    """Everything issue touched: queue, parked lists, counters, samples."""
+    parked = {}
+    for nwid, ln in s._lanes.items():
+        assert all(entry[2] is plan for entry in ln.parked)
+        if ln.parked:
+            parked[nwid] = [(t, q, ops) for t, q, _plan, ops in ln.parked]
+    return {
+        "queued": sorted(
+            (t, d, q, r.label, r.operands) for t, d, q, r in s._queued()
+        ),
+        "parked": parked,
+        "parked_total": (s._parked_total, plan.parked),
+        "stats": s.stats.scalar_snapshot(),
+        "actors": dict(s._actor_seq),
+        "latency": {k: h.count for k, h in s.recorder.msg_latency.items()},
+        "faults": dict(s.recorder.fault_counts),
+    }
+
+
+class TestIssueRuns:
+    """One run equals its elements issued one call each — records and
+    parked operand tuples alike, with and without message faults."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        elements=st.lists(
+            st.tuples(
+                st.floats(0.0, 1e4),
+                st.sampled_from([0, 1, 2, 3]),  # node 0: 0-1, node 1: 2-3
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        rates=st.sampled_from([
+            {},
+            {"drop_rate": 0.3, "duplicate_rate": 0.3, "delay_rate": 0.3},
+        ]),
+    )
+    def test_run_equals_scalar_loop(self, elements, rates):
+        def machine():
+            plan = _Plan()
+            s = Simulator(
+                bench_machine(nodes=2), dispatcher=null_dispatcher(),
+                recorder=FlightRecorder("histograms"),
+                faults=FaultPlan(seed=5, **rates),
+            )
+            run = [
+                (t, nwid, (i, nwid) if parked else MessageRecord(
+                    nwid, NEW_THREAD, "x", (i,), src_network_id=1,
+                ))
+                for i, (t, nwid, parked) in enumerate(elements)
+            ]
+            return s, plan, run
+
+        whole, whole_plan, run = machine()
+        whole.issue(1, 0, run, whole_plan)
+        loop, loop_plan, run = machine()
+        for element in run:
+            loop.issue(1, 0, [element], loop_plan)
+        assert _issued(whole, whole_plan) == _issued(loop, loop_plan)
+
+    def test_faults_place_parked_tuples_like_records(self):
+        """A drop parks nothing, a duplicate parks twice, a delay later."""
+        for rates, placed in [
+            ({"drop_rate": 1.0}, 0),
+            ({"duplicate_rate": 1.0}, 2),
+            ({"delay_rate": 1.0, "delay_cycles": 777.0}, 1),
+        ]:
+            s, plan = faulted(**rates), _Plan()
+            dst = s.config.first_lane_of_node(1)
+            s.issue(0, 0, [(0.0, dst, ("op",))], plan)
+            parked = s.lane(dst).parked
+            assert len(parked) == s._parked_total == plan.parked == placed
+            assert [q for _t, q, *_ in parked] == sorted(
+                q for _t, q, *_ in parked
+            )
+            if "delay_rate" in rates:
+                clean = Simulator(bench_machine(nodes=2))
+                assert parked[0][0] == remote_send(clean) + 777.0
 
 
 class TestDram:
