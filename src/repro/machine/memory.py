@@ -19,19 +19,9 @@ the UDWeave context; capacity accounting lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from .config import MachineConfig
-
-
-@dataclass(slots=True)
-class DramAccessResult:
-    """Timing of one serviced DRAM request."""
-
-    response_ready: float
-    service_start: float
-    occupancy: float
 
 
 class MemoryChannel:
@@ -50,14 +40,14 @@ class MemoryChannel:
         nbytes: int,
         bytes_per_cycle: float,
         latency_cycles: float,
-        detail: bool = True,
         recorder=None,
         node: int = 0,
-    ):
+    ) -> float:
         """Occupy the channel for one request — the only place the
-        timing arithmetic lives.  Returns the response-ready time, or
-        the full :class:`DramAccessResult` when ``detail`` is set (the
-        simulator's per-event path asks for the float)."""
+        timing arithmetic lives.  Service starts at ``max(t_arrive,
+        free_at)`` and occupies the channel (``free_at``) for
+        ``nbytes / bytes_per_cycle``; returns the response-ready time,
+        ``latency_cycles`` plus that occupancy after the start."""
         free_at = self.free_at
         start = free_at if free_at > t_arrive else t_arrive
         occupancy = nbytes / bytes_per_cycle
@@ -68,10 +58,7 @@ class MemoryChannel:
             recorder.dram_sample(
                 node, start, start - t_arrive, occupancy, nbytes
             )
-        ready = start + latency_cycles + occupancy
-        if detail:
-            return DramAccessResult(ready, start, occupancy)
-        return ready
+        return start + latency_cycles + occupancy
 
 
 class MemorySystem:
@@ -134,14 +121,13 @@ class MemorySystem:
         memory_node: int,
         nbytes: int,
         local_offset: int = 0,
-        detail: bool = True,
-    ):
+    ) -> float:
         """Service an access at ``memory_node`` issued from ``requester_node``.
 
         ``t_arrive`` is the time the request reaches the memory controller
         (the caller adds network latency for remote requests);
-        ``local_offset`` selects the bank in detailed mode.  Returns what
-        :meth:`MemoryChannel.service` does for ``detail``.
+        ``local_offset`` selects the bank in detailed mode.  Returns the
+        response-ready time (:meth:`MemoryChannel.service`).
         """
         bw = (
             self._local_bw if requester_node == memory_node
@@ -158,8 +144,7 @@ class MemorySystem:
         if ch is None:
             ch = self._channels[key] = MemoryChannel()
         return ch.service(
-            t_arrive, nbytes, bw, self._latency, detail,
-            self.recorder, memory_node,
+            t_arrive, nbytes, bw, self._latency, self.recorder, memory_node
         )
 
     def bytes_served(self, node: int) -> int:

@@ -33,13 +33,17 @@ node-ownership of all cost-model state (channels, memory, lanes), every
 counter, timestamp, and mailbox entry is bit-identical to the sequential
 drain.
 
-There is one runner, :class:`ShardScheduler`: every shard lives in this
-process and each window runs shard after shard.  Shards share the host
-heap, so host writes to regions or scratchpads and registrations made
-between ``run()`` calls are simply visible — nothing is replicated.
-There is no process-per-shard mode: measured on 2 shards it cost more
-CPU than in-process shards and was no faster than the sequential drain
-(DESIGN.md, "Conservative parallel execution").
+There is one runner, :class:`ShardScheduler`, built with its
+``Simulator``: every shard lives in this process and each window runs
+shard after shard.  Shards share the host heap, so host writes to
+regions or scratchpads and registrations made between ``run()`` calls
+are simply visible — nothing is replicated.  There is no
+process-per-shard mode: measured on 2 shards it cost more CPU than
+in-process shards and was no faster than the sequential drain
+(DESIGN.md, "Conservative parallel execution").  The scheduler only
+runs windows: host mail never reaches a shard heap (``Simulator._push``
+holds it aside), and the drain ends in ``Simulator._settle`` exactly as
+a sequential one does.
 
 Batched dispatch runs inside windows: a shard parks batch-safe reduce
 records on their destination lanes exactly as the sequential drain does
@@ -53,7 +57,8 @@ that bit-exact:
    ``_drain`` flushes only its own shard's lanes up to the window end;
    flushing another shard's lanes would run its records before that
    shard's own earlier heap events of the same window.
-3. *Quiescence counts parked records* (:meth:`ShardScheduler._settle`).
+3. *Quiescence counts parked records* (``Simulator._settle``, the one
+   verdict for every mode).
 
 A record parked across shards is as safe as a heap push: its delivery
 is at least one lookahead after issue, so at or after the window end.
@@ -81,13 +86,13 @@ from .simulator import SimulationError
 class ShardScheduler:
     """The in-process shard runner (``shards=N``) and its window loop.
 
-    Hooks ``Simulator._route`` so every push lands in the owning shard's
-    heap (host-bound entries are buffered — the host is outside the
-    machine), then runs a window by swapping each shard's heap into
-    ``sim._heap`` in turn.  Cross-shard pushes go straight into the
-    target heap: conservative lookahead guarantees they land at or
-    beyond the window end, so the target shard — whether it ran already
-    this window or not — cannot see them early.
+    Built by ``Simulator.__init__``, it hooks ``Simulator._route`` so
+    every queued push lands in the owning shard's heap, then runs a
+    window by swapping each shard's heap into ``sim._heap`` in turn.
+    Cross-shard pushes go straight into the target heap: conservative
+    lookahead guarantees they land at or beyond the window end, so the
+    target shard — whether it ran already this window or not — cannot
+    see them early.
     """
 
     def __init__(self, sim) -> None:
@@ -98,34 +103,26 @@ class ShardScheduler:
         self.lanes_per_node: int = cfg.lanes_per_node
         self.shard_of_node: List[int] = sim._shard_of_node
         self.heaps: List[list] = [[] for _ in range(sim.shards)]
-        #: host-bound entries collected during windows (see
-        #: :meth:`_settle`).
-        self._host_entries: List[tuple] = []
         #: epoch windows coordinated so far, over all drains.
         self.windows = 0
         sim._shard_heaps = self.heaps
         sim._route = self._route
-        # adopt anything injected before the first drain
-        for entry in sim._take_queued():
-            self._route(entry)
 
     def _route(self, entry) -> None:
         dest = entry[1]
-        if dest < 0:
-            self._host_entries.append(entry)
-            return
         if dest >= self.total_lanes:
             node = dest - self.total_lanes  # DRAM arrival at its node
         else:
             node = dest // self.lanes_per_node
         heapq.heappush(self.heaps[self.shard_of_node[node]], entry)
 
-    def drain(self, max_events: Optional[int], until: Optional[float] = None):
-        """Run windows until nothing is queued before ``until`` (the
-        :meth:`Simulator.run` bound; later entries stay queued in the
-        shard heaps).  Clamping a window to the bound is always safe:
-        any window that ends no later than one lookahead past the next
-        event preserves the conservative argument.
+    def drain(self, max_events: Optional[int], bound: float) -> None:
+        """Run windows until nothing is queued before ``bound`` (the
+        :meth:`Simulator.run` bound, ``math.inf`` when unbounded; later
+        entries stay queued in the shard heaps).  Clamping a window to
+        the bound is always safe: any window that ends no later than one
+        lookahead past the next event preserves the conservative
+        argument.
 
         Each shard's ``_drain`` may spend the whole remaining budget; the
         window's total is charged against it afterwards.  A shard's head
@@ -136,7 +133,6 @@ class ShardScheduler:
         stats = sim.stats
         shards = list(zip(self.heaps, sim._shard_lanes))
         budget = max_events
-        bound = math.inf if until is None else until
         while True:
             heads = [self._head(heap, lanes) for heap, lanes in shards]
             t_next = min(heads)
@@ -158,8 +154,6 @@ class ShardScheduler:
                     raise SimulationError(
                         f"simulation exceeded max_events={max_events}"
                     )
-        self._settle(bound)
-        return stats
 
     def _head(self, heap: list, lanes: list) -> float:
         """A shard's next-event time: its heap head or the earliest
@@ -171,42 +165,3 @@ class ShardScheduler:
                 if parked and parked[0][0] < t:
                     t = parked[0][0]
         return t
-
-    def _settle(self, bound: float) -> None:
-        """Deliver the host mail due before ``bound`` in sequential order,
-        then file the quiescence verdict (see
-        :meth:`Simulator._note_quiescence`).
-
-        The host mailbox has no feedback into the simulation, so host
-        deliveries are buffered during windows and appended at drain end,
-        sorted by the same ``(time, seq)`` key the sequential pop loop
-        orders them by — the resulting inbox is bit-identical.  Entries
-        at or after the bound stay buffered, as they would stay heaped
-        sequentially, and count as queued work.
-        """
-        sim = self.sim
-        stats = sim.stats
-        entries = self._host_entries
-        if entries:
-            entries.sort(key=lambda e: (e[0], e[2]))
-            inbox = sim.host_inbox
-            final_tick = stats.final_tick
-            due = 0
-            for entry in entries:
-                t = entry[0]
-                if t >= bound:
-                    break
-                inbox.append((t, entry[3]))
-                if t > final_tick:
-                    final_tick = t
-                due += 1
-            stats.final_tick = final_tick
-            del entries[:due]
-        pending = sim._live_threads()
-        stats.pending_threads = pending
-        stats.quiesced = (
-            pending == 0
-            and not any(self.heaps)
-            and not entries
-            and sim._parked_total == 0
-        )

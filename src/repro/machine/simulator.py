@@ -6,7 +6,10 @@ is delegated to a *dispatcher* installed by the UDWeave runtime; the
 dispatcher runs the Python event handler, charges cycles per the Table 2
 cost model, and issues outgoing messages back through
 :meth:`Simulator.issue` (the one message-issue site) /
-:meth:`Simulator.dram_transaction`.
+:meth:`Simulator.dram_transaction`.  Mail to the host is keyed like any
+message but never queued: every :meth:`Simulator.run`, sequential or
+sharded, ends in one :meth:`Simulator._settle` that delivers it in key
+order and files the quiescence verdict.
 
 Determinism: the heap key is assigned entirely at the point of issue —
 ``seq`` packs the issuing actor (host, lane, or node) with that actor's
@@ -76,6 +79,17 @@ _TIME_LIMIT = 2.0**53 * BUCKET_CYCLES
 
 class SimulationError(RuntimeError):
     """Raised for malformed programs (bad target, missing dispatcher, ...)."""
+
+
+def _bad_time(entry) -> None:
+    """Reject an event queued at a time outside ``(-_TIME_LIMIT,
+    _TIME_LIMIT)`` (NaN and the infinities included), naming it."""
+    time, record = entry[0], entry[3]
+    raise SimulationError(
+        f"event {getattr(record, 'label', type(record).__name__)!r} "
+        f"scheduled at {time!r}: event times must be finite (and "
+        f"within {_TIME_LIMIT:g} cycles)"
+    )
 
 
 class QuiescenceStall(SimulationError):
@@ -183,6 +197,10 @@ class Simulator:
         self._near_end: float = 0.0
         self._far: dict = {}
         self._far_ids: List[float] = []
+        #: host mail (``HOST_NWID``) keyed but not yet in ``host_inbox``:
+        #: it never enters the event queue, and :meth:`_settle` delivers
+        #: it at drain end.
+        self._host_mail: List[Tuple[float, int, int, MessageRecord]] = []
         #: per-actor push counters (actor 0 = host, 1+L = lane L,
         #: 1+total_lanes+X = node X's memory/arrival actor).  Each actor
         #: counts its own pushes, so heap keys do not depend on global
@@ -226,6 +244,11 @@ class Simulator:
                 n * shards // nodes for n in range(nodes)
             ]
             self._shard_lanes = [[] for _ in range(shards)]
+            from .parallel import ShardScheduler
+
+            # Built now, so every push — injections before the first
+            # drain included — routes to its shard's heap from the start.
+            self._scheduler = ShardScheduler(self)
         # hot-path constants (avoid per-send property/attribute chains)
         self._lanes_per_node = config.lanes_per_node
         self._total_lanes = config.total_lanes
@@ -241,8 +264,9 @@ class Simulator:
         # observed.  Results are bit-identical; only per-record Python
         # machinery (heap traffic, dispatch, context churn) is skipped.
         self._batch_on = bool(config.batch_dispatch)
-        #: parking is armed per drain (fault-free, unwatched,
-        #: unrecorded-span drains, sharded or not — see :meth:`_park_gate`);
+        #: parking is armed per drain (no dispatch-time faults, no
+        #: transport, unwatched, unrecorded-span drains, sharded or not —
+        #: see :meth:`_park_gate`);
         #: everything else falls back to per-event interpretation
         #: automatically.
         self._park_active = False
@@ -405,29 +429,12 @@ class Simulator:
                 dump[name] = f"<diagnostic provider failed: {exc!r}>"
         return dump
 
-    def _note_quiescence(self) -> None:
-        """Record whether the machine drained to true quiescence.
-
-        Quiesced = nothing left to deliver *and* nothing left waiting.
-        An empty heap with live threads is the silent-hang shape (a lost
-        message or credit): callers distinguish it via ``stats.quiesced``
-        / ``stats.pending_threads`` instead of a silent return.  Sharded
-        drains file the same verdict over their shards' queues
-        (``repro.machine.parallel``).
-        """
-        pending = self._live_threads()
-        stats = self.stats
-        stats.pending_threads = pending
-        stats.quiesced = (
-            not self._heap and pending == 0 and self._parked_total == 0
-        )
-
     # ------------------------------------------------------------------
     # Message transport
     # ------------------------------------------------------------------
 
     def _push(self, time: float, record, actor: int) -> None:
-        """The single heap-insertion point.
+        """The single keying point for everything delivered later.
 
         Every queued delivery — messages from :meth:`issue`, host
         injections, lane-local alarms, DRAM arrivals and responses —
@@ -438,20 +445,24 @@ class Simulator:
         lanes.)  ``actor`` identifies the issuing execution context; its
         private counter makes the key unique and shard-independent.
 
-        Unrouted (plain sequential) pushes land in one of two tiers:
-        the near heap when due before ``_near_end``, a far bucket
-        otherwise.  Routed pushes go to the shard scheduler's own heaps
-        and never populate the far tier.
+        Host mail is keyed the same way but never queued: it has no
+        feedback into the machine, so it waits in ``_host_mail`` for
+        :meth:`_settle`, in every mode.  Unrouted (plain sequential)
+        lane and DRAM pushes land in one of two tiers: the near heap
+        when due before ``_near_end``, a far bucket otherwise.  Routed
+        pushes go to the shard scheduler's own heaps and never populate
+        the far tier.
         """
         aseq = self._actor_seq
         count = aseq.get(actor, 0)
         aseq[actor] = count + 1
-        entry = (
-            time,
-            record.network_id,
-            (actor << ACTOR_SEQ_BITS) | count,
-            record,
-        )
+        dest = record.network_id
+        entry = (time, dest, (actor << ACTOR_SEQ_BITS) | count, record)
+        if dest < 0:
+            if not -_TIME_LIMIT < time < _TIME_LIMIT:
+                _bad_time(entry)
+            self._host_mail.append(entry)
+            return
         route = self._route
         if route is not None:
             route(entry)
@@ -479,14 +490,8 @@ class Simulator:
         queue is empty, open a near window around it instead: the queue
         is never non-empty behind an empty ``_heap``.  A non-finite time
         has no bucket (its id is NaN), so it always arrives here."""
-        time = entry[0]
-        if not -_TIME_LIMIT < time < _TIME_LIMIT:
-            record = entry[3]
-            raise SimulationError(
-                f"event {getattr(record, 'label', type(record).__name__)!r} "
-                f"scheduled at {time!r}: event times must be finite (and "
-                f"within {_TIME_LIMIT:g} cycles)"
-            )
+        if not -_TIME_LIMIT < entry[0] < _TIME_LIMIT:
+            _bad_time(entry)
         if not self._heap:
             self._near_end = (bucket_id + 1.0) * BUCKET_CYCLES
             self._heap.append(entry)
@@ -506,23 +511,13 @@ class Simulator:
             self._near_end = (bucket_id + 1.0) * BUCKET_CYCLES
 
     def _queued(self) -> list:
-        """Every queued entry, in no particular order: both tiers, or
-        the shard heaps when the shard scheduler holds them."""
+        """Every pending entry, in no particular order: both tiers, or
+        the shard heaps when the shard scheduler holds them, and the
+        undelivered host mail."""
         heaps = self._shard_heaps
         if heaps is None:
             heaps = [self._heap, *self._far.values()]
-        return [entry for heap in heaps for entry in heap]
-
-    def _take_queued(self) -> list:
-        """Remove and return everything in both tiers (the shard
-        scheduler adopts pre-drain injections into its heaps this way)."""
-        entries = self._heap
-        for bucket in self._far.values():
-            entries.extend(bucket)
-        self._heap = []
-        self._far = {}
-        self._far_ids = []
-        return entries
+        return [entry for heap in (*heaps, self._host_mail) for entry in heap]
 
     def send(
         self,
@@ -668,9 +663,10 @@ class Simulator:
 
         Split out so the healthy path stays two pointer tests.
         ``t_deliver`` is ``None`` for a dropped message and ``t_dup`` is
-        set only for a duplicate; :meth:`issue` places accordingly.  Only
-        records reach the transport: ``_park_gate`` keeps parking off
-        while one is attached.
+        set only for a duplicate; :meth:`issue` places accordingly, a
+        record or a parked tuple alike.  Only records reach the
+        transport: ``_park_gate`` keeps parking off while one is
+        attached.
         """
         transport = self._transport
         if (
@@ -818,9 +814,11 @@ class Simulator:
         *caller* stalls until the returned time (used by
         ``LaneContext.dram_read_blocking`` to charge read-modify-write
         fetches that complete within one event).  Blocking accesses need
-        the round trip synchronously, so they service the memory node's
-        channels at issue time; under sharding that is only legal when
-        both nodes live on the same shard.
+        the round trip synchronously, so :meth:`_dram_arrive` serves them
+        at issue time, exactly as it serves a popped arrival — a response,
+        if given, is keyed by the memory node's actor like every remote
+        reply.  Under sharding that is only legal when both nodes live on
+        the same shard.
 
         Remote accesses ride the fabric like any other traffic: each
         direction is admitted through an injection channel at its sending
@@ -846,7 +844,7 @@ class Simulator:
             stats.dram_bytes_written += nbytes
         if src_node == memory_node:
             t_back = self.memory.access(
-                t_issue, src_node, memory_node, nbytes, local_offset, False
+                t_issue, src_node, memory_node, nbytes, local_offset
             )
             if response is not None:
                 self._push(t_back, response, actor)
@@ -861,10 +859,18 @@ class Simulator:
             t_issue, src_node, memory_node,
             msg_bytes if is_read else msg_bytes + nbytes, self._dram_transit,
         )
-        back_bytes = nbytes if is_read else msg_bytes
+        arrival = DramArrival(
+            self._total_lanes + memory_node,
+            response,
+            src_node,
+            memory_node,
+            nbytes,
+            local_offset,
+            nbytes if is_read else msg_bytes,
+        )
         if blocking:
             # Synchronous round trip: the caller stalls for the result,
-            # so the memory node's channels are serviced now, at issue —
+            # so the memory node serves the arrival now, at issue —
             # ahead of any in-flight arrivals.  Under sharding this
             # reaches into the memory node's state, legal only when both
             # nodes share a shard (identical order to the sequential
@@ -880,46 +886,27 @@ class Simulator:
                     f"runs must keep blocking reads shard-local (use "
                     f"split-phase reads instead)"
                 )
-            t_ready = self.memory.access(
-                t_arrive, src_node, memory_node, nbytes, local_offset, False
-            )
-            t_back = self._dram_hop(
-                t_ready, memory_node, src_node, back_bytes,
-                self._dram_transit, True,
-            )
-            if response is not None:
-                self._push(t_back, response, actor)
-            elif t_back > stats.final_tick:
-                stats.final_tick = t_back
-            return t_back
-        arrival = DramArrival(
-            self._total_lanes + memory_node,
-            response,
-            src_node,
-            memory_node,
-            nbytes,
-            local_offset,
-            back_bytes,
-        )
+            return self._dram_arrive(t_arrive, arrival)
         self._push(t_arrive, arrival, actor)
         return t_arrive
 
-    def _dram_arrive(self, t_arrive: float, arrival: DramArrival) -> None:
-        """Service a remote split-phase access at its memory node.
+    def _dram_arrive(self, t_arrive: float, arrival: DramArrival) -> float:
+        """Service a remote access at its memory node; returns the time
+        the reply lands back at the requester.
 
-        Runs when the :class:`DramArrival` meta-event pops: the memory
-        channel is occupied in *arrival* order (requests that left their
-        sources earlier are serviced first), the reply rides the memory
-        node's reply virtual channel, and the response — if any — is
-        pushed with the memory node's own actor counter.  All state
-        touched here belongs to ``arrival.memory_node``, so under
-        sharding this executes on the shard that owns it.
+        Runs when the :class:`DramArrival` meta-event pops (or at issue,
+        for a blocking access): the memory channel is occupied in
+        *arrival* order (requests that left their sources earlier are
+        serviced first), the reply rides the memory node's reply virtual
+        channel, and the response — if any — is pushed with the memory
+        node's own actor counter.  All state touched here belongs to
+        ``arrival.memory_node``, so under sharding this executes on the
+        shard that owns it.
         """
         mem_node = arrival.memory_node
         src_node = arrival.src_node
         t_ready = self.memory.access(
-            t_arrive, src_node, mem_node, arrival.nbytes,
-            arrival.local_offset, False,
+            t_arrive, src_node, mem_node, arrival.nbytes, arrival.local_offset
         )
         t_back = self._dram_hop(
             t_ready, mem_node, src_node, arrival.back_bytes,
@@ -932,6 +919,7 @@ class Simulator:
             stats = self.stats
             if t_back > stats.final_tick:
                 stats.final_tick = t_back
+        return t_back
 
     # ------------------------------------------------------------------
     # Execution
@@ -976,7 +964,10 @@ class Simulator:
         Plain sequential is that loop's body for one shard and one
         unbounded window — a direct :meth:`_drain` call, kept direct
         because apps that call ``run()`` once per round or per service
-        step must not pay a coordinator per call.
+        step must not pay a coordinator per call.  Either way the run
+        ends in :meth:`_settle`, which delivers the host mail and files
+        the quiescence verdict; an aborted run (``max_events``, the
+        watchdog) raises before it, in every mode alike.
 
         Batched dispatch is armed by :meth:`_park_gate` before either
         branch, so sharded and sequential drains park alike; the window
@@ -986,40 +977,76 @@ class Simulator:
         gate = self._park_gate()
         self._gate_counts[gate] = self._gate_counts.get(gate, 0) + 1
         self._park_active = gate == "armed"
+        bound = math.inf if until is None else until
         with collector_quiet():
-            if self.shards > 1:
-                sched = self._scheduler
-                if sched is None:
-                    from .parallel import ShardScheduler
+            if self._scheduler is not None:
+                self._scheduler.drain(max_events, bound)
+            else:
+                self._drain(max_events, bound)
+        self._settle(bound)
+        return self.stats
 
-                    sched = self._scheduler = ShardScheduler(self)
-                return sched.drain(max_events, until)
-            stats = self._drain(
-                max_events, math.inf if until is None else until
-            )
-            self._note_quiescence()
-            return stats
+    def _settle(self, bound: float) -> None:
+        """End a drain: deliver the host mail due before ``bound``, then
+        file the quiescence verdict.
+
+        The host mailbox has no feedback into the machine, so mail waits
+        in ``_host_mail`` (see :meth:`_push`) and lands here in the
+        ``(time, seq)`` order a single event queue would pop it in —
+        identical for every shard count.  Mail at or after ``bound``
+        stays pending, like any event the bound leaves queued.
+
+        Quiesced = nothing left to deliver *and* nothing left waiting:
+        no queued entry, no pending mail, no parked record and no live
+        thread.  An empty queue with live threads is the silent-hang
+        shape (a lost message or credit): callers distinguish it via
+        ``stats.quiesced`` / ``stats.pending_threads`` instead of a
+        silent return.
+        """
+        stats = self.stats
+        mail = self._host_mail
+        if mail:
+            # entries are (time, HOST_NWID, seq, record): unique seqs
+            # keep comparisons off the record
+            mail.sort()
+            due = bisect_left(mail, (bound,))
+            if due:
+                self.host_inbox.extend(
+                    [(t, record) for t, _dest, _seq, record in mail[:due]]
+                )
+                t = mail[due - 1][0]
+                if t > stats.final_tick:
+                    stats.final_tick = t
+                del mail[:due]
+        pending = self._live_threads()
+        stats.pending_threads = pending
+        stats.quiesced = (
+            pending == 0
+            and not mail
+            and self._parked_total == 0
+            and not self._heap
+            and not any(self._shard_heaps or ())
+        )
 
     def _park_gate(self) -> str:
         """``"armed"``, or the first condition that disarms parking.
 
         Record parking is armed only for drains whose observation points
-        the flush hooks fully cover: healthy fabric, no watchdog, no
-        per-event observers that the batch executors do not replicate.
-        Sequential and sharded drains arm alike (the window rules are in
-        ``repro.machine.parallel``).  Channel recording does not disarm:
-        a parked record is issued by the same :meth:`issue` step as a
-        sent one, so its channel sample lands at issue in scalar order.
+        the flush hooks fully cover: no fault that acts at dispatch, no
+        transport, no watchdog, no per-event observers that the batch
+        executors do not replicate.  Sequential and sharded drains arm
+        alike (the window rules are in ``repro.machine.parallel``).
+        Message faults and channel recording do not disarm: a parked
+        record is issued by the same :meth:`issue` step as a sent one,
+        so its fault draw and channel sample land at issue in scalar
+        order.  Lane stalls and fail-stop act when an event is
+        dispatched, which the batch executors skip, so they do.
         Everything else simply interprets per event — bit-identical
         either way.
         """
         if not self._batch_on:
             return "batch_dispatch=False"
-        if (
-            self._fault_msg is not None
-            or self._fault_dead is not None
-            or self._fault_stall is not None
-        ):
+        if self._fault_dead is not None or self._fault_stall is not None:
             return "faults"
         if self._transport is not None:
             return "transport"
@@ -1099,7 +1126,6 @@ class Simulator:
         lanes = self._lanes
         lane_of = self.lane
         stats = self.stats
-        host_inbox = self.host_inbox
         recorder = self.recorder
         rec_span = (
             recorder.lane_span
@@ -1144,12 +1170,6 @@ class Simulator:
                     if nwid == cached_nwid:
                         ln = cached_lane
                     else:
-                        if nwid < 0:
-                            # Host mailbox delivery (HOST_NWID); never fused.
-                            host_inbox.append((ev_time, rec))
-                            if ev_time > final_tick:
-                                final_tick = ev_time
-                            break
                         if nwid >= total_lanes:
                             # Remote DRAM request arriving at its memory
                             # node — never fused.
@@ -1260,7 +1280,7 @@ class Simulator:
                             # the outer one.  Taking heap[0] keeps the
                             # pop order untouched; the inner loop
                             # already advances time and checks budgets.
-                            # Sentinel network_ids (host, DRAM) can
+                            # DRAM arrivals' virtual network_ids can
                             # never equal a lane id, so only lane
                             # deliveries fuse.
                             heappop(heap)
@@ -1309,8 +1329,8 @@ class Simulator:
 
     def parallel_metrics(self) -> Optional[dict]:
         """``{"windows": n}`` — epoch windows the shard scheduler has
-        coordinated over all drains — once a sharded simulator has
-        drained; ``None`` otherwise.
+        coordinated over all drains (0 before a sharded simulator's
+        first drain); ``None`` for a sequential simulator.
 
         Kept out of :class:`SimStats` deliberately: the window count
         describes the host-side coordinator, not the simulated machine,

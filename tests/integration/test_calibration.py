@@ -193,11 +193,11 @@ class TestFidelityModes:
         fast = MemorySystem(cfg, banks_per_node=1)
         detailed = MemorySystem(cfg, banks_per_node=8)
         t_fast = max(
-            fast.access(0.0, 0, 0, 64, local_offset=0).response_ready
+            fast.access(0.0, 0, 0, 64, local_offset=0)
             for _ in range(32)
         )
         t_detailed = max(
-            detailed.access(0.0, 0, 0, 64, local_offset=0).response_ready
+            detailed.access(0.0, 0, 0, 64, local_offset=0)
             for _ in range(32)
         )
         assert t_detailed > t_fast  # one bank has 1/8 the bandwidth

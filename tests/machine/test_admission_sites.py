@@ -16,6 +16,11 @@ on its destination lane — is keyed, priced, counted and placed by
 ``Simulator.issue``.  The same walk fails on an actor-sequence bump or a
 ``messages_*`` count anywhere else, and on any other module reading the
 issue site's private state.
+
+At the end of every drain, sequential or sharded, ``Simulator._settle``
+is the one place that delivers host mail into ``host_inbox`` and files
+the quiescence verdict; the window loop in ``machine/parallel.py`` keeps
+no copy of either.
 """
 
 import ast
@@ -233,3 +238,118 @@ def test_no_other_module_reads_the_issue_sites_private_state():
     assert not stray, "issue bookkeeping copied outside Simulator.issue:\n" + (
         "\n".join(stray)
     )
+
+
+#: what a drain end files — the host mailbox and the quiescence verdict.
+VERDICT_FIELDS = {"quiesced", "pending_threads"}
+INBOX_MUTATORS = {"append", "extend", "insert"}
+
+
+class _DrainEndFinder(ast.NodeVisitor):
+    """Per function: mutations of ``host_inbox`` (through a local alias
+    too), assignments to the verdict fields, and every name used."""
+
+    def __init__(self):
+        self.func = "<module>"
+        self.aliases = set()  # local names bound to ``<x>.host_inbox``
+        self.inbox_writes = []  # (function, line)
+        self.verdicts = []  # (function, line, field)
+        self.names = []  # (function, name) for attributes and names
+        self.methods = {}  # class -> method names
+
+    def visit_ClassDef(self, node):
+        self.methods[node.name] = {
+            n.name for n in node.body if isinstance(n, ast.FunctionDef)
+        }
+        self.generic_visit(node)
+
+    def visit_FunctionDef(self, node):
+        saved = self.func, self.aliases
+        self.func, self.aliases = node.name, set()
+        self.generic_visit(node)
+        self.func, self.aliases = saved
+
+    def _is_inbox(self, node):
+        return (
+            isinstance(node, ast.Attribute) and node.attr == "host_inbox"
+        ) or (isinstance(node, ast.Name) and node.id in self.aliases)
+
+    def visit_Assign(self, node):
+        if self._is_inbox(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    self.aliases.add(target.id)
+        for target in node.targets:
+            for attr in _assigned_attrs(target):
+                if attr in VERDICT_FIELDS:
+                    self.verdicts.append((self.func, node.lineno, attr))
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        if self._is_inbox(node.target):
+            self.inbox_writes.append((self.func, node.lineno))
+        for attr in _assigned_attrs(node.target):
+            if attr in VERDICT_FIELDS:
+                self.verdicts.append((self.func, node.lineno, attr))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        fn = node.func
+        if (
+            isinstance(fn, ast.Attribute)
+            and fn.attr in INBOX_MUTATORS
+            and self._is_inbox(fn.value)
+        ):
+            self.inbox_writes.append((self.func, node.lineno))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        self.names.append((self.func, node.attr))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        self.names.append((self.func, node.id))
+
+
+def _drain_end_findings():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        finder = _DrainEndFinder()
+        finder.visit(ast.parse(path.read_text(), filename=str(path)))
+        found[path.relative_to(SRC).as_posix()] = finder
+    return found
+
+
+def test_host_mail_and_quiescence_are_filed_only_by_settle():
+    found = _drain_end_findings()
+    inbox = {
+        (rel, func)
+        for rel, finder in found.items()
+        for func, _line in finder.inbox_writes
+    }
+    assert inbox == {(SIMULATOR, "_settle")}
+    verdicts = {
+        (rel, func, attr)
+        for rel, finder in found.items()
+        for func, _line, attr in finder.verdicts
+    }
+    assert verdicts == {(SIMULATOR, "_settle", f) for f in VERDICT_FIELDS}
+
+
+def test_the_window_loop_keeps_no_drain_end_of_its_own():
+    found = _drain_end_findings()
+    parallel = found["machine/parallel.py"]
+    touched = {name for _func, name in parallel.names}
+    assert not touched & (VERDICT_FIELDS | {"host_inbox", "_host_mail"})
+    assert parallel.methods["ShardScheduler"] == {
+        "__init__", "_route", "drain", "_head",
+    }
+    # the retired second copies are gone everywhere
+    for rel, finder in found.items():
+        for name in ("_note_quiescence", "_take_queued", "_host_entries"):
+            assert name not in {n for _f, n in finder.names}, (rel, name)
+            for methods in finder.methods.values():
+                assert name not in methods, (rel, name)
+    # the drain loop pops only lane and DRAM deliveries
+    drain = {name for func, name in found[SIMULATOR].names if func == "_drain"}
+    assert not drain & {"host_inbox", "_host_mail", "HOST_NWID"}

@@ -1,10 +1,10 @@
-"""Batched dispatch as the default path: BFS's once-guard, budgeted
-and observed drains, and the reasons report.
+"""Batched dispatch as the default path: BFS's once-guard, budgeted,
+observed and message-faulted drains, and the reasons report.
 
 ``tests/machine/test_batch_dispatch.py`` pins PageRank (a plan without a
 guard) off/on across every drain.  This file pins what the default adds:
 BFS parks its "already visited" arm behind the write-once guard, a drain
-with an event budget or channel recording stays armed,
+with an event budget, channel recording or message faults stays armed,
 and ``Simulator.batch_report`` says why whenever a record was *not*
 batched.  The reference in every comparison is ``batch_dispatch=False``
 — the interpreter.
@@ -12,7 +12,8 @@ batched.  The reference in every comparison is ``batch_dispatch=False``
 
 import pytest
 
-from repro.apps import BFSApp, PageRankApp
+from repro.apps import BFSApp, PageRankApp, TriangleCountApp
+from repro.faults import FaultPlan
 from repro.graph import rmat
 from repro.harness import bench_config
 from repro.kvmsr import KVMSRJob, MapTask, RangeInput, ReduceTask
@@ -23,6 +24,8 @@ from repro.udweave import UpDownRuntime
 GRAPH = rmat(8, seed=7)
 BLOCK = 4096
 NODES = 4
+#: message faults alone (delays reorder deliveries): parking stays armed
+DELAYS = FaultPlan(seed=5, delay_rate=0.3, delay_cycles=700.0)
 
 
 def _conserved(stats):
@@ -46,11 +49,7 @@ def _outcome(rt, *result):
     return out, stats.records_batched, rt.sim.batch_report()
 
 
-def _run_bfs(batch=True, step=None, faults=False, **rt_kw):
-    if faults:
-        from repro.faults import FaultPlan
-
-        rt_kw.update(faults=FaultPlan(seed=5, drop_rate=0.02), reliable=True)
+def _run_bfs(batch=True, step=None, **rt_kw):
     rt = UpDownRuntime(bench_config(NODES, batch_dispatch=batch), **rt_kw)
     app = BFSApp(rt, GRAPH, block_size=BLOCK)
     if step is None:
@@ -104,15 +103,82 @@ class TestBFSParity:
         assert row["lowered"] and row["parked"] == batched
 
     @pytest.mark.parametrize(
-        "rt_kw,gate", [(dict(faults=True), "faults")], ids=["faulted"],
+        "rt_kw,gate",
+        [
+            (
+                dict(
+                    faults=FaultPlan(seed=5, drop_rate=0.02), reliable=True
+                ),
+                "transport",
+            ),
+            (dict(faults=DELAYS), "armed"),
+            (
+                dict(
+                    faults=FaultPlan(
+                        seed=5, lane_stall_rate=0.05, lane_stall_cycles=300.0
+                    )
+                ),
+                "faults",
+            ),
+        ],
+        ids=["faulted", "message_faults_only", "lane_stalls"],
     )
     def test_disarmed_drains_interpret_identically(self, rt_kw, gate):
+        """Only the gate's verdict decides: message faults are drawn at
+        issue for parked and sent records alike, so they stay armed;
+        the transport and dispatch-time faults (lane stalls) interpret
+        every event."""
         ref, _, _ = _run_bfs(batch=False, **rt_kw)
         out, batched, report = _run_bfs(**rt_kw)
         assert out == ref
-        assert batched == 0
         assert set(report["drains"]) == {gate}
-        assert report["labels"] == {}  # nothing was ever lowered
+        if gate == "armed":
+            assert batched > 0
+        else:
+            assert batched == 0
+            assert report["labels"] == {}  # nothing was ever lowered
+
+
+FAULT_GRAPH = rmat(8, seed=3)
+
+
+def _run_delayed(app_name, batch):
+    """One whole app run under ``DELAYS``, as ``_outcome``."""
+    rt = UpDownRuntime(
+        bench_config(NODES, batch_dispatch=batch), faults=DELAYS
+    )
+    if app_name == "pagerank":
+        result = [PageRankApp(rt, FAULT_GRAPH, block_size=BLOCK).run(
+            iterations=2
+        ).ranks]
+    elif app_name == "bfs":
+        app = BFSApp(rt, FAULT_GRAPH, block_size=BLOCK)
+        app.run(root=0)
+        result = [app.dist_region.data, app.parent_region.data]
+    else:
+        tc = TriangleCountApp(rt, FAULT_GRAPH, block_size=BLOCK).run()
+        result = [[tc.triangles]]
+    assert rt.sim.stats.faults_messages_delayed > 0
+    return _outcome(rt, *result)
+
+
+class TestMessageFaultedDrains:
+    """Message faults are drawn by ``Simulator.issue`` in scalar order,
+    for a parked record exactly as for a sent one, so a drain whose
+    fault plan only perturbs messages stays armed and equals the
+    interpreter."""
+
+    @pytest.mark.parametrize("app_name", ["pagerank", "bfs", "tc"])
+    def test_delays_stay_armed_and_match_the_interpreter(self, app_name):
+        ref, ref_batched, _ = _run_delayed(app_name, batch=False)
+        out, batched, report = _run_delayed(app_name, batch=True)
+        assert out == ref
+        assert ref_batched == 0
+        assert report["drains"] == {"armed": 1}
+        if app_name == "tc":
+            assert batched == 0  # TC's reduce is not declared batch-safe
+        else:
+            assert batched > 0
 
 
 class _RaceMap(MapTask):

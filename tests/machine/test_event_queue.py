@@ -200,15 +200,6 @@ class TestTiers:
         h.sim.run()
         assert h.order == [0, 1, 2] and h.sim.stats.quiesced
 
-    def test_take_queued_returns_both_tiers_and_resets(self):
-        h = Harness()
-        for i in range(4):
-            h.inject(i * 3 * W, 0, i)
-        taken = h.sim._take_queued()
-        assert sorted(e[0] for e in taken) == [i * 3 * W for i in range(4)]
-        assert h.sim._queued() == []
-        assert not h.sim._heap and not h.sim._far and not h.sim._far_ids
-
     def test_sparse_horizon_drains_in_linear_time(self):
         # one entry per bucket, 50k buckets: a refill that scanned the
         # live buckets for their minimum would make this quadratic

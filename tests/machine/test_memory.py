@@ -17,24 +17,29 @@ def cfg():
 
 
 class TestChannel:
+    """``service`` returns the response-ready time; ``free_at`` is where
+    the request's occupancy ends, so ``free_at - occupancy`` is its
+    service start."""
+
     def test_latency_plus_occupancy(self):
         ch = MemoryChannel()
-        r = ch.service(0.0, 64, bytes_per_cycle=64.0, latency_cycles=200.0)
-        assert r.service_start == 0.0
-        assert r.occupancy == 1.0
-        assert r.response_ready == 201.0
+        ready = ch.service(0.0, 64, bytes_per_cycle=64.0, latency_cycles=200.0)
+        assert ch.free_at == 1.0  # starts at 0, occupies 1 cycle
+        assert ready == 201.0
 
     def test_requests_serialize_on_bandwidth(self):
         ch = MemoryChannel()
         ch.service(0.0, 640, 64.0, 200.0)  # occupies 10 cycles
-        r2 = ch.service(0.0, 64, 64.0, 200.0)
-        assert r2.service_start == 10.0
+        ready = ch.service(0.0, 64, 64.0, 200.0)
+        assert ch.free_at == 11.0  # starts at 10
+        assert ready == 211.0
 
     def test_idle_channel_starts_immediately(self):
         ch = MemoryChannel()
         ch.service(0.0, 64, 64.0, 200.0)
-        r = ch.service(100.0, 64, 64.0, 200.0)
-        assert r.service_start == 100.0
+        ready = ch.service(100.0, 64, 64.0, 200.0)
+        assert ch.free_at == 101.0  # starts at 100
+        assert ready == 301.0
 
     def test_counters(self):
         ch = MemoryChannel()
@@ -46,19 +51,26 @@ class TestChannel:
 
 class TestMemorySystem:
     def test_local_vs_remote_bandwidth(self, cfg):
-        mem = MemorySystem(cfg)
-        local = mem.access(0.0, requester_node=0, memory_node=0, nbytes=192)
-        remote = MemorySystem(cfg).access(
+        local, remote = MemorySystem(cfg), MemorySystem(cfg)
+        t_local = local.access(0.0, requester_node=0, memory_node=0, nbytes=192)
+        t_remote = remote.access(
             0.0, requester_node=1, memory_node=0, nbytes=192
         )
-        # remote requesters get 1/3 of the bandwidth (paper §3.2's 3:1)
-        assert remote.occupancy == pytest.approx(local.occupancy * 3)
+        # both start at 0, so free_at is the occupancy: remote requesters
+        # get 1/3 of the bandwidth (paper §3.2's 3:1)
+        occ_local = local.channel(0).free_at
+        occ_remote = remote.channel(0).free_at
+        assert occ_local == 3.0
+        assert occ_remote == pytest.approx(occ_local * 3)
+        assert t_local == 200.0 + occ_local
+        assert t_remote == 200.0 + occ_remote
 
     def test_channels_are_per_node(self, cfg):
         mem = MemorySystem(cfg)
         mem.access(0.0, 0, 0, 640)
-        r = mem.access(0.0, 1, 1, 64)  # node 1's channel is idle
-        assert r.service_start == 0.0
+        ready = mem.access(0.0, 1, 1, 64)  # node 1's channel is idle
+        assert mem.channel(1).free_at == 1.0  # starts at 0
+        assert ready == 201.0
 
     def test_bytes_served_accounting(self, cfg):
         mem = MemorySystem(cfg)
@@ -73,12 +85,11 @@ class TestMemorySystem:
         mem = MemorySystem(cfg)
         # 10 requests to one node: serialize
         last_single = max(
-            mem.access(0.0, 0, 0, 64).response_ready for _ in range(10)
+            mem.access(0.0, 0, 0, 64) for _ in range(10)
         )
         mem2 = MemorySystem(cfg)
         # 10 requests striped over two nodes: halve the queueing
         last_striped = max(
-            mem2.access(0.0, n % 2, n % 2, 64).response_ready
-            for n in range(10)
+            mem2.access(0.0, n % 2, n % 2, 64) for n in range(10)
         )
         assert last_striped < last_single

@@ -354,6 +354,90 @@ class TestShardScheduler:
         assert rt.run().events_executed == 1
 
 
+def _mail_and_events(shards):
+    """2 nodes: six lane events 500 cycles apart, alternating nodes, and
+    four host messages 1000 cycles apart."""
+    from repro.machine import HOST_NWID
+
+    sim = Simulator(
+        bench_machine(nodes=2), dispatcher=null_dispatcher(cycles=1.0),
+        shards=shards,
+    )
+    per_node = sim.config.lanes_per_node
+    for i in range(6):
+        sim.inject(
+            MessageRecord((i % 2) * per_node, NEW_THREAD, f"e{i}"),
+            t=500.0 * i,
+        )
+    for i in range(4):
+        sim.send(
+            MessageRecord(HOST_NWID, 0, f"done{i}", (i,), src_network_id=i),
+            1000.0 * i,
+            src_node=sim.config.node_of(i),
+        )
+    return sim
+
+
+def _inbox(sim):
+    return [(t, r.label) for t, r in sim.host_inbox]
+
+
+class TestOneDrainEnd:
+    """Sequential and sharded drains end in the same ``Simulator._settle``:
+    host mail is pending work in both, delivered at the same point."""
+
+    def test_scheduler_is_built_with_the_simulator(self):
+        sim = _mail_and_events(shards=2)
+        # pushes made before any drain already sit in the shard heaps
+        assert not sim._heap and sum(map(len, sim._shard_heaps)) == 6
+        assert len(sim._queued()) == 10  # the host mail counts too
+        assert sim.parallel_metrics() == {"windows": 0}
+        assert _mail_and_events(shards=1).parallel_metrics() is None
+
+    def test_stall_dump_sees_pending_mail_in_every_mode(self):
+        def dump(shards):
+            sim = _mail_and_events(shards)
+            stats = sim.run(until=1500.0)
+            assert not stats.quiesced
+            d = sim.stall_dump()
+            return _inbox(sim), {
+                k: d[k] for k in (
+                    "heap_events", "next_events", "parked_records",
+                    "pending_threads",
+                )
+            }
+
+        seq = dump(shards=1)
+        assert seq == dump(shards=2)
+        inbox, d = seq
+        assert inbox == [(0.0, "done0"), (1000.0, "done1")]
+        # three lane events and two host messages are still pending
+        assert d["heap_events"] == 5
+        assert sum(dest < 0 for _t, dest, _label in d["next_events"]) == 2
+
+    def test_aborted_drain_leaves_mail_pending_in_every_mode(self):
+        whole = _mail_and_events(shards=1)
+        whole.run()
+        assert len(whole.host_inbox) == 4
+
+        def abort_then_resume(shards):
+            sim = _mail_and_events(shards)
+            with pytest.raises(SimulationError, match="max_events"):
+                sim.run(max_events=3)
+            aborted = _inbox(sim), sim.stats.final_tick
+            stats = sim.run()
+            assert stats.quiesced
+            return aborted, _inbox(sim), stats.final_tick
+
+        seq = abort_then_resume(shards=1)
+        assert seq == abort_then_resume(shards=2)
+        (inbox, final_tick), resumed, resumed_tick = seq
+        # an abort raises before the drain end: no mail is delivered yet
+        assert inbox == [] and final_tick == 1001.0
+        assert resumed == _inbox(whole)
+        assert resumed_tick == whole.stats.final_tick
+
+
 class TestOneShardedMode:
     """``shards=N`` is the only sharded mode: the forked-worker spellings
     are gone, not aliased, and nothing imports ``multiprocessing``."""
@@ -375,7 +459,7 @@ class TestOneShardedMode:
 
     def test_import_leaves_multiprocessing_unloaded(self):
         # a sharded drain included: the shard scheduler is imported
-        # lazily by the first sharded run() and needs no process pool
+        # lazily by the first sharded Simulator and needs no process pool
         code = (
             "import sys\n"
             "import repro, repro.machine, repro.udweave, repro.harness\n"
