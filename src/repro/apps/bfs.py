@@ -80,11 +80,9 @@ class BFSWorker(UDThread):
         self.vertices_left = count
         base = ctx.network_id * app.frontier_cap
         region = app.frontier_regions[parity]
-        self.chunks_left = -(-count // 8)
-        for i in range(0, count, 8):
-            k = min(8, count - i)
-            ctx.send_dram_read(region.addr(base + i), k, "got_frontier")
-            ctx.work(2)
+        self.chunks_left = ctx.send_dram_reads(
+            region.addr(base), count, "got_frontier", work=2
+        )
         ctx.yield_()
 
     @event
@@ -111,16 +109,14 @@ class BFSWorker(UDThread):
         key = self._next_vkey
         self._next_vkey += 1
         self.vstate[key] = state
-        for i in range(0, degree, 8):
-            k = min(8, degree - i)
-            ctx.send_dram_read(
-                app.nl_region.addr(nl_off + i), k, "got_neighbors", tag=key
-            )
-            ctx.work(1)
+        ctx.send_dram_reads(
+            app.nl_region.addr(nl_off), degree, "got_neighbors", tag=key,
+            work=1,
+        )
         ctx.yield_()
 
     @event
-    def got_neighbors(self, ctx, key, *neighbors):
+    def got_neighbors(self, ctx, key, _offset, *neighbors):
         app = job_of(ctx, self.job_id).payload
         state = self.vstate[key]
         depth = self.round + 1
@@ -212,10 +208,9 @@ class BFSReduce(ReduceTask):
             self.kv_reduce_return(ctx)
             return
         self.subs_left = hi - lo
-        for i in range(lo, hi, 8):
-            k = min(8, hi - i)
-            ctx.send_dram_read(app.sub_ids_region.addr(i), k, "got_subs")
-            ctx.work(1)
+        ctx.send_dram_reads(
+            app.sub_ids_region.addr(lo), hi - lo, "got_subs", work=1
+        )
         ctx.yield_()
 
     @event

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.kvmsr import KVMSRJob, MapTask, RangeInput, ReduceTask, job_of
 from repro.machine.stats import SimStats
-from repro.udweave import UpDownRuntime, event
+from repro.udweave import MAX_DRAM_READ_WORDS, UpDownRuntime, event
 
 
 class CountLiveTask(MapTask):
@@ -39,7 +39,7 @@ class CountLiveTask(MapTask):
             self.kv_emit(ctx, self._block, self._count)
             self.kv_map_return(ctx)
             return
-        k = min(8, self._hi - self._next)
+        k = min(MAX_DRAM_READ_WORDS, self._hi - self._next)
         ctx.send_dram_read(app.alive_region.addr(self._next), k, "got_flags")
         ctx.yield_()
 
@@ -71,7 +71,7 @@ class ScatterTask(MapTask):
         if self._next >= self._hi:
             self.kv_map_return(ctx)
             return
-        k = min(8, self._hi - self._next)
+        k = min(MAX_DRAM_READ_WORDS, self._hi - self._next)
         ctx.send_dram_read(app.alive_region.addr(self._next), k, "got_flags")
         ctx.yield_()
 

@@ -39,12 +39,9 @@ class CCMapTask(MapTask):
         app = self.job(ctx).payload
         self._label = label
         self._left = self._degree
-        for i in range(0, self._degree, 8):
-            k = min(8, self._degree - i)
-            ctx.send_dram_read(
-                app.nl_region.addr(self._nl_off + i), k, "got_nbrs"
-            )
-            ctx.work(1)
+        ctx.send_dram_reads(
+            app.nl_region.addr(self._nl_off), self._degree, "got_nbrs", work=1
+        )
         ctx.yield_()
 
     @event

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from repro.datastruct.pgraph import ParallelGraph
 from repro.kvmsr import KVMSRJob, MapTask, RangeInput, ReduceTask, job_of
 from repro.machine.stats import SimStats
-from repro.udweave import UpDownRuntime, event
+from repro.udweave import MAX_DRAM_READ_WORDS, UpDownRuntime, event
 
 from .tform import (
     REC_EDGE,
@@ -98,7 +98,7 @@ class IngestMapTask(MapTask):
             and self.next_issue_word < app.file_words
         ):
             w = self.next_issue_word
-            nwords = min(8, app.file_words - w)
+            nwords = min(MAX_DRAM_READ_WORDS, app.file_words - w)
             ctx.send_dram_read(
                 app.file_region.addr(w), nwords, "got_words", tag=w
             )

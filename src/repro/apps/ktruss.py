@@ -7,10 +7,10 @@ algorithm alternates support counting and edge removal until a fixed
 point.  In the KVMSR rendering each round is one invocation:
 
 * **map** over live vertices: enumerate live edge pairs ``<x, y>`` with
-  ``x > y`` (exactly TC's map);
+  ``x > y`` (TC's map task, reused);
 * **reduce** per pair: intersect the endpoints' *live* neighbor lists —
-  the support of edge (x, y) — and record weak edges (support < k-2)
-  in per-lane scratchpad;
+  the support of edge (x, y), through TC's pair fetch and merge — and
+  record weak edges (support < k-2) in per-lane scratchpad;
 * **flush** reports the number of weak edges; the host (TOP core) peels
   them and rebuilds the live CSR for the next round, the same inter-phase
   glue the artifact's host programs do.
@@ -21,129 +21,25 @@ Unlike TC's ``z < y`` convention, support counts *all* common neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.graph.csr import CSRGraph
 from repro.graph.io import VERTEX_STRIDE_WORDS, vertex_records
-from repro.kvmsr import ArrayInput, KVMSRJob, MapTask, ReduceTask, job_of
+from repro.kvmsr import ArrayInput, KVMSRJob
 from repro.machine.stats import SimStats
-from repro.udweave import UpDownRuntime, event
+from repro.udweave import UpDownRuntime
+
+from .triangle import TCMapTask, TCReduceTask
 
 
-class KTrussMapTask(MapTask):
-    """Enumerate live edge pairs with x > y."""
+class KTrussReduceTask(TCReduceTask):
+    """Support = |N(x) ∩ N(y)| over the live graph; weak edges recorded.
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.x = -1
-        self.left = 0
+    TC's pair fetch and merge, counting every common neighbor."""
 
-    def kv_map(self, ctx, key, rep, degree, nl_off, orig_degree):
-        app = self.job(ctx).payload
-        self.x = rep
-        if degree == 0:
-            self.kv_map_return(ctx)
-            return
-        self.left = degree
-        for i in range(0, degree, 8):
-            k = min(8, degree - i)
-            ctx.send_dram_read(app.nl_region.addr(nl_off + i), k, "got_nbrs")
-            ctx.work(2)
-        ctx.yield_()
+    only_below_y = False
 
-    @event
-    def got_nbrs(self, ctx, *neighbors):
-        for y in neighbors:
-            ctx.work(1)
-            if y < self.x:
-                self.kv_emit(ctx, (self.x, int(y)))
-        self.left -= len(neighbors)
-        if self.left == 0:
-            self.kv_map_return(ctx)
-        else:
-            ctx.yield_()
-
-
-class KTrussReduceTask(ReduceTask):
-    """Support = |N(x) ∩ N(y)| over the live graph; weak edges recorded."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.x = -1
-        self.y = -1
-        self.meta: Dict[str, tuple] = {}
-        self.chunks: Dict[tuple, tuple] = {}
-        self.chunks_left = 0
-
-    def kv_reduce(self, ctx, key):
-        app = self.job(ctx).payload
-        self.x, self.y = key
-        gv = app.gv_region
-        ctx.send_dram_read(
-            gv.addr(VERTEX_STRIDE_WORDS * self.x + 1), 2, "got_rec", tag="x"
-        )
-        ctx.send_dram_read(
-            gv.addr(VERTEX_STRIDE_WORDS * self.y + 1), 2, "got_rec", tag="y"
-        )
-        ctx.yield_()
-
-    @event
-    def got_rec(self, ctx, tag, degree, nl_off):
-        self.meta[tag] = (degree, nl_off)
-        if len(self.meta) < 2:
-            ctx.yield_()
-            return
-        app = self.job(ctx).payload
-        self.chunks_left = 0
-        for which in ("x", "y"):
-            deg, off = self.meta[which]
-            for i in range(0, deg, 8):
-                k = min(8, deg - i)
-                ctx.send_dram_read(
-                    app.nl_region.addr(off + i), k, "got_chunk",
-                    tag=(which, i),
-                )
-                self.chunks_left += 1
-                ctx.work(1)
-        if self.chunks_left == 0:
-            self._judge(ctx, 0)
-        else:
-            ctx.yield_()
-
-    @event
-    def got_chunk(self, ctx, tag, *values):
-        self.chunks[tag] = values
-        self.chunks_left -= 1
-        if self.chunks_left == 0:
-            nx = [
-                v
-                for (w, i) in sorted(self.chunks)
-                if w == "x"
-                for v in self.chunks[(w, i)]
-            ]
-            ny = [
-                v
-                for (w, i) in sorted(self.chunks)
-                if w == "y"
-                for v in self.chunks[(w, i)]
-            ]
-            support = 0
-            i = j = 0
-            while i < len(nx) and j < len(ny):
-                if nx[i] == ny[j]:
-                    support += 1
-                    i += 1
-                    j += 1
-                elif nx[i] < ny[j]:
-                    i += 1
-                else:
-                    j += 1
-            ctx.work(i + j + 2)
-            self._judge(ctx, support)
-        else:
-            ctx.yield_()
-
-    def _judge(self, ctx, support: int) -> None:
+    def _tally(self, ctx, support: int) -> None:
         app = self.job(ctx).payload
         if support < app.k - 2:
             weak_key = ("ktw", app.uid)
@@ -220,7 +116,7 @@ class KTrussApp:
             self.nl_region[: graph.m] = graph.neighbors
         job = KVMSRJob(
             self.runtime,
-            KTrussMapTask,
+            TCMapTask,
             ArrayInput(self.gv_region, VERTEX_STRIDE_WORDS, graph.n),
             reduce_cls=KTrussReduceTask,
             payload=self,

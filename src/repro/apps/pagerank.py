@@ -75,11 +75,9 @@ class PRMapTask(MapTask):
         # split yields the correct result for the original graph (§5.2.1)
         self.contrib = app.damping * pr_value / self._orig_degree
         self.loaded = 0
-        nl = app.nl_region
-        for i in range(0, self.degree, 8):
-            k = min(8, self.degree - i)
-            ctx.send_dram_read(nl.addr(self.nl_off + i), k, "returnRead")
-            ctx.work(2)
+        ctx.send_dram_reads(
+            app.nl_region.addr(self.nl_off), self.degree, "returnRead", work=2
+        )
         ctx.yield_()
 
     @event

@@ -67,13 +67,9 @@ class PullGatherTask(MapTask):
         if degree == 0:
             self._store(ctx)
             return
-        self._reads_left = -(-degree // 8)
-        for i in range(0, degree, 8):
-            k = min(8, degree - i)
-            ctx.send_dram_read(
-                app.rev_nl_region.addr(nl_off + i), k, "got_in_nbrs"
-            )
-            ctx.work(1)
+        self._reads_left = ctx.send_dram_reads(
+            app.rev_nl_region.addr(nl_off), degree, "got_in_nbrs", work=1
+        )
         ctx.yield_()
 
     @event

@@ -63,20 +63,18 @@ class SSSPMapTask(MapTask):
             return
         self._dist = dist
         self._left = self._degree
-        for i in range(0, self._degree, 8):
-            k = min(8, self._degree - i)
-            # interleave: neighbors then their weights (two reads)
-            ctx.send_dram_read(
-                app.nl_region.addr(self._nl_off + i), k, "got_nbrs", tag=i
-            )
-            ctx.work(1)
+        # interleave: neighbors then their weights (two reads per chunk)
+        ctx.send_dram_reads(
+            app.nl_region.addr(self._nl_off), self._degree, "got_nbrs",
+            tag=self._nl_off, work=1,
+        )
         ctx.yield_()
 
     @event
-    def got_nbrs(self, ctx, i, *neighbors):
+    def got_nbrs(self, ctx, nl_off, i, *neighbors):
         app = self.job(ctx).payload
         ctx.send_dram_read(
-            app.weight_region.addr(self._nl_off + i),
+            app.weight_region.addr(nl_off + i),
             len(neighbors),
             "got_weights",
             tag=neighbors,

@@ -19,6 +19,7 @@ state; totals return through the flush-phase value channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -53,10 +54,9 @@ class TCMapTask(MapTask):
             self.kv_map_return(ctx)
             return
         self.left = degree
-        for i in range(0, degree, 8):
-            k = min(8, degree - i)
-            ctx.send_dram_read(app.nl_region.addr(nl_off + i), k, "got_nbrs")
-            ctx.work(2)
+        ctx.send_dram_reads(
+            app.nl_region.addr(nl_off), degree, "got_nbrs", work=2
+        )
         ctx.yield_()
 
     @event
@@ -73,7 +73,17 @@ class TCMapTask(MapTask):
 
 
 class TCReduceTask(ReduceTask):
-    """Neighbor-list intersection for one edge pair (§4.3.2)."""
+    """Neighbor-list intersection for one edge pair (§4.3.2).
+
+    K-truss (``repro.apps.ktruss``) reuses the pair fetch and the
+    sorted merge; it counts every common neighbor
+    (``only_below_y = False``) and files the count its own way
+    (``_tally``).
+    """
+
+    #: TC counts each triangle ``z < y < x`` once, at its (x, y) pair,
+    #: so only common neighbors below ``y`` count.
+    only_below_y = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -102,18 +112,14 @@ class TCReduceTask(ReduceTask):
         if len(self.meta) < 2:
             ctx.yield_()
             return
-        app = self.job(ctx).payload
-        nl = app.nl_region
+        nl = self.job(ctx).payload.nl_region
         self.chunks_left = 0
         for which in ("x", "y"):
             deg, off = self.meta[which]
-            for i in range(0, deg, 8):
-                k = min(8, deg - i)
-                ctx.send_dram_read(
-                    nl.addr(off + i), k, "got_chunk", tag=(which, i)
+            if deg:
+                self.chunks_left += ctx.send_dram_reads(
+                    nl.addr(off), deg, "got_chunk", tag=which, work=1
                 )
-                self.chunks_left += 1
-                ctx.work(1)
         if self.chunks_left == 0:
             # Both endpoints isolated — impossible for a real edge, but
             # degrade gracefully for hand-built inputs.
@@ -122,8 +128,8 @@ class TCReduceTask(ReduceTask):
             ctx.yield_()
 
     @event
-    def got_chunk(self, ctx, tag, *values):
-        self.chunks[tag] = values
+    def got_chunk(self, ctx, which, i, *values):
+        self.chunks[(which, i)] = values
         self.chunks_left -= 1
         if self.chunks_left == 0:
             self._count(ctx)
@@ -131,7 +137,6 @@ class TCReduceTask(ReduceTask):
             ctx.yield_()
 
     def _count(self, ctx) -> None:
-        app = self.job(ctx).payload
         nx = [
             v
             for (w, i) in sorted(self.chunks)
@@ -144,12 +149,11 @@ class TCReduceTask(ReduceTask):
             if w == "y"
             for v in self.chunks[(w, i)]
         ]
-        # sorted-merge intersection over the z < y prefixes: each triangle
-        # z < y < x is counted at exactly one (x, y) pair
+        # sorted-merge intersection over the z < bound prefixes
         count = 0
         i = j = 0
-        y = self.y
-        while i < len(nx) and j < len(ny) and nx[i] < y and ny[j] < y:
+        bound = self.y if self.only_below_y else math.inf
+        while i < len(nx) and j < len(ny) and nx[i] < bound and ny[j] < bound:
             if nx[i] == ny[j]:
                 count += 1
                 i += 1
@@ -159,8 +163,11 @@ class TCReduceTask(ReduceTask):
             else:
                 j += 1
         ctx.work(i + j + 2)
+        self._tally(ctx, count)
+
+    def _tally(self, ctx, count: int) -> None:
         if count:
-            key = ("tcc", app.uid)
+            key = ("tcc", self.job(ctx).payload.uid)
             ctx.sp_write(key, ctx.sp_read(key, 0) + count)
         self.kv_reduce_return(ctx)
 

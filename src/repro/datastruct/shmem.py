@@ -91,12 +91,10 @@ class _SumTask(MapTask):
     def kv_map(self, ctx, node):
         sym: SymmetricRegion = self.job(ctx).payload
         self._node = node
-        self._left = -(-sym.words_per_node // 8)
         self._acc = 0
-        for i in range(0, sym.words_per_node, 8):
-            k = min(8, sym.words_per_node - i)
-            ctx.send_dram_read(sym.addr(node, i), k, "got_words")
-            ctx.work(1)
+        self._left = ctx.send_dram_reads(
+            sym.addr(node, 0), sym.words_per_node, "got_words", work=1
+        )
         ctx.yield_()
 
     @event
@@ -162,15 +160,14 @@ class _BcastTask(MapTask):
             self.kv_map_return(ctx)
             return
         self._node = node
-        self._left = -(-sym.words_per_node // 8)
-        for i in range(0, sym.words_per_node, 8):
-            k = min(8, sym.words_per_node - i)
-            sym.get_from(ctx, root, i, k, "got_words", tag=i)
-            ctx.work(1)
+        self._left = ctx.send_dram_reads(
+            sym.addr(root, 0), sym.words_per_node, "got_words", tag=root,
+            work=1,
+        )
         ctx.yield_()
 
     @event
-    def got_words(self, ctx, offset, *words):
+    def got_words(self, ctx, _tag, offset, *words):
         sym, _root = self.job(ctx).payload
         sym.put_from(ctx, self._node, offset, list(words))
         self._left -= 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.machine.events import NEW_THREAD, MessageRecord
-from repro.udweave.context import LaneContext
+from repro.udweave.context import MAX_DRAM_READ_WORDS, LaneContext
 from repro.udweave.runtime import UpDownRuntime
 from repro.udweave.thread import UDThread, event
 
@@ -344,7 +344,6 @@ class MapTask(UDThread):
         self._emitted: int = 0
         self._record: List[Optional[Tuple[Any, ...]]] = []
         self._chunks_left: int = 0
-        self._key: Any = None
 
     # -- framework entry -------------------------------------------------
 
@@ -360,32 +359,29 @@ class MapTask(UDThread):
             actual_key, values = inp.pair(key)
             self.kv_map(ctx, actual_key, *values)
         elif isinstance(inp, ArrayInput):
-            self._key = key
-            base = inp.record_addr(key)
-            nchunks = -(-inp.stride_words // 8)
+            nchunks = ctx.send_dram_reads(
+                inp.record_addr(key), inp.stride_words, "__map_record__",
+                tag=key,
+            )
             self._chunks_left = nchunks
-            # Chunk responses land tagged with their index; a preallocated
-            # slot list keeps reassembly O(chunks) with no dict churn or
-            # per-record sort.
+            # Chunk responses land tagged with their word offset; a
+            # preallocated slot list keeps reassembly O(chunks) with no
+            # dict churn or per-record sort.
             self._record = [None] * nchunks
-            for c in range(nchunks):
-                lo = c * 8
-                n = min(8, inp.stride_words - lo)
-                ctx.send_dram_read(base + 8 * lo, n, "__map_record__", tag=c)
             ctx.yield_()
         else:
             raise KVMSRError(f"unsupported input type {type(inp).__name__}")
 
     @event
-    def __map_record__(self, ctx: LaneContext, tag: int, *words):
-        self._record[tag] = words
+    def __map_record__(self, ctx: LaneContext, key, i: int, *words):
+        self._record[i // MAX_DRAM_READ_WORDS] = words
         self._chunks_left -= 1
         if self._chunks_left == 0:
             flat: List[Any] = []
             for chunk in self._record:
                 flat.extend(chunk)
             self._record = []
-            self.kv_map(ctx, self._key, *flat)
+            self.kv_map(ctx, key, *flat)
         else:
             ctx.yield_()
 

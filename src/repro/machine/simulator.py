@@ -4,12 +4,12 @@ The engine keeps a heap of in-flight messages ordered by
 ``(delivery time, destination, sequence)``.  Executing a message on a lane
 is delegated to a *dispatcher* installed by the UDWeave runtime; the
 dispatcher runs the Python event handler, charges cycles per the Table 2
-cost model, and issues outgoing messages back through
-:meth:`Simulator.issue` (the one message-issue site) /
-:meth:`Simulator.dram_transaction`.  Mail to the host is keyed like any
-message but never queued: every :meth:`Simulator.run`, sequential or
-sharded, ends in one :meth:`Simulator._settle` that delivers it in key
-order and files the quiescence verdict.
+cost model, and issues outgoing messages and DRAM accesses back through
+:meth:`Simulator.issue` and :meth:`Simulator.dram_issue` (the one
+message-issue and the one DRAM-issue site).  Mail to the host is keyed
+like any message but never queued: every :meth:`Simulator.run`,
+sequential or sharded, ends in one :meth:`Simulator._settle` that
+delivers it in key order and files the quiescence verdict.
 
 Determinism: the heap key is assigned entirely at the point of issue —
 ``seq`` packs the issuing actor (host, lane, or node) with that actor's
@@ -784,111 +784,114 @@ class Simulator:
         else:
             self._flush_parked(ln, (now,))
 
-    def dram_transaction(
-        self,
-        response: Optional[MessageRecord],
-        t_issue: float,
-        src_node: int,
-        memory_node: int,
-        nbytes: int,
-        is_read: bool,
-        local_offset: int = 0,
-        blocking: bool = False,
+    def dram_issue(
+        self, src_nwid, src_node, is_read, run, blocking=False
     ) -> float:
-        """Model one split-phase DRAM access; schedule ``response`` if given.
+        """Issue a run of split-phase DRAM accesses from one actor, in order.
 
-        Local accesses are serviced synchronously; the return value is
-        the time the response (or write completion) lands back at the
-        requester.  *Remote* non-blocking accesses are event-driven: the
-        request is admitted through the requester's injection channel at
-        issue time, then a :class:`DramArrival` meta-event carries it to
-        the memory node, where the DRAM channel and the reply virtual
-        channel are serviced in arrival order when the event pops.  The
-        return value for those is the request's *arrival* time at the
-        memory node — the response delivery time is not knowable at issue
-        (it depends on the queue at the memory node when the request
-        lands).
+        The machine's one DRAM issue site: every ``LaneContext`` DRAM
+        access (``send_dram_read`` / ``send_dram_reads`` /
+        ``send_dram_write`` / ``dram_read_blocking``) lands here.
+        ``run`` is a sequence of ``(t_issue, memory_node, nbytes,
+        local_offset, response)``, all reads or all writes
+        (``is_read``), issued from node ``src_node`` by lane
+        ``src_nwid`` (``None`` for the node's own actor).  The actor is
+        derived and the ``dram_*`` counters are bumped once per run;
+        each element is then handled in order, so a run of ``n`` equals
+        ``n`` one-element calls.  A read needs a ``response`` — the data
+        has to go somewhere — unless ``blocking`` is set.  A local
+        access is serviced at once and its ``response`` (if any) is
+        pushed at the ready time.  A remote one is event-driven: the
+        request is admitted through the requester's injection channel
+        at issue time, then a :class:`DramArrival` meta-event carries it
+        to the memory node, where the DRAM channel and the reply virtual
+        channel are serviced in arrival order when the event pops
+        (:meth:`_dram_arrive`).
 
-        Reads without a response record are disallowed — the data has to
-        go somewhere — unless ``blocking`` is set, in which case the
-        *caller* stalls until the returned time (used by
-        ``LaneContext.dram_read_blocking`` to charge read-modify-write
-        fetches that complete within one event).  Blocking accesses need
-        the round trip synchronously, so :meth:`_dram_arrive` serves them
-        at issue time, exactly as it serves a popped arrival — a response,
-        if given, is keyed by the memory node's actor like every remote
-        reply.  Under sharding that is only legal when both nodes live on
-        the same shard.
+        ``blocking`` makes the *caller* stall until the returned time
+        (``LaneContext.dram_read_blocking`` charges read-modify-write
+        fetches that complete within one event this way), so a remote
+        access has its arrival served by :meth:`_dram_arrive` at issue
+        time, ahead of any in-flight arrivals, exactly as a popped
+        arrival is.  That reaches into the memory node's state, so
+        under sharding it is only legal when both nodes live on one
+        shard; a cross-shard blocking access raises before it is
+        admitted.
 
         Remote accesses ride the fabric like any other traffic: each
-        direction is admitted through an injection channel at its sending
-        node (so DRAM-heavy apps can saturate injection bandwidth) and
-        then pays the knob-derived ``remote_dram_transit_cycles``.  Reads
-        send a command out and the data back; writes send the data out
-        and a completion back.  The return direction uses the node's
-        *reply* virtual channel (see :meth:`Network.dram_hop`).
+        direction is admitted through an injection channel at its
+        sending node (so DRAM-heavy apps can saturate injection
+        bandwidth) and then pays the knob-derived
+        ``remote_dram_transit_cycles``.  Reads send a command out and the
+        data back; writes send the data out and a completion back.  The
+        return direction uses the node's *reply* virtual channel (see
+        :meth:`Network.dram_hop`).
+
+        Returns the last element's response time for a local or a
+        blocking access, or its *arrival* time at the memory node for a
+        remote split-phase one — that response time is not knowable at
+        issue (it depends on the queue at the memory node when the
+        request lands).
         """
-        if is_read and response is None and not blocking:
-            raise SimulationError("DRAM read requires a response record")
-        stats = self.stats
-        src_nwid = response.src_network_id if response is not None else None
         if src_nwid is not None and src_nwid >= 0:
             actor = 1 + src_nwid
         else:
             actor = 1 + self._total_lanes + src_node
-        if is_read:
-            stats.dram_reads += 1
-            stats.dram_bytes_read += nbytes
-        else:
-            stats.dram_writes += 1
-            stats.dram_bytes_written += nbytes
-        if src_node == memory_node:
-            t_back = self.memory.access(
-                t_issue, src_node, memory_node, nbytes, local_offset
-            )
-            if response is not None:
-                self._push(t_back, response, actor)
-            elif t_back > stats.final_tick:
-                # Fire-and-forget writes still occupy the machine until
-                # they land; the makespan must cover them.
-                stats.final_tick = t_back
-            return t_back
-        stats.dram_remote_accesses += 1
-        msg_bytes = self._message_bytes
-        t_arrive = self._dram_hop(
-            t_issue, src_node, memory_node,
-            msg_bytes if is_read else msg_bytes + nbytes, self._dram_transit,
-        )
-        arrival = DramArrival(
-            self._total_lanes + memory_node,
-            response,
-            src_node,
-            memory_node,
-            nbytes,
-            local_offset,
-            nbytes if is_read else msg_bytes,
-        )
-        if blocking:
-            # Synchronous round trip: the caller stalls for the result,
-            # so the memory node serves the arrival now, at issue —
-            # ahead of any in-flight arrivals.  Under sharding this
-            # reaches into the memory node's state, legal only when both
-            # nodes share a shard (identical order to the sequential
-            # engine either way).
-            shard_map = self._shard_of_node
-            if (
-                shard_map is not None
-                and shard_map[src_node] != shard_map[memory_node]
-            ):
-                raise SimulationError(
-                    f"blocking DRAM read from node {src_node} to node "
-                    f"{memory_node} crosses a shard boundary; sharded "
-                    f"runs must keep blocking reads shard-local (use "
-                    f"split-phase reads instead)"
+        stats = self.stats
+        total_bytes = n_remote = 0
+        t = 0.0
+        for t_issue, memory_node, nbytes, local_offset, response in run:
+            if response is None and is_read and not blocking:
+                raise SimulationError("DRAM read requires a response record")
+            total_bytes += nbytes
+            if src_node == memory_node:
+                t = self.memory.access(
+                    t_issue, src_node, memory_node, nbytes, local_offset
                 )
-            return self._dram_arrive(t_arrive, arrival)
-        self._push(t_arrive, arrival, actor)
-        return t_arrive
+                if response is not None:
+                    self._push(t, response, actor)
+                elif t > stats.final_tick:
+                    # Fire-and-forget writes still occupy the machine
+                    # until they land; the makespan must cover them.
+                    stats.final_tick = t
+                continue
+            if blocking:
+                shard_map = self._shard_of_node
+                if (
+                    shard_map is not None
+                    and shard_map[src_node] != shard_map[memory_node]
+                ):
+                    raise SimulationError(
+                        f"blocking DRAM read from node {src_node} to node "
+                        f"{memory_node} crosses a shard boundary; sharded "
+                        f"runs must keep blocking reads shard-local (use "
+                        f"split-phase reads instead)"
+                    )
+            n_remote += 1
+            msg_bytes = self._message_bytes
+            t = self._dram_hop(
+                t_issue, src_node, memory_node,
+                msg_bytes if is_read else msg_bytes + nbytes,
+                self._dram_transit,
+            )
+            arrival = DramArrival(
+                self._total_lanes + memory_node, response, src_node,
+                memory_node, nbytes, local_offset,
+                nbytes if is_read else msg_bytes,
+            )
+            if blocking:
+                t = self._dram_arrive(t, arrival)
+            else:
+                self._push(t, arrival, actor)
+        if is_read:
+            stats.dram_reads += len(run)
+            stats.dram_bytes_read += total_bytes
+        else:
+            stats.dram_writes += len(run)
+            stats.dram_bytes_written += total_bytes
+        if n_remote:
+            stats.dram_remote_accesses += n_remote
+        return t
 
     def _dram_arrive(self, t_arrive: float, arrival: DramArrival) -> float:
         """Service a remote access at its memory node; returns the time

@@ -233,13 +233,26 @@ class GlobalMemory:
     def read_words_translated(
         self, va: int, nwords: int
     ) -> Tuple[int, int, tuple]:
-        """Fused ``translate`` + ``read_words``: one region lookup.
+        """Fused ``translate`` + ``read_words`` for ``nwords`` >= 1 words:
+        :meth:`read_chunks_translated`'s one-chunk case.
 
-        Returns ``(memory_node, node_local_offset, values)``.  Every
-        split-phase DRAM read needs both the physical placement and the
-        payload, and the region lookup (bisect + bounds guard) costs as
-        much as either — the simulator hot path calls this instead of
-        the two-step sequence.
+        Returns ``(memory_node, node_local_offset, values)``.
+        """
+        return self.read_chunks_translated(va, nwords, nwords)[0]
+
+    def read_chunks_translated(self, va: int, nwords: int, width: int) -> list:
+        """Fused ``translate`` + ``read_words``: ``nwords`` words at
+        ``va`` as consecutive ``width``-word chunks.
+
+        Each chunk is ``(memory_node, node_local_offset, values)``,
+        placed by its own first word — a chunk that straddles a swizzle
+        block goes whole to one node.  Every split-phase DRAM read needs
+        both the placement and the payload, and the region lookup
+        (bisect + bounds guard) costs as much as either, so one lookup,
+        one alignment and overrun check and one slice serve the whole
+        list; an overrun raises before any chunk is returned.  The
+        translation is ``SwizzleDescriptor.translate`` in shifts and
+        masks.
         """
         region = self.region_of(va)
         off = va - region.base
@@ -253,16 +266,23 @@ class GlobalMemory:
                 f"read of {nwords} words at {va:#x} overruns region "
                 f"{region.name!r}"
             )
-        # SwizzleDescriptor.translate, in shifts and masks
+        words = region.data[start : start + nwords].tolist()
         shift = region.block_shift
-        block = off >> shift
-        node = (
-            region.first_node + (block & region.node_mask)
-        ) % region.machine_nodes
-        offset = ((block >> region.node_shift) << shift) + (
-            off & region.block_mask
-        )
-        return node, offset, tuple(region.data[start : start + nwords].tolist())
+        node_mask = region.node_mask
+        node_shift = region.node_shift
+        block_mask = region.block_mask
+        first_node = region.first_node
+        machine_nodes = region.machine_nodes
+        chunks = []
+        for i in range(0, nwords, width):
+            o = off + i * WORD_BYTES
+            block = o >> shift
+            chunks.append((
+                (first_node + (block & node_mask)) % machine_nodes,
+                ((block >> node_shift) << shift) + (o & block_mask),
+                tuple(words[i : i + width]),
+            ))
+        return chunks
 
     def write_words_translated(self, va: int, values) -> Tuple[int, int]:
         """Fused ``translate`` + ``write_words`` (see read_words_translated)."""

@@ -7,7 +7,8 @@ the event, and implements the paper's §2.1.2 intrinsics:
 * ``evw_new(networkID, label)`` — event word for a new thread on a lane;
 * ``evw_update_event(evw, label)`` — re-label an event word;
 * ``send_event(evw, *operands, cont=...)`` — message send / task creation;
-* ``send_dram_read`` / ``send_dram_write`` — split-phase global memory;
+* ``send_dram_read`` / ``send_dram_write`` — split-phase global memory,
+  and ``send_dram_reads`` — a whole list in 8-word split-phase reads;
 * ``yield_()`` / ``yield_terminate()`` — software thread management.
 
 Functional-simulation note: DRAM payload data is read/written when the
@@ -35,6 +36,9 @@ IGNRCONT = None
 MAX_DRAM_READ_WORDS = 8
 
 LabelLike = Union[str, int]
+
+#: Upper bound (exclusive) of a charge: ``work`` rejects NaN and ±inf.
+_INF = float("inf")
 
 
 class UDWeaveError(RuntimeError):
@@ -150,7 +154,7 @@ class LaneContext:
         return self.record.continuation
 
     # The label sites below probe resolve_label_id's cache inline (as
-    # send_dram_read does): a hit is an id resolve_label_id already
+    # the DRAM reads do): a hit is an id resolve_label_id already
     # validated, and a miss, integer labels included, takes the full
     # checked path.
 
@@ -313,7 +317,8 @@ class LaneContext:
 
         The response is delivered to *this thread* at ``return_label`` with
         the word values as operands (prefixed by ``tag`` when given, so a
-        thread with several outstanding reads can tell them apart).
+        thread with several outstanding reads can tell them apart).  To
+        stream a longer list, use :meth:`send_dram_reads`.
         """
         if not (1 <= nwords <= MAX_DRAM_READ_WORDS):
             raise UDWeaveError(
@@ -325,8 +330,8 @@ class LaneContext:
             va, nwords
         )
         operands = values if tag is None else (tag, *values)
-        # resolve_label_id's cache probe, inlined: a thread streaming a
-        # neighbor list names the same return label on every chunk
+        # resolve_label_id's cache probe, inlined: a thread reading a
+        # vertex at a time names the same return label on every read
         thread = self.thread
         label_id = runtime._resolve_cache.get((type(thread), return_label))
         if label_id is None:
@@ -343,15 +348,74 @@ class LaneContext:
             "dram",
             label_id,
         )
-        self.sim.dram_transaction(
-            response,
-            self.start + self.cycles,
-            lane.node,
-            mem_node,
-            nwords * 8,
-            True,
-            local_offset,
+        self.sim.dram_issue(
+            nwid, lane.node, True,
+            ((self.start + self.cycles, mem_node, nwords * 8, local_offset,
+              response),),
         )
+
+    def send_dram_reads(
+        self,
+        va: int,
+        nwords: int,
+        return_label: LabelLike,
+        tag: Any = None,
+        work: float = 0,
+    ) -> int:
+        """Stream ``nwords`` ≥ 0 words at ``va`` to this thread; returns
+        the number of split-phase reads issued, ⌈nwords / 8⌉.
+
+        Responses arrive in eight operand registers, so a list is read
+        in chunks of :data:`MAX_DRAM_READ_WORDS`.  Chunk *j* covers the
+        words from ``i = 8j`` on and costs what one :meth:`send_dram_read`
+        of its words followed by ``work(work)`` would, in list order;
+        its memory node is its own first word's.  Each response reaches
+        ``return_label`` with the words alone, or as ``(tag, i, *words)``
+        when ``tag`` is given, so a handler can place its chunk.  The
+        whole list is read and bounds-checked before the first chunk is
+        charged, and the run is issued through one
+        :meth:`Simulator.dram_issue` call.
+        """
+        if nwords < 0:
+            raise UDWeaveError(f"cannot read a list of {nwords} words")
+        if not 0 <= work < _INF:
+            raise UDWeaveError(f"work must be finite and >= 0, got {work!r}")
+        if not nwords:
+            return 0
+        runtime = self.runtime
+        chunks = runtime.gmem.read_chunks_translated(
+            va, nwords, MAX_DRAM_READ_WORDS
+        )
+        thread = self.thread
+        label_id = runtime._resolve_cache.get((type(thread), return_label))
+        if label_id is None:
+            label_id = runtime.resolve_label_id(return_label, thread)
+        label = runtime._label_names[label_id]
+        lane = self.lane
+        nwid = lane.network_id
+        tid = self.tid
+        costs = self.costs
+        send = costs.send_dram_with_cont
+        charge = work * costs.instruction
+        start = self.start
+        cycles = self.cycles
+        run = []
+        i = 0
+        for mem_node, local_offset, values in chunks:
+            cycles += send
+            run.append((
+                start + cycles, mem_node, 8 * len(values), local_offset,
+                MessageRecord(
+                    nwid, tid, label,
+                    values if tag is None else (tag, i, *values),
+                    None, nwid, "dram", label_id,
+                ),
+            ))
+            cycles += charge
+            i += MAX_DRAM_READ_WORDS
+        self.cycles = cycles
+        self.sim.dram_issue(nwid, lane.node, True, run)
+        return len(run)
 
     def dram_read_blocking(self, va: int, nwords: int) -> tuple:
         """Read ``nwords`` ≤ 8 words at ``va``, stalling this event.
@@ -373,14 +437,10 @@ class LaneContext:
         mem_node, local_offset, values = self.runtime.gmem.read_words_translated(
             va, nwords
         )
-        t_back = self.sim.dram_transaction(
-            None,
-            self.time,
-            src_node=self.lane.node,
-            memory_node=mem_node,
-            nbytes=nwords * 8,
-            is_read=True,
-            local_offset=local_offset,
+        lane = self.lane
+        t_back = self.sim.dram_issue(
+            None, lane.node, True,
+            ((self.time, mem_node, nwords * 8, local_offset, None),),
             blocking=True,
         )
         if t_back > self.start + self.cycles:
@@ -404,7 +464,9 @@ class LaneContext:
         mem_node, local_offset = self.runtime.gmem.write_words_translated(
             va, list(values)
         )
-        response = None
+        # An acked write is issued by this lane; an un-acked one by the
+        # node's own actor (it has no response to key).
+        nwid = response = None
         if ack_label is not None:
             label_id = self.runtime.resolve_label_id(ack_label, self.thread)
             nwid = self.lane.network_id
@@ -418,14 +480,9 @@ class LaneContext:
                 "dram",
                 label_id,
             )
-        self.sim.dram_transaction(
-            response,
-            self.time,
-            src_node=self.lane.node,
-            memory_node=mem_node,
-            nbytes=len(values) * 8,
-            is_read=False,
-            local_offset=local_offset,
+        self.sim.dram_issue(
+            nwid, self.lane.node, False,
+            ((self.time, mem_node, len(values) * 8, local_offset, response),),
         )
 
     # ------------------------------------------------------------------
@@ -532,9 +589,16 @@ class LaneContext:
         )
 
     def work(self, instructions: float) -> None:
-        """Charge ``instructions`` of straight-line compute to this event."""
-        if instructions < 0:
-            raise UDWeaveError("cannot charge negative work")
+        """Charge ``instructions`` of straight-line compute to this event.
+
+        ``instructions`` must be finite and non-negative: a NaN or an
+        infinity would poison the lane's clock and, through it, the
+        makespan.
+        """
+        if not 0 <= instructions < _INF:
+            raise UDWeaveError(
+                f"work must be finite and >= 0, got {instructions!r}"
+            )
         self.cycles += instructions * self.costs.instruction
 
     def yield_(self) -> None:

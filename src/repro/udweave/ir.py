@@ -298,6 +298,8 @@ class TraceContext:
         self.ops.append(("DRAM_READ", nwords))
         raise LoweringUnsupported("split-phase DRAM read")
 
+    send_dram_reads = send_dram_read
+
     def send_dram_write(self, addr, words, **kw) -> None:
         self.ops.append(("DRAM_WRITE", len(words) if hasattr(words, "__len__") else "?"))
         raise LoweringUnsupported("split-phase DRAM write")

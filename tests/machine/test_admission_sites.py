@@ -13,9 +13,17 @@ aside).
 
 One level up, every lane-bound message — sent onto the heap or parked
 on its destination lane — is keyed, priced, counted and placed by
-``Simulator.issue``.  The same walk fails on an actor-sequence bump or a
-``messages_*`` count anywhere else, and on any other module reading the
-issue site's private state.
+``Simulator.issue``, and every split-phase DRAM access by
+``Simulator.dram_issue``.  The same walk fails on an actor-sequence bump,
+an issuing-actor derivation, or a ``messages_*`` / ``dram_*`` count
+anywhere else, and on any other module reading the issue site's private
+state.
+
+A DRAM read returns at most eight words (the operand registers), so a
+list is read in chunks — and ``LaneContext.send_dram_reads`` is the only
+code that does the chunking: no other module loops over a stepped
+``range`` around ``send_dram_read``, and the width is always spelled
+``MAX_DRAM_READ_WORDS``.
 
 At the end of every drain, sequential or sharded, ``Simulator._settle``
 is the one place that delivers host mail into ``host_inbox`` and files
@@ -122,6 +130,20 @@ SIMULATOR = "machine/simulator.py"
 #: functions allowed to bump an actor's sequence (``_actor_seq[a] = ...``).
 SEQ_SITES = {"_push", "issue", "_issue_guarded"}
 
+#: functions that derive the issuing actor (``actor = ...``): one for
+#: messages, one for DRAM accesses.
+ACTOR_SITES = {"issue", "dram_issue"}
+
+#: DRAM traffic counters: bumped once per run by ``dram_issue`` (the
+#: blocking read included).
+DRAM_COUNTERS = {
+    "dram_reads",
+    "dram_writes",
+    "dram_bytes_read",
+    "dram_bytes_written",
+    "dram_remote_accesses",
+}
+
 #: the message taxonomy; ``messages_sent`` is partitioned by the others.
 MESSAGE_COUNTERS = {
     "messages_sent",
@@ -146,6 +168,7 @@ class _IssueFinder(ast.NodeVisitor):
         self.func = "<module>"
         self.aliases = set()  # local names bound to ``<x>._actor_seq``
         self.seq_writes = []  # (function, line)
+        self.actors = []  # (function, line)
         self.counts = []  # (function, line, counter)
         self.privates = []  # (function, line, name)
 
@@ -172,13 +195,16 @@ class _IssueFinder(ast.NodeVisitor):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     self.aliases.add(target.id)
+        for target in node.targets:
+            if isinstance(target, ast.Name) and target.id == "actor":
+                self.actors.append((self.func, node.lineno))
         self._targets(node, node.targets)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node):
         self._targets(node, [node.target])
         attr = getattr(node.target, "attr", None)
-        if attr in MESSAGE_COUNTERS:
+        if attr in MESSAGE_COUNTERS | DRAM_COUNTERS:
             self.counts.append((self.func, node.lineno, attr))
         self.generic_visit(node)
 
@@ -215,17 +241,103 @@ def test_actor_sequences_are_bumped_only_at_the_issue_site():
     assert writes == {(SIMULATOR, f) for f in SEQ_SITES}
 
 
-def test_message_taxonomy_is_counted_only_by_issue():
+def test_the_issuing_actor_is_derived_only_at_the_issue_sites():
     found = _issue_findings()
-    counts = [
-        (rel, func, attr)
+    derived = {
+        (rel, func)
         for rel, finder in found.items()
+        for func, _line in finder.actors
+    }
+    assert derived == {(SIMULATOR, f) for f in ACTOR_SITES}
+
+
+def _counted(counters):
+    return [
+        (rel, func, attr)
+        for rel, finder in _issue_findings().items()
         for func, _line, attr in finder.counts
+        if attr in counters
     ]
+
+
+def test_message_taxonomy_is_counted_only_by_issue():
+    counts = _counted(MESSAGE_COUNTERS)
     assert {(rel, func) for rel, func, _attr in counts} == {
         (SIMULATOR, "issue")
     }
     assert {attr for _rel, _func, attr in counts} == MESSAGE_COUNTERS
+
+
+def test_dram_traffic_is_counted_only_by_the_dram_issue_site():
+    counts = _counted(DRAM_COUNTERS)
+    assert {(rel, func) for rel, func, _attr in counts} == {
+        (SIMULATOR, "dram_issue")
+    }
+    assert {attr for _rel, _func, attr in counts} == DRAM_COUNTERS
+
+
+#: the one module allowed to split a list into split-phase reads.
+CHUNKING_SITE = "udweave/context.py"
+
+
+def _calls(node, name):
+    return any(
+        isinstance(sub, ast.Call)
+        and getattr(sub.func, "attr", getattr(sub.func, "id", None)) == name
+        for sub in ast.walk(node)
+    )
+
+
+def _chunk_loops(tree):
+    """Lines of ``for`` loops over a stepped ``range(a, b, step)`` whose
+    body issues ``send_dram_read``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For)
+        and isinstance(node.iter, ast.Call)
+        and getattr(node.iter.func, "id", None) == "range"
+        and len(node.iter.args) == 3
+        and any(_calls(stmt, "send_dram_read") for stmt in node.body)
+    ]
+
+
+def _literal_widths(tree):
+    """Lines of ``min(8, ...)`` — a read width not spelled by name."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "min"
+        and any(
+            isinstance(arg, ast.Constant) and arg.value == 8
+            for arg in node.args
+        )
+    ]
+
+
+def test_lists_are_chunked_into_dram_reads_at_one_site():
+    stray = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if rel != CHUNKING_SITE:
+            stray += [f"{rel}:{n} chunk loop" for n in _chunk_loops(tree)]
+        stray += [f"{rel}:{n} min(8, ...)" for n in _literal_widths(tree)]
+    assert not stray, "DRAM-read chunking outside send_dram_reads:\n" + (
+        "\n".join(stray)
+    )
+
+
+def test_the_chunk_walk_sees_a_chunk_loop():
+    """Guard against a walk that rotted into matching nothing."""
+    tree = ast.parse(
+        "for i in range(0, n, 8):\n"
+        "    k = min(8, n - i)\n"
+        "    ctx.send_dram_read(va + 8 * i, k, 'back')\n"
+    )
+    assert _chunk_loops(tree) == [1]
+    assert _literal_widths(tree) == [2]
 
 
 def test_no_other_module_reads_the_issue_sites_private_state():

@@ -30,14 +30,10 @@ def _round_trip(sim, src, mem, nbytes=64):
     """Issue one read from a lane on ``src`` and return the time its
     response handler starts executing (the observed round-trip)."""
     requester = sim.config.first_lane_of_node(src)
-    sim.dram_transaction(
-        MessageRecord(requester, NEW_THREAD, "resp", src_network_id=requester),
-        0.0,
-        src,
-        mem,
-        nbytes,
-        is_read=True,
+    resp = MessageRecord(
+        requester, NEW_THREAD, "resp", src_network_id=requester
     )
+    sim.dram_issue(requester, src, True, ((0.0, mem, nbytes, 0, resp),))
     sim.run()
     return sim.executed[-1][1]
 
@@ -92,14 +88,8 @@ class TestLatencyRatioKnob:
             sim = Simulator(
                 bench_machine(nodes=2), dispatcher=dispatcher, faults=plan
             )
-            sim.dram_transaction(
-                MessageRecord(0, NEW_THREAD, "r", src_network_id=0),
-                0.0,
-                0,
-                1,
-                64,
-                is_read=True,
-            )
+            resp = MessageRecord(0, NEW_THREAD, "r", src_network_id=0)
+            sim.dram_issue(0, 0, True, ((0.0, 1, 64, 0, resp),))
             sim.run()
             times[plan is None] = executed[-1]
             assert sim.stats.dram_remote_accesses == 1
@@ -121,7 +111,7 @@ class TestInjectionRouting:
 
     def test_remote_write_injects_data_then_completion(self):
         sim = _sim()
-        sim.dram_transaction(None, 0.0, 0, 1, 512, is_read=False)
+        sim.dram_issue(None, 0, False, ((0.0, 1, 512, 0, None),))
         sim.run()
         cfg = sim.config
         assert sim.network.injected_bytes(0) == cfg.message_bytes + 512
@@ -169,16 +159,14 @@ class TestInjectionRouting:
         lane_near = sim.config.first_lane_of_node(1)
         # far issues first but behind a saturated injection port
         sim.network._channel(2).free_at = 5000.0
-        sim.dram_transaction(
-            MessageRecord(lane_far, NEW_THREAD, "far", src_network_id=lane_far),
-            0.0, 2, 0, 64, is_read=True,
+        far = MessageRecord(
+            lane_far, NEW_THREAD, "far", src_network_id=lane_far
         )
-        sim.dram_transaction(
-            MessageRecord(
-                lane_near, NEW_THREAD, "near", src_network_id=lane_near
-            ),
-            1.0, 1, 0, 64, is_read=True,
+        near = MessageRecord(
+            lane_near, NEW_THREAD, "near", src_network_id=lane_near
         )
+        sim.dram_issue(lane_far, 2, True, ((0.0, 0, 64, 0, far),))
+        sim.dram_issue(lane_near, 1, True, ((1.0, 0, 64, 0, near),))
         sim.run()
         assert [label for label, _ in executed] == ["near", "far"]
         # the near response was serviced first, so it also returns first

@@ -141,9 +141,11 @@ class TestShardValidation:
             shards=2,
         )
         with pytest.raises(SimulationError, match="blocking"):
-            sim.dram_transaction(
-                MessageRecord(0, NEW_THREAD, "r", src_network_id=0),
-                0.0, 0, 1, 64, is_read=True, blocking=True,
+            sim.dram_issue(
+                0, 0, True,
+                ((0.0, 1, 64, 0,
+                  MessageRecord(0, NEW_THREAD, "r", src_network_id=0)),),
+                blocking=True,
             )
 
     def test_same_shard_blocking_read_allowed(self):
@@ -152,9 +154,11 @@ class TestShardValidation:
             dispatcher=null_dispatcher(),
             shards=2,
         )
-        t_back = sim.dram_transaction(
-            MessageRecord(0, NEW_THREAD, "r", src_network_id=0),
-            0.0, 0, 1, 64, is_read=True, blocking=True,
+        t_back = sim.dram_issue(
+            0, 0, True,
+            ((0.0, 1, 64, 0,
+              MessageRecord(0, NEW_THREAD, "r", src_network_id=0)),),
+            blocking=True,
         )
         assert t_back > 0.0
 

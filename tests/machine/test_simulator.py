@@ -299,14 +299,12 @@ class TestIssueRuns:
 class TestDram:
     def test_read_requires_response(self, sim):
         with pytest.raises(SimulationError):
-            sim.dram_transaction(
-                None, 0.0, src_node=0, memory_node=0, nbytes=64, is_read=True
-            )
+            sim.dram_issue(None, 0, True, ((0.0, 0, 64, 0, None),))
 
     def test_remote_access_slower_than_local(self, sim):
         def response_start(s, mem_node):
             resp = MessageRecord(0, NEW_THREAD, "r", src_network_id=0)
-            s.dram_transaction(resp, 0.0, 0, mem_node, 64, is_read=True)
+            s.dram_issue(0, 0, True, ((0.0, mem_node, 64, 0, resp),))
             s.run()
             return s.dispatcher.executed[-1][2]
 
@@ -318,13 +316,14 @@ class TestDram:
         assert t_remote >= t_local + 2 * sim.config.remote_dram_transit_cycles
 
     def test_write_without_ack_extends_final_tick(self, sim):
-        t = sim.dram_transaction(None, 0.0, 0, 0, 64, is_read=False)
+        t = sim.dram_issue(None, 0, False, ((0.0, 0, 64, 0, None),))
         assert sim.stats.final_tick == t
         assert sim.stats.dram_writes == 1
 
     def test_stats_track_bytes(self, sim):
-        sim.dram_transaction(MessageRecord(0, 0, "r"), 0.0, 0, 0, 64, True)
-        sim.dram_transaction(None, 0.0, 0, 0, 128, False)
+        rec = MessageRecord(0, 0, "r")
+        sim.dram_issue(rec.src_network_id, 0, True, ((0.0, 0, 64, 0, rec),))
+        sim.dram_issue(None, 0, False, ((0.0, 0, 128, 0, None),))
         assert sim.stats.dram_bytes_read == 64
         assert sim.stats.dram_bytes_written == 128
 

@@ -1,8 +1,13 @@
 """LaneContext: intrinsics, DRAM split-phase access, scratchpad, yields."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.faults import FaultPlan
 from repro.machine import bench_machine
+from repro.memmodel import MemoryError_
 from repro.udweave import (
     MAX_DRAM_READ_WORDS,
     UDThread,
@@ -139,6 +144,199 @@ class TestDramAccess:
             stats = rt.run()
             times[first_node] = stats.final_tick
         assert times[1] > times[0] + 1000  # two remote hops
+
+
+#: list-read differential: a 256-word region in 64-word swizzle blocks
+LIST_WORDS = 256
+BLOCK_WORDS = 64
+
+
+def _read_list(vector, nwords, offset, work, tagged, nr_nodes, src_node,
+               shards, delayed):
+    """Run one list read on a two-node machine and return what it did.
+
+    A ``kick`` on lane 0 spawns ``go`` on a lane of ``src_node`` (a
+    remote send when that is node 1, so the delay plan can reorder it).
+    ``go`` reads ``nwords`` words at word ``offset`` either through one
+    ``send_dram_reads`` call or through the scalar loop it replaces;
+    each response's delivery (push time and operands) is logged at the
+    simulator's keying point.
+    """
+    plan = None
+    if delayed:
+        plan = FaultPlan(seed=5, delay_rate=0.5, delay_cycles=300.0)
+    rt = UpDownRuntime(bench_machine(nodes=2), shards=shards, faults=plan)
+    reg = rt.gmem.dram_malloc(
+        8 * LIST_WORDS, 0, nr_nodes, 8 * BLOCK_WORDS, name="list"
+    )
+    reg[:] = range(1000, 1000 + LIST_WORDS)
+    out = {"pushed": [], "handled": []}
+    sim = rt.sim
+    push = sim._push
+
+    def logged(t, rec, actor):
+        if getattr(rec, "kind", None) == "dram":
+            out["pushed"].append((t, rec.operands))
+        push(t, rec, actor)
+
+    sim._push = logged
+    lanes = rt.config.lanes_per_node
+    src_lane = src_node * lanes + lanes - 1
+
+    @rt.register
+    class L(UDThread):
+        @event
+        def kick(self, ctx):
+            ctx.spawn(src_lane, "L::go")
+            ctx.yield_terminate()
+
+        @event
+        def go(self, ctx):
+            va = reg.base + 8 * offset
+            tag = "t" if tagged else None
+            if vector:
+                out["count"] = ctx.send_dram_reads(
+                    va, nwords, "back", tag=tag, work=work
+                )
+            else:
+                out["count"] = 0
+                for i in range(0, nwords, MAX_DRAM_READ_WORDS):
+                    k = min(MAX_DRAM_READ_WORDS, nwords - i)
+                    ctx.send_dram_read(
+                        va + 8 * i, k, "back",
+                        tag=(tag, i) if tagged else None,
+                    )
+                    out["count"] += 1
+                    if work:
+                        ctx.work(work)
+            out["cycles"] = ctx.cycles
+            ctx.yield_()
+
+        @event
+        def back(self, ctx, *operands):
+            out["handled"].append((ctx.start, operands))
+            ctx.yield_()
+
+    rt.start(0, "L::kick")
+    stats = rt.run()
+    out["model"] = stats.model_snapshot()
+    out["busy"] = dict(stats.busy_cycles_by_lane)
+    return out
+
+
+def _flat(operands):
+    """A scalar-loop response ``((tag, i), *words)`` in the list layout."""
+    return (*operands[0], *operands[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nwords=st.integers(0, 40),
+    offset=st.integers(BLOCK_WORDS - 40, BLOCK_WORDS + 8),
+    work=st.sampled_from([0, 1, 2]),
+    tagged=st.booleans(),
+    nr_nodes=st.sampled_from([1, 2]),
+    src_node=st.sampled_from([0, 1]),
+    shards=st.sampled_from([1, 2]),
+    delayed=st.booleans(),
+)
+def test_list_read_equals_the_scalar_loop(
+    nwords, offset, work, tagged, nr_nodes, src_node, shards, delayed
+):
+    args = (nwords, offset, work, tagged, nr_nodes, src_node, shards, delayed)
+    vector = _read_list(True, *args)
+    scalar = _read_list(False, *args)
+    if tagged:
+        for key in ("pushed", "handled"):
+            scalar[key] = [(t, _flat(ops)) for t, ops in scalar[key]]
+    assert vector == scalar
+    assert vector["count"] == -(-nwords // MAX_DRAM_READ_WORDS)
+    assert len(vector["handled"]) == vector["count"]
+
+
+def test_list_read_reaches_both_memory_nodes():
+    """The fixed example the property relies on: a list straddling a
+    swizzle block is served by both nodes, each chunk by its own first
+    word's node, and the chunks arrive in word order of their offsets."""
+    out = _read_list(True, 20, BLOCK_WORDS - 12, 1, True, 2, 0, 1, False)
+    assert out["count"] == 3
+    assert out["model"]["dram_remote_accesses"] == 1
+    assert sorted(ops[1] for _t, ops in out["handled"]) == [0, 8, 16]
+    chunks = sorted(ops for _t, ops in out["handled"])
+    words = [w for ops in chunks for w in ops[2:]]
+    first = 1000 + BLOCK_WORDS - 12
+    assert words == list(range(first, first + 20))
+
+
+class TestListReadErrors:
+    def _run(self, body):
+        rt = runtime()
+        reg = rt.dram_malloc(8 * 16, name="arr")
+        seen = {}
+
+        @rt.register
+        class T(UDThread):
+            @event
+            def go(self, ctx):
+                before = ctx.cycles
+                try:
+                    body(ctx, reg)
+                finally:
+                    seen["charged"] = ctx.cycles - before
+                ctx.yield_terminate()
+
+        rt.start(0, "T::go")
+        return rt, seen
+
+    def test_negative_length_rejected(self):
+        rt, seen = self._run(
+            lambda ctx, reg: ctx.send_dram_reads(reg.addr(0), -1, "go")
+        )
+        with pytest.raises(UDWeaveError, match="-1 words"):
+            rt.run()
+        assert seen["charged"] == 0
+
+    def test_overrun_raises_before_any_chunk_is_charged(self):
+        rt, seen = self._run(
+            lambda ctx, reg: ctx.send_dram_reads(reg.addr(4), 13, "go")
+        )
+        with pytest.raises(MemoryError_, match="overruns"):
+            rt.run()
+        assert seen["charged"] == 0
+        assert rt.sim.stats.dram_reads == 0
+
+    def test_empty_list_issues_nothing(self):
+        rt, seen = self._run(
+            lambda ctx, reg: seen.setdefault(
+                "count", ctx.send_dram_reads(reg.addr(0), 0, "go")
+            )
+        )
+        rt.run()
+        assert (seen["count"], seen["charged"]) == (0, 0)
+        assert rt.sim.stats.dram_reads == 0
+
+
+class TestWork:
+    @pytest.mark.parametrize("bad", [-1, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("site", ["work", "send_dram_reads"])
+    def test_non_finite_or_negative_work_rejected(self, site, bad):
+        rt = runtime()
+        reg = rt.dram_malloc(8 * 16, name="arr")
+
+        @rt.register
+        class T(UDThread):
+            @event
+            def go(self, ctx):
+                if site == "work":
+                    ctx.work(bad)
+                else:
+                    ctx.send_dram_reads(reg.addr(0), 12, "go", work=bad)
+                ctx.yield_terminate()
+
+        rt.start(0, "T::go")
+        with pytest.raises(UDWeaveError, match="finite"):
+            rt.run()
+        assert math.isfinite(rt.sim.stats.final_tick)
 
 
 class TestScratchpad:

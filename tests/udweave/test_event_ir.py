@@ -179,6 +179,9 @@ class TestTraceSafety:
                 getattr(tctx, attr)
         with pytest.raises(LoweringUnsupported):
             tctx.send_dram_read(0, 1, "reply")
+        with pytest.raises(LoweringUnsupported, match="split-phase DRAM"):
+            tctx.send_dram_reads(0, 20, "reply", work=1)
+        assert tctx.ops[-2:] == [("DRAM_READ", 1), ("DRAM_READ", 20)]
         with pytest.raises(LoweringUnsupported):
             tctx.spawn(0, "X::y")
         with pytest.raises(LoweringUnsupported):
