@@ -10,6 +10,7 @@ discipline without an explicit queue structure.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Dict
 
 
@@ -29,6 +30,7 @@ class Lane:
         "scratchpad",
         "ctx_cache",
         "parked",
+        "streams",
     )
 
     def __init__(self, network_id: int, node: int, accel: int) -> None:
@@ -57,5 +59,17 @@ class Lane:
         self.ctx_cache: Any = None
         #: batch-dispatch staging area: ``(time, seq, plan, operands)``
         #: records parked at emit time, flushed in key order before the
-        #: lane's state is next observed (``repro.udweave.ir``).
+        #: lane's state is next observed (``repro.udweave.ir``).  Each
+        #: issuing actor's records form one key-sorted run in
+        #: ``streams[actor]`` (a deque); ``parked`` is the heap of the
+        #: non-empty runs' heads, so ``parked[0]`` is the lane's earliest
+        #: parked key and an empty ``parked`` means nothing is parked.
+        #: Only ``Simulator.issue`` (with its out-of-order helper
+        #: ``_park_late``) and ``Simulator._flush_parked`` mutate them;
+        #: :meth:`parked_records` reads them all.
         self.parked: list = []
+        self.streams: Dict[int, Any] = {}
+
+    def parked_records(self):
+        """Every parked record, in key order (a lazy merge of the runs)."""
+        return heapq.merge(*self.streams.values())

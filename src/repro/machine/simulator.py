@@ -47,6 +47,9 @@ import gc
 import heapq
 import math
 from bisect import bisect_left, insort
+from collections import deque
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import islice
 from typing import Callable, List, Optional, Tuple
 
 from .config import MachineConfig
@@ -396,14 +399,24 @@ class Simulator:
         """Diagnostic snapshot for a stalled machine.
 
         Covers the three things a hung run needs triaged: what is still
-        *in flight* (the next queued events), what is still *waiting*
-        (live threads per lane), and whatever registered providers know
-        about protocol state (KVMSR reports outstanding reduce credits).
+        *in flight* (the next queued events and the earliest parked
+        records, each ``(time, nwid, label)`` in pop order), what is
+        still *waiting* (live threads per lane), and whatever registered
+        providers know about protocol state (KVMSR reports outstanding
+        reduce credits).
         """
         queued = self._queued()
         next_events = [
             (t, dest, getattr(r, "label", type(r).__name__))
             for t, dest, _seq, r in heapq.nsmallest(limit, queued)
+        ]
+        next_parked = [
+            (t, nwid, label)
+            for t, nwid, _seq, label in heapq.nsmallest(limit, (
+                (t, nwid, seq, plan.label)
+                for nwid, ln in self._lanes.items()
+                for t, seq, plan, _ops in islice(ln.parked_records(), limit)
+            ))
         ]
         blocked = []
         for nwid in sorted(self._lanes):
@@ -419,6 +432,7 @@ class Simulator:
             "heap_events": len(queued),
             "parked_records": self._parked_total,
             "next_events": next_events,
+            "next_parked": next_parked,
             "pending_threads": self._live_threads(),
             "blocked_threads": blocked,
         }
@@ -441,7 +455,7 @@ class Simulator:
         funnels through here, so the shard scheduler has one place to
         hook (``self._route``) when events must land in a per-shard heap
         instead of the global heap.  (Parked records skip the queue:
-        :meth:`issue` keys them the same way and sorts them onto their
+        :meth:`issue` keys them the same way and parks them on their
         lanes.)  ``actor`` identifies the issuing execution context; its
         private counter makes the key unique and shard-independent.
 
@@ -551,10 +565,13 @@ class Simulator:
         the recorder, in scalar order, so a run of ``n`` equals ``n``
         one-element calls.  Then it is placed: a :class:`MessageRecord`
         goes on the event queue through :meth:`_push`; an operand tuple
-        is insertion-sorted onto lane ``nwid``'s parked list under
-        ``plan``, for the plan's batch executor (see
-        :meth:`_flush_parked`).  Taking a whole run per call keeps the
-        per-record cost out of Python call frames.
+        is parked under ``plan`` on lane ``nwid`` for the plan's batch
+        executor (see :meth:`_flush_parked`): appended to the issuing
+        actor's run there, whose keys already arrive in order, and
+        pushed onto the lane's heap of run heads when that run was
+        empty (:meth:`_park_late` takes a key that a message fault
+        landed below its run's tail).  Taking a whole run per call keeps
+        the per-record cost out of Python call frames.
 
         The issuing actor is lane ``src_nwid`` when that is a lane, else
         the host (``src_node=None``) or node ``src_node``'s own actor.
@@ -618,12 +635,24 @@ class Simulator:
                     dest = lanes.get(nwid)
                     if dest is None:
                         dest = self.lane(nwid)
-                    # Kept sorted by insertion (C-level bisect + memmove
-                    # on short lists) so flushes never sort and the
-                    # drain's earliest-key check is one tuple index.  seq
-                    # uniqueness means comparisons never reach the plan —
-                    # the heap's own trick.
-                    insort(dest.parked, (t, actor_bits | count, plan, payload))
+                    # Appended to this actor's run, whose keys arrive in
+                    # increasing order (its seq grows, its channel is
+                    # FIFO), so parking is one float compare and an
+                    # append; the run joins the lane's heap of heads
+                    # only when it was empty.  seq uniqueness means
+                    # comparisons never reach the plan — the heap's own
+                    # trick.
+                    entry = (t, actor_bits | count, plan, payload)
+                    stream = dest.streams.get(actor)
+                    if not stream:
+                        if stream is None:
+                            stream = dest.streams[actor] = deque()
+                        stream.append(entry)
+                        heappush(dest.parked, entry)
+                    elif stream[-1][0] <= t:
+                        stream.append(entry)
+                    else:
+                        self._park_late(dest, stream, entry)
                     n_parked += 1
                 else:
                     push(t, payload, actor)
@@ -729,6 +758,22 @@ class Simulator:
     # Batched dispatch (park at emit, flush before observation)
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def _park_late(ln: Lane, run, entry) -> None:
+        """Park ``entry`` below the tail of its actor's ``run``.
+
+        Only a message fault (a delay, or a duplicate's second copy)
+        delivers an actor's records to one lane out of key order.  The
+        entry is insertion-sorted into its run; when it becomes the
+        run's head it takes the old head's seat in ``ln.parked``.
+        """
+        head = run[0]
+        insort(run, entry)
+        if run[0] is entry:
+            parked = ln.parked
+            parked[parked.index(head)] = entry
+            heapify(parked)
+
     def _flush_parked(self, ln: Lane, cut) -> int:
         """Execute ``ln``'s parked records with keys below ``cut``;
         returns how many ran (the drain counts them toward its budget).
@@ -736,14 +781,27 @@ class Simulator:
         ``cut`` is a ``(time, seq)`` key prefix-comparable with parked
         entries — ``(t, s)`` flushes strictly-earlier deliveries before
         an incoming event keyed ``(t, s)`` on this lane; ``(t,)`` flushes
-        everything before tick ``t``.  The list is insertion-sorted by the
-        issue site (:meth:`issue`), so the cut is one bisect;
-        runs execute in maximal same-plan groups by the plans' compiled
-        executors, which charge per-record costs in exactly the
-        interpreted order — see ``repro.udweave.ir``.
+        everything before tick ``t``.  The records come off the lane's
+        per-actor runs by a k-way merge of their heads (:meth:`issue`
+        keeps each run sorted and ``ln.parked`` a heap of the heads), so
+        they leave in key order without a sort; runs execute in maximal
+        same-plan groups by the plans' compiled executors, which charge
+        per-record costs in exactly the interpreted order — see
+        ``repro.udweave.ir``.
         """
-        lst = ln.parked
-        n = bisect_left(lst, cut)
+        parked = ln.parked
+        streams = ln.streams
+        lst = []
+        while parked and parked[0] < cut:
+            e = parked[0]
+            run = streams[e[1] >> ACTOR_SEQ_BITS]
+            run.popleft()
+            lst.append(e)
+            if run:
+                heapreplace(parked, run[0])
+            else:
+                heappop(parked)
+        n = len(lst)
         if not n:
             return 0
         stats = self.stats
@@ -766,7 +824,6 @@ class Simulator:
             if rec_batch is not None:
                 rec_batch(cnt)
             i = j
-        del lst[:n]
         self._parked_total -= n
         return n
 
@@ -1204,8 +1261,9 @@ class Simulator:
                         if lp:
                             # Parked records that would have popped
                             # before this delivery execute now, in key
-                            # order.  The list is sorted, so comparing
-                            # its head keeps the no-op case inline.
+                            # order.  ``lp`` is the heap of the lane's run
+                            # heads, so comparing its top keeps the no-op
+                            # case inline.
                             e0 = lp[0]
                             t0 = e0[0]
                             if t0 < ev_time or (

@@ -7,8 +7,8 @@ and ``for k in keys: kv_emit(k); ctx.work(work)`` — over random key
 lists (duplicates hit the lane memo), ``work`` values, armed or
 disarmed parking, and guarded or unguarded reduce plans, and compares
 everything the emit touches: the model fingerprint, per-lane busy
-cycles, scratchpads, the parked lists as the event left them, and the
-plans' ``parked`` / ``guard_declined`` tallies.
+cycles, scratchpads, every lane's parked records (in key order) as the
+event left them, and the plans' ``parked`` / ``guard_declined`` tallies.
 """
 
 import pytest
@@ -60,7 +60,9 @@ class _EmitMap(MapTask):
                 ctx.work(work)
         spec.cycles = ctx.cycles
         spec.parked = {
-            nwid: [(t, seq, ops) for t, seq, _plan, ops in ln.parked]
+            nwid: [
+                (t, seq, ops) for t, seq, _plan, ops in ln.parked_records()
+            ]
             for nwid, ln in ctx.sim._lanes.items()
             if ln.parked
         }

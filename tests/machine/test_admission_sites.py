@@ -25,6 +25,12 @@ code that does the chunking: no other module loops over a stepped
 ``range`` around ``send_dram_read``, and the width is always spelled
 ``MAX_DRAM_READ_WORDS``.
 
+A lane's parked records live in per-actor runs (``Lane.streams``) under
+a heap of their heads (``Lane.parked``).  Only ``Simulator.issue`` (with
+its out-of-order helper ``_park_late``) and ``Simulator._flush_parked``
+mutate them, and nothing treats ``.parked`` as a sorted list any more:
+no ``insort`` or ``bisect*`` call takes it.
+
 At the end of every drain, sequential or sharded, ``Simulator._settle``
 is the one place that delivers host mail into ``host_inbox`` and files
 the quiescence verdict; the window loop in ``machine/parallel.py`` keeps
@@ -465,3 +471,174 @@ def test_the_window_loop_keeps_no_drain_end_of_its_own():
     # the drain loop pops only lane and DRAM deliveries
     drain = {name for func, name in found[SIMULATOR].names if func == "_drain"}
     assert not drain & {"host_inbox", "_host_mail", "HOST_NWID"}
+
+
+#: a lane's parking structures: the heap of run heads and the runs.
+PARK_FIELDS = {"parked", "streams"}
+
+#: the functions in ``machine/simulator.py`` allowed to mutate them.
+PARK_SITES = {"issue", "_park_late", "_flush_parked"}
+
+#: list / deque / dict methods that mutate their receiver.
+MUTATING_METHODS = {
+    "append", "appendleft", "extend", "extendleft", "insert", "pop",
+    "popleft", "popitem", "remove", "clear", "sort", "reverse", "rotate",
+    "setdefault", "update",
+}
+
+#: ``heapq`` / ``bisect`` functions that mutate their first argument.
+MUTATING_FUNCS = {
+    "heappush", "heappop", "heapreplace", "heappushpop", "heapify",
+    "insort", "insort_left", "insort_right",
+}
+
+#: the sorted-list toolkit the old parking path ran on ``.parked``.
+SORTED_LIST_FUNCS = {
+    "insort", "insort_left", "insort_right",
+    "bisect", "bisect_left", "bisect_right",
+}
+
+
+def _flat(target):
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _flat(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _flat(target.value)
+    else:
+        yield target
+
+
+class _ParkFinder(ast.NodeVisitor):
+    """Per function: mutations of a lane's parking structures (through
+    local aliases, ``streams`` lookups included) and sorted-list calls
+    on ``.parked``."""
+
+    def __init__(self):
+        self.func = "<module>"
+        self.aliases = {}  # local name -> the park field it aliases
+        self.writes = []  # (function, line)
+        self.sorted_calls = []  # (function, line, callee)
+
+    def visit_FunctionDef(self, node):
+        saved = self.func, self.aliases
+        self.func, self.aliases = node.name, {}
+        self.generic_visit(node)
+        self.func, self.aliases = saved
+
+    def _field(self, node):
+        """The park field ``node`` reads (or aliases), else ``None``."""
+        if isinstance(node, ast.Attribute) and node.attr in PARK_FIELDS:
+            return node.attr
+        if isinstance(node, ast.Name):
+            return self.aliases.get(node.id)
+        if isinstance(node, ast.Subscript):
+            return self._field(node.value)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+        ):
+            return self._field(node.func.value)
+        return None
+
+    def _writes(self, node, targets):
+        for target in targets:
+            for sub in _flat(target):
+                if (
+                    isinstance(sub, ast.Attribute) and sub.attr in PARK_FIELDS
+                ) or (
+                    isinstance(sub, ast.Subscript) and self._field(sub.value)
+                ):
+                    self.writes.append((self.func, node.lineno))
+
+    def visit_Assign(self, node):
+        field = self._field(node.value) or next(
+            (
+                self._field(t.value)
+                for t in node.targets
+                if isinstance(t, ast.Subscript) and self._field(t.value)
+            ),
+            None,
+        )
+        if field:
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    self.aliases[target.id] = field
+        self._writes(node, node.targets)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        self._writes(node, [node.target])
+        self.generic_visit(node)
+
+    def visit_Delete(self, node):
+        self._writes(node, node.targets)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        fn = node.func
+        name = getattr(fn, "attr", getattr(fn, "id", None))
+        if isinstance(fn, ast.Attribute) and name in MUTATING_METHODS:
+            if self._field(fn.value):
+                self.writes.append((self.func, node.lineno))
+        elif node.args:
+            field = self._field(node.args[0])
+            if field and name in MUTATING_FUNCS:
+                self.writes.append((self.func, node.lineno))
+            if field == "parked" and name in SORTED_LIST_FUNCS:
+                self.sorted_calls.append((self.func, node.lineno, name))
+        self.generic_visit(node)
+
+
+def _park_findings(tree):
+    finder = _ParkFinder()
+    finder.visit(tree)
+    return finder
+
+
+def test_lanes_park_and_flush_only_at_the_issue_and_flush_sites():
+    writes, sorted_calls = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        finder = _park_findings(ast.parse(path.read_text(), filename=str(path)))
+        writes |= {(rel, func, line) for func, line in finder.writes}
+        sorted_calls += [
+            f"{rel}:{line} {func}() calls {name} on .parked"
+            for func, line, name in finder.sorted_calls
+        ]
+    stray = [
+        f"{rel}:{line} {func}() mutates a lane's parked records"
+        for rel, func, line in sorted(writes)
+        if func != "__init__"  # constructors aside
+        and not (rel == SIMULATOR and func in PARK_SITES)
+    ]
+    assert not stray, "parking outside issue/_flush_parked:\n" + (
+        "\n".join(stray)
+    )
+    assert not sorted_calls, "\n".join(sorted_calls)
+    # every site really is one the walk sees
+    assert {(SIMULATOR, f) for f in PARK_SITES} <= {
+        (rel, func) for rel, func, _line in writes
+    }
+
+
+def test_the_park_walk_sees_the_sorted_list():
+    """Guard against a walk that rotted into matching nothing: the
+    sorted-list parking this repo replaced is caught on both ends."""
+    finder = _park_findings(ast.parse(
+        "def issue(dest, entry):\n"
+        "    insort(dest.parked, entry)\n"
+        "def _flush_parked(ln, cut):\n"
+        "    lst = ln.parked\n"
+        "    n = bisect_left(lst, cut)\n"
+        "    del lst[:n]\n"
+        "def elsewhere(ln, actor, entry):\n"
+        "    ln.streams.get(actor).append(entry)\n"
+    ))
+    assert finder.writes == [
+        ("issue", 2), ("_flush_parked", 6), ("elsewhere", 8),
+    ]
+    assert finder.sorted_calls == [
+        ("issue", 2, "insort"), ("_flush_parked", 5, "bisect_left"),
+    ]

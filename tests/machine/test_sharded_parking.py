@@ -22,8 +22,6 @@ from repro.kvmsr import (
     ReduceTask,
     emit_to_reduce,
 )
-from repro.machine import simulator
-from repro.machine.simulator import ACTOR_SEQ_BITS
 from repro.udweave import UDThread, UpDownRuntime, event
 
 NODES = 2
@@ -85,18 +83,18 @@ class TestCrossShardFanIn:
     def test_two_shards_park_onto_one_lane_in_one_window(self, monkeypatch):
         shd = _fan_in(shards=2)
         sim = shd.sim
-        landed = defaultdict(set)  # (window, parked list) -> source shards
-        real_insort = simulator.insort  # the issue site's parking step
+        landed = defaultdict(set)  # (window, lane) -> source shards
+        real_issue = sim.issue  # the one site that parks records
 
-        def spy(lst, entry):
-            src_nwid = (entry[1] >> ACTOR_SEQ_BITS) - 1
-            src_node = src_nwid // sim._lanes_per_node
-            landed[sim._scheduler.windows, id(lst)].add(
-                sim._shard_of_node[src_node]
-            )
-            real_insort(lst, entry)
+        def spy(src_nwid, src_node, run, plan=None):
+            for _t, nwid, payload in run:
+                if payload.__class__ is tuple:  # parked, not sent
+                    landed[sim._scheduler.windows, nwid].add(
+                        sim._shard_of_node[src_node]
+                    )
+            return real_issue(src_nwid, src_node, run, plan)
 
-        monkeypatch.setattr(simulator, "insort", spy)
+        monkeypatch.setattr(sim, "issue", spy)
         out = _drained(shd)
         monkeypatch.undo()
         assert any(len(src) == 2 for src in landed.values())
@@ -158,28 +156,35 @@ class TestCrossShardGuard:
         )
 
 
+def _emitter(shards):
+    """A runtime whose one event emits four reduce tuples and terminates
+    at once, leaving nothing but parked records in flight; and its job."""
+    rt = UpDownRuntime(bench_config(NODES), shards=shards)
+    job = KVMSRJob(
+        rt, _FanInMap, RangeInput(1), reduce_cls=_SumReduce,
+        payload=CombiningCache("settle"),
+    )
+    job_id = job.job_id
+
+    @rt.register
+    class Emitter(UDThread):
+        @event
+        def go(self, ctx):
+            for key in range(4):
+                emit_to_reduce(ctx, job_id, key, 1.0)
+            ctx.yield_terminate()
+
+    rt.start(rt.config.lanes_per_node - 1, "Emitter::go")
+    return rt, job
+
+
 class TestSettleCountsParkedRecords:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_step_that_leaves_records_parked_is_not_quiesced(self, shards):
         """An emitter that terminates at once leaves nothing but parked
         reduce records: no heap entry, host mail or live thread.  A
         bound between issue and delivery must still say not quiesced."""
-        rt = UpDownRuntime(bench_config(NODES), shards=shards)
-        job = KVMSRJob(
-            rt, _FanInMap, RangeInput(1), reduce_cls=_SumReduce,
-            payload=CombiningCache("settle"),
-        )
-        job_id = job.job_id
-
-        @rt.register
-        class Emitter(UDThread):
-            @event
-            def go(self, ctx):
-                for key in range(4):
-                    emit_to_reduce(ctx, job_id, key, 1.0)
-                ctx.yield_terminate()
-
-        rt.start(rt.config.lanes_per_node - 1, "Emitter::go")
+        rt, _job = _emitter(shards)
         sim = rt.sim
         seen_parked_only = False
         for t in range(1, 10_000):
@@ -197,3 +202,27 @@ class TestSettleCountsParkedRecords:
                 break
         assert stats.quiesced and seen_parked_only
         assert stats.records_batched == 4
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stall_dump_names_the_parked_records(self, shards):
+        """A bound that leaves only parked records dumps no next event,
+        so the dump lists the earliest parked ones, in pop order."""
+        rt, job = _emitter(shards)
+        sim = rt.sim
+        t = 0.0
+        while not sim._parked_total:
+            t += 1.0
+            sim.run(until=t)
+        dump = sim.stall_dump(limit=3)
+        assert dump["next_events"] == []
+        assert dump["parked_records"] == 4
+        label = "_SumReduce::__reduce_entry__"
+        assert [lbl for *_, lbl in dump["next_parked"]] == [label] * 3
+        lanes = {
+            job.reduce_binding.lane_for(k, job.reduce_lanes) for k in range(4)
+        }
+        everything = sim.stall_dump(limit=8)["next_parked"]
+        assert {nwid for _t, nwid, _l in everything} == lanes
+        assert everything[:3] == dump["next_parked"]
+        assert everything == sorted(everything)
+        assert all(t0 > t for t0, _n, _l in everything)

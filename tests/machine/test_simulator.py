@@ -1,6 +1,7 @@
 """DES core: ordering, lane serialization, DRAM transactions, host mailbox."""
 
 import math
+from bisect import bisect_left, insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from repro.machine import (
     bench_machine,
 )
 from repro.machine.events import NEW_THREAD
+from repro.machine.simulator import ACTOR_SEQ_BITS
 from repro.observe import FlightRecorder
 
 
@@ -214,12 +216,13 @@ class _Plan:
 
 
 def _issued(s, plan):
-    """Everything issue touched: queue, parked lists, counters, samples."""
+    """Everything issue touched: queue, parked records, counters, samples."""
     parked = {}
     for nwid, ln in s._lanes.items():
-        assert all(entry[2] is plan for entry in ln.parked)
-        if ln.parked:
-            parked[nwid] = [(t, q, ops) for t, q, _plan, ops in ln.parked]
+        records = list(ln.parked_records())
+        assert all(entry[2] is plan for entry in records)
+        if records:
+            parked[nwid] = [(t, q, ops) for t, q, _plan, ops in records]
     return {
         "queued": sorted(
             (t, d, q, r.label, r.operands) for t, d, q, r in s._queued()
@@ -286,7 +289,7 @@ class TestIssueRuns:
             s, plan = faulted(**rates), _Plan()
             dst = s.config.first_lane_of_node(1)
             s.issue(0, 0, [(0.0, dst, ("op",))], plan)
-            parked = s.lane(dst).parked
+            parked = list(s.lane(dst).parked_records())
             assert len(parked) == s._parked_total == plan.parked == placed
             assert [q for _t, q, *_ in parked] == sorted(
                 q for _t, q, *_ in parked
@@ -294,6 +297,134 @@ class TestIssueRuns:
             if "delay_rate" in rates:
                 clean = Simulator(bench_machine(nodes=2))
                 assert parked[0][0] == remote_send(clean) + 777.0
+
+
+class _LoggingPlan:
+    """A parkable plan stand-in whose executor logs each group it runs."""
+
+    def __init__(self, label, log):
+        self.label = label
+        self.parked = 0
+        self.log = log
+
+    def batch_fn(self, ln, entries, lo, hi):
+        self.log.append((ln.network_id, self.label, entries[lo:hi]))
+        return 0.0
+
+
+#: ``issue``'s ``(src_nwid, src_node)`` for seven actors: the four lanes
+#: of a two-node machine, the host and both nodes' own actors
+_ACTORS = [(0, 0), (1, 0), (2, 1), (3, 1), (None, None), (None, 0), (None, 1)]
+
+_issue_step = st.tuples(
+    st.just("issue"),
+    st.integers(0, 5),  # which of the drawn actors issues
+    st.integers(0, 1),  # the run's plan
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 100.0),  # gap since the actor's last issue
+            st.sampled_from([0, 2]),  # destination: one lane per node
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+_cut_step = st.tuples(
+    st.just("cut"),
+    st.sampled_from([0, 2]),
+    st.sampled_from(["ts", "t", "inf"]),
+    st.floats(0.0, 6000.0),
+    st.integers(0, 8 << ACTOR_SEQ_BITS),
+)
+
+
+class TestMergedParking:
+    """Per-actor runs merged through a heap of their heads flush exactly
+    what one sorted list per lane — ``insort`` on park, ``bisect_left``
+    and a slice on flush, kept here as the reference — would.
+
+    The reference learns what each ``issue`` placed from a twin machine
+    that is sent the same run as records: records and parked tuples are
+    priced, faulted and sequenced alike, so the twin's queue holds one
+    ``(time, lane, seq)`` per placed copy.  Delay and duplicate faults
+    deliver an actor's records out of key order; every cut shape the
+    drain uses is drawn.
+    """
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        actors=st.lists(
+            st.sampled_from(range(len(_ACTORS))),
+            min_size=1, max_size=6, unique=True,
+        ),
+        steps=st.lists(
+            st.one_of(_issue_step, _cut_step), min_size=8, max_size=60
+        ),
+        rates=st.sampled_from([
+            {},
+            {"delay_rate": 0.5, "delay_cycles": 2500.0,
+             "duplicate_rate": 0.3},
+        ]),
+    )
+    def test_merge_flushes_like_the_sorted_list(
+        self, shards, actors, steps, rates
+    ):
+        def machine():
+            return Simulator(
+                bench_machine(nodes=2), dispatcher=null_dispatcher(),
+                faults=FaultPlan(seed=11, **rates), shards=shards,
+            )
+
+        s, twin = machine(), machine()
+        log = []
+        plans = [_LoggingPlan("a", log), _LoggingPlan("b", log)]
+        ref = {nwid: [] for nwid in range(4)}
+        clock = [0.0] * len(_ACTORS)
+        placed = set()
+        ops = 0
+        for step in steps:
+            if step[0] == "issue":
+                _, pick, p, elements = step
+                actor = actors[pick % len(actors)]
+                src_nwid, src_node = _ACTORS[actor]
+                run = []
+                for gap, nwid in elements:
+                    clock[actor] += gap
+                    ops += 1
+                    run.append((clock[actor], nwid, (ops,)))
+                s.issue(src_nwid, src_node, run, plans[p])
+                twin.issue(src_nwid, src_node, [
+                    (t, nwid, MessageRecord(nwid, NEW_THREAD, "x", payload))
+                    for t, nwid, payload in run
+                ])
+                for t, dest, seq, rec in twin._queued():
+                    if seq not in placed:
+                        placed.add(seq)
+                        insort(ref[dest], (t, seq, plans[p], rec.operands))
+            else:
+                _, nwid, shape, t, seq = step
+                cut = {"ts": (t, seq), "t": (t,), "inf": (t, math.inf)}[shape]
+                lst = ref[nwid]
+                n = bisect_left(lst, cut)
+                want, lst[:n] = lst[:n], []
+                del log[:]
+                assert s._flush_parked(s.lane(nwid), cut) == n
+                groups = []
+                for e in want:
+                    if groups and groups[-1][1] == e[2].label:
+                        groups[-1][2].append(e)
+                    else:
+                        groups.append((nwid, e[2].label, [e]))
+                assert log == groups
+            for nwid, lst in ref.items():
+                parked = s.lane(nwid).parked
+                assert (parked[0] if parked else None) == (
+                    lst[0] if lst else None
+                )
+                assert list(s.lane(nwid).parked_records()) == lst
+            assert s._parked_total == sum(map(len, ref.values()))
+        assert sum(plan.parked for plan in plans) == len(placed)
 
 
 class TestDram:
