@@ -10,6 +10,10 @@ what is checkable here:
 * the *simulated-machine vs host-CPU* ratio on identical work — the
   reproduction's analog of the paper's cross-machine comparison, using
   the NumPy oracle as the conventional-processor baseline.
+
+The results file holds only simulated numbers, so it is a pure function
+of the code; the host timings vary run to run and are printed and kept in
+``benchmark.extra_info`` instead.
 """
 
 from __future__ import annotations
@@ -48,14 +52,13 @@ def test_absolute_rates(benchmark, save_results):
     pr_gups = pr.metric
     bfs_gteps = bfs.metric
     rows = [
-        ("PR", pr.seconds * 1e6, pr_gups, host_pr * 1e6, host_pr / pr.seconds),
-        ("BFS", bfs.seconds * 1e6, bfs_gteps, host_bfs * 1e6,
-         host_bfs / bfs.seconds),
+        ("PR", pr.seconds * 1e6, pr_gups),
+        ("BFS", bfs.seconds * 1e6, bfs_gteps),
     ]
     text = series_table(
         f"Absolute performance at {NODES} simulated nodes (rmat-s12)",
         rows,
-        ["app", "sim_us", "Grate/s", "host_us", "sim/host"],
+        ["app", "sim_us", "Grate/s"],
     )
     text += (
         "\n\npaper full-scale rates: PR 39,617 GUPS (512 nodes, ER s28; "
@@ -67,6 +70,15 @@ def test_absolute_rates(benchmark, save_results):
     )
     benchmark.extra_info["pr_gups"] = pr_gups
     benchmark.extra_info["bfs_gteps"] = bfs_gteps
+    for app, host_s, sim_s in (
+        ("pr", host_pr, pr.seconds), ("bfs", host_bfs, bfs.seconds),
+    ):
+        benchmark.extra_info[f"{app}_host_us"] = host_s * 1e6
+        benchmark.extra_info[f"{app}_sim_over_host"] = host_s / sim_s
+        print(
+            f"{app}: host oracle {host_s * 1e6:.0f} us, "
+            f"sim/host {host_s / sim_s:.1f}"
+        )
     assert pr_gups > 0 and bfs_gteps > 0
     # the simulated machine outpaces the host oracle on the same graph
     assert pr.seconds < host_pr

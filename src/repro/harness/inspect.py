@@ -106,13 +106,14 @@ def occupancy_report(sim: Simulator, top: int = 8) -> str:
         for node, ch in rows[:top]:
             # per-node p50/p99 queue wait (power-of-two bucket bounds) —
             # the number an admission-control threshold is tuned against
+            wait = ch.wait_hist
             lines.append(
-                f"{node:4}   {ch.admits:8}   {ch.bytes:10}   "
+                f"{node:4}   {wait.count:8}   {ch.bytes:10}   "
                 f"{ch.occupancy_sum / makespan:6.1%}   "
-                f"{ch.mean_wait:8.1f}   "
-                f"{ch.wait_hist.quantile_bound(0.5):8.1f}   "
-                f"{ch.wait_hist.quantile_bound(0.99):8.1f}   "
-                f"{ch.wait_max:8.1f}"
+                f"{wait.mean:8.1f}   "
+                f"{wait.quantile_bound(0.5):8.1f}   "
+                f"{wait.quantile_bound(0.99):8.1f}   "
+                f"{wait.max:8.1f}"
             )
         lines.append(
             f"queue wait: count={wait_hist.count} "

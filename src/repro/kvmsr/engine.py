@@ -311,16 +311,6 @@ def job_of(ctx: LaneContext, job_id: int) -> KVMSRJob:
         raise KVMSRError(f"unknown KVMSR job id {job_id}") from None
 
 
-def _phase_recorder(ctx: LaneContext):
-    """The runtime's flight recorder, if phase spans are being collected.
-
-    Simulated-zero-cost like ``ud_print``: phase transitions are host-side
-    observations (a handful per job), never lane cycles.
-    """
-    rec = ctx.runtime.recorder
-    return rec if rec is not None and rec.record_phases else None
-
-
 # ---------------------------------------------------------------------------
 # User task base classes
 # ---------------------------------------------------------------------------
@@ -767,7 +757,9 @@ class KVMSRMaster(UDThread):
         self.cont = ctx.ccont
         job = job_of(ctx, job_id)
         ctx.ud_print(f"UDKVMSR started for {job.name}")
-        rec = _phase_recorder(ctx)
+        # every recorder tier takes phase spans; like ``ud_print`` they are
+        # host-side observations (a handful per job), never lane cycles
+        rec = ctx.runtime.recorder
         if rec is not None:
             rec.phase_begin(job.name, "job", ctx.time)
         n_keys = job.input.n_keys
@@ -827,7 +819,7 @@ class KVMSRMaster(UDThread):
             ctx.yield_()
             return
         job = job_of(ctx, self.job_id)
-        rec = _phase_recorder(ctx)
+        rec = ctx.runtime.recorder
         if rec is not None:
             rec.phase_end(job.name, "map", ctx.time)
         if job.reduce_cls is None or self.total_emitted == 0:
@@ -844,7 +836,7 @@ class KVMSRMaster(UDThread):
 
     def _poll(self, ctx: LaneContext) -> None:
         job = job_of(ctx, self.job_id)
-        rec = _phase_recorder(ctx)
+        rec = ctx.runtime.recorder
         if rec is not None:
             rec.mark("quiescence_poll", ctx.time, job.name)
         groups = job.reduce_lanes.by_node(ctx.config)
@@ -888,7 +880,7 @@ class KVMSRMaster(UDThread):
 
     def _flush(self, ctx: LaneContext) -> None:
         job = job_of(ctx, self.job_id)
-        rec = _phase_recorder(ctx)
+        rec = ctx.runtime.recorder
         if rec is not None:
             rec.phase_end(job.name, "reduce", ctx.time)
             rec.phase_begin(job.name, "flush", ctx.time)
@@ -921,7 +913,7 @@ class KVMSRMaster(UDThread):
 
     def _complete(self, ctx: LaneContext) -> None:
         job = job_of(ctx, self.job_id)
-        rec = _phase_recorder(ctx)
+        rec = ctx.runtime.recorder
         if rec is not None:
             # phase_end is a no-op for spans that never opened, so this
             # closes whichever phases this job actually reached.

@@ -280,14 +280,9 @@ class Simulator:
         #: the emit path.  Host-side facts, deliberately outside SimStats.
         self._gate_counts: dict = {}
         self._reduce_entries: dict = {}
-        self._rec_batch = (
-            recorder.batch
-            if recorder is not None and recorder.record_messages
-            else None
-        )
         self._rec_msg = (
             recorder.message
-            if recorder is not None and recorder.record_messages
+            if recorder is not None and recorder.record_channels
             else None
         )
         # --- fault injection (repro.faults.FaultPlan) -----------------
@@ -312,11 +307,7 @@ class Simulator:
             self._fault_delay = 0.0
             self._fault_stall = None
             self._fault_dead = None
-        self._rec_fault = (
-            recorder.fault
-            if recorder is not None and recorder.record_faults
-            else None
-        )
+        self._rec_fault = recorder.fault if recorder is not None else None
         # --- reliable delivery (repro.faults.ReliableTransport) -------
         #: installed by the UDWeave runtime when ``reliable=`` is set;
         #: None costs one pointer test per send.
@@ -805,7 +796,6 @@ class Simulator:
         if not n:
             return 0
         stats = self.stats
-        rec_batch = self._rec_batch
         i = 0
         while i < n:
             plan = lst[i][2]
@@ -821,8 +811,6 @@ class Simulator:
             stats.events_executed += cnt
             stats.threads_created += cnt
             stats.threads_terminated += cnt
-            if rec_batch is not None:
-                rec_batch(cnt)
             i = j
         self._parked_total -= n
         return n

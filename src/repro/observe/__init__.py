@@ -11,13 +11,13 @@ executes, plus exporters to Chrome ``trace_event`` JSON (viewable in
 Recording is **tiered** so the default stays structurally free (DESIGN.md,
 "Flight recorder & telemetry tiers"):
 
-* ``"off"`` (recorder ``None``) — zero cost: the hot paths hold a ``None``
-  hook and skip with one pointer test.
-* ``"phases"`` — KVMSR job/phase spans only; cost is per *phase*, not per
-  event.
-* ``"histograms"`` — adds network-injection and DRAM-channel
+* ``record=None`` (no recorder; not a tier name) — zero cost: the hot
+  paths hold a ``None`` hook and skip with one pointer test.
+* ``"phases"`` — KVMSR job/phase spans (and injected faults) only; cost
+  is per *phase*, not per event.
+* ``"histograms"`` — adds per-node network-injection and DRAM-channel
   occupancy/queue-wait histograms and local/remote message-latency
-  histograms; O(1) memory, a few adds per message/access.
+  histograms; O(nodes) memory, one histogram add per message/access.
 * ``"full"`` — adds per-event lane busy spans and per-admission channel
   events (the Chrome-trace timeline tracks); O(events) memory, bounded by
   drop caps.  One span per executed event, so the span labels are the

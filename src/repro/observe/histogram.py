@@ -9,7 +9,7 @@ channel is idle" from "the channel is the bottleneck".
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 class LogHistogram:
@@ -39,6 +39,21 @@ class LogHistogram:
         self.total += value
         if value > self.max:
             self.max = value
+
+    @classmethod
+    def merge(cls, hists: Iterable["LogHistogram"]) -> "LogHistogram":
+        """A new histogram holding every sample of ``hists``; the totals
+        are summed in iteration order, so a fixed order is reproducible."""
+        out = cls()
+        buckets = out.buckets
+        for h in hists:
+            for b, c in h.buckets.items():
+                buckets[b] = buckets.get(b, 0) + c
+            out.count += h.count
+            out.total += h.total
+            if h.max > out.max:
+                out.max = h.max
+        return out
 
     @property
     def mean(self) -> float:

@@ -62,26 +62,28 @@ def perflog_rows(
     ):
         for node in sorted(by_node):
             ch = by_node[node]
+            wait = ch.wait_hist
             name = f"{family}.{node}"
-            rows.append(("channel", name, "admits", str(ch.admits)))
+            rows.append(("channel", name, "admits", str(wait.count)))
             rows.append(("channel", name, "bytes", str(ch.bytes)))
             rows.append(
                 ("channel", name, "occupancy_cycles",
                  f"{ch.occupancy_sum:.3f}")
             )
             rows.append(
-                ("channel", name, "queue_wait_mean", f"{ch.mean_wait:.3f}")
+                ("channel", name, "queue_wait_mean", f"{wait.mean:.3f}")
             )
             rows.append(
-                ("channel", name, "queue_wait_max", f"{ch.wait_max:.3f}")
+                ("channel", name, "queue_wait_max", f"{wait.max:.3f}")
             )
     for kind, hist in recorder.msg_latency.items():
         if hist.count:
             rows.extend(_hist_rows(f"latency_{kind}", hist))
-    if recorder.inj_wait.count:
-        rows.extend(_hist_rows("inj_wait", recorder.inj_wait))
-    if recorder.dram_wait.count:
-        rows.extend(_hist_rows("dram_wait", recorder.dram_wait))
+    for name, hist in (
+        ("inj_wait", recorder.inj_wait), ("dram_wait", recorder.dram_wait),
+    ):
+        if hist.count:
+            rows.extend(_hist_rows(name, hist))
     for job, phase, start, end in recorder.phase_spans:
         rows.append(
             ("phase", f"{job}.{phase}", "span",

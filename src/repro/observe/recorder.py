@@ -6,12 +6,14 @@ it receives plain numbers from a handful of hook sites (lane dispatch,
 message send, KVMSR phase transitions) and accumulates them into
 exportable structures.
 Hook sites hold ``None`` when a tier is off, so a disabled recorder costs
-one pointer test per event.
+one pointer test per event.  Each sample is stored once: a channel's
+queue waits live only in its node's :attr:`ChannelStats.wait_hist`, and
+the machine-wide views are merged from those when read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .histogram import LogHistogram
 
@@ -29,24 +31,16 @@ class RecorderError(ValueError):
 class ChannelStats:
     """Per-node accumulator for one serially-occupied channel."""
 
-    __slots__ = (
-        "admits", "bytes", "wait_sum", "occupancy_sum", "wait_max",
-        "wait_hist",
-    )
+    __slots__ = ("bytes", "occupancy_sum", "wait_hist")
 
     def __init__(self) -> None:
-        self.admits: int = 0
         self.bytes: int = 0
-        self.wait_sum: float = 0.0
         self.occupancy_sum: float = 0.0
-        self.wait_max: float = 0.0
-        #: per-node queue-wait distribution — backpressure thresholds are
-        #: tuned off its p50/p99 (``harness.inspect.occupancy_report``).
+        #: per-node queue-wait distribution, one sample per admission —
+        #: its ``count`` / ``mean`` / ``max`` are the admits and the mean
+        #: and max waits; backpressure thresholds are tuned off its
+        #: p50/p99 (``harness.inspect.occupancy_report``).
         self.wait_hist: LogHistogram = LogHistogram()
-
-    @property
-    def mean_wait(self) -> float:
-        return self.wait_sum / self.admits if self.admits else 0.0
 
 
 class FlightRecorder:
@@ -73,13 +67,11 @@ class FlightRecorder:
             )
         self.tier = tier
         #: tier gates, pre-computed so hook installers read plain bools.
-        self.record_phases = True
+        #: Phase spans and faults (rare, diagnostic) record at every tier.
+        #: Channel and message-latency histograms need ``histograms``;
+        #: lane spans and per-admission channel events need ``full``.
         self.record_channels = tier in ("histograms", "full")
-        self.record_messages = self.record_channels
         self.record_lane_spans = tier == "full"
-        self.record_channel_events = tier == "full"
-        #: faults are rare and diagnostic — recorded at every tier.
-        self.record_faults = True
 
         # -- lane timeline (full tier) --------------------------------
         #: (network_id, start, end, label) per executed event, capped.
@@ -90,8 +82,6 @@ class FlightRecorder:
         # -- channel telemetry (histograms tier) ----------------------
         self.inj_by_node: Dict[int, ChannelStats] = {}
         self.dram_by_node: Dict[int, ChannelStats] = {}
-        self.inj_wait = LogHistogram()
-        self.dram_wait = LogHistogram()
         #: (node, start, wait, occupancy, nbytes) admissions (full tier).
         self.inj_events: List[Tuple[int, float, float, float, int]] = []
         self.dram_events: List[Tuple[int, float, float, float, int]] = []
@@ -102,15 +92,6 @@ class FlightRecorder:
         self.msg_latency: Dict[str, LogHistogram] = {
             kind: LogHistogram() for kind in MESSAGE_KINDS
         }
-
-        # -- batched dispatch (histograms tier; batch_dispatch runs) --
-        #: batch-size histogram: one sample per executed parked-record
-        #: run (``repro.udweave.ir``).
-        self.batch_sizes = LogHistogram()
-        #: batches executed by the flush paths.
-        self.batches_recorded: int = 0
-        #: records those batches carried (sum of the sampled sizes).
-        self.batch_records: int = 0
 
         # -- KVMSR phases (phases tier) -------------------------------
         #: (job, phase, start, end) spans, closed.
@@ -144,16 +125,9 @@ class FlightRecorder:
         """One message put on the wire; ``kind`` per :data:`MESSAGE_KINDS`."""
         self.msg_latency[kind].add(latency)
 
-    def batch(self, n_records: int) -> None:
-        """One batched-dispatch execution of parked records (batch size)."""
-        self.batch_sizes.add(n_records)
-        self.batches_recorded += 1
-        self.batch_records += n_records
-
     def _channel_sample(
         self,
         by_node: Dict[int, ChannelStats],
-        wait_hist: LogHistogram,
         events: List[Tuple[int, float, float, float, int]],
         node: int,
         start: float,
@@ -164,15 +138,10 @@ class FlightRecorder:
         ch = by_node.get(node)
         if ch is None:
             ch = by_node[node] = ChannelStats()
-        ch.admits += 1
         ch.bytes += nbytes
-        ch.wait_sum += wait
         ch.occupancy_sum += occupancy
-        if wait > ch.wait_max:
-            ch.wait_max = wait
         ch.wait_hist.add(wait)
-        wait_hist.add(wait)
-        if self.record_channel_events:
+        if self.record_lane_spans:
             if len(events) < self._max_channel_events:
                 events.append((node, start, wait, occupancy, nbytes))
             else:
@@ -183,7 +152,7 @@ class FlightRecorder:
     ) -> None:
         """One admission into a node's network-injection channel."""
         self._channel_sample(
-            self.inj_by_node, self.inj_wait, self.inj_events,
+            self.inj_by_node, self.inj_events,
             node, start, wait, occupancy, nbytes,
         )
 
@@ -192,7 +161,7 @@ class FlightRecorder:
     ) -> None:
         """One serviced request on a node's DRAM channel."""
         self._channel_sample(
-            self.dram_by_node, self.dram_wait, self.dram_events,
+            self.dram_by_node, self.dram_events,
             node, start, wait, occupancy, nbytes,
         )
 
@@ -239,6 +208,19 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    @property
+    def inj_wait(self) -> LogHistogram:
+        """Machine-wide injection queue waits: the per-node histograms
+        merged in node order (a new histogram per read)."""
+        by_node = self.inj_by_node
+        return LogHistogram.merge(by_node[n].wait_hist for n in sorted(by_node))
+
+    @property
+    def dram_wait(self) -> LogHistogram:
+        """Machine-wide DRAM queue waits, merged like :attr:`inj_wait`."""
+        by_node = self.dram_by_node
+        return LogHistogram.merge(by_node[n].wait_hist for n in sorted(by_node))
 
     def phases_of(self, job: str) -> List[Tuple[str, float, float]]:
         """Closed (phase, start, end) spans of one job, in time order."""

@@ -316,8 +316,7 @@ def _recorded(rec):
     def chans(by_node):
         return {
             node: (
-                c.admits, c.bytes, c.wait_sum, c.occupancy_sum, c.wait_max,
-                hist(c.wait_hist),
+                c.bytes, c.occupancy_sum, hist(c.wait_hist),
             )
             for node, c in by_node.items()
         }

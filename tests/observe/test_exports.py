@@ -166,12 +166,11 @@ class TestOccupancyReport:
         # the p99 bound is a power-of-two bucket edge at least the p50's
         rec = recorded_run.sim.recorder
         for ch in rec.inj_by_node.values():
-            if ch.admits == 0:
+            if ch.wait_hist.count == 0:
                 continue
             p50 = ch.wait_hist.quantile_bound(0.5)
             p99 = ch.wait_hist.quantile_bound(0.99)
             assert p99 >= p50
-            assert ch.wait_hist.count == ch.admits
 
     def test_unavailable_without_channel_tier(self, rmat_s6):
         rt = UpDownRuntime(

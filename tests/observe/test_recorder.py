@@ -1,6 +1,7 @@
 """Flight recorder unit behavior: tiers, hooks, caps, phase spans."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.observe import (
     FlightRecorder,
@@ -61,6 +62,38 @@ class TestLogHistogram:
         assert h.quantile_bound(0.5) == 0.0
         assert h.rows() == []
 
+    def test_merge_of_nothing_is_empty(self):
+        h = LogHistogram.merge([])
+        assert (h.buckets, h.count, h.total, h.max) == ({}, 0, 0.0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(
+            st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
+            max_size=40,
+        ),
+        cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=6),
+    )
+    def test_merge_of_a_partition_is_the_whole(self, samples, cuts):
+        edges = [0, *sorted(min(c, len(samples)) for c in cuts), len(samples)]
+        parts = []
+        for lo, hi in zip(edges, edges[1:]):
+            part = LogHistogram()
+            for v in samples[lo:hi]:
+                part.add(v)
+            parts.append(part)
+        whole = LogHistogram()
+        for v in samples:
+            whole.add(v)
+        merged = LogHistogram.merge(parts)
+        assert merged.buckets == whole.buckets
+        assert merged.count == whole.count
+        assert merged.max == whole.max
+        total = 0.0
+        for part in parts:
+            total += part.total
+        assert merged.total == total
+
 
 class TestMakeRecorder:
     def test_off_specs(self):
@@ -87,22 +120,28 @@ class TestMakeRecorder:
 
 
 class TestTierGates:
+    """Two gates: ``record_channels`` (channel and message-latency
+    histograms) and ``record_lane_spans`` (lane spans and per-admission
+    channel events); phase spans and faults record at every tier."""
+
     def test_phases_tier_gates(self):
         rec = FlightRecorder("phases")
-        assert rec.record_phases
         assert not rec.record_channels
-        assert not rec.record_messages
         assert not rec.record_lane_spans
+        rec.phase_begin("job", "map", 0.0)
+        rec.phase_end("job", "map", 1.0)
+        rec.fault("msg_drop", 1.0)
+        assert rec.phase_spans == [("job", "map", 0.0, 1.0)]
+        assert rec.fault_counts == {"msg_drop": 1}
 
     def test_histograms_tier_gates(self):
         rec = FlightRecorder("histograms")
-        assert rec.record_channels and rec.record_messages
+        assert rec.record_channels
         assert not rec.record_lane_spans
-        assert not rec.record_channel_events
 
     def test_full_tier_gates(self):
         rec = FlightRecorder("full")
-        assert rec.record_lane_spans and rec.record_channel_events
+        assert rec.record_channels and rec.record_lane_spans
 
 
 class TestHooks:
@@ -118,10 +157,10 @@ class TestHooks:
         rec.inj_sample(1, start=10.0, wait=4.0, occupancy=2.0, nbytes=64)
         rec.inj_sample(1, start=12.0, wait=0.0, occupancy=2.0, nbytes=64)
         ch = rec.inj_by_node[1]
-        assert ch.admits == 2
+        assert ch.wait_hist.count == 2
         assert ch.bytes == 128
-        assert ch.mean_wait == pytest.approx(2.0)
-        assert ch.wait_max == 4.0
+        assert ch.wait_hist.mean == pytest.approx(2.0)
+        assert ch.wait_hist.max == 4.0
         assert rec.inj_wait.count == 2
         # histograms tier keeps no per-admission event list
         assert rec.inj_events == []
@@ -132,7 +171,8 @@ class TestHooks:
         rec.dram_sample(0, 5.0, 0.0, 2.0, 64)
         assert rec.dram_events == [(0, 0.0, 1.0, 2.0, 64)]
         assert rec.channel_events_dropped == 1
-        assert rec.dram_by_node[0].admits == 2  # accumulators never drop
+        # accumulators never drop
+        assert rec.dram_by_node[0].wait_hist.count == 2
 
     def test_message_taxonomy(self):
         rec = FlightRecorder("histograms")
