@@ -18,6 +18,10 @@ class GraphError(ValueError):
     """Raised for malformed graph construction inputs."""
 
 
+#: largest ``n`` whose packed edge keys ``src * n + dst`` fit in int64.
+_MAX_PACKED_N = 1 << 31
+
+
 class CSRGraph:
     """An immutable directed graph in compressed-sparse-row form."""
 
@@ -52,33 +56,47 @@ class CSRGraph:
         ``symmetrize`` inserts the reverse of every edge (the artifact's
         default for undirected inputs); ``dedup`` removes duplicates after
         sorting by source then destination (what the ``tsv`` tool does).
+        Self-loops are dropped (``drop_self_loops``) before ``n`` is
+        inferred or checked, so a dropped loop never widens the graph.
+
+        An ``(m, 2)`` array is used as it is; any other iterable of pairs
+        is materialized once.  Each edge becomes one packed ``int64`` key
+        ``src * n + dst``, so ordering, symmetrizing and deduplicating is
+        one sort of those keys; packing needs ``n * n < 2**63``, hence the
+        ``n <= 2**31`` bound.  Negative endpoints and endpoints ``>= n``
+        raise :class:`GraphError`.
         """
-        arr = np.asarray(list(edges), dtype=np.int64)
+        arr = np.asarray(
+            edges if isinstance(edges, np.ndarray) else list(edges),
+            dtype=np.int64,
+        )
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise GraphError("edges must be (src, dst) pairs")
-        if symmetrize and len(arr):
-            arr = np.concatenate([arr, arr[:, ::-1]])
-        if drop_self_loops and len(arr):
-            arr = arr[arr[:, 0] != arr[:, 1]]
+        if len(arr) and arr.min() < 0:
+            raise GraphError("edge endpoints must be non-negative")
+        src, dst = arr[:, 0], arr[:, 1]
+        if drop_self_loops:
+            keep = src != dst
+            src, dst = src[keep], dst[keep]
+        top = int(max(src.max(), dst.max())) if len(src) else -1
         if n is None:
-            n = int(arr.max()) + 1 if len(arr) else 0
-        elif len(arr) and arr.max() >= n:
+            n = top + 1
+        elif top >= n:
             raise GraphError(f"edge endpoint exceeds n={n}")
-        if len(arr):
-            order = np.lexsort((arr[:, 1], arr[:, 0]))
-            arr = arr[order]
-            if dedup:
-                keep = np.ones(len(arr), dtype=bool)
-                keep[1:] = np.any(arr[1:] != arr[:-1], axis=1)
-                arr = arr[keep]
-        degrees = np.bincount(arr[:, 0], minlength=n) if len(arr) else np.zeros(
-            n, dtype=np.int64
-        )
+        if n > _MAX_PACKED_N:
+            raise GraphError(f"n={n} exceeds the packed-key bound 2**31")
+        keys = src * n + dst
+        if symmetrize:
+            keys = np.concatenate([keys, dst * n + src])
+        keys.sort()
+        if dedup and len(keys):
+            keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        src, dst = np.divmod(keys, n) if n else (keys, keys)
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets[1:])
-        return cls(offsets, arr[:, 1].copy() if len(arr) else np.zeros(0, np.int64))
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        return cls(offsets, dst)
 
     # -- shape ----------------------------------------------------------------
 
@@ -127,14 +145,12 @@ class CSRGraph:
 
     def is_symmetric(self) -> bool:
         """True when every edge's reverse is present."""
-        fwd = set(map(tuple, zip(*np.nonzero(self._adjacency()))))
-        return all((b, a) in fwd for a, b in fwd)
-
-    def _adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        src = np.repeat(np.arange(self.n), self.degrees)
-        adj[src, self.neighbors] = True
-        return adj
+        n = self.n
+        src = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        return np.array_equal(
+            np.unique(src * n + self.neighbors),
+            np.unique(self.neighbors * n + src),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CSRGraph n={self.n} m={self.m} dmax={self.max_degree}>"

@@ -80,7 +80,9 @@ def split_and_shuffle(
     """Apply the degree-cap split; ``shuffle=False`` keeps original order.
 
     ``seed=None`` with ``shuffle=True`` is rejected — reproducibility is a
-    feature, not an accident.
+    feature, not an accident.  The split neighbor list is one gather from
+    ``graph.neighbors`` (no per-sub-vertex loop), so the transform costs
+    a few array passes over ``n`` and ``m``.
     """
     if max_degree < 1:
         raise GraphError("max degree must be >= 1")
@@ -93,9 +95,8 @@ def split_and_shuffle(
 
     # Build per-sub metadata in original order first.
     rep = np.repeat(np.arange(n, dtype=np.int64), n_subs_per)
-    sub_index_within = np.concatenate(
-        [np.arange(k, dtype=np.int64) for k in n_subs_per]
-    ) if n else np.zeros(0, np.int64)
+    first_sub = np.cumsum(n_subs_per) - n_subs_per
+    sub_index_within = np.arange(n_sub, dtype=np.int64) - first_sub[rep]
     # sub s owns slice [lo, hi) of rep(s)'s neighbor run
     slice_lo = sub_index_within * max_degree
     slice_hi = np.minimum(slice_lo + max_degree, degrees[rep])
@@ -106,16 +107,15 @@ def split_and_shuffle(
         rng = np.random.default_rng(seed)
         rng.shuffle(order)
 
-    # Assemble the split CSR in shuffled order.
+    # Assemble the split CSR in shuffled order.  Output position j of new
+    # sub-vertex s reads input position start(s) + (j - offsets[s]).
     new_degrees = sub_degrees[order]
     offsets = np.zeros(n_sub + 1, dtype=np.int64)
     np.cumsum(new_degrees, out=offsets[1:])
-    neighbors = np.empty(int(new_degrees.sum()), dtype=np.int64)
-    for new_id, old_sub in enumerate(order):
-        v = rep[old_sub]
-        lo = graph.offsets[v] + slice_lo[old_sub]
-        hi = graph.offsets[v] + slice_hi[old_sub]
-        neighbors[offsets[new_id] : offsets[new_id + 1]] = graph.neighbors[lo:hi]
+    starts = (graph.offsets[rep] + slice_lo)[order]
+    gather = np.repeat(starts - offsets[:-1], new_degrees)
+    gather += np.arange(offsets[-1], dtype=np.int64)
+    neighbors = graph.neighbors[gather]
 
     new_rep = rep[order]
     # CSR over originals -> sub IDs (in the shuffled numbering).

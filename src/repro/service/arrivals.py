@@ -16,23 +16,36 @@ consumption order could differ between configurations.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import List
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 #: 2^-53 — maps the top 53 bits of a mix to a uniform in (0, 1].
 _INV_2_53 = 1.0 / (1 << 53)
+_GOLDEN = 0x9E3779B97F4A7C15
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix(seed: int, a: int, b: int) -> int:
-    """splitmix64-style avalanche of (seed, a, b) — same recipe as
-    ``repro.faults.plan``."""
-    x = (seed ^ (a * 0x9E3779B97F4A7C15) ^ (b * 0xBF58476D1CE4E5B9)) & _MASK64
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
+def _mix_counters(seed: int, a: int, n: int) -> np.ndarray:
+    """splitmix64-style avalanche of ``(seed, a, b)`` for ``b`` in
+    ``range(n)`` — the recipe of ``repro.faults.plan``, one draw per
+    counter, as a ``uint64`` array.
+
+    The prefix ``(seed ^ a * golden) & MASK64`` is folded in Python ints
+    (``seed`` may be negative); after it every operand is a 64-bit word,
+    and ``uint64`` wraparound is exactly the scalar recipe's ``& MASK64``.
+    """
+    x = np.arange(n, dtype=np.uint64) * _M1
+    x ^= np.uint64((seed ^ (a * _GOLDEN)) & _MASK64)
+    x += np.uint64(_GOLDEN)
+    x ^= x >> np.uint64(30)
+    x *= _M1
+    x ^= x >> np.uint64(27)
+    x *= _M2
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -69,6 +82,12 @@ class PoissonArrivals(ArrivalProcess):
     Gap ``k`` is ``-mean * ln(u_k)`` with ``u_k`` drawn by counter-keyed
     splitmix64 — the k-th gap never depends on how many gaps anyone else
     drew, so the process is trivially reproducible.
+
+    ``times(n)`` draws all ``n`` uniforms as one ``uint64`` array.  The
+    logarithms stay scalar (libm's ``math.log``: NumPy's vector ``log``
+    may differ in the last ulp, which would shift every later arrival)
+    and the running sum stays sequential, so the times are bit-identical
+    to drawing one gap at a time.
     """
 
     def __init__(
@@ -81,14 +100,12 @@ class PoissonArrivals(ArrivalProcess):
         self.start_cycles = float(start_cycles)
 
     def times(self, n: int) -> List[float]:
-        mean = self.mean_gap_cycles
-        seed = self.seed
-        t = self.start_cycles
-        out: List[float] = []
-        for k in range(n):
-            u = ((_mix(seed, 0x706F6973, k) >> 11) + 1) * _INV_2_53
-            t += -mean * math.log(u)
-            out.append(t)
+        bits = _mix_counters(self.seed, 0x706F6973, n) >> np.uint64(11)
+        u = (bits + 1) * _INV_2_53
+        neg_mean = -self.mean_gap_cycles
+        gaps = (neg_mean * log_u for log_u in map(math.log, u.tolist()))
+        out = list(accumulate(gaps, initial=self.start_cycles))
+        del out[0]
         return out
 
 

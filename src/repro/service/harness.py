@@ -220,6 +220,11 @@ class ServiceHarness:
         in flight; whatever is still unanswered is recorded as ``lost``
         (with the transport's give-up log naming the abandoned
         deliveries) rather than waited for.
+
+        Host mail is consumed as it is matched: each window's new
+        ``sim.host_inbox`` entries are removed once read, so a soak's host
+        memory does not grow with the requests served.  Mail already in
+        the inbox when ``run`` starts is read once and left in place.
         """
         rt = self.runtime
         sim = rt.sim
@@ -230,6 +235,7 @@ class ServiceHarness:
         per_request: Dict[int, str] = {}
         inflight: Dict[int, Request] = {}
         inbox_pos = 0
+        inbox_keep = len(sim.host_inbox)
         alerts = 0
         events_base = sim.stats.events_executed
         horizon = reqs[-1].t_arrival if reqs else 0.0
@@ -264,7 +270,8 @@ class ServiceHarness:
             sim.run(max_events=budget, until=win_end)
             now = win_end
             inbox_pos, alerts = self._collect(
-                sim, inbox_pos, inflight, per_request, latency_hist, alerts
+                sim, inbox_pos, inbox_keep, inflight, per_request,
+                latency_hist, alerts,
             )
             if idx >= len(reqs) and not inflight:
                 break
@@ -313,12 +320,14 @@ class ServiceHarness:
         self,
         sim,
         inbox_pos: int,
+        inbox_keep: int,
         inflight: Dict[int, Request],
         per_request: Dict[int, str],
         latency_hist: Dict[str, LogHistogram],
         alerts: int,
     ) -> Tuple[int, int]:
-        """Match new host-inbox messages against in-flight requests."""
+        """Match new host-inbox messages against in-flight requests, then
+        drop every entry past ``inbox_keep`` (the mail this run added)."""
         inbox = sim.host_inbox
         for i in range(inbox_pos, len(inbox)):
             t, msg = inbox[i]
@@ -335,4 +344,5 @@ class ServiceHarness:
                 )
             elif label == _ALERT_LABEL:
                 alerts += 1
-        return len(inbox), alerts
+        del inbox[inbox_keep:]
+        return inbox_keep, alerts

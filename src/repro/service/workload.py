@@ -25,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from repro.apps.partial_match import Pattern
 
-from .arrivals import _mix
+from .arrivals import _mix_counters
 
 #: request classes, in the order verdicts and reports enumerate them.
 REQUEST_CLASSES = ("update", "exact", "multihop", "partial")
@@ -110,62 +112,72 @@ class ServiceWorkload:
         self.patterns = tuple(patterns)
         self.mix = mix if mix is not None else ServiceMix()
 
-    def _draw(self, i: int, which: int) -> int:
-        return _mix(self.seed, _KIND_FIELD + which, i)
-
     def requests(self, arrivals: Sequence[float]) -> List[Request]:
-        """Materialize one :class:`Request` per arrival tick."""
+        """Materialize one :class:`Request` per arrival tick.
+
+        Every counter-keyed draw (class, then three payload fields) is
+        computed for the whole stream up front as a ``uint64`` array;
+        one sequential pass then threads the touched-vertex state through
+        the requests, reading raw draws with ``.item`` so payloads hold
+        Python ints.
+        """
         mix = self.mix
         weights = mix.weights()
-        total_w = sum(w for _cls, w in weights)
         deadlines = mix.deadline_cycles
-        n_v = self.n_vertices
-        n_e = self.n_etypes
         patterns = self.patterns
         seed = self.seed
+        n = len(arrivals)
+        bounds = np.cumsum([w for _cls, w in weights], dtype=np.uint64)
+        cls_of = np.searchsorted(
+            bounds, _mix_counters(seed, _KIND_CLASS, n) % bounds[-1],
+            side="right",
+        ).tolist()
+        names = [cls for cls, _w in weights]
+        f0, f1, f2 = (
+            _mix_counters(seed, _KIND_FIELD + which, n) for which in range(3)
+        )
+        n_v = np.uint64(self.n_vertices)
+        v0 = f0 % n_v
+        v1 = f1 % n_v
+        etype = (f2 % np.uint64(self.n_etypes)).tolist()
+        pattern_id: List[int] = []
+        stage: List[int] = []
+        if patterns:
+            which = f1 % np.uint64(len(patterns))
+            pattern_id = [patterns[j].pattern_id for j in which.tolist()]
+            # open state exists for stages 0..len(types)-2; the final
+            # stage alerts instead of storing
+            n_stages = np.array(
+                [max(1, len(p.types) - 1) for p in patterns], dtype=np.uint64
+            )
+            stage = (f2 % n_stages[which]).tolist()
+        hops = mix.multihop_hops
         #: state earlier updates touched — queries aim here first so
         #: they exercise live state rather than cold misses.
         touched: List[int] = []
         touched_edges: List[Tuple[int, int]] = []
         out: List[Request] = []
         for i, t in enumerate(arrivals):
-            r = _mix(seed, _KIND_CLASS, i) % total_w
-            cls = weights[-1][0]
-            for name, w in weights:
-                if r < w:
-                    cls = name
-                    break
-                r -= w
+            cls = names[cls_of[i]]
             if cls == "update":
-                src = self._draw(i, 0) % n_v
-                dst = self._draw(i, 1) % n_v
-                etype = self._draw(i, 2) % n_e
-                payload = (src, dst, etype, i)
+                src, dst = v0.item(i), v1.item(i)
+                payload = (src, dst, etype[i], i)
                 touched.append(dst)
                 touched_edges.append((src, dst))
             elif cls == "exact":
                 if touched_edges:
-                    k = self._draw(i, 0) % len(touched_edges)
-                    payload = touched_edges[k]
+                    payload = touched_edges[f0.item(i) % len(touched_edges)]
                 else:
-                    payload = (
-                        self._draw(i, 0) % n_v,
-                        self._draw(i, 1) % n_v,
-                    )
+                    payload = (v0.item(i), v1.item(i))
             else:
                 if touched:
-                    vid = touched[self._draw(i, 0) % len(touched)]
+                    vid = touched[f0.item(i) % len(touched)]
                 else:
-                    vid = self._draw(i, 0) % n_v
+                    vid = v0.item(i)
                 if cls == "multihop":
-                    payload = (vid, mix.multihop_hops)
+                    payload = (vid, hops)
                 else:  # partial
-                    p = patterns[self._draw(i, 1) % len(patterns)]
-                    # open state exists for stages 0..len(types)-2; the
-                    # final stage alerts instead of storing
-                    n_stages = max(1, len(p.types) - 1)
-                    stage = self._draw(i, 2) % n_stages
-                    payload = (p.pattern_id, stage, vid)
+                    payload = (pattern_id[i], stage[i], vid)
             out.append(
                 Request(
                     req_id=i,

@@ -14,6 +14,39 @@ from repro.graph import (
 )
 
 
+def _reference_split(graph, max_degree, seed=0, shuffle=True):
+    """The per-sub-vertex assembly loop ``split_and_shuffle`` replaced:
+    ``(offsets, neighbors, rep, sub_ids, subs_offsets)``."""
+    n = graph.n
+    degrees = graph.degrees
+    n_subs_per = np.maximum(1, -(-degrees // max_degree))
+    n_sub = int(n_subs_per.sum())
+    rep = np.repeat(np.arange(n, dtype=np.int64), n_subs_per)
+    sub_index_within = np.concatenate(
+        [np.arange(k, dtype=np.int64) for k in n_subs_per]
+    ) if n else np.zeros(0, np.int64)
+    slice_lo = sub_index_within * max_degree
+    slice_hi = np.minimum(slice_lo + max_degree, degrees[rep])
+    sub_degrees = np.maximum(0, slice_hi - slice_lo)
+    order = np.arange(n_sub, dtype=np.int64)
+    if shuffle and n_sub > 1:
+        np.random.default_rng(seed).shuffle(order)
+    new_degrees = sub_degrees[order]
+    offsets = np.zeros(n_sub + 1, dtype=np.int64)
+    np.cumsum(new_degrees, out=offsets[1:])
+    neighbors = np.empty(int(new_degrees.sum()), dtype=np.int64)
+    for new_id, old_sub in enumerate(order):
+        v = rep[old_sub]
+        lo = graph.offsets[v] + slice_lo[old_sub]
+        hi = graph.offsets[v] + slice_hi[old_sub]
+        neighbors[offsets[new_id] : offsets[new_id + 1]] = graph.neighbors[lo:hi]
+    new_rep = rep[order]
+    sub_ids = np.argsort(new_rep, kind="stable").astype(np.int64)
+    subs_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(new_rep, minlength=n), out=subs_offsets[1:])
+    return offsets, neighbors, new_rep, sub_ids, subs_offsets
+
+
 class TestSplitCorrectness:
     def test_degree_capped(self, rmat_s7):
         s = split_and_shuffle(rmat_s7, 16)
@@ -109,3 +142,38 @@ def test_split_properties(edges, max_degree, seed):
     validate_split(s, g)
     # every sub's neighbors are a slice of its rep's neighbor multiset
     assert int(s.graph.degrees.sum()) == g.m
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=80
+    ),
+    n_extra=st.integers(0, 3),
+    dedup=st.booleans(),
+    max_degree=st.integers(1, 6),
+    seed=st.integers(0, 3),
+    shuffle=st.booleans(),
+)
+def test_split_equals_the_assembly_loop(
+    edges, n_extra, dedup, max_degree, seed, shuffle
+):
+    """The one-gather assembly equals the per-sub-vertex loop, on graphs
+    with multi-edges, isolated vertices and hubs over the cap."""
+    g = CSRGraph.from_edges(edges, n=13 + n_extra, dedup=dedup)
+    s = split_and_shuffle(g, max_degree, seed=seed, shuffle=shuffle)
+    offsets, neighbors, rep, sub_ids, subs_offsets = _reference_split(
+        g, max_degree, seed=seed, shuffle=shuffle
+    )
+    assert np.array_equal(s.graph.offsets, offsets)
+    assert np.array_equal(s.graph.neighbors, neighbors)
+    assert np.array_equal(s.rep, rep)
+    assert np.array_equal(s.sub_ids, sub_ids)
+    assert np.array_equal(s.subs_offsets, subs_offsets)
+    assert np.array_equal(s.orig_degree, g.degrees)
+    validate_split(s, g)
+
+
+def test_split_of_the_empty_graph():
+    s = split_and_shuffle(CSRGraph.from_edges([], n=0), 4)
+    assert s.n_sub == 0 and s.graph.m == 0 and s.n_orig == 0

@@ -195,3 +195,41 @@ class TestVerdictFormat:
             reliable=ReliabilityConfig(max_retries=1, ack_timeout_cycles=3000.0),
         ).extra["service"]
         assert any("gave up" in v for v in svc.verdict.violations)
+
+
+class TestHostMailReleased:
+    #: ``ServiceResult.fingerprint()`` of this soak when every reply
+    #: stayed in the host inbox until the end (hostbench's quick
+    #: ``service_soak`` inputs)
+    SOAK_FINGERPRINT = (
+        "a379ab5a6e7cf82544a8a337d66d2bd49705f7473327a426ee9fb3379c9d85a0"
+    )
+
+    def test_soak_leaves_no_collected_mail(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.service import PoissonArrivals, ServiceHarness
+
+        earlier = (0.0, SimpleNamespace(label="before_run", operands=(0,)))
+        inboxes = []
+        run = ServiceHarness.run
+
+        def run_with_earlier_mail(self, *args, **kwargs):
+            inbox = self.runtime.sim.host_inbox
+            inbox.append(earlier)
+            inboxes.append(inbox)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServiceHarness, "run", run_with_earlier_mail)
+        reqs = ServiceWorkload(seed=21, n_vertices=256).requests(
+            PoissonArrivals(mean_gap_cycles=800.0, seed=5).times(1_500)
+        )
+        svc = run_service(reqs, nodes=4, slo=SLOSpec()).extra["service"]
+        # every reply was read and released; mail from before the run
+        # stays where it was
+        assert inboxes == [[earlier]]
+        assert svc.status_counts == {
+            "ok": 1500, "deadline_miss": 0, "shed": 0, "lost": 0
+        }
+        assert svc.alerts == 119
+        assert svc.fingerprint() == self.SOAK_FINGERPRINT
