@@ -1,4 +1,5 @@
-"""Experiment harness: runners, node sweeps, paper-style reports, LoC."""
+"""Experiment harness: runners, node sweeps, paper-style reports, LoC,
+and the one run fingerprint every parity test compares."""
 
 from .export import (
     read_csv,
@@ -15,6 +16,7 @@ from .inspect import (
     occupancy_report,
 )
 from .loc import TABLE5_MAP, TABLE5_PAPER_LOC, count_loc, repo_loc, table5_loc
+from .parity import fingerprint
 from .report import series_table, shape_summary, speedup_table
 from .runner import (
     DEFAULT_MAX_EVENTS,
@@ -72,4 +74,5 @@ __all__ = [
     "event_report",
     "occupancy_report",
     "full_report",
+    "fingerprint",
 ]

@@ -150,10 +150,6 @@ class KVMSRJob:
         assert self._flush_entry_label is not None
         return self._flush_entry_label
 
-    @property
-    def map_entry_label(self) -> str:
-        return self._map_entry_label
-
     # -- launching -------------------------------------------------------
 
     def launch(self, cont_tag: str = "kvmsr_done") -> None:

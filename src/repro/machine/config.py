@@ -157,9 +157,6 @@ class MachineConfig:
             raise ValueError(f"accel {accel} out of range")
         return accel * self.lanes_per_accel
 
-    def all_lanes(self) -> range:
-        return range(self.total_lanes)
-
     def _check_nwid(self, network_id: int) -> None:
         if not (0 <= network_id < self.total_lanes):
             raise ValueError(

@@ -8,6 +8,7 @@ traffic class the fault plan perturbs and the transport tracks.
 import pytest
 
 from repro.faults import FaultPlan, ReliabilityConfig
+from repro.harness import fingerprint
 from repro.machine import bench_machine
 from repro.udweave import UDThread, UpDownRuntime, event
 
@@ -121,11 +122,11 @@ class TestDeterminism:
     def test_faulty_reliable_run_is_bit_reproducible(self):
         fps = []
         for _ in range(2):
-            _rt, stats = relay_run(
+            rt, _stats = relay_run(
                 faults=FaultPlan(seed=13, drop_rate=0.05, duplicate_rate=0.05),
                 reliable=True,
             )
-            fps.append(stats.scalar_snapshot())
+            fps.append(fingerprint(rt.sim))
         assert fps[0] == fps[1]
 
     def test_different_seed_perturbs_different_messages(self):

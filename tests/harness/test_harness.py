@@ -1,5 +1,6 @@
 """Harness: runners, sweeps, reports, LoC metrics."""
 
+import numpy as np
 import pytest
 
 from repro.apps import Pattern, make_workload
@@ -10,6 +11,7 @@ from repro.harness import (
     TABLE5_PAPER_LOC,
     bench_config,
     count_loc,
+    fingerprint,
     is_monotone_nondecreasing,
     repo_loc,
     run_bfs,
@@ -25,6 +27,7 @@ from repro.harness import (
     sweep,
     table5_loc,
 )
+from repro.machine import SimulationError, Simulator, bench_machine
 
 
 class TestRunners:
@@ -258,3 +261,19 @@ class TestInspect:
         sim = self._run()
         text = full_report(sim)
         assert "ticks=" in text and "bytes_served" in text
+
+
+class TestFingerprint:
+    def test_arrays_compare_by_dtype_shape_and_bits(self):
+        sim = Simulator(bench_machine(nodes=1))
+        nan = np.array([np.nan, 1.0])
+        assert fingerprint(sim, nan) == fingerprint(sim, nan.copy())
+        assert fingerprint(sim, nan) != fingerprint(sim, nan.astype(np.float32))
+        assert fingerprint(sim, nan) != fingerprint(sim, nan.reshape(2, 1))
+        assert fingerprint(sim, (nan, 3)) == fingerprint(sim, [nan.copy(), 3])
+
+    def test_a_broken_event_partition_raises(self):
+        sim = Simulator(bench_machine(nodes=1))
+        sim.stats.events_executed += 1
+        with pytest.raises(SimulationError, match="events_executed"):
+            fingerprint(sim)

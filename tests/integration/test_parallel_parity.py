@@ -1,16 +1,13 @@
 """Bit-identical parity of conservative parallel runs vs sequential.
 
 The hard guarantee of ``repro.machine.parallel``: a sharded run
-(``shards=N``) produces *exactly* the sequential results: the same model
-fingerprint (every always-on scalar counter including ``final_tick``,
-minus the host-side ``HOST_SPLIT_KEYS`` — both arm batched dispatch,
-but a once-guard may read a lane another shard has run ahead, so the
-batched/interpreted split can differ), the same host mailbox in the
-same order, the same functional outputs, and (when recording) the same
-flight-recorder telemetry.
-
-Sits alongside ``test_determinism_parity.py``: that file pins run-to-run
-and observation-tier determinism; this one pins shard-count independence.
+(``shards=N``) produces *exactly* the sequential results — the same
+:func:`repro.harness.fingerprint` and, when recording, the same
+flight-recorder telemetry.  Plain sharded, batched, faulted and stepped
+drains of every app are drawn by ``test_mode_lattice.py``; this file
+keeps what the lattice does not assert: gate verdicts and drain counts
+of stepped drains, merged recorders, multi-drain workflows,
+registration between drains and the window metrics.
 """
 
 import json
@@ -20,7 +17,8 @@ import pytest
 
 from repro.apps import BFSApp, PageRankApp
 from repro.graph import rmat
-from repro.harness import bench_config
+from repro.harness import bench_config, fingerprint
+from repro.observe import make_recorder
 from repro.udweave import UpDownRuntime
 
 GRAPH = rmat(8, seed=7)
@@ -28,25 +26,7 @@ BLOCK = 4096
 NODES = 4
 
 
-def _mailbox(rt):
-    """Host inbox as comparable values (delivery time, label, operands)."""
-    return [(t, rec.label, rec.operands) for t, rec in rt.sim.host_inbox]
-
-
-def _model(rt):
-    """The model fingerprint; the split counters it drops must still
-    partition the events it keeps."""
-    stats = rt.sim.stats
-    assert (
-        stats.records_batched + stats.events_interpreted
-        == stats.events_executed
-    )
-    return stats.model_snapshot()
-
-
 def _run_pr(shards=1, record=None, **rt_kw):
-    from repro.observe import make_recorder
-
     rt = UpDownRuntime(
         bench_config(NODES),
         shards=shards,
@@ -58,32 +38,6 @@ def _run_pr(shards=1, record=None, **rt_kw):
     return rt, res
 
 
-def _run_bfs(shards=1):
-    rt = UpDownRuntime(bench_config(NODES), shards=shards)
-    app = BFSApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
-    res = app.run(root=0, max_events=10_000_000)
-    return rt, res
-
-
-class TestInProcessShards:
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_pagerank_fingerprint_identical(self, shards):
-        seq, seq_res = _run_pr()
-        shd, shd_res = _run_pr(shards=shards)
-        assert _model(shd) == _model(seq)
-        assert _mailbox(shd) == _mailbox(seq)
-        # functional output too, not just timing
-        assert list(shd_res.ranks) == list(seq_res.ranks)
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_bfs_fingerprint_identical(self, shards):
-        seq, seq_res = _run_bfs()
-        shd, shd_res = _run_bfs(shards=shards)
-        assert _model(shd) == _model(seq)
-        assert _mailbox(shd) == _mailbox(seq)
-        assert list(shd_res.parents) == list(seq_res.parents)
-
-
 MODES = {
     "sequential": {},
     "shards2": dict(shards=2),
@@ -91,43 +45,31 @@ MODES = {
 LOOKAHEAD = bench_config(NODES).conservative_lookahead_cycles
 
 
-def _launch(app_name, **rt_kw):
-    """The app's own ``run()`` up to, not including, its one drain."""
-    rt = UpDownRuntime(bench_config(NODES), **rt_kw)
-    if app_name == "pagerank":
-        app = PageRankApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
-        rt.start(
-            app.push_job.master_lane, "PRDriver::start", app.push_job.job_id,
-            2, cont=rt.host_evw("pagerank_done"),
-        )
-        return rt, app.pr_region
-    app = BFSApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
-    app._seed(0)
-    rt.start(
-        app.job.master_lane, "BFSDriver::start", app.job.job_id,
-        cont=rt.host_evw("bfs_done"),
-    )
-    return rt, app.parent_region
-
-
 def _drive(app_name, step=None, budget=None, **rt_kw):
-    """Outcome of the app's drain, whole (``step=None``) or cut into
+    """The app's own run, its one drain whole (``step=None``) or cut into
     ``run(until=)`` steps; ``drains`` counts the bounded drains that
     reported not-quiesced before the one that did."""
-    rt, region = _launch(app_name, **rt_kw)
+    rt = UpDownRuntime(bench_config(NODES), **rt_kw)
     drains = 0
-    if step is None:
-        assert rt.run(max_events=budget).quiesced
-    else:
+
+    def stepped(max_events=None):
+        nonlocal drains
         until = step
-        while not rt.sim.run(max_events=budget, until=until).quiesced:
+        while not (stats := rt.sim.run(max_events=budget, until=until)).quiesced:
             drains += 1
             until += step
+        return stats
+
+    if step is not None:
+        rt.run = stepped
+    if app_name == "pagerank":
+        app = PageRankApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
+        result = app.run(iterations=2, max_events=budget).ranks
+    else:
+        app = BFSApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
+        result = app.run(root=0, max_events=budget).parents
     return {
-        "model": _model(rt),
-        "mailbox": _mailbox(rt),
-        "busy": dict(rt.sim.stats.busy_cycles_by_lane),
-        "result": list(region.data),
+        "fingerprint": fingerprint(rt.sim, result),
         "drains": drains,
         "gates": set(rt.sim.batch_report()["drains"]),
         "batched": rt.sim.stats.records_batched,
@@ -148,10 +90,9 @@ class TestSteppedDrains:
         whole = _drive(app_name)
         # max_events stays per call: no single step needs half the
         # run's events, so a per-drain budget of half never trips
-        budget = whole["model"]["events_executed"] // 2
+        budget = whole["fingerprint"]["model"]["events_executed"] // 2
         stepped = _drive(app_name, step, budget=budget, **MODES[mode])
-        for key in ("model", "mailbox", "busy", "result"):
-            assert stepped[key] == whole[key], key
+        assert stepped["fingerprint"] == whole["fingerprint"]
         # a drain that leaves anything queued — in a shard heap or as
         # host mail due at or after the bound — says so: every mode
         # reports quiescence on the step sequential does
@@ -165,48 +106,6 @@ class TestSteppedDrains:
 
         with pytest.raises(SimulationError, match="max_events"):
             _drive("pagerank", 5_000.0, budget=50, shards=2)
-
-
-class TestShardedFeatureMatrix:
-    """Sharded parity across the machine-model feature matrix: batched
-    dispatch, injected faults with reliable delivery (fault-delayed
-    ``rdt`` records crossing shards) and delay faults (the machine's
-    only message reordering) must each stay bit-exact."""
-
-    def _run(self, shards, batch_dispatch=False, faulty=False, delayed=False):
-        from repro.faults import FaultPlan
-
-        if faulty:
-            plan = FaultPlan(seed=11, drop_rate=0.01)
-        elif delayed:
-            plan = FaultPlan(seed=11, delay_rate=0.2)
-        else:
-            plan = None
-        rt = UpDownRuntime(
-            bench_config(NODES, batch_dispatch=batch_dispatch),
-            faults=plan,
-            reliable=faulty,
-            shards=shards,
-        )
-        app = PageRankApp(rt, GRAPH, max_degree=16, block_size=BLOCK)
-        res = app.run(iterations=2, max_events=10_000_000)
-        return _model(rt), list(res.ranks)
-
-    @pytest.mark.parametrize(
-        "knobs",
-        [
-            dict(batch_dispatch=True),
-            dict(faulty=True),
-            dict(batch_dispatch=True, faulty=True),
-            dict(delayed=True),
-        ],
-        ids=["batch_dispatch", "faulted", "all_on", "delayed"],
-    )
-    def test_feature_matrix_fingerprint_identical(self, knobs):
-        seq_fp, seq_ranks = self._run(shards=1, **knobs)
-        par_fp, par_ranks = self._run(shards=2, **knobs)
-        assert par_fp == seq_fp
-        assert par_ranks == seq_ranks
 
 
 class TestRecordedParallelRun:
@@ -328,12 +227,14 @@ class TestSetupBetweenDrains:
         )
         stats = rt.run()
         assert stats.quiesced
-        return _model(rt), _mailbox(rt)
+        return fingerprint(rt.sim)
 
     def test_registration_between_drains_runs(self):
-        model, mailbox = self._two_phases(shards=2)
-        assert [label for _t, label, _ops in mailbox] == ["ping", "pong"]
-        assert (model, mailbox) == self._two_phases(shards=1)
+        sharded = self._two_phases(shards=2)
+        assert [label for _t, label, _ops in sharded["mailbox"]] == [
+            "ping", "pong",
+        ]
+        assert sharded == self._two_phases(shards=1)
 
 
 class TestWindowMetrics:
@@ -360,9 +261,6 @@ class TestDeprecatedParallelSpelling:
         assert [w.category for w in caught] == [DeprecationWarning]
         assert "ignored" in str(caught[0].message)
         new, new_res = _run_pr(shards=2)
-        assert _model(old) == _model(new)
-        assert _mailbox(old) == _mailbox(new)
-        assert old.sim.stats.busy_cycles_by_lane == (
-            new.sim.stats.busy_cycles_by_lane
+        assert fingerprint(old.sim, old_res.ranks) == fingerprint(
+            new.sim, new_res.ranks
         )
-        assert list(old_res.ranks) == list(new_res.ranks)

@@ -14,7 +14,7 @@ event left them, and the plans' ``parked`` / ``guard_declined`` tallies.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.harness import bench_config
+from repro.harness import bench_config, fingerprint
 from repro.kvmsr import (
     CombiningCache,
     KVMSRError,
@@ -108,11 +108,7 @@ def _run(keys, work, how, armed, guarded, flagged):
     return {
         "cycles": spec.cycles,
         "parked": spec.parked,
-        "model": stats.model_snapshot(),
-        "busy": dict(stats.busy_cycles_by_lane),
-        "scratchpads": {
-            nwid: dict(ln.scratchpad) for nwid, ln in rt.sim._lanes.items()
-        },
+        "fingerprint": fingerprint(rt.sim),
         "labels": report["labels"],
         "drains": report["drains"],
     }

@@ -1,13 +1,13 @@
 """Batched dispatch as the default path: BFS's once-guard, budgeted,
 observed and message-faulted drains, and the reasons report.
 
-``tests/machine/test_batch_dispatch.py`` pins PageRank (a plan without a
-guard) off/on across every drain.  This file pins what the default adds:
-BFS parks its "already visited" arm behind the write-once guard, a drain
-with an event budget, channel recording or message faults stays armed,
-and ``Simulator.batch_report`` says why whenever a record was *not*
-batched.  The reference in every comparison is ``batch_dispatch=False``
-— the interpreter.
+``tests/integration/test_mode_lattice.py`` draws batch on/off against
+the interpreter across every mode.  This file pins what equality alone
+does not show: BFS parks its "already visited" arm behind the
+write-once guard, a drain with an event budget, channel recording or
+message faults stays armed, and ``Simulator.batch_report`` says why
+whenever a record was *not* batched.  The reference in every comparison
+is ``batch_dispatch=False`` — the interpreter.
 """
 
 import pytest
@@ -15,7 +15,7 @@ import pytest
 from repro.apps import BFSApp, PageRankApp, TriangleCountApp
 from repro.faults import FaultPlan
 from repro.graph import rmat
-from repro.harness import bench_config
+from repro.harness import bench_config, fingerprint
 from repro.kvmsr import KVMSRJob, MapTask, RangeInput, ReduceTask
 from repro.machine import SimulationError
 from repro.observe import make_recorder
@@ -28,43 +28,19 @@ NODES = 4
 DELAYS = FaultPlan(seed=5, delay_rate=0.3, delay_cycles=700.0)
 
 
-def _conserved(stats):
-    assert (
-        stats.records_batched + stats.events_interpreted
-        == stats.events_executed
+def _fingerprinted(rt, *result):
+    """``(fingerprint, records batched, batch report)`` of one run."""
+    sim = rt.sim
+    return (
+        fingerprint(sim, result), sim.stats.records_batched, sim.batch_report()
     )
 
 
-def _outcome(rt, *result):
-    stats = rt.sim.stats
-    _conserved(stats)
-    out = {
-        "model": stats.model_snapshot(),
-        "mailbox": [
-            (t, rec.label, rec.operands) for t, rec in rt.sim.host_inbox
-        ],
-        "result": [list(r) for r in result],
-        "busy": dict(stats.busy_cycles_by_lane),
-    }
-    return out, stats.records_batched, rt.sim.batch_report()
-
-
-def _run_bfs(batch=True, step=None, **rt_kw):
+def _run_bfs(batch=True, **rt_kw):
     rt = UpDownRuntime(bench_config(NODES, batch_dispatch=batch), **rt_kw)
     app = BFSApp(rt, GRAPH, block_size=BLOCK)
-    if step is None:
-        app.run(root=0, max_events=10_000_000)
-    else:
-        # BFSApp.run, with the one drain cut into run(until=) steps
-        app._seed(0)
-        rt.start(
-            app.job.master_lane, "BFSDriver::start", app.job.job_id,
-            cont=rt.host_evw("bfs_done"),
-        )
-        t = step
-        while not rt.sim.run(until=t).quiesced:
-            t += step
-    return _outcome(rt, app.dist_region.data, app.parent_region.data)
+    app.run(root=0, max_events=10_000_000)
+    return _fingerprinted(rt, app.dist_region.data, app.parent_region.data)
 
 
 class TestBFSParity:
@@ -81,14 +57,6 @@ class TestBFSParity:
         # first visits (and tuples racing one) ride the heap as before
         assert row["guard_declined"] > 0
         assert report["drains"] == {"armed": 1}
-
-    @pytest.mark.parametrize("step", [777.0, 5_000.0])
-    def test_until_stepping_stays_armed(self, step):
-        ref, _, _ = _run_bfs(batch=False)
-        out, batched, report = _run_bfs(step=step)
-        assert out == ref
-        assert batched > 0
-        assert set(report["drains"]) == {"armed"}
 
     def test_sharded_drains_park_identically(self):
         """Shard windows arm parking too: the once-guard may read a lane
@@ -143,7 +111,7 @@ FAULT_GRAPH = rmat(8, seed=3)
 
 
 def _run_delayed(app_name, batch):
-    """One whole app run under ``DELAYS``, as ``_outcome``."""
+    """One whole app run under ``DELAYS``, as ``_fingerprinted``."""
     rt = UpDownRuntime(
         bench_config(NODES, batch_dispatch=batch), faults=DELAYS
     )
@@ -157,9 +125,9 @@ def _run_delayed(app_name, batch):
         result = [app.dist_region.data, app.parent_region.data]
     else:
         tc = TriangleCountApp(rt, FAULT_GRAPH, block_size=BLOCK).run()
-        result = [[tc.triangles]]
+        result = [tc.triangles]
     assert rt.sim.stats.faults_messages_delayed > 0
-    return _outcome(rt, *result)
+    return _fingerprinted(rt, *result)
 
 
 class TestMessageFaultedDrains:
@@ -217,7 +185,7 @@ class TestGuardDeclined:
                 rt, _RaceMap, RangeInput(n_keys), reduce_cls=_OnceReduce,
             ).launch()
             rt.run(max_events=1_000_000)
-            outs[batch] = _outcome(rt)
+            outs[batch] = _fingerprinted(rt)
         (ref, ref_batched, _), (out, batched, report) = outs[False], outs[True]
         assert out == ref
         row = report["labels"]["_OnceReduce::__reduce_entry__"]
@@ -244,8 +212,7 @@ class TestBudgetedDrains:
     def whole(self):
         rt, app = _pagerank_runtime()
         app.run(iterations=2)
-        out = _outcome(rt, app.pr_region.data)
-        return out
+        return _fingerprinted(rt, app.pr_region.data)
 
     def test_budget_above_the_event_count_does_not_raise(self, whole):
         events = whole[0]["model"]["events_executed"]
@@ -253,27 +220,33 @@ class TestBudgetedDrains:
         # the guard trips on reaching the budget, as it always has —
         # so "enough" is one more than the run executes
         app.run(iterations=2, max_events=events + 1)
-        out, batched, report = _outcome(rt, app.pr_region.data)
+        out, batched, report = _fingerprinted(rt, app.pr_region.data)
         assert out == whole[0]
         assert batched == whole[1] > 0
         assert report["drains"] == {"armed": 1}
 
     @pytest.mark.parametrize("short_by", [1, 300, 9_000])
-    def test_abort_then_run_equals_the_whole_run(self, whole, short_by):
+    def test_abort_then_run_equals_the_whole_run(
+        self, whole, short_by, shards=1
+    ):
         """Budgets just below the event count sit above everything the
         interpreter executes in this run (most events are batched
         records), so they are only reachable because flushes count; the
-        deepest cut aborts on interpreted events alone."""
+        deepest cut aborts on interpreted events alone.  The window loop
+        charges each window's events (flushes included) against the
+        budget; an abort leaves records parked on any shard's lanes, and
+        the next ``run()`` picks them up as that shard's next events."""
         events = whole[0]["model"]["events_executed"]
         interpreted = events - whole[1]
         assert events - 300 > interpreted > events - 9_000
-        rt, app = _pagerank_runtime()
+        rt, app = _pagerank_runtime(shards=shards)
         with pytest.raises(SimulationError, match="max_events"):
             app.run(iterations=2, max_events=events - short_by)
         rt.run()
-        out, batched, _ = _outcome(rt, app.pr_region.data)
+        out, batched, report = _fingerprinted(rt, app.pr_region.data)
         assert out == whole[0]
         assert batched > 0
+        assert set(report["drains"]) == {"armed"}
         assert rt.sim.stats.quiesced
 
     @pytest.mark.parametrize("short_by", [1, 300, 9_000])
@@ -281,25 +254,20 @@ class TestBudgetedDrains:
     def test_sharded_abort_then_run_equals_the_whole_run(
         self, whole, shards, short_by
     ):
-        """The window loop charges each window's events (flushes
-        included) against the budget; an abort leaves records parked on
-        any shard's lanes, and the next ``run()`` picks them up as that
-        shard's next events."""
-        events = whole[0]["model"]["events_executed"]
-        rt, app = _pagerank_runtime(shards=shards)
-        with pytest.raises(SimulationError, match="max_events"):
-            app.run(iterations=2, max_events=events - short_by)
-        rt.run()
-        out, batched, report = _outcome(rt, app.pr_region.data)
-        assert out == whole[0]
-        assert batched > 0
-        assert set(report["drains"]) == {"armed"}
-        assert rt.sim.stats.quiesced
+        self.test_abort_then_run_equals_the_whole_run(whole, short_by, shards)
+
+    def test_a_batch_amortizes_more_than_one_record(self):
+        """A batch of N records counts N events, never 1 (the bench's
+        events/sec would otherwise inflate itself)."""
+        rt, app = _pagerank_runtime()
+        app.run(iterations=2)
+        stats = rt.sim.stats
+        assert stats.records_batched / stats.batches_executed > 1.0
 
     def test_budgeted_default_matches_the_interpreter(self, whole):
         rt, app = _pagerank_runtime(batch=False)
         app.run(iterations=2, max_events=10_000_000)
-        ref, ref_batched, report = _outcome(rt, app.pr_region.data)
+        ref, ref_batched, report = _fingerprinted(rt, app.pr_region.data)
         assert ref == whole[0]
         assert ref_batched == 0
         assert report == {
@@ -338,7 +306,7 @@ def _observed(app, batch, record=None, **rt_kw):
     else:
         rt, pr = _pagerank_runtime(batch, recorder=recorder, **rt_kw)
         pr.run(iterations=2)
-        out, batched, report = _outcome(rt, pr.pr_region.data)
+        out, batched, report = _fingerprinted(rt, pr.pr_region.data)
     if recorder is not None:
         out["recorded"] = _recorded(recorder)
     return out, batched, report

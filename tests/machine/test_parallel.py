@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from repro.harness import fingerprint
 from repro.machine import (
     MessageRecord,
     SimulationError,
@@ -255,8 +256,8 @@ class TestShardScheduler:
         )
         for i in range(sim.config.total_lanes):
             sim.inject(MessageRecord(i, NEW_THREAD, f"chain{i}", (40,)), t=0.0)
-        stats = sim.run()
-        return stats.scalar_snapshot(), disp.executed
+        sim.run()
+        return fingerprint(sim), disp.executed
 
     def test_sharded_run_is_bit_identical(self):
         fp1, exec1 = self._run(shards=1)
@@ -286,7 +287,7 @@ class TestShardScheduler:
             sim.run()
             assert sim._scheduler is sched
             assert sim.stats.events_executed == 2 * first
-            return sim.stats.scalar_snapshot()
+            return fingerprint(sim)
 
         # the cumulative fingerprint over both drains stays sequential
         assert run(shards=2) == run(shards=1)
@@ -308,7 +309,7 @@ class TestShardScheduler:
                     src_node=sim.config.node_of(i),
                 )
             sim.run()
-            return [(t, r.label) for t, r in sim.host_inbox]
+            return fingerprint(sim)
 
         assert both(shards=2) == both(shards=1)
 
@@ -382,10 +383,6 @@ def _mail_and_events(shards):
     return sim
 
 
-def _inbox(sim):
-    return [(t, r.label) for t, r in sim.host_inbox]
-
-
 class TestOneDrainEnd:
     """Sequential and sharded drains end in the same ``Simulator._settle``:
     host mail is pending work in both, delivered at the same point."""
@@ -404,7 +401,7 @@ class TestOneDrainEnd:
             stats = sim.run(until=1500.0)
             assert not stats.quiesced
             d = sim.stall_dump()
-            return _inbox(sim), {
+            return fingerprint(sim), {
                 k: d[k] for k in (
                     "heap_events", "next_events", "parked_records",
                     "pending_threads",
@@ -413,8 +410,10 @@ class TestOneDrainEnd:
 
         seq = dump(shards=1)
         assert seq == dump(shards=2)
-        inbox, d = seq
-        assert inbox == [(0.0, "done0"), (1000.0, "done1")]
+        fp, d = seq
+        assert [(t, label) for t, label, _ops in fp["mailbox"]] == [
+            (0.0, "done0"), (1000.0, "done1"),
+        ]
         # three lane events and two host messages are still pending
         assert d["heap_events"] == 5
         assert sum(dest < 0 for _t, dest, _label in d["next_events"]) == 2
@@ -428,18 +427,17 @@ class TestOneDrainEnd:
             sim = _mail_and_events(shards)
             with pytest.raises(SimulationError, match="max_events"):
                 sim.run(max_events=3)
-            aborted = _inbox(sim), sim.stats.final_tick
-            stats = sim.run()
-            assert stats.quiesced
-            return aborted, _inbox(sim), stats.final_tick
+            aborted = fingerprint(sim)
+            assert sim.run().quiesced
+            return aborted, fingerprint(sim)
 
         seq = abort_then_resume(shards=1)
         assert seq == abort_then_resume(shards=2)
-        (inbox, final_tick), resumed, resumed_tick = seq
+        aborted, resumed = seq
         # an abort raises before the drain end: no mail is delivered yet
-        assert inbox == [] and final_tick == 1001.0
-        assert resumed == _inbox(whole)
-        assert resumed_tick == whole.stats.final_tick
+        assert aborted["mailbox"] == []
+        assert aborted["model"]["final_tick"] == 1001.0
+        assert resumed == fingerprint(whole)
 
 
 class TestOneShardedMode:

@@ -1,4 +1,4 @@
-"""Batched dispatch inside shard windows: the three window rules.
+"""Parked records at the window rules and the observation points.
 
 Sharded drains park batch-safe reduce records exactly like the
 sequential drain (DESIGN.md "Conservative parallel execution").  These
@@ -6,14 +6,16 @@ tests pin the cases the window loop must get right: records two shards
 park onto one lane in the same window land in ``(time, seq)`` order, a
 once-guard may read a flag the destination shard set *ahead* of the
 emitter's simulated time, and a bounded drain that leaves records parked
-is not quiesced.  The reference is always the sequential run.
+is not quiesced.  A peek at a sibling lane's pooled scratchpad lands
+the records parked there first.  The reference is always the
+interpreted sequential run.
 """
 
 from collections import defaultdict
 
 import pytest
 
-from repro.harness import bench_config
+from repro.harness import bench_config, fingerprint
 from repro.kvmsr import (
     CombiningCache,
     KVMSRJob,
@@ -22,27 +24,10 @@ from repro.kvmsr import (
     ReduceTask,
     emit_to_reduce,
 )
+from repro.machine import bench_machine
 from repro.udweave import UDThread, UpDownRuntime, event
 
 NODES = 2
-
-
-def _state(rt):
-    """Model fingerprint, per-lane busy cycles and every scratchpad."""
-    sim = rt.sim
-    stats = sim.stats
-    assert (
-        stats.records_batched + stats.events_interpreted
-        == stats.events_executed
-    )
-    return {
-        "model": stats.model_snapshot(),
-        "busy": dict(stats.busy_cycles_by_lane),
-        "mailbox": [(t, rec.label, rec.operands) for t, rec in sim.host_inbox],
-        "scratchpads": {
-            nwid: dict(ln.scratchpad) for nwid, ln in sim._lanes.items()
-        },
-    }
 
 
 class _FanInMap(MapTask):
@@ -76,7 +61,7 @@ def _fan_in(shards, batch=True):
 
 def _drained(rt):
     rt.run(max_events=1_000_000)
-    return _state(rt)
+    return fingerprint(rt.sim)
 
 
 class TestCrossShardFanIn:
@@ -144,7 +129,7 @@ class TestCrossShardGuard:
             rt.run(max_events=1_000_000)
             report = rt.sim.batch_report()
             row = report["labels"].get("_OnceReduce::__reduce_entry__")
-            runs[shards, batch] = _state(rt), row, report["drains"]
+            runs[shards, batch] = fingerprint(rt.sim), row, report["drains"]
         ref = runs[1, False][0]
         (seq, seq_row, _), (shd, shd_row, drains) = runs[1, True], runs[2, True]
         assert seq == ref and shd == ref
@@ -226,3 +211,63 @@ class TestSettleCountsParkedRecords:
         assert everything[:3] == dump["next_parked"]
         assert everything == sorted(everything)
         assert all(t0 > t for t0, _n, _l in everything)
+
+
+def _pooled_peeks(batch, sibling, reader, n=8):
+    """Lane 4 emits ``n`` tuples for a key reduced on ``sibling``; lane 5
+    sends ``reader``, in the same accelerator, ``n`` peeks that copy the
+    key's sum via ``sp_read_pooled``, some on the tick of a parked record.
+    Returns the fingerprint and, per peek, whether it tied a record."""
+    rt = UpDownRuntime(bench_machine(
+        nodes=1, accels_per_node=2, lanes_per_accel=4, batch_dispatch=batch,
+    ))
+    cache = CombiningCache("pooled")
+    # never launched: the emitter below feeds its reduce phase directly
+    job = KVMSRJob(rt, _FanInMap, RangeInput(1), reduce_cls=_SumReduce,
+                   payload=cache)
+    key = next(k for k in range(64)
+               if job.reduce_binding.lane_for(k, job.reduce_lanes) == sibling)
+    ties = []
+
+    @rt.register
+    class Pooled(UDThread):
+        @event
+        def emit(self, ctx):
+            for i in range(n):
+                emit_to_reduce(ctx, job.job_id, key, float(i + 1))
+                ctx.work(1)
+            ctx.yield_terminate()
+
+        @event
+        def kick(self, ctx):
+            for i in range(n):
+                ctx.spawn(reader, "Pooled::peek", i)
+                ctx.work(1)
+            ctx.yield_terminate()
+
+        @event
+        def peek(self, ctx, i):
+            parked = ctx.sim.lane(sibling).parked_records()
+            ties.append(any(t == ctx.sim.now for t, *_ in parked))
+            ctx.sp_write(i, ctx.sp_read_pooled(sibling, cache._val_key(key)))
+            ctx.yield_terminate()
+
+    rt.start(4, "Pooled::emit")
+    rt.start(5, "Pooled::kick")
+    assert rt.run(max_events=10_000).quiesced
+    return fingerprint(rt.sim), ties
+
+
+class TestPooledScratchpadFlush:
+    """``Simulator._flush_pooled``: records parked on a sibling that pop
+    before a peek at its scratchpad land first — same-tick records
+    included when the sibling's nwid is below the reader's (the heap
+    breaks time ties by lane), excluded when it is above."""
+
+    @pytest.mark.parametrize(
+        "sibling,reader", [(0, 1), (1, 0)], ids=["below", "above"]
+    )
+    def test_peeks_see_what_the_interpreter_sees(self, sibling, reader):
+        out, ties = _pooled_peeks(True, sibling, reader)
+        assert out == _pooled_peeks(False, sibling, reader)[0]
+        assert any(ties)  # records were parked, some on a peek's tick

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultPlan
+from repro.harness import fingerprint
 from repro.machine import (
     HOST_NWID,
     MessageRecord,
@@ -513,7 +514,7 @@ class TestBoundedReentry:
                 t += step
                 sim.run(until=t)
         sim.run()
-        return order, sim.stats.scalar_snapshot()
+        return order, fingerprint(sim)
 
     def test_until_stepping_matches_whole_run(self):
         whole = self._fanout()

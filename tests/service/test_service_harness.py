@@ -2,7 +2,8 @@
 
 from repro.faults import FaultPlan
 from repro.faults.transport import ReliabilityConfig
-from repro.harness import run_service
+from repro.harness import fingerprint, run_service
+from repro.machine import Simulator, bench_machine
 from repro.service import (
     BurstyArrivals,
     SLOSpec,
@@ -233,3 +234,6 @@ class TestHostMailReleased:
         }
         assert svc.alerts == 119
         assert svc.fingerprint() == self.SOAK_FINGERPRINT
+        # the run fingerprint carries a service result as that digest
+        sim = Simulator(bench_machine(nodes=1))
+        assert fingerprint(sim, svc)["result"] == self.SOAK_FINGERPRINT

@@ -68,3 +68,15 @@ def test_quickstart_snippet_from_package_docstring():
     result = PageRankApp(rt, rmat(8, seed=48), max_degree=64).run()
     assert len(result.ranks) == 256
     assert result.giga_updates_per_second > 0
+
+
+def test_fingerprint_is_exported_and_says_what_it_leaves_out():
+    import repro.harness as harness
+
+    assert "fingerprint" in harness.__all__
+    doc = harness.fingerprint.__doc__
+    for part in ("model_snapshot", "mailbox", "busy_cycles_by_lane",
+                 "scratchpad", "ServiceResult"):
+        assert part in doc, part
+    for left_out in ("HOST_SPLIT_KEYS", "recorder", "parallel_metrics()"):
+        assert left_out in doc, left_out

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultPlan
+from repro.harness import fingerprint
 from repro.machine import bench_machine
 from repro.memmodel import MemoryError_
 from repro.udweave import (
@@ -218,9 +219,8 @@ def _read_list(vector, nwords, offset, work, tagged, nr_nodes, src_node,
             ctx.yield_()
 
     rt.start(0, "L::kick")
-    stats = rt.run()
-    out["model"] = stats.model_snapshot()
-    out["busy"] = dict(stats.busy_cycles_by_lane)
+    rt.run()
+    out["fingerprint"] = fingerprint(rt.sim)
     return out
 
 
@@ -260,7 +260,7 @@ def test_list_read_reaches_both_memory_nodes():
     word's node, and the chunks arrive in word order of their offsets."""
     out = _read_list(True, 20, BLOCK_WORDS - 12, 1, True, 2, 0, 1, False)
     assert out["count"] == 3
-    assert out["model"]["dram_remote_accesses"] == 1
+    assert out["fingerprint"]["model"]["dram_remote_accesses"] == 1
     assert sorted(ops[1] for _t, ops in out["handled"]) == [0, 8, 16]
     chunks = sorted(ops for _t, ops in out["handled"])
     words = [w for ops in chunks for w in ops[2:]]
