@@ -98,7 +98,7 @@ def _attach_recorder(extra: Dict[str, Any], rt: UpDownRuntime) -> Dict[str, Any]
     if metrics is not None:
         extra["parallel_metrics"] = metrics
     # why batched dispatch did (not) happen: per-label lowering verdicts
-    # and per-drain gate reasons — host-side too, so outside SimStats
+    # and the parking verdict — host-side too, so outside SimStats
     extra["batch"] = rt.sim.batch_report()
     return extra
 

@@ -225,7 +225,7 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
     sequences, prices, counts and places every tuple as it does a
     one-element ``send``.
 
-    Batched dispatch: while the drain has parking armed, a tuple whose
+    Batched dispatch: while the machine has parking armed, a tuple whose
     reduce entry lowered to a batch-safe plan is issued as a bare operand
     tuple, which the issue site parks on its destination lane instead of
     the heap, to be executed array-at-a-time just before that lane is

@@ -74,8 +74,8 @@ class MachineConfig:
     #: optimization — simulated results are bit-identical; DESIGN.md
     #: "Event IR & batched dispatch").  Only reduce classes that declare
     #: ``intrinsic_only = True`` are ever lowered; those the IR cannot
-    #: prove batch-safe, and faulted, watched or span-recording drains,
-    #: fall back to per-event interpretation automatically.
+    #: prove batch-safe, and machines with lane stalls, fail-stop or the
+    #: transport (``batch_report()["gate"]``), interpret every event.
     #: ``False`` interprets every event: the independent reference that
     #: differential tests check batched runs against.
     batch_dispatch: bool = True

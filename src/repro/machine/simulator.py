@@ -49,7 +49,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Callable, List, Optional, Tuple
 
 from .config import MachineConfig
@@ -259,27 +259,6 @@ class Simulator:
         self._deliver_time = self.network.deliver_time
         self._dram_hop = self.network.dram_hop
         self._dram_transit = config.remote_dram_transit_cycles
-        # --- batched dispatch (host-side optimization; see DESIGN.md) --
-        # Batch-safe reduce records are *parked* at emit time into the
-        # target lane's ``parked`` list — priced, counted, and sequenced
-        # exactly as a normal send — then executed in same-plan runs by
-        # a compiled executor just before the lane's state is next
-        # observed.  Results are bit-identical; only per-record Python
-        # machinery (heap traffic, dispatch, context churn) is skipped.
-        self._batch_on = bool(config.batch_dispatch)
-        #: parking is armed per drain (no dispatch-time faults, no
-        #: transport, unwatched, unrecorded-span drains, sharded or not —
-        #: see :meth:`_park_gate`);
-        #: everything else falls back to per-event interpretation
-        #: automatically.
-        self._park_active = False
-        #: records currently parked machine-wide (0 ⇒ flush paths skip).
-        self._parked_total = 0
-        #: :meth:`batch_report` sources — per ``run()`` call the gate's
-        #: verdict, per reduce-entry label the lowering verdicts filed by
-        #: the emit path.  Host-side facts, deliberately outside SimStats.
-        self._gate_counts: dict = {}
-        self._reduce_entries: dict = {}
         self._rec_msg = (
             recorder.message
             if recorder is not None and recorder.record_channels
@@ -308,6 +287,25 @@ class Simulator:
             self._fault_stall = None
             self._fault_dead = None
         self._rec_fault = recorder.fault if recorder is not None else None
+        # --- batched dispatch (host-side optimization; see DESIGN.md) --
+        # Batch-safe reduce records are *parked* at emit time on their
+        # target lane — priced, counted and sequenced exactly as a send
+        # — then executed in same-plan runs by a compiled executor just
+        # before the lane's state is next observed; results are
+        # bit-identical.  Parking is decided once, here: lane stalls and
+        # fail-stop act at dispatch, which the executors skip, so they
+        # disarm it, as :meth:`attach_transport` does.
+        if not config.batch_dispatch:
+            self._gate = "batch_dispatch=False"
+        elif self._fault_stall is not None or self._fault_dead is not None:
+            self._gate = "faults"
+        else:
+            self._gate = "armed"
+        self._park_active = self._gate == "armed"
+        #: records currently parked machine-wide (0 ⇒ flush paths skip).
+        self._parked_total = 0
+        #: per reduce-entry label, the emit path's lowering verdicts.
+        self._reduce_entries: dict = {}
         # --- reliable delivery (repro.faults.ReliableTransport) -------
         #: installed by the UDWeave runtime when ``reliable=`` is set;
         #: None costs one pointer test per send.
@@ -365,6 +363,9 @@ class Simulator:
         control labels are marked idle for the watchdog.
         """
         self._transport = transport
+        if self._park_active:
+            self._gate = "transport"
+            self._park_active = False
         from repro.faults.transport import IDLE_CONTROL_LABELS
 
         self._wd_idle_labels |= IDLE_CONTROL_LABELS
@@ -375,7 +376,8 @@ class Simulator:
         The watchdog measures simulated time since the last *non-idle*
         event; frameworks register their busy-wait labels here (KVMSR's
         quiescence-poll chain does) so a stuck job spinning on polls
-        raises :class:`QuiescenceStall` instead of running forever.
+        raises :class:`QuiescenceStall` instead of running forever.  Mark
+        before the label's first emit: idle labels are never parked.
         """
         self._wd_idle_labels |= set(labels)
 
@@ -592,9 +594,7 @@ class Simulator:
         for t_issue, nwid, payload in run:
             if not 0 <= nwid < total_lanes:
                 if nwid != HOST_NWID:
-                    raise ValueError(
-                        f"networkID {nwid} out of range [0, {total_lanes})"
-                    )
+                    self.config._check_nwid(nwid)
                 # Results mailbox: charge the send at the source but
                 # deliver instantly — the host is outside the modeled
                 # machine.  Still a message: it appears in the taxonomy
@@ -685,8 +685,7 @@ class Simulator:
         ``t_deliver`` is ``None`` for a dropped message and ``t_dup`` is
         set only for a duplicate; :meth:`issue` places accordingly, a
         record or a parked tuple alike.  Only records reach the
-        transport: ``_park_gate`` keeps parking off while one is
-        attached.
+        transport: :meth:`attach_transport` disarms parking.
         """
         transport = self._transport
         if (
@@ -813,21 +812,38 @@ class Simulator:
             stats.threads_terminated += cnt
             i = j
         self._parked_total -= n
+        # watchdog progress: no parked label is idle-marked
+        if lst[-1][0] > self._wd_last_progress:
+            self._wd_last_progress = lst[-1][0]
         return n
 
-    def _flush_pooled(self, ln: Lane, now: float, reader_nwid: int) -> None:
-        """Flush ``ln`` before a pooled-scratchpad access from a sibling.
+    def _stall_check(self, t, nwid, wd_last: float, own_lanes) -> float:
+        """Raise :class:`QuiescenceStall` if an idle delivery to lane
+        ``nwid`` at tick ``t`` is a threshold past the interpreter's
+        progress mark — ``_drain``'s stale ``wd_last``, the flushes' marks
+        and the records parked on its lanes that pop first — else return
+        that mark."""
+        marks = [wd_last, self._wd_last_progress]
+        for ln in self._lanes.values() if own_lanes is None else own_lanes:
+            cut = self._cut_before(ln, t, nwid)
+            marks += [e[0] for e in takewhile(cut.__gt__, ln.parked_records())]
+        wd_last = self._wd_last_progress = max(marks)
+        wd = self._watchdog_cycles
+        if t - wd_last > wd:
+            raise QuiescenceStall(
+                f"no application progress for {t - wd_last:.0f} cycles "
+                f"(watchdog threshold {wd:.0f}); only idle/control events "
+                f"are executing",
+                self.stall_dump(),
+            )
+        return wd_last
 
-        A handler running on ``reader_nwid`` at pop tick ``now`` is about
-        to read/write ``ln``'s scratchpad mid-event.  Every parked record
-        that would have popped before the reader's own delivery —
-        earlier tick, or same tick on a lower-numbered destination (the
-        heap's ``(time, dest, seq)`` order) — must land first.
-        """
-        if ln.network_id < reader_nwid:
-            self._flush_parked(ln, (now, math.inf))
-        else:
-            self._flush_parked(ln, (now,))
+    @staticmethod
+    def _cut_before(ln: Lane, t: float, nwid: int) -> tuple:
+        """The key below which ``ln``'s parked records pop before a
+        delivery to lane ``nwid`` at tick ``t``, in the heap's
+        ``(time, dest, seq)`` order."""
+        return (t, math.inf) if ln.network_id < nwid else (t,)
 
     def dram_issue(
         self, src_nwid, src_node, is_read, run, blocking=False
@@ -985,6 +1001,8 @@ class Simulator:
         intentional.  A genuinely stalled run (no new admissions, only
         idle traffic advancing time) still trips.
         """
+        if record.network_id != HOST_NWID:
+            self.config._check_nwid(record.network_id)
         if t > self._wd_last_progress:
             self._wd_last_progress = t
         self._push(t, record, 0)
@@ -1017,14 +1035,9 @@ class Simulator:
         the quiescence verdict; an aborted run (``max_events``, the
         watchdog) raises before it, in every mode alike.
 
-        Batched dispatch is armed by :meth:`_park_gate` before either
-        branch, so sharded and sequential drains park alike; the window
-        loop's three rules that keep that bit-exact are in
-        ``repro.machine.parallel``.
+        Sharded and sequential drains park alike; the window loop's three
+        rules that keep that bit-exact are in ``repro.machine.parallel``.
         """
-        gate = self._park_gate()
-        self._gate_counts[gate] = self._gate_counts.get(gate, 0) + 1
-        self._park_active = gate == "armed"
         bound = math.inf if until is None else until
         with collector_quiet():
             if self._scheduler is not None:
@@ -1076,35 +1089,6 @@ class Simulator:
             and not any(self._shard_heaps or ())
         )
 
-    def _park_gate(self) -> str:
-        """``"armed"``, or the first condition that disarms parking.
-
-        Record parking is armed only for drains whose observation points
-        the flush hooks fully cover: no fault that acts at dispatch, no
-        transport, no watchdog, no per-event observers that the batch
-        executors do not replicate.  Sequential and sharded drains arm
-        alike (the window rules are in ``repro.machine.parallel``).
-        Message faults and channel recording do not disarm: a parked
-        record is issued by the same :meth:`issue` step as a sent one,
-        so its fault draw and channel sample land at issue in scalar
-        order.  Lane stalls and fail-stop act when an event is
-        dispatched, which the batch executors skip, so they do.
-        Everything else simply interprets per event — bit-identical
-        either way.
-        """
-        if not self._batch_on:
-            return "batch_dispatch=False"
-        if self._fault_dead is not None or self._fault_stall is not None:
-            return "faults"
-        if self._transport is not None:
-            return "transport"
-        if self._watchdog_cycles is not None:
-            return "watchdog"
-        recorder = self.recorder
-        if recorder is not None and recorder.record_lane_spans:
-            return "recorder:lane_spans"
-        return "armed"
-
     def note_reduce_entry(self, label: str, plan) -> None:
         """File one job's lowering verdict for ``label`` (emit path).
 
@@ -1122,9 +1106,10 @@ class Simulator:
         ``lowered`` (a batch-safe, validated plan exists), the refusal
         ``reason`` otherwise, and the emit side's tallies — ``parked``
         records and ``guard_declined`` ones (guarded plan, once-flag not
-        yet set at emit, sent through the heap instead).  ``drains``
-        counts ``run()`` calls by gate verdict: ``armed``, or the first
-        condition that disarmed parking.
+        yet set at emit, sent through the heap instead).  ``gate`` is
+        the machine's parking verdict, fixed before its first drain:
+        ``armed``, ``batch_dispatch=False``, ``faults`` (lane stalls or
+        fail-stop) or ``transport``.
         """
         labels = {}
         for label, plans in self._reduce_entries.items():
@@ -1143,7 +1128,7 @@ class Simulator:
                 row["reason"] = None if plan.parkable else plan.reason
                 row["parked"] += plan.parked
                 row["guard_declined"] += plan.guard_declined
-        return {"labels": labels, "drains": dict(self._gate_counts)}
+        return {"labels": labels, "gate": self._gate}
 
     def _drain(
         self,
@@ -1196,12 +1181,11 @@ class Simulator:
         wd = self._watchdog_cycles
         wd_idle = self._wd_idle_labels
         wd_last = self._wd_last_progress
-        # Batched dispatch: when parking is armed (or leftovers exist
-        # from a bounded drain), every delivery to a lane first flushes
-        # that lane's parked records with earlier keys — one truthiness
-        # test per event when the list is empty, one bool test when the
-        # feature is off entirely.
-        park_chk = self._park_active or self._parked_total > 0
+        # Batched dispatch: when parking is armed, every delivery to a
+        # lane first flushes that lane's parked records with earlier keys
+        # — one truthiness test per event when the list is empty, one
+        # bool test when the feature is off entirely.
+        park_chk = self._park_active
         try:
             while heap:
                 first = heap[0]
@@ -1274,13 +1258,8 @@ class Simulator:
                                 # retry timers, acks) — no application
                                 # progress.
                                 if ev_time - wd_last > wd:
-                                    raise QuiescenceStall(
-                                        f"no application progress for "
-                                        f"{ev_time - wd_last:.0f} cycles "
-                                        f"(watchdog threshold {wd:.0f}); "
-                                        f"only idle/control events are "
-                                        f"executing",
-                                        self.stall_dump(),
+                                    wd_last = self._stall_check(
+                                        ev_time, nwid, wd_last, own_lanes
                                     )
                             elif ev_time > wd_last:
                                 wd_last = ev_time
@@ -1358,8 +1337,9 @@ class Simulator:
                 stats.final_tick = final_tick
             # Watchdog progress survives bounded re-entry (run(until=)
             # stepping and the shard window loop both call _drain many
-            # times per logical run).
-            self._wd_last_progress = wd_last
+            # times per logical run); flushes fold in their own.
+            if wd_last > self._wd_last_progress:
+                self._wd_last_progress = wd_last
             self._sync_lane_stats()
         return stats
 

@@ -28,8 +28,8 @@ from typing import Dict
 #: host-side split counters: how the *simulator* partitioned handler
 #: events between the compiled batch core and the interpreter.  They
 #: describe the host's execution strategy, not the simulated machine, so
-#: they legitimately differ between drains that arm record parking and
-#: drains that do not (``batch_dispatch=False``, shards, faults, ...) —
+#: they legitimately differ between machines that do and do not arm
+#: record parking (``batch_dispatch=False``, lane stalls, shards, ...) —
 #: cross-mode comparisons use :meth:`SimStats.model_snapshot`.
 HOST_SPLIT_KEYS = ("batches_executed", "records_batched", "events_interpreted")
 

@@ -209,8 +209,8 @@ class LaneContext:
         """
         if evw is None:
             return
-        if delay < 0:
-            raise UDWeaveError("send delay cannot be negative")
+        if not 0 <= delay < _INF:
+            raise UDWeaveError(f"send delay must be finite and >= 0, got {delay!r}")
         costs = self.costs
         self.cycles += (
             costs.send_message_with_cont if cont is not None else costs.send_message
@@ -552,7 +552,9 @@ class LaneContext:
             # Batched dispatch: a mid-event peek at a sibling's
             # scratchpad is an observation point — parked records that
             # would have popped before this event must land first.
-            sim._flush_pooled(target, sim.now, self.lane.network_id)
+            sim._flush_parked(target, sim._cut_before(
+                target, sim.now, self.lane.network_id
+            ))
         return target
 
     def sp_read_pooled(self, lane_in_accel: int, key: Any, default: Any = None):

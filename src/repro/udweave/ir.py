@@ -456,22 +456,25 @@ def lower_reduce_entry(runtime, job, operands: Sequence[Any]) -> HandlerPlan:
     executor agreed with the interpreter on a two-record (miss arm, hit
     arm) validation run.
     """
-    try:
-        plan = lower_label(
-            runtime,
-            job.reduce_entry_label,
-            operands,
-            meta=f"binding={job.reduce_binding!r}",
+    plan = lower_label(
+        runtime, job.reduce_entry_label, operands,
+        meta=f"binding={job.reduce_binding!r}",
+    )
+    if not plan.parkable:
+        return plan
+    if plan.label in runtime.sim._wd_idle_labels:
+        # the watchdog counts every batched record as progress
+        plan.reason = "idle-marked for the watchdog"
+    elif not _validate(runtime, plan, tuple(operands)):
+        plan.reason = "validation against interpreted semantics failed"
+    elif (rec := runtime.recorder) is not None and rec.record_lane_spans:
+        # validated span-free: ``_validate`` must not write spans
+        plan.batch_fn = _compile_batch_fn(
+            plan, runtime.config.costs, rec.lane_span
         )
-    except Exception as exc:  # pragma: no cover - lower_label never raises
-        return HandlerPlan(
-            job.reduce_entry_label, job.reduce_entry_label_id, [], False,
-            f"lowering error: {exc!r}",
-        )
-    if plan.parkable and not _validate(runtime, plan, tuple(operands)):
+    if plan.reason:
         plan.parkable = False
         plan.batch_fn = plan.guard = None
-        plan.reason = "validation against interpreted semantics failed"
     return plan
 
 
@@ -480,8 +483,11 @@ def lower_reduce_entry(runtime, job, operands: Sequence[Any]) -> HandlerPlan:
 # ---------------------------------------------------------------------------
 
 
-def _compile_batch_fn(plan: HandlerPlan, costs):
+def _compile_batch_fn(plan: HandlerPlan, costs, lane_span=None):
     """Compile a specialized ``batch_fn`` for a batch-safe op sequence.
+
+    ``lane_span`` (the ``record="full"`` recorder's hook) adds one span
+    per record, as the interpreter records one per event.
 
     The generated loop replays records in parked order with every
     per-record Table-2 charge and float addition applied in exactly the
@@ -561,11 +567,21 @@ def _compile_batch_fn(plan: HandlerPlan, costs):
             f"            sp[vk] = cur + {delta_expr}",
             "            c += HIT_EXTRA",
         ]
+    if lane_span is None:
+        body += [
+            "        if t > busy:",
+            "            busy = t + c",
+            "        else:",
+            "            busy += c",
+        ]
+    else:
+        ns.update(LANE_SPAN=lane_span, LABEL=plan.label)
+        body += [
+            "        s = t if t > busy else busy",
+            "        busy = s + c",
+            "        LANE_SPAN(ln.network_id, s, busy, LABEL)",
+        ]
     body += [
-        "        if t > busy:",
-        "            busy = t + c",
-        "        else:",
-        "            busy += c",
         "        total += c",
         "    sp[KVR_KEY] = sp_get(KVR_KEY, 0) + n",
         "    ln.busy_until = busy",

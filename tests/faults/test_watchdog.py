@@ -34,16 +34,31 @@ class Collect(ReduceTask):
         self.kv_reduce_return(ctx)
 
 
-def run_job(faults=None, reliable=False, watchdog=None, shards=1):
+class Tally(ReduceTask):
+    """A declared batch-safe reduce: its tuples park when armed."""
+
+    intrinsic_only = True
+
+    def kv_reduce(self, ctx, key, value):
+        ctx.work(1)
+        self.kv_reduce_return(ctx)
+
+
+def _runtime(faults=None, reliable=False, watchdog=None, shards=1,
+             batch=True, reduce_cls=Collect):
     rt = UpDownRuntime(
-        bench_machine(nodes=2), faults=faults, reliable=reliable,
-        watchdog_cycles=watchdog, shards=shards,
+        bench_machine(nodes=2, batch_dispatch=batch), faults=faults,
+        reliable=reliable, watchdog_cycles=watchdog, shards=shards,
     )
     sink = {}
-    job = KVMSRJob(
-        rt, EmitMap, RangeInput(60), reduce_cls=Collect, payload=sink
-    )
-    job.launch()
+    KVMSRJob(
+        rt, EmitMap, RangeInput(60), reduce_cls=reduce_cls, payload=sink
+    ).launch()
+    return rt, sink
+
+
+def run_job(faults=None, reliable=False, watchdog=None, shards=1):
+    rt, sink = _runtime(faults, reliable, watchdog, shards)
     stats = rt.run(max_events=2_000_000)
     return rt, sink, stats
 
@@ -106,6 +121,59 @@ class TestLostCredit:
         credits = shd.diagnostic["kvmsr_credits"]
         assert credits == seq.diagnostic["kvmsr_credits"]
         assert any(m["outstanding"] > 0 for m in credits["live_masters"])
+
+
+#: drop-only plans that lose a reduce credit: as is, with a delayed
+#: reduce tuple as the last progress (it runs in a flush), and with one
+#: still parked on another lane when the tripping poll pops
+TRIP_PLANS = {
+    "drops": dict(seed=1, drop_rate=0.02),
+    "late_tuple": dict(
+        seed=3, drop_rate=0.02, delay_rate=0.2, delay_cycles=8_000.0
+    ),
+    "parked_tuple": dict(
+        seed=1, drop_rate=0.02, delay_rate=0.05, delay_cycles=30_000.0
+    ),
+}
+
+
+class TestBatchedTrip:
+    """The lost credit with a declared reduce on an armed machine:
+    reduce tuples park and run in the batch executor, and the watchdog
+    still raises the interpreter's verdict — a batched record is
+    progress when it runs, and a record still parked below the idle
+    event would have run before it."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("plan", list(TRIP_PLANS))
+    def test_trip_equals_the_interpreter(self, plan, shards):
+        raised = {}
+        for batch in (False, True):
+            rt, _sink = _runtime(
+                FaultPlan(**TRIP_PLANS[plan]), watchdog=30_000.0,
+                shards=shards, batch=batch, reduce_cls=Tally,
+            )
+            with pytest.raises(QuiescenceStall) as info:
+                rt.run(max_events=2_000_000)
+            raised[batch] = (
+                str(info.value).splitlines()[0],
+                info.value.diagnostic["last_progress_tick"],
+                rt.sim.stats.records_batched + rt.sim._parked_total,
+                rt.sim.batch_report()["gate"],
+            )
+        ref, out = raised[False], raised[True]
+        assert out[:2] == ref[:2]
+        assert ref[2:] == (0, "batch_dispatch=False")
+        assert out[2] > 0 and out[3] == "armed"
+
+    def test_an_idle_marked_reduce_is_never_parked(self):
+        rt, _sink = _runtime(reduce_cls=Tally)
+        rt.sim.mark_idle_labels({"Tally::__reduce_entry__"})
+        assert rt.run(max_events=2_000_000).quiesced
+        row = rt.sim.batch_report()["labels"]["Tally::__reduce_entry__"]
+        assert not row["lowered"]
+        assert row["reason"] == "idle-marked for the watchdog"
+        assert rt.sim.stats.records_batched == 0
 
 
 class TestWatchdogValidation:

@@ -160,15 +160,16 @@ def test_every_mode_equals_the_sequential_interpreter(
     graph_seed=st.integers(0, 1),
     plan=st.sampled_from(["none", "delays", "stalls"]),
     shards=st.integers(1, 4),
-    record=st.sampled_from([None, "histograms"]),
+    record=st.sampled_from([None, "histograms", "full"]),
+    watchdog=st.sampled_from([None, 1e12]),
     shape=st.sampled_from(SHAPES),
 )
 def test_parking_modes_equal_the_sequential_interpreter(
-    app, graph_seed, plan, shards, record, shape
+    app, graph_seed, plan, shards, record, watchdog, shape
 ):
     """The sub-lattice whose drains park: batched dispatch on, apps with
-    declared reduces, no lane spans, no watchdog.  Drawn on its own
-    because uniform draws over every axis rarely land here; only the
+    declared reduces, every recorder tier, watched or not.  Drawn on its
+    own because uniform draws over every axis rarely land here; only the
     lane-stall plan must disarm it."""
-    assert _run(app, graph_seed, plan, shape, shards, True,
-                record) == _reference(app, graph_seed, plan)
+    assert _run(app, graph_seed, plan, shape, shards, True, record,
+                watchdog) == _reference(app, graph_seed, plan)

@@ -110,7 +110,7 @@ def _run(keys, work, how, armed, guarded, flagged):
         "parked": spec.parked,
         "fingerprint": fingerprint(rt.sim),
         "labels": report["labels"],
-        "drains": report["drains"],
+        "gate": report["gate"],
     }
 
 

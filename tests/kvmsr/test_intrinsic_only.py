@@ -81,7 +81,7 @@ class TestUndeclaredHandlerKeepsTheInterpreter:
         assert not _has_symbol(sink)
         assert stats.records_batched == 0
         report = rt.sim.batch_report()
-        assert report["drains"] == {"armed": 1}
+        assert report["gate"] == "armed"
         assert report["labels"][LABEL] == {
             "declared": False,
             "lowered": False,
@@ -100,7 +100,7 @@ class TestUndeclaredHandlerKeepsTheInterpreter:
         rt.run(max_events=2_000_000)
         assert {k: sorted(v) for k, v in sink.items()} == EXPECTED
         assert not _has_symbol(sink)
-        assert rt.sim.batch_report()["drains"] == {"armed": 2}
+        assert rt.sim.batch_report()["gate"] == "armed"
 
 
 class TestMisdeclaredHandler:

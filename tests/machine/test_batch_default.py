@@ -4,21 +4,23 @@ observed and message-faulted drains, and the reasons report.
 ``tests/integration/test_mode_lattice.py`` draws batch on/off against
 the interpreter across every mode.  This file pins what equality alone
 does not show: BFS parks its "already visited" arm behind the
-write-once guard, a drain with an event budget, channel recording or
+write-once guard, a drain with an event budget, a recorder tier or
 message faults stays armed, and ``Simulator.batch_report`` says why
 whenever a record was *not* batched.  The reference in every comparison
 is ``batch_dispatch=False`` — the interpreter.
 """
+
+import json
 
 import pytest
 
 from repro.apps import BFSApp, PageRankApp, TriangleCountApp
 from repro.faults import FaultPlan
 from repro.graph import rmat
-from repro.harness import bench_config, fingerprint
+from repro.harness import bench_config, event_report, fingerprint
 from repro.kvmsr import KVMSRJob, MapTask, RangeInput, ReduceTask
 from repro.machine import SimulationError
-from repro.observe import make_recorder
+from repro.observe import chrome_trace, make_recorder
 from repro.udweave import UpDownRuntime
 
 GRAPH = rmat(8, seed=7)
@@ -36,11 +38,17 @@ def _fingerprinted(rt, *result):
     )
 
 
-def _run_bfs(batch=True, **rt_kw):
+def _bfs_drained(batch=True, **rt_kw):
+    """``(runtime, result arrays)`` after one whole BFS run."""
     rt = UpDownRuntime(bench_config(NODES, batch_dispatch=batch), **rt_kw)
     app = BFSApp(rt, GRAPH, block_size=BLOCK)
     app.run(root=0, max_events=10_000_000)
-    return _fingerprinted(rt, app.dist_region.data, app.parent_region.data)
+    return rt, (app.dist_region.data, app.parent_region.data)
+
+
+def _run_bfs(batch=True, **rt_kw):
+    rt, result = _bfs_drained(batch, **rt_kw)
+    return _fingerprinted(rt, *result)
 
 
 class TestBFSParity:
@@ -56,7 +64,7 @@ class TestBFSParity:
         assert row["parked"] == batched
         # first visits (and tuples racing one) ride the heap as before
         assert row["guard_declined"] > 0
-        assert report["drains"] == {"armed": 1}
+        assert report["gate"] == "armed"
 
     def test_sharded_drains_park_identically(self):
         """Shard windows arm parking too: the once-guard may read a lane
@@ -66,7 +74,7 @@ class TestBFSParity:
         out, batched, report = _run_bfs(shards=2)
         assert out == ref
         assert batched > 0
-        assert report["drains"] == {"armed": 1}
+        assert report["gate"] == "armed"
         row = report["labels"]["BFSReduce::__reduce_entry__"]
         assert row["lowered"] and row["parked"] == batched
 
@@ -99,7 +107,7 @@ class TestBFSParity:
         ref, _, _ = _run_bfs(batch=False, **rt_kw)
         out, batched, report = _run_bfs(**rt_kw)
         assert out == ref
-        assert set(report["drains"]) == {gate}
+        assert report["gate"] == gate
         if gate == "armed":
             assert batched > 0
         else:
@@ -142,7 +150,7 @@ class TestMessageFaultedDrains:
         out, batched, report = _run_delayed(app_name, batch=True)
         assert out == ref
         assert ref_batched == 0
-        assert report["drains"] == {"armed": 1}
+        assert report["gate"] == "armed"
         if app_name == "tc":
             assert batched == 0  # TC's reduce is not declared batch-safe
         else:
@@ -223,7 +231,7 @@ class TestBudgetedDrains:
         out, batched, report = _fingerprinted(rt, app.pr_region.data)
         assert out == whole[0]
         assert batched == whole[1] > 0
-        assert report["drains"] == {"armed": 1}
+        assert report["gate"] == "armed"
 
     @pytest.mark.parametrize("short_by", [1, 300, 9_000])
     def test_abort_then_run_equals_the_whole_run(
@@ -246,7 +254,7 @@ class TestBudgetedDrains:
         out, batched, report = _fingerprinted(rt, app.pr_region.data)
         assert out == whole[0]
         assert batched > 0
-        assert set(report["drains"]) == {"armed"}
+        assert report["gate"] == "armed"
         assert rt.sim.stats.quiesced
 
     @pytest.mark.parametrize("short_by", [1, 300, 9_000])
@@ -271,7 +279,7 @@ class TestBudgetedDrains:
         assert ref == whole[0]
         assert ref_batched == 0
         assert report == {
-            "labels": {}, "drains": {"batch_dispatch=False": 1},
+            "labels": {}, "gate": "batch_dispatch=False",
         }
 
 
@@ -298,45 +306,75 @@ def _recorded(rec):
     }
 
 
-def _observed(app, batch, record=None, **rt_kw):
-    """One whole BFS or PageRank run, with its recorder's summaries."""
+def _observed(app, batch, record, **rt_kw):
+    """One whole BFS or PageRank run: ``_fingerprinted`` with the
+    recorder's summaries in the fingerprint, plus the runtime."""
     recorder = make_recorder(record)
     if app == "bfs":
-        out, batched, report = _run_bfs(batch, recorder=recorder, **rt_kw)
+        rt, result = _bfs_drained(batch, recorder=recorder, **rt_kw)
     else:
         rt, pr = _pagerank_runtime(batch, recorder=recorder, **rt_kw)
-        pr.run(iterations=2)
-        out, batched, report = _fingerprinted(rt, pr.pr_region.data)
+        result = (pr.run(iterations=2).ranks,)
+    out, batched, report = _fingerprinted(rt, *result)
     if recorder is not None:
         out["recorded"] = _recorded(recorder)
-    return out, batched, report
+    return out, batched, report, rt
+
+
+def _trace(rt):
+    """The run's Chrome trace, its events as an order-free multiset."""
+    trace = chrome_trace(rt.recorder, rt.config.clock_hz)
+    events = trace.pop("traceEvents")
+    return sorted(json.dumps(e, sort_keys=True) for e in events), trace
 
 
 @pytest.mark.parametrize("app", ["pagerank", "bfs"])
 class TestObservedDrains:
     """Channel recording prices a parked record through the same
     ``Network.deliver_time`` call ``send`` makes, at issue — so the
-    samples land in scalar order and parking stays armed.  Only lane
-    spans (one per interpreted event) still disarm."""
+    samples land in scalar order.  Lane spans come from the batch
+    executor, one per record, as the interpreter records one per event.
+    Either tier stays armed."""
 
-    @pytest.mark.parametrize(
-        "rt_kw", [dict(record="histograms")], ids=["histograms"]
-    )
-    def test_observed_drains_stay_armed(self, app, rt_kw):
-        ref, ref_batched, _ = _observed(app, False, **rt_kw)
-        out, batched, report = _observed(app, True, **rt_kw)
+    @pytest.mark.parametrize("record", ["histograms"])
+    def test_observed_drains_stay_armed(self, app, record):
+        ref, ref_batched, _, _ = _observed(app, False, record)
+        out, batched, report, _ = _observed(app, True, record)
         assert out == ref
         assert ref_batched == 0 and batched > 0
-        assert set(report["drains"]) == {"armed"}
-        if "record" in rt_kw:
-            assert out["recorded"]["inj_by_node"]  # the samples exist
+        assert report["gate"] == "armed"
+        assert out["recorded"]["inj_by_node"]  # the samples exist
 
-    def test_lane_span_recording_still_disarms(self, app):
-        ref, _, _ = _observed(app, False, record="full")
-        out, batched, report = _observed(app, True, record="full")
+    def test_lane_spans_batch_identically(self, app):
+        ref, _, _, ref_rt = _observed(app, False, "full")
+        out, batched, report, rt = _observed(app, True, "full")
         assert out == ref
-        assert batched == 0
-        assert set(report["drains"]) == {"recorder:lane_spans"}
+        assert batched > 0 and report["gate"] == "armed"
+        spans = rt.recorder.lane_spans
+        assert len(spans) == out["model"]["events_executed"]
+        assert event_report(rt.sim) == event_report(ref_rt.sim)
+        # batched spans are recorded at flush time, so only the order of
+        # the timeline's events may differ
+        assert _trace(rt) == _trace(ref_rt)
+
+    @pytest.mark.parametrize(
+        "record,watchdog,shards",
+        [("full", None, 2), (None, 1e6, 1), (None, 1e6, 2)],
+        ids=["full-shards2", "watched", "watched-shards2"],
+    )
+    def test_spans_and_watchdog_stay_armed(
+        self, app, record, watchdog, shards
+    ):
+        """A watchdog that does not fire and the ``full`` tier leave the
+        machine armed, sharded too, and bit-identical."""
+        kw = dict(shards=shards, watchdog_cycles=watchdog)
+        ref, _, _, _ = _observed(app, False, record, **kw)
+        out, batched, report, rt = _observed(app, True, record, **kw)
+        assert out == ref
+        assert batched > 0 and report["gate"] == "armed"
+        if record == "full":
+            spans = rt.recorder.lane_spans
+            assert len(spans) == out["model"]["events_executed"]
 
 
 class TestHarnessRunnersReachTheBatchCore:
@@ -362,6 +400,4 @@ class TestHarnessRunnersReachTheBatchCore:
             row = rec.extra["batch"]["labels"][f"{label}::__reduce_entry__"]
             assert row["lowered"]
             assert row["parked"] == rec.extra["stats"].records_batched
-            assert ref.extra["batch"]["drains"] == {
-                "batch_dispatch=False": 1
-            }
+            assert ref.extra["batch"]["gate"] == "batch_dispatch=False"

@@ -129,11 +129,11 @@ class TestCrossShardGuard:
             rt.run(max_events=1_000_000)
             report = rt.sim.batch_report()
             row = report["labels"].get("_OnceReduce::__reduce_entry__")
-            runs[shards, batch] = fingerprint(rt.sim), row, report["drains"]
+            runs[shards, batch] = fingerprint(rt.sim), row, report["gate"]
         ref = runs[1, False][0]
-        (seq, seq_row, _), (shd, shd_row, drains) = runs[1, True], runs[2, True]
+        (seq, seq_row, _), (shd, shd_row, gate) = runs[1, True], runs[2, True]
         assert seq == ref and shd == ref
-        assert drains == {"armed": 1}
+        assert gate == "armed"
         assert shd_row["parked"] > seq_row["parked"]
         assert (
             shd_row["parked"] + shd_row["guard_declined"]
@@ -259,7 +259,7 @@ def _pooled_peeks(batch, sibling, reader, n=8):
 
 
 class TestPooledScratchpadFlush:
-    """``Simulator._flush_pooled``: records parked on a sibling that pop
+    """``Simulator._cut_before``: records parked on a sibling that pop
     before a peek at its scratchpad land first — same-tick records
     included when the sibling's nwid is below the reader's (the heap
     breaks time ties by lane), excluded when it is above."""

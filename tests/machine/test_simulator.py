@@ -114,6 +114,17 @@ class TestTransport:
         assert sim.stats.messages_remote == 0
         assert sim.stats.messages_sent == 1
 
+    @pytest.mark.parametrize("nwid", [None, -1, HOST_NWID - 1])
+    def test_inject_range_checks_the_destination(self, sim, nwid):
+        """``total_lanes`` (``None`` here; the first DRAM virtual id) and
+        negative ids other than ``HOST_NWID`` raise ``issue``'s error at
+        injection; the first used to die in ``_dram_arrive``."""
+        if nwid is None:
+            nwid = sim.config.total_lanes
+        with pytest.raises(ValueError, match=f"networkID {nwid} out of range"):
+            sim.inject(MessageRecord(nwid, NEW_THREAD, "x"))
+        assert not sim._queued()
+
     def test_host_messages_collected(self, sim):
         sim.inject(MessageRecord(HOST_NWID, 0, "done", operands=(42,)))
         sim.run()

@@ -2,19 +2,38 @@
 
 from repro.faults import FaultPlan
 from repro.faults.transport import ReliabilityConfig
-from repro.harness import fingerprint, run_service
+from repro.harness import bench_config, fingerprint, run_service
 from repro.machine import Simulator, bench_machine
+from repro.observe import make_recorder
 from repro.service import (
     BurstyArrivals,
     SLOSpec,
+    ServiceApp,
+    ServiceHarness,
     ServiceWorkload,
     SteadyArrivals,
 )
+from repro.udweave import UpDownRuntime
 
 
 def _steady(seed=7, n=40, gap=3000.0, **wl_kw):
     wl = ServiceWorkload(seed=seed, n_vertices=32, **wl_kw)
     return wl.requests(SteadyArrivals(gap_cycles=gap).times(n))
+
+
+def _soak(reqs, shards=1, slo=None, **rt_kw):
+    """``run_service``'s soak on 4 nodes, built here so the simulator is
+    in hand: ``(fingerprint(sim, result), result)``.  Beside the
+    ``ServiceResult`` digest, the fingerprint compares the model
+    counters, host mailbox, per-lane busy cycles and scratchpads."""
+    rt = UpDownRuntime(
+        bench_config(4), recorder=make_recorder("histograms"),
+        shards=shards, **rt_kw,
+    )
+    res = ServiceHarness(ServiceApp(rt)).run(
+        reqs, slo=slo, max_events=30_000_000
+    )
+    return fingerprint(rt.sim, res), res
 
 
 class TestHealthyRun:
@@ -64,11 +83,14 @@ class TestReproducibility:
         # until-stepping is the same clamp under shards: the open loop
         # runs there too, observationally identical
         reqs = _steady()
-        a = run_service(reqs, nodes=4, slo=SLOSpec()).extra["service"]
-        b = run_service(reqs, nodes=4, slo=SLOSpec(), shards=2).extra["service"]
-        assert a.fingerprint() == b.fingerprint()
-        assert a.verdict.to_dict() == b.verdict.to_dict()
-        assert a.stats.model_snapshot() == b.stats.model_snapshot()
+        (a, a_res), (b, b_res) = (
+            _soak(reqs, shards, SLOSpec()) for shards in (1, 2)
+        )
+        assert a == b
+        assert a_res.verdict.to_dict() == b_res.verdict.to_dict()
+        # the soak is what run_service runs
+        rec = run_service(reqs, nodes=4, slo=SLOSpec()).extra["service"]
+        assert rec.fingerprint() == a["result"]
 
 
 class TestDeadlines:
@@ -100,13 +122,14 @@ class TestChaosSoak:
 
     def test_chaos_run_is_shard_invariant(self):
         reqs = _steady()
-        kw = dict(nodes=4, slo=SLOSpec(), watchdog_cycles=30_000.0, **self.PLAN)
-        a = run_service(reqs, **kw).extra["service"]
-        b = run_service(reqs, shards=2, **kw).extra["service"]
-        assert a.fault_counts.get("msg_drop", 0) > 0
-        assert a.fingerprint() == b.fingerprint()
-        assert a.verdict.to_dict() == b.verdict.to_dict()
-        assert a.fault_counts == b.fault_counts
+        kw = dict(slo=SLOSpec(), watchdog_cycles=30_000.0, **self.PLAN)
+        (a, a_res), (b, b_res) = (
+            _soak(reqs, shards, **kw) for shards in (1, 2)
+        )
+        assert a_res.fault_counts.get("msg_drop", 0) > 0
+        assert a == b
+        assert a_res.verdict.to_dict() == b_res.verdict.to_dict()
+        assert a_res.fault_counts == b_res.fault_counts
 
     def test_bursty_idle_gaps_survive_a_tight_watchdog(self):
         # idle gaps (120k cycles) dwarf the watchdog (30k): the rearm-on-
@@ -118,14 +141,14 @@ class TestChaosSoak:
                 burst_size=8, gap_cycles=500.0, idle_gap_cycles=120_000.0
             ).times(32)
         )
-        kw = dict(nodes=4, slo=SLOSpec(), watchdog_cycles=30_000.0, **self.PLAN)
-        svc = run_service(reqs, **kw).extra["service"]
+        kw = dict(slo=SLOSpec(), watchdog_cycles=30_000.0, **self.PLAN)
+        out, svc = _soak(reqs, **kw)
         assert svc.status_counts["ok"] == 32
         assert svc.verdict.passed
         # and the gaps are stepped over identically when sharded
-        sharded = run_service(reqs, shards=2, **kw).extra["service"]
-        assert sharded.fingerprint() == svc.fingerprint()
-        assert sharded.verdict.to_dict() == svc.verdict.to_dict()
+        sharded, sharded_svc = _soak(reqs, shards=2, **kw)
+        assert sharded == out
+        assert sharded_svc.verdict.to_dict() == svc.verdict.to_dict()
 
 
 class TestGiveUpSoak:
@@ -136,18 +159,15 @@ class TestGiveUpSoak:
         reliable=ReliabilityConfig(max_retries=1, ack_timeout_cycles=3000.0),
     )
 
-    def _run(self, **kw):
+    def _run(self, shards=1):
+        """``(fingerprint, ServiceResult)`` of the give-up soak."""
         reqs = ServiceWorkload(seed=11, n_vertices=32).requests(
             SteadyArrivals(gap_cycles=2500.0).times(50)
         )
-        merged = dict(self.KW)
-        merged.update(kw)
-        return run_service(reqs, nodes=4, slo=SLOSpec(), **merged).extra[
-            "service"
-        ]
+        return _soak(reqs, shards, SLOSpec(), **self.KW)
 
     def test_give_ups_are_recorded_and_fail_the_slo(self):
-        svc = self._run()
+        _, svc = self._run()
         # the transport abandoned deliveries...
         assert svc.transport_give_ups > 0
         assert len(svc.give_up_log) == svc.transport_give_ups
@@ -165,12 +185,13 @@ class TestGiveUpSoak:
         ]
 
     def test_give_up_soak_is_deterministic_and_shard_invariant(self):
-        a = self._run()
-        b = self._run()
-        c = self._run(shards=2)
-        assert a.fingerprint() == b.fingerprint() == c.fingerprint()
+        (a, a_res), (b, _), (c, c_res) = (
+            self._run(shards) for shards in (1, 1, 2)
+        )
+        assert a == b == c
         # sorted: order-free equality
-        assert a.give_up_log == c.give_up_log and len(c.give_up_log) > 0
+        assert a_res.give_up_log == c_res.give_up_log
+        assert len(c_res.give_up_log) > 0
 
 
 class TestVerdictFormat:

@@ -339,6 +339,34 @@ class TestWork:
         assert math.isfinite(rt.sim.stats.final_tick)
 
 
+class TestSendDelay:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dest", ["local", "remote"])
+    def test_non_finite_or_negative_delay_rejected(self, dest, bad):
+        """Rejected at the send, as ``work`` is.  A NaN ``t_issue``
+        compares False against a channel's ``free_at``, so a remote send
+        would otherwise be injected at ``free_at`` and run before the
+        event that sent it ended."""
+        rt = runtime()
+        target = 1 if dest == "local" else rt.config.lanes_per_node
+
+        @rt.register
+        class T(UDThread):
+            @event
+            def go(self, ctx):
+                ctx.send_event(ctx.evw_new(target, "T::sink"), delay=bad)
+                ctx.yield_terminate()
+
+            @event
+            def sink(self, ctx):
+                ctx.yield_terminate()
+
+        rt.start(0, "T::go")
+        with pytest.raises(UDWeaveError, match="finite"):
+            rt.run()
+        assert rt.sim.stats.messages_sent == 0
+
+
 class TestScratchpad:
     def test_sp_rw(self):
         rt = runtime()

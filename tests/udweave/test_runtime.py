@@ -111,6 +111,22 @@ class TestDispatch:
         assert stats.threads_terminated == 1
 
 
+def test_start_past_the_last_lane_raises():
+    rt = make_runtime()
+
+    @rt.register
+    class T(UDThread):
+        @event
+        def go(self, ctx):
+            ctx.yield_terminate()
+
+    n = rt.config.total_lanes
+    with pytest.raises(ValueError, match=f"networkID {n} out of range"):
+        rt.start(n, "T::go")
+    rt.start(n - 1, "T::go")
+    assert rt.run().quiesced
+
+
 class TestCostCharging:
     def test_event_cycles_follow_table2(self):
         """dispatch(2) + send(1) + yield(1) = 4 cycles for this event."""
