@@ -35,10 +35,6 @@ _TYPE_CODES = {"V": REC_VERTEX, "E": REC_EDGE}
 _TYPE_CHARS = {v: k for k, v in _TYPE_CODES.items()}
 
 
-class TformError(ValueError):
-    """Malformed input byte stream."""
-
-
 @dataclass
 class Record:
     """One parsed record: a vertex (``V,id,attr``) or a typed edge

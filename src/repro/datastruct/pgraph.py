@@ -120,9 +120,6 @@ class ParallelGraph:
     def lookup_edge_from(self, ctx: LaneContext, src, dst, cont) -> None:
         self.edges.lookup_from(ctx, (src, dst), cont)
 
-    def lookup_vertex_from(self, ctx: LaneContext, vid, cont) -> None:
-        self.vertices.lookup_from(ctx, vid, cont)
-
     # ------------------------------------------------------------------
     # Host-side verification
     # ------------------------------------------------------------------

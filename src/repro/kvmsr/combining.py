@@ -101,24 +101,12 @@ class CombiningCache:
         ctx.sp_write(self._keys_key(), [])
         return count
 
-    def flush_to_region(
-        self,
-        ctx: LaneContext,
-        region: Region,
-        index_of: Callable[[Any], int] = lambda k: k,
-        accumulate: bool = False,
-    ) -> int:
-        """Drain to a global-memory region: entry ``key`` goes to word
-        ``index_of(key)``.  ``accumulate=True`` adds to the stored value
-        (needed when several epochs flush into the same array)."""
-
-        def write(c: LaneContext, key, value) -> None:
-            idx = index_of(key)
-            if accumulate:
-                # Read-modify-write: the stored value comes from DRAM and
-                # is charged as such (stall + channel occupancy), not
-                # peeked host-side for free.
-                value = value + c.dram_read_blocking(region.addr(idx), 1)[0]
-            c.send_dram_write(region.addr(idx), [value])
-
-        return self.flush(ctx, write)
+    def flush_to_region(self, ctx: LaneContext, region: Region) -> int:
+        """Drain to a global-memory region: entry ``key`` is stored to
+        word ``key`` with one split-phase write.  A plain store is exact
+        because the reduce binding routes every key to one owner lane,
+        so within a job each key is flushed once, by its owner."""
+        return self.flush(
+            ctx,
+            lambda c, key, value: c.send_dram_write(region.addr(key), [value]),
+        )

@@ -845,14 +845,12 @@ class Simulator:
         ``(time, dest, seq)`` order."""
         return (t, math.inf) if ln.network_id < nwid else (t,)
 
-    def dram_issue(
-        self, src_nwid, src_node, is_read, run, blocking=False
-    ) -> float:
+    def dram_issue(self, src_nwid, src_node, is_read, run) -> float:
         """Issue a run of split-phase DRAM accesses from one actor, in order.
 
         The machine's one DRAM issue site: every ``LaneContext`` DRAM
         access (``send_dram_read`` / ``send_dram_reads`` /
-        ``send_dram_write`` / ``dram_read_blocking``) lands here.
+        ``send_dram_write``) lands here.
         ``run`` is a sequence of ``(t_issue, memory_node, nbytes,
         local_offset, response)``, all reads or all writes
         (``is_read``), issued from node ``src_node`` by lane
@@ -860,24 +858,13 @@ class Simulator:
         derived and the ``dram_*`` counters are bumped once per run;
         each element is then handled in order, so a run of ``n`` equals
         ``n`` one-element calls.  A read needs a ``response`` — the data
-        has to go somewhere — unless ``blocking`` is set.  A local
-        access is serviced at once and its ``response`` (if any) is
-        pushed at the ready time.  A remote one is event-driven: the
-        request is admitted through the requester's injection channel
-        at issue time, then a :class:`DramArrival` meta-event carries it
-        to the memory node, where the DRAM channel and the reply virtual
-        channel are serviced in arrival order when the event pops
-        (:meth:`_dram_arrive`).
-
-        ``blocking`` makes the *caller* stall until the returned time
-        (``LaneContext.dram_read_blocking`` charges read-modify-write
-        fetches that complete within one event this way), so a remote
-        access has its arrival served by :meth:`_dram_arrive` at issue
-        time, ahead of any in-flight arrivals, exactly as a popped
-        arrival is.  That reaches into the memory node's state, so
-        under sharding it is only legal when both nodes live on one
-        shard; a cross-shard blocking access raises before it is
-        admitted.
+        has to go somewhere.  A local access is serviced at once and its
+        ``response`` (if any) is pushed at the ready time.  A remote one
+        is event-driven: the request is admitted through the requester's
+        injection channel at issue time, then a :class:`DramArrival`
+        meta-event carries it to the memory node, where the DRAM channel
+        and the reply virtual channel are serviced in arrival order when
+        the event pops (:meth:`_dram_arrive`).
 
         Remote accesses ride the fabric like any other traffic: each
         direction is admitted through an injection channel at its
@@ -888,11 +875,10 @@ class Simulator:
         return direction uses the node's *reply* virtual channel (see
         :meth:`Network.dram_hop`).
 
-        Returns the last element's response time for a local or a
-        blocking access, or its *arrival* time at the memory node for a
-        remote split-phase one — that response time is not knowable at
-        issue (it depends on the queue at the memory node when the
-        request lands).
+        Returns the last element's response time for a local access, or
+        its *arrival* time at the memory node for a remote one — that
+        response time is not knowable at issue (it depends on the queue
+        at the memory node when the request lands).
         """
         if src_nwid is not None and src_nwid >= 0:
             actor = 1 + src_nwid
@@ -902,7 +888,7 @@ class Simulator:
         total_bytes = n_remote = 0
         t = 0.0
         for t_issue, memory_node, nbytes, local_offset, response in run:
-            if response is None and is_read and not blocking:
+            if response is None and is_read:
                 raise SimulationError("DRAM read requires a response record")
             total_bytes += nbytes
             if src_node == memory_node:
@@ -916,18 +902,6 @@ class Simulator:
                     # until they land; the makespan must cover them.
                     stats.final_tick = t
                 continue
-            if blocking:
-                shard_map = self._shard_of_node
-                if (
-                    shard_map is not None
-                    and shard_map[src_node] != shard_map[memory_node]
-                ):
-                    raise SimulationError(
-                        f"blocking DRAM read from node {src_node} to node "
-                        f"{memory_node} crosses a shard boundary; sharded "
-                        f"runs must keep blocking reads shard-local (use "
-                        f"split-phase reads instead)"
-                    )
             n_remote += 1
             msg_bytes = self._message_bytes
             t = self._dram_hop(
@@ -935,15 +909,11 @@ class Simulator:
                 msg_bytes if is_read else msg_bytes + nbytes,
                 self._dram_transit,
             )
-            arrival = DramArrival(
+            self._push(t, DramArrival(
                 self._total_lanes + memory_node, response, src_node,
                 memory_node, nbytes, local_offset,
                 nbytes if is_read else msg_bytes,
-            )
-            if blocking:
-                t = self._dram_arrive(t, arrival)
-            else:
-                self._push(t, arrival, actor)
+            ), actor)
         if is_read:
             stats.dram_reads += len(run)
             stats.dram_bytes_read += total_bytes
@@ -954,18 +924,17 @@ class Simulator:
             stats.dram_remote_accesses += n_remote
         return t
 
-    def _dram_arrive(self, t_arrive: float, arrival: DramArrival) -> float:
-        """Service a remote access at its memory node; returns the time
-        the reply lands back at the requester.
+    def _dram_arrive(self, t_arrive: float, arrival: DramArrival) -> None:
+        """Service a remote access at its memory node.
 
-        Runs when the :class:`DramArrival` meta-event pops (or at issue,
-        for a blocking access): the memory channel is occupied in
-        *arrival* order (requests that left their sources earlier are
-        serviced first), the reply rides the memory node's reply virtual
-        channel, and the response — if any — is pushed with the memory
-        node's own actor counter.  All state touched here belongs to
-        ``arrival.memory_node``, so under sharding this executes on the
-        shard that owns it.
+        Runs when the :class:`DramArrival` meta-event pops in
+        :meth:`_drain`, after the memory node's fail-stop check: the
+        memory channel is occupied in *arrival* order (requests that
+        left their sources earlier are serviced first), the reply rides
+        the memory node's reply virtual channel, and the response — if
+        any — is pushed with the memory node's own actor counter.  All
+        state touched here belongs to ``arrival.memory_node``, so under
+        sharding this executes on the shard that owns it.
         """
         mem_node = arrival.memory_node
         src_node = arrival.src_node
@@ -983,7 +952,6 @@ class Simulator:
             stats = self.stats
             if t_back > stats.final_tick:
                 stats.final_tick = t_back
-        return t_back
 
     # ------------------------------------------------------------------
     # Execution

@@ -417,36 +417,6 @@ class LaneContext:
         self.sim.dram_issue(nwid, lane.node, True, run)
         return len(run)
 
-    def dram_read_blocking(self, va: int, nwords: int) -> tuple:
-        """Read ``nwords`` ≤ 8 words at ``va``, stalling this event.
-
-        The access goes through the same split-phase cost path as
-        :meth:`send_dram_read` (DRAM stats, channel occupancy, remote
-        transit), but instead of scheduling a response event the lane
-        stalls: this event's cycle count is extended to cover the round
-        trip.  Use for read-modify-write sequences that must complete
-        atomically within one event, like the combining cache's
-        accumulate-flush; split-phase reads remain the right tool for
-        anything latency-sensitive.
-        """
-        if not (1 <= nwords <= MAX_DRAM_READ_WORDS):
-            raise UDWeaveError(
-                f"DRAM reads move 1..{MAX_DRAM_READ_WORDS} words, got {nwords}"
-            )
-        self.cycles += self.costs.send_dram_with_cont
-        mem_node, local_offset, values = self.runtime.gmem.read_words_translated(
-            va, nwords
-        )
-        lane = self.lane
-        t_back = self.sim.dram_issue(
-            None, lane.node, True,
-            ((self.time, mem_node, nwords * 8, local_offset, None),),
-            blocking=True,
-        )
-        if t_back > self.start + self.cycles:
-            self.cycles = t_back - self.start
-        return values
-
     def send_dram_write(
         self,
         va: int,

@@ -304,10 +304,6 @@ class TraceContext:
         self.ops.append(("DRAM_WRITE", len(words) if hasattr(words, "__len__") else "?"))
         raise LoweringUnsupported("split-phase DRAM write")
 
-    def dram_read_blocking(self, addr, nwords) -> None:
-        self.ops.append(("DRAM_READ", nwords))
-        raise LoweringUnsupported("blocking DRAM read")
-
     def yield_(self) -> None:
         if self.terminated or self.yielded:
             self._unsupported("yield after thread already ended")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.harness import fingerprint
 from repro.kvmsr import CombiningCache, KVMSRJob, MapTask, RangeInput, ReduceTask, job_of
 from repro.machine import bench_machine
 from repro.udweave import UDThread, UpDownRuntime, event
@@ -62,7 +63,7 @@ class TestCacheOps:
 
         run_driver(rt, body)
 
-    def test_flush_to_region_store_and_accumulate(self):
+    def test_flush_to_region_stores(self):
         rt = UpDownRuntime(bench_machine(nodes=1))
         reg = rt.dram_malloc(8 * 8, dtype=np.float64, name="out")
         reg[:] = 1.0
@@ -70,13 +71,11 @@ class TestCacheOps:
 
         def body(ctx):
             cache.add(ctx, 2, 5.0)
-            cache.flush_to_region(ctx, reg)  # store semantics
-            cache.add(ctx, 3, 5.0)
-            cache.flush_to_region(ctx, reg, accumulate=True)
+            cache.flush_to_region(ctx, reg)
 
         run_driver(rt, body)
         assert reg[2] == 5.0  # overwrote the 1.0
-        assert reg[3] == 6.0  # added to the 1.0
+        assert reg[3] == 1.0  # an uncached key is not touched
 
     def test_flush_leaves_no_tombstones(self):
         """Drained slots must be freed, not overwritten with ``None`` —
@@ -97,23 +96,6 @@ class TestCacheOps:
         run_driver(rt, body)
         assert leftovers == []
 
-    def test_accumulate_flush_charges_dram_read(self):
-        """``accumulate=True`` fetches the stored value from DRAM; that
-        read must hit the modeled memory system, not a free host peek."""
-        rt = UpDownRuntime(bench_machine(nodes=1))
-        reg = rt.dram_malloc(8 * 4, dtype=np.float64, name="out")
-        cache = CombiningCache("t")
-
-        def body(ctx):
-            cache.add(ctx, 0, 1.0)
-            cache.add(ctx, 1, 2.0)
-            before = ctx.runtime.sim.stats.dram_reads
-            cache.flush_to_region(ctx, reg, accumulate=True)
-            body.reads = ctx.runtime.sim.stats.dram_reads - before
-
-        run_driver(rt, body)
-        assert body.reads == 2
-
     def test_store_flush_reads_nothing(self):
         rt = UpDownRuntime(bench_machine(nodes=1))
         reg = rt.dram_malloc(8 * 4, dtype=np.float64, name="out")
@@ -121,7 +103,7 @@ class TestCacheOps:
 
         def body(ctx):
             cache.add(ctx, 0, 1.0)
-            cache.flush_to_region(ctx, reg)  # store semantics
+            cache.flush_to_region(ctx, reg)
             body.reads = ctx.runtime.sim.stats.dram_reads
 
         run_driver(rt, body)
@@ -171,28 +153,51 @@ class TestSumPreservation:
         assert drained == expected
 
 
+def _fetch_add_job(shards, batch_dispatch):
+    """100 skewed emits over 4 keys on 4 nodes, flushed to a zeroed
+    region: returns the region's data, the run's fingerprint and how
+    many reduce records the batch core ran."""
+    rt = UpDownRuntime(
+        bench_machine(nodes=4, batch_dispatch=batch_dispatch), shards=shards
+    )
+    reg = rt.dram_malloc(8 * 4, name="totals")
+    cache = CombiningCache("fa")
+
+    class FanMap(MapTask):
+        def kv_map(self, ctx, key):
+            self.kv_emit(ctx, key % 4, 1)
+            self.kv_map_return(ctx)
+
+    class AddReduce(ReduceTask):
+        intrinsic_only = True
+
+        def kv_reduce(self, ctx, key, delta):
+            cache.add(ctx, key, delta)
+            self.kv_reduce_return(ctx)
+
+        def kv_flush(self, ctx):
+            n = cache.flush_to_region(ctx, reg)
+            self.kv_flush_return(ctx, n)
+
+    KVMSRJob(rt, FanMap, RangeInput(100), reduce_cls=AddReduce).launch()
+    rt.run(max_events=1_000_000)
+    stats = rt.sim.stats
+    return list(reg.data), fingerprint(rt.sim, reg.data), stats.records_batched
+
+
 class TestEndToEndFetchAdd:
     def test_concurrent_reduces_accumulate_exactly(self):
         """The PR pattern: skewed emits, one cache per owner lane, exact
-        totals after flush (the atomicity claim of footnote 1)."""
-        rt = UpDownRuntime(bench_machine(nodes=2))
-        reg = rt.dram_malloc(8 * 4, name="totals")
-        cache = CombiningCache("fa")
-
-        class FanMap(MapTask):
-            def kv_map(self, ctx, key):
-                self.kv_emit(ctx, key % 4, 1)
-                self.kv_map_return(ctx)
-
-        class AddReduce(ReduceTask):
-            def kv_reduce(self, ctx, key, delta):
-                cache.add(ctx, key, delta)
-                self.kv_reduce_return(ctx)
-
-            def kv_flush(self, ctx):
-                n = cache.flush_to_region(ctx, reg, accumulate=True)
-                self.kv_flush_return(ctx, n)
-
-        KVMSRJob(rt, FanMap, RangeInput(100), reduce_cls=AddReduce).launch()
-        rt.run(max_events=1_000_000)
-        assert list(reg.data) == [25, 25, 25, 25]
+        totals after flush (the atomicity claim of footnote 1) — and the
+        same machine run in every execution mode.  The owner lanes and
+        the region's words sit on different nodes, so at ``shards`` 2
+        and 4 the flush's stores cross shard boundaries."""
+        totals, reference, _ = _fetch_add_job(1, False)
+        assert totals == [25, 25, 25, 25]
+        for shards in (1, 2, 4):
+            for batch_dispatch in (True, False):
+                cell = (shards, batch_dispatch)
+                totals, fp, batched = _fetch_add_job(*cell)
+                assert totals == [25, 25, 25, 25], cell
+                assert fp == reference, cell
+                assert (batched > 0) == batch_dispatch, cell

@@ -17,7 +17,10 @@ on its destination lane — is keyed, priced, counted and placed by
 ``Simulator.dram_issue``.  The same walk fails on an actor-sequence bump,
 an issuing-actor derivation, or a ``messages_*`` / ``dram_*`` count
 anywhere else, and on any other module reading the issue site's private
-state.
+state.  A remote DRAM access is served at its memory node only when its
+``DramArrival`` pops in ``Simulator._drain``: no synchronous
+serve-at-issue path jumps the node's arrival order or its fail-stop
+check.
 
 A DRAM read returns at most eight words (the operand registers), so a
 list is read in chunks — and ``LaneContext.send_dram_reads`` is the only
@@ -140,8 +143,11 @@ SEQ_SITES = {"_push", "issue", "_issue_guarded"}
 #: messages, one for DRAM accesses.
 ACTOR_SITES = {"issue", "dram_issue"}
 
-#: DRAM traffic counters: bumped once per run by ``dram_issue`` (the
-#: blocking read included).
+#: functions allowed to call ``_dram_arrive``: only the drain loop, when
+#: the ``DramArrival`` pops.
+ARRIVE_SITES = {"_drain"}
+
+#: DRAM traffic counters: bumped once per run by ``dram_issue``.
 DRAM_COUNTERS = {
     "dram_reads",
     "dram_writes",
@@ -177,6 +183,7 @@ class _IssueFinder(ast.NodeVisitor):
         self.actors = []  # (function, line)
         self.counts = []  # (function, line, counter)
         self.privates = []  # (function, line, name)
+        self.arrivals = []  # (function, line) calls of ``_dram_arrive``
 
     def visit_FunctionDef(self, node):
         saved = self.func, self.aliases
@@ -212,6 +219,12 @@ class _IssueFinder(ast.NodeVisitor):
         attr = getattr(node.target, "attr", None)
         if attr in MESSAGE_COUNTERS | DRAM_COUNTERS:
             self.counts.append((self.func, node.lineno, attr))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        fn = node.func
+        if getattr(fn, "attr", getattr(fn, "id", None)) == "_dram_arrive":
+            self.arrivals.append((self.func, node.lineno))
         self.generic_visit(node)
 
     def visit_Attribute(self, node):
@@ -255,6 +268,16 @@ def test_the_issuing_actor_is_derived_only_at_the_issue_sites():
         for func, _line in finder.actors
     }
     assert derived == {(SIMULATOR, f) for f in ACTOR_SITES}
+
+
+def test_remote_dram_is_served_only_when_its_arrival_pops():
+    found = _issue_findings()
+    served = {
+        (rel, func)
+        for rel, finder in found.items()
+        for func, _line in finder.arrivals
+    }
+    assert served == {(SIMULATOR, f) for f in ARRIVE_SITES}
 
 
 def _counted(counters):

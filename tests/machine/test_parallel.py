@@ -135,34 +135,6 @@ class TestShardValidation:
             (1000.0, other, "r1"), (2000.0, 0, "r2"), (3000.0, other, "r3")
         ]
 
-    def test_cross_shard_blocking_read_rejected(self):
-        sim = Simulator(
-            bench_machine(nodes=2),
-            dispatcher=null_dispatcher(),
-            shards=2,
-        )
-        with pytest.raises(SimulationError, match="blocking"):
-            sim.dram_issue(
-                0, 0, True,
-                ((0.0, 1, 64, 0,
-                  MessageRecord(0, NEW_THREAD, "r", src_network_id=0)),),
-                blocking=True,
-            )
-
-    def test_same_shard_blocking_read_allowed(self):
-        sim = Simulator(
-            bench_machine(nodes=4),
-            dispatcher=null_dispatcher(),
-            shards=2,
-        )
-        t_back = sim.dram_issue(
-            0, 0, True,
-            ((0.0, 1, 64, 0,
-              MessageRecord(0, NEW_THREAD, "r", src_network_id=0)),),
-            blocking=True,
-        )
-        assert t_back > 0.0
-
 
 class TestBoundedStepping:
     """``run(until=...)`` — the windowed stepper the shard drivers use."""
