@@ -225,8 +225,8 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
     sequences, prices, counts and places every tuple as it does a
     one-element ``send``.
 
-    Batched dispatch: while the machine has parking armed, a tuple whose
-    reduce entry lowered to a batch-safe plan is issued as a bare operand
+    Batched dispatch: on a ``batch_dispatch`` machine, a tuple whose
+    reduce entry lowered to a parkable plan is issued as a bare operand
     tuple, which the issue site parks on its destination lane instead of
     the heap, to be executed array-at-a-time just before that lane is
     next observed.  The first emitted tuple of a job triggers lowering +
@@ -242,14 +242,14 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
     if not keys:
         return
     if ctx.__class__ is not LaneContext:
-        # IR lowering (repro.udweave.ir): record the intrinsic and abort
-        # — an emitting body is never batch-safe, and tracing past this
-        # point would hash a symbolic key.
-        ctx.op_kv_emit(job, keys[0], values)
+        # IR lowering (repro.udweave.ir): refuse — an emitting body is
+        # never batch-safe, and tracing past this point would hash a
+        # symbolic key.
+        ctx.op_kv_emit()
     sim = ctx.sim
     job_id = job.job_id
     plan = guard = None
-    if sim._park_active:
+    if sim.config.batch_dispatch:
         plan = job._batch_plan
         if plan is None and not job._batch_tried:
             plan = _lower_job_reduce_entry(

@@ -73,9 +73,10 @@ class MachineConfig:
     #: instead of one interpreter pass each (a host-side simulator
     #: optimization — simulated results are bit-identical; DESIGN.md
     #: "Event IR & batched dispatch").  Only reduce classes that declare
-    #: ``intrinsic_only = True`` are ever lowered; those the IR cannot
-    #: prove batch-safe, and machines with lane stalls, fail-stop or the
-    #: transport (``batch_report()["gate"]``), interpret every event.
+    #: ``intrinsic_only = True`` are ever lowered.  A plan the IR cannot
+    #: prove batch-safe, or lowered on a machine with lane stalls,
+    #: fail-stop or the transport, refuses and names why in
+    #: ``batch_report()``; its label interprets every event.
     #: ``False`` interprets every event: the independent reference that
     #: differential tests check batched runs against.
     batch_dispatch: bool = True

@@ -278,9 +278,9 @@ class Simulator:
             self._fault_stall = (
                 faults.lane_stall if faults.has_lane_stalls else None
             )
-            self._fault_dead = (
-                faults.dead_ticks(config.nodes) if faults.fail_stop else None
-            )
+            # an all-``inf`` map never fails: no per-event dead-tick test
+            dead = faults.dead_ticks(config.nodes)
+            self._fault_dead = dead if min(dead) < math.inf else None
         else:
             self._fault_msg = None
             self._fault_delay = 0.0
@@ -292,16 +292,8 @@ class Simulator:
         # target lane — priced, counted and sequenced exactly as a send
         # — then executed in same-plan runs by a compiled executor just
         # before the lane's state is next observed; results are
-        # bit-identical.  Parking is decided once, here: lane stalls and
-        # fail-stop act at dispatch, which the executors skip, so they
-        # disarm it, as :meth:`attach_transport` does.
-        if not config.batch_dispatch:
-            self._gate = "batch_dispatch=False"
-        elif self._fault_stall is not None or self._fault_dead is not None:
-            self._gate = "faults"
-        else:
-            self._gate = "armed"
-        self._park_active = self._gate == "armed"
+        # bit-identical.  Each label's plan decides whether its records
+        # park (``repro.udweave.ir.lower_reduce_entry``).
         #: records currently parked machine-wide (0 ⇒ flush paths skip).
         self._parked_total = 0
         #: per reduce-entry label, the emit path's lowering verdicts.
@@ -359,13 +351,12 @@ class Simulator:
     def attach_transport(self, transport) -> None:
         """Install a reliable-delivery layer (``repro.faults.transport``).
 
-        Must happen before any tracked traffic is sent; the transport's
-        control labels are marked idle for the watchdog.
+        Must happen before any tracked traffic is sent and before the
+        first emit (a reduce plan lowered with a transport attached
+        refuses to park); the transport's control labels are marked idle
+        for the watchdog.
         """
         self._transport = transport
-        if self._park_active:
-            self._gate = "transport"
-            self._park_active = False
         from repro.faults.transport import IDLE_CONTROL_LABELS
 
         self._wd_idle_labels |= IDLE_CONTROL_LABELS
@@ -603,7 +594,7 @@ class Simulator:
                 push(t_issue, payload, actor)
                 stats.messages_host_bound += 1
                 if rec_msg is not None:
-                    rec_msg("host_bound", 0.0)
+                    rec_msg(src_node, "host_bound", 0.0)
                 t_deliver = t_issue
                 continue
             dst_node = nwid // lanes_per_node
@@ -651,11 +642,11 @@ class Simulator:
             if src_node is None:
                 stats.messages_host_injected += 1
                 if rec_msg is not None:
-                    rec_msg("host_injected", t_deliver - t_issue)
+                    rec_msg(src_node, "host_injected", t_deliver - t_issue)
             elif src_node == dst_node:
                 n_local += 1
                 if rec_msg is not None:
-                    rec_msg("local", t_deliver - t_issue)
+                    rec_msg(src_node, "local", t_deliver - t_issue)
             else:
                 n_remote += 1
                 # Dropped messages still count as remote traffic — the
@@ -664,7 +655,7 @@ class Simulator:
                 if t_deliver is None:
                     t_deliver = math.inf
                 elif rec_msg is not None:
-                    rec_msg("remote", t_deliver - t_issue)
+                    rec_msg(src_node, "remote", t_deliver - t_issue)
         stats.messages_sent += len(run)
         if n_local:
             stats.messages_local += n_local
@@ -685,7 +676,7 @@ class Simulator:
         ``t_deliver`` is ``None`` for a dropped message and ``t_dup`` is
         set only for a duplicate; :meth:`issue` places accordingly, a
         record or a parked tuple alike.  Only records reach the
-        transport: :meth:`attach_transport` disarms parking.
+        transport: a plan refuses to park while one is attached.
         """
         transport = self._transport
         if (
@@ -1069,15 +1060,15 @@ class Simulator:
     def batch_report(self) -> dict:
         """Why batched dispatch did or did not happen, as a plain dict.
 
-        ``labels`` has one row per reduce-entry label an armed drain has
-        emitted to: ``declared`` (the class sets ``intrinsic_only``),
-        ``lowered`` (a batch-safe, validated plan exists), the refusal
-        ``reason`` otherwise, and the emit side's tallies — ``parked``
-        records and ``guard_declined`` ones (guarded plan, once-flag not
-        yet set at emit, sent through the heap instead).  ``gate`` is
-        the machine's parking verdict, fixed before its first drain:
-        ``armed``, ``batch_dispatch=False``, ``faults`` (lane stalls or
-        fail-stop) or ``transport``.
+        ``labels`` has one row per reduce-entry label a
+        ``batch_dispatch`` machine has emitted to (none when it is off):
+        ``declared`` (the class sets ``intrinsic_only``), ``lowered`` (a
+        batch-safe, validated plan exists), the refusal ``reason``
+        otherwise — a machine that acts at dispatch (lane stalls,
+        fail-stop, the transport) shows there — and the emit side's
+        tallies: ``parked`` records and ``guard_declined`` ones (guarded
+        plan, once-flag not yet set at emit, sent through the heap
+        instead).
         """
         labels = {}
         for label, plans in self._reduce_entries.items():
@@ -1096,7 +1087,7 @@ class Simulator:
                 row["reason"] = None if plan.parkable else plan.reason
                 row["parked"] += plan.parked
                 row["guard_declined"] += plan.guard_declined
-        return {"labels": labels, "gate": self._gate}
+        return {"labels": labels}
 
     def _drain(
         self,
@@ -1149,11 +1140,11 @@ class Simulator:
         wd = self._watchdog_cycles
         wd_idle = self._wd_idle_labels
         wd_last = self._wd_last_progress
-        # Batched dispatch: when parking is armed, every delivery to a
-        # lane first flushes that lane's parked records with earlier keys
-        # — one truthiness test per event when the list is empty, one
-        # bool test when the feature is off entirely.
-        park_chk = self._park_active
+        # Batched dispatch: every delivery to a lane first flushes that
+        # lane's parked records with earlier keys — one truthiness test
+        # per event when the list is empty, one bool test when the
+        # feature is off entirely.
+        park_chk = self.config.batch_dispatch
         try:
             while heap:
                 first = heap[0]

@@ -29,7 +29,7 @@ from typing import Dict
 #: events between the compiled batch core and the interpreter.  They
 #: describe the host's execution strategy, not the simulated machine, so
 #: they legitimately differ between machines that do and do not arm
-#: record parking (``batch_dispatch=False``, lane stalls, shards, ...) —
+#: record parking (``batch_dispatch=False``, lane stalls, the transport) —
 #: cross-mode comparisons use :meth:`SimStats.model_snapshot`.
 HOST_SPLIT_KEYS = ("batches_executed", "records_batched", "events_interpreted")
 

@@ -6,9 +6,13 @@ it receives plain numbers from a handful of hook sites (lane dispatch,
 message send, KVMSR phase transitions) and accumulates them into
 exportable structures.
 Hook sites hold ``None`` when a tier is off, so a disabled recorder costs
-one pointer test per event.  Each sample is stored once: a channel's
-queue waits live only in its node's :attr:`ChannelStats.wait_hist`, and
-the machine-wide views are merged from those when read.
+one pointer test per event.  Each sample is stored once, per node: a
+channel's queue waits live only in its node's
+:attr:`ChannelStats.wait_hist`, a message's latency only under its
+source node in :attr:`FlightRecorder.msg_by_node`, and the machine-wide
+views are merged from those in node order when read — so they do not
+depend on how the host interleaved the nodes (sequentially or in shard
+windows).
 """
 
 from __future__ import annotations
@@ -41,6 +45,15 @@ class ChannelStats:
         #: and max waits; backpressure thresholds are tuned off its
         #: p50/p99 (``harness.inspect.occupancy_report``).
         self.wait_hist: LogHistogram = LogHistogram()
+
+
+class _MessagesByNode(dict):
+    """``{source node: {kind: LogHistogram}}``; ``None`` is the host.
+    A node's row is made on its first message."""
+
+    def __missing__(self, node: Optional[int]) -> Dict[str, LogHistogram]:
+        row = self[node] = {kind: LogHistogram() for kind in MESSAGE_KINDS}
+        return row
 
 
 class FlightRecorder:
@@ -89,9 +102,10 @@ class FlightRecorder:
         self._max_channel_events = max_channel_events
 
         # -- message latency (histograms tier) ------------------------
-        self.msg_latency: Dict[str, LogHistogram] = {
-            kind: LogHistogram() for kind in MESSAGE_KINDS
-        }
+        #: per source node (``None`` = host injections), per kind.
+        self.msg_by_node: Dict[
+            Optional[int], Dict[str, LogHistogram]
+        ] = _MessagesByNode()
 
         # -- KVMSR phases (phases tier) -------------------------------
         #: (job, phase, start, end) spans, closed.
@@ -121,9 +135,10 @@ class FlightRecorder:
         else:
             self.lane_spans_dropped += 1
 
-    def message(self, kind: str, latency: float) -> None:
-        """One message put on the wire; ``kind`` per :data:`MESSAGE_KINDS`."""
-        self.msg_latency[kind].add(latency)
+    def message(self, node: Optional[int], kind: str, latency: float) -> None:
+        """One message put on the wire by ``node`` (``None``: the host);
+        ``kind`` per :data:`MESSAGE_KINDS`."""
+        self.msg_by_node[node][kind].add(latency)
 
     def _channel_sample(
         self,
@@ -221,6 +236,18 @@ class FlightRecorder:
         """Machine-wide DRAM queue waits, merged like :attr:`inj_wait`."""
         by_node = self.dram_by_node
         return LogHistogram.merge(by_node[n].wait_hist for n in sorted(by_node))
+
+    @property
+    def msg_latency(self) -> Dict[str, LogHistogram]:
+        """Machine-wide message latencies per kind: the per-source
+        histograms merged, host first, then in node order (new
+        histograms per read)."""
+        by_node = self.msg_by_node
+        order = sorted(by_node, key=lambda n: -1 if n is None else n)
+        return {
+            kind: LogHistogram.merge(by_node[n][kind] for n in order)
+            for kind in MESSAGE_KINDS
+        }
 
     def phases_of(self, job: str) -> List[Tuple[str, float, float]]:
         """Closed (phase, start, end) spans of one job, in time order."""

@@ -1,4 +1,4 @@
-"""Intrinsic event-IR: handler lowering and batched execution.
+"""Intrinsic event-IR: reduce-entry lowering and batched execution.
 
 The simulator's per-event cost is dominated by the Python machinery
 *around* a handler, not the handler body: every KVMSR reduce tuple pays a
@@ -6,30 +6,25 @@ The simulator's per-event cost is dominated by the Python machinery
 iteration, a dispatcher call, a thread allocate/deallocate, and a pooled
 ``LaneContext`` rearm — for a body that is often two scratchpad updates.
 Following the intrinsic-function idiom (handlers decompose into a small
-fixed op vocabulary) this module lowers a registered handler body into a
-linear sequence of intrinsic ops and, for bodies the lowering can prove
-*batch-safe*, compiles a specialized executor that applies N same-label
-records to a lane in one pass.
+fixed op vocabulary) this module lowers a declared reduce entry into a
+linear sequence of intrinsic ops and compiles a specialized executor
+that applies N same-label records to a lane in one pass.
 
 Op vocabulary (golden dumps in ``tests/udweave/test_event_ir.py``)::
 
     CHARGE n            fixed lane cycles (Table 2 sums; exact integers)
+    ONCE_HIT key        write-once flag test, *already-set arm only*
     CC_ADD cache        combining-cache fetch&add (miss/hit arms inside)
     KVR_RETURN job      reduce-tuple retirement (credit bump + terminate)
-    ONCE_HIT key        write-once flag test, *already-set arm only*
-    SCRATCH_RW op key   raw scratchpad access (result escapes the trace)
-    SEND label          message send
-    KV_EMIT             intermediate-tuple emit (send via reduce binding)
-    DRAM_READ/DRAM_WRITE n   split-phase memory traffic
-    SPAWN label         thread spawn
-    YIELD / TERMINATE   thread state transition
 
-Lowering is *trace-based*: the handler runs once against a
-:class:`TraceContext` whose operands are opaque :class:`Symbol` values.
-Any operation the trace cannot represent exactly — symbolic arithmetic,
-data-dependent control flow through a symbol, raw lane access — raises
-:class:`LoweringUnsupported` and the handler keeps the interpreter
-forever (per-event fallback; coverage grows incrementally).
+The trace records only what a batch executor runs.  Lowering is
+*trace-based*: the handler runs once against a :class:`TraceContext`
+whose operands are opaque :class:`Symbol` values.  The context offers
+``work``, ``sp_once`` and the hooks of the two KVMSR composites; every
+other intrinsic, any computation on a symbol, and a body that does not
+retire its tuple through ``kv_reduce_return`` raise
+:class:`LoweringUnsupported`, and the handler keeps the interpreter with
+the refusal as the plan's ``reason``.
 
 Lowering *executes the handler body*, and the compiled plan replays only
 the intrinsics the trace saw: a host-side Python effect in the body (a
@@ -38,23 +33,29 @@ trace, would run once with ``Symbol`` arguments, and then never again on
 the batch path.  No trace can discover such an effect by itself, so the
 emit path lowers only reduce classes that *declare*
 ``ReduceTask.intrinsic_only = True``; everything else is never traced
-and keeps the interpreter.  :func:`lower_label` /
-:func:`lower_reduce_entry` themselves stay inspection APIs — they run
-whatever body they are pointed at.
+and keeps the interpreter.  :func:`lower_reduce_entry` itself runs
+whatever body it is pointed at.
 
 Batch safety
 ------------
-A lowered body is **batch-safe** only when every op is in
-:data:`PARK_SAFE_OPS` — pure cycle charges, the two proven KVMSR
-composites (``CC_ADD``, ``KVR_RETURN``) and the write-once guard
-(``ONCE_HIT``), with exactly one terminating ``KVR_RETURN``.  Those
-bodies touch nothing but their own lane's scratchpad and clock: no
-sends, no DRAM, no spawns, no raw reads whose value could steer control
-flow.  That is what makes *deferred* execution legal: parked records
-cannot schedule anything, so replaying them in exact ``(time, seq)`` key
-order just before the next observation of the lane reproduces the
-interpreted schedule bit-for-bit (see ``machine/simulator.py`` and
-DESIGN.md "Event IR & batched dispatch").
+A trace that completes is batch-safe by construction: its ops are pure
+cycle charges, the two proven KVMSR composites (``CC_ADD``,
+``KVR_RETURN``) and the write-once guard (``ONCE_HIT``), and it ends in
+exactly one ``KVR_RETURN``, because that hook refuses a second
+retirement.  Those bodies touch nothing but their own lane's scratchpad
+and clock: no sends, no DRAM, no spawns, no raw reads whose value could
+steer control flow.  That is what makes *deferred* execution legal:
+parked records cannot schedule anything, so replaying them in exact
+``(time, seq)`` key order just before the next observation of the lane
+reproduces the interpreted schedule bit-for-bit (see
+``machine/simulator.py`` and DESIGN.md "Event IR & batched dispatch").
+
+The plan is the only thing that decides parking.  The machine acts at
+dispatch on lane stalls, a finite fail-stop tick, an attached reliable
+transport (dedup and acks) and the watchdog's idle labels, and the
+batch executors skip dispatch; so :func:`lower_reduce_entry` refuses
+before tracing on any of them, and the emit path parks nothing for that
+label.
 
 Write-once guard
 ----------------
@@ -68,20 +69,18 @@ monotone and parked records never create one, so "set at emit" implies
 The miss arm (whatever it does — DRAM traffic in BFS) is never lowered;
 those records ride the heap as before.
 
-Every batch-safe plan is additionally **validated once per program**
-against the interpreted semantics before its first record parks: the
-real handler and the generated single-record executor run side by side
-on scratch lanes (miss arm, then hit arm) and must agree on the charged
-cycles and every scratchpad mutation.  A divergence disables the plan —
-the handler stays on the interpreter — rather than risking a wrong
+Every plan is additionally **validated once per program** against the
+interpreted semantics before its first record parks: the real handler
+and the generated single-record executor run side by side on scratch
+lanes (miss arm, then hit arm) and must agree on the charged cycles and
+every scratchpad mutation.  A divergence disables the plan — the
+handler stays on the interpreter — rather than risking a wrong
 simulation.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, List, Sequence, Tuple
 
 from repro.machine.events import NEW_THREAD, MessageRecord
 from repro.machine.lane import Lane
@@ -93,16 +92,9 @@ __all__ = [
     "Symbol",
     "TraceContext",
     "HandlerPlan",
-    "PARK_SAFE_OPS",
-    "lower_label",
     "lower_reduce_entry",
     "render_plan",
 ]
-
-#: ops a batch-safe body may consist of (see module docstring).
-PARK_SAFE_OPS = frozenset(
-    {"CHARGE", "CC_ADD", "KVR_RETURN", "ONCE_HIT", "TERMINATE"}
-)
 
 
 class LoweringUnsupported(Exception):
@@ -115,10 +107,7 @@ class Symbol:
     Any attempt to *compute* with the symbol — arithmetic, comparison,
     truth testing, iteration, attribute access — aborts the trace: the
     lowering only accepts handlers that move operands through known
-    intrinsics unexamined.  (``is``/``is not`` tests cannot be
-    intercepted at all, which is one reason raw ``SCRATCH_RW`` results
-    force interpreter fallback: a traced path that silently followed one
-    arm of an ``is None`` check would be wrong for the other.)
+    intrinsics unexamined.
     """
 
     __slots__ = ("index", "name")
@@ -157,49 +146,25 @@ def _src(value: Any) -> Tuple[str, Any]:
 
 
 class TraceContext:
-    """A ``LaneContext`` stand-in that records intrinsic ops.
+    """A ``LaneContext`` stand-in that records what a batch executor runs.
 
-    Charging intrinsics append ops; state-bearing intrinsics return
-    fresh :class:`Symbol` results (which abort the trace if examined);
-    anything touching real machine state raises
-    :class:`LoweringUnsupported`.  Composite intrinsics — the combining
-    cache's ``add`` and ``ReduceTask.kv_reduce_return`` — recognize the
-    trace context and call :meth:`op_cc_add` / :meth:`op_kvr_return`
-    instead of executing (see ``kvmsr/combining.py`` / ``engine.py``).
+    It offers ``work`` and ``sp_once``, plus the hooks the composite
+    intrinsics call instead of executing when handed a trace: the
+    combining cache's ``add`` (:meth:`op_cc_add`),
+    ``ReduceTask.kv_reduce_return`` (:meth:`op_kvr_return`) and the emit
+    path (:meth:`op_kv_emit`, a refusal; see ``kvmsr/combining.py`` /
+    ``engine.py``).  ``runtime`` stays readable because ``job_of``
+    resolves a job through it.  Every other name — each other
+    ``LaneContext`` intrinsic, property and field — raises
+    :class:`LoweringUnsupported` naming itself, so an intrinsic added to
+    ``LaneContext`` later is refused until a batch executor can run it.
     """
 
     def __init__(self, runtime) -> None:
         self.runtime = runtime
-        self.costs = runtime.config.costs
-        self.start = 0.0
-        self.cycles = float(self.costs.event_dispatch)
-        self.yielded = False
-        self.terminated = False
+        self._instruction = runtime.config.costs.instruction
+        self._retired = False
         self.ops: List[Tuple[Any, ...]] = []
-        self._fresh = 0
-
-    # -- things a traced handler may consult ---------------------------
-
-    @property
-    def config(self):
-        return self.runtime.config
-
-    # -- things a traced handler must not touch ------------------------
-
-    def _unsupported(self, what: str):
-        raise LoweringUnsupported(what)
-
-    @property
-    def lane(self):
-        self._unsupported("raw lane access")
-
-    @property
-    def sim(self):
-        self._unsupported("raw simulator access")
-
-    @property
-    def record(self):
-        self._unsupported("raw record access")
 
     def __getattr__(self, name: str):
         raise LoweringUnsupported(f"untraceable context intrinsic {name!r}")
@@ -210,46 +175,25 @@ class TraceContext:
         self.ops.append(("CC_ADD", cache.name, _src(key), _src(delta)))
 
     def op_kvr_return(self, job_id: int) -> None:
-        if self.terminated or self.yielded:
-            self._unsupported("kv_reduce_return after thread already ended")
+        if self._retired:
+            raise LoweringUnsupported(
+                "kv_reduce_return after thread already ended"
+            )
         self.ops.append(("KVR_RETURN", job_id))
-        self.ops.append(("TERMINATE",))
-        self.terminated = True
+        self._retired = True
 
-    def op_kv_emit(self, job, key, values) -> None:
-        self.ops.append(("KV_EMIT", job.name, _src(key)))
+    def op_kv_emit(self) -> None:
         raise LoweringUnsupported("kv_emit inside handler body")
 
-    # -- charging intrinsics -------------------------------------------
+    # -- intrinsics ----------------------------------------------------
 
-    def _charge(self, cycles: float) -> None:
-        self.cycles += cycles
+    def work(self, instructions) -> None:
+        cycles = instructions * self._instruction
         ops = self.ops
         if ops and ops[-1][0] == "CHARGE":
             ops[-1] = ("CHARGE", ops[-1][1] + cycles)
         else:
             ops.append(("CHARGE", cycles))
-
-    def work(self, instructions: int = 1) -> None:
-        self._charge(instructions * self.costs.instruction)
-
-    def charge(self, cycles: float) -> None:
-        self._charge(cycles)
-
-    def _symbol(self, stem: str) -> Symbol:
-        self._fresh += 1
-        return Symbol(-self._fresh, f"{stem}{self._fresh}")
-
-    # -- state-bearing intrinsics (results escape the trace) -----------
-
-    def sp_read(self, key, default: Any = None):
-        self._charge(self.costs.scratchpad_access)
-        self.ops.append(("SCRATCH_RW", "read", repr(key)))
-        return self._symbol("sp")
-
-    def sp_write(self, key, value) -> None:
-        self._charge(self.costs.scratchpad_access)
-        self.ops.append(("SCRATCH_RW", "write", repr(key)))
 
     def sp_once(self, key) -> bool:
         """Trace the *already-set* arm of a write-once flag test.
@@ -261,66 +205,19 @@ class TraceContext:
         """
         names = [op[0] for op in self.ops]
         if "ONCE_HIT" in names:
-            self._unsupported("more than one sp_once in one body")
+            raise LoweringUnsupported("more than one sp_once in one body")
         if any(name != "CHARGE" for name in names):
-            self._unsupported("sp_once after a state-changing op")
-        if not isinstance(key, tuple) or any(
-            isinstance(part, Symbol) and part.index < 0 for part in key
-        ):
-            self._unsupported(
+            raise LoweringUnsupported("sp_once after a state-changing op")
+        if not isinstance(key, tuple):
+            raise LoweringUnsupported(
                 "sp_once key must be a tuple of constants and operands"
             )
-        self.cycles += self.costs.scratchpad_access
         self.ops.append(("ONCE_HIT", tuple(_src(part) for part in key)))
         return True
 
-    def sp_read_pooled(self, lane_in_accel, key, default: Any = None):
-        self.ops.append(("SCRATCH_RW", "read_pooled", repr(key)))
-        raise LoweringUnsupported("pooled scratchpad access")
-
-    def sp_write_pooled(self, lane_in_accel, key, value) -> None:
-        self.ops.append(("SCRATCH_RW", "write_pooled", repr(key)))
-        raise LoweringUnsupported("pooled scratchpad access")
-
-    def send_event(self, evw, *operands) -> None:
-        self.ops.append(("SEND", "<event-word>"))
-        raise LoweringUnsupported("send to encoded event word")
-
-    def spawn(self, network_id, label, *operands, **kw) -> None:
-        self.ops.append(("SPAWN", label))
-        raise LoweringUnsupported("thread spawn")
-
-    def spawn_resolved(self, *a, **kw) -> None:
-        self.ops.append(("SPAWN", "<resolved>"))
-        raise LoweringUnsupported("thread spawn")
-
-    def send_dram_read(self, addr, nwords, reply, **kw) -> None:
-        self.ops.append(("DRAM_READ", nwords))
-        raise LoweringUnsupported("split-phase DRAM read")
-
-    send_dram_reads = send_dram_read
-
-    def send_dram_write(self, addr, words, **kw) -> None:
-        self.ops.append(("DRAM_WRITE", len(words) if hasattr(words, "__len__") else "?"))
-        raise LoweringUnsupported("split-phase DRAM write")
-
-    def yield_(self) -> None:
-        if self.terminated or self.yielded:
-            self._unsupported("yield after thread already ended")
-        self._charge(self.costs.thread_yield)
-        self.ops.append(("YIELD",))
-        self.yielded = True
-
-    def yield_terminate(self) -> None:
-        if self.terminated or self.yielded:
-            self._unsupported("terminate after thread already ended")
-        self._charge(self.costs.thread_deallocate)
-        self.ops.append(("TERMINATE",))
-        self.terminated = True
-
 
 class HandlerPlan:
-    """One handler's lowered form plus (when batch-safe) its executor.
+    """One reduce entry's lowered form plus (when parkable) its executor.
 
     ``parkable`` plans expose ``batch_fn(lane, entries, lo, hi)``: apply
     ``entries[lo:hi]`` — parked ``(time, seq, plan, operands)`` rows in
@@ -340,7 +237,6 @@ class HandlerPlan:
         "label",
         "label_id",
         "ops",
-        "parkable",
         "reason",
         "batch_fn",
         "meta",
@@ -354,21 +250,23 @@ class HandlerPlan:
         label: str,
         label_id: int,
         ops: List[Tuple[Any, ...]],
-        parkable: bool,
-        reason: str = "",
-        batch_fn=None,
-        meta: str = "",
+        reason: str,
+        meta: str,
     ) -> None:
         self.label = label
         self.label_id = label_id
         self.ops = ops
-        self.parkable = parkable
         self.reason = reason
-        self.batch_fn = batch_fn
+        self.batch_fn = None
         self.meta = meta
         self.guard = None
         self.parked = 0
         self.guard_declined = 0
+
+    @property
+    def parkable(self) -> bool:
+        """A plan parks exactly when nothing refused it."""
+        return not self.reason
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "parkable" if self.parkable else f"fallback: {self.reason}"
@@ -380,97 +278,67 @@ class HandlerPlan:
 # ---------------------------------------------------------------------------
 
 
-def _classify(ops: List[Tuple[Any, ...]]) -> Tuple[bool, str]:
-    names = [op[0] for op in ops]
-    if any(name not in PARK_SAFE_OPS for name in names):
-        bad = next(n for n in names if n not in PARK_SAFE_OPS)
-        return False, f"op {bad} is not batch-safe"
-    if names.count("KVR_RETURN") != 1:
-        return False, "batch-safe bodies retire exactly one reduce tuple"
-    return True, ""
-
-
-def lower_label(
-    runtime,
-    label: str,
-    operands: Sequence[Any],
-    meta: str = "",
-) -> HandlerPlan:
-    """Lower one registered handler; never raises.
-
-    **Executes the handler body** (once, with :class:`Symbol` operands):
-    point it only at bodies whose every effect goes through ``ctx`` —
-    the emit path does so by requiring ``ReduceTask.intrinsic_only``.
-
-    Returns a parkable plan (with a compiled ``batch_fn``) when the body
-    is batch-safe, and a fallback plan carrying the ops traced so far
-    plus the refusal ``reason`` otherwise.  ``operands`` fixes the trace
-    arity — and supplies any structurally significant concrete value:
-    KVMSR's leading ``job_id`` stays concrete so ``job_of`` resolves at
-    trace time, while every other slot is replaced by a :class:`Symbol`
-    carrying its operand index.
-    """
-    label_id = runtime.label_id(label)
-    cls, func = runtime._handler_table[label_id]
-    obj = cls()
-    tctx = TraceContext(runtime)
-    syms = tuple(
-        operands[i]
-        if i == 0 and isinstance(operands[i], int)
-        else Symbol(i, f"op{i}")
-        for i in range(len(operands))
-    )
-    try:
-        func(obj, tctx, *syms)
-        if not (tctx.terminated or tctx.yielded):
-            raise LoweringUnsupported(
-                "handler returned without ending its event"
-            )
-    except LoweringUnsupported as exc:
-        return HandlerPlan(
-            label, label_id, list(tctx.ops), False, str(exc), meta=meta
-        )
-    except Exception as exc:  # symbolic operands break arbitrary Python
-        return HandlerPlan(
-            label, label_id, list(tctx.ops), False,
-            f"trace aborted: {type(exc).__name__}: {exc}", meta=meta,
-        )
-    parkable, reason = _classify(tctx.ops)
-    plan = HandlerPlan(label, label_id, tctx.ops, parkable, reason, meta=meta)
-    if parkable:
-        plan.batch_fn = _compile_batch_fn(plan, runtime.config.costs)
-        plan.guard = _compile_guard(plan)
-    return plan
-
-
 def lower_reduce_entry(runtime, job, operands: Sequence[Any]) -> HandlerPlan:
-    """Lower a KVMSR job's ``__reduce_entry__`` label and validate it.
+    """Lower a KVMSR job's ``__reduce_entry__`` label; never raises.
 
     Called lazily by ``MapTask.kv_emit`` on the first emitted tuple of a
     job (the first record supplies the operand arity).  The returned
-    plan is parkable only if lowering succeeded AND the generated
-    executor agreed with the interpreter on a two-record (miss arm, hit
-    arm) validation run.
+    plan is parkable only if the machine acts on nothing at this label's
+    dispatch, the trace completed, AND the generated executor agreed
+    with the interpreter on a two-record (miss arm, hit arm) validation
+    run; otherwise it carries the refusal ``reason`` and the ops traced
+    so far.
+
+    **Executes the handler body** (once, with :class:`Symbol` operands
+    in every slot but the leading ``job_id``, which stays concrete so
+    ``job_of`` resolves at trace time): point it only at bodies whose
+    every effect goes through ``ctx`` — the emit path does so by
+    requiring ``ReduceTask.intrinsic_only``.
     """
-    plan = lower_label(
-        runtime, job.reduce_entry_label, operands,
-        meta=f"binding={job.reduce_binding!r}",
-    )
-    if not plan.parkable:
-        return plan
-    if plan.label in runtime.sim._wd_idle_labels:
+    label = job.reduce_entry_label
+    label_id = runtime.label_id(label)
+    meta = f"binding={job.reduce_binding!r}"
+    sim = runtime.sim
+    if label in sim._wd_idle_labels:
         # the watchdog counts every batched record as progress
-        plan.reason = "idle-marked for the watchdog"
-    elif not _validate(runtime, plan, tuple(operands)):
+        reason = "idle-marked for the watchdog"
+    elif sim._fault_stall is not None:
+        reason = "lane stalls act at dispatch, which the batch executors skip"
+    elif sim._fault_dead is not None:
+        reason = "fail-stop acts at dispatch, which the batch executors skip"
+    elif sim._transport is not None:
+        reason = "reliable transport: dedup and acks run at dispatch"
+    else:
+        reason = ""
+    if reason:
+        return HandlerPlan(label, label_id, [], reason, meta)
+    cls, func = runtime._handler_table[label_id]
+    tctx = TraceContext(runtime)
+    syms = (operands[0],) + tuple(
+        Symbol(i, f"op{i}") for i in range(1, len(operands))
+    )
+    try:
+        func(cls(), tctx, *syms)
+        if not tctx._retired:
+            raise LoweringUnsupported(
+                "handler returned without retiring its tuple"
+            )
+    except LoweringUnsupported as exc:
+        reason = str(exc)
+    except Exception as exc:  # symbolic operands break arbitrary Python
+        reason = f"trace aborted: {type(exc).__name__}: {exc}"
+    plan = HandlerPlan(label, label_id, tctx.ops, reason, meta)
+    if reason:
+        return plan
+    costs = runtime.config.costs
+    plan.batch_fn = _compile_batch_fn(plan, costs)
+    plan.guard = _compile_guard(plan)
+    if not _validate(runtime, plan, tuple(operands)):
         plan.reason = "validation against interpreted semantics failed"
+        plan.batch_fn = plan.guard = None
     elif (rec := runtime.recorder) is not None and rec.record_lane_spans:
         # validated span-free: ``_validate`` must not write spans
-        plan.batch_fn = _compile_batch_fn(
-            plan, runtime.config.costs, rec.lane_span
-        )
-    if plan.reason:
-        plan.parkable = False
-        plan.batch_fn = plan.guard = None
+        plan.batch_fn = _compile_batch_fn(plan, costs, rec.lane_span)
     return plan
 
 
@@ -480,7 +348,7 @@ def lower_reduce_entry(runtime, job, operands: Sequence[Any]) -> HandlerPlan:
 
 
 def _compile_batch_fn(plan: HandlerPlan, costs, lane_span=None):
-    """Compile a specialized ``batch_fn`` for a batch-safe op sequence.
+    """Compile a specialized ``batch_fn`` for a traced op sequence.
 
     ``lane_span`` (the ``record="full"`` recorder's hook) adds one span
     per record, as the interpreter records one per event.
@@ -698,12 +566,8 @@ def render_plan(plan: HandlerPlan) -> str:
             )
         elif kind == "KVR_RETURN":
             lines.append(f"  KVR_RETURN job={op[1]}")
-        elif kind == "SCRATCH_RW":
-            lines.append(f"  SCRATCH_RW {op[1]} {op[2]}")
-        elif kind == "ONCE_HIT":
+        else:  # ONCE_HIT
             key = ", ".join(_fmt_src(part) for part in op[1])
             lines.append(f"  ONCE_HIT key=({key})")
-        else:
-            lines.append("  " + " ".join(str(p) for p in op))
     return "\n".join(head + lines)
 

@@ -135,28 +135,6 @@ class UpDownRuntime:
     def label_name(self, label_id: int) -> str:
         return self.program.label_name(label_id)
 
-    def lower_label(self, label: str, operands, meta: str = ""):
-        """Lower a registered handler to its intrinsic-op IR.
-
-        Returns a :class:`repro.udweave.ir.HandlerPlan` — parkable (with
-        a compiled batch executor) when the body proved batch-safe, a
-        fallback plan carrying the traced ops and refusal reason
-        otherwise.  ``operands`` fixes the trace arity; see
-        ``repro.udweave.ir`` for the safety rules.  Inspection API: the
-        simulator's batch path lowers lazily on its own.
-
-        This **executes the handler body it inspects**, once, with
-        placeholder operands: any host-side Python effect in the body
-        (appending to a collector, bumping a counter on the payload)
-        happens for real, with ``Symbol`` values.  The batch path
-        therefore only ever lowers reduce classes that declare
-        ``ReduceTask.intrinsic_only``; calling this on anything else is
-        the caller's decision.
-        """
-        from .ir import lower_label
-
-        return lower_label(self, label, operands, meta)
-
     def resolve_label_id(
         self, label: LabelLike, context_thread: Optional[UDThread] = None
     ) -> int:

@@ -159,12 +159,13 @@ class TestBatchedTrip:
                 str(info.value).splitlines()[0],
                 info.value.diagnostic["last_progress_tick"],
                 rt.sim.stats.records_batched + rt.sim._parked_total,
-                rt.sim.batch_report()["gate"],
+                rt.sim.batch_report()["labels"],
             )
         ref, out = raised[False], raised[True]
         assert out[:2] == ref[:2]
-        assert ref[2:] == (0, "batch_dispatch=False")
-        assert out[2] > 0 and out[3] == "armed"
+        assert ref[2:] == (0, {})  # batch_dispatch=False lowers nothing
+        assert out[2] > 0
+        assert out[3]["Tally::__reduce_entry__"]["reason"] is None
 
     def test_an_idle_marked_reduce_is_never_parked(self):
         rt, _sink = _runtime(reduce_cls=Tally)

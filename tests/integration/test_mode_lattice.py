@@ -1,19 +1,28 @@
 """The mode lattice: no host-side mode changes what the machine does.
 
-A case is an app on a small RMAT graph plus a draw from every host-side
-axis: ``shards``, batched dispatch, a fault plan, a recorder tier, the
+A case is an app on a small seeded input (an RMAT graph, or 400 values
+for histogram and bucket sort) plus a draw from every host-side axis: ``shards``, batched dispatch, a fault plan, a recorder tier, the
 watchdog and the drain's shape.  Its :func:`repro.harness.fingerprint`
-must equal that of the same app, graph and fault plan run whole on the
+must equal that of the same app, input and fault plan run whole on the
 sequential interpreter (``shards=1, batch_dispatch=False``, no recorder,
 no watchdog).  Derandomized, with no example database: every tier-1 run
 draws the same cases, and a failure shrinks to a minimal configuration.
 """
 
+import math
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from repro.apps import BFSApp, KTrussApp, PageRankApp, TriangleCountApp
+from repro.apps import (
+    BFSApp,
+    BucketSortApp,
+    KTrussApp,
+    PageRankApp,
+    TriangleCountApp,
+)
+from repro.datastruct import HistogramApp
 from repro.faults import FaultPlan
 from repro.graph import rmat
 from repro.harness import bench_config, fingerprint
@@ -26,26 +35,49 @@ BLOCK = 512
 LOOKAHEAD = bench_config(NODES).conservative_lookahead_cycles
 
 
-def _pagerank(rt, graph):
-    app = PageRankApp(rt, graph, max_degree=16, block_size=BLOCK)
+def _pagerank(rt, seed):
+    app = PageRankApp(rt, rmat(6, seed=seed), max_degree=16, block_size=BLOCK)
     return app.run(iterations=2).ranks
 
 
-def _bfs(rt, graph):
-    res = BFSApp(rt, graph, max_degree=16, block_size=BLOCK).run(root=0)
+def _bfs(rt, seed):
+    app = BFSApp(rt, rmat(6, seed=seed), max_degree=16, block_size=BLOCK)
+    res = app.run(root=0)
     return res.distances, res.parents
 
 
-def _tc(rt, graph):
-    return TriangleCountApp(rt, graph, block_size=BLOCK).run().triangles
+def _tc(rt, seed):
+    app = TriangleCountApp(rt, rmat(6, seed=seed), block_size=BLOCK)
+    return app.run().triangles
 
 
-def _ktruss(rt, graph):
-    res = KTrussApp(rt, graph, 3, block_size=BLOCK).run()
+def _ktruss(rt, seed):
+    res = KTrussApp(rt, rmat(6, seed=seed), 3, block_size=BLOCK).run()
     return res.truss.offsets, res.truss.neighbors, res.rounds
 
 
-APPS = {"pagerank": _pagerank, "bfs": _bfs, "tc": _tc, "ktruss": _ktruss}
+def _values(seed):
+    return np.random.default_rng(seed).integers(0, 1 << 16, 400)
+
+
+def _histogram(rt, seed):
+    """A combining-cache reduce that parks (``HistReduceTask``)."""
+    app = HistogramApp(rt, _values(seed), nbins=16, block_size=BLOCK)
+    return app.run().counts
+
+
+def _sort(rt, seed):
+    """Two drains: a count reduce that parks, then a scatter reduce that
+    is not declared ``intrinsic_only`` and keeps the interpreter."""
+    return BucketSortApp(rt, _values(seed)).run().output
+
+
+APPS = {
+    "pagerank": _pagerank, "bfs": _bfs, "tc": _tc, "ktruss": _ktruss,
+    "histogram": _histogram, "sort": _sort,
+}
+#: the apps with a reduce that parks
+PARKING_APPS = ["bfs", "histogram", "pagerank", "sort"]
 
 #: name -> (FaultPlan keywords, reliable)
 PLANS = {
@@ -55,6 +87,8 @@ PLANS = {
     "duplicates": (dict(seed=11, duplicate_rate=0.05), True),
     "stalls": (dict(seed=5, lane_stall_rate=0.05, lane_stall_cycles=300.0),
                False),
+    # legal and never fails, so it is no fail-stop: plans still park
+    "never_fails": (dict(fail_stop={1: math.inf}), False),
 }
 
 #: (kind, arg): a whole drain; ``run(until=)`` steps of ``arg`` cycles,
@@ -70,7 +104,7 @@ SHAPES = [
 ]
 
 
-def _run(app, graph_seed, plan, shape=("whole", None), shards=1,
+def _run(app, seed, plan, shape=("whole", None), shards=1,
          batch=False, record=None, watchdog=None):
     faults, reliable = PLANS[plan]
     rt = UpDownRuntime(
@@ -104,15 +138,15 @@ def _run(app, graph_seed, plan, shape=("whole", None), shards=1,
     if kind == "until":
         rt.run = stepped
     elif kind == "abort":
-        events = _reference(app, graph_seed, plan)["model"]["events_executed"]
+        events = _reference(app, seed, plan)["model"]["events_executed"]
         budget = events - 1 if arg == 1 else events // arg
         rt.run = resumed
-    return fingerprint(rt.sim, APPS[app](rt, rmat(6, seed=graph_seed)))
+    return fingerprint(rt.sim, APPS[app](rt, seed))
 
 
 @lru_cache(maxsize=None)
-def _reference(app, graph_seed, plan):
-    return _run(app, graph_seed, plan)
+def _reference(app, seed, plan):
+    return _run(app, seed, plan)
 
 
 LATTICE = settings(derandomize=True, database=None, deadline=None,
@@ -121,7 +155,7 @@ LATTICE = settings(derandomize=True, database=None, deadline=None,
 
 def _seed(app, shards, batch, plan):
     """A checked-in draw: one whole drain, no recorder, no watchdog."""
-    return example(app=app, graph_seed=0, plan=plan, shards=shards,
+    return example(app=app, seed=0, plan=plan, shards=shards,
                    batch=batch, record=None, watchdog=None,
                    shape=("whole", None))
 
@@ -129,7 +163,7 @@ def _seed(app, shards, batch, plan):
 @LATTICE
 @given(
     app=st.sampled_from(sorted(APPS)),
-    graph_seed=st.integers(0, 1),
+    seed=st.integers(0, 1),
     plan=st.sampled_from(sorted(PLANS)),
     shards=st.integers(1, 4),
     batch=st.booleans(),
@@ -142,34 +176,36 @@ def _seed(app, shards, batch, plan):
 @_seed("pagerank", 4, True, "none")
 @_seed("bfs", 2, True, "none")
 @_seed("bfs", 4, True, "none")
+@_seed("histogram", 2, True, "none")
+@_seed("sort", 4, True, "none")
 @_seed("pagerank", 1, True, "drops")
 @_seed("pagerank", 2, True, "drops")
 @_seed("pagerank", 2, False, "drops")
 @_seed("pagerank", 4, False, "drops")
 @_seed("pagerank", 2, False, "delays")
 def test_every_mode_equals_the_sequential_interpreter(
-    app, graph_seed, plan, shards, batch, record, watchdog, shape
+    app, seed, plan, shards, batch, record, watchdog, shape
 ):
-    assert _run(app, graph_seed, plan, shape, shards, batch, record,
-                watchdog) == _reference(app, graph_seed, plan)
+    assert _run(app, seed, plan, shape, shards, batch, record,
+                watchdog) == _reference(app, seed, plan)
 
 
 @LATTICE
 @given(
-    app=st.sampled_from(["pagerank", "bfs"]),
-    graph_seed=st.integers(0, 1),
-    plan=st.sampled_from(["none", "delays", "stalls"]),
+    app=st.sampled_from(PARKING_APPS),
+    seed=st.integers(0, 1),
+    plan=st.sampled_from(["none", "delays", "stalls", "never_fails"]),
     shards=st.integers(1, 4),
     record=st.sampled_from([None, "histograms", "full"]),
     watchdog=st.sampled_from([None, 1e12]),
     shape=st.sampled_from(SHAPES),
 )
 def test_parking_modes_equal_the_sequential_interpreter(
-    app, graph_seed, plan, shards, record, watchdog, shape
+    app, seed, plan, shards, record, watchdog, shape
 ):
     """The sub-lattice whose drains park: batched dispatch on, apps with
     declared reduces, every recorder tier, watched or not.  Drawn on its
-    own because uniform draws over every axis rarely land here; only the
-    lane-stall plan must disarm it."""
-    assert _run(app, graph_seed, plan, shape, shards, True, record,
-                watchdog) == _reference(app, graph_seed, plan)
+    own because uniform draws over every axis rarely land here; under
+    the lane-stall plan every plan refuses to park."""
+    assert _run(app, seed, plan, shape, shards, True, record,
+                watchdog) == _reference(app, seed, plan)

@@ -5,7 +5,7 @@ The hard guarantee of ``repro.machine.parallel``: a sharded run
 :func:`repro.harness.fingerprint` and, when recording, the same
 flight-recorder telemetry.  Plain sharded, batched, faulted and stepped
 drains of every app are drawn by ``test_mode_lattice.py``; this file
-keeps what the lattice does not assert: gate verdicts and drain counts
+keeps what the lattice does not assert: plan verdicts and drain counts
 of stepped drains, merged recorders, multi-drain workflows,
 registration between drains and the window metrics.
 """
@@ -71,7 +71,10 @@ def _drive(app_name, step=None, budget=None, **rt_kw):
     return {
         "fingerprint": fingerprint(rt.sim, result),
         "drains": drains,
-        "gate": rt.sim.batch_report()["gate"],
+        "reasons": {
+            label: row["reason"]
+            for label, row in rt.sim.batch_report()["labels"].items()
+        },
         "batched": rt.sim.stats.records_batched,
     }
 
@@ -98,7 +101,7 @@ class TestSteppedDrains:
         # reports quiescence on the step sequential does
         assert stepped["drains"] == _drive(app_name, step)["drains"] > 0
         # every step, sharded or not, parks and batches
-        assert stepped["gate"] == "armed"
+        assert set(stepped["reasons"].values()) == {None}
         assert stepped["batched"] > 0
 
     def test_a_step_that_outruns_its_budget_still_raises(self):
@@ -160,8 +163,12 @@ class TestRecordedParallelRun:
             seq_h, par_h = (getattr(r.recorder, family) for r in (seq, par))
             assert seq_h.count > 0
             assert hist(par_h) == hist(seq_h)
+        # message latencies are stored per source node and merged in
+        # node order, so their totals are shard-invariant too
+        par_latency = par.recorder.msg_latency
         for kind, latency in seq.recorder.msg_latency.items():
-            assert par.recorder.msg_latency[kind].count == latency.count
+            assert hist(par_latency[kind]) == hist(latency)
+        assert seq.recorder.msg_latency["remote"].count > 0
 
 
 class TestMultiDrainSharded:

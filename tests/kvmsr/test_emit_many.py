@@ -110,7 +110,6 @@ def _run(keys, work, how, armed, guarded, flagged):
         "parked": spec.parked,
         "fingerprint": fingerprint(rt.sim),
         "labels": report["labels"],
-        "gate": report["gate"],
     }
 
 

@@ -69,7 +69,7 @@ def no_lowering(monkeypatch):
     def forbidden(*_a, **_k):
         raise AssertionError("emit path lowered an undeclared handler")
 
-    for name in ("lower_reduce_entry", "lower_label", "_validate"):
+    for name in ("lower_reduce_entry", "_validate"):
         monkeypatch.setattr(ir, name, forbidden)
 
 
@@ -80,8 +80,8 @@ class TestUndeclaredHandlerKeepsTheInterpreter:
         assert {k: sorted(v) for k, v in sink.items()} == EXPECTED
         assert not _has_symbol(sink)
         assert stats.records_batched == 0
+        assert rt.config.batch_dispatch  # only the declaration refuses
         report = rt.sim.batch_report()
-        assert report["gate"] == "armed"
         assert report["labels"][LABEL] == {
             "declared": False,
             "lowered": False,
@@ -91,8 +91,8 @@ class TestUndeclaredHandlerKeepsTheInterpreter:
         }
 
     def test_budgeted_drain_abort_and_resume(self, no_lowering):
-        """The gate no longer requires ``max_events is None``: a
-        budgeted drain is armed too, and still never traces the body."""
+        """A budgeted drain lowers declared reduces too, and still never
+        traces an undeclared body."""
         rt, sink = _launch(CollectReduce)
         with pytest.raises(SimulationError, match="max_events=50"):
             rt.run(max_events=50)
@@ -100,7 +100,8 @@ class TestUndeclaredHandlerKeepsTheInterpreter:
         rt.run(max_events=2_000_000)
         assert {k: sorted(v) for k, v in sink.items()} == EXPECTED
         assert not _has_symbol(sink)
-        assert rt.sim.batch_report()["gate"] == "armed"
+        row = rt.sim.batch_report()["labels"][LABEL]
+        assert row["reason"] == "not declared intrinsic_only"
 
 
 class TestMisdeclaredHandler:

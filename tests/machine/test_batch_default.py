@@ -5,12 +5,13 @@ observed and message-faulted drains, and the reasons report.
 the interpreter across every mode.  This file pins what equality alone
 does not show: BFS parks its "already visited" arm behind the
 write-once guard, a drain with an event budget, a recorder tier or
-message faults stays armed, and ``Simulator.batch_report`` says why
+message faults still parks, and ``Simulator.batch_report`` says why
 whenever a record was *not* batched.  The reference in every comparison
 is ``batch_dispatch=False`` — the interpreter.
 """
 
 import json
+import math
 
 import pytest
 
@@ -26,8 +27,16 @@ from repro.udweave import UpDownRuntime
 GRAPH = rmat(8, seed=7)
 BLOCK = 4096
 NODES = 4
-#: message faults alone (delays reorder deliveries): parking stays armed
+#: message faults alone (delays reorder deliveries): plans still park
 DELAYS = FaultPlan(seed=5, delay_rate=0.3, delay_cycles=700.0)
+PR_LABEL = "PRReduceTask::__reduce_entry__"
+BFS_LABEL = "BFSReduce::__reduce_entry__"
+LABEL_OF = {"pagerank": PR_LABEL, "bfs": BFS_LABEL}
+
+
+def _reasons(report):
+    """``{label: refusal reason}`` (``None`` where the plan parks)."""
+    return {label: row["reason"] for label, row in report["labels"].items()}
 
 
 def _fingerprinted(rt, *result):
@@ -59,12 +68,11 @@ class TestBFSParity:
         out, batched, report = _run_bfs()
         assert out == ref
         assert ref_batched == 0 and batched > 0
-        row = report["labels"]["BFSReduce::__reduce_entry__"]
+        row = report["labels"][BFS_LABEL]
         assert row["declared"] and row["lowered"] and row["reason"] is None
         assert row["parked"] == batched
         # first visits (and tuples racing one) ride the heap as before
         assert row["guard_declined"] > 0
-        assert report["gate"] == "armed"
 
     def test_sharded_drains_park_identically(self):
         """Shard windows arm parking too: the once-guard may read a lane
@@ -74,45 +82,55 @@ class TestBFSParity:
         out, batched, report = _run_bfs(shards=2)
         assert out == ref
         assert batched > 0
-        assert report["gate"] == "armed"
-        row = report["labels"]["BFSReduce::__reduce_entry__"]
+        row = report["labels"][BFS_LABEL]
         assert row["lowered"] and row["parked"] == batched
 
     @pytest.mark.parametrize(
-        "rt_kw,gate",
+        "rt_kw,reason",
         [
             (
                 dict(
                     faults=FaultPlan(seed=5, drop_rate=0.02), reliable=True
                 ),
-                "transport",
+                "reliable transport: dedup and acks run at dispatch",
             ),
-            (dict(faults=DELAYS), "armed"),
+            (dict(faults=DELAYS), None),
             (
                 dict(
                     faults=FaultPlan(
                         seed=5, lane_stall_rate=0.05, lane_stall_cycles=300.0
                     )
                 ),
-                "faults",
+                "lane stalls act at dispatch, which the batch executors skip",
             ),
+            (
+                # finite, but after the run ends: nothing is dropped
+                dict(faults=FaultPlan(fail_stop={1: 1e15})),
+                "fail-stop acts at dispatch, which the batch executors skip",
+            ),
+            # an all-``inf`` fail-stop map never fails: no fail-stop
+            (dict(faults=FaultPlan(fail_stop={1: math.inf})), None),
         ],
-        ids=["faulted", "message_faults_only", "lane_stalls"],
+        ids=[
+            "faulted", "message_faults_only", "lane_stalls",
+            "fail_stop_late", "fail_stop_never",
+        ],
     )
-    def test_disarmed_drains_interpret_identically(self, rt_kw, gate):
-        """Only the gate's verdict decides: message faults are drawn at
-        issue for parked and sent records alike, so they stay armed;
-        the transport and dispatch-time faults (lane stalls) interpret
-        every event."""
+    def test_disarmed_drains_interpret_identically(self, rt_kw, reason):
+        """Only the plan decides: message faults are drawn at issue for
+        parked and sent records alike, so the plan parks under them; the
+        transport and dispatch-time faults (lane stalls, a finite
+        fail-stop tick) make it refuse before tracing, naming the cause,
+        and every event is interpreted."""
         ref, _, _ = _run_bfs(batch=False, **rt_kw)
         out, batched, report = _run_bfs(**rt_kw)
         assert out == ref
-        assert report["gate"] == gate
-        if gate == "armed":
+        assert _reasons(report) == {BFS_LABEL: reason}
+        if reason is None:
             assert batched > 0
         else:
             assert batched == 0
-            assert report["labels"] == {}  # nothing was ever lowered
+            assert report["labels"][BFS_LABEL]["declared"]
 
 
 FAULT_GRAPH = rmat(8, seed=3)
@@ -141,7 +159,7 @@ def _run_delayed(app_name, batch):
 class TestMessageFaultedDrains:
     """Message faults are drawn by ``Simulator.issue`` in scalar order,
     for a parked record exactly as for a sent one, so a drain whose
-    fault plan only perturbs messages stays armed and equals the
+    fault plan only perturbs messages still parks and equals the
     interpreter."""
 
     @pytest.mark.parametrize("app_name", ["pagerank", "bfs", "tc"])
@@ -150,11 +168,14 @@ class TestMessageFaultedDrains:
         out, batched, report = _run_delayed(app_name, batch=True)
         assert out == ref
         assert ref_batched == 0
-        assert report["gate"] == "armed"
         if app_name == "tc":
             assert batched == 0  # TC's reduce is not declared batch-safe
+            assert set(_reasons(report).values()) == {
+                "not declared intrinsic_only"
+            }
         else:
             assert batched > 0
+            assert _reasons(report)[LABEL_OF[app_name]] is None
 
 
 class _RaceMap(MapTask):
@@ -231,7 +252,7 @@ class TestBudgetedDrains:
         out, batched, report = _fingerprinted(rt, app.pr_region.data)
         assert out == whole[0]
         assert batched == whole[1] > 0
-        assert report["gate"] == "armed"
+        assert _reasons(report)[PR_LABEL] is None
 
     @pytest.mark.parametrize("short_by", [1, 300, 9_000])
     def test_abort_then_run_equals_the_whole_run(
@@ -254,7 +275,7 @@ class TestBudgetedDrains:
         out, batched, report = _fingerprinted(rt, app.pr_region.data)
         assert out == whole[0]
         assert batched > 0
-        assert report["gate"] == "armed"
+        assert _reasons(report)[PR_LABEL] is None
         assert rt.sim.stats.quiesced
 
     @pytest.mark.parametrize("short_by", [1, 300, 9_000])
@@ -278,9 +299,7 @@ class TestBudgetedDrains:
         ref, ref_batched, report = _fingerprinted(rt, app.pr_region.data)
         assert ref == whole[0]
         assert ref_batched == 0
-        assert report == {
-            "labels": {}, "gate": "batch_dispatch=False",
-        }
+        assert report == {"labels": {}}  # nothing is ever lowered
 
 
 def _recorded(rec):
@@ -334,7 +353,7 @@ class TestObservedDrains:
     ``Network.deliver_time`` call ``send`` makes, at issue — so the
     samples land in scalar order.  Lane spans come from the batch
     executor, one per record, as the interpreter records one per event.
-    Either tier stays armed."""
+    The plan parks under either tier."""
 
     @pytest.mark.parametrize("record", ["histograms"])
     def test_observed_drains_stay_armed(self, app, record):
@@ -342,14 +361,14 @@ class TestObservedDrains:
         out, batched, report, _ = _observed(app, True, record)
         assert out == ref
         assert ref_batched == 0 and batched > 0
-        assert report["gate"] == "armed"
+        assert _reasons(report)[LABEL_OF[app]] is None
         assert out["recorded"]["inj_by_node"]  # the samples exist
 
     def test_lane_spans_batch_identically(self, app):
         ref, _, _, ref_rt = _observed(app, False, "full")
         out, batched, report, rt = _observed(app, True, "full")
         assert out == ref
-        assert batched > 0 and report["gate"] == "armed"
+        assert batched > 0 and _reasons(report)[LABEL_OF[app]] is None
         spans = rt.recorder.lane_spans
         assert len(spans) == out["model"]["events_executed"]
         assert event_report(rt.sim) == event_report(ref_rt.sim)
@@ -366,12 +385,14 @@ class TestObservedDrains:
         self, app, record, watchdog, shards
     ):
         """A watchdog that does not fire and the ``full`` tier leave the
-        machine armed, sharded too, and bit-identical."""
-        kw = dict(shards=shards, watchdog_cycles=watchdog)
-        ref, _, _, _ = _observed(app, False, record, **kw)
-        out, batched, report, rt = _observed(app, True, record, **kw)
+        plan parking, sharded too, and bit-identical — recorder summaries
+        included — to the sequential interpreter."""
+        ref, _, _, _ = _observed(app, False, record, watchdog_cycles=watchdog)
+        out, batched, report, rt = _observed(
+            app, True, record, shards=shards, watchdog_cycles=watchdog
+        )
         assert out == ref
-        assert batched > 0 and report["gate"] == "armed"
+        assert batched > 0 and _reasons(report)[LABEL_OF[app]] is None
         if record == "full":
             spans = rt.recorder.lane_spans
             assert len(spans) == out["model"]["events_executed"]
@@ -400,4 +421,4 @@ class TestHarnessRunnersReachTheBatchCore:
             row = rec.extra["batch"]["labels"][f"{label}::__reduce_entry__"]
             assert row["lowered"]
             assert row["parked"] == rec.extra["stats"].records_batched
-            assert ref.extra["batch"]["gate"] == "batch_dispatch=False"
+            assert ref.extra["batch"] == {"labels": {}}

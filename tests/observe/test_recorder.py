@@ -176,12 +176,20 @@ class TestHooks:
 
     def test_message_taxonomy(self):
         rec = FlightRecorder("histograms")
-        rec.message("local", 100.0)
-        rec.message("remote", 1000.0)
-        rec.message("remote", 1200.0)
+        rec.message(1, "local", 100.0)
+        rec.message(1, "remote", 1000.0)
+        rec.message(0, "remote", 1200.0)
+        rec.message(None, "host_injected", 30.0)
         assert rec.msg_latency["local"].count == 1
         assert rec.msg_latency["remote"].count == 2
-        assert rec.msg_latency["host_injected"].count == 0
+        assert rec.msg_latency["host_injected"].count == 1
+        assert rec.msg_latency["host_bound"].count == 0
+        # each sample is stored once, under its source node (None: the
+        # host); the machine-wide view is merged from those on read
+        assert set(rec.msg_by_node) == {None, 0, 1}
+        assert rec.msg_by_node[0]["remote"].total == 1200.0
+        assert rec.msg_latency["remote"].total == 2200.0
+        assert rec.msg_latency["remote"].max == 1200.0
 
 
 class TestPhaseSpans:

@@ -1,7 +1,9 @@
 """Event-IR lowering: golden dumps, batch safety, interpreter fallback.
 
 Golden dumps pin the lowered form of every builtin app reduce handler
-(pagerank, bfs, tc, bucket_sort).  Combining-cache and scratchpad key
+(pagerank, bfs, tc, bucket_sort), and a generated test pins that every
+``LaneContext`` intrinsic the batch executors cannot run is refused by
+name.  Combining-cache and scratchpad key
 reprs embed the owning app's ``uid`` — a process-global counter — so the
 exact-text goldens substitute the live names; the *shape* (op sequence,
 operand sources, batchability verdict) is pinned literally.
@@ -11,9 +13,9 @@ import pytest
 
 from repro.graph import rmat
 from repro.harness import bench_config, fingerprint
-from repro.udweave import UpDownRuntime
+from repro.kvmsr import KVMSRJob, MapTask, RangeInput, ReduceTask
+from repro.udweave import LaneContext, UpDownRuntime
 from repro.udweave.ir import (
-    PARK_SAFE_OPS,
     LoweringUnsupported,
     Symbol,
     TraceContext,
@@ -48,8 +50,7 @@ class TestGoldenDumps:
             f"  binding=HashBinding(seed=0)\n"
             f"  batchable\n"
             f"  CC_ADD cache={job.payload.cache.name} key=op[1] delta=op[2]\n"
-            f"  KVR_RETURN job={job.job_id}\n"
-            f"  TERMINATE"
+            f"  KVR_RETURN job={job.job_id}"
         )
 
     def test_bucket_sort_count_batchable_scatter_falls_back(self):
@@ -69,17 +70,16 @@ class TestGoldenDumps:
             f"  batchable\n"
             f"  CC_ADD cache={count.payload.cache.name} "
             f"key=op[1] delta=op[2]\n"
-            f"  KVR_RETURN job={count.job_id}\n"
-            f"  TERMINATE"
+            f"  KVR_RETURN job={count.job_id}"
         )
-        # the scatter phase appends to a raw scratchpad list — the trace
-        # meets a Symbol where a list belongs and aborts
+        # the scatter phase appends to a raw scratchpad list, and the
+        # trace refuses the raw read by name before anything is recorded
         scatter = _job(rt, "SortScatterReduce")
         assert scatter._batch_plan is None and scatter._batch_tried
         splan = lower_reduce_entry(rt, scatter, (scatter.job_id, 3, 11))
         assert not splan.parkable
-        assert splan.reason.startswith("trace aborted: AttributeError")
-        assert [op[0] for op in splan.ops] == ["CHARGE", "SCRATCH_RW"]
+        assert splan.reason == "untraceable context intrinsic 'sp_read'"
+        assert splan.ops == []
 
     def test_bfs_reduce_lowers_the_visited_arm(self):
         from repro.apps import BFSApp
@@ -96,8 +96,7 @@ class TestGoldenDumps:
             f"  batchable\n"
             f"  ONCE_HIT key=('bfss', {app.uid}, op[1])\n"
             f"  CHARGE 1\n"
-            f"  KVR_RETURN job={job.job_id}\n"
-            f"  TERMINATE"
+            f"  KVR_RETURN job={job.job_id}"
         )
         # the guard rebuilds the once-key from a record's operands
         assert plan.guard((job.job_id, 42, 7, 3)) == ("bfss", app.uid, 42)
@@ -107,9 +106,9 @@ class TestGoldenDumps:
         """The visited test written against the raw scratchpad (the
         shape ``BFSReduce`` had before ``sp_once``) must keep refusing:
         it is declared, so it *is* traced, and ``sp_read``'s result
-        steers an ``is None`` check the trace cannot see.  The
-        SCRATCH_RW whitelist refusal is what keeps that silently
-        mistraced arm from ever executing as a batch."""
+        would steer an ``is None`` check the trace cannot see.  The
+        trace has no ``sp_read`` at all — it refuses the read by name —
+        which keeps that arm from ever executing as a batch."""
         from repro.apps import BFSApp
         from repro.apps.bfs import BFSAccelMaster, BFSReduce
         from repro.kvmsr import KVMSRJob, RangeInput
@@ -133,11 +132,9 @@ class TestGoldenDumps:
         assert RawScratchpadBFSReduce.intrinsic_only  # inherited
         plan = lower_reduce_entry(rt, job, (job.job_id, 1, 0, 1))
         assert not plan.parkable and plan.guard is None
-        assert plan.reason == "op SCRATCH_RW is not batch-safe"
-        assert [op[0] for op in plan.ops] == [
-            "CHARGE", "SCRATCH_RW", "CHARGE", "KVR_RETURN", "TERMINATE",
-        ]
-        assert "SCRATCH_RW" not in PARK_SAFE_OPS
+        assert plan.batch_fn is None
+        assert plan.reason == "untraceable context intrinsic 'sp_read'"
+        assert plan.ops == []
 
     def test_tc_reduce_falls_back_on_key_unpack(self):
         from repro.apps import TriangleCountApp
@@ -172,20 +169,65 @@ class TestTraceSafety:
                 expr()
 
     def test_trace_context_refuses_machine_state(self):
+        """Machine state and the old trace-only names are refused by
+        name, and a refusal records nothing."""
         rt = UpDownRuntime(bench_config(2))
         tctx = TraceContext(rt)
-        for attr in ("lane", "sim", "record"):
-            with pytest.raises(LoweringUnsupported):
+        for attr in (
+            "lane", "sim", "record", "config", "cycles", "charge",
+            "send_dram_read", "send_dram_reads", "spawn", "ud_print",
+            "yield_", "yield_terminate",
+        ):
+            with pytest.raises(LoweringUnsupported, match=repr(attr)):
                 getattr(tctx, attr)
-        with pytest.raises(LoweringUnsupported):
-            tctx.send_dram_read(0, 1, "reply")
-        with pytest.raises(LoweringUnsupported, match="split-phase DRAM"):
-            tctx.send_dram_reads(0, 20, "reply", work=1)
-        assert tctx.ops[-2:] == [("DRAM_READ", 1), ("DRAM_READ", 20)]
-        with pytest.raises(LoweringUnsupported):
-            tctx.spawn(0, "X::y")
-        with pytest.raises(LoweringUnsupported):
-            tctx.ud_print("hi")  # unknown intrinsic via __getattr__
+        with pytest.raises(LoweringUnsupported, match="kv_emit"):
+            tctx.op_kv_emit()
+        assert tctx.ops == []
+        assert tctx.runtime is rt  # ``job_of`` resolves through it
+
+
+#: every public ``LaneContext`` name a traced body could reach, except
+#: the two intrinsics a batch executor runs and ``runtime`` (``job_of``
+#: resolves a job through it): methods, properties and fields alike.
+REFUSED = sorted(
+    name for name in dir(LaneContext)
+    if not name.startswith("_")
+    and name not in ("work", "sp_once", "runtime")
+)
+
+
+class _OneTupleMap(MapTask):
+    def kv_map(self, ctx, key):
+        self.kv_map_return(ctx)
+
+
+class TestEveryOtherIntrinsicIsRefused:
+    """Generated from ``LaneContext`` itself, so an intrinsic added there
+    later is refused by default instead of silently traced."""
+
+    def test_the_list_covers_the_context(self):
+        assert {
+            "sp_read", "sp_write", "send_event", "spawn", "send_dram_reads",
+            "yield_", "yield_terminate", "time", "config", "lane", "cycles",
+        } <= set(REFUSED)
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_a_declared_reduce_using_it_does_not_park(self, name):
+        class Probe(ReduceTask):
+            intrinsic_only = True
+
+            def kv_reduce(self, ctx, key, value):
+                ctx.work(2)
+                getattr(ctx, name)  # the lookup alone refuses
+                self.kv_reduce_return(ctx)
+
+        rt = UpDownRuntime(bench_config(1))
+        job = KVMSRJob(rt, _OneTupleMap, RangeInput(1), reduce_cls=Probe)
+        plan = lower_reduce_entry(rt, job, (job.job_id, 3, 5))
+        assert not plan.parkable
+        assert plan.batch_fn is None and plan.guard is None
+        assert plan.reason == f"untraceable context intrinsic {name!r}"
+        assert plan.ops == [("CHARGE", 2 * rt.config.costs.instruction)]
 
 
 class TestOnceGuardTrace:
@@ -205,13 +247,9 @@ class TestOnceGuardTrace:
             ("CHARGE", 2),
             ("ONCE_HIT", (("const", "seen"), ("const", 3), ("operand", 1))),
         ]
-        # the hit arm's one access is charged, inside the op
-        costs = rt.config.costs
-        assert tctx.cycles == (
-            costs.event_dispatch + 2 * costs.instruction
-            + costs.scratchpad_access
-        )
-        assert "ONCE_HIT" in PARK_SAFE_OPS
+        tctx.op_kvr_return(0)
+        with pytest.raises(LoweringUnsupported, match="already ended"):
+            tctx.op_kvr_return(0)  # a body retires its tuple once
 
     def test_refused_after_a_state_changing_op(self):
         from repro.kvmsr.combining import CombiningCache
@@ -235,10 +273,9 @@ class TestOnceGuardTrace:
         rt, tctx = self._tctx()
         with pytest.raises(LoweringUnsupported, match="tuple"):
             tctx.sp_once(Symbol(1, "op1"))  # not a tuple
-        computed = tctx.sp_read("k")  # a fresh symbol, not an operand
-        tctx.ops.clear()
-        with pytest.raises(LoweringUnsupported, match="tuple"):
-            tctx.sp_once(("seen", computed))
+        # no intrinsic hands back a computed value to build a key from
+        with pytest.raises(LoweringUnsupported, match="'sp_read'"):
+            tctx.sp_read("k")
 
 
 class TestFallbackParity:
