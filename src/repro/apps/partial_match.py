@@ -179,15 +179,11 @@ class PartialMatchApp:
         self.state = ScalableHashTable(runtime, f"{name}_state", value_words=2)
         self.ingest_lanes = ingest_lanes or runtime.config.total_lanes
         runtime.register(PMRecordTask)
-        apps = getattr(runtime, "_pm_apps", None)
-        if apps is None:
-            apps = {}
-            runtime._pm_apps = apps  # type: ignore[attr-defined]
-        apps[name] = self
+        runtime.registry("pm_apps")[name] = self
 
     @staticmethod
     def named(runtime: UpDownRuntime, name: str) -> "PartialMatchApp":
-        return runtime._pm_apps[name]  # type: ignore[attr-defined]
+        return runtime.registry("pm_apps")[name]
 
     def run_stream(
         self,

@@ -62,17 +62,14 @@ class MPMCQueue:
                 f"{runtime.config.total_lanes} lanes"
             )
         runtime.register(QueueOp)
-        queues = getattr(runtime, "_mpmc_queues", None)
-        if queues is None:
-            queues = {}
-            runtime._mpmc_queues = queues  # type: ignore[attr-defined]
+        queues = runtime.registry("mpmc_queues")
         if name in queues:
             raise ValueError(f"queue name {name!r} already in use")
         queues[name] = self
 
     @staticmethod
     def named(runtime: UpDownRuntime, name: str) -> "MPMCQueue":
-        return runtime._mpmc_queues[name]  # type: ignore[attr-defined]
+        return runtime.registry("mpmc_queues")[name]
 
     def _lane_for_ticket(self, ticket: int) -> int:
         return self.first_lane + splitmix64(ticket) % self.n_segments

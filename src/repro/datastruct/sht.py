@@ -99,10 +99,7 @@ class ScalableHashTable:
                 f"exceed the machine's {runtime.config.total_lanes} lanes"
             )
         self.capacity_per_lane = buckets_per_lane * entries_per_bucket
-        tables = getattr(runtime, "_sht_tables", None)
-        if tables is None:
-            tables = {}
-            runtime._sht_tables = tables  # type: ignore[attr-defined]
+        tables = runtime.registry("sht_tables")
         if name in tables:
             raise SHTError(f"SHT name {name!r} already in use")
         if mem_nodes is None:
@@ -129,8 +126,8 @@ class ScalableHashTable:
     @staticmethod
     def named(runtime: UpDownRuntime, name: str) -> "ScalableHashTable":
         try:
-            return runtime._sht_tables[name]  # type: ignore[attr-defined]
-        except (AttributeError, KeyError):
+            return runtime.registry("sht_tables")[name]
+        except KeyError:
             raise SHTError(f"no SHT named {name!r}") from None
 
     # ------------------------------------------------------------------

@@ -6,11 +6,14 @@ Every runner builds a scaled-down :func:`repro.machine.bench_machine`
 scaled to match; see DESIGN.md) and returns the simulated seconds the
 artifact extracts from the logs (``ticks / 2 GHz``).
 
-Every runner also takes a ``record=`` flag (a tier name, ``True``, or a
-prebuilt :class:`~repro.observe.FlightRecorder`) that attaches a flight
-recorder to the run; the recorder lands in ``RunRecord.extra["recorder"]``
-ready for :func:`repro.harness.export.write_chrome_trace` /
-``write_perflog_tsv`` or :func:`repro.harness.inspect.occupancy_report`.
+After its app inputs, ``max_events`` and ``record=``, every runner takes
+``**options``: the ``UpDownRuntime`` keywords in ``_RUNTIME_OPTIONS`` go to
+the runtime, and every other option overrides a :class:`MachineConfig`
+field.  ``record=`` (a tier name, ``True``, or a prebuilt
+:class:`~repro.observe.FlightRecorder`) attaches a flight recorder that
+lands in ``RunRecord.extra["recorder"]``, ready for
+:func:`repro.harness.export.write_chrome_trace` / ``write_perflog_tsv`` or
+:func:`repro.harness.inspect.occupancy_report`.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ DEFAULT_MAX_EVENTS = 30_000_000
 #: and blocks-per-hub-list ratios comparable to full scale (DESIGN.md).
 BENCH_BLOCK_SIZE = 512
 
+#: the runner options that configure the runtime; every other option
+#: overrides a MachineConfig field
+_RUNTIME_OPTIONS = ("shards", "faults", "reliable", "watchdog_cycles")
+
 
 def bench_config(nodes: int, **overrides) -> MachineConfig:
     """The scaled benchmark machine at a given node count (see DESIGN.md).
@@ -68,55 +75,46 @@ class RunRecord:
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
-def _bench_runtime(
-    nodes: int,
-    record,
-    machine_overrides,
-    shards: int = 1,
-    faults=None,
-    reliable=False,
-    watchdog_cycles: Optional[float] = None,
-) -> UpDownRuntime:
-    """A fresh recorded-or-not benchmark runtime (shared by all runners)."""
+def _runtime(nodes: int, record, **options) -> UpDownRuntime:
+    """The runners' prologue: a fresh benchmark runtime for ``options``."""
+    runtime_kw = {k: options.pop(k) for k in _RUNTIME_OPTIONS if k in options}
     return UpDownRuntime(
-        bench_config(nodes, **machine_overrides),
-        recorder=make_recorder(record),
-        shards=shards,
-        faults=faults,
-        reliable=reliable,
-        watchdog_cycles=watchdog_cycles,
+        bench_config(nodes, **options), recorder=make_recorder(record),
+        **runtime_kw,
     )
 
 
-def _attach_recorder(extra: Dict[str, Any], rt: UpDownRuntime) -> Dict[str, Any]:
+def _record(
+    rt: UpDownRuntime, nodes: int, seconds: float, metric: float, **outputs
+) -> RunRecord:
+    """The runners' epilogue: the app ``outputs`` plus every run's reports."""
     if rt.recorder is not None:
-        extra["recorder"] = rt.recorder
+        outputs["recorder"] = rt.recorder
     # sharded runs expose the window loop's count ({"windows": n});
     # sequential runs have no window loop and report nothing.  Host-side,
     # so outside SimStats: fingerprints stay shard-invariant
     metrics = rt.sim.parallel_metrics()
     if metrics is not None:
-        extra["parallel_metrics"] = metrics
-    # why batched dispatch did (not) happen: per-label lowering verdicts
-    # and the parking verdict — host-side too, so outside SimStats
-    extra["batch"] = rt.sim.batch_report()
-    return extra
+        outputs["parallel_metrics"] = metrics
+    # why batched dispatch did (not) happen: per-label lowering verdicts,
+    # host-side too, so outside SimStats
+    outputs["batch"] = rt.sim.batch_report()
+    return RunRecord(nodes, seconds, metric, outputs)
 
 
-def _check_quiescence(rt: UpDownRuntime, require: bool) -> None:
+def _check_quiescence(rt: UpDownRuntime) -> None:
     """Fail loudly when a run ends stalled instead of quiesced.
 
     An empty event heap with live threads still pending is the silent
     shape of a lost message or credit; harness runs treat it as an error
-    by default rather than reporting a bogus makespan.
+    rather than reporting a bogus makespan.
     """
     stats = rt.sim.stats
-    if require and not stats.quiesced:
+    if not stats.quiesced:
         raise QuiescenceStall(
             f"run ended without quiescing: {stats.pending_threads} "
             f"thread(s) still waiting for events (the silent shape of a "
-            f"lost message or credit); pass require_quiescence=False to "
-            f"accept a partial run",
+            f"lost message or credit)",
             rt.sim.stall_dump(),
         )
 
@@ -129,31 +127,19 @@ def run_pagerank(
     mem_nodes: Optional[int] = None,
     max_events: int = DEFAULT_MAX_EVENTS,
     record=None,
-    shards: int = 1,
-    faults=None,
-    reliable=False,
-    watchdog_cycles: Optional[float] = None,
-    require_quiescence: bool = True,
-    **machine_overrides,
+    **options,
 ) -> RunRecord:
     """One PageRank run on a fresh scaled machine; returns its RunRecord."""
-    rt = _bench_runtime(
-        nodes, record, machine_overrides, shards, faults,
-        reliable, watchdog_cycles,
-    )
+    rt = _runtime(nodes, record, **options)
     app = PageRankApp(
         rt, graph, max_degree=max_degree, mem_nodes=mem_nodes,
         block_size=BENCH_BLOCK_SIZE,
     )
     res = app.run(iterations=iterations, max_events=max_events)
-    _check_quiescence(rt, require_quiescence)
-    return RunRecord(
-        nodes=nodes,
-        seconds=res.elapsed_seconds,
-        metric=res.giga_updates_per_second,
-        extra=_attach_recorder(
-            {"edges": res.edges_per_iteration, "stats": res.stats}, rt
-        ),
+    _check_quiescence(rt)
+    return _record(
+        rt, nodes, res.elapsed_seconds, res.giga_updates_per_second,
+        edges=res.edges_per_iteration, stats=res.stats,
     )
 
 
@@ -166,40 +152,19 @@ def run_bfs(
     frontier_mem_nodes: Optional[int] = None,
     max_events: int = DEFAULT_MAX_EVENTS,
     record=None,
-    shards: int = 1,
-    faults=None,
-    reliable=False,
-    watchdog_cycles: Optional[float] = None,
-    require_quiescence: bool = True,
-    **machine_overrides,
+    **options,
 ) -> RunRecord:
     """One BFS run on a fresh scaled machine; returns its RunRecord."""
-    rt = _bench_runtime(
-        nodes, record, machine_overrides, shards, faults,
-        reliable, watchdog_cycles,
-    )
+    rt = _runtime(nodes, record, **options)
     app = BFSApp(
-        rt,
-        graph,
-        max_degree=max_degree,
-        mem_nodes=mem_nodes,
-        frontier_mem_nodes=frontier_mem_nodes,
-        block_size=BENCH_BLOCK_SIZE,
+        rt, graph, max_degree=max_degree, mem_nodes=mem_nodes,
+        frontier_mem_nodes=frontier_mem_nodes, block_size=BENCH_BLOCK_SIZE,
     )
     res = app.run(root=root, max_events=max_events)
-    _check_quiescence(rt, require_quiescence)
-    return RunRecord(
-        nodes=nodes,
-        seconds=res.elapsed_seconds,
-        metric=res.giga_teps,
-        extra=_attach_recorder(
-            {
-                "rounds": res.rounds,
-                "traversed": res.traversed_edges,
-                "stats": res.stats,
-            },
-            rt,
-        ),
+    _check_quiescence(rt)
+    return _record(
+        rt, nodes, res.elapsed_seconds, res.giga_teps,
+        rounds=res.rounds, traversed=res.traversed_edges, stats=res.stats,
     )
 
 
@@ -210,30 +175,19 @@ def run_triangle_count(
     mem_nodes: Optional[int] = None,
     max_events: int = DEFAULT_MAX_EVENTS,
     record=None,
-    shards: int = 1,
-    faults=None,
-    reliable=False,
-    watchdog_cycles: Optional[float] = None,
-    require_quiescence: bool = True,
-    **machine_overrides,
+    **options,
 ) -> RunRecord:
     """One TC run on a fresh scaled machine; returns its RunRecord."""
-    rt = _bench_runtime(
-        nodes, record, machine_overrides, shards, faults,
-        reliable, watchdog_cycles,
-    )
+    rt = _runtime(nodes, record, **options)
     app = TriangleCountApp(
         rt, graph, pbmw=pbmw, mem_nodes=mem_nodes, block_size=BENCH_BLOCK_SIZE
     )
     res = app.run(max_events=max_events)
-    _check_quiescence(rt, require_quiescence)
-    return RunRecord(
-        nodes=nodes,
-        seconds=res.elapsed_seconds,
-        metric=res.triangles / res.elapsed_seconds if res.elapsed_seconds else 0,
-        extra=_attach_recorder(
-            {"triangles": res.triangles, "stats": res.stats}, rt
-        ),
+    _check_quiescence(rt)
+    return _record(
+        rt, nodes, res.elapsed_seconds,
+        res.triangles / res.elapsed_seconds if res.elapsed_seconds else 0,
+        triangles=res.triangles, stats=res.stats,
     )
 
 
@@ -243,26 +197,17 @@ def run_ingestion(
     block_words: int = 64,
     max_events: int = DEFAULT_MAX_EVENTS,
     record=None,
-    shards: int = 1,
-    faults=None,
-    reliable=False,
-    watchdog_cycles: Optional[float] = None,
-    require_quiescence: bool = True,
-    **machine_overrides,
+    **options,
 ) -> RunRecord:
     """One ingestion run on a fresh scaled machine; returns its RunRecord."""
-    rt = _bench_runtime(
-        nodes, record, machine_overrides, shards, faults,
-        reliable, watchdog_cycles,
+    rt = _runtime(nodes, record, **options)
+    res = IngestionApp(rt, records, block_words=block_words).run(
+        max_events=max_events
     )
-    app = IngestionApp(rt, records, block_words=block_words)
-    res = app.run(max_events=max_events)
-    _check_quiescence(rt, require_quiescence)
-    return RunRecord(
-        nodes=nodes,
-        seconds=res.elapsed_seconds,
-        metric=res.records_per_second,
-        extra=_attach_recorder({"records": res.records, "stats": res.stats}, rt),
+    _check_quiescence(rt)
+    return _record(
+        rt, nodes, res.elapsed_seconds, res.records_per_second,
+        records=res.records, stats=res.stats,
     )
 
 
@@ -273,28 +218,18 @@ def run_partial_match(
     gap_cycles: float = 2000.0,
     max_events: int = DEFAULT_MAX_EVENTS,
     record=None,
-    shards: int = 1,
-    faults=None,
-    reliable=False,
-    watchdog_cycles: Optional[float] = None,
-    require_quiescence: bool = True,
-    **machine_overrides,
+    **options,
 ) -> RunRecord:
     """One partial-match stream on a fresh scaled machine (latency metric)."""
-    rt = _bench_runtime(
-        nodes, record, machine_overrides, shards, faults,
-        reliable, watchdog_cycles,
-    )
-    app = PartialMatchApp(rt, patterns)
-    res = app.run_stream(
+    rt = _runtime(nodes, record, **options)
+    res = PartialMatchApp(rt, patterns).run_stream(
         records, gap_cycles=gap_cycles, max_events=max_events
     )
-    _check_quiescence(rt, require_quiescence)
-    return RunRecord(
-        nodes=nodes,
-        seconds=res.mean_latency_seconds,
-        metric=1.0 / res.mean_latency_seconds if res.mean_latency_seconds else 0,
-        extra=_attach_recorder({"alerts": len(res.alerts), "stats": res.stats}, rt),
+    _check_quiescence(rt)
+    return _record(
+        rt, nodes, res.mean_latency_seconds,
+        1.0 / res.mean_latency_seconds if res.mean_latency_seconds else 0,
+        alerts=len(res.alerts), stats=res.stats,
     )
 
 
@@ -308,11 +243,7 @@ def run_service(
     drain_grace_cycles: float = 400_000.0,
     max_events: int = DEFAULT_MAX_EVENTS,
     record="histograms",
-    shards: int = 1,
-    faults=None,
-    reliable=False,
-    watchdog_cycles: Optional[float] = None,
-    **machine_overrides,
+    **options,
 ) -> RunRecord:
     """One always-on service run on a fresh scaled machine.
 
@@ -338,10 +269,7 @@ def run_service(
     """
     from repro.service import DEFAULT_PATTERNS, ServiceApp, ServiceHarness
 
-    rt = _bench_runtime(
-        nodes, record, machine_overrides, shards, faults,
-        reliable, watchdog_cycles,
-    )
+    rt = _runtime(nodes, record, **options)
     app = ServiceApp(
         rt, patterns=patterns if patterns is not None else DEFAULT_PATTERNS
     )
@@ -353,16 +281,8 @@ def run_service(
     )
     res = harness.run(requests, slo=slo, max_events=max_events)
     completed = res.status_counts["ok"] + res.status_counts["deadline_miss"]
-    return RunRecord(
-        nodes=nodes,
-        seconds=res.elapsed_seconds,
-        metric=completed / res.elapsed_seconds if res.elapsed_seconds else 0,
-        extra=_attach_recorder(
-            {
-                "service": res,
-                "stats": res.stats,
-                "verdict": res.verdict,
-            },
-            rt,
-        ),
+    return _record(
+        rt, nodes, res.elapsed_seconds,
+        completed / res.elapsed_seconds if res.elapsed_seconds else 0,
+        service=res, stats=res.stats,
     )

@@ -108,7 +108,6 @@ class KVMSRJob:
         # once per intermediate tuple (once per edge in PageRank), and an
         # f-string + registry lookup per emit is pure hot-path waste.
         self._map_entry_label = f"{map_cls.__name__}::__map_entry__"
-        self.map_entry_label_id = runtime.label_id(self._map_entry_label)
         self._reduce_entry_label = None
         self._flush_entry_label = None
         self.reduce_entry_label_id = None
@@ -168,18 +167,17 @@ class KVMSRJob:
         )
 
 
-def _registry(runtime: UpDownRuntime) -> Dict[int, KVMSRJob]:
-    reg = getattr(runtime, "_kvmsr_jobs", None)
-    if reg is None:
-        reg = {}
-        runtime._kvmsr_jobs = reg  # type: ignore[attr-defined]
-    return reg
-
-
 def _register_job(runtime: UpDownRuntime, job: KVMSRJob) -> int:
-    reg = _registry(runtime)
-    job_id = len(reg)
-    reg[job_id] = job
+    jobs = runtime.registry("kvmsr_jobs")
+    if not jobs:
+        # the machine's first job: hook KVMSR's liveness observability
+        # into the simulator (quiescence-poll labels are idle for the
+        # watchdog; stall dumps gain per-job reduce-credit accounting)
+        sim = runtime.sim
+        sim.mark_idle_labels(_IDLE_POLL_LABELS)
+        sim.add_diagnostic_provider("kvmsr_credits", _credit_diagnostics)
+    job_id = len(jobs)
+    jobs[job_id] = job
     return job_id
 
 
@@ -302,8 +300,8 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
 def job_of(ctx: LaneContext, job_id: int) -> KVMSRJob:
     """The job descriptor for ``job_id`` on this machine."""
     try:
-        return ctx.runtime._kvmsr_jobs[job_id]
-    except (AttributeError, KeyError):
+        return ctx.runtime.registry("kvmsr_jobs")[job_id]
+    except KeyError:
         raise KVMSRError(f"unknown KVMSR job id {job_id}") from None
 
 
@@ -595,20 +593,16 @@ class MapperLane(UDThread):
         inflight = self.inflight
         max_inflight = job.max_inflight
         if inflight < max_inflight and next_key < end_key:
-            # Spawn-loop hot path: every map task in the whole run is
-            # issued here, so hoist the loop invariants (bound methods,
-            # lane id, interned entry label) out of the loop and use the
-            # pre-resolved spawn — label and lane were validated at job
-            # construction; charged cycles are identical to spawn().
-            spawn = ctx.spawn_resolved
+            # every map task in the whole run is issued here: hoist the
+            # loop invariants (bound methods, lane id, entry label)
+            spawn = ctx.spawn
             work = ctx.work
             nwid = ctx.lane.network_id
-            label_id = job.map_entry_label_id
-            label_name = job._map_entry_label
+            label = job._map_entry_label
             job_id = self.job_id
             done_evw = ctx.self_evw("task_done")
             while inflight < max_inflight and next_key < end_key:
-                spawn(nwid, label_id, label_name, job_id, done_evw, next_key)
+                spawn(nwid, label, job_id, done_evw, next_key)
                 next_key += 1
                 inflight += 1
                 work(2)  # loop + bookkeeping
@@ -1002,14 +996,6 @@ def _credit_diagnostics(sim) -> Dict[str, Any]:
 
 
 def ensure_registered(runtime: UpDownRuntime) -> None:
-    """Register the KVMSR framework threads with a runtime's program,
-    and (once per runtime) hook KVMSR's liveness observability into the
-    simulator: the quiescence-poll labels are marked idle for the
-    watchdog, and stall dumps gain per-job reduce-credit accounting."""
+    """Register the KVMSR framework threads with a runtime's program."""
     for cls in _FRAMEWORK_CLASSES:
         runtime.register(cls)
-    if not getattr(runtime, "_kvmsr_observability", False):
-        runtime._kvmsr_observability = True  # type: ignore[attr-defined]
-        sim = runtime.sim
-        sim.mark_idle_labels(_IDLE_POLL_LABELS)
-        sim.add_diagnostic_provider("kvmsr_credits", _credit_diagnostics)

@@ -20,13 +20,21 @@ compute networkIDs directly to control computation binding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .costs import CLOCK_HZ, DEFAULT_COSTS, CostTable
 
 
-def _is_power_of_two(value: int) -> bool:
-    return value > 0 and (value & (value - 1)) == 0
+_LATENCY_FIELDS = (
+    "local_msg_latency_cycles",
+    "remote_msg_latency_cycles",
+    "dram_latency_cycles",
+)
+_BANDWIDTH_FIELDS = (
+    "node_dram_bytes_per_cycle",
+    "node_injection_bytes_per_cycle",
+)
 
 
 @dataclass(frozen=True)
@@ -102,6 +110,21 @@ class MachineConfig:
             raise ValueError(
                 f"message_bytes must be a positive int, got {mb!r}"
             )
+        # A negative latency delivers a message before it was sent; a
+        # zero, infinite or NaN bandwidth divides by zero or poisons a
+        # channel clock mid-run.  Zero latency stays legal.
+        for name in _LATENCY_FIELDS:
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails every comparison
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}"
+                )
+        for name in _BANDWIDTH_FIELDS:
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value!r}"
+                )
         self.costs.validate()
 
     # ------------------------------------------------------------------

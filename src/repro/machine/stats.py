@@ -22,7 +22,7 @@ tiers"):
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 #: host-side split counters: how the *simulator* partitioned handler
@@ -32,6 +32,10 @@ from typing import Dict
 #: record parking (``batch_dispatch=False``, lane stalls, the transport) —
 #: cross-mode comparisons use :meth:`SimStats.model_snapshot`.
 HOST_SPLIT_KEYS = ("batches_executed", "records_batched", "events_interpreted")
+
+#: the fields outside :meth:`SimStats.scalar_snapshot`: the per-lane dict
+#: and the last drain's end state
+_NOT_SCALAR = ("busy_cycles_by_lane", "quiesced", "pending_threads")
 
 
 @dataclass
@@ -125,39 +129,11 @@ class SimStats:
     def scalar_snapshot(self) -> Dict[str, float]:
         """The always-on scalar counters as a plain dict.
 
-        The determinism-parity tests compare these across runs; the
-        ``busy_cycles_by_lane`` dict is excluded.
+        The determinism-parity tests compare these across runs.  Every
+        field is a key (in field order, ``final_tick`` last) except
+        :data:`_NOT_SCALAR`, so a counter added later is fingerprinted.
         """
-        return {
-            "messages_sent": self.messages_sent,
-            "messages_local": self.messages_local,
-            "messages_remote": self.messages_remote,
-            "messages_host_injected": self.messages_host_injected,
-            "messages_host_bound": self.messages_host_bound,
-            "batches_executed": self.batches_executed,
-            "records_batched": self.records_batched,
-            "events_interpreted": self.events_interpreted,
-            "dram_reads": self.dram_reads,
-            "dram_writes": self.dram_writes,
-            "dram_bytes_read": self.dram_bytes_read,
-            "dram_bytes_written": self.dram_bytes_written,
-            "dram_remote_accesses": self.dram_remote_accesses,
-            "events_executed": self.events_executed,
-            "threads_created": self.threads_created,
-            "threads_terminated": self.threads_terminated,
-            "faults_messages_dropped": self.faults_messages_dropped,
-            "faults_messages_duplicated": self.faults_messages_duplicated,
-            "faults_messages_delayed": self.faults_messages_delayed,
-            "faults_lane_stalls": self.faults_lane_stalls,
-            "faults_stall_cycles": self.faults_stall_cycles,
-            "faults_node_dropped": self.faults_node_dropped,
-            "transport_tracked": self.transport_tracked,
-            "transport_retransmits": self.transport_retransmits,
-            "transport_acks": self.transport_acks,
-            "transport_dup_suppressed": self.transport_dup_suppressed,
-            "transport_give_ups": self.transport_give_ups,
-            "final_tick": self.final_tick,
-        }
+        return {name: getattr(self, name) for name in _SCALAR_KEYS}
 
     def model_snapshot(self) -> Dict[str, float]:
         """:meth:`scalar_snapshot` minus :data:`HOST_SPLIT_KEYS`.
@@ -180,3 +156,8 @@ class SimStats:
             f"dram r/w={self.dram_reads}/{self.dram_writes} "
             f"threads +{self.threads_created}/-{self.threads_terminated}"
         )
+
+
+_SCALAR_KEYS = tuple(
+    f.name for f in fields(SimStats) if f.name not in _NOT_SCALAR
+)

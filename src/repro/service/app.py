@@ -171,16 +171,12 @@ class ServiceApp:
         runtime.register(SvcPartialTask)
         runtime.register(SvcMultihopTask)
         # the shared named-app registry PMRecordTask resolves through
-        apps = getattr(runtime, "_pm_apps", None)
-        if apps is None:
-            apps = {}
-            runtime._pm_apps = apps  # type: ignore[attr-defined]
-        apps[name] = self
+        runtime.registry("pm_apps")[name] = self
 
     @staticmethod
     def named(runtime: UpDownRuntime, name: str) -> "ServiceApp":
         """Resolve a registered service app by name (device-side)."""
-        return runtime._pm_apps[name]  # type: ignore[attr-defined]
+        return runtime.registry("pm_apps")[name]
 
     def start_label(self, cls: str) -> str:
         """The thread-start label serving one request class."""

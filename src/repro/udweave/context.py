@@ -266,42 +266,6 @@ class LaneContext:
         t = self.start + self.cycles
         self.sim.issue(lane.network_id, lane.node, ((t, network_id, record),))
 
-    def spawn_resolved(
-        self,
-        network_id: int,
-        label_id: int,
-        label_name: str,
-        *operands: Any,
-        cont: Optional[int] = IGNRCONT,
-    ) -> None:
-        """:meth:`spawn` for a pre-resolved, pre-validated target.
-
-        KVMSR's inner loops (the ``_pump`` chain and ``kv_emit``) issue
-        millions of spawns whose label is fixed for the whole job and
-        whose ``network_id`` comes from a binding that was range-checked
-        at job creation; re-resolving the label and re-checking the
-        range per send is pure host overhead.  The charged cycles — and
-        therefore every simulated result — are identical to
-        :meth:`spawn`.
-        """
-        costs = self.costs
-        self.cycles += (
-            costs.send_message_with_cont if cont is not None else costs.send_message
-        )
-        lane = self.lane
-        record = MessageRecord(
-            network_id,
-            NEW_THREAD,
-            label_name,
-            operands,
-            cont,
-            lane.network_id,
-            "msg",
-            label_id,
-        )
-        t = self.start + self.cycles
-        self.sim.issue(lane.network_id, lane.node, ((t, network_id, record),))
-
     # ------------------------------------------------------------------
     # Global memory (split-phase)
     # ------------------------------------------------------------------

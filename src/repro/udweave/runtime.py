@@ -97,6 +97,8 @@ class UpDownRuntime:
         #: by :meth:`resolve_label_id` and ids cached in
         #: ``_resolve_cache`` always index it).
         self._label_names = self.program._label_names
+        #: named per-machine registries (see :meth:`registry`)
+        self._registries: Dict[str, Dict[Any, Any]] = {}
         #: opt-in reliable delivery (``repro.faults.transport``).
         #: ``reliable`` accepts ``True`` (defaults) or a
         #: :class:`~repro.faults.ReliabilityConfig`; the transport is
@@ -124,6 +126,18 @@ class UpDownRuntime:
     def dram_malloc(self, *args, **kwargs):
         """Convenience passthrough to :meth:`GlobalMemory.dram_malloc`."""
         return self.gmem.dram_malloc(*args, **kwargs)
+
+    def registry(self, name: str) -> Dict[Any, Any]:
+        """The per-machine registry ``name``, created empty on first use.
+
+        What device-side handlers resolve by id or name lives here (KVMSR
+        jobs, SHTs, MPMC queues, partial-match apps), so it dies with the
+        machine.
+        """
+        reg = self._registries.get(name)
+        if reg is None:
+            reg = self._registries[name] = {}
+        return reg
 
     # ------------------------------------------------------------------
     # Label resolution

@@ -286,10 +286,9 @@ class TestQuiescedVersusStalled:
 
         rt, _sink, stats = run_job()
         assert stats.quiesced
-        _check_quiescence(rt, require=True)  # clean run: no raise
-        # forge the silent-hang shape and check both policies
+        _check_quiescence(rt)  # clean run: no raise
+        # forge the silent-hang shape: there is no opt-out
         stats.quiesced = False
         stats.pending_threads = 3
-        _check_quiescence(rt, require=False)  # opted out: accepted
         with pytest.raises(QuiescenceStall, match="3 thread"):
-            _check_quiescence(rt, require=True)
+            _check_quiescence(rt)

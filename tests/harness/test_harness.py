@@ -18,6 +18,7 @@ from repro.harness import (
     run_ingestion,
     run_pagerank,
     run_partial_match,
+    run_service,
     run_triangle_count,
     scaling_efficiency,
     series_table,
@@ -64,6 +65,71 @@ class TestRunners:
         cfg = bench_config(8)
         assert cfg.nodes == 8
         assert cfg.lanes_per_node == 2
+
+
+def _service_requests():
+    from repro.service import ServiceWorkload, SteadyArrivals
+
+    workload = ServiceWorkload(seed=7, n_vertices=32)
+    return workload.requests(SteadyArrivals(gap_cycles=3000.0).times(20))
+
+
+#: each runner on small inputs at 2 nodes; ``options`` are the runner's
+#: ``**options`` (runtime keywords and MachineConfig overrides)
+RUNNERS = {
+    "pagerank": lambda **options: run_pagerank(
+        rmat(6, seed=48), 2, max_degree=16, **options
+    ),
+    "bfs": lambda **options: run_bfs(
+        rmat(6, seed=48), 2, max_degree=16, **options
+    ),
+    "tc": lambda **options: run_triangle_count(rmat(6, seed=48), 2, **options),
+    "ingestion": lambda **options: run_ingestion(
+        make_workload(40, seed=0), 2, **options
+    ),
+    "partial_match": lambda **options: run_partial_match(
+        make_workload(20, n_edge_types=2, seed=0), [Pattern(0, (0, 1))], 2,
+        gap_cycles=50_000, **options,
+    ),
+    "service": lambda **options: run_service(_service_requests(), 2, **options),
+}
+
+
+def _modeled(rec):
+    """What a run modeled: the record's figures, the model counters and
+    every app output (a service result by its digest)."""
+    # the host-side reports, and the two outputs compared by digest
+    apart = ("recorder", "parallel_metrics", "batch", "stats", "service")
+    outputs = {k: v for k, v in rec.extra.items() if k not in apart}
+    service = rec.extra.get("service")
+    return (
+        rec.seconds,
+        rec.metric,
+        rec.extra["stats"].model_snapshot(),
+        outputs,
+        service.fingerprint() if service is not None else None,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+class TestRunnerOptions:
+    """Every runner shares one prologue: runtime keywords and machine
+    overrides arrive through ``**options`` alike."""
+
+    def test_shards_reach_the_runtime_and_change_nothing_modeled(self, name):
+        seq = RUNNERS[name]()
+        sharded = RUNNERS[name](shards=2)
+        assert "parallel_metrics" not in seq.extra
+        assert sharded.extra["parallel_metrics"]["windows"] > 0
+        assert _modeled(sharded) == _modeled(seq)
+
+    def test_machine_override_reaches_the_config(self, name):
+        with pytest.raises(ValueError, match="local_msg_latency_cycles"):
+            RUNNERS[name](local_msg_latency_cycles=-5000)
+
+    def test_unknown_option_is_a_type_error(self, name):
+        with pytest.raises(TypeError, match="no_such_option"):
+            RUNNERS[name](no_such_option=1)
 
 
 class TestSweepAnalysis:

@@ -1,5 +1,7 @@
 """MachineConfig: topology arithmetic and validation."""
 
+import math
+
 import pytest
 
 from repro.machine import MachineConfig, bench_machine, paper_machine
@@ -76,6 +78,47 @@ class TestValidation:
             MachineConfig(message_bytes=size)
         with pytest.raises(ValueError, match="message_bytes"):
             bench_machine(nodes=2, message_bytes=size)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("local_msg_latency_cycles", -500),
+            ("remote_msg_latency_cycles", -1),
+            ("dram_latency_cycles", -5),
+            ("dram_latency_cycles", math.inf),
+            ("local_msg_latency_cycles", math.nan),
+            ("node_dram_bytes_per_cycle", math.nan),
+            ("node_dram_bytes_per_cycle", -1.0),
+            ("node_injection_bytes_per_cycle", 0.0),
+            ("node_injection_bytes_per_cycle", math.inf),
+        ],
+    )
+    def test_latency_and_bandwidth_must_be_runnable(self, name, value):
+        """A negative latency delivers messages before they are sent; a
+        zero bandwidth divides by zero mid-run.  The error names the
+        field, on the bench machine's override path too."""
+        with pytest.raises(ValueError, match=name):
+            MachineConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            bench_machine(nodes=2, **{name: value})
+
+    def test_zero_latency_stays_legal(self):
+        cfg = MachineConfig(
+            local_msg_latency_cycles=0,
+            remote_msg_latency_cycles=0,
+            dram_latency_cycles=0,
+        )
+        assert cfg.dram_latency_cycles == 0
+
+    def test_every_shipped_machine_constructs(self):
+        from repro.harness import bench_config
+
+        paper_machine()
+        MachineConfig()
+        for nodes in (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024):
+            bench_machine(nodes=nodes)
+            bench_config(nodes)
+            bench_config(nodes).scaled(2 * nodes)
 
     def test_removed_knob_is_not_accepted(self):
         with pytest.raises(TypeError):

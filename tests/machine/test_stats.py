@@ -1,8 +1,10 @@
 """Statistics aggregation."""
 
+import dataclasses
+
 import pytest
 
-from repro.machine.stats import SimStats
+from repro.machine.stats import HOST_SPLIT_KEYS, SimStats
 
 
 class TestSimStats:
@@ -57,3 +59,29 @@ class TestSimStats:
         assert snap["final_tick"] == 12.5
         # per-lane dicts are not part of the scalar snapshot
         assert "busy_cycles_by_lane" not in snap
+
+    def test_every_numeric_field_is_fingerprinted(self):
+        """A counter added to SimStats reaches ``model_snapshot()`` (the
+        fingerprint) or is a declared host-split key; only the last
+        drain's end state stays out."""
+        drain_state = {"quiesced", "pending_threads"}
+        snap = SimStats().model_snapshot()
+        numeric = [
+            f.name
+            for f in dataclasses.fields(SimStats)
+            if f.type in ("int", "float", int, float)
+            and f.name not in drain_state
+        ]
+        assert {"messages_sent", "faults_stall_cycles", "final_tick"} <= set(
+            numeric
+        )
+        for name in numeric:
+            assert name in snap or name in HOST_SPLIT_KEYS, name
+
+    def test_scalar_snapshot_keeps_field_order(self):
+        """The perflog and Chrome-trace exports write the snapshot in
+        key order: field order, ``final_tick`` last."""
+        keys = list(SimStats().scalar_snapshot())
+        assert keys[0] == "messages_sent" and keys[-1] == "final_tick"
+        order = [f.name for f in dataclasses.fields(SimStats)]
+        assert keys == sorted(keys, key=order.index)

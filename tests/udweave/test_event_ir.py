@@ -30,7 +30,7 @@ BLOCK = 4096
 def _job(rt, reduce_cls_name):
     return next(
         j
-        for j in rt._kvmsr_jobs.values()
+        for j in rt.registry("kvmsr_jobs").values()
         if j.reduce_cls is not None
         and j.reduce_cls.__name__ == reduce_cls_name
     )
