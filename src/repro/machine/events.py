@@ -23,6 +23,11 @@ continuation event word.  Records carry the label *twice*:
   (tests, host tooling); the dispatcher falls back to string resolution
   for those.
 
+A :class:`DramAccess` describes one split-phase DRAM access over its
+whole life: the request to the memory node and the reply event back to
+the requesting lane are the same object, and a read's words wait in it
+as bytes until the reply is dispatched.
+
 The machine layer is deliberately ignorant of the UDWeave object model: it
 moves :class:`MessageRecord` values around and asks a registered *dispatcher*
 to execute them.  The UDWeave runtime (``repro.udweave``) provides that
@@ -89,7 +94,7 @@ class MessageRecord:
         self.operands = operands
         self.continuation = continuation
         self.src_network_id = src_network_id
-        #: tag used by statistics ("msg" or "dram"); has no semantic effect.
+        #: tag used by statistics ("msg" or "ctl"); has no semantic effect.
         self.kind = kind
         self.label_id = label_id
         #: reliable-delivery tag (``repro.faults.transport``): ``None``
@@ -126,55 +131,106 @@ class MessageRecord:
         )
 
 
-class DramArrival:
-    """A remote split-phase DRAM request in flight to its memory node.
+class DramAccess:
+    """One split-phase DRAM access, from issue until its reply is handled.
 
-    ``network_id`` is a *virtual* destination — ``total_lanes +
-    memory_node`` — which the drain loop recognizes (it is outside the
-    lane range) and services by running the memory-channel access and the
-    reply hop *at the memory node, in arrival order*.  Keeping all
-    mutations of a node's DRAM and reply channels at the owning node is
-    what makes the memory system shardable: a requester only touches its
-    own injection channel at issue time.
+    The same object carries both legs.  On the request leg (remote
+    accesses only) ``network_id`` is a *virtual* destination —
+    ``total_lanes + memory_node`` — which the drain loop recognizes (it
+    is outside the lane range) and services by running the memory-channel
+    access and the reply hop *at the memory node, in arrival order*.
+    Keeping all mutations of a node's DRAM and reply channels at the
+    owning node is what makes the memory system shardable: a requester
+    only touches its own injection channel at issue time.  The memory
+    node then points ``network_id`` back at the requesting lane
+    (``src_network_id``) and queues the same object as the reply; a
+    local access is queued as the reply at once.
 
-    The functional payload is not carried here: data words are read and
-    written when the request *issues* (see ``repro.udweave.context``);
-    only the timing flows through this record.
+    The reply is an event like a :class:`MessageRecord` — ``thread``,
+    ``label``, ``label_id`` and ``operands`` — with no continuation and
+    no transport tag.  An access whose ``label`` is ``None`` (an
+    un-acked write) has no reply leg: it ends at the memory node.
+
+    The functional payload is applied when the access *issues* (see
+    ``repro.udweave.context``): a read's words are copied then, as the
+    bytes of the whole list in ``data``, and decoded into ``operands``
+    only when the reply is dispatched — ``unpack(data, 8 * word)``
+    yields this chunk's words, prefixed by ``tag`` (and by ``index``,
+    the chunk's first word in its list, when it is not ``None``).  The
+    decoded values are the Python ints or floats ``ndarray.tolist()``
+    gives.
     """
 
     __slots__ = (
         "network_id",
-        "response",
-        "src_node",
+        "src_network_id",
+        "thread",
+        "label",
+        "label_id",
         "memory_node",
         "nbytes",
         "local_offset",
+        "src_node",
         "back_bytes",
+        "tag",
+        "data",
+        "unpack",
+        "word",
+        "index",
     )
+
+    #: what a reply shares with every :class:`MessageRecord` consumer:
+    #: no continuation, no reliable-delivery tag, the statistics tag.
+    continuation = None
+    rdt = None
+    kind = "dram"
 
     def __init__(
         self,
-        network_id: int,
-        response: Optional[MessageRecord],
-        src_node: int,
         memory_node: int,
         nbytes: int,
         local_offset: int,
-        back_bytes: int,
+        network_id: Optional[int] = None,
+        thread: int = NEW_THREAD,
+        label: Optional[str] = None,
+        label_id: int = UNRESOLVED_LABEL,
+        tag: Any = None,
+        data: Optional[bytes] = None,
+        unpack=None,
+        word: int = 0,
+        index: Optional[int] = None,
     ) -> None:
-        self.network_id = network_id
-        self.response = response
-        self.src_node = src_node
         self.memory_node = memory_node
         self.nbytes = nbytes
         self.local_offset = local_offset
-        #: wire bytes of the return direction (data for reads, a
-        #: completion message for writes), fixed at issue time.
-        self.back_bytes = back_bytes
+        #: the requesting lane: the reply's destination.  ``None`` for
+        #: an access issued by a node's own actor (it has no reply).
+        self.network_id = self.src_network_id = network_id
+        self.thread = thread
+        self.label = label
+        self.label_id = label_id
+        self.tag = tag
+        self.data = data
+        self.unpack = unpack
+        self.word = word
+        self.index = index
+        # ``src_node`` and ``back_bytes`` (wire bytes of the return
+        # direction: the data for a read, a completion message for a
+        # write) are set by ``Simulator.dram_issue`` on a remote access.
+
+    @property
+    def operands(self) -> Tuple[Any, ...]:
+        data = self.data
+        words = () if data is None else self.unpack(data, 8 * self.word)
+        tag = self.tag
+        if tag is None:
+            return words
+        index = self.index
+        return (tag, *words) if index is None else (tag, index, *words)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DramArrival(memory_node={self.memory_node}, "
-            f"src_node={self.src_node}, nbytes={self.nbytes})"
+            f"DramAccess(network_id={self.network_id}, "
+            f"memory_node={self.memory_node}, nbytes={self.nbytes}, "
+            f"label={self.label!r})"
         )
-

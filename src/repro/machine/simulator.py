@@ -22,11 +22,12 @@ how the machine is partitioned into shards: a conservative parallel run
 results to the sequential drain.
 
 Remote split-phase DRAM is event-driven: the requester admits its own
-injection channel at issue time and schedules a :class:`DramArrival`
-meta-event at the memory node; the memory channel and the reply virtual
-channel are touched only when that event pops — in arrival order, at the
-node that owns them.  That locality (every channel is mutated only by its
-owning node) is what makes the machine shardable by node.
+injection channel at issue time and queues the access — one
+:class:`DramAccess` — at the memory node; the memory channel and the
+reply virtual channel are touched only when it pops — in arrival order,
+at the node that owns them — and the same object is then queued again as
+the reply.  That locality (every channel is mutated only by its owning
+node) is what makes the machine shardable by node.
 
 Hot path: event handlers model 10-100 machine instructions (paper
 §2.1.1), so a single figure-9 sweep point executes hundreds of thousands
@@ -53,7 +54,7 @@ from itertools import islice, takewhile
 from typing import Callable, List, Optional, Tuple
 
 from .config import MachineConfig
-from .events import HOST_NWID, DramArrival, MessageRecord
+from .events import HOST_NWID, DramAccess, MessageRecord
 from .lane import Lane
 from .memory import MemorySystem
 from .network import Network
@@ -384,14 +385,21 @@ class Simulator:
 
         Covers the three things a hung run needs triaged: what is still
         *in flight* (the next queued events and the earliest parked
-        records, each ``(time, nwid, label)`` in pop order), what is
-        still *waiting* (live threads per lane), and whatever registered
-        providers know about protocol state (KVMSR reports outstanding
-        reduce credits).
+        records, each ``(time, nwid, label)`` in pop order; a DRAM
+        access still heading to memory node ``m`` reads
+        ``"dram→<reply label>@m"``, or ``"dram→write@m"`` without a
+        reply), what is still *waiting* (live threads per lane), and
+        whatever registered providers know about protocol state (KVMSR
+        reports outstanding reduce credits).
         """
         queued = self._queued()
+        total_lanes = self._total_lanes
         next_events = [
-            (t, dest, getattr(r, "label", type(r).__name__))
+            (t, dest, (
+                # a DRAM access still heading to its memory node
+                f"dram→{r.label or 'write'}@{r.memory_node}"
+                if dest >= total_lanes else r.label
+            ))
             for t, dest, _seq, r in heapq.nsmallest(limit, queued)
         ]
         next_parked = [
@@ -435,7 +443,7 @@ class Simulator:
         """The single keying point for everything delivered later.
 
         Every queued delivery — messages from :meth:`issue`, host
-        injections, lane-local alarms, DRAM arrivals and responses —
+        injections, lane-local alarms, DRAM accesses and their replies —
         funnels through here, so the shard scheduler has one place to
         hook (``self._route``) when events must land in a per-shard heap
         instead of the global heap.  (Parked records skip the queue:
@@ -842,20 +850,20 @@ class Simulator:
         The machine's one DRAM issue site: every ``LaneContext`` DRAM
         access (``send_dram_read`` / ``send_dram_reads`` /
         ``send_dram_write``) lands here.
-        ``run`` is a sequence of ``(t_issue, memory_node, nbytes,
-        local_offset, response)``, all reads or all writes
+        ``run`` is a sequence of ``(t_issue, access)`` pairs, each
+        ``access`` a :class:`DramAccess`, all reads or all writes
         (``is_read``), issued from node ``src_node`` by lane
         ``src_nwid`` (``None`` for the node's own actor).  The actor is
         derived and the ``dram_*`` counters are bumped once per run;
         each element is then handled in order, so a run of ``n`` equals
-        ``n`` one-element calls.  A read needs a ``response`` — the data
-        has to go somewhere.  A local access is serviced at once and its
-        ``response`` (if any) is pushed at the ready time.  A remote one
-        is event-driven: the request is admitted through the requester's
-        injection channel at issue time, then a :class:`DramArrival`
-        meta-event carries it to the memory node, where the DRAM channel
+        ``n`` one-element calls.  A read needs a reply leg (a
+        ``label``) — the data has to go somewhere.  A local access is
+        serviced at once and queued as its reply (if any) at the ready
+        time.  A remote one is event-driven: the request is admitted
+        through the requester's injection channel at issue time, then
+        the access is queued at the memory node, where the DRAM channel
         and the reply virtual channel are serviced in arrival order when
-        the event pops (:meth:`_dram_arrive`).
+        it pops (:meth:`_dram_arrive`).
 
         Remote accesses ride the fabric like any other traffic: each
         direction is admitted through an injection channel at its
@@ -878,16 +886,19 @@ class Simulator:
         stats = self.stats
         total_bytes = n_remote = 0
         t = 0.0
-        for t_issue, memory_node, nbytes, local_offset, response in run:
-            if response is None and is_read:
-                raise SimulationError("DRAM read requires a response record")
+        for t_issue, access in run:
+            if access.label is None and is_read:
+                raise SimulationError("DRAM read requires a reply label")
+            memory_node = access.memory_node
+            nbytes = access.nbytes
             total_bytes += nbytes
             if src_node == memory_node:
                 t = self.memory.access(
-                    t_issue, src_node, memory_node, nbytes, local_offset
+                    t_issue, src_node, memory_node, nbytes,
+                    access.local_offset,
                 )
-                if response is not None:
-                    self._push(t, response, actor)
+                if access.label is not None:
+                    self._push(t, access, actor)
                 elif t > stats.final_tick:
                     # Fire-and-forget writes still occupy the machine
                     # until they land; the makespan must cover them.
@@ -900,11 +911,10 @@ class Simulator:
                 msg_bytes if is_read else msg_bytes + nbytes,
                 self._dram_transit,
             )
-            self._push(t, DramArrival(
-                self._total_lanes + memory_node, response, src_node,
-                memory_node, nbytes, local_offset,
-                nbytes if is_read else msg_bytes,
-            ), actor)
+            access.network_id = self._total_lanes + memory_node
+            access.src_node = src_node
+            access.back_bytes = nbytes if is_read else msg_bytes
+            self._push(t, access, actor)
         if is_read:
             stats.dram_reads += len(run)
             stats.dram_bytes_read += total_bytes
@@ -915,30 +925,31 @@ class Simulator:
             stats.dram_remote_accesses += n_remote
         return t
 
-    def _dram_arrive(self, t_arrive: float, arrival: DramArrival) -> None:
+    def _dram_arrive(self, t_arrive: float, access: DramAccess) -> None:
         """Service a remote access at its memory node.
 
-        Runs when the :class:`DramArrival` meta-event pops in
+        Runs when the access pops at its memory node's virtual id in
         :meth:`_drain`, after the memory node's fail-stop check: the
         memory channel is occupied in *arrival* order (requests that
         left their sources earlier are serviced first), the reply rides
-        the memory node's reply virtual channel, and the response — if
-        any — is pushed with the memory node's own actor counter.  All
-        state touched here belongs to ``arrival.memory_node``, so under
-        sharding this executes on the shard that owns it.
+        the memory node's reply virtual channel, and the access — if it
+        has a reply leg — is queued back to its requesting lane with the
+        memory node's own actor counter.  All state touched here belongs
+        to ``access.memory_node``, so under sharding this executes on the
+        shard that owns it.
         """
-        mem_node = arrival.memory_node
-        src_node = arrival.src_node
+        mem_node = access.memory_node
+        src_node = access.src_node
         t_ready = self.memory.access(
-            t_arrive, src_node, mem_node, arrival.nbytes, arrival.local_offset
+            t_arrive, src_node, mem_node, access.nbytes, access.local_offset
         )
         t_back = self._dram_hop(
-            t_ready, mem_node, src_node, arrival.back_bytes,
+            t_ready, mem_node, src_node, access.back_bytes,
             self._dram_transit, True,
         )
-        response = arrival.response
-        if response is not None:
-            self._push(t_back, response, 1 + self._total_lanes + mem_node)
+        if access.label is not None:
+            access.network_id = access.src_network_id
+            self._push(t_back, access, 1 + self._total_lanes + mem_node)
         else:
             stats = self.stats
             if t_back > stats.final_tick:

@@ -7,7 +7,8 @@ descriptor.  Changing *one number* in the call changes the physical layout
 (the Figure 12 experiment does exactly this).
 
 In this functional simulation each region is backed by a NumPy array of
-64-bit *words* (all of the paper's data structures are 8-byte fields).
+64-bit *words* (all of the paper's data structures are 8-byte fields):
+``int64``, ``uint64`` or ``float64``.
 The data lives host-side; the descriptor only decides **which node's memory
 channel pays** for each access — that is what produces placement-dependent
 performance.
@@ -16,6 +17,8 @@ performance.
 from __future__ import annotations
 
 import bisect
+import functools
+import struct
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -25,6 +28,22 @@ from repro.machine.config import MachineConfig
 from .translation import SwizzleDescriptor
 
 WORD_BYTES = 8
+
+#: ``struct`` format of ``%d`` words, by the ``dtype.str`` of each
+#: 8-byte word a region may hold, in either byte order.
+_WORD_FORMATS = {
+    f"{order}{kind}8": f"{order}%d{code}"
+    for order in "<>"
+    for kind, code in (("i", "q"), ("u", "Q"), ("f", "d"))
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _unpacker(word_format: str, nwords: int):
+    """``unpack(buffer, offset)`` → the ``nwords`` words at byte
+    ``offset`` of a copy of a region's data, as the Python ints or
+    floats ``ndarray.tolist()`` gives."""
+    return struct.Struct(word_format % nwords).unpack_from
 
 
 class MemoryError_(RuntimeError):
@@ -43,6 +62,12 @@ class Region:
         self.descriptor = descriptor
         self.name = name
         self.dtype = np.dtype(dtype)
+        self.word_format = _WORD_FORMATS.get(self.dtype.str)
+        if self.word_format is None:
+            raise MemoryError_(
+                f"region {name!r}: DRAM words are int64, uint64 or float64, "
+                f"not {self.dtype}"
+            )
         self.freed = False
         # Address arithmetic, fixed at allocation: every DRAM transaction
         # reads these.  Block size and node count are powers of two (the
@@ -234,25 +259,32 @@ class GlobalMemory:
         self, va: int, nwords: int
     ) -> Tuple[int, int, tuple]:
         """Fused ``translate`` + ``read_words`` for ``nwords`` >= 1 words:
-        :meth:`read_chunks_translated`'s one-chunk case.
+        :meth:`read_chunks_translated`'s one-chunk case, decoded.
 
         Returns ``(memory_node, node_local_offset, values)``.
         """
-        return self.read_chunks_translated(va, nwords, nwords)[0]
+        data, chunks = self.read_chunks_translated(va, nwords, nwords)
+        node, local_offset, _n, unpack = chunks[0]
+        return node, local_offset, unpack(data, 0)
 
-    def read_chunks_translated(self, va: int, nwords: int, width: int) -> list:
+    def read_chunks_translated(
+        self, va: int, nwords: int, width: int
+    ) -> Tuple[bytes, list]:
         """Fused ``translate`` + ``read_words``: ``nwords`` words at
         ``va`` as consecutive ``width``-word chunks.
 
-        Each chunk is ``(memory_node, node_local_offset, values)``,
-        placed by its own first word — a chunk that straddles a swizzle
-        block goes whole to one node.  Every split-phase DRAM read needs
-        both the placement and the payload, and the region lookup
-        (bisect + bounds guard) costs as much as either, so one lookup,
-        one alignment and overrun check and one slice serve the whole
-        list; an overrun raises before any chunk is returned.  The
-        translation is ``SwizzleDescriptor.translate`` in shifts and
-        masks.
+        Returns ``(data, chunks)``.  ``data`` is a copy of the words,
+        taken now, as bytes.  Chunk *j* covers the ``n`` words from
+        ``width * j`` on and is ``(memory_node, node_local_offset, n,
+        unpack)``, placed by its own first word — a chunk that straddles
+        a swizzle block goes whole to one node — with
+        ``unpack(data, 8 * width * j)`` decoding its words.  Every
+        split-phase DRAM read needs both the
+        placement and the payload, and the region lookup (bisect +
+        bounds guard) costs as much as either, so one lookup, one
+        alignment and overrun check and one copy serve the whole list;
+        an overrun raises before any chunk is returned.  The translation
+        is ``SwizzleDescriptor.translate`` in shifts and masks.
         """
         region = self.region_of(va)
         off = va - region.base
@@ -266,23 +298,31 @@ class GlobalMemory:
                 f"read of {nwords} words at {va:#x} overruns region "
                 f"{region.name!r}"
             )
-        words = region.data[start : start + nwords].tolist()
+        data = region.data[start : start + nwords].tobytes()
         shift = region.block_shift
         node_mask = region.node_mask
         node_shift = region.node_shift
         block_mask = region.block_mask
         first_node = region.first_node
         machine_nodes = region.machine_nodes
+        word_format = region.word_format
+        full = _unpacker(word_format, width)
         chunks = []
         for i in range(0, nwords, width):
             o = off + i * WORD_BYTES
             block = o >> shift
+            n = nwords - i
+            if n >= width:
+                n, unpack = width, full
+            else:
+                unpack = _unpacker(word_format, n)
             chunks.append((
                 (first_node + (block & node_mask)) % machine_nodes,
                 ((block >> node_shift) << shift) + (o & block_mask),
-                tuple(words[i : i + width]),
+                n,
+                unpack,
             ))
-        return chunks
+        return data, chunks
 
     def write_words_translated(self, va: int, values) -> Tuple[int, int]:
         """Fused ``translate`` + ``write_words`` (see read_words_translated)."""

@@ -3,7 +3,9 @@
 Produces the JSON object format (``{"traceEvents": [...]}``) understood by
 ``chrome://tracing`` and Perfetto.  Tracks:
 
-* one process ("lanes") with a thread per lane — per-event busy spans;
+* one process ("lanes") with a thread per lane — per-event busy spans,
+  in ``(start, lane, label)`` order, so a batched run's trace is the
+  interpreter's byte for byte;
 * one process per channel family ("network injection", "dram") with a
   thread per node — per-admission occupancy spans (full tier only);
 * one process ("kvmsr") with a thread per job — phase spans plus instant
@@ -60,7 +62,12 @@ def chrome_trace(
         _meta(pid, name) for pid, name in _PROCESS_NAMES.items()
     ]
 
-    for nwid, start, end, label in recorder.lane_spans:
+    # Sorted, so the trace does not depend on when spans were appended:
+    # batched records append theirs when their lane flushes.
+    spans = sorted(
+        recorder.lane_spans, key=lambda s: (s[1], s[0], s[3], s[2])
+    )
+    for nwid, start, end, label in spans:
         events.append(
             {
                 "ph": "X",

@@ -12,7 +12,8 @@ the event, and implements the paper's §2.1.2 intrinsics:
 * ``yield_()`` / ``yield_terminate()`` — software thread management.
 
 Functional-simulation note: DRAM payload data is read/written when the
-request *issues*; only the timing flows through the memory model.  UpDown
+request *issues* (a read's words are copied then and decoded when its
+reply is dispatched); only the timing flows through the memory model.  UpDown
 imposes no global memory ordering either, so correct programs (like all the
 apps in this repo) must not rely on racing accesses — see DESIGN.md.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Union
 
-from repro.machine.events import NEW_THREAD, MessageRecord
+from repro.machine.events import NEW_THREAD, DramAccess, MessageRecord
 from repro.machine.lane import Lane
 
 from . import eventword
@@ -282,41 +283,14 @@ class LaneContext:
         The response is delivered to *this thread* at ``return_label`` with
         the word values as operands (prefixed by ``tag`` when given, so a
         thread with several outstanding reads can tell them apart).  To
-        stream a longer list, use :meth:`send_dram_reads`.
+        stream a longer list, use :meth:`send_dram_reads`; this is its
+        one-chunk case without the chunk index.
         """
         if not (1 <= nwords <= MAX_DRAM_READ_WORDS):
             raise UDWeaveError(
                 f"DRAM reads move 1..{MAX_DRAM_READ_WORDS} words, got {nwords}"
             )
-        self.cycles += self.costs.send_dram_with_cont
-        runtime = self.runtime
-        mem_node, local_offset, values = runtime.gmem.read_words_translated(
-            va, nwords
-        )
-        operands = values if tag is None else (tag, *values)
-        # resolve_label_id's cache probe, inlined: a thread reading a
-        # vertex at a time names the same return label on every read
-        thread = self.thread
-        label_id = runtime._resolve_cache.get((type(thread), return_label))
-        if label_id is None:
-            label_id = runtime.resolve_label_id(return_label, thread)
-        lane = self.lane
-        nwid = lane.network_id
-        response = MessageRecord(
-            nwid,
-            self.tid,
-            runtime._label_names[label_id],
-            operands,
-            None,
-            nwid,
-            "dram",
-            label_id,
-        )
-        self.sim.dram_issue(
-            nwid, lane.node, True,
-            ((self.start + self.cycles, mem_node, nwords * 8, local_offset,
-              response),),
-        )
+        self._read_run(va, nwords, return_label, tag, 0, False)
 
     def send_dram_reads(
         self,
@@ -346,10 +320,24 @@ class LaneContext:
             raise UDWeaveError(f"work must be finite and >= 0, got {work!r}")
         if not nwords:
             return 0
+        return self._read_run(va, nwords, return_label, tag, work, True)
+
+    def _read_run(self, va, nwords, return_label, tag, work, indexed) -> int:
+        """The one read-reply constructor: ``nwords`` ≥ 1 words at
+        ``va`` as one run of 8-word :class:`DramAccess` chunks.
+
+        The words are copied now, once for the whole list (payloads
+        apply at issue), and each chunk keeps only its word range; its
+        operands — ``(tag, i, *words)`` when ``indexed``, else
+        ``(tag, *words)``, or the words alone untagged — are decoded
+        when its reply is dispatched.
+        """
         runtime = self.runtime
-        chunks = runtime.gmem.read_chunks_translated(
+        data, chunks = runtime.gmem.read_chunks_translated(
             va, nwords, MAX_DRAM_READ_WORDS
         )
+        # resolve_label_id's cache probe, inlined: a thread reading a
+        # vertex at a time names the same return label on every read
         thread = self.thread
         label_id = runtime._resolve_cache.get((type(thread), return_label))
         if label_id is None:
@@ -365,16 +353,12 @@ class LaneContext:
         cycles = self.cycles
         run = []
         i = 0
-        for mem_node, local_offset, values in chunks:
+        for mem_node, local_offset, n, unpack in chunks:
             cycles += send
-            run.append((
-                start + cycles, mem_node, 8 * len(values), local_offset,
-                MessageRecord(
-                    nwid, tid, label,
-                    values if tag is None else (tag, i, *values),
-                    None, nwid, "dram", label_id,
-                ),
-            ))
+            run.append((start + cycles, DramAccess(
+                mem_node, 8 * n, local_offset, nwid, tid, label, label_id,
+                tag, data, unpack, i, i if indexed else None,
+            )))
             cycles += charge
             i += MAX_DRAM_READ_WORDS
         self.cycles = cycles
@@ -398,26 +382,20 @@ class LaneContext:
         mem_node, local_offset = self.runtime.gmem.write_words_translated(
             va, list(values)
         )
-        # An acked write is issued by this lane; an un-acked one by the
-        # node's own actor (it has no response to key).
-        nwid = response = None
-        if ack_label is not None:
-            label_id = self.runtime.resolve_label_id(ack_label, self.thread)
-            nwid = self.lane.network_id
-            response = MessageRecord(
-                nwid,
-                self.tid,
-                self.runtime.label_name(label_id),
-                () if tag is None else (tag,),
-                None,
-                nwid,
-                "dram",
-                label_id,
+        lane = self.lane
+        if ack_label is None:
+            # issued by the node's own actor: it has no reply to key
+            nwid = None
+            access = DramAccess(mem_node, len(values) * 8, local_offset)
+        else:
+            runtime = self.runtime
+            label_id = runtime.resolve_label_id(ack_label, self.thread)
+            nwid = lane.network_id
+            access = DramAccess(
+                mem_node, len(values) * 8, local_offset, nwid, self.tid,
+                runtime.label_name(label_id), label_id, tag,
             )
-        self.sim.dram_issue(
-            nwid, self.lane.node, False,
-            ((self.time, mem_node, len(values) * 8, local_offset, response),),
-        )
+        self.sim.dram_issue(nwid, lane.node, False, ((self.time, access),))
 
     # ------------------------------------------------------------------
     # Scratchpad

@@ -280,15 +280,3 @@ class TestQuiescedVersusStalled:
         assert not sim.stats.quiesced
         sim.run()
         assert sim.stats.quiesced
-
-    def test_harness_runners_assert_quiescence_by_default(self):
-        from repro.harness.runner import _check_quiescence
-
-        rt, _sink, stats = run_job()
-        assert stats.quiesced
-        _check_quiescence(rt)  # clean run: no raise
-        # forge the silent-hang shape: there is no opt-out
-        stats.quiesced = False
-        stats.pending_threads = 3
-        with pytest.raises(QuiescenceStall, match="3 thread"):
-            _check_quiescence(rt)

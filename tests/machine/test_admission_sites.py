@@ -18,7 +18,7 @@ on its destination lane — is keyed, priced, counted and placed by
 an issuing-actor derivation, or a ``messages_*`` / ``dram_*`` count
 anywhere else, and on any other module reading the issue site's private
 state.  A remote DRAM access is served at its memory node only when its
-``DramArrival`` pops in ``Simulator._drain``: no synchronous
+``DramAccess`` request leg pops in ``Simulator._drain``: no synchronous
 serve-at-issue path jumps the node's arrival order or its fail-stop
 check.
 
@@ -144,7 +144,7 @@ SEQ_SITES = {"_push", "issue", "_issue_guarded"}
 ACTOR_SITES = {"issue", "dram_issue"}
 
 #: functions allowed to call ``_dram_arrive``: only the drain loop, when
-#: the ``DramArrival`` pops.
+#: a ``DramAccess`` pops at its memory node's virtual id.
 ARRIVE_SITES = {"_drain"}
 
 #: DRAM traffic counters: bumped once per run by ``dram_issue``.

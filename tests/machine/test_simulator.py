@@ -10,6 +10,7 @@ from repro.faults import FaultPlan
 from repro.harness import fingerprint
 from repro.machine import (
     HOST_NWID,
+    DramAccess,
     MessageRecord,
     SimulationError,
     Simulator,
@@ -442,12 +443,12 @@ class TestMergedParking:
 class TestDram:
     def test_read_requires_response(self, sim):
         with pytest.raises(SimulationError):
-            sim.dram_issue(None, 0, True, ((0.0, 0, 64, 0, None),))
+            sim.dram_issue(None, 0, True, ((0.0, DramAccess(0, 64, 0)),))
 
     def test_remote_access_slower_than_local(self, sim):
         def response_start(s, mem_node):
-            resp = MessageRecord(0, NEW_THREAD, "r", src_network_id=0)
-            s.dram_issue(0, 0, True, ((0.0, mem_node, 64, 0, resp),))
+            resp = DramAccess(mem_node, 64, 0, 0, NEW_THREAD, "r")
+            s.dram_issue(0, 0, True, ((0.0, resp),))
             s.run()
             return s.dispatcher.executed[-1][2]
 
@@ -459,14 +460,35 @@ class TestDram:
         assert t_remote >= t_local + 2 * sim.config.remote_dram_transit_cycles
 
     def test_write_without_ack_extends_final_tick(self, sim):
-        t = sim.dram_issue(None, 0, False, ((0.0, 0, 64, 0, None),))
+        t = sim.dram_issue(None, 0, False, ((0.0, DramAccess(0, 64, 0)),))
         assert sim.stats.final_tick == t
         assert sim.stats.dram_writes == 1
 
+    def test_stall_dump_tells_a_request_from_its_reply(self):
+        """One record carries both legs of a remote access: heading to
+        memory it reads ``dram→<reply label>@node``, and after the memory
+        node serves it, its reply label at the requesting lane."""
+        sim = Simulator(bench_machine(nodes=2), dispatcher=null_dispatcher())
+        lanes = sim.config.total_lanes
+        read = DramAccess(1, 64, 0, 0, NEW_THREAD, "r")
+        t_read = sim.dram_issue(0, 0, True, ((0.0, read),))
+        write = DramAccess(1, 64, 64)
+        t_write = sim.dram_issue(None, 0, False, ((0.0, write),))
+        assert sorted(sim.stall_dump()["next_events"]) == sorted([
+            (t_read, lanes + 1, "dram→r@1"),
+            (t_write, lanes + 1, "dram→write@1"),
+        ])
+        t_served = max(t_read, t_write)
+        sim.run(until=t_served + 1.0)
+        (t, nwid, label), = sim.stall_dump()["next_events"]
+        assert (nwid, label) == (0, "r") and t > t_served
+        sim.run()
+        assert sim.stats.quiesced
+
     def test_stats_track_bytes(self, sim):
-        rec = MessageRecord(0, 0, "r")
-        sim.dram_issue(rec.src_network_id, 0, True, ((0.0, 0, 64, 0, rec),))
-        sim.dram_issue(None, 0, False, ((0.0, 0, 128, 0, None),))
+        rec = DramAccess(0, 64, 0, 0, 0, "r")
+        sim.dram_issue(rec.src_network_id, 0, True, ((0.0, rec),))
+        sim.dram_issue(None, 0, False, ((0.0, DramAccess(0, 128, 0)),))
         assert sim.stats.dram_bytes_read == 64
         assert sim.stats.dram_bytes_written == 128
 

@@ -76,6 +76,19 @@ class TestAccess:
         gm.write_words(r.addr(0), [0.25, 0.5])
         assert gm.read_words(r.addr(0), 2) == (0.25, 0.5)
 
+    @pytest.mark.parametrize(
+        "dtype", [np.int32, np.float32, np.bool_, object, np.complex128]
+    )
+    def test_words_are_eight_byte_numbers(self, gm, dtype):
+        """A read's words are decoded from bytes with ``struct``, which
+        knows only the 8-byte int, uint and float words."""
+        with pytest.raises(MemoryError_, match="int64, uint64 or float64"):
+            gm.dram_malloc(64, dtype=dtype, name="odd")
+        for ok in (np.int64, np.uint64, np.float64, ">f8"):
+            r = gm.dram_malloc(8 * 4, dtype=ok)
+            r[:] = [1, 2, 3, 250]
+            assert gm.read_words_translated(r.addr(1), 3)[2] == (2, 3, 250)
+
     def test_region_named_lookup(self, gm):
         r = gm.dram_malloc(64, name="findme")
         assert gm.region_named("findme") is r

@@ -1,5 +1,6 @@
 """Recorded runs and their exporters: parity, Chrome trace, perflog."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -131,6 +132,30 @@ class TestChromeTrace:
             if e["ph"] == "i" and e["name"] == "quiescence_poll"
         ]
         assert instants
+
+
+    def test_batched_trace_is_byte_identical(self, rmat_s6):
+        """Batched records append their lane spans when their lane
+        flushes, so a batched run records the interpreter's spans in
+        another order; the export sorts them, and the two traces are one
+        byte string (the host-split counters stay out of ``scalars``)."""
+        traces = {}
+        for batch in (True, False):
+            rt = UpDownRuntime(
+                bench_machine(nodes=4, batch_dispatch=batch),
+                recorder=make_recorder("full"),
+            )
+            PageRankApp(rt, rmat_s6, max_degree=16, block_size=4096).run(
+                max_events=10_000_000
+            )
+            stats = rt.sim.stats
+            assert (stats.records_batched > 0) is batch
+            text = json.dumps(chrome_trace(
+                rt.recorder, rt.config.clock_hz, stats.model_snapshot()
+            ))
+            # by digest: a failing == on two long strings diffs them
+            traces[batch] = hashlib.sha256(text.encode()).hexdigest()
+        assert traces[True] == traces[False]
 
 
 class TestPerflog:

@@ -1,7 +1,9 @@
 """LaneContext: intrinsics, DRAM split-phase access, scratchpad, yields."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -175,8 +177,12 @@ def _read_list(vector, nwords, offset, work, tagged, nr_nodes, src_node,
     sim = rt.sim
     push = sim._push
 
+    total_lanes = rt.config.total_lanes
+
     def logged(t, rec, actor):
-        if getattr(rec, "kind", None) == "dram":
+        # a DRAM reply: the request leg is the same record, pushed to
+        # its memory node's virtual id first
+        if rec.kind == "dram" and rec.network_id < total_lanes:
             out["pushed"].append((t, rec.operands))
         push(t, rec, actor)
 
@@ -266,6 +272,116 @@ def test_list_read_reaches_both_memory_nodes():
     words = [w for ops in chunks for w in ops[2:]]
     first = 1000 + BLOCK_WORDS - 12
     assert words == list(range(first, first + 20))
+
+
+#: words whose host value must survive the trip through DRAM exactly
+INT_WORDS = [0, 1, -1, 255, 256, -257, 2**31, -(2**31) - 1, 2**63 - 1, -(2**63)]
+FLOAT_WORDS = [
+    0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, 5e-324,
+    -1.7976931348623157e308, 1 / 3,
+]
+
+
+def _bits(value):
+    """Exact identity of a word: its type and (for floats) its bits."""
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    return type(value), value
+
+
+class TestReadSnapshot:
+    """A read's words reach its handler as the values ``.tolist()``
+    gives, taken when the read issues."""
+
+    @pytest.mark.parametrize("words", [INT_WORDS, FLOAT_WORDS],
+                             ids=["int64", "float64"])
+    def test_handler_operands_are_the_tolist_values(self, words):
+        rt = runtime()
+        dtype = np.int64 if isinstance(words[0], int) else np.float64
+        # words 60.. straddle the first 64-word block: both nodes serve
+        reg = rt.dram_malloc(8 * 128, 0, 2, 512, dtype=dtype, name="w")
+        reg[60 : 60 + len(words)] = words
+        expected = reg.data[60 : 60 + len(words)].tolist()
+        got = {}
+
+        def at(k):
+            return reg.addr(60 + k)
+
+        @rt.register
+        class T(UDThread):
+            @event
+            def go(self, ctx):
+                # the list across both nodes, one scalar read per tag
+                # shape, and an untagged list
+                ctx.send_dram_reads(at(0), len(words), "chunk", tag="l")
+                ctx.send_dram_read(at(2), 3, "one", tag="s")
+                ctx.send_dram_read(at(5), 5, "bare")
+                ctx.send_dram_reads(at(1), len(words) - 1, "bare")
+                ctx.yield_()
+
+            @event
+            def chunk(self, ctx, tag, i, *vals):
+                got[(tag, i)] = vals
+                ctx.yield_()
+
+            @event
+            def one(self, ctx, tag, *vals):
+                got[tag] = vals
+                ctx.yield_()
+
+            @event
+            def bare(self, ctx, *vals):
+                got.setdefault("bare", []).append(vals)
+                ctx.yield_()
+
+        rt.start(0, "T::go")
+        rt.run()
+        listed = [v for i in range(0, len(words), 8) for v in got[("l", i)]]
+        bare = sorted(got["bare"], key=len)
+        for seen, want in [
+            (listed, expected),
+            (list(got["s"]), expected[2:5]),
+            (list(bare[0]), expected[9:]),
+            (list(bare[1]), expected[5:10]),
+            ([v for vals in bare[2:] for v in vals], expected[1:9]),
+        ]:
+            assert list(map(_bits, seen)) == list(map(_bits, want))
+
+    def test_replies_carry_the_words_at_issue(self):
+        """An overwrite that lands after the reads issue but before
+        their replies are handled does not reach the replies."""
+        rt = runtime()
+        reg = rt.dram_malloc(8 * 128, 0, 2, 512, name="w")
+        reg[:] = range(100, 228)
+        got = {}
+        n = 20
+
+        @rt.register
+        class T(UDThread):
+            @event
+            def go(self, ctx):
+                got["chunks"] = ctx.send_dram_reads(
+                    reg.addr(56), n, "back", tag="t"
+                )
+                got["issued"] = ctx.time
+                ctx.yield_()
+
+            @event
+            def back(self, ctx, tag, i, *vals):
+                got[i] = (ctx.start, vals)
+                ctx.yield_()
+
+        rt.start(0, "T::go")
+        step = 20.0
+        rt.sim.run(until=step)
+        # every read has issued; no reply has been handled yet
+        assert got["chunks"] == 3 and got["issued"] < step
+        assert not any(isinstance(k, int) for k in got)
+        reg[:] = range(-128, 0)
+        rt.run()
+        words = [v for i in (0, 8, 16) for v in got[i][1]]
+        assert words == list(range(156, 156 + n))
+        assert all(got[i][0] > step for i in (0, 8, 16))
 
 
 class TestListReadErrors:
