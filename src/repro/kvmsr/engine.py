@@ -224,14 +224,19 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
     one-element ``send``.
 
     Batched dispatch: on a ``batch_dispatch`` machine, a tuple whose
-    reduce entry lowered to a parkable plan is issued as a bare operand
+    reduce entry lowered to a parkable plan is issued as a bare payload
     tuple, which the issue site parks on its destination lane instead of
     the heap, to be executed array-at-a-time just before that lane is
-    next observed.  The first emitted tuple of a job triggers lowering +
-    validation lazily (it supplies the operand arity).  A plan traced
-    through ``sp_once`` lowered only the already-set arm, so it parks a
-    tuple only if its once-key is in the destination scratchpad *now*;
-    the flag is monotone, so it will still be there at delivery.
+    next observed.  The payload holds only the operand slots the plan's
+    executor reads (``plan.project(key, values)``), and is the shared
+    ``()`` when it reads none; the full ``(job_id, key) + values`` is
+    built only for a tuple sent as a :class:`MessageRecord`.  The first
+    emitted tuple of a job triggers lowering + validation lazily (it
+    supplies the operand arity).  A plan traced through ``sp_once``
+    lowered only the already-set arm, so it parks a tuple only if its
+    once-key (``plan.guard(key, values)``) is in the destination
+    scratchpad *now*; the flag is monotone, so it will still be there
+    at delivery.
     """
     if job.reduce_cls is None:
         raise KVMSRError(f"job {job.name!r} has no reduce phase; cannot emit")
@@ -246,7 +251,7 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
         ctx.op_kv_emit()
     sim = ctx.sim
     job_id = job.job_id
-    plan = guard = None
+    plan = guard = project = None
     if sim.config.batch_dispatch:
         plan = job._batch_plan
         if plan is None and not job._batch_tried:
@@ -255,6 +260,7 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
             )
         if plan is not None:
             guard = plan.guard
+            project = plan.project
             lanes = sim._lanes
     binding = job.reduce_binding
     reduce_lanes = job.reduce_lanes
@@ -275,19 +281,19 @@ def _emit(ctx: LaneContext, job: KVMSRJob, keys, values: tuple, work) -> None:
             lane = memo.get(key)
             if lane is None:
                 lane = memo[key] = binding.lane_for(key, reduce_lanes)
-        operands = (job_id, key) + values
         cycles += emit_cycles
         if plan is not None and (guard is None or (
             (dest := lanes.get(lane)) is not None
-            and guard(operands) in dest.scratchpad
+            and guard(key, values) in dest.scratchpad
         )):
-            run.append((start + cycles, lane, operands))
+            run.append((start + cycles, lane,
+                        () if project is None else project(key, values)))
         else:
             if plan is not None:
                 n_declined += 1
             run.append((start + cycles, lane, MessageRecord(
-                lane, NEW_THREAD, label, operands, None, src_nwid, "msg",
-                label_id,
+                lane, NEW_THREAD, label, (job_id, key) + values, None,
+                src_nwid, "msg", label_id,
             )))
         if work_cycles:
             cycles += work_cycles

@@ -57,9 +57,11 @@ class Lane:
         #: dispatcher (the UDWeave runtime parks one reusable LaneContext
         #: here instead of allocating a fresh one per event).
         self.ctx_cache: Any = None
-        #: batch-dispatch staging area: ``(time, seq, plan, operands)``
+        #: batch-dispatch staging area: ``(time, seq, plan, payload)``
         #: records parked at emit time, flushed in key order before the
-        #: lane's state is next observed (``repro.udweave.ir``).  Each
+        #: lane's state is next observed (``repro.udweave.ir``); the
+        #: payload holds only the operand slots the plan's executor
+        #: reads (``plan.reads``, often none: ``()``).  Each
         #: issuing actor's records form one key-sorted run in
         #: ``streams[actor]`` (a deque); ``parked`` is the heap of the
         #: non-empty runs' heads, so ``parked[0]`` is the lane's earliest

@@ -556,7 +556,8 @@ class Simulator:
         transport, counted in the ``messages_*`` taxonomy and sampled by
         the recorder, in scalar order, so a run of ``n`` equals ``n``
         one-element calls.  Then it is placed: a :class:`MessageRecord`
-        goes on the event queue through :meth:`_push`; an operand tuple
+        goes on the event queue through :meth:`_push`; a payload tuple
+        (the operand slots the plan's executor reads, ``()`` when none)
         is parked under ``plan`` on lane ``nwid`` for the plan's batch
         executor (see :meth:`_flush_parked`): appended to the issuing
         actor's run there, whose keys already arrive in order, and

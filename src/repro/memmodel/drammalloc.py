@@ -240,37 +240,10 @@ class GlobalMemory:
     # Word access (functional payload; timing handled by the simulator)
     # ------------------------------------------------------------------
 
-    def read_words(self, va: int, nwords: int) -> tuple:
-        """Read ``nwords`` consecutive words starting at byte VA ``va``.
-
-        The whole access must fall inside one region (hardware requests do
-        not straddle descriptors).
-        """
-        region = self.region_of(va)
-        start = region.index_of(va)
-        if start + nwords > region.nwords:
-            raise MemoryError_(
-                f"read of {nwords} words at {va:#x} overruns region "
-                f"{region.name!r}"
-            )
-        return tuple(region.data[start : start + nwords].tolist())
-
-    def read_words_translated(
-        self, va: int, nwords: int
-    ) -> Tuple[int, int, tuple]:
-        """Fused ``translate`` + ``read_words`` for ``nwords`` >= 1 words:
-        :meth:`read_chunks_translated`'s one-chunk case, decoded.
-
-        Returns ``(memory_node, node_local_offset, values)``.
-        """
-        data, chunks = self.read_chunks_translated(va, nwords, nwords)
-        node, local_offset, _n, unpack = chunks[0]
-        return node, local_offset, unpack(data, 0)
-
     def read_chunks_translated(
         self, va: int, nwords: int, width: int
     ) -> Tuple[bytes, list]:
-        """Fused ``translate`` + ``read_words``: ``nwords`` words at
+        """Fused ``translate`` + word read: ``nwords`` words at
         ``va`` as consecutive ``width``-word chunks.
 
         Returns ``(data, chunks)``.  ``data`` is a copy of the words,
@@ -325,7 +298,8 @@ class GlobalMemory:
         return data, chunks
 
     def write_words_translated(self, va: int, values) -> Tuple[int, int]:
-        """Fused ``translate`` + ``write_words`` (see read_words_translated)."""
+        """Fused ``translate`` + ``write_words``: returns the first
+        word's ``(memory_node, node_local_offset)``."""
         region = self.region_of(va)
         start = region.index_of(va)
         n = len(values)

@@ -62,18 +62,33 @@ Write-once guard
 ``ctx.sp_once(key)`` tests-and-sets a scratchpad flag that is never
 overwritten or deleted afterwards.  The trace answers ``True`` and so
 lowers the *already-set* arm only; the plan carries a compiled
-``guard(operands) -> key`` and the emit side parks a record only when
-that key is already in the destination lane's scratchpad.  The flag is
+``guard(key, values) -> once-key`` (over the emitted key and value
+tuple, so the emit side tests it without building the record's operand
+tuple) and the emit side parks a record only when that key is already
+in the destination lane's scratchpad.  The flag is
 monotone and parked records never create one, so "set at emit" implies
 "set at delivery": the interpreter would take exactly the traced arm.
 The miss arm (whatever it does — DRAM traffic in BFS) is never lowered;
 those records ride the heap as before.
 
+Parked payload
+--------------
+A parked record keeps only the operand slots its executor reads:
+``HandlerPlan.reads`` lists them (the operand slots of the ``CC_ADD``
+keys and deltas, ascending; the leading ``job_id`` stays concrete in
+the trace, so it is never one), and the compiled
+``project(key, values)`` builds that projection at emit.  A plan that
+reads nothing parks the shared ``()`` and compiles no projection — the
+BFS hit arm and the count reduces.  The executor indexes a payload by
+position in ``reads``, never by operand slot.
+
 Every plan is additionally **validated once per program** against the
 interpreted semantics before its first record parks: the real handler
 and the generated single-record executor run side by side on scratch
 lanes (miss arm, then hit arm) and must agree on the charged cycles and
-every scratchpad mutation.  A divergence disables the plan — the
+every scratchpad mutation.  The executor runs on payloads built by the
+plan's own ``project``, so a projection that leaves out a slot the
+executor reads fails here too.  A divergence disables the plan — the
 handler stays on the interpreter — rather than risking a wrong
 simulation.
 """
@@ -220,14 +235,19 @@ class HandlerPlan:
     """One reduce entry's lowered form plus (when parkable) its executor.
 
     ``parkable`` plans expose ``batch_fn(lane, entries, lo, hi)``: apply
-    ``entries[lo:hi]`` — parked ``(time, seq, plan, operands)`` rows in
+    ``entries[lo:hi]`` — parked ``(time, seq, plan, payload)`` rows in
     key order — to ``lane``, charging exactly what the interpreter would
     have, and return the lane's new ``busy_until`` (the max completion
     tick of the batch).  Non-parkable plans exist for inspection (golden
     dumps) and carry ``reason``.
 
-    A plan traced through ``sp_once`` also carries ``guard(operands) ->
-    key``: a record may park only if that key is already in its
+    ``reads`` is the ascending tuple of operand slots the executor reads
+    (module docstring, "Parked payload"); a record's ``payload`` holds
+    exactly those slots, in that order, built by ``project(key, values)``
+    — ``None`` when ``reads`` is empty and the payload is ``()``.
+
+    A plan traced through ``sp_once`` also carries ``guard(key, values)
+    -> once-key``: a record may park only if that key is already in its
     destination lane's scratchpad (module docstring, "Write-once
     guard").  ``parked`` / ``guard_declined`` count the emit side's
     decisions for :meth:`Simulator.batch_report`.
@@ -240,6 +260,8 @@ class HandlerPlan:
         "reason",
         "batch_fn",
         "meta",
+        "reads",
+        "project",
         "guard",
         "parked",
         "guard_declined",
@@ -259,6 +281,8 @@ class HandlerPlan:
         self.reason = reason
         self.batch_fn = None
         self.meta = meta
+        self.reads = ()
+        self.project = None
         self.guard = None
         self.parked = 0
         self.guard_declined = 0
@@ -332,10 +356,10 @@ def lower_reduce_entry(runtime, job, operands: Sequence[Any]) -> HandlerPlan:
         return plan
     costs = runtime.config.costs
     plan.batch_fn = _compile_batch_fn(plan, costs)
-    plan.guard = _compile_guard(plan)
+    plan.project, plan.guard = _compile_emit(plan)
     if not _validate(runtime, plan, tuple(operands)):
         plan.reason = "validation against interpreted semantics failed"
-        plan.batch_fn = plan.guard = None
+        plan.batch_fn = plan.project = plan.guard = None
     elif (rec := runtime.recorder) is not None and rec.record_lane_spans:
         # validated span-free: ``_validate`` must not write spans
         plan.batch_fn = _compile_batch_fn(plan, costs, rec.lane_span)
@@ -349,6 +373,11 @@ def lower_reduce_entry(runtime, job, operands: Sequence[Any]) -> HandlerPlan:
 
 def _compile_batch_fn(plan: HandlerPlan, costs, lane_span=None):
     """Compile a specialized ``batch_fn`` for a traced op sequence.
+
+    It also files ``plan.reads``, the operand slots the executor reads
+    (the ``CC_ADD`` keys and deltas that come from an operand,
+    ascending): a record's payload is its projection onto ``reads``, so
+    an operand slot is read at its position there.
 
     ``lane_span`` (the ``record="full"`` recorder's hook) adds one span
     per record, as the interpreter records one per event.
@@ -373,6 +402,7 @@ def _compile_batch_fn(plan: HandlerPlan, costs, lane_span=None):
     instr = float(costs.instruction)
     base = float(costs.event_dispatch) + float(costs.thread_deallocate)
     cc_ops = []
+    reads = set()
     kvr_job = None
     for op in plan.ops:
         kind = op[0]
@@ -380,6 +410,9 @@ def _compile_batch_fn(plan: HandlerPlan, costs, lane_span=None):
             base += op[1]
         elif kind == "CC_ADD":
             cc_ops.append(op)
+            for src in op[2:]:
+                if src[0] == "operand":
+                    reads.add(src[1])
         elif kind == "KVR_RETURN":
             base += 2 * sp_cost
             kvr_job = op[1]
@@ -403,15 +436,19 @@ def _compile_batch_fn(plan: HandlerPlan, costs, lane_span=None):
         "    for i in range(lo, hi):",
         "        e = entries[i]",
         "        t = e[0]",
-        "        ops_ = e[3]",
-        "        c = BASE_C",
     ]
+    plan.reads = reads = tuple(sorted(reads))
+    if reads:
+        body.append("        ops_ = e[3]")
+    body.append("        c = BASE_C")
     for k, (_kind, name, key_src, delta_src) in enumerate(cc_ops):
         key_expr = (
-            f"ops_[{key_src[1]}]" if key_src[0] == "operand" else repr(key_src[1])
+            f"ops_[{reads.index(key_src[1])}]"
+            if key_src[0] == "operand"
+            else repr(key_src[1])
         )
         delta_expr = (
-            f"ops_[{delta_src[1]}]"
+            f"ops_[{reads.index(delta_src[1])}]"
             if delta_src[0] == "operand"
             else repr(delta_src[1])
         )
@@ -464,22 +501,42 @@ def _compile_batch_fn(plan: HandlerPlan, costs, lane_span=None):
     return ns["batch_fn"]
 
 
-def _compile_guard(plan: HandlerPlan):
-    """``guard(operands) -> once-key`` for a plan with an ``ONCE_HIT``."""
-    template = next((op[1] for op in plan.ops if op[0] == "ONCE_HIT"), None)
-    if template is None:
-        return None
+def _compile_emit(plan: HandlerPlan):
+    """The emit side's ``(project, guard)`` for a traced plan.
+
+    Both read an emitted record's operand slots straight from the emit
+    loop's ``key`` (slot 1) and ``values`` (slot 2 on), so neither needs
+    the ``(job_id, key) + values`` tuple.  ``project(key, values)``
+    returns the payload, the slots in ``plan.reads``; it is ``None``
+    when that is empty (the payload is ``()``).  ``guard(key, values)``
+    returns the once-key of a plan with an ``ONCE_HIT``, else ``None``.
+    """
     ns = {}
-    parts = []
-    for k, (kind, value) in enumerate(template):
-        if kind == "operand":
-            parts.append(f"ops_[{value}]")
-        else:
-            ns[f"K{k}"] = value
-            parts.append(f"K{k}")
-    src = f"def guard(ops_):\n    return ({', '.join(parts)},)"
-    exec(compile(src, f"<guard:{plan.label}>", "exec"), ns)
-    return ns["guard"]
+    src = []
+    if plan.reads:
+        parts = []
+        for slot in plan.reads:
+            parts.append("key" if slot == 1 else f"values[{slot - 2}]")
+        src.append(
+            f"def project(key, values):\n    return ({', '.join(parts)},)"
+        )
+    template = next((op[1] for op in plan.ops if op[0] == "ONCE_HIT"), None)
+    if template is not None:
+        parts = []
+        for k, (kind, value) in enumerate(template):
+            if kind == "const":
+                ns[f"K{k}"] = value
+                parts.append(f"K{k}")
+            elif value == 1:
+                parts.append("key")
+            else:
+                parts.append(f"values[{value - 2}]")
+        src.append(
+            f"def guard(key, values):\n    return ({', '.join(parts)},)"
+        )
+    if src:
+        exec(compile("\n".join(src), f"<emit:{plan.label}>", "exec"), ns)
+    return ns.get("project"), ns.get("guard")
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +553,11 @@ def _validate(runtime, plan: HandlerPlan, operands: Tuple[Any, ...]) -> bool:
     batched side goes through the generated executor; both start from
     scratch lanes that never touch the simulated machine — empty, except
     for a guarded plan's once-key, pre-seeded on both because a guarded
-    record only ever parks with its flag set.  Agree on charged cycles
-    and every scratchpad key, or the plan is rejected.
+    record only ever parks with its flag set.  The executor's records
+    carry the payload the emit side would park, built by the plan's own
+    ``project``, so a projection missing a slot the executor reads fails
+    here.  Agree on charged cycles and every scratchpad key, or the plan
+    is rejected.
     """
     cls, func = runtime._handler_table[plan.label_id]
     ref = Lane(-1, 0, 0)
@@ -506,10 +566,11 @@ def _validate(runtime, plan: HandlerPlan, operands: Tuple[Any, ...]) -> bool:
         0, NEW_THREAD, plan.label, tuple(operands), None, 0, "msg",
         plan.label_id,
     )
+    key, values = operands[1], operands[2:]
     interpreted_cycles = []
     try:
         if plan.guard is not None:
-            once_key = plan.guard(operands)
+            once_key = plan.guard(key, values)
             ref.scratchpad[once_key] = cand.scratchpad[once_key] = True
         for _ in range(2):
             obj = cls()
@@ -521,7 +582,8 @@ def _validate(runtime, plan: HandlerPlan, operands: Tuple[Any, ...]) -> bool:
     except Exception:
         return False
     try:
-        batch = [(0.0, i, plan, tuple(operands)) for i in range(2)]
+        payload = () if plan.project is None else plan.project(key, values)
+        batch = [(0.0, i, plan, payload) for i in range(2)]
         plan.batch_fn(cand, batch, 0, 1)
         mid_busy = cand.busy_until
         plan.batch_fn(cand, batch, 1, 2)

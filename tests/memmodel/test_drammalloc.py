@@ -13,6 +13,15 @@ def gm():
     return GlobalMemory(bench_machine(nodes=4))
 
 
+def read(gm, va, nwords):
+    """``(memory_node, node_local_offset, values)`` of an ``nwords``-word
+    read: :meth:`GlobalMemory.read_chunks_translated`'s one-chunk case,
+    decoded."""
+    data, chunks = gm.read_chunks_translated(va, nwords, nwords)
+    node, offset, _n, unpack = chunks[0]
+    return node, offset, unpack(data, 0)
+
+
 class TestAllocation:
     def test_regions_never_overlap(self, gm):
         regions = [gm.dram_malloc(1000 * 8) for _ in range(10)]
@@ -55,26 +64,26 @@ class TestAccess:
     def test_read_write_words(self, gm):
         r = gm.dram_malloc(8 * 16, name="a")
         gm.write_words(r.addr(4), [10, 20, 30])
-        assert gm.read_words(r.addr(4), 3) == (10, 20, 30)
+        assert read(gm, r.addr(4), 3)[2] == (10, 20, 30)
 
     def test_read_cannot_straddle_regions(self, gm):
         r = gm.dram_malloc(8 * 4, name="a", block_size=4096)
         with pytest.raises(MemoryError_):
-            gm.read_words(r.addr(2), 4)
+            read(gm, r.addr(2), 4)
 
     def test_misaligned_va_rejected(self, gm):
         r = gm.dram_malloc(8 * 4, name="a")
         with pytest.raises(MemoryError_):
-            gm.read_words(r.base + 3, 1)
+            read(gm, r.base + 3, 1)
 
     def test_unmapped_va_rejected(self, gm):
         with pytest.raises(MemoryError_, match="unmapped"):
-            gm.read_words(1 << 50, 1)
+            read(gm, 1 << 50, 1)
 
     def test_float_region_preserves_dtype(self, gm):
         r = gm.dram_malloc(8 * 4, dtype=np.float64, name="f")
         gm.write_words(r.addr(0), [0.25, 0.5])
-        assert gm.read_words(r.addr(0), 2) == (0.25, 0.5)
+        assert read(gm, r.addr(0), 2)[2] == (0.25, 0.5)
 
     @pytest.mark.parametrize(
         "dtype", [np.int32, np.float32, np.bool_, object, np.complex128]
@@ -87,7 +96,7 @@ class TestAccess:
         for ok in (np.int64, np.uint64, np.float64, ">f8"):
             r = gm.dram_malloc(8 * 4, dtype=ok)
             r[:] = [1, 2, 3, 250]
-            assert gm.read_words_translated(r.addr(1), 3)[2] == (2, 3, 250)
+            assert read(gm, r.addr(1), 3)[2] == (2, 3, 250)
 
     def test_region_named_lookup(self, gm):
         r = gm.dram_malloc(64, name="findme")
@@ -101,7 +110,7 @@ class TestFree:
         r = gm.dram_malloc(8 * 8, name="a")
         gm.free(r)
         with pytest.raises(MemoryError_):
-            gm.read_words(r.addr(0) if False else r.base, 1)
+            read(gm, r.base, 1)
         with pytest.raises(MemoryError_):
             r[0]
 
@@ -113,7 +122,7 @@ class TestFree:
 
 
 class TestTranslatedReads:
-    """``read_words_translated``: shift/mask translation behind a
+    """``read_chunks_translated``: shift/mask translation behind a
     last-hit region, every check of the two-step path kept."""
 
     def test_alternating_regions_replace_the_last_hit(self, gm):
@@ -124,7 +133,7 @@ class TestTranslatedReads:
         for i in (0, 7, 63, 8, 1):
             for region, bias in ((a, 0), (b, 1000), (b, 1000), (a, 0)):
                 va = region.addr(i)
-                node, off, values = gm.read_words_translated(va, 1)
+                node, off, values = read(gm, va, 1)
                 assert values == (i + bias,)
                 assert (node, off) == region.descriptor.translate(va)
                 assert gm.region_of(va) is region
@@ -133,29 +142,28 @@ class TestTranslatedReads:
         keep = gm.dram_malloc(8 * 8, name="keep")
         r = gm.dram_malloc(8 * 8, name="gone")
         va = r.addr(3)
-        assert gm.read_words_translated(va, 2)[2] == (0, 0)  # warm
+        assert read(gm, va, 2)[2] == (0, 0)  # warm
         gm.free(r)
-        for read in (gm.read_words_translated, gm.read_words):
-            with pytest.raises(MemoryError_, match="use after free.*'gone'"):
-                read(va, 1)
+        with pytest.raises(MemoryError_, match="use after free.*'gone'"):
+            read(gm, va, 1)
         with pytest.raises(MemoryError_, match="out of range"):
             r.addr(3)
-        assert gm.read_words_translated(keep.addr(0), 1)[2] == (0,)
+        assert read(gm, keep.addr(0), 1)[2] == (0,)
 
     def test_bad_addresses_raise_the_same_messages(self, gm):
         a = gm.dram_malloc(8 * 4, name="a")
-        gm.read_words_translated(a.addr(0), 1)  # warm
+        read(gm, a.addr(0), 1)  # warm
         with pytest.raises(
             MemoryError_, match="is not a word address in region 'a'"
         ):
-            gm.read_words_translated(a.base + 3, 1)
+            read(gm, a.base + 3, 1)
         with pytest.raises(
             MemoryError_, match="read of 4 words at .* overruns region 'a'"
         ):
-            gm.read_words_translated(a.addr(2), 4)
+            read(gm, a.addr(2), 4)
         for va in (0, a.base - 8, a.base + a.size, 1 << 50):
             with pytest.raises(MemoryError_, match="is unmapped"):
-                gm.read_words_translated(va, 1)
+                read(gm, va, 1)
 
 
 @settings(max_examples=100)
@@ -182,7 +190,7 @@ def test_shift_mask_translation_equals_the_descriptor(
     words = st.integers(0, r.nwords - 1)
     for i in data.draw(st.lists(words, min_size=1, max_size=20)):
         va = r.addr(i)
-        node, off, values = gm.read_words_translated(va, 1)
+        node, off, values = read(gm, va, 1)
         assert (node, off) == r.descriptor.translate(va)
         assert values == (i,)
 

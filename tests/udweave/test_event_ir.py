@@ -98,8 +98,10 @@ class TestGoldenDumps:
             f"  CHARGE 1\n"
             f"  KVR_RETURN job={job.job_id}"
         )
-        # the guard rebuilds the once-key from a record's operands
-        assert plan.guard((job.job_id, 42, 7, 3)) == ("bfss", app.uid, 42)
+        # the guard rebuilds the once-key from an emitted key and values
+        assert plan.guard(42, (7, 3)) == ("bfss", app.uid, 42)
+        # the hit arm reads no operand: its records park as ``()``
+        assert plan.reads == () and plan.project is None
         assert rt.sim.stats.records_batched > 0
 
     def test_bfs_reduce_falls_back_on_raw_scratchpad(self):
