@@ -423,7 +423,7 @@ class BFSApp:
         stats = rt.run(max_events=max_events)
         done = rt.host_messages("bfs_done")
         if not done:
-            raise RuntimeError("BFS did not complete")
+            raise rt.sim.incomplete("BFS did not complete")
         rounds, traversed = done[-1].operands
         return BFSResult(
             distances=self.dist_region.data.copy(),

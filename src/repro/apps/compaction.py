@@ -152,7 +152,7 @@ class CompactionApp:
         self.count_job.launch(cont_tag="compact_count_done")
         rt.run(max_events=max_events)
         if not rt.host_messages("compact_count_done"):
-            raise RuntimeError("compaction count did not complete")
+            raise rt.sim.incomplete("compaction count did not complete")
         counts = self.counts_region.data
         self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(
             np.int64
@@ -161,7 +161,7 @@ class CompactionApp:
         self.scatter_job.launch(cont_tag="compact_scatter_done")
         stats = rt.run(max_events=max_events)
         if not rt.host_messages("compact_scatter_done"):
-            raise RuntimeError("compaction scatter did not complete")
+            raise rt.sim.incomplete("compaction scatter did not complete")
         return CompactionResult(
             compacted=self.out_region.data[:live].copy(),
             mapping=self.mapping_region.data.copy(),

@@ -184,7 +184,7 @@ class ConnectedComponentsApp:
         stats = rt.run(max_events=max_events)
         done = rt.host_messages("cc_done")
         if not done:
-            raise RuntimeError("connected components did not complete")
+            raise rt.sim.incomplete("connected components did not complete")
         (rounds,) = done[-1].operands
         labels = self.label_region.data.copy()
         return ComponentsResult(

@@ -118,12 +118,12 @@ class ExactMatchApp:
         self.build_job.launch(cont_tag="em_build_done")
         rt.run(max_events=max_events)
         if not rt.host_messages("em_build_done"):
-            raise RuntimeError("exact-match build did not complete")
+            raise rt.sim.incomplete("exact-match build did not complete")
         self.probe_job.launch(cont_tag="em_probe_done")
         stats = rt.run(max_events=max_events)
         done = rt.host_messages("em_probe_done")
         if not done:
-            raise RuntimeError("exact-match probe did not complete")
+            raise rt.sim.incomplete("exact-match probe did not complete")
         _t, _e, _p, hits = done[-1].operands
         return ExactMatchResult(
             hits=int(hits), elapsed_seconds=rt.elapsed_seconds, stats=stats

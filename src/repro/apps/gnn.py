@@ -182,11 +182,11 @@ class GNNApp:
         self.gen_job.launch(cont_tag="gnn_gen_done")
         rt.run(max_events=max_events)
         if not rt.host_messages("gnn_gen_done"):
-            raise RuntimeError("genFeatures did not complete")
+            raise rt.sim.incomplete("genFeatures did not complete")
         self.int_job.launch(cont_tag="gnn_int_done")
         stats = rt.run(max_events=max_events)
         if not rt.host_messages("gnn_int_done"):
-            raise RuntimeError("integrate did not complete")
+            raise rt.sim.incomplete("integrate did not complete")
         n = self.graph.n
         return GNNResult(
             features=self.feat_region.data.reshape(n, FEATURE_DIM).copy(),

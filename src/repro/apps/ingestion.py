@@ -264,7 +264,7 @@ class IngestionApp:
         stats = rt.run(max_events=max_events)
         done = rt.host_messages("ingest_done")
         if not done:
-            raise RuntimeError("ingestion did not complete")
+            raise rt.sim.incomplete("ingestion did not complete")
         _tasks, emitted, _polls, _fv = done[-1].operands
         return IngestionResult(
             records=emitted,

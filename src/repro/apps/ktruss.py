@@ -138,7 +138,7 @@ class KTrussApp:
             job.launch(cont_tag="ktruss_round_done")
             stats = rt.run(max_events=max_events)
             if not rt.host_messages("ktruss_round_done"):
-                raise RuntimeError("k-truss round did not complete")
+                raise rt.sim.incomplete("k-truss round did not complete")
             rounds += 1
             if not self.weak_edges:
                 break

@@ -137,7 +137,7 @@ class MultihopApp:
             job.launch(cont_tag="multihop_hop_done")
             stats = rt.run(max_events=max_events)
             if not rt.host_messages("multihop_hop_done"):
-                raise RuntimeError("multihop hop did not complete")
+                raise rt.sim.incomplete("multihop hop did not complete")
             for v in self.next_frontier:
                 reached[int(v)] = hop
             frontier = sorted(set(int(v) for v in self.next_frontier))

@@ -279,7 +279,7 @@ class PageRankApp:
         )
         stats = rt.run(max_events=max_events)
         if not rt.host_messages("pagerank_done"):
-            raise RuntimeError("PageRank did not complete")
+            raise rt.sim.incomplete("PageRank did not complete")
         return PageRankResult(
             ranks=self.pr_region.data.copy(),
             iterations=iterations,

@@ -229,7 +229,7 @@ class PullPageRankApp:
         )
         stats = rt.run(max_events=max_events)
         if not rt.host_messages("pull_pagerank_done"):
-            raise RuntimeError("pull PageRank did not complete")
+            raise rt.sim.incomplete("pull PageRank did not complete")
         return PullPageRankResult(
             ranks=self.pr_region.data.copy(),
             iterations=iterations,

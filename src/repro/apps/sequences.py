@@ -155,7 +155,7 @@ class ConstructSequencesApp:
         self.count_job.launch(cont_tag="seq_count_done")
         rt.run(max_events=max_events)
         if not rt.host_messages("seq_count_done"):
-            raise RuntimeError("sequence count did not complete")
+            raise rt.sim.incomplete("sequence count did not complete")
         counts = self.counts_region.data
         self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(
             np.int64
@@ -163,7 +163,7 @@ class ConstructSequencesApp:
         self.place_job.launch(cont_tag="seq_place_done")
         stats = rt.run(max_events=max_events)
         if not rt.host_messages("seq_place_done"):
-            raise RuntimeError("sequence place did not complete")
+            raise rt.sim.incomplete("sequence place did not complete")
         sequences: Dict[int, list] = {}
         for e in range(self.n_entities):
             c = int(counts[e])

@@ -232,7 +232,7 @@ class SSSPApp:
         stats = rt.run(max_events=max_events)
         done = rt.host_messages("sssp_done")
         if not done:
-            raise RuntimeError("SSSP did not complete")
+            raise rt.sim.incomplete("SSSP did not complete")
         (rounds,) = done[-1].operands
         dist = self.dist_region.data.copy()
         dist[dist >= UNREACHED] = -1

@@ -231,7 +231,7 @@ class TriangleCountApp:
         stats = rt.run(max_events=max_events)
         done = rt.host_messages("tc_done")
         if not done:
-            raise RuntimeError("TC did not complete")
+            raise rt.sim.incomplete("TC did not complete")
         _tasks, _emitted, _polls, triangles = done[-1].operands
         return TriangleCountResult(
             triangles=int(triangles),

@@ -108,7 +108,7 @@ class HistogramApp:
         self.job.launch(cont_tag="hist_done")
         stats = rt.run(max_events=max_events)
         if not rt.host_messages("hist_done"):
-            raise RuntimeError("histogram did not complete")
+            raise rt.sim.incomplete("histogram did not complete")
         edges = np.linspace(self.lo, self.hi, self.nbins + 1)
         return HistogramResult(
             counts=self.counts_region.data.copy(),

@@ -146,7 +146,7 @@ def sum_reduce(
     stats = rt.run(max_events=max_events)
     done = rt.host_messages("shmem_sum_done")
     if not done:
-        raise RuntimeError("sum_reduce did not complete")
+        raise rt.sim.incomplete("sum_reduce did not complete")
     _tasks, _emitted, _polls, total = done[-1].operands
     return total, stats
 
@@ -194,7 +194,7 @@ def broadcast(
     job.launch(cont_tag="shmem_bcast_done")
     stats = rt.run(max_events=max_events)
     if not rt.host_messages("shmem_bcast_done"):
-        raise RuntimeError("broadcast did not complete")
+        raise rt.sim.incomplete("broadcast did not complete")
     return stats
 
 
@@ -213,5 +213,5 @@ def barrier(runtime: UpDownRuntime, max_events: Optional[int] = None) -> SimStat
     job.launch(cont_tag="shmem_barrier_done")
     stats = runtime.run(max_events=max_events)
     if not runtime.host_messages("shmem_barrier_done"):
-        raise RuntimeError("barrier did not complete")
+        raise runtime.sim.incomplete("barrier did not complete")
     return stats

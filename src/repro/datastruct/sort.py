@@ -173,7 +173,7 @@ class GlobalSortApp:
         self.count_job.launch(cont_tag="sort_count_done")
         stats1 = rt.run(max_events=max_events)
         if not rt.host_messages("sort_count_done"):
-            raise RuntimeError("sort count phase did not complete")
+            raise rt.sim.incomplete("sort count phase did not complete")
         counts = self.counts_region.data
         self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(
             np.int64
@@ -181,7 +181,7 @@ class GlobalSortApp:
         self.scatter_job.launch(cont_tag="sort_scatter_done")
         stats2 = rt.run(max_events=max_events)
         if not rt.host_messages("sort_scatter_done"):
-            raise RuntimeError("sort scatter phase did not complete")
+            raise rt.sim.incomplete("sort scatter phase did not complete")
         return SortResult(
             output=self.output_region.data.copy(),
             elapsed_seconds=rt.elapsed_seconds,

@@ -10,13 +10,14 @@ Three pieces, wired through the machine / runtime / KVMSR layers:
   ack/retry delivery so programs complete exactly-once under message
   loss (``transport.py``); enable via ``UpDownRuntime(reliable=True)``.
 * The liveness watchdog — ``QuiescenceStall`` (simulated-time progress
-  monitor in the simulator), re-exported here so chaos tests import one
-  package.
+  monitor in the simulator) — and ``RunIncomplete`` (a drain that ended
+  without its completion message), re-exported here so chaos tests
+  import one package.
 
 See DESIGN.md, "Fault model & resilient delivery".
 """
 
-from repro.machine.simulator import QuiescenceStall
+from repro.machine.simulator import QuiescenceStall, RunIncomplete
 
 from .plan import FaultPlan, FaultPlanError
 from .transport import ReliabilityConfig, ReliableTransport
@@ -27,4 +28,5 @@ __all__ = [
     "ReliabilityConfig",
     "ReliableTransport",
     "QuiescenceStall",
+    "RunIncomplete",
 ]

@@ -9,7 +9,12 @@ from .config import MachineConfig, bench_machine, paper_machine
 from .costs import DEFAULT_COSTS, CLOCK_HZ, CostTable
 from .events import HOST_NWID, NEW_THREAD, DramAccess, MessageRecord
 from .lane import Lane
-from .simulator import QuiescenceStall, SimulationError, Simulator
+from .simulator import (
+    QuiescenceStall,
+    RunIncomplete,
+    SimulationError,
+    Simulator,
+)
 from .stats import SimStats
 
 __all__ = [
@@ -27,5 +32,6 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "QuiescenceStall",
+    "RunIncomplete",
     "SimStats",
 ]

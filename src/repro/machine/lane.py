@@ -57,21 +57,52 @@ class Lane:
         #: dispatcher (the UDWeave runtime parks one reusable LaneContext
         #: here instead of allocating a fresh one per event).
         self.ctx_cache: Any = None
-        #: batch-dispatch staging area: ``(time, seq, plan, payload)``
-        #: records parked at emit time, flushed in key order before the
-        #: lane's state is next observed (``repro.udweave.ir``); the
-        #: payload holds only the operand slots the plan's executor
-        #: reads (``plan.reads``, often none: ``()``).  Each
-        #: issuing actor's records form one key-sorted run in
-        #: ``streams[actor]`` (a deque); ``parked`` is the heap of the
-        #: non-empty runs' heads, so ``parked[0]`` is the lane's earliest
-        #: parked key and an empty ``parked`` means nothing is parked.
-        #: Only ``Simulator.issue`` (with its out-of-order helper
-        #: ``_park_late``) and ``Simulator._flush_parked`` mutate them;
-        #: :meth:`parked_records` reads them all.
+        #: batch-dispatch staging area: reduce records parked at emit
+        #: time, flushed in key order before the lane's state is next
+        #: observed (``repro.udweave.ir``).  Each issuing actor's records
+        #: under one plan form one key-sorted :class:`ParkRun` in
+        #: ``streams[(actor, plan)]``, held column by column; ``parked``
+        #: is the heap of the runs' heads, ``(time, seq, run)``, so
+        #: ``parked[0]`` is the lane's earliest parked key and an empty
+        #: ``parked`` means nothing is parked.  A run leaves ``streams``
+        #: when its last record is flushed.  Only ``Simulator.issue``
+        #: (with its out-of-order helper ``_park_late``) and
+        #: ``Simulator._flush_parked`` mutate them; :meth:`parked_records`
+        #: reads them all.
         self.parked: list = []
-        self.streams: Dict[int, Any] = {}
+        self.streams: Dict[Any, "ParkRun"] = {}
 
     def parked_records(self):
-        """Every parked record, in key order (a lazy merge of the runs)."""
-        return heapq.merge(*self.streams.values())
+        """Every parked record as ``(time, seq, plan, payload)``, in key
+        order (a lazy merge of the runs)."""
+        return heapq.merge(*[run.records() for run in self.streams.values()])
+
+
+class ParkRun:
+    """One actor's records parked on one lane under one plan.
+
+    A record is a slot in typed columns, not an object: ``times``
+    (``array('d')``, delivery ticks) and ``counts`` (``array('q')``, the
+    actor's private event counts; a record's seq is ``bits | count``),
+    plus ``payloads`` (a list) only when the plan's executor reads
+    operands (``plan.reads``; ``None`` otherwise, every payload being
+    ``()``).  The records from index ``head`` on are live, in
+    ``(time, seq)`` order; the flush consumes from ``head`` and compacts
+    the consumed prefix away.  ``key`` is the run's ``(actor, plan)``
+    key in ``Lane.streams``.
+
+    ``Simulator.issue`` opens a run by filling every slot on its first
+    record (there is no ``__init__``: runs open and close as often as a
+    lane's backlog drains, and a Python constructor would be one more
+    call each time).
+    """
+
+    __slots__ = ("key", "bits", "plan", "times", "counts", "payloads", "head")
+
+    def records(self):
+        """The live records as ``(time, seq, plan, payload)``, in order."""
+        bits, plan, times, counts = self.bits, self.plan, self.times, self.counts
+        payloads = self.payloads
+        for i in range(self.head, len(times)):
+            yield (times[i], bits | counts[i], plan,
+                   () if payloads is None else payloads[i])

@@ -47,15 +47,14 @@ import contextlib
 import gc
 import heapq
 import math
-from bisect import bisect_left, insort
-from collections import deque
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice, takewhile
 from typing import Callable, List, Optional, Tuple
 
 from .config import MachineConfig
 from .events import HOST_NWID, DramAccess, MessageRecord
-from .lane import Lane
+from .lane import Lane, ParkRun
 from .memory import MemorySystem
 from .network import Network
 from .stats import SimStats
@@ -115,6 +114,25 @@ class QuiescenceStall(SimulationError):
             message = message + "\n" + _render_dump(diagnostic)
         super().__init__(message)
         self.diagnostic = diagnostic or {}
+
+
+class RunIncomplete(SimulationError):
+    """A drain returned without the completion its caller waits for.
+
+    Raised (through :meth:`Simulator.incomplete`) by the apps and data
+    structures whose host-side driver finds no completion message after
+    ``run()`` — under a fault plan without the reliable transport, a
+    dropped or duplicated control message is the usual cause.  The
+    message is the caller's own (``"BFS did not complete"``);
+    ``diagnostic`` carries :meth:`Simulator.stall_dump` (the next queued
+    events and parked records, blocked threads, provider state) and
+    ``faults`` the machine's ``faults_*`` counters.
+    """
+
+    def __init__(self, message: str, diagnostic: dict, faults: dict):
+        super().__init__(message)
+        self.diagnostic = diagnostic
+        self.faults = faults
 
 
 def _render_dump(dump: dict, indent: str = "  ") -> str:
@@ -377,6 +395,16 @@ class Simulator:
         """Register ``provider(sim) -> data`` for :meth:`stall_dump`."""
         self._diag_providers.append((name, provider))
 
+    def incomplete(self, message: str) -> RunIncomplete:
+        """The :class:`RunIncomplete` a caller raises when its drain
+        ended without the completion message it waits for: ``message``
+        with this machine's :meth:`stall_dump` and fault counters."""
+        faults = {
+            k: v for k, v in self.stats.scalar_snapshot().items()
+            if k.startswith("faults_")
+        }
+        return RunIncomplete(message, self.stall_dump(), faults)
+
     def _live_threads(self) -> int:
         return sum(len(ln.threads) for ln in self._lanes.values())
 
@@ -559,12 +587,15 @@ class Simulator:
         goes on the event queue through :meth:`_push`; a payload tuple
         (the operand slots the plan's executor reads, ``()`` when none)
         is parked under ``plan`` on lane ``nwid`` for the plan's batch
-        executor (see :meth:`_flush_parked`): appended to the issuing
-        actor's run there, whose keys already arrive in order, and
-        pushed onto the lane's heap of run heads when that run was
-        empty (:meth:`_park_late` takes a key that a message fault
-        landed below its run's tail).  Taking a whole run per call keeps
-        the per-record cost out of Python call frames.
+        executor (see :meth:`_flush_parked`): its delivery time and
+        actor count (and the payload, when the plan reads one) are
+        appended to the columns of the issuing actor's
+        :class:`~repro.machine.lane.ParkRun` there, whose keys already
+        arrive in order; a new run's head joins the lane's heap of run
+        heads (:meth:`_park_late` takes a key that a message fault
+        landed below its run's tail).  No per-record object is built.
+        Taking a whole run per call keeps the per-record cost out of
+        Python call frames.
 
         The issuing actor is lane ``src_nwid`` when that is a lane, else
         the host (``src_node=None``) or node ``src_node``'s own actor.
@@ -589,6 +620,8 @@ class Simulator:
             aseq = self._actor_seq
             lanes = self._lanes
             actor_bits = actor << ACTOR_SEQ_BITS
+            run_key = (actor, plan)
+            reads = plan.reads
         n_local = n_remote = n_parked = 0
         t_deliver = math.inf
         for t_issue, nwid, payload in run:
@@ -628,22 +661,36 @@ class Simulator:
                         dest = self.lane(nwid)
                     # Appended to this actor's run, whose keys arrive in
                     # increasing order (its seq grows, its channel is
-                    # FIFO), so parking is one float compare and an
-                    # append; the run joins the lane's heap of heads
-                    # only when it was empty.  seq uniqueness means
-                    # comparisons never reach the plan — the heap's own
-                    # trick.
-                    entry = (t, actor_bits | count, plan, payload)
-                    stream = dest.streams.get(actor)
-                    if not stream:
-                        if stream is None:
-                            stream = dest.streams[actor] = deque()
-                        stream.append(entry)
-                        heappush(dest.parked, entry)
-                    elif stream[-1][0] <= t:
-                        stream.append(entry)
+                    # FIFO), so parking is one float compare and a
+                    # column append; a new run's head joins the lane's
+                    # heap of heads.  seq uniqueness means comparisons
+                    # never reach the run — the heap's own trick.
+                    stream = dest.streams.get(run_key)
+                    if stream is None:
+                        # a new run, its columns opened on this record;
+                        # imported here so a machine that never parks
+                        # (TC, the service soak) never maps the array
+                        # extension (~0.15 MiB of peak RSS)
+                        from array import array
+
+                        stream = dest.streams[run_key] = ParkRun()
+                        stream.key = run_key
+                        stream.bits = actor_bits
+                        stream.plan = plan
+                        stream.times = array("d", (t,))
+                        stream.counts = array("q", (count,))
+                        stream.payloads = [payload] if reads else None
+                        stream.head = 0
+                        heappush(dest.parked, (t, actor_bits | count, stream))
                     else:
-                        self._park_late(dest, stream, entry)
+                        times = stream.times
+                        if times[-1] <= t:
+                            times.append(t)
+                            stream.counts.append(count)
+                            if reads:
+                                stream.payloads.append(payload)
+                        else:
+                            self._park_late(dest, stream, t, count, payload)
                     n_parked += 1
                 else:
                     push(t, payload, actor)
@@ -749,72 +796,97 @@ class Simulator:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _park_late(ln: Lane, run, entry) -> None:
-        """Park ``entry`` below the tail of its actor's ``run``.
+    def _park_late(ln: Lane, run: ParkRun, t, count, payload) -> None:
+        """Park a record keyed ``(t, run.bits | count)`` below the tail
+        of its ``run``.
 
         Only a message fault (a delay, or a duplicate's second copy)
         delivers an actor's records to one lane out of key order.  The
-        entry is insertion-sorted into its run; when it becomes the
-        run's head it takes the old head's seat in ``ln.parked``.
+        record's count is the actor's newest, so it goes after every
+        record of its tick: it is inserted at that index in every
+        column.  When it becomes the run's head it takes the old head's
+        seat in ``ln.parked``.
         """
-        head = run[0]
-        insort(run, entry)
-        if run[0] is entry:
+        times = run.times
+        i = bisect_right(times, t, run.head)
+        times.insert(i, t)
+        run.counts.insert(i, count)
+        if run.payloads is not None:
+            run.payloads.insert(i, payload)
+        if i == run.head:
             parked = ln.parked
-            parked[parked.index(head)] = entry
+            k = next(k for k, e in enumerate(parked) if e[2] is run)
+            parked[k] = (t, run.bits | count, run)
             heapify(parked)
 
     def _flush_parked(self, ln: Lane, cut) -> int:
         """Execute ``ln``'s parked records with keys below ``cut``;
         returns how many ran (the drain counts them toward its budget).
 
-        ``cut`` is a ``(time, seq)`` key prefix-comparable with parked
-        entries — ``(t, s)`` flushes strictly-earlier deliveries before
-        an incoming event keyed ``(t, s)`` on this lane; ``(t,)`` flushes
-        everything before tick ``t``.  The records come off the lane's
-        per-actor runs by a k-way merge of their heads (:meth:`issue`
-        keeps each run sorted and ``ln.parked`` a heap of the heads), so
-        they leave in key order without a sort; runs execute in maximal
-        same-plan groups by the plans' compiled executors, which charge
-        per-record costs in exactly the interpreted order — see
-        ``repro.udweave.ir``.
+        ``cut`` is a ``(time, seq)`` key prefix-comparable with the
+        run heads in ``ln.parked`` — ``(t, s)`` flushes strictly-earlier
+        deliveries before an incoming event keyed ``(t, s)`` on this
+        lane; ``(t,)`` flushes everything before tick ``t``.  The
+        records come off the lane's per-actor runs by a k-way merge of
+        their heads (:meth:`issue` keeps each run sorted and
+        ``ln.parked`` a heap of the heads), so they leave in key order
+        without a sort; their times (and payloads, when the plan reads
+        them) are gathered into one column per maximal same-plan group,
+        which the plan's compiled executor runs, charging per-record
+        costs in exactly the interpreted order — see
+        ``repro.udweave.ir``.  A run consumed to its end leaves
+        ``ln.streams``; a long-lived one drops its consumed prefix once
+        that is an eighth of its columns (and 16 records or more), so
+        the memmove stays amortized O(1) per record.
         """
         parked = ln.parked
         streams = ln.streams
-        lst = []
+        groups = []
+        plan = None
         while parked and parked[0] < cut:
-            e = parked[0]
-            run = streams[e[1] >> ACTOR_SEQ_BITS]
-            run.popleft()
-            lst.append(e)
-            if run:
-                heapreplace(parked, run[0])
+            t, _seq, stream = parked[0]
+            if stream.plan is not plan:
+                plan = stream.plan
+                times = []
+                payloads = [] if plan.reads else None
+                groups.append((plan, times, payloads))
+            times.append(t)
+            i = stream.head
+            if payloads is not None:
+                payloads.append(stream.payloads[i])
+            i += 1
+            col = stream.times
+            if i < len(col):
+                if i >= 16 and 8 * i >= len(col):
+                    del col[:i], stream.counts[:i]
+                    if payloads is not None:
+                        del stream.payloads[:i]
+                    i = 0
+                stream.head = i
+                heapreplace(parked, (col[i], stream.bits | stream.counts[i],
+                                     stream))
             else:
                 heappop(parked)
-        n = len(lst)
-        if not n:
+                del streams[stream.key]
+        if not groups:
             return 0
         stats = self.stats
-        i = 0
-        while i < n:
-            plan = lst[i][2]
-            j = i + 1
-            while j < n and lst[j][2] is plan:
-                j += 1
-            end = plan.batch_fn(ln, lst, i, j)
+        n = 0
+        for plan, times, payloads in groups:
+            cnt = len(times)
+            end = plan.batch_fn(ln, times, payloads, 0, cnt)
             if end > stats.final_tick:
                 stats.final_tick = end
-            cnt = j - i
             stats.batches_executed += 1
             stats.records_batched += cnt
             stats.events_executed += cnt
             stats.threads_created += cnt
             stats.threads_terminated += cnt
-            i = j
+            n += cnt
         self._parked_total -= n
         # watchdog progress: no parked label is idle-marked
-        if lst[-1][0] > self._wd_last_progress:
-            self._wd_last_progress = lst[-1][0]
+        if t > self._wd_last_progress:
+            self._wd_last_progress = t
         return n
 
     def _stall_check(self, t, nwid, wd_last: float, own_lanes) -> float:

@@ -78,8 +78,9 @@ A parked record keeps only the operand slots its executor reads:
 keys and deltas, ascending; the leading ``job_id`` stays concrete in
 the trace, so it is never one), and the compiled
 ``project(key, values)`` builds that projection at emit.  A plan that
-reads nothing parks the shared ``()`` and compiles no projection — the
-BFS hit arm and the count reduces.  The executor indexes a payload by
+reads nothing parks the shared ``()``, compiles no projection and keeps
+no payload column (its executor is handed ``payloads=None``) — the BFS
+hit arm and the count reduces.  The executor indexes a payload by
 position in ``reads``, never by operand slot.
 
 Every plan is additionally **validated once per program** against the
@@ -234,17 +235,20 @@ class TraceContext:
 class HandlerPlan:
     """One reduce entry's lowered form plus (when parkable) its executor.
 
-    ``parkable`` plans expose ``batch_fn(lane, entries, lo, hi)``: apply
-    ``entries[lo:hi]`` — parked ``(time, seq, plan, payload)`` rows in
-    key order — to ``lane``, charging exactly what the interpreter would
-    have, and return the lane's new ``busy_until`` (the max completion
-    tick of the batch).  Non-parkable plans exist for inspection (golden
-    dumps) and carry ``reason``.
+    ``parkable`` plans expose ``batch_fn(lane, times, payloads, lo,
+    hi)``: apply records ``lo:hi`` of a key-ordered group — their
+    delivery ``times`` and, when the plan reads operands, their
+    ``payloads`` (``None`` otherwise) — to ``lane``, charging exactly
+    what the interpreter would have, and return the lane's new
+    ``busy_until`` (the max completion tick of the batch).
+    Non-parkable plans exist for inspection (golden dumps) and carry
+    ``reason``.
 
     ``reads`` is the ascending tuple of operand slots the executor reads
     (module docstring, "Parked payload"); a record's ``payload`` holds
     exactly those slots, in that order, built by ``project(key, values)``
-    — ``None`` when ``reads`` is empty and the payload is ``()``.
+    — ``None`` when ``reads`` is empty, the payload is ``()`` and no
+    payload column is kept.
 
     A plan traced through ``sp_once`` also carries ``guard(key, values)
     -> once-key``: a record may park only if that key is already in its
@@ -391,12 +395,12 @@ def _compile_batch_fn(plan: HandlerPlan, costs, lane_span=None):
     an int, so its fold (``+= n``) is exact too; the combining-cache
     *values* are floats and stay strictly per-record, in order.
 
-    The executor iterates the parked tuples directly: the per-key float
-    accumulation order is part of the bit-exactness contract, which
-    rules out vectorized reductions (``np.add.at`` ordering across
-    repeated indices is not a guarantee we can rest fingerprints on),
-    and the mean batch is small enough that column staging would cost
-    more than it saves.
+    The executor walks the group's time (and payload) columns by index,
+    one record at a time: the per-key float accumulation order is part
+    of the bit-exactness contract, which rules out vectorized
+    reductions (``np.add.at`` ordering across repeated indices is not a
+    guarantee we can rest fingerprints on), and a plan that reads no
+    operand is handed no payload column at all.
     """
     sp_cost = float(costs.scratchpad_access)
     instr = float(costs.instruction)
@@ -427,19 +431,18 @@ def _compile_batch_fn(plan: HandlerPlan, costs, lane_span=None):
         "HIT_EXTRA": 2 * sp_cost + 1 * instr,
     }
     body = [
-        "def batch_fn(ln, entries, lo, hi):",
+        "def batch_fn(ln, times, payloads, lo, hi):",
         "    sp = ln.scratchpad",
         "    sp_get = sp.get",
         "    busy = ln.busy_until",
         "    total = 0.0",
         "    n = hi - lo",
         "    for i in range(lo, hi):",
-        "        e = entries[i]",
-        "        t = e[0]",
+        "        t = times[i]",
     ]
     plan.reads = reads = tuple(sorted(reads))
     if reads:
-        body.append("        ops_ = e[3]")
+        body.append("        ops_ = payloads[i]")
     body.append("        c = BASE_C")
     for k, (_kind, name, key_src, delta_src) in enumerate(cc_ops):
         key_expr = (
@@ -582,11 +585,13 @@ def _validate(runtime, plan: HandlerPlan, operands: Tuple[Any, ...]) -> bool:
     except Exception:
         return False
     try:
-        payload = () if plan.project is None else plan.project(key, values)
-        batch = [(0.0, i, plan, payload) for i in range(2)]
-        plan.batch_fn(cand, batch, 0, 1)
+        times = [0.0, 0.0]
+        payloads = (
+            None if plan.project is None else [plan.project(key, values)] * 2
+        )
+        plan.batch_fn(cand, times, payloads, 0, 1)
         mid_busy = cand.busy_until
-        plan.batch_fn(cand, batch, 1, 2)
+        plan.batch_fn(cand, times, payloads, 1, 2)
     except Exception:
         return False
     if mid_busy != interpreted_cycles[0]:

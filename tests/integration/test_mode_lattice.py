@@ -1,8 +1,11 @@
 """The mode lattice: no host-side mode changes what the machine does.
 
-A case is an app on a small seeded input (an RMAT graph, or 400 values
-for histogram and bucket sort) plus a draw from every host-side axis: ``shards``, batched dispatch, a fault plan, a recorder tier, the
-watchdog and the drain's shape.  Its :func:`repro.harness.fingerprint`
+A case is an app on a small seeded input (an RMAT graph, 400 values
+for histogram and bucket sort, or 48 keys for the ``fanin`` emitter)
+plus a draw from every host-side axis: ``shards``, batched dispatch, a
+fault plan, a recorder tier, the watchdog and the drain's shape.  A
+stepped drain also checks that no record parked before its bound
+outlives the step.  Its :func:`repro.harness.fingerprint`
 must equal that of the same app, input and fault plan run whole on the
 sequential interpreter (``shards=1, batch_dispatch=False``, no recorder,
 no watchdog).  Derandomized, with no example database: every tier-1 run
@@ -26,9 +29,17 @@ from repro.datastruct import HistogramApp
 from repro.faults import FaultPlan
 from repro.graph import rmat
 from repro.harness import bench_config, fingerprint
+from repro.kvmsr import (
+    CombiningCache,
+    KVMSRJob,
+    MapTask,
+    RangeInput,
+    ReduceTask,
+    emit_to_reduce,
+)
 from repro.machine import SimulationError
 from repro.observe import make_recorder
-from repro.udweave import UpDownRuntime
+from repro.udweave import UDThread, UpDownRuntime, event
 
 NODES = 4
 BLOCK = 512
@@ -72,12 +83,51 @@ def _sort(rt, seed):
     return BucketSortApp(rt, _values(seed)).run().output
 
 
+class _NoMap(MapTask):
+    """Never launched: the fan-in emitter feeds the reduce phase."""
+
+    def kv_map(self, ctx, key):
+        self.kv_map_return(ctx)
+
+
+class _SumReduce(ReduceTask):
+    intrinsic_only = True
+
+    def kv_reduce(self, ctx, key, value):
+        self.job(ctx).payload.add(ctx, key, value)
+        self.kv_reduce_return(ctx)
+
+
+def _fanin(rt, seed):
+    """One event emits 48 reduce tuples and terminates at once: no master
+    thread waits on them, so between their issue and their delivery
+    nothing but parked records is in flight (every other app keeps a
+    KVMSR master thread live).  The float sums are order-sensitive."""
+    keys = [int(k) for k in np.random.default_rng(seed).integers(0, 64, 48)]
+    job_id = KVMSRJob(
+        rt, _NoMap, RangeInput(1), reduce_cls=_SumReduce,
+        payload=CombiningCache("fanin"),
+    ).job_id
+
+    @rt.register
+    class Emitter(UDThread):
+        @event
+        def go(self, ctx):
+            for i, key in enumerate(keys):
+                emit_to_reduce(ctx, job_id, key, 1.0 / (i + 3))
+                ctx.work(3)
+            ctx.yield_terminate()
+
+    rt.start(rt.config.lanes_per_node - 1, "Emitter::go")
+    return rt.run().quiesced
+
+
 APPS = {
     "pagerank": _pagerank, "bfs": _bfs, "tc": _tc, "ktruss": _ktruss,
-    "histogram": _histogram, "sort": _sort,
+    "histogram": _histogram, "sort": _sort, "fanin": _fanin,
 }
 #: the apps with a reduce that parks
-PARKING_APPS = ["bfs", "histogram", "pagerank", "sort"]
+PARKING_APPS = ["bfs", "fanin", "histogram", "pagerank", "sort"]
 
 #: name -> (FaultPlan keywords, reliable)
 PLANS = {
@@ -92,12 +142,16 @@ PLANS = {
 }
 
 #: (kind, arg): a whole drain; ``run(until=)`` steps of ``arg`` cycles,
-#: narrower and wider than a window; or an abort every ``events - 1``
-#: (``arg`` 1) or ``events // arg`` events, each resumed by a ``run()``
+#: narrower and wider than a window; steps that stop on the tick of the
+#: earliest parked record whenever it is less than ``arg`` cycles on, so
+#: the bound leaves that record parked (on ``fanin``, with nothing else
+#: in flight); or an abort every ``events - 1`` (``arg`` 1) or
+#: ``events // arg`` events, each resumed by a ``run()``
 SHAPES = [
     ("whole", None),
     ("until", LOOKAHEAD - 350.0),
     ("until", 5_000.0),
+    ("parked", LOOKAHEAD - 350.0),
     ("abort", 1),
     ("abort", 2),
     ("abort", 7),
@@ -116,26 +170,39 @@ def _run(app, seed, plan, shape=("whole", None), shards=1,
         watchdog_cycles=watchdog,
     )
     kind, arg = shape
-    sim_run = rt.sim.run
+    sim = rt.sim
+    lanes = sim._lanes.values()
 
     # every app drains through ``rt.run``: reshape each of its drains
     def stepped(max_events=None):
-        until = rt.sim.now
+        until = sim.now
         while True:
-            until += arg
-            stats = sim_run(until=until)
+            last, until = until, until + arg
+            if kind == "parked":
+                parked = min(
+                    (ln.parked[0][0] for ln in lanes if ln.parked),
+                    default=math.inf,
+                )
+                if last < parked < until:
+                    until = parked
+            stats = sim.run(until=until)
+            # nothing parked before the bound outlives the step, on any
+            # shard
+            assert not any(
+                ln.parked and ln.parked[0][0] < until for ln in lanes
+            )
             if stats.quiesced:
                 return stats
 
     def resumed(max_events=None):
         while True:
             try:
-                return sim_run(max_events=budget)
+                return sim.run(max_events=budget)
             except SimulationError as err:
                 if "max_events" not in str(err):
                     raise
 
-    if kind == "until":
+    if kind in ("until", "parked"):
         rt.run = stepped
     elif kind == "abort":
         events = _reference(app, seed, plan)["model"]["events_executed"]
@@ -190,6 +257,13 @@ def test_every_mode_equals_the_sequential_interpreter(
                 watchdog) == _reference(app, seed, plan)
 
 
+def _parked_only(shards):
+    """A checked-in draw whose step bounds leave only parked records."""
+    return example(app="fanin", seed=0, plan="none", shards=shards,
+                   record=None, watchdog=None,
+                   shape=("parked", LOOKAHEAD - 350.0))
+
+
 @LATTICE
 @given(
     app=st.sampled_from(PARKING_APPS),
@@ -200,6 +274,8 @@ def test_every_mode_equals_the_sequential_interpreter(
     watchdog=st.sampled_from([None, 1e12]),
     shape=st.sampled_from(SHAPES),
 )
+@_parked_only(1)
+@_parked_only(3)
 def test_parking_modes_equal_the_sequential_interpreter(
     app, seed, plan, shards, record, watchdog, shape
 ):

@@ -1,8 +1,9 @@
 """A parked record carries only the operand slots its executor reads.
 
-Every entry a batch executor receives is logged on small BFS and
+Every record a batch executor receives is logged on small BFS and
 PageRank drains, sequential and sharded.  BFS's visited arm reads no
-operand, so its records park as ``()``; PageRank's ``CC_ADD`` reads the
+operand, so its records park no payload and its executor is handed no
+payload column; PageRank's ``CC_ADD`` reads the
 key and the delta, so its records park as ``(key, delta)`` — per lane,
 in order, exactly the operands the interpreter hands the reduce body.
 A projection that drops a slot the executor reads must not get past
@@ -47,19 +48,21 @@ def _bfs(shards=1):
 def executed(monkeypatch):
     """``{label: {nwid: [payload, ...]}}`` of every record a batch
     executor runs on a simulated lane (validation's scratch lanes,
-    ``network_id`` -1, are left out)."""
+    ``network_id`` -1, are left out); ``None`` for a record handed no
+    payload column."""
     log = defaultdict(lambda: defaultdict(list))
     compile_batch_fn = ir._compile_batch_fn
 
     def spy(plan, costs, lane_span=None):
         batch_fn = compile_batch_fn(plan, costs, lane_span)
 
-        def logged(ln, entries, lo, hi):
+        def logged(ln, times, payloads, lo, hi):
             if ln.network_id >= 0:
-                log[plan.label][ln.network_id] += [
-                    e[3] for e in entries[lo:hi]
-                ]
-            return batch_fn(ln, entries, lo, hi)
+                log[plan.label][ln.network_id] += (
+                    [None] * (hi - lo) if payloads is None
+                    else payloads[lo:hi]
+                )
+            return batch_fn(ln, times, payloads, lo, hi)
 
         return logged
 
@@ -73,7 +76,8 @@ def test_bfs_parks_empty_payloads(executed, shards):
     (runs,) = executed.values()
     payloads = [p for run in runs.values() for p in run]
     assert len(payloads) == rt.sim.stats.records_batched > 0
-    assert set(payloads) == {()}
+    # the hit arm reads no operand: its executor gets no payload column
+    assert set(payloads) == {None}
 
 
 @pytest.mark.parametrize("shards", [1, 2])

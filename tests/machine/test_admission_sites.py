@@ -29,10 +29,12 @@ code that does the chunking: no other module loops over a stepped
 ``MAX_DRAM_READ_WORDS``.
 
 A lane's parked records live in per-actor runs (``Lane.streams``) under
-a heap of their heads (``Lane.parked``).  Only ``Simulator.issue`` (with
-its out-of-order helper ``_park_late``) and ``Simulator._flush_parked``
-mutate them, and nothing treats ``.parked`` as a sorted list any more:
-no ``insort`` or ``bisect*`` call takes it.
+a heap of their heads (``Lane.parked``), each run a set of columns
+(``times``, ``counts``, ``payloads``) read from index ``head``.  Only
+``Simulator.issue`` (with its out-of-order helper ``_park_late``) and
+``Simulator._flush_parked`` mutate any of them, and nothing treats
+``.parked`` as a sorted list any more: no ``insort`` or ``bisect*`` call
+takes it.
 
 At the end of every drain, sequential or sharded, ``Simulator._settle``
 is the one place that delivers host mail into ``host_inbox`` and files
@@ -496,8 +498,9 @@ def test_the_window_loop_keeps_no_drain_end_of_its_own():
     assert not drain & {"host_inbox", "_host_mail", "HOST_NWID"}
 
 
-#: a lane's parking structures: the heap of run heads and the runs.
-PARK_FIELDS = {"parked", "streams"}
+#: a lane's parking structures: the heap of run heads, the runs, and
+#: each run's columns and head index.
+PARK_FIELDS = {"parked", "streams", "times", "counts", "payloads", "head"}
 
 #: the functions in ``machine/simulator.py`` allowed to mutate them.
 PARK_SITES = {"issue", "_park_late", "_flush_parked"}
@@ -658,9 +661,15 @@ def test_the_park_walk_sees_the_sorted_list():
         "    del lst[:n]\n"
         "def elsewhere(ln, actor, entry):\n"
         "    ln.streams.get(actor).append(entry)\n"
+        "def columns(run, t):\n"
+        "    times = run.times\n"
+        "    times.append(t)\n"
+        "    del run.counts[:1]\n"
+        "    run.head += 1\n"
     ))
     assert finder.writes == [
         ("issue", 2), ("_flush_parked", 6), ("elsewhere", 8),
+        ("columns", 11), ("columns", 12), ("columns", 13),
     ]
     assert finder.sorted_calls == [
         ("issue", 2, "insort"), ("_flush_parked", 5, "bisect_left"),

@@ -223,9 +223,11 @@ class TestMessageFaults:
 
 
 class _Plan:
-    """Stands in for a batch plan: ``issue`` only counts on it."""
+    """Stands in for a batch plan: ``issue`` only counts on it, and
+    keeps its records' payloads (it reads operands)."""
 
     parked = 0
+    reads = (0, 1)
 
 
 def _issued(s, plan):
@@ -313,15 +315,19 @@ class TestIssueRuns:
 
 
 class _LoggingPlan:
-    """A parkable plan stand-in whose executor logs each group it runs."""
+    """A parkable plan stand-in whose executor logs each group it runs,
+    as ``(time, payload)`` pairs."""
+
+    reads = (0,)
 
     def __init__(self, label, log):
         self.label = label
         self.parked = 0
         self.log = log
 
-    def batch_fn(self, ln, entries, lo, hi):
-        self.log.append((ln.network_id, self.label, entries[lo:hi]))
+    def batch_fn(self, ln, times, payloads, lo, hi):
+        self.log.append((ln.network_id, self.label,
+                         list(zip(times[lo:hi], payloads[lo:hi]))))
         return 0.0
 
 
@@ -424,16 +430,16 @@ class TestMergedParking:
                 del log[:]
                 assert s._flush_parked(s.lane(nwid), cut) == n
                 groups = []
-                for e in want:
-                    if groups and groups[-1][1] == e[2].label:
-                        groups[-1][2].append(e)
+                for t, _seq, plan, payload in want:
+                    if groups and groups[-1][1] == plan.label:
+                        groups[-1][2].append((t, payload))
                     else:
-                        groups.append((nwid, e[2].label, [e]))
+                        groups.append((nwid, plan.label, [(t, payload)]))
                 assert log == groups
             for nwid, lst in ref.items():
                 parked = s.lane(nwid).parked
-                assert (parked[0] if parked else None) == (
-                    lst[0] if lst else None
+                assert (parked[0][:2] if parked else None) == (
+                    lst[0][:2] if lst else None
                 )
                 assert list(s.lane(nwid).parked_records()) == lst
             assert s._parked_total == sum(map(len, ref.values()))
