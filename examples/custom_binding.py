@@ -43,8 +43,7 @@ def run(binding, label):
     job = KVMSRJob(
         rt, SkewedWork, RangeInput(N_KEYS), map_binding=binding, name=label
     )
-    job.launch()
-    stats = rt.run()
+    _, stats = job.run("skew_done", label)
     print(
         f"  {label:22} {rt.elapsed_seconds * 1e6:8.2f} us   "
         f"load imbalance {stats.load_imbalance():5.2f}x"

@@ -73,8 +73,7 @@ def run(binding=None, label="Block (default)"):
         map_binding=binding,
         payload=results,
     )
-    job.launch()
-    stats = runtime.run()
+    _, stats = job.run("wc_done", "word count")
     print(f"--- computation binding: {label}")
     print(f"    counts: {dict(sorted(results.items()))}")
     print(f"    simulated time: {runtime.elapsed_seconds * 1e6:.2f} us, "

@@ -414,17 +414,10 @@ class BFSApp:
             raise ValueError(f"root {root} out of range")
         rt = self.runtime
         self._seed(root)
-        rt.start(
-            self.job.master_lane,
-            "BFSDriver::start",
-            self.job.job_id,
-            cont=rt.host_evw("bfs_done"),
+        (rounds, traversed), stats = rt.call(
+            self.job.master_lane, "BFSDriver::start", self.job.job_id,
+            done="bfs_done", what="BFS", max_events=max_events,
         )
-        stats = rt.run(max_events=max_events)
-        done = rt.host_messages("bfs_done")
-        if not done:
-            raise rt.sim.incomplete("BFS did not complete")
-        rounds, traversed = done[-1].operands
         return BFSResult(
             distances=self.dist_region.data.copy(),
             parents=self.parent_region.data.copy(),

@@ -149,19 +149,17 @@ class CompactionApp:
 
     def run(self, max_events: Optional[int] = None) -> CompactionResult:
         rt = self.runtime
-        self.count_job.launch(cont_tag="compact_count_done")
-        rt.run(max_events=max_events)
-        if not rt.host_messages("compact_count_done"):
-            raise rt.sim.incomplete("compaction count did not complete")
+        self.count_job.run(
+            "compact_count_done", "compaction count", max_events=max_events
+        )
         counts = self.counts_region.data
         self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(
             np.int64
         )
         live = int(counts.sum())
-        self.scatter_job.launch(cont_tag="compact_scatter_done")
-        stats = rt.run(max_events=max_events)
-        if not rt.host_messages("compact_scatter_done"):
-            raise rt.sim.incomplete("compaction scatter did not complete")
+        _, stats = self.scatter_job.run(
+            "compact_scatter_done", "compaction scatter", max_events=max_events
+        )
         return CompactionResult(
             compacted=self.out_region.data[:live].copy(),
             mapping=self.mapping_region.data.copy(),

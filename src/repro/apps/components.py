@@ -175,17 +175,10 @@ class ConnectedComponentsApp:
 
     def run(self, max_events: Optional[int] = None) -> ComponentsResult:
         rt = self.runtime
-        rt.start(
-            self.job.master_lane,
-            "CCDriver::start",
-            self.job.job_id,
-            cont=rt.host_evw("cc_done"),
+        (rounds,), stats = rt.call(
+            self.job.master_lane, "CCDriver::start", self.job.job_id,
+            done="cc_done", what="connected components", max_events=max_events,
         )
-        stats = rt.run(max_events=max_events)
-        done = rt.host_messages("cc_done")
-        if not done:
-            raise rt.sim.incomplete("connected components did not complete")
-        (rounds,) = done[-1].operands
         labels = self.label_region.data.copy()
         return ComponentsResult(
             labels=labels,

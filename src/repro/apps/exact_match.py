@@ -115,16 +115,12 @@ class ExactMatchApp:
 
     def run(self, max_events: Optional[int] = None) -> ExactMatchResult:
         rt = self.runtime
-        self.build_job.launch(cont_tag="em_build_done")
-        rt.run(max_events=max_events)
-        if not rt.host_messages("em_build_done"):
-            raise rt.sim.incomplete("exact-match build did not complete")
-        self.probe_job.launch(cont_tag="em_probe_done")
-        stats = rt.run(max_events=max_events)
-        done = rt.host_messages("em_probe_done")
-        if not done:
-            raise rt.sim.incomplete("exact-match probe did not complete")
-        _t, _e, _p, hits = done[-1].operands
+        self.build_job.run(
+            "em_build_done", "exact-match build", max_events=max_events
+        )
+        (_t, _e, _p, hits), stats = self.probe_job.run(
+            "em_probe_done", "exact-match probe", max_events=max_events
+        )
         return ExactMatchResult(
             hits=int(hits), elapsed_seconds=rt.elapsed_seconds, stats=stats
         )

@@ -179,14 +179,10 @@ class GNNApp:
 
     def run(self, max_events: Optional[int] = None) -> GNNResult:
         rt = self.runtime
-        self.gen_job.launch(cont_tag="gnn_gen_done")
-        rt.run(max_events=max_events)
-        if not rt.host_messages("gnn_gen_done"):
-            raise rt.sim.incomplete("genFeatures did not complete")
-        self.int_job.launch(cont_tag="gnn_int_done")
-        stats = rt.run(max_events=max_events)
-        if not rt.host_messages("gnn_int_done"):
-            raise rt.sim.incomplete("integrate did not complete")
+        self.gen_job.run("gnn_gen_done", "genFeatures", max_events=max_events)
+        _, stats = self.int_job.run(
+            "gnn_int_done", "integrate", max_events=max_events
+        )
         n = self.graph.n
         return GNNResult(
             features=self.feat_region.data.reshape(n, FEATURE_DIM).copy(),

@@ -260,12 +260,9 @@ class IngestionApp:
 
     def run(self, max_events: Optional[int] = None) -> IngestionResult:
         rt = self.runtime
-        self.job.launch(cont_tag="ingest_done")
-        stats = rt.run(max_events=max_events)
-        done = rt.host_messages("ingest_done")
-        if not done:
-            raise rt.sim.incomplete("ingestion did not complete")
-        _tasks, emitted, _polls, _fv = done[-1].operands
+        (_tasks, emitted, _polls, _fv), stats = self.job.run(
+            "ingest_done", "ingestion", max_events=max_events
+        )
         return IngestionResult(
             records=emitted,
             elapsed_seconds=rt.elapsed_seconds,

@@ -135,10 +135,9 @@ class KTrussApp:
             self.weak_edges = []
             self._round = rounds
             job = self._load_round(live)
-            job.launch(cont_tag="ktruss_round_done")
-            stats = rt.run(max_events=max_events)
-            if not rt.host_messages("ktruss_round_done"):
-                raise rt.sim.incomplete("k-truss round did not complete")
+            _, stats = job.run(
+                "ktruss_round_done", "k-truss round", max_events=max_events
+            )
             rounds += 1
             if not self.weak_edges:
                 break

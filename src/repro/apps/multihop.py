@@ -134,10 +134,9 @@ class MultihopApp:
             for v in reached:
                 owner = job.reduce_binding.lane_for(v, job.reduce_lanes)
                 rt.sim.lane(owner).scratchpad[("mh_seen", job.job_id, v)] = True
-            job.launch(cont_tag="multihop_hop_done")
-            stats = rt.run(max_events=max_events)
-            if not rt.host_messages("multihop_hop_done"):
-                raise rt.sim.incomplete("multihop hop did not complete")
+            _, stats = job.run(
+                "multihop_hop_done", "multihop hop", max_events=max_events
+            )
             for v in self.next_frontier:
                 reached[int(v)] = hop
             frontier = sorted(set(int(v) for v in self.next_frontier))

@@ -270,16 +270,11 @@ class PageRankApp:
         if iterations < 1:
             raise ValueError("need at least one iteration")
         rt = self.runtime
-        rt.start(
-            self.push_job.master_lane,
-            "PRDriver::start",
-            self.push_job.job_id,
-            iterations,
-            cont=rt.host_evw("pagerank_done"),
+        _, stats = rt.call(
+            self.push_job.master_lane, "PRDriver::start", self.push_job.job_id,
+            iterations, done="pagerank_done", what="PageRank",
+            max_events=max_events,
         )
-        stats = rt.run(max_events=max_events)
-        if not rt.host_messages("pagerank_done"):
-            raise rt.sim.incomplete("PageRank did not complete")
         return PageRankResult(
             ranks=self.pr_region.data.copy(),
             iterations=iterations,

@@ -220,16 +220,12 @@ class PullPageRankApp:
         if iterations < 1:
             raise ValueError("need at least one iteration")
         rt = self.runtime
-        rt.start(
-            self.contrib_job.master_lane,
-            "PullDriver::start",
-            self.contrib_job.job_id,
-            iterations,
-            cont=rt.host_evw("pull_pagerank_done"),
+        _, stats = rt.call(
+            self.contrib_job.master_lane, "PullDriver::start",
+            self.contrib_job.job_id, iterations,
+            done="pull_pagerank_done", what="pull PageRank",
+            max_events=max_events,
         )
-        stats = rt.run(max_events=max_events)
-        if not rt.host_messages("pull_pagerank_done"):
-            raise rt.sim.incomplete("pull PageRank did not complete")
         return PullPageRankResult(
             ranks=self.pr_region.data.copy(),
             iterations=iterations,

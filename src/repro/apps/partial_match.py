@@ -215,14 +215,18 @@ class PartialMatchApp:
                 t=t,
             )
             rec_id += 1
+        seen = len(rt.sim.host_inbox)
         stats = rt.run(max_events=max_events)
+        mail = rt.sim.host_inbox[seen:]
         done_times: Dict[int, float] = {}
-        for t, msg in rt.sim.host_inbox:
+        for t, msg in mail:
             if msg.label == "pm_rec_done":
                 done_times[msg.operands[0]] = t
         if set(done_times) != set(inject_times):
             missing = sorted(set(inject_times) - set(done_times))
-            raise RuntimeError(f"records never completed: {missing[:5]}...")
+            raise rt.sim.incomplete(
+                f"records never completed: {missing[:5]}..."
+            )
         lat = np.array(
             [
                 rt.config.cycles_to_seconds(done_times[i] - inject_times[i])
@@ -231,7 +235,7 @@ class PartialMatchApp:
         )
         alerts = [
             tuple(msg.operands)
-            for _t, msg in rt.sim.host_inbox
+            for _t, msg in mail
             if msg.label == "pm_alert"
         ]
         return PartialMatchResult(

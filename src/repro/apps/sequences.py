@@ -152,18 +152,16 @@ class ConstructSequencesApp:
 
     def run(self, max_events: Optional[int] = None) -> SequencesResult:
         rt = self.runtime
-        self.count_job.launch(cont_tag="seq_count_done")
-        rt.run(max_events=max_events)
-        if not rt.host_messages("seq_count_done"):
-            raise rt.sim.incomplete("sequence count did not complete")
+        self.count_job.run(
+            "seq_count_done", "sequence count", max_events=max_events
+        )
         counts = self.counts_region.data
         self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(
             np.int64
         )
-        self.place_job.launch(cont_tag="seq_place_done")
-        stats = rt.run(max_events=max_events)
-        if not rt.host_messages("seq_place_done"):
-            raise rt.sim.incomplete("sequence place did not complete")
+        _, stats = self.place_job.run(
+            "seq_place_done", "sequence place", max_events=max_events
+        )
         sequences: Dict[int, list] = {}
         for e in range(self.n_entities):
             c = int(counts[e])

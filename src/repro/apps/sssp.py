@@ -223,17 +223,10 @@ class SSSPApp:
         rt = self.runtime
         self.dist_region[:] = UNREACHED
         self.dist_region[source] = 0
-        rt.start(
-            self.job.master_lane,
-            "SSSPDriver::start",
-            self.job.job_id,
-            cont=rt.host_evw("sssp_done"),
+        (rounds,), stats = rt.call(
+            self.job.master_lane, "SSSPDriver::start", self.job.job_id,
+            done="sssp_done", what="SSSP", max_events=max_events,
         )
-        stats = rt.run(max_events=max_events)
-        done = rt.host_messages("sssp_done")
-        if not done:
-            raise rt.sim.incomplete("SSSP did not complete")
-        (rounds,) = done[-1].operands
         dist = self.dist_region.data.copy()
         dist[dist >= UNREACHED] = -1
         return SSSPResult(

@@ -227,12 +227,9 @@ class TriangleCountApp:
 
     def run(self, max_events: Optional[int] = None) -> TriangleCountResult:
         rt = self.runtime
-        self.job.launch(cont_tag="tc_done")
-        stats = rt.run(max_events=max_events)
-        done = rt.host_messages("tc_done")
-        if not done:
-            raise rt.sim.incomplete("TC did not complete")
-        _tasks, _emitted, _polls, triangles = done[-1].operands
+        (_tasks, _emitted, _polls, triangles), stats = self.job.run(
+            "tc_done", "TC", max_events=max_events
+        )
         return TriangleCountResult(
             triangles=int(triangles),
             elapsed_seconds=rt.elapsed_seconds,

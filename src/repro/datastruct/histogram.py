@@ -105,10 +105,9 @@ class HistogramApp:
 
     def run(self, max_events: Optional[int] = None) -> HistogramResult:
         rt = self.runtime
-        self.job.launch(cont_tag="hist_done")
-        stats = rt.run(max_events=max_events)
-        if not rt.host_messages("hist_done"):
-            raise rt.sim.incomplete("histogram did not complete")
+        _, stats = self.job.run(
+            "hist_done", "histogram", max_events=max_events
+        )
         edges = np.linspace(self.lo, self.hi, self.nbins + 1)
         return HistogramResult(
             counts=self.counts_region.data.copy(),

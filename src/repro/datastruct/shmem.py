@@ -142,12 +142,9 @@ def sum_reduce(
         payload=sym,
         name=f"shmem_sum_{sym.region.name}",
     )
-    job.launch(cont_tag="shmem_sum_done")
-    stats = rt.run(max_events=max_events)
-    done = rt.host_messages("shmem_sum_done")
-    if not done:
-        raise rt.sim.incomplete("sum_reduce did not complete")
-    _tasks, _emitted, _polls, total = done[-1].operands
+    (_tasks, _emitted, _polls, total), stats = job.run(
+        "shmem_sum_done", "sum_reduce", max_events=max_events
+    )
     return total, stats
 
 
@@ -191,10 +188,7 @@ def broadcast(
         payload=(sym, root),
         name=f"shmem_bcast_{sym.region.name}",
     )
-    job.launch(cont_tag="shmem_bcast_done")
-    stats = rt.run(max_events=max_events)
-    if not rt.host_messages("shmem_bcast_done"):
-        raise rt.sim.incomplete("broadcast did not complete")
+    _, stats = job.run("shmem_bcast_done", "broadcast", max_events=max_events)
     return stats
 
 
@@ -210,8 +204,5 @@ def barrier(runtime: UpDownRuntime, max_events: Optional[int] = None) -> SimStat
         runtime, runtime.config.nodes, lambda ctx, node: ctx.work(1),
         name=f"shmem_barrier{id(runtime) & 0xffff}",
     )
-    job.launch(cont_tag="shmem_barrier_done")
-    stats = runtime.run(max_events=max_events)
-    if not runtime.host_messages("shmem_barrier_done"):
-        raise runtime.sim.incomplete("barrier did not complete")
+    _, stats = job.run("shmem_barrier_done", "barrier", max_events=max_events)
     return stats

@@ -170,18 +170,16 @@ class GlobalSortApp:
 
     def run(self, max_events: Optional[int] = None) -> SortResult:
         rt = self.runtime
-        self.count_job.launch(cont_tag="sort_count_done")
-        stats1 = rt.run(max_events=max_events)
-        if not rt.host_messages("sort_count_done"):
-            raise rt.sim.incomplete("sort count phase did not complete")
+        self.count_job.run(
+            "sort_count_done", "sort count phase", max_events=max_events
+        )
         counts = self.counts_region.data
         self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(
             np.int64
         )
-        self.scatter_job.launch(cont_tag="sort_scatter_done")
-        stats2 = rt.run(max_events=max_events)
-        if not rt.host_messages("sort_scatter_done"):
-            raise rt.sim.incomplete("sort scatter phase did not complete")
+        _, stats2 = self.scatter_job.run(
+            "sort_scatter_done", "sort scatter phase", max_events=max_events
+        )
         return SortResult(
             output=self.output_region.data.copy(),
             elapsed_seconds=rt.elapsed_seconds,

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.machine.events import NEW_THREAD, MessageRecord
+from repro.machine.stats import SimStats
 from repro.udweave.context import MAX_DRAM_READ_WORDS, LaneContext
 from repro.udweave.runtime import UpDownRuntime
 from repro.udweave.thread import UDThread, event
@@ -151,8 +152,19 @@ class KVMSRJob:
 
     # -- launching -------------------------------------------------------
 
+    def run(
+        self, done: str, what: str, max_events: Optional[int] = None
+    ) -> Tuple[Tuple[Any, ...], SimStats]:
+        """Host-side start that waits: drain until this job's completion
+        arrives under ``done``; see :meth:`UpDownRuntime.call`."""
+        return self.runtime.call(
+            self.master_lane, "KVMSRMaster::start", self.job_id,
+            done=done, what=what, max_events=max_events,
+        )
+
     def launch(self, cont_tag: str = "kvmsr_done") -> None:
-        """Host-side start; completion lands in the host mailbox."""
+        """Host-side start that does not wait; completion lands in the
+        host mailbox."""
         self.runtime.start(
             self.master_lane,
             "KVMSRMaster::start",

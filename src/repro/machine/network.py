@@ -81,12 +81,6 @@ class Network:
         #: flight recorder for channel telemetry, or None (the off tier).
         self.recorder = recorder
 
-    def _channel(self, node: int) -> InjectionChannel:
-        ch = self._injection.get(node)
-        if ch is None:
-            ch = self._injection[node] = InjectionChannel()
-        return ch
-
     def injection_backlog(self, node: int, t: float) -> float:
         """Cycles a transfer arriving at ``t`` would wait to enter
         ``node``'s injection port — zero when the channel is free.

@@ -198,8 +198,8 @@ class UpDownRuntime:
     def host_evw(self, tag: str = "done") -> int:
         """An event word that delivers to the host mailbox under ``tag``.
 
-        Programs use it as a completion continuation; the host reads
-        results via :meth:`host_messages`.
+        Programs use it as a completion continuation; :meth:`call`
+        waits for it.
         """
         label_id = self._host_labels.get(tag)
         if label_id is None:
@@ -275,6 +275,31 @@ class UpDownRuntime:
     def run(self, max_events: Optional[int] = None) -> SimStats:
         """Run to quiescence; returns machine statistics."""
         return self.sim.run(max_events=max_events)
+
+    def call(
+        self,
+        network_id: int,
+        label: str,
+        *operands: Any,
+        done: str,
+        what: str,
+        max_events: Optional[int] = None,
+    ) -> Tuple[Tuple[Any, ...], SimStats]:
+        """Start ``label`` with the host continuation ``done``, drain, and
+        return the operands of the completion plus the drain's stats.
+
+        Only mail this drain delivered counts: an earlier completion
+        under the same tag never stands in for a lost one.  A drain that
+        ends without it raises :class:`RunIncomplete` ("``what`` did not
+        complete").
+        """
+        seen = len(self.sim.host_inbox)
+        self.start(network_id, label, *operands, cont=self.host_evw(done))
+        stats = self.run(max_events=max_events)
+        for _t, rec in reversed(self.sim.host_inbox[seen:]):
+            if rec.label == done:
+                return rec.operands, stats
+        raise self.sim.incomplete(f"{what} did not complete")
 
     def shutdown(self) -> None:
         """A no-op: the runtime holds no process or OS resource.

@@ -40,6 +40,12 @@ At the end of every drain, sequential or sharded, ``Simulator._settle``
 is the one place that delivers host mail into ``host_inbox`` and files
 the quiescence verdict; the window loop in ``machine/parallel.py`` keeps
 no copy of either.
+
+A host driver waits for its job through ``UpDownRuntime.call`` (or
+``KVMSRJob.run``, which calls it): no app or data structure starts a job
+with ``launch`` or reads ``host_messages`` itself, and only ``call`` and
+``PartialMatchApp.run_stream`` (a stream of records, one completion
+each) raise ``Simulator.incomplete``.
 """
 
 import ast
@@ -673,4 +679,79 @@ def test_the_park_walk_sees_the_sorted_list():
     ]
     assert finder.sorted_calls == [
         ("issue", 2, "insort"), ("_flush_parked", 5, "bisect_left"),
+    ]
+
+
+#: packages whose host drivers wait only through ``UpDownRuntime.call``.
+DRIVER_PACKAGES = ("apps", "datastruct")
+#: calls that start or read a completion by hand.
+HAND_WAIT_CALLS = {"host_messages", "launch"}
+#: the functions allowed to raise a missing completion.
+INCOMPLETE_SITES = {
+    ("udweave/runtime.py", "call"),
+    ("apps/partial_match.py", "run_stream"),
+}
+
+
+class _CallFinder(ast.NodeVisitor):
+    """``(function, line, name)`` of every call whose callee is named in
+    ``names`` (``f(...)`` or ``x.f(...)``)."""
+
+    def __init__(self, names):
+        self.names = names
+        self.func = "<module>"
+        self.hits = []
+
+    def visit_FunctionDef(self, node):
+        outer, self.func = self.func, node.name
+        self.generic_visit(node)
+        self.func = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in self.names:
+            self.hits.append((self.func, node.lineno, name))
+        self.generic_visit(node)
+
+
+def _call_findings(tree, names):
+    finder = _CallFinder(names)
+    finder.visit(tree)
+    return finder.hits
+
+
+def test_host_drivers_wait_only_through_runtime_call():
+    stray, raisers = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if rel.split("/")[0] in DRIVER_PACKAGES:
+            stray += [
+                f"{rel}:{line} {func}() calls {name}"
+                for func, line, name in _call_findings(tree, HAND_WAIT_CALLS)
+            ]
+        raisers |= {
+            (rel, func)
+            for func, _line, _name in _call_findings(tree, {"incomplete"})
+        }
+    assert not stray, "completion wait written out by hand:\n" + (
+        "\n".join(stray)
+    )
+    assert raisers == INCOMPLETE_SITES
+
+
+def test_the_wait_walk_sees_a_hand_written_wait():
+    """Guard against a walk that rotted into matching nothing."""
+    tree = ast.parse(
+        "def run(self):\n"
+        "    self.job.launch(cont_tag='done')\n"
+        "    rt.run()\n"
+        "    if not rt.host_messages('done'):\n"
+        "        raise rt.sim.incomplete('job did not complete')\n"
+    )
+    assert _call_findings(tree, HAND_WAIT_CALLS | {"incomplete"}) == [
+        ("run", 2, "launch"), ("run", 4, "host_messages"),
+        ("run", 5, "incomplete"),
     ]

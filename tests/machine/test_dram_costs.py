@@ -12,6 +12,7 @@ import pytest
 from repro.faults import FaultPlan
 from repro.machine import DramAccess, MessageRecord, Simulator, bench_machine
 from repro.machine.events import NEW_THREAD
+from repro.machine.network import InjectionChannel
 
 
 def _sim(**overrides):
@@ -156,7 +157,8 @@ class TestInjectionRouting:
         lane_far = sim.config.first_lane_of_node(2)
         lane_near = sim.config.first_lane_of_node(1)
         # far issues first but behind a saturated injection port
-        sim.network._channel(2).free_at = 5000.0
+        ch = sim.network._injection[2] = InjectionChannel()
+        ch.free_at = 5000.0
         far = DramAccess(0, 64, 0, lane_far, NEW_THREAD, "far")
         near = DramAccess(0, 64, 0, lane_near, NEW_THREAD, "near")
         sim.dram_issue(lane_far, 2, True, ((0.0, far),))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine import bench_machine
-from repro.machine.network import Network
+from repro.machine.network import InjectionChannel, Network
 
 
 @pytest.fixture
@@ -86,7 +86,8 @@ class TestInjection:
 
         for recorder in (None, _Rec()):
             net = Network(bench_machine(nodes=2), recorder=recorder)
-            net._channel(0).bytes_injected = 2**53  # past exact floats
+            ch = net._injection[0] = InjectionChannel()
+            ch.bytes_injected = 2**53  # past exact floats
             net.deliver_time(0.0, 0, 1, 64)
             assert isinstance(net.injected_bytes(0), int)
             assert net.injected_bytes(0) == 2**53 + 64
